@@ -111,19 +111,21 @@ bench-sim:
 	$(GO) run ./cmd/mepipe-bench -sim -sim-out $(CURDIR)/BENCH_sim.json
 
 # Sweep-engine smoke (docs/PERFORMANCE.md): the golden equivalence suite
-# (sweep vs sequential vs frozen reference at 8/16/32 GPUs, ±prune, and
-# mid-sweep cancellation), the /v1/sweep wire tests, and a short -sweep
-# bench pass (which cross-checks every candidate bitwise against the
-# frozen pre-sweep path before timing).
+# (sweep vs sequential search at 8/16/32 GPUs, ±prune, and mid-sweep
+# cancellation), a short run of the certifier's differential fuzzer (the
+# dense Kahn path against the map graph), the /v1/sweep wire tests, and
+# a short -sweep bench pass (which cross-checks every candidate bitwise
+# against the per-point search before timing).
 sweep-smoke:
-	$(GO) test ./internal/strategy -run 'TestSweep|TestSearchReference' -count=1
+	$(GO) test ./internal/strategy -run 'TestSweep' -count=1
+	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyDenseMatchesGraph -fuzztime 10s
 	$(GO) test ./internal/serve ./api/v1 -run 'Sweep' -count=1
 	$(GO) run ./cmd/mepipe-bench -sweep -sweep-min-s 0.5 -sweep-out $(CURDIR)/BENCH_sweep_smoke.json
 
 # Sweep-engine throughput benchmark: measures multi-system grid-search
-# rates of the streaming sweep engine against the frozen pre-sweep path
-# live in the same process, and regenerates the machine-readable
-# baseline (BENCH_sweep.json) future PRs regress against.
+# rates of the streaming sweep engine against the per-point search
+# (strategy.SearchContext) live in the same process, and regenerates the
+# machine-readable baseline (BENCH_sweep.json).
 bench-sweep:
 	$(GO) run ./cmd/mepipe-bench -sweep -sweep-min-s 4 -sweep-out $(CURDIR)/BENCH_sweep.json
 

@@ -43,7 +43,7 @@ func main() {
 		simBench  = flag.Bool("sim", false, "measure simulator candidate-evaluation throughput (full vs incremental vs batched) and write a report")
 		simCands  = flag.Int("sim-candidates", 512, "candidate schedules to evaluate in -sim mode")
 		simOut    = flag.String("sim-out", "BENCH_sim.json", "report file written by -sim")
-		sweep     = flag.Bool("sweep", false, "measure multi-system grid-search throughput (sweep engine vs the pre-sweep path) and write a report")
+		sweep     = flag.Bool("sweep", false, "measure multi-system grid-search throughput (sweep engine vs the per-point search) and write a report")
 		sweepMinS = flag.Float64("sweep-min-s", 2.0, "minimum measured duration per row in -sweep mode")
 		sweepOut  = flag.String("sweep-out", "BENCH_sweep.json", "report file written by -sweep")
 	)

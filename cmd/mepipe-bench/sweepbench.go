@@ -16,8 +16,8 @@ import (
 
 // sweepRow is one measured configuration of the grid-search benchmark.
 type sweepRow struct {
-	// Path is "reference" (the pre-sweep per-point search path, kept in
-	// tree as strategy.SearchReference) or "sweep" (the streaming engine).
+	// Path is "search" (strategy.SearchContext, the naive per-point search
+	// with no dedup or memoization) or "sweep" (the streaming engine).
 	Path  string `json:"path"`
 	Cores int    `json:"cores"`
 	// GridPointsPerSec is enumerated grid points processed per second
@@ -29,7 +29,7 @@ type sweepRow struct {
 }
 
 // sweepReport is the BENCH_sweep.json document: the sweep engine measured
-// live against the pre-sweep search path in the same process (so machine
+// live against the per-point search path in the same process (so machine
 // drift between runs can never contaminate the speedup), at one core and
 // at every core.
 type sweepReport struct {
@@ -51,17 +51,18 @@ type sweepReport struct {
 
 	Rows []sweepRow `json:"rows"`
 
-	// Speedup of the sweep engine over the reference path at matched
-	// core counts.
+	// Speedup of the sweep engine over the per-point search path at
+	// matched core counts.
 	Speedup1Core    float64 `json:"speedup_1core"`
 	SpeedupAllCores float64 `json:"speedup_all_cores"`
 }
 
 // runSweepBench measures multi-system grid-search throughput on the
-// paper's 32-GPU point: the streaming sweep engine vs the pre-sweep
-// per-point path, both at GOMAXPROCS=1 and at full parallelism. Before
-// anything is timed, every system's sweep result is cross-checked bitwise
-// against the reference path.
+// paper's 32-GPU point: the streaming sweep engine vs SearchContext, which
+// per grid point builds mesh, memory plan and cost model fresh and runs
+// generate, certify and simulate with no dedup, both at GOMAXPROCS=1 and
+// at full parallelism. Before anything is timed, every system's sweep
+// result is cross-checked bitwise against SearchContext.
 func runSweepBench(minSeconds float64, out string) error {
 	m := config.Llama13B()
 	cl := cluster.RTX4090Cluster(4) // 32 GPUs, the paper's full testbed point
@@ -71,27 +72,27 @@ func runSweepBench(minSeconds float64, out string) error {
 	systems := strategy.Systems()
 	ctx := context.Background()
 
-	// Correctness gate: the engine must agree with the reference path on
+	// Correctness gate: the engine must agree with the per-point search on
 	// every system before its speed means anything.
 	sw, err := strategy.Sweep(ctx, systems, m, cl, tr, sp)
 	if err != nil {
 		return err
 	}
 	for i, sys := range systems {
-		ref, refErr := strategy.SearchReference(ctx, sys, m, cl, tr, sp)
-		if (refErr == nil) != (sw.Errs[i] == nil) {
-			return fmt.Errorf("sweep bench: %s: error mismatch: sweep %v, reference %v", sys, sw.Errs[i], refErr)
+		want, wantErr := strategy.SearchContext(ctx, sys, m, cl, tr, sp)
+		if (wantErr == nil) != (sw.Errs[i] == nil) {
+			return fmt.Errorf("sweep bench: %s: error mismatch: sweep %v, search %v", sys, sw.Errs[i], wantErr)
 		}
 		got := sw.Results[i]
-		if got.Evaluated != ref.Evaluated || got.Pruned != ref.Pruned || len(got.Candidates) != len(ref.Candidates) {
-			return fmt.Errorf("sweep bench: %s: counters diverge: sweep (%d evaluated, %d pruned, %d candidates), reference (%d, %d, %d)",
-				sys, got.Evaluated, got.Pruned, len(got.Candidates), ref.Evaluated, ref.Pruned, len(ref.Candidates))
+		if got.Evaluated != want.Evaluated || got.Pruned != want.Pruned || len(got.Candidates) != len(want.Candidates) {
+			return fmt.Errorf("sweep bench: %s: counters diverge: sweep (%d evaluated, %d pruned, %d candidates), search (%d, %d, %d)",
+				sys, got.Evaluated, got.Pruned, len(got.Candidates), want.Evaluated, want.Pruned, len(want.Candidates))
 		}
-		for j := range ref.Candidates {
-			g, r := got.Candidates[j], ref.Candidates[j]
+		for j := range want.Candidates {
+			g, r := got.Candidates[j], want.Candidates[j]
 			if g.Par != r.Par || g.OOM != r.OOM ||
 				math.Float64bits(g.IterTime) != math.Float64bits(r.IterTime) {
-				return fmt.Errorf("sweep bench: %s: candidate %d diverges: sweep %v %.17g, reference %v %.17g",
+				return fmt.Errorf("sweep bench: %s: candidate %d diverges: sweep %v %.17g, search %v %.17g",
 					sys, j, g.Par, g.IterTime, r.Par, r.IterTime)
 			}
 		}
@@ -118,9 +119,9 @@ func runSweepBench(minSeconds float64, out string) error {
 			Passes:           passes,
 		}, nil
 	}
-	runReference := func() error {
+	runSearch := func() error {
 		for _, sys := range systems {
-			if _, err := strategy.SearchReference(ctx, sys, m, cl, tr, sp); err != nil {
+			if _, err := strategy.SearchContext(ctx, sys, m, cl, tr, sp); err != nil {
 				return err
 			}
 		}
@@ -132,13 +133,13 @@ func runSweepBench(minSeconds float64, out string) error {
 	}
 
 	allCores := runtime.GOMAXPROCS(0)
-	measure := func(cores int) (ref, eng sweepRow, err error) {
+	measure := func(cores int) (base, eng sweepRow, err error) {
 		prev := runtime.GOMAXPROCS(cores)
 		defer runtime.GOMAXPROCS(prev)
-		if ref, err = timeLoop(runReference); err != nil {
+		if base, err = timeLoop(runSearch); err != nil {
 			return
 		}
-		ref.Path, ref.Cores = "reference", cores
+		base.Path, base.Cores = "search", cores
 		if eng, err = timeLoop(runSweep); err != nil {
 			return
 		}
@@ -146,26 +147,26 @@ func runSweepBench(minSeconds float64, out string) error {
 		return
 	}
 
-	ref1, sweep1, err := measure(1)
+	search1, sweep1, err := measure(1)
 	if err != nil {
 		return err
 	}
 	// On a single-core box the all-cores configuration is the 1-core one;
 	// reuse the measurement rather than timing the same thing twice.
-	refN, sweepN := ref1, sweep1
+	searchN, sweepN := search1, sweep1
 	if allCores > 1 {
-		if refN, sweepN, err = measure(allCores); err != nil {
+		if searchN, sweepN, err = measure(allCores); err != nil {
 			return err
 		}
 	}
 
-	rows := []sweepRow{ref1, sweep1}
+	rows := []sweepRow{search1, sweep1}
 	if allCores > 1 {
-		rows = append(rows, refN, sweepN)
+		rows = append(rows, searchN, sweepN)
 	}
 	rep := sweepReport{
-		Note: "multi-system grid-search throughput, sweep engine vs the pre-sweep per-point path " +
-			"measured live in the same process; regenerate with `make bench-sweep`",
+		Note: "multi-system grid-search throughput, sweep engine vs strategy.SearchContext (per-point, " +
+			"no dedup or memoization) measured live in the same process; regenerate with `make bench-sweep`",
 		Go: runtime.Version(), Arch: runtime.GOARCH, Cores: runtime.NumCPU(),
 		Model: m.Name, GPUs: cl.GPUs(), GlobalBatch: tr.GlobalBatch,
 		Systems: len(systems), Prune: sp.Prune,
@@ -174,11 +175,11 @@ func runSweepBench(minSeconds float64, out string) error {
 		PruneRate:  sw.Stats.PruneRate(),
 		Rows:       rows,
 	}
-	if ref1.GridPointsPerSec > 0 {
-		rep.Speedup1Core = sweep1.GridPointsPerSec / ref1.GridPointsPerSec
+	if search1.GridPointsPerSec > 0 {
+		rep.Speedup1Core = sweep1.GridPointsPerSec / search1.GridPointsPerSec
 	}
-	if refN.GridPointsPerSec > 0 {
-		rep.SpeedupAllCores = sweepN.GridPointsPerSec / refN.GridPointsPerSec
+	if searchN.GridPointsPerSec > 0 {
+		rep.SpeedupAllCores = sweepN.GridPointsPerSec / searchN.GridPointsPerSec
 	}
 
 	f, err := os.Create(out)
@@ -199,11 +200,11 @@ func runSweepBench(minSeconds float64, out string) error {
 		rep.Model, rep.GPUs, rep.GlobalBatch, rep.Systems, sw.Stats.GridPoints, sw.Stats.Shapes)
 	fmt.Printf("  engine       %d generated, %d certified, %d deduped (ratio %.2f), %d pruned (rate %.2f), %d gate-skipped\n",
 		sw.Stats.Generated, sw.Stats.Certified, sw.Stats.Deduped, rep.DedupRatio, sw.Stats.Pruned, rep.PruneRate, sw.Stats.GateSkipped)
-	fmt.Printf("  1 core       reference %.0f points/s, sweep %.0f points/s (%.1fx)\n",
-		ref1.GridPointsPerSec, sweep1.GridPointsPerSec, rep.Speedup1Core)
+	fmt.Printf("  1 core       search %.0f points/s, sweep %.0f points/s (%.1fx)\n",
+		search1.GridPointsPerSec, sweep1.GridPointsPerSec, rep.Speedup1Core)
 	if allCores > 1 {
-		fmt.Printf("  %d cores%s    reference %.0f points/s, sweep %.0f points/s (%.1fx)\n",
-			allCores, pad(allCores), refN.GridPointsPerSec, sweepN.GridPointsPerSec, rep.SpeedupAllCores)
+		fmt.Printf("  %d cores%s    search %.0f points/s, sweep %.0f points/s (%.1fx)\n",
+			allCores, pad(allCores), searchN.GridPointsPerSec, sweepN.GridPointsPerSec, rep.SpeedupAllCores)
 	}
 	fmt.Printf("  report       written to %s\n", out)
 	return nil

@@ -11,15 +11,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
+	"mepipe/internal/opt"
 	"mepipe/internal/sched"
 	"mepipe/internal/sim"
 	"mepipe/internal/timeline"
-	"mepipe/internal/tune"
 )
 
 func main() {
@@ -37,7 +38,7 @@ func main() {
 		saveTo   = flag.String("save", "", "write the schedule as JSON")
 		loadFrom = flag.String("load", "", "load a schedule JSON instead of generating")
 		svgTo    = flag.String("svg", "", "write an SVG timeline")
-		tuneIt   = flag.Int("tune", 0, "run N local-search proposals to improve the order")
+		tuneIt   = flag.Int("tune", 0, "run N rounds of the certified annealer (internal/opt) to improve the order")
 		showMem  = flag.Bool("mem", false, "print each stage's peak and final retained units")
 	)
 	flag.Parse()
@@ -56,11 +57,11 @@ func main() {
 	}
 
 	if *tuneIt > 0 {
-		tr, err := tune.Improve(s, sim.Unit(), tune.Options{Iters: *tuneIt, Seed: 1, MaxMove: 6, Plateau: true})
+		or, err := opt.Optimize(context.Background(), s, sim.Unit(), opt.Options{Seed: 1, Iters: *tuneIt})
 		fatal(err)
-		fmt.Printf("tuned      %d proposals, %d accepted: makespan %.4g -> %.4g\n",
-			tr.Tried, tr.Accepted, tr.Before, tr.After)
-		s = tr.Schedule
+		fmt.Printf("optimized  %d rounds, %d proposals, %d accepted: makespan %.4g -> %.4g\n",
+			*tuneIt, or.Proposed, or.Accepted, or.BaseTime, or.BestTime)
+		s = or.Schedule
 	}
 	res, err := sim.Run(sim.Options{Sched: s, Costs: sim.Unit()})
 	fatal(err)

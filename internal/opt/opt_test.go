@@ -262,21 +262,32 @@ func TestOptimizeErrors(t *testing.T) {
 	}
 }
 
-// TestOptimizeFusedAndSplitPresets smokes the annealer across backward
-// modes: fused (B), split (BAct+W) and fine-grained (WPiece) schedules
-// all optimize without error and never regress.
+// TestOptimizeFusedAndSplitPresets runs the annealer across backward
+// modes and layouts: fused (B), split (BAct+W), fine-grained (WPiece),
+// wave and full MEPipe schedules all optimize without error, never regress, leave
+// the input untouched, and report a BestTime a full replay reproduces
+// bitwise. The gain bounds pin what local search finds: a real share of
+// the greedy wave order's slack, and next to nothing on the rescheduled
+// SVPP order, which already sits near the analytic bound.
 func TestOptimizeFusedAndSplitPresets(t *testing.T) {
 	est := sched.Unit()
-	costs := sim.UniformCosts{Est: est, Act: 1}
+	costs := sim.Unit()
 	cases := []struct {
-		name string
-		make func() (*sched.Schedule, error)
+		name             string
+		make             func() (*sched.Schedule, error)
+		iters            int
+		minGain, maxGain float64
 	}{
-		{"dapple", func() (*sched.Schedule, error) { return sched.DAPPLE(4, 8, est) }},
-		{"zb1p", func() (*sched.Schedule, error) { return sched.ZB1P(4, 8, est) }},
+		{"dapple", func() (*sched.Schedule, error) { return sched.DAPPLE(4, 8, est) }, 100, 0, 1},
+		{"zb1p", func() (*sched.Schedule, error) { return sched.ZB1P(4, 8, est) }, 100, 0, 1},
 		{"svpp-fine", func() (*sched.Schedule, error) {
 			return sched.SVPP(sched.SVPPOptions{P: 4, V: 1, S: 2, N: 4, F: 4, Split: true, FineGrainedW: 2, Est: est})
-		}},
+		}, 100, 0, 1},
+		{"hanayo", func() (*sched.Schedule, error) { return sched.Hanayo(4, 8, est) }, 1000, 0.03, 1},
+		{"svpp-rescheduled", func() (*sched.Schedule, error) {
+			return sched.SVPP(sched.SVPPOptions{P: 4, V: 2, S: 2, N: 8, Reschedule: true, Est: est})
+		}, 1000, 0, 0.02},
+		{"mepipe", func() (*sched.Schedule, error) { return sched.MEPipe(4, 1, 2, 4, 0, 3, est) }, 300, 0, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -284,15 +295,37 @@ func TestOptimizeFusedAndSplitPresets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Optimize(context.Background(), s, costs, Options{Seed: 3, Iters: 100})
+			var before bytes.Buffer
+			if err := s.Save(&before); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Optimize(context.Background(), s, costs, Options{Seed: 1, Iters: tc.iters})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.BestTime > res.BaseTime+eps {
 				t.Errorf("worsened: %.6f > %.6f", res.BestTime, res.BaseTime)
 			}
+			t.Logf("%.4g -> %.4g (%.2f%%, from the %s seed)", res.BaseTime, res.BestTime, 100*res.Gain(), res.Seed)
+			if g := res.Gain(); g < tc.minGain || g > tc.maxGain {
+				t.Errorf("gain %.2f%%, want within [%.0f%%, %.0f%%]", 100*g, 100*tc.minGain, 100*tc.maxGain)
+			}
 			if !reflect.DeepEqual(opMultiset(s), opMultiset(res.Schedule)) {
 				t.Error("optimization changed the op multiset")
+			}
+			var after bytes.Buffer
+			if err := s.Save(&after); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before.Bytes(), after.Bytes()) {
+				t.Error("optimization mutated the input schedule")
+			}
+			replay, err := sim.Run(sim.Options{Sched: res.Schedule, Costs: costs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(replay.IterTime) != math.Float64bits(res.BestTime) {
+				t.Errorf("claimed %.17g, replay %.17g", res.BestTime, replay.IterTime)
 			}
 		})
 	}

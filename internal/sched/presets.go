@@ -2,38 +2,27 @@ package sched
 
 // Preset constructors for every scheduling system the paper evaluates.
 // Each returns a Schedule valid by construction (see Generate); est may be
-// nil for unit costs. The XxxOpts companions expose the exact generator
-// configuration each preset uses, so alternative generators (notably the
-// frozen pre-sweep GenerateReference) can build the same schedules from
-// one source of truth.
-
-// GPipeOpts is the generator configuration of GPipe.
-func GPipeOpts(p, n int, est Estimator) GenOptions {
-	return GenOptions{Name: "GPipe", P: p, V: 1, S: 1, N: n, Est: est}
-}
+// nil for unit costs.
 
 // GPipe schedules all forwards then all backwards (§2.1).
 func GPipe(p, n int, est Estimator) (*Schedule, error) {
-	return Generate(GPipeOpts(p, n, est))
-}
-
-// DAPPLEOpts is the generator configuration of DAPPLE.
-func DAPPLEOpts(p, n int, est Estimator) GenOptions {
-	return GenOptions{
-		Name: "DAPPLE", P: p, V: 1, S: 1, N: n, Est: est,
-		InFlightCap: func(k int) int { return p - k },
-	}
+	return Generate(GenOptions{Name: "GPipe", P: p, V: 1, S: 1, N: n, Est: est})
 }
 
 // DAPPLE is the 1F1B schedule of Fig 2: stage k admits at most p−k
 // micro-batches before alternating one-forward-one-backward.
 func DAPPLE(p, n int, est Estimator) (*Schedule, error) {
-	return Generate(DAPPLEOpts(p, n, est))
+	return Generate(GenOptions{
+		Name: "DAPPLE", P: p, V: 1, S: 1, N: n, Est: est,
+		InFlightCap: func(k int) int { return p - k },
+	})
 }
 
-// VPPOpts is the generator configuration of VPP.
-func VPPOpts(p, v, n int, est Estimator) GenOptions {
-	return GenOptions{
+// VPP is Megatron-LM interleaved virtual pipeline parallelism: v chunks per
+// stage in round-robin placement; stage k holds at most vp+p−1−k in-flight
+// chunk-forwards (Table 3's memory row).
+func VPP(p, v, n int, est Estimator) (*Schedule, error) {
+	return Generate(GenOptions{
 		Name: "VPP", P: p, V: v, S: 1, N: n, Est: est,
 		Place:       RoundRobin{P: p, V: v},
 		InFlightCap: func(k int) int { return v*p + p - 1 - k },
@@ -41,24 +30,7 @@ func VPPOpts(p, v, n int, est Estimator) GenOptions {
 		// chunks in dependency-priority order; the reschedule policy
 		// reproduces it (and the Table 3 bubble ratio) exactly.
 		Reschedule: true,
-	}
-}
-
-// VPP is Megatron-LM interleaved virtual pipeline parallelism: v chunks per
-// stage in round-robin placement; stage k holds at most vp+p−1−k in-flight
-// chunk-forwards (Table 3's memory row).
-func VPP(p, v, n int, est Estimator) (*Schedule, error) {
-	return Generate(VPPOpts(p, v, n, est))
-}
-
-// HanayoOpts is the generator configuration of Hanayo.
-func HanayoOpts(p, n int, est Estimator) GenOptions {
-	return GenOptions{
-		Name: "Hanayo", P: p, V: 2, S: 1, N: n, Est: est,
-		Place:       Wave{P: p},
-		InFlightCap: func(k int) int { return 2*p + p - 1 - k },
-		Reschedule:  true,
-	}
+	})
 }
 
 // Hanayo is the wave-style schedule: two chunks per stage in V placement, so
@@ -71,28 +43,19 @@ func HanayoOpts(p, n int, est Estimator) GenOptions {
 // analytic Table 3 row, like the paper, and keeps this generator for
 // validation and timeline inspection.
 func Hanayo(p, n int, est Estimator) (*Schedule, error) {
-	return Generate(HanayoOpts(p, n, est))
-}
-
-// TeraPipeOpts is the generator configuration of TeraPipe.
-func TeraPipeOpts(p, s, n int, est Estimator) GenOptions {
-	return GenOptions{Name: "TeraPipe", P: p, V: 1, S: s, N: n, Est: est}
+	return Generate(GenOptions{
+		Name: "Hanayo", P: p, V: 2, S: 1, N: n, Est: est,
+		Place:       Wave{P: p},
+		InFlightCap: func(k int) int { return 2*p + p - 1 - k },
+		Reschedule:  true,
+	})
 }
 
 // TeraPipe is sequence pipeline parallelism with GPipe-style scheduling
 // (Fig 3): slices flow through unconstrained, so every stage retains the
 // activations of all n·s slices before the first backward.
 func TeraPipe(p, s, n int, est Estimator) (*Schedule, error) {
-	return Generate(TeraPipeOpts(p, s, n, est))
-}
-
-// ZB1POpts is the generator configuration of ZB1P.
-func ZB1POpts(p, n int, est Estimator) GenOptions {
-	return GenOptions{
-		Name: "ZB-1P", P: p, V: 1, S: 1, N: n, Est: est, SplitBW: true,
-		InFlightCap: func(k int) int { return p - k },
-		WDeferCap:   func(k int) int { return p - k },
-	}
+	return Generate(GenOptions{Name: "TeraPipe", P: p, V: 1, S: s, N: n, Est: est})
 }
 
 // ZB1P is zero-bubble pipeline parallelism over the DAPPLE skeleton:
@@ -102,23 +65,22 @@ func ZB1POpts(p, n int, est Estimator) GenOptions {
 // memory within one extra micro-batch of DAPPLE per deferred W, mirroring
 // ZB-1P's "same memory as 1F1B" design point.
 func ZB1P(p, n int, est Estimator) (*Schedule, error) {
-	return Generate(ZB1POpts(p, n, est))
+	return Generate(GenOptions{
+		Name: "ZB-1P", P: p, V: 1, S: 1, N: n, Est: est, SplitBW: true,
+		InFlightCap: func(k int) int { return p - k },
+		WDeferCap:   func(k int) int { return p - k },
+	})
 }
 
-// ZBVOpts is the generator configuration of ZBV.
-func ZBVOpts(p, n int, est Estimator) GenOptions {
-	return GenOptions{
+// ZBV is zero-bubble scheduling over the wave (V) placement.
+func ZBV(p, n int, est Estimator) (*Schedule, error) {
+	return Generate(GenOptions{
 		Name: "ZBV", P: p, V: 2, S: 1, N: n, Est: est, SplitBW: true,
 		Place:       Wave{P: p},
 		InFlightCap: func(k int) int { return 2*p + p - 1 - k },
 		WDeferCap:   func(k int) int { return 2 * (p - k) },
 		Reschedule:  true,
-	}
-}
-
-// ZBV is zero-bubble scheduling over the wave (V) placement.
-func ZBV(p, n int, est Estimator) (*Schedule, error) {
-	return Generate(ZBVOpts(p, n, est))
+	})
 }
 
 // SVPPOptions selects the paper's scheduling variant.

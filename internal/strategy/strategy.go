@@ -247,28 +247,21 @@ func compatible(sys System, par config.Parallel) error {
 // memory variant from the plan. The returned bool selects the dynamic
 // weight-gradient engine.
 func buildSchedule(sys System, par config.Parallel, n int, costs *perf.Costs, plan *memplan.Plan) (s *sched.Schedule, dynamicW bool, f int, err error) {
-	return buildScheduleWith(sched.Generate, sys, par, n, costs, plan)
-}
-
-// buildScheduleWith is buildSchedule over an explicit generator, so the
-// production path (sched.Generate) and the frozen pre-sweep baseline
-// (sched.GenerateReference) share one system-to-GenOptions mapping.
-func buildScheduleWith(gen func(sched.GenOptions) (*sched.Schedule, error), sys System, par config.Parallel, n int, costs *perf.Costs, plan *memplan.Plan) (s *sched.Schedule, dynamicW bool, f int, err error) {
 	p := par.PP
 	switch sys {
 	case DAPPLE:
-		s, err = gen(sched.DAPPLEOpts(p, n, costs))
+		s, err = sched.DAPPLE(p, n, costs)
 	case GPipe:
-		s, err = gen(sched.GPipeOpts(p, n, costs))
+		s, err = sched.GPipe(p, n, costs)
 	case VPP:
-		s, err = gen(sched.VPPOpts(p, par.VP, n, costs))
+		s, err = sched.VPP(p, par.VP, n, costs)
 	case ZB:
-		s, err = gen(sched.ZB1POpts(p, n, costs))
+		s, err = sched.ZB1P(p, n, costs)
 	case ZBV:
 		costs.WithPlacement(sched.Wave{P: p})
-		s, err = gen(sched.ZBVOpts(p, n, costs))
+		s, err = sched.ZBV(p, n, costs)
 	case TeraPipe:
-		s, err = gen(sched.TeraPipeOpts(p, par.SPP, n, costs))
+		s, err = sched.TeraPipe(p, par.SPP, n, costs)
 	case MEPipe:
 		fam := costs.ActBytes(0, sched.Op{Kind: sched.F})
 		grad := costs.GradBytes(0, sched.Op{Kind: sched.BAct})
@@ -278,12 +271,7 @@ func buildScheduleWith(gen func(sched.GenOptions) (*sched.Schedule, error), sys 
 			// failure, not a shape failure.
 			return nil, false, 0, fmt.Errorf("%v: %w", err, errs.ErrOOM)
 		}
-		s, err = gen(sched.SVPPOptions{
-			P: p, V: par.VP, S: par.SPP, N: n, F: f,
-			Reschedule: true, Split: true,
-			FineGrainedW: costs.WPieces(),
-			Est:          costs,
-		}.GenOpts())
+		s, err = sched.MEPipe(p, par.VP, par.SPP, n, f, costs.WPieces(), costs)
 		dynamicW = true
 	default:
 		err = fmt.Errorf("strategy: unknown system %v: %w", sys, errs.ErrIncompatible)

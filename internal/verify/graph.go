@@ -233,11 +233,11 @@ func checkAcyclic(s *sched.Schedule, cert *Certificate) error {
 	if !handled {
 		cert.Nodes = len(g.nodes)
 		cert.Edges, cert.CrossEdges = g.edges()
-		if g.residual() == nil {
-			return nil
-		}
 	}
 	res := g.residual()
+	if res == nil {
+		return nil
+	}
 	nodes, kinds := g.minimalCycle(res)
 	return &CycleError{Schedule: s.String(), Cycle: nodes, Kind: kinds}
 }

@@ -233,8 +233,9 @@ func checkComplete(s *sched.Schedule) error {
 	return nil
 }
 
-// missingFamilyOp scans one family's members in familyOps order and
-// returns the first absent one (ok=false), if any.
+// missingFamilyOp scans one family's members under the schedule's
+// backward mode — F, then B (fused) or BAct followed by W or its pieces
+// (split) — and returns the first absent one (ok=false), if any.
 func missingFamilyOp(s *sched.Schedule, x sched.OpIndex, seen []bool, base, k, m, i, j int) (sched.Op, bool) {
 	probe := func(op sched.Op) bool { return seen[int(x.ID(k, op))-base] }
 	f := sched.Op{Kind: sched.F, Micro: m, Slice: i, Chunk: j}
@@ -296,24 +297,4 @@ func kindMismatch(s *sched.Schedule, op sched.Op) string {
 		return "has an unknown kind"
 	}
 	return ""
-}
-
-// familyOps returns the complete member set of one op family under the
-// schedule's backward mode.
-func familyOps(s *sched.Schedule, m, i, j int) []sched.Op {
-	out := []sched.Op{{Kind: sched.F, Micro: m, Slice: i, Chunk: j}}
-	switch {
-	case !s.SplitBW:
-		out = append(out, sched.Op{Kind: sched.B, Micro: m, Slice: i, Chunk: j})
-	case s.WPieces == 0:
-		out = append(out,
-			sched.Op{Kind: sched.BAct, Micro: m, Slice: i, Chunk: j},
-			sched.Op{Kind: sched.W, Micro: m, Slice: i, Chunk: j})
-	default:
-		out = append(out, sched.Op{Kind: sched.BAct, Micro: m, Slice: i, Chunk: j})
-		for p := 0; p < s.WPieces; p++ {
-			out = append(out, sched.Op{Kind: sched.WPiece, Micro: m, Slice: i, Chunk: j, Piece: p})
-		}
-	}
-	return out
 }

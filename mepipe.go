@@ -41,7 +41,6 @@ import (
 	"mepipe/internal/sim"
 	"mepipe/internal/strategy"
 	"mepipe/internal/timeline"
-	"mepipe/internal/tune"
 	"mepipe/internal/verify"
 )
 
@@ -389,16 +388,8 @@ func Export(w io.Writer, e Exporter, res *SimResult) error {
 	return e.Export(w, res.Trace())
 }
 
-// Schedule tuning and order-free lower bounds.
-type (
-	TuneOptions = tune.Options
-	TuneResult  = tune.Result
-)
-
-var (
-	TuneSchedule  = tune.Improve
-	MakespanBound = sim.MakespanBound
-)
+// MakespanBound is the order-free lower bound on a schedule's makespan.
+var MakespanBound = sim.MakespanBound
 
 // Schedule optimization (docs/OPTIMIZER.md): seeded, deterministic
 // simulated annealing over certified op reorderings, with the static
