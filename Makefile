@@ -74,10 +74,13 @@ bench-serve:
 # Optimizer smoke (docs/OPTIMIZER.md): a short fixed-seed annealing run,
 # the discovered-schedule regression gate — the checked-in schedule under
 # internal/opt/testdata must re-certify, re-simulate to its recorded
-# time, and still beat its recorded preset baseline — and a one-round
-# replay of the BENCH_opt harness.
+# time, and still beat its recorded preset baseline — the certifier's
+# allocation floor on the annealer's proposals (a rejected proposal
+# allocates little beyond its counterexample), and a one-round replay of
+# the BENCH_opt harness.
 opt-smoke:
 	$(GO) test ./internal/opt -run 'TestDiscoveredBeatsPresets|TestOptimizeSmoke' -count=1
+	$(GO) test ./internal/verify -run TestCertifyAllocs -count=1
 	$(GO) run ./cmd/mepipe-bench -opt -opt-iters 1 -opt-out $(CURDIR)/BENCH_opt_smoke.json
 
 # Optimizer throughput benchmark: replays the checked-in artifact's full
@@ -112,13 +115,15 @@ bench-sim:
 
 # Sweep-engine smoke (docs/PERFORMANCE.md): the golden equivalence suite
 # (sweep vs sequential search at 8/16/32 GPUs, ±prune, and mid-sweep
-# cancellation), a short run of the certifier's differential fuzzer (the
-# dense Kahn path against the map graph), the /v1/sweep wire tests, and
-# a short -sweep bench pass (which cross-checks every candidate bitwise
-# against the per-point search before timing).
+# cancellation), short runs of the certifier's differential fuzzers (the
+# dense path against the map graph and map sweep, and Certify against
+# sim.Run's deadlock verdict), the /v1/sweep wire tests, and a short
+# -sweep bench pass (which cross-checks every candidate bitwise against
+# the per-point search before timing).
 sweep-smoke:
 	$(GO) test ./internal/strategy -run 'TestSweep' -count=1
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyDenseMatchesGraph -fuzztime 10s
+	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyAgreesWithRun -fuzztime 10s
 	$(GO) test ./internal/serve ./api/v1 -run 'Sweep' -count=1
 	$(GO) run ./cmd/mepipe-bench -sweep -sweep-min-s 0.5 -sweep-out $(CURDIR)/BENCH_sweep_smoke.json
 

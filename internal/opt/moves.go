@@ -30,7 +30,7 @@ type candidate struct {
 // (single-op stages, zero displacements) fall through as no-op candidates
 // rather than redrawing, keeping the rng consumption per proposal fixed.
 func propose(rng *rand.Rand, cur *sched.Schedule, maxShift int) candidate {
-	c := candidate{sched: cloneSchedule(cur)}
+	c := candidate{sched: shareStages(cur)}
 	switch rng.Intn(3) {
 	case 0:
 		proposeSwap(rng, &c)
@@ -47,7 +47,7 @@ func propose(rng *rand.Rand, cur *sched.Schedule, maxShift int) candidate {
 func proposeSwap(rng *rand.Rand, c *candidate) {
 	c.operator = "swap"
 	k := rng.Intn(c.sched.P)
-	ops := c.sched.Stages[k]
+	ops := c.ownStage(k)
 	c.stage = k
 	if len(ops) < 2 {
 		return
@@ -63,7 +63,7 @@ func proposeSwap(rng *rand.Rand, c *candidate) {
 func proposeShift(rng *rand.Rand, c *candidate, maxShift int) {
 	c.operator = "shift"
 	k := rng.Intn(c.sched.P)
-	ops := c.sched.Stages[k]
+	ops := c.ownStage(k)
 	c.stage = k
 	if len(ops) < 2 {
 		return
@@ -86,7 +86,7 @@ func proposeShift(rng *rand.Rand, c *candidate, maxShift int) {
 func proposeRebalance(rng *rand.Rand, c *candidate, maxShift int) {
 	c.operator = "rebalance"
 	k := rng.Intn(c.sched.P)
-	ops := c.sched.Stages[k]
+	ops := c.ownStage(k)
 	c.stage = k
 	var ws []int
 	for i, op := range ops {
@@ -108,7 +108,8 @@ func proposeRebalance(rng *rand.Rand, c *candidate, maxShift int) {
 }
 
 // proposeShiftAt is proposeShift pinned to stage k (the rebalance
-// fallback), keeping the operator label honest about what ran.
+// fallback, which already owns stage k), keeping the operator label
+// honest about what ran.
 func proposeShiftAt(rng *rand.Rand, c *candidate, k, maxShift int) {
 	c.operator = "shift"
 	ops := c.sched.Stages[k]
@@ -123,6 +124,24 @@ func proposeShiftAt(rng *rand.Rand, c *candidate, k, maxShift int) {
 	}
 	c.op = ops[from]
 	displace(ops, from, to)
+}
+
+// shareStages copies the schedule header and its Stages slice; the op
+// lists stay shared with s until a move takes one over with ownStage.
+// Nothing mutates a shared list: the current state's lists are only ever
+// read, so a candidate clones just the one stage its move perturbs.
+func shareStages(s *sched.Schedule) *sched.Schedule {
+	c := *s
+	c.Stages = append([][]sched.Op(nil), s.Stages...)
+	return &c
+}
+
+// ownStage gives the candidate a private copy of stage k's op list and
+// returns it.
+func (c *candidate) ownStage(k int) []sched.Op {
+	ops := append([]sched.Op(nil), c.sched.Stages[k]...)
+	c.sched.Stages[k] = ops
+	return ops
 }
 
 // displace moves ops[from] to position to, sliding the range between.

@@ -114,9 +114,12 @@ func slackBudget(t *testing.T, s *sched.Schedule) *verify.Budget {
 
 // TestProposeConsumesFixedRandomness pins that a proposal's rng draw
 // count never depends on the candidate's content — the invariant that
-// keeps the whole trajectory reproducible.
+// keeps the whole trajectory reproducible — and that proposals, which
+// share every stage they do not perturb, never write through to the
+// schedule they were drawn from.
 func TestProposeConsumesFixedRandomness(t *testing.T) {
 	base := moveBases(t)[0]
+	orig := cloneSchedule(base)
 	r1 := rand.New(rand.NewSource(9))
 	r2 := rand.New(rand.NewSource(9))
 	for i := 0; i < 200; i++ {
@@ -125,6 +128,9 @@ func TestProposeConsumesFixedRandomness(t *testing.T) {
 		if a, b := r1.Int63(), r2.Int63(); a != b {
 			t.Fatalf("after proposal %d the rng streams diverged", i)
 		}
+	}
+	if !reflect.DeepEqual(base.Stages, orig.Stages) {
+		t.Fatal("proposals mutated the schedule they were drawn from")
 	}
 }
 

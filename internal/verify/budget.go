@@ -76,8 +76,11 @@ func (e *BudgetError) Unwrap() error { return errs.ErrUncertified }
 // sweep walks each stage's op list in program order, replaying the
 // simulator's retention rules, and records peak live families (always)
 // and peak bytes under b's footprints (when b is non-nil). It fails the
-// moment a stage's retention exceeds its budget.
-func sweep(s *sched.Schedule, b *Budget, cert *Certificate) error {
+// moment a stage's retention exceeds its budget. Per-family state lives
+// in sc's arrays, indexed by OpIndex.FamilyOf; an op that does not index
+// can only get here when AssumeComplete was set on an incomplete table,
+// and is reported as checkComplete would have reported it.
+func sweep(s *sched.Schedule, b *Budget, cert *Certificate, sc *certScratch) error {
 	famBytes := func(stage int, op sched.Op) int64 { return 1 }
 	gradBytes := func(stage int, op sched.Op) int64 { return 0 }
 	if b != nil {
@@ -92,50 +95,69 @@ func sweep(s *sched.Schedule, b *Budget, cert *Certificate) error {
 				Detail: fmt.Sprintf("budget has %d stage entries, want %d", len(b.ActBudget), s.P)}
 		}
 	}
+	x := sched.IndexOf(s)
+	nf := x.Families()
+	sc.live = kgrow(sc.live, nf)
+	sc.bytes = kgrow(sc.bytes, nf)
+	sc.pieces = kgrow(sc.pieces, nf)
+	clear(sc.live)
+	clear(sc.bytes)
+	clear(sc.pieces)
 	cert.PeakFamilies = make([]int, s.P)
 	if b != nil {
 		cert.PeakBytes = make([]int64, s.P)
 	}
 	for k, ops := range s.Stages {
 		var live int64
-		fams := map[sched.Op]int64{} // family key -> retained bytes
-		pieces := map[sched.Op]int{} // family key -> executed WPieces
+		nlive := 0 // families with sc.live set on this stage
+		// release drops family f: its retained bytes leave the stage.
+		release := func(f int32) {
+			live -= sc.bytes[f]
+			sc.bytes[f] = 0
+			if sc.live[f] {
+				sc.live[f] = false
+				nlive--
+			}
+		}
+		retain := func(f int32, add int64) {
+			sc.bytes[f] += add
+			live += add
+			if !sc.live[f] {
+				sc.live[f] = true
+				nlive++
+			}
+		}
 		peakFams, peakBytes := 0, int64(0)
 		for i, op := range ops {
-			key := op.Key()
+			id := x.ID(k, op)
+			if id < 0 {
+				return unindexedOp(s, k, op)
+			}
+			f := x.FamilyOf(id)
 			switch op.Kind {
 			case sched.F:
-				add := famBytes(k, op)
-				fams[key] += add
-				live += add
-			case sched.B:
-				live -= fams[key]
-				delete(fams, key)
+				retain(f, famBytes(k, op))
+			case sched.B, sched.W:
+				release(f)
 			case sched.BAct:
-				add := gradBytes(k, op)
-				fams[key] += add
-				live += add
-			case sched.W:
-				live -= fams[key]
-				delete(fams, key)
+				retain(f, gradBytes(k, op))
 			case sched.WPiece:
-				pieces[key]++
-				if pieces[key] == s.WPieces {
-					live -= fams[key]
-					delete(fams, key)
-					delete(pieces, key)
+				sc.pieces[f]++
+				if int(sc.pieces[f]) == s.WPieces {
+					release(f)
+					sc.pieces[f] = 0
 				}
 			}
-			if len(fams) > peakFams {
-				peakFams = len(fams)
+			if nlive > peakFams {
+				peakFams = nlive
 			}
 			if live > peakBytes {
 				peakBytes = live
 			}
 			if b != nil && b.ActBudget != nil && live > b.ActBudget[k] {
 				return &BudgetError{
-					Schedule: s.String(), Stage: k, OpIndex: i, Op: op,
-					Live: live, Budget: b.ActBudget[k], Families: len(fams),
+					Schedule: cert.Schedule, Stage: k, OpIndex: i, Op: op,
+					Live: live, Budget: b.ActBudget[k], Families: nlive,
 				}
 			}
 		}
@@ -145,4 +167,13 @@ func sweep(s *sched.Schedule, b *Budget, cert *Certificate) error {
 		}
 	}
 	return nil
+}
+
+// unindexedOp reports an op outside the schedule's dense index: the
+// completeness check's verdict, which always rejects such an op.
+func unindexedOp(s *sched.Schedule, k int, op sched.Op) error {
+	if err := checkComplete(s); err != nil {
+		return err
+	}
+	return &ShapeError{Schedule: s.String(), Detail: fmt.Sprintf("stage %d: op %v out of range", k, op)}
 }

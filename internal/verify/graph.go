@@ -126,7 +126,6 @@ func (g *graph) minimalCycle(residual []int) ([]Node, []string) {
 	for _, i := range residual {
 		inRes[i] = true
 	}
-	const maxSources = 256
 	sources := residual
 	if len(sources) > maxSources {
 		sources = sources[:maxSources]
@@ -213,47 +212,64 @@ func (g *graph) edgeKind(from, to int) string {
 }
 
 // checkAcyclic proves deadlock-freedom, filling the certificate's graph
-// statistics, or returns the minimal counterexample cycle. The proof runs
-// on the dense arithmetic op index (no hashing, no per-node allocation);
-// only when a cycle exists — the rare failure path — is the labelled
-// map-based graph rebuilt to extract the same minimal counterexample the
-// original implementation reported.
-func checkAcyclic(s *sched.Schedule, cert *Certificate) error {
-	ok, handled, err := kahnDense(s, cert)
-	if err != nil {
-		return err
-	}
-	if handled && ok {
-		return nil
+// statistics, or returns the minimal counterexample cycle. Both the proof
+// and the counterexample run on the dense arithmetic op index (no
+// hashing, no per-node allocation). Only tables the dense pass does not
+// model fall back to the labelled map-based graph, which is also the
+// fuzz oracle for the dense path.
+func checkAcyclic(s *sched.Schedule, cert *Certificate, sc *certScratch) error {
+	if ok, handled := kahnDense(s, cert, sc); handled {
+		if ok {
+			return nil
+		}
+		nodes, kinds := sc.minimalCycle(s)
+		return &CycleError{Schedule: cert.Schedule, Cycle: nodes, Kind: kinds}
 	}
 	g, err := buildGraph(s)
 	if err != nil {
 		return err
 	}
-	if !handled {
-		cert.Nodes = len(g.nodes)
-		cert.Edges, cert.CrossEdges = g.edges()
-	}
+	cert.Nodes = len(g.nodes)
+	cert.Edges, cert.CrossEdges = g.edges()
 	res := g.residual()
 	if res == nil {
 		return nil
 	}
 	nodes, kinds := g.minimalCycle(res)
-	return &CycleError{Schedule: s.String(), Cycle: nodes, Kind: kinds}
+	return &CycleError{Schedule: cert.Schedule, Cycle: nodes, Kind: kinds}
 }
 
-// kahnScratch recycles the dense certification pass's working arrays:
-// sweep workers certify dozens of schedules back to back, and the arrays
-// are shape-sized, so pooling removes certification's entire allocation
-// profile on the hot path.
-type kahnScratch struct {
+// certScratch recycles certification's working arrays: sweep workers and
+// the optimizer certify many schedules back to back, and the arrays are
+// shape-sized, so pooling removes certification's allocation profile on
+// the hot path — on the failure path as well as the success path.
+type certScratch struct {
+	// The dense Kahn pass.
 	seen  []bool
 	next  []int32
 	indeg []int32
 	queue []int32
+
+	// Counterexample extraction: each op's position (stage-major, then
+	// index within the stage), the residual successor CSR in position
+	// order, and epoch-stamped BFS state.
+	pos       []int32
+	radjOff   []int32
+	radj      []int32
+	stamp     []uint32
+	epoch     uint32
+	depth     []int32
+	parent    []int32
+	sources   []int32
+	cyc, best []int32
+
+	// The memory sweep, indexed by OpIndex.FamilyOf.
+	live   []bool
+	bytes  []int64
+	pieces []int32
 }
 
-var kahnPool = sync.Pool{New: func() any { return new(kahnScratch) }}
+var certPool = sync.Pool{New: func() any { return new(certScratch) }}
 
 // kgrow returns s resized to n elements, reusing capacity when it can.
 // Contents are NOT cleared — callers overwrite every element they read.
@@ -270,12 +286,12 @@ func kgrow[T any](s []T, n int) []T {
 // table row widths, successors are walked through the table's dependents
 // CSR plus a per-stage program-order chain, and the edge statistics are
 // cached on the table itself. It reports ok=false when the graph has a
-// cycle (counterexample extraction is the caller's job) and handled=false
-// on tables the fast path does not model — incomplete op universes or
-// out-of-shape deps, both only reachable with AssumeComplete or
-// hand-built placements — which fall back to the labelled map-based
+// cycle, leaving the residual in-degrees in sc for minimalCycle, and
+// handled=false on tables the fast path does not model — incomplete op
+// universes or out-of-shape deps, both only reachable with AssumeComplete
+// or hand-built placements — which fall back to the labelled map-based
 // graph.
-func kahnDense(s *sched.Schedule, cert *Certificate) (ok, handled bool, err error) {
+func kahnDense(s *sched.Schedule, cert *Certificate, sc *certScratch) (ok, handled bool) {
 	t := s.DepTable()
 	x := t.Ix
 	total := x.Total()
@@ -288,10 +304,8 @@ func kahnDense(s *sched.Schedule, cert *Certificate) (ok, handled bool, err erro
 		n += len(s.Stages[k])
 	}
 	if n != total || t.Neg > 0 {
-		return false, false, nil
+		return false, false
 	}
-	sc := kahnPool.Get().(*kahnScratch)
-	defer kahnPool.Put(sc)
 	sc.seen = kgrow(sc.seen, total)
 	for i := range sc.seen {
 		sc.seen[i] = false
@@ -306,7 +320,7 @@ func kahnDense(s *sched.Schedule, cert *Certificate) (ok, handled bool, err erro
 		for idx, op := range ops {
 			id := x.ID(k, op)
 			if id < 0 || sc.seen[id] {
-				return false, false, nil
+				return false, false
 			}
 			sc.seen[id] = true
 			deg := t.Off[id+1] - t.Off[id]
@@ -348,5 +362,157 @@ func kahnDense(s *sched.Schedule, cert *Certificate) (ok, handled bool, err erro
 			dec(j)
 		}
 	}
-	return done == total, true, nil
+	return done == total, true
+}
+
+// minimalCycle is graph.minimalCycle on the dense index, run on the
+// residual kahnDense left in sc.indeg (a node is residual iff its
+// in-degree stayed positive). It reproduces the map graph's answer
+// exactly: sources and successors are visited in the map graph's node
+// order (ascending position), with the same source cap, length bound and
+// 2-cycle early exit.
+func (sc *certScratch) minimalCycle(s *sched.Schedule) ([]Node, []string) {
+	t := s.DepTable()
+	x := t.Ix
+	total := x.Total()
+	sc.pos = kgrow(sc.pos, total)
+	sc.sources = sc.sources[:0]
+	p := int32(0)
+	for k, ops := range s.Stages {
+		for _, op := range ops {
+			id := x.ID(k, op)
+			sc.pos[id] = p
+			p++
+			if sc.indeg[id] > 0 && len(sc.sources) < maxSources {
+				sc.sources = append(sc.sources, id)
+			}
+		}
+	}
+	sc.buildResidualAdj(t)
+	if len(sc.stamp) < total {
+		sc.stamp = make([]uint32, total)
+		sc.epoch = 0
+	}
+	sc.depth = kgrow(sc.depth, total)
+	sc.parent = kgrow(sc.parent, total)
+
+	best := sc.best[:0]
+	for _, src := range sc.sources {
+		cyc := sc.bfsCycle(src, len(best))
+		if cyc != nil && (len(best) == 0 || len(cyc) < len(best)) {
+			// Keep the winner in one buffer and let the next search
+			// reuse the other.
+			sc.cyc, best = best, cyc
+			if len(best) == 2 {
+				break
+			}
+		}
+	}
+	sc.best = best
+	if len(best) == 0 {
+		// Unreachable in practice: see graph.minimalCycle.
+		best = append(best, sc.sources[0])
+	}
+	nodes := make([]Node, len(best))
+	kinds := make([]string, len(best))
+	for i, id := range best {
+		nodes[i] = sc.node(s, x, id)
+		kinds[i] = "order"
+		next := best[(i+1)%len(best)]
+		for _, j := range t.OutID[t.OutOff[id]:t.OutOff[id+1]] {
+			if j == next {
+				kinds[i] = "dep"
+				break
+			}
+		}
+	}
+	return nodes, kinds
+}
+
+// maxSources caps how many residual nodes minimalCycle searches from.
+const maxSources = 256
+
+// buildResidualAdj lays out, for every residual node, its residual
+// successors — the program-order successor plus the table's dependents —
+// sorted by position, which is the map graph's adjacency order.
+func (sc *certScratch) buildResidualAdj(t *sched.DepTable) {
+	total := len(sc.indeg)
+	sc.radjOff = kgrow(sc.radjOff, total+1)
+	sc.radj = sc.radj[:0]
+	for u := 0; u < total; u++ {
+		sc.radjOff[u] = int32(len(sc.radj))
+		if sc.indeg[u] <= 0 {
+			continue
+		}
+		start := len(sc.radj)
+		if j := sc.next[u]; j >= 0 && sc.indeg[j] > 0 {
+			sc.radj = append(sc.radj, j)
+		}
+		for _, j := range t.OutID[t.OutOff[u]:t.OutOff[u+1]] {
+			if sc.indeg[j] > 0 {
+				sc.radj = append(sc.radj, j)
+			}
+		}
+		row := sc.radj[start:]
+		for i := 1; i < len(row); i++ {
+			for h := i; h > 0 && sc.pos[row[h]] < sc.pos[row[h-1]]; h-- {
+				row[h], row[h-1] = row[h-1], row[h]
+			}
+		}
+	}
+	sc.radjOff[total] = int32(len(sc.radj))
+}
+
+// bfsCycle is graph.bfsCycle over the residual CSR: a shortest cycle
+// through src shorter than bound (0 = unbounded), src first, or nil. The
+// result aliases sc.cyc.
+func (sc *certScratch) bfsCycle(src int32, bound int) []int32 {
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
+	queue := append(sc.queue[:0], src)
+	sc.stamp[src] = sc.epoch
+	sc.depth[src] = 0
+	for h := 0; h < len(queue); h++ {
+		n := queue[h]
+		if bound > 0 && int(sc.depth[n])+1 >= bound {
+			continue // cannot beat the best cycle found so far
+		}
+		for _, t := range sc.radj[sc.radjOff[n]:sc.radjOff[n+1]] {
+			if t == src {
+				// Close the cycle: walk parents back from n to src,
+				// then reverse the path behind src.
+				cyc := append(sc.cyc[:0], src)
+				for cur := n; cur != src; cur = sc.parent[cur] {
+					cyc = append(cyc, cur)
+				}
+				for i, j := 1, len(cyc)-1; i < j; i, j = i+1, j-1 {
+					cyc[i], cyc[j] = cyc[j], cyc[i]
+				}
+				sc.queue, sc.cyc = queue, cyc
+				return cyc
+			}
+			if sc.stamp[t] != sc.epoch {
+				sc.stamp[t] = sc.epoch
+				sc.depth[t] = sc.depth[n] + 1
+				sc.parent[t] = n
+				queue = append(queue, t)
+			}
+		}
+	}
+	sc.queue = queue
+	return nil
+}
+
+// node returns the schedule's own op at dense id: the op stored at the
+// id's position, exactly as the map graph records it.
+func (sc *certScratch) node(s *sched.Schedule, x sched.OpIndex, id int32) Node {
+	k := x.Stage(id)
+	p := int(sc.pos[id])
+	for _, ops := range s.Stages[:k] {
+		p -= len(ops)
+	}
+	return Node{Stage: k, Op: s.Stages[k][p]}
 }

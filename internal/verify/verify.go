@@ -181,10 +181,12 @@ func Certify(s *sched.Schedule, opts Options) (*Certificate, error) {
 		}
 	}
 	cert := &Certificate{Schedule: s.String()}
-	if err := checkAcyclic(s, cert); err != nil {
+	sc := certPool.Get().(*certScratch)
+	defer certPool.Put(sc)
+	if err := checkAcyclic(s, cert, sc); err != nil {
 		return nil, err
 	}
-	if err := sweep(s, opts.Budget, cert); err != nil {
+	if err := sweep(s, opts.Budget, cert, sc); err != nil {
 		return nil, err
 	}
 	return cert, nil

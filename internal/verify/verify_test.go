@@ -2,6 +2,7 @@ package verify
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -195,6 +196,23 @@ func TestIncompleteAndMissing(t *testing.T) {
 		var se *ShapeError
 		if !errors.As(err, &se) {
 			t.Fatalf("want *ShapeError, got %T (%v)", err, err)
+		}
+	})
+
+	t.Run("assume-complete-out-of-range", func(t *testing.T) {
+		// A dependency-free forward of a micro-batch the shape does not
+		// have passes the graph check, so only the memory sweep meets
+		// it; misusing AssumeComplete must still report the op as the
+		// completeness check does.
+		s := mustDAPPLE(t, 2, 2)
+		s.Stages[0] = append(s.Stages[0], sched.Op{Kind: sched.F, Micro: 5})
+		_, want := Certify(s, Options{})
+		var se *ShapeError
+		if !errors.As(want, &se) {
+			t.Fatalf("want *ShapeError, got %T (%v)", want, want)
+		}
+		if _, err := Certify(s, Options{AssumeComplete: true}); !reflect.DeepEqual(err, want) {
+			t.Fatalf("AssumeComplete returned %v, want %v", err, want)
 		}
 	})
 
