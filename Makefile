@@ -144,11 +144,11 @@ bench:
 # (BENCH_kernels.json) future PRs regress against, then print the suite.
 bench-kernels:
 	$(GO) test ./internal/tensor -run TestWriteKernelBaseline -args -bench-json=$(CURDIR)/BENCH_kernels.json
-	$(GO) test ./internal/tensor -run NONE -bench 'BenchmarkKernels|BenchmarkMatMul256'
+	$(GO) test ./internal/tensor -run NONE -bench 'BenchmarkKernels|BenchmarkMatMul256|BenchmarkDecoderSlice'
 
 # One-iteration smoke of the kernel benchmarks (CI: proves they run).
 bench-smoke:
-	$(GO) test ./internal/tensor -run NONE -bench BenchmarkKernels -benchtime 1x
+	$(GO) test ./internal/tensor -run NONE -bench 'BenchmarkKernels|BenchmarkDecoderSlice' -benchtime 1x
 	$(GO) test ./internal/nn -run NONE -bench BenchmarkTrainStep -benchtime 1x
 
 # Regenerate every paper table/figure as text.

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -137,6 +138,42 @@ func TestHotpathColdallocBoundary(t *testing.T) {
 		if strings.Contains(d.Msg, n) {
 			t.Errorf("coldalloc-guarded function %s leaked into %s", n, d.Msg)
 		}
+	}
+}
+
+// TestBuildConstraints pins that the loader analyzes the program the host
+// build compiles: of deeparch's scale_amd64.go / scale_other.go (!amd64)
+// pair exactly one declaration of scale is loaded, the one go/build
+// selects, and on amd64 its body-less assembly declaration is a leaf the
+// hot-path proof passes through without a finding.
+func TestBuildConstraints(t *testing.T) {
+	p := testProgram(t)
+	leaf := findNode(t, p, "deeparch.scale")
+	wantFile := "scale_other.go"
+	if runtime.GOARCH == "amd64" {
+		wantFile = "scale_amd64.go"
+	}
+	if got := p.position(leaf.decl.Pos()).Filename; !strings.HasSuffix(got, "/deeparch/"+wantFile) {
+		t.Errorf("scale loaded from %s, want the host build's %s", got, wantFile)
+	}
+	if !callsTo(p, findNode(t, p, "deeparch.Scale"), "deeparch.scale") {
+		t.Error("missing edge Scale -> scale")
+	}
+	if runtime.GOARCH == "amd64" {
+		if leaf.decl.Body != nil {
+			t.Error("amd64 declaration of scale has a body")
+		}
+		if got := p.successors(leaf); len(got) != 0 {
+			t.Errorf("assembly leaf has successors: %v", got)
+		}
+	}
+	root := repoRoot(t)
+	diags, err := Run(root, []string{"./internal/lint/testdata/internal/deeparch"}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 0 {
+		t.Errorf("deeparch reported diagnostics: %v", diags)
 	}
 }
 

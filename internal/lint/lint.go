@@ -14,7 +14,8 @@
 // chain from the annotated root to the offending construct.
 //
 // Everything is built on go/parser and go/types only. The module is
-// parsed once; packages are type-checked in dependency order with
+// parsed once, keeping only the files go/build says the host build
+// compiles; packages are type-checked in dependency order with
 // module-internal imports resolving to the real checked packages and
 // external imports stubbed as empty packages, falling back to each file's
 // import-alias table when type information is missing. Test files
@@ -279,7 +280,11 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+		if e.IsDir() {
+			continue
+		}
+		// An unreadable file counts, so parseDir reports its error.
+		if ok, err := isBuiltGoFile(dir, e.Name()); ok || err != nil {
 			return true
 		}
 	}

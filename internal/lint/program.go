@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -171,7 +172,8 @@ func (p *Program) relOf(path string) (string, bool) {
 	return "", false
 }
 
-// parseDir parses one directory's non-test files; nil when empty.
+// parseDir parses the non-test files of one directory that the host build
+// compiles; nil when there are none.
 func (p *Program) parseDir(dir string) (*progPkg, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -188,7 +190,12 @@ func (p *Program) parseDir(dir string) (*progPkg, error) {
 	pkg := &progPkg{rel: rel, path: p.importPath(rel), funcsByName: map[string]*FuncNode{}}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		if e.IsDir() || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := isBuiltGoFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(p.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -202,6 +209,22 @@ func (p *Program) parseDir(dir string) (*progPkg, error) {
 	}
 	pkg.name = pkg.files[0].syntax.Name.Name
 	return pkg, nil
+}
+
+// isBuiltGoFile reports whether dir/name is a Go file the host build
+// compiles: its _GOOS/_GOARCH suffix and //go:build line match
+// go/build.Default. The analyzers then see the one declaration of a
+// function that the program links — for an arch-specific assembly leaf,
+// its body-less Go declaration.
+func isBuiltGoFile(dir, name string) (bool, error) {
+	if !strings.HasSuffix(name, ".go") {
+		return false, nil
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	if err != nil {
+		return false, fmt.Errorf("lint: %w", err)
+	}
+	return ok, nil
 }
 
 // importClosure returns the set of package rels (including pkg's own)

@@ -60,3 +60,62 @@ func BenchmarkKernels(b *testing.B) {
 		})
 	}
 }
+
+// decoderLayer is one linear layer's operands at a decoder slice: input x,
+// output y, weight w, and their gradients.
+type decoderLayer struct{ x, y, w, dx, dy, dw *Matrix }
+
+// BenchmarkDecoderSlice times the three GEMMs of a linear layer — forward
+// y += x·W, activation gradient dx += dy·Wᵀ, weight gradient dW += xᵀ·dy —
+// at the shapes the pipelined decoder runs them: one slice of 8 rows
+// (SeqLen 32 / S 4) through each in×out weight of the training benchmark's
+// model (hidden 64, FFN 256, vocab 256). The rows × in × out sub-benchmarks
+// take one weight shape; "mix" takes the eight linear layers the
+// benchmark's gemmRate times, and kernel "all" runs the three GEMMs of
+// each layer, so all/mix is the rate gemmRate reports.
+func BenchmarkDecoderSlice(b *testing.B) {
+	const rows, h, f, v = 8, 64, 256, 256
+	mix := [][2]int{{h, h}, {h, h}, {h, h}, {h, h}, {h, f}, {h, f}, {f, h}, {h, v}}
+	serial := NewPool(KernelConfig{Workers: 1})
+	defer serial.Close()
+	kernels := []struct {
+		name  string
+		gemms int
+		run   func(l decoderLayer)
+	}{
+		{"MatMul", 1, func(l decoderLayer) { serial.MatMul(l.y, l.x, l.w) }},
+		{"MatMulBT", 1, func(l decoderLayer) { serial.MatMulBT(l.dx, l.dy, l.w) }},
+		{"MatMulAT", 1, func(l decoderLayer) { serial.MatMulAT(l.dw, l.x, l.dy) }},
+		{"all", 3, func(l decoderLayer) {
+			serial.MatMul(l.y, l.x, l.w)
+			serial.MatMulBT(l.dx, l.dy, l.w)
+			serial.MatMulAT(l.dw, l.x, l.dy)
+		}},
+	}
+	bench := func(b *testing.B, shapes [][2]int, gemms int, run func(decoderLayer)) {
+		rng := rand.New(rand.NewSource(78))
+		var layers []decoderLayer
+		var flop float64
+		for _, sh := range shapes {
+			in, out := sh[0], sh[1]
+			layers = append(layers, decoderLayer{randMat(rng, rows, in), New(rows, out), randMat(rng, in, out),
+				New(rows, in), randMat(rng, rows, out), New(in, out)})
+			flop += float64(gemms) * 2 * float64(rows*in*out)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, l := range layers {
+				run(l)
+			}
+		}
+		b.ReportMetric(flop*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	}
+	for _, kern := range kernels {
+		for _, sh := range [][2]int{{h, h}, {h, f}, {f, h}} {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", kern.name, rows, sh[0], sh[1]), func(b *testing.B) {
+				bench(b, [][2]int{sh}, kern.gemms, kern.run)
+			})
+		}
+		b.Run(kern.name+"/mix", func(b *testing.B) { bench(b, mix, kern.gemms, kern.run) })
+	}
+}

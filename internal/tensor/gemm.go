@@ -93,27 +93,30 @@ func matMulRange(dst, a, b *Matrix, i0, i1 int, cfg KernelConfig) {
 	}
 }
 
-// axpy computes dr += av·br, 4×-unrolled. Each dr[j] is written by exactly
-// one statement, so the unroll does not change accumulation order.
-func axpy(dr, br []float32, av float32) {
-	dr = dr[:len(br)]
+// The two leaves below, axpy and matMulBTRange, have SSE versions on amd64
+// (gemm_amd64.s); elsewhere gemm_generic.go routes them to these Go loops,
+// which stay compiled everywhere as the differential oracle of the assembly.
+
+// axpyGo computes dst += a·x, 4×-unrolled. Each dst[j] is written by
+// exactly one statement, so the unroll does not change accumulation order.
+func axpyGo(dst, x []float32, a float32) {
+	dst = dst[:len(x)]
 	j := 0
-	for ; j+4 <= len(br); j += 4 {
-		dr[j] += av * br[j]
-		dr[j+1] += av * br[j+1]
-		dr[j+2] += av * br[j+2]
-		dr[j+3] += av * br[j+3]
+	for ; j+4 <= len(x); j += 4 {
+		dst[j] += a * x[j]
+		dst[j+1] += a * x[j+1]
+		dst[j+2] += a * x[j+2]
+		dst[j+3] += a * x[j+3]
 	}
-	for ; j < len(br); j++ {
-		dr[j] += av * br[j]
+	for ; j < len(x); j++ {
+		dst[j] += a * x[j]
 	}
 }
 
-// matMulBTRange processes destination columns in panels of four rows of b,
-// streaming each a-row once per panel (the packed-B reuse that makes the
-// dot-product variant cache friendly). Each output element is one dot
+// matMulBTRangeGo processes destination columns in panels of four rows of
+// b, streaming each a-row once per panel. Each output element is one dot
 // product with ascending k, identical to the reference kernel.
-func matMulBTRange(dst, a, b *Matrix, i0, i1 int) {
+func matMulBTRangeGo(dst, a, b *Matrix, i0, i1 int) {
 	k, n := a.Cols, b.Rows
 	for i := i0; i < i1; i++ {
 		ar := a.Data[i*k : (i+1)*k]

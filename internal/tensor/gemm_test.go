@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -43,8 +44,38 @@ func gemmCases() []gemmCase {
 	}
 }
 
-// TestGemmEdgeShapes runs every variant over shapes that stress tile
-// boundaries: non-divisible dims, single rows/columns, and k == 1.
+// zeroMat is randMat with about a quarter of the entries exact zeros, half
+// of them -0: in operands they take the kernels' zero-skip path, in a
+// pre-filled dst they pin how signed zeros accumulate.
+func zeroMat(rng *rand.Rand, r, c int) *Matrix {
+	m := randMat(rng, r, c)
+	negZero := float32(math.Copysign(0, -1))
+	for i := range m.Data {
+		switch rng.Intn(8) {
+		case 0:
+			m.Data[i] = 0
+		case 1:
+			m.Data[i] = negZero
+		}
+	}
+	return m
+}
+
+// firstBitDiff returns the first index at which got and want differ in bit
+// pattern (so +0 and -0 differ), or -1 when they are bitwise identical.
+func firstBitDiff(got, want []float32) int {
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestGemmEdgeShapes runs every variant over shapes that stress tile and
+// SIMD boundaries: non-divisible dims, single rows/columns, k == 1, an
+// empty reduction, the decoder's 8-row slice shapes, and every m, k, n in
+// 1–9 (the tails of the 4- and 8-wide SIMD loops).
 func TestGemmEdgeShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	shapes := [][3]int{
@@ -52,22 +83,33 @@ func TestGemmEdgeShapes(t *testing.T) {
 		{31, 33, 35}, {33, 31, 37}, // straddle the default 32-row tile
 		{65, 3, 129}, {2, 1, 2},
 		{64, 64, 64}, {100, 100, 100}, // divisible and not
+		{3, 0, 5}, // dst += 0
+	}
+	for _, k := range []int{16, 64, 256} {
+		for _, n := range []int{16, 64, 256} {
+			shapes = append(shapes, [3]int{8, k, n})
+		}
+	}
+	for m := 1; m <= 9; m++ {
+		for k := 1; k <= 9; k++ {
+			for n := 1; n <= 9; n++ {
+				shapes = append(shapes, [3]int{m, k, n})
+			}
+		}
 	}
 	for _, c := range gemmCases() {
 		for _, sz := range shapes {
 			m, k, n := sz[0], sz[1], sz[2]
 			ar, ac, br, bc := c.shape(m, k, n)
-			a, b := randMat(rng, ar, ac), randMat(rng, br, bc)
+			a, b := zeroMat(rng, ar, ac), zeroMat(rng, br, bc)
 			dr, dc := c.out(m, k, n)
-			want := New(dr, dc)
+			want := zeroMat(rng, dr, dc)
+			got := want.Clone()
 			c.ref(want, a, b)
-			got := New(dr, dc)
 			c.run(got, a, b)
-			for i := range want.Data {
-				if got.Data[i] != want.Data[i] {
-					t.Fatalf("%s %v: element %d: got %v want %v (not bitwise identical)",
-						c.name, sz, i, got.Data[i], want.Data[i])
-				}
+			if i := firstBitDiff(got.Data, want.Data); i >= 0 {
+				t.Fatalf("%s %v: element %d: got %v want %v (not bitwise identical)",
+					c.name, sz, i, got.Data[i], want.Data[i])
 			}
 		}
 	}
@@ -91,20 +133,21 @@ func TestGemmBitwiseSerialVsParallel(t *testing.T) {
 			k := rng.Intn(90) + 40
 			n := rng.Intn(90) + 40
 			ar, ac, br, bc := c.shape(m, k, n)
-			a, b := randMat(rng, ar, ac), randMat(rng, br, bc)
+			a, b := zeroMat(rng, ar, ac), zeroMat(rng, br, bc)
 			dr, dc := c.out(m, k, n)
 
-			want := New(dr, dc)
+			want := zeroMat(rng, dr, dc)
+			one, eight := want.Clone(), want.Clone()
 			c.ref(want, a, b)
-			one := New(dr, dc)
 			c.pool(serial, one, a, b)
-			eight := New(dr, dc)
 			c.pool(wide, eight, a, b)
-			for i := range want.Data {
-				if one.Data[i] != want.Data[i] || eight.Data[i] != want.Data[i] {
-					t.Fatalf("%s %dx%dx%d trial %d: element %d diverges: naive %v serial %v parallel %v",
-						c.name, m, k, n, trial, i, want.Data[i], one.Data[i], eight.Data[i])
-				}
+			i := firstBitDiff(one.Data, want.Data)
+			if i < 0 {
+				i = firstBitDiff(eight.Data, want.Data)
+			}
+			if i >= 0 {
+				t.Fatalf("%s %dx%dx%d trial %d: element %d diverges: naive %v serial %v parallel %v",
+					c.name, m, k, n, trial, i, want.Data[i], one.Data[i], eight.Data[i])
 			}
 		}
 	}
