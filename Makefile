@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json verify-presets race-hot race bench bench-kernels bench-smoke bench-serve bench-opt bench-sim bench-sweep serve-smoke opt-smoke sim-smoke sweep-smoke opt-regen report figures artifact check ci smoke clean
+.PHONY: all build test vet lint lint-json verify-presets race-hot race bench bench-kernels bench-smoke bench-opt bench-sim bench-sweep serve-smoke opt-smoke sim-smoke sweep-smoke opt-regen report figures artifact check ci smoke clean
 
 all: build test
 
@@ -64,12 +64,6 @@ smoke:
 # identical repeat is a cache hit, and the stats reflect both.
 serve-smoke:
 	$(GO) run ./cmd/mepipe-serve -selfcheck
-
-# Planning-server load benchmark: drives an in-process server with
-# concurrent clients and regenerates the machine-readable latency/cache
-# baseline (BENCH_serve.json) future PRs regress against.
-bench-serve:
-	$(GO) run ./cmd/mepipe-bench -serve-load -serve-out $(CURDIR)/BENCH_serve.json
 
 # Optimizer smoke (docs/OPTIMIZER.md): a short fixed-seed annealing run,
 # the discovered-schedule regression gate — the checked-in schedule under

@@ -1,13 +1,11 @@
 // Command mepipe-bench regenerates the paper's evaluation tables and
-// figures from the reproduction's models and simulator, and load-tests
-// the mepipe-serve planning server.
+// figures from the reproduction's models and simulator.
 //
 // Examples:
 //
 //	mepipe-bench                # every experiment
 //	mepipe-bench -exp fig8      # one experiment
 //	mepipe-bench -list          # what exists
-//	mepipe-bench -serve-load    # drive the planning server, write BENCH_serve.json
 //	mepipe-bench -opt           # replay the discovered-schedule artifact, write BENCH_opt.json
 //	mepipe-bench -sim           # measure simulator fast-path throughput, write BENCH_sim.json
 //	mepipe-bench -sweep         # measure grid-search sweep-engine throughput, write BENCH_sweep.json
@@ -21,10 +19,8 @@ import (
 	"os"
 	"time"
 
-	v1 "mepipe/api/v1"
 	"mepipe/internal/bench"
 	"mepipe/internal/opt"
-	"mepipe/internal/serve"
 	"mepipe/internal/sim"
 )
 
@@ -33,10 +29,6 @@ func main() {
 		exp       = flag.String("exp", "", "run a single experiment by id (see -list)")
 		list      = flag.Bool("list", false, "list available experiments")
 		format    = flag.String("format", "text", "output format: text or csv")
-		serveLoad = flag.Bool("serve-load", false, "load-test an in-process planning server and write a latency/cache report")
-		serveReqs = flag.Int("serve-requests", 200, "requests to issue in -serve-load mode")
-		serveConc = flag.Int("serve-concurrency", 8, "parallel clients in -serve-load mode")
-		serveOut  = flag.String("serve-out", "BENCH_serve.json", "report file written by -serve-load")
 		optBench  = flag.Bool("opt", false, "replay the checked-in discovered-schedule artifact's optimization and write a throughput report")
 		optIters  = flag.Int("opt-iters", 0, "override the artifact's annealing rounds in -opt mode (0 = the recorded count)")
 		optOut    = flag.String("opt-out", "BENCH_opt.json", "report file written by -opt")
@@ -59,14 +51,6 @@ func main() {
 
 	if *simBench {
 		if err := runSimBench(*simCands, *simOut); err != nil {
-			fmt.Fprintln(os.Stderr, "mepipe-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *serveLoad {
-		if err := runServeLoad(*serveReqs, *serveConc, *serveOut); err != nil {
 			fmt.Fprintln(os.Stderr, "mepipe-bench:", err)
 			os.Exit(1)
 		}
@@ -242,63 +226,5 @@ func runOptBench(iters int, out string) error {
 	fmt.Printf("  search     %d proposed (%d infeasible), %.0f candidates/s, accept rate %.2f\n",
 		rep.Proposed, rep.Infeasible, rep.CandidatesPerSec, rep.AcceptRate)
 	fmt.Printf("  report     written to %s\n", out)
-	return nil
-}
-
-// runServeLoad boots the planning server in-process, drives it with a
-// realistic request mix (a handful of distinct planning documents cycled
-// by many concurrent clients), and writes the measured p50/p99 latency and
-// cache hit rate to out.
-func runServeLoad(requests, concurrency int, out string) error {
-	s := serve.New(serve.Options{})
-
-	// Four distinct 7b planning documents on the paper's single-server
-	// 4090 testbed: small enough that a cold evaluation is quick, distinct
-	// enough that the cache has real work to do.
-	var docs [][]byte
-	for _, gbs := range []int{8, 16, 24, 32} {
-		doc, err := json.Marshal(v1.PlanRequest{
-			System:   "mepipe",
-			Model:    v1.ModelSpec{Preset: "7b"},
-			Cluster:  v1.ClusterSpec{Preset: "rtx4090", Servers: 1},
-			Training: v1.TrainingSpec{GlobalBatch: gbs},
-			Parallel: &v1.ParallelSpec{PP: 8},
-		})
-		if err != nil {
-			return err
-		}
-		docs = append(docs, doc)
-	}
-
-	rep, err := serve.RunLoad(context.Background(), s.Handler(), docs, serve.LoadOptions{
-		Requests:    requests,
-		Concurrency: concurrency,
-	})
-	if err != nil {
-		return err
-	}
-
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close() //nolint:errcheck // encode error wins
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-
-	fmt.Printf("serve load: %d requests x %d clients over %d documents on %s\n",
-		rep.Requests, rep.Concurrency, rep.Documents, rep.Endpoint)
-	fmt.Printf("  latency   p50 %.2f ms, p99 %.2f ms, mean %.2f ms, max %.2f ms\n",
-		rep.P50S*1e3, rep.P99S*1e3, rep.MeanS*1e3, rep.MaxS*1e3)
-	fmt.Printf("  cache     %.1f%% hit rate (%d hits, %d misses, %d coalesced), %d errors\n",
-		100*rep.HitRate, rep.Hits, rep.Misses, rep.Coalesced, rep.Errors)
-	fmt.Printf("  volume    %.0f req/s over %.2f s\n", rep.PerSecond, rep.ElapsedS)
-	fmt.Printf("  report    written to %s\n", out)
 	return nil
 }

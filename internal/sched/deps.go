@@ -147,35 +147,59 @@ func (s *Schedule) DepTable() *DepTable {
 			}
 		}
 	}
-	// Reverse CSR and edge statistics, in one counting pass and one
-	// id-ordered scatter (so each OutID row comes out ascending).
-	t.OutOff = make([]int32, total+1)
+	// Reverse CSR and edge statistics. Dependents never cross micros
+	// either, so the micro-m dependents row is the micro-0 row shifted by
+	// m·vss too: count and scatter the micro-0 rows only (in id order, so
+	// each row comes out ascending), then shift-copy them.
 	perStage := int32(x.perStage)
-	for id := 0; id < total; id++ {
-		ks := int32(id) / perStage
-		for _, from := range t.ID[t.Off[id]:t.Off[id+1]] {
-			if from < 0 {
-				t.Neg++
-				continue
-			}
-			t.OutOff[from+1]++
-			if from/perStage != ks {
-				t.Cross++
+	m0 := func(id int32) int32 { return id/perStage*int32(vss) + id%perStage } // micro-0 slot
+	cnt := make([]int32, x.p*vss)
+	for k := 0; k < x.p; k++ {
+		for id := int32(k * x.perStage); id < int32(k*x.perStage+vss); id++ {
+			for _, from := range t.ID[t.Off[id]:t.Off[id+1]] {
+				if from < 0 {
+					t.Neg++
+					continue
+				}
+				cnt[m0(from)]++
+				if from/perStage != int32(k) {
+					t.Cross++
+				}
 			}
 		}
 	}
+	t.Neg *= x.n
+	t.Cross *= x.n
+	t.OutOff = make([]int32, total+1)
 	for id := 0; id < total; id++ {
-		t.OutOff[id+1] += t.OutOff[id]
+		rel := id % x.perStage % vss
+		t.OutOff[id+1] = t.OutOff[id] + cnt[id/x.perStage*vss+rel]
 	}
 	t.OutID = make([]int32, t.OutOff[total])
-	cursor := make([]int32, total)
-	for id := 0; id < total; id++ {
-		for _, from := range t.ID[t.Off[id]:t.Off[id+1]] {
-			if from < 0 {
-				continue
+	clear(cnt) // now the micro-0 rows' fill cursors
+	for k := 0; k < x.p; k++ {
+		for id := int32(k * x.perStage); id < int32(k*x.perStage+vss); id++ {
+			for _, from := range t.ID[t.Off[id]:t.Off[id+1]] {
+				if from < 0 {
+					continue
+				}
+				c := m0(from)
+				t.OutID[t.OutOff[from]+cnt[c]] = id
+				cnt[c]++
 			}
-			t.OutID[t.OutOff[from]+cursor[from]] = int32(id)
-			cursor[from]++
+		}
+	}
+	for k := 0; k < x.p; k++ {
+		base := k * x.perStage
+		for m := 1; m < x.n; m++ {
+			shift := int32(m * vss)
+			for rel := 0; rel < vss; rel++ {
+				row0 := t.OutID[t.OutOff[base+rel]:t.OutOff[base+rel+1]]
+				row := t.OutID[t.OutOff[base+m*vss+rel]:]
+				for j, v := range row0 {
+					row[j] = v + shift
+				}
+			}
 		}
 	}
 	s.depTab = t

@@ -125,10 +125,14 @@ type genStage struct {
 	deferred int // outstanding W families (split mode)
 	// ready op ids by class. readyF/readyB are scanned in full (their
 	// sizes are bounded by the in-flight caps or the pipeline width);
-	// readyW is kept sorted by fPriority with an advancing head, because
-	// a ready weight-gradient op's only dependency (its same-stage BAct)
-	// has always already executed — every entry starts at st.free, so
-	// the priority-sorted head IS the best candidate.
+	// readyW queues whole families: for each family with ready
+	// weight-gradient work, the id of its next uncommitted piece, kept
+	// sorted (priority order, see insertW) with an advancing head. A
+	// family's weight-gradient ops all become ready when its BAct
+	// commits and hold consecutive ids, so the head entry is the
+	// smallest ready id; and their only dependency (the same-stage BAct)
+	// has always already executed — every one starts at st.free, so the
+	// head IS the best candidate.
 	readyF, readyB []int32
 	readyW         []int32
 	wHead          int
@@ -281,19 +285,30 @@ func (g *generator) reset(s *Schedule, opt GenOptions) {
 	if mi, ok := opt.Est.(MicroInvariant); ok {
 		microInv = mi.MicroInvariantCosts()
 	}
-	for id := 0; id < total; id++ {
-		stage, op := g.x.opAt(int32(id))
-		n := &g.nodes[id]
-		n.op = op
-		if microInv && op.Micro > 0 {
-			n.dur = g.nodes[id-op.Micro*vss].dur
-		} else {
-			n.dur = opt.Est.OpTime(stage, op)
+	// Only the micro-0 block of each stage is decoded: the micro-m op is
+	// its micro-0 twin with Micro = m, m·vss ids on, and so is its
+	// dependency count (the DepTable's shift-copy rule).
+	for k := 0; k < g.x.p; k++ {
+		base := k * g.x.perStage
+		for rel := 0; rel < vss; rel++ {
+			_, op := g.x.opAt(int32(base + rel))
+			deg := int(t.Off[base+rel+1] - t.Off[base+rel])
+			for m := 0; m < g.x.n; m++ {
+				id := base + m*vss + rel
+				op.Micro = m
+				n := &g.nodes[id]
+				n.op = op
+				if microInv && m > 0 {
+					n.dur = g.nodes[base+rel].dur
+				} else {
+					n.dur = opt.Est.OpTime(k, op)
+				}
+				n.remaining = deg
+				n.ready = 0
+				n.scheduled = false
+				g.finish[id] = 0
+			}
 		}
-		n.remaining = int(t.Off[id+1] - t.Off[id])
-		n.ready = 0
-		n.scheduled = false
-		g.finish[id] = 0
 	}
 	// Seed ready lists.
 	for id := range g.nodes {
@@ -312,27 +327,32 @@ func (g *generator) markReady(id int32, stage int) {
 	case B, BAct:
 		st.readyB = append(st.readyB, id)
 	default:
-		g.insertW(st, id)
+		// The family's pieces wake together in id order; the first
+		// one queues the family.
+		if int(id)%g.x.slots == 2 {
+			g.insertW(st, id)
+		}
 	}
 }
 
-// insertW keeps readyW[wHead:] sorted by fPriority. Weight-gradient work is
-// enqueued in nearly increasing priority order (families complete their
-// BAct in roughly micro order), so the binary search almost always appends.
+// insertW keeps readyW[wHead:] sorted by id, which within a stage is
+// (micro, chunk, slice, piece) priority order: ids enumerate micro, chunk
+// and slice, then the family slot, and a WPiece's slot follows its piece.
 func (g *generator) insertW(st *genStage, id int32) {
-	key := fPriority(g.nodes[id].op)
-	lo, hi := st.wHead, len(st.readyW)
+	q := st.readyW
+	lo, hi := st.wHead, len(q)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if less4(fPriority(g.nodes[st.readyW[mid]].op), key) {
+		if q[mid] < id {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	st.readyW = append(st.readyW, 0)
-	copy(st.readyW[lo+1:], st.readyW[lo:])
-	st.readyW[lo] = id
+	q = append(q, 0)
+	copy(q[lo+1:], q[lo:])
+	q[lo] = id
+	st.readyW = q
 }
 
 func (g *generator) cap(stage int) int {
@@ -369,8 +389,6 @@ func (g *generator) bPriority(stage int, op Op) [4]int {
 	}
 	return [4]int{op.Micro, -gl, -op.Slice, 0}
 }
-
-func fPriority(op Op) [4]int { return [4]int{op.Micro, op.Chunk, op.Slice, op.Piece} }
 
 func less4(a, b [4]int) bool {
 	for i := range a {
@@ -417,9 +435,11 @@ func (g *generator) chooseF(k int) candidate {
 		if need >= limit {
 			continue
 		}
+		// Ties go to the smaller id: all forwards of a stage share the
+		// family slot 0, so id order is (micro, chunk, slice) order.
 		start := max(st.free, g.nodes[id].ready)
 		if !best.ok || start < best.start-timeEps ||
-			(start < best.start+timeEps && less4(fPriority(op), fPriority(g.nodes[best.id].op))) {
+			(start < best.start+timeEps && id < best.id) {
 			best = candidate{id: id, start: start, kind: F, ok: true}
 		}
 	}
@@ -615,6 +635,10 @@ func (g *generator) commit(k int, c candidate) {
 		// chooseW only ever proposes the head.
 		if st.wHead >= len(st.readyW) || st.readyW[st.wHead] != c.id {
 			panic("sched: generator committed a non-head weight-gradient op")
+		}
+		if next := c.id + 1; int(next)%g.x.slots != 0 {
+			st.readyW[st.wHead] = next // the family's next piece
+			break
 		}
 		st.wHead++
 		if st.wHead == len(st.readyW) {

@@ -572,36 +572,6 @@ func TestLRU(t *testing.T) {
 	}
 }
 
-// TestRunLoad drives the load generator against a stub backend and checks
-// the report adds up.
-func TestRunLoad(t *testing.T) {
-	s := New(Options{Backend: Backend{
-		Evaluate: func(ctx context.Context, sys mepipe.System, m mepipe.Model, cl mepipe.Cluster, par mepipe.Parallel, tr mepipe.Training, sink obs.Sink) (*mepipe.Eval, error) {
-			return stubEval(), nil
-		},
-	}})
-	docs := [][]byte{simDoc(t, 8), simDoc(t, 16)}
-	rep, err := RunLoad(context.Background(), s.Handler(), docs, LoadOptions{Requests: 16, Concurrency: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("report has %d errors: %+v", rep.Errors, rep)
-	}
-	if got := rep.Hits + rep.Misses + rep.Coalesced; got != 16 {
-		t.Errorf("outcomes sum to %d, want 16: %+v", got, rep)
-	}
-	if rep.Hits == 0 {
-		t.Error("no cache hits across 16 requests over 2 documents")
-	}
-	if rep.P50S > rep.P99S || rep.P99S > rep.MaxS || rep.MaxS <= 0 {
-		t.Errorf("latency ordering broken: p50=%g p99=%g max=%g", rep.P50S, rep.P99S, rep.MaxS)
-	}
-	if rep.HitRate <= 0 || rep.HitRate >= 1 {
-		t.Errorf("hit rate = %g", rep.HitRate)
-	}
-}
-
 // TestHealthz pins the liveness endpoint.
 func TestHealthz(t *testing.T) {
 	s := New(Options{})

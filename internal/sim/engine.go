@@ -26,6 +26,13 @@ type engState struct {
 	fin    []float64
 	done   []uint32
 	ep     uint32
+	// next caches each stage's engStart answer; stale marks the stages an
+	// executed op may have changed — its own stage and its dependents'
+	// stages, the only ones whose readiness can move (the generator's
+	// dirty pattern).
+	next   []float64
+	nextOK []bool
+	stale  []bool
 	oom    bool
 	oomAt  int
 }
@@ -51,6 +58,9 @@ func (se *Session) runEngine() error {
 	e.wqHead = sgrow(e.wqHead, se.P)
 	e.fin = sgrow(e.fin, se.n)
 	e.done = sgrow(e.done, se.n)
+	e.next = sgrow(e.next, se.P)
+	e.nextOK = sgrow(e.nextOK, se.P)
+	e.stale = sgrow(e.stale, se.P)
 	e.ep++
 	se.famEpoch++
 	e.oom = false
@@ -65,6 +75,7 @@ func (se *Session) runEngine() error {
 		e.drain[k] = 0
 		e.wq[k] = e.wq[k][:0]
 		e.wqHead[k] = 0
+		e.stale[k] = true
 		if se.record {
 			se.spanBuf[k] = se.spanBuf[k][:0]
 		}
@@ -98,25 +109,25 @@ func (se *Session) engSkip(k int) {
 }
 
 // engNext mirrors the runner's nextStage: earliest next start wins, ties go
-// to the lowest stage.
+// to the lowest stage. Only stale stages recompute their start.
 func (se *Session) engNext() (int, bool) {
 	e := se.eng
 	best, bestStart, found := -1, math.Inf(1), false
 	for k := 0; k < se.P; k++ {
-		if e.cursor[k] >= len(se.order[k]) && e.wqHead[k] >= len(e.wq[k]) {
-			continue
+		if e.stale[k] {
+			e.stale[k] = false
+			e.next[k], e.nextOK[k] = se.engStart(k)
 		}
-		start, ok := se.engStart(k)
-		if !ok {
-			continue
-		}
-		if start < bestStart {
-			best, bestStart, found = k, start, true
+		if e.nextOK[k] && e.next[k] < bestStart {
+			best, bestStart, found = k, e.next[k], true
 		}
 	}
 	return best, found
 }
 
+// engStart returns when stage k can begin its next action, or false when
+// it has none runnable (its list and queue are drained, or its next
+// scheduled op is blocked with an empty queue).
 func (se *Session) engStart(k int) (float64, bool) {
 	e := se.eng
 	if e.cursor[k] < len(se.order[k]) {
@@ -232,6 +243,10 @@ func (se *Session) engRunOp(k int, id int32, start float64) {
 	}
 	e.fin[id] = end
 	e.done[id] = e.ep
+	e.stale[k] = true
+	for d := se.sucOff[id]; d < se.sucOff[id+1]; d++ {
+		e.stale[se.stg[se.sucID[d]]] = true
+	}
 	f := se.famID[id]
 	switch se.opsl[id].Kind {
 	case sched.F:
@@ -255,15 +270,16 @@ func (se *Session) engRunOp(k int, id int32, start float64) {
 	}
 }
 
-// engEnqueueW queues the family's precomputed weight-gradient ops and makes
+// engEnqueueW queues the family's weight-gradient ops and makes
 // its retained bytes drainable, mirroring the runner's enqueueW.
 func (se *Session) engEnqueueW(k int, bID int32, ready float64) {
 	e := se.eng
 	f := se.famID[bID]
 	se.touchFam(f)
 	e.drain[k] += se.famAcc[f]
-	for w := se.wOff[bID]; w < se.wOff[bID+1]; w++ {
-		e.wq[k] = append(e.wq[k], wRef{se.wIDs[w], ready})
+	lo, hi := se.x.WeightGrads(bID)
+	for w := lo; w < hi; w++ {
+		e.wq[k] = append(e.wq[k], wRef{w, ready})
 	}
 }
 

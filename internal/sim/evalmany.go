@@ -17,6 +17,12 @@ import (
 // buffers, which removes the dominant allocations of one-shot evaluation.
 var sessionPool = sync.Pool{New: func() any { return &Session{} }}
 
+// putSession returns se to the pool without the schedule it was bound to.
+func putSession(se *Session) {
+	se.release()
+	sessionPool.Put(se)
+}
+
 // Evaluate is RunContext through the session fast path: identical Results
 // (bitwise — the differential fuzzer gates this), far fewer allocations.
 // Traced runs fall back to RunContext, which owns span/event emission.
@@ -34,7 +40,7 @@ func Evaluate(ctx context.Context, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("sim: evaluate %w: %v", errs.ErrCancelled, err)
 	}
 	se := sessionPool.Get().(*Session)
-	defer sessionPool.Put(se)
+	defer putSession(se)
 	if err := se.init(opt); err != nil {
 		return nil, err
 	}
@@ -94,7 +100,7 @@ func EvaluateMany(ctx context.Context, scheds []*sched.Schedule, opt Options, wo
 // evalWorker evaluates every schedule serially with one pooled session.
 func evalWorker(ctx context.Context, scheds []*sched.Schedule, results []*Result, opt Options, cancelled *atomic.Bool) {
 	se := sessionPool.Get().(*Session)
-	defer sessionPool.Put(se)
+	defer putSession(se)
 	bound := false
 	for i := range scheds {
 		if ctx.Err() != nil {
@@ -109,7 +115,7 @@ func evalWorker(ctx context.Context, scheds []*sched.Schedule, results []*Result
 // shape as internal/opt's worker pool).
 func evalWorkerShared(ctx context.Context, scheds []*sched.Schedule, results []*Result, opt Options, cancelled *atomic.Bool, next *atomic.Int64) {
 	se := sessionPool.Get().(*Session)
-	defer sessionPool.Put(se)
+	defer putSession(se)
 	bound := false
 	for {
 		i := int(next.Add(1)) - 1

@@ -17,6 +17,12 @@ import (
 // result is guaranteed bitwise-identical to sim.Run on the same Options —
 // the differential fuzzer in fuzz_test.go holds that gate closed.
 //
+// A session numbers ops by their sched.OpIndex ids and shares the bound
+// schedule's sched.DepTable rather than copying it, so it binds only a
+// complete schedule: every op of the shape, once. Validate demands that,
+// and under Options.AssumeValid a table short of it is rejected with a
+// wrapped errs.ErrIncompatible.
+//
 // A Session is not safe for concurrent use; EvaluateMany runs one per
 // worker. All slices inside the returned Result are owned by the session
 // and are overwritten by the next Eval — callers that retain results across
@@ -36,15 +42,13 @@ type Session struct {
 	hasTail    bool
 	tailV      []float64
 
-	// op identity tables. Every op in the bound schedule gets a dense id;
-	// moves permute positions but never identities, so the dependency
-	// graph, durations, and memory charges below are computed once. Ids
-	// are resolved through the shape's arithmetic op index plus a lut —
-	// no hashing anywhere on the bind or diff paths.
+	// op identity tables. A session id is the op's sched.OpIndex id, and
+	// a session binds only the complete op universe, so every id of the
+	// shape is present; moves permute positions but never identities, so
+	// the dependency graph, durations, and memory charges below are
+	// computed once. No hashing anywhere on the bind or diff paths.
 	n     int
 	x     sched.OpIndex // dense (stage, op) numbering of the bound shape
-	lut   []int32       // universe id -> session id, -1 when absent
-	uid   []int32       // session id -> universe id (lut's inverse)
 	nfam  int
 	opsl  []sched.Op // id -> op
 	stg   []int32    // id -> stage
@@ -54,16 +58,14 @@ type Session struct {
 	dur   []float64  // id -> op duration
 	memB  []int64    // id -> bytes allocated at execution (F: act, BAct: grad)
 
-	// dependency edges (identity-based, immutable across moves)
+	// dependency edges (identity-based, immutable across moves). The
+	// offsets and ids alias the bound schedule's sched.DepTable — never
+	// written through, and dropped before a session returns to its pool.
 	depOff  []int32 // id -> [depOff[id], depOff[id+1]) into depID/depComm
 	depID   []int32
 	depComm []float64 // communication delay, 0 for same-stage edges
 	sucOff  []int32   // reverse edges: id -> dependents
 	sucID   []int32
-
-	// derived weight-gradient work per BAct id (dynamic mode only)
-	wOff []int32
-	wIDs []int32
 
 	// solved static state: start/finish per op, plus a longest-path height
 	// used as the cycle certificate (heights have no fixed point on a
@@ -121,7 +123,8 @@ type Session struct {
 // validated and becomes the base order; subsequent Eval calls accept any
 // per-stage permutation of the same ops. Tracing is incompatible with
 // sessions (use RunContext), as is a nil schedule or a budget of the wrong
-// length — all reported as wrapped errs.ErrIncompatible.
+// length, or (under AssumeValid) an incomplete op universe — all reported
+// as wrapped errs.ErrIncompatible.
 //
 //mepipe:deterministic
 func NewSession(opt Options) (*Session, error) {
@@ -164,202 +167,67 @@ func (se *Session) init(opt Options) error {
 	if s.Place == nil {
 		return fmt.Errorf("sim: schedule has no placement: %w", errs.ErrIncompatible)
 	}
-	se.opt = opt
-	se.base = s
 	se.P, se.V, se.S, se.N = s.P, s.V, s.S, s.N
 	se.splitBW, se.wPieces = s.SplitBW, s.WPieces
 	se.dynamicW = opt.DynamicW
-	se.record = !opt.MakespanOnly
-	se.hasBudget = opt.ActBudget != nil
-	se.budget = append(se.budget[:0], opt.ActBudget...)
-	se.hasTail = opt.TailTime != nil
 	se.tailV = sgrow(se.tailV, s.P)
-	for k := 0; k < s.P; k++ {
-		if se.hasTail {
-			se.tailV[k] = opt.TailTime(k)
-		} else {
-			se.tailV[k] = 0
-		}
-	}
+	se.setOptions(opt)
 
-	n := 0
+	// Ids are the universe ids, so the session needs every op of the
+	// shape: a stage-list count equal to the universe, all in shape and
+	// none twice, is exactly that bijection.
+	se.x = sched.IndexOf(s)
+	n := se.x.Total()
+	ops := 0
 	for k := range s.Stages {
-		n += len(s.Stages[k])
+		ops += len(s.Stages[k])
+	}
+	if len(s.Stages) != s.P || ops != n {
+		return fmt.Errorf("sim: session: %s has %d ops in %d stage lists, want the complete universe of %d in %d: %w", s, ops, len(s.Stages), n, s.P, errs.ErrIncompatible)
 	}
 	se.n = n
-	se.x = sched.IndexOf(s)
-	se.lut = sgrow(se.lut, se.x.Total())
-	for i := range se.lut {
-		se.lut[i] = -1
-	}
 	se.opsl = sgrow(se.opsl, n)
 	se.stg = sgrow(se.stg, n)
 	se.pos = sgrow(se.pos, n)
-	se.uid = sgrow(se.uid, n)
 	se.famID = sgrow(se.famID, n)
 	se.dur = sgrow(se.dur, n)
 	se.memB = sgrow(se.memB, n)
+	se.seenEp = sgrow(se.seenEp, n)
 	se.order = sgrow(se.order, s.P)
-	// Micro-invariant cost models (see sched.MicroInvariant) are queried
-	// only for the micro-0 twin of each op; the copies below are bitwise.
-	// The fast path needs the complete op universe so every twin resolves.
-	microInv := se.microInvariant(opt.Costs) && n == se.x.Total()
-	vss := se.x.PerStage() / s.N
-	id := int32(0)
+	se.seenEpoch++
 	for k := range s.Stages {
 		ops := s.Stages[k]
 		ord := sgrow(se.order[k], len(ops))
-		for p := range ops {
-			op := ops[p]
-			uid := se.x.ID(k, op)
-			if uid < 0 {
+		for p, op := range ops {
+			id := se.x.ID(k, op)
+			if id < 0 {
 				return fmt.Errorf("sim: session: op %v@stage%d is outside the schedule shape: %w", op, k, errs.ErrIncompatible)
 			}
-			if se.lut[uid] >= 0 {
+			if se.seenEp[id] == se.seenEpoch {
 				return fmt.Errorf("sim: session: duplicate op %v@stage%d: %w", op, k, errs.ErrIncompatible)
 			}
-			se.lut[uid] = id
-			se.uid[id] = uid
+			se.seenEp[id] = se.seenEpoch
 			se.opsl[id] = op
 			se.stg[id] = int32(k)
 			se.pos[id] = int32(p)
 			ord[p] = id
-			se.famID[id] = se.x.FamilyOf(uid)
-			if !microInv || op.Micro == 0 {
-				se.dur[id] = opt.Costs.OpTime(k, op)
-				switch op.Kind {
-				case sched.F:
-					se.memB[id] = opt.Costs.ActBytes(k, op)
-				case sched.BAct:
-					se.memB[id] = opt.Costs.GradBytes(k, op)
-				default:
-					se.memB[id] = 0
-				}
-			}
-			id++
+			se.famID[id] = se.x.FamilyOf(id)
 		}
 		se.order[k] = ord
 	}
-	if microInv {
-		// Twin pass: micro-0 costs are all in place (the loop above set
-		// them regardless of stage order), so copy them onto the rest.
-		for i := int32(0); i < int32(n); i++ {
-			m := se.opsl[i].Micro
-			if m == 0 {
-				continue
-			}
-			tw := se.lut[se.uid[i]-int32(m*vss)]
-			se.dur[i] = se.dur[tw]
-			se.memB[i] = se.memB[tw]
-		}
-	}
 	se.nfam = se.x.Families()
 
-	// Dependency edges, resolved to dense ids with communication delays
-	// folded in (0 for same-stage edges keeps the max loop branch-free
-	// without perturbing bits: finish times are never negative zero). The
-	// edges come straight from the schedule's cached dense dependency
-	// table — the same rows the generator and the certifier consumed — so
-	// binding never re-derives a Dep.
+	// Dependency edges come straight from the schedule's cached dense
+	// dependency table — the same rows the generator and the certifier
+	// consumed — so binding never re-derives or copies a Dep.
 	dt := s.DepTable()
-	perStage := int32(se.x.PerStage())
-	se.depOff = sgrow(se.depOff, n+1)
-	se.depID = se.depID[:0]
-	se.depComm = se.depComm[:0]
-	for i := 0; i < n; i++ {
-		se.depOff[i] = int32(len(se.depID))
-		k := int(se.stg[i])
-		u := se.uid[i]
-		twin := microInv && se.opsl[i].Micro > 0
-		row := dt.ID[dt.Off[u]:dt.Off[u+1]]
-		for _, duid := range row {
-			j := int32(-1)
-			if duid >= 0 {
-				j = se.lut[duid]
-			}
-			if j < 0 {
-				return se.absentDepErr(s, k, se.opsl[i])
-			}
-			comm := 0.0
-			if ds := int(duid / perStage); ds != k && !twin {
-				_, dop := se.x.At(duid)
-				comm = opt.Costs.CommTime(ds, k, dop)
-			}
-			se.depID = append(se.depID, j)
-			se.depComm = append(se.depComm, comm)
-		}
+	if dt.Neg > 0 {
+		return se.absentDepErr(s, dt)
 	}
-	se.depOff[n] = int32(len(se.depID))
-	if microInv {
-		// Twin pass for communication delays: dependency rows of micro
-		// twins are id-shifted copies in identical order, and CommTime is
-		// micro-invariant, so each micro-m row is a bitwise copy of its
-		// micro-0 row.
-		for i := int32(0); i < int32(n); i++ {
-			m := se.opsl[i].Micro
-			if m == 0 {
-				continue
-			}
-			tw := se.lut[se.uid[i]-int32(m*vss)]
-			copy(se.depComm[se.depOff[i]:se.depOff[i+1]], se.depComm[se.depOff[tw]:se.depOff[tw+1]])
-		}
-	}
-	se.sucOff = sgrow(se.sucOff, n+1)
-	for i := range se.sucOff {
-		se.sucOff[i] = 0
-	}
-	for _, j := range se.depID {
-		se.sucOff[j+1]++
-	}
-	for i := 0; i < n; i++ {
-		se.sucOff[i+1] += se.sucOff[i]
-	}
-	se.sucID = sgrow(se.sucID, len(se.depID))
-	se.rem = sgrow(se.rem, n) // doubles as the fill cursor here
-	for i := 0; i < n; i++ {
-		se.rem[i] = se.sucOff[i]
-	}
-	for i := 0; i < n; i++ {
-		for e := se.depOff[i]; e < se.depOff[i+1]; e++ {
-			j := se.depID[e]
-			se.sucID[se.rem[j]] = int32(i)
-			se.rem[j]++
-		}
-	}
-
-	if se.dynamicW {
-		se.wOff = sgrow(se.wOff, n+1)
-		se.wIDs = se.wIDs[:0]
-		for i := 0; i < n; i++ {
-			se.wOff[i] = int32(len(se.wIDs))
-			if se.opsl[i].Kind != sched.BAct {
-				continue
-			}
-			k := int(se.stg[i])
-			b := se.opsl[i]
-			if se.wPieces > 0 {
-				for p := 0; p < se.wPieces; p++ {
-					probe := b
-					probe.Kind = sched.WPiece
-					probe.Piece = p
-					j := se.lookup(k, probe)
-					if j < 0 {
-						return fmt.Errorf("sim: session: family %v@stage%d is missing piece %d: %w", b.Key(), k, p, errs.ErrIncompatible)
-					}
-					se.wIDs = append(se.wIDs, j)
-				}
-			} else {
-				probe := b
-				probe.Kind = sched.W
-				j := se.lookup(k, probe)
-				if j < 0 {
-					return fmt.Errorf("sim: session: family %v@stage%d is missing its W op: %w", b.Key(), k, errs.ErrIncompatible)
-				}
-				se.wIDs = append(se.wIDs, j)
-			}
-		}
-		se.wOff[n] = int32(len(se.wIDs))
-	}
+	se.depOff, se.depID = dt.Off, dt.ID
+	se.sucOff, se.sucID = dt.OutOff, dt.OutID
+	se.depComm = sgrow(se.depComm, len(dt.ID))
+	se.cost(opt.Costs)
 
 	se.placeGlobal = sgrow(se.placeGlobal, se.P*se.V)
 	for k := 0; k < se.P; k++ {
@@ -377,9 +245,9 @@ func (se *Session) init(opt Options) error {
 	se.start = sgrow(se.start, n)
 	se.finish = sgrow(se.finish, n)
 	se.height = sgrow(se.height, n)
+	se.rem = sgrow(se.rem, n)
 	se.inQ = sgrow(se.inQ, n)
 	se.seenCnt = sgrow(se.seenCnt, n)
-	se.seenEp = sgrow(se.seenEp, n)
 	se.stack = se.stack[:0]
 	se.famAcc = sgrow(se.famAcc, se.nfam)
 	se.famCnt = sgrow(se.famCnt, se.nfam)
@@ -406,21 +274,98 @@ func (se *Session) init(opt Options) error {
 	return nil
 }
 
-// absentDepErr reports which dependency of op is missing from the bound
-// table. Cold path: the hot dep loop works on dense ids alone, so the Dep
-// is re-derived here only to name it in the error.
-func (se *Session) absentDepErr(s *sched.Schedule, k int, op sched.Op) error {
-	se.depScratch = s.Deps(se.depScratch[:0], k, op)
-	for _, d := range se.depScratch {
-		j := int32(-1)
-		if uid := se.x.ID(d.Stage, d.Op); uid >= 0 {
-			j = se.lut[uid]
-		}
-		if j < 0 {
-			return fmt.Errorf("sim: session: op %v@stage%d depends on absent op %v@stage%d: %w", op, k, d.Op, d.Stage, errs.ErrIncompatible)
+// absentDepErr names the first op, in stage-list order, with a dependency
+// outside the schedule's shape (a placement whose Host maps off the
+// grid). Cold path: the dependency is re-derived only to name it.
+func (se *Session) absentDepErr(s *sched.Schedule, dt *sched.DepTable) error {
+	for k := range se.order {
+		for _, id := range se.order[k] {
+			for e := dt.Off[id]; e < dt.Off[id+1]; e++ {
+				if dt.ID[e] >= 0 {
+					continue
+				}
+				op := se.opsl[id]
+				se.depScratch = s.Deps(se.depScratch[:0], k, op)
+				d := se.depScratch[e-dt.Off[id]]
+				return fmt.Errorf("sim: session: op %v@stage%d depends on absent op %v@stage%d: %w", op, k, d.Op, d.Stage, errs.ErrIncompatible)
+			}
 		}
 	}
-	return fmt.Errorf("sim: session: op %v@stage%d has an absent dependency: %w", op, k, errs.ErrIncompatible)
+	return fmt.Errorf("sim: session: %s has an absent dependency: %w", s, errs.ErrIncompatible)
+}
+
+// cost fills the cost-dependent tables — durations, memory charges (F
+// retains activations, BAct gradients) and communication delays (0 for
+// same-stage edges keeps the max loop branch-free without perturbing
+// bits: finish times are never negative zero). Micro-invariant models
+// (see sched.MicroInvariant) are queried only for the micro-0 twin of
+// each op: the micro-m op is its twin shifted by m·V·S·slots ids, its
+// dependency row is the twin's row shifted the same way in identical
+// order, and the model vouches both answer bitwise alike, so the copies
+// are exact.
+func (se *Session) cost(c Costs) {
+	microInv := se.microInvariant(c)
+	for id := 0; id < se.n; id++ {
+		op := se.opsl[id]
+		if microInv && op.Micro > 0 {
+			continue
+		}
+		k := int(se.stg[id])
+		se.dur[id] = c.OpTime(k, op)
+		switch op.Kind {
+		case sched.F:
+			se.memB[id] = c.ActBytes(k, op)
+		case sched.BAct:
+			se.memB[id] = c.GradBytes(k, op)
+		default:
+			se.memB[id] = 0
+		}
+		for e := se.depOff[id]; e < se.depOff[id+1]; e++ {
+			se.depComm[e] = 0
+			if j := se.depID[e]; int(se.stg[j]) != k {
+				se.depComm[e] = c.CommTime(int(se.stg[j]), k, se.opsl[j])
+			}
+		}
+	}
+	if !microInv {
+		return
+	}
+	vss := int32(se.x.PerStage() / se.N)
+	for i := int32(0); i < int32(se.n); i++ {
+		m := int32(se.opsl[i].Micro)
+		if m == 0 {
+			continue
+		}
+		tw := i - m*vss
+		se.dur[i] = se.dur[tw]
+		se.memB[i] = se.memB[tw]
+		copy(se.depComm[se.depOff[i]:se.depOff[i+1]], se.depComm[se.depOff[tw]:se.depOff[tw+1]])
+	}
+}
+
+// setOptions pins the cost-independent run options: the bound schedule,
+// span recording, budgets and tail times.
+func (se *Session) setOptions(opt Options) {
+	se.opt = opt
+	se.base = opt.Sched
+	se.record = !opt.MakespanOnly
+	se.hasBudget = opt.ActBudget != nil
+	se.budget = append(se.budget[:0], opt.ActBudget...)
+	se.hasTail = opt.TailTime != nil
+	for k := 0; k < se.P; k++ {
+		se.tailV[k] = 0
+		if se.hasTail {
+			se.tailV[k] = opt.TailTime(k)
+		}
+	}
+}
+
+// release drops the session's references to the bound schedule — the
+// aliased dependency table above all — so a pooled session never pins a
+// schedule's tables. The next Bind restores them.
+func (se *Session) release() {
+	se.opt, se.base = Options{}, nil
+	se.depOff, se.depID, se.sucOff, se.sucID = nil, nil, nil, nil
 }
 
 // microInvariant reports whether the cost model promises identical
@@ -513,16 +458,6 @@ func (se *Session) compat(s *sched.Schedule) error {
 	return nil
 }
 
-// lookup resolves (stage, op) to the session id, -1 when op is not part
-// of the bound schedule.
-func (se *Session) lookup(k int, op sched.Op) int32 {
-	uid := se.x.ID(k, op)
-	if uid < 0 {
-		return -1
-	}
-	return se.lut[uid]
-}
-
 func (se *Session) touchSeen(id int32) {
 	if se.seenEp[id] != se.seenEpoch {
 		se.seenEp[id] = se.seenEpoch
@@ -557,7 +492,7 @@ func (se *Session) diff(s *sched.Schedule) error {
 		}
 		ok := true
 		for p := lo; p <= hi; p++ {
-			cid := se.lookup(k, ops[p])
+			cid := se.x.ID(k, ops[p])
 			if cid < 0 {
 				ok = false
 				break
@@ -600,7 +535,7 @@ func (se *Session) remapAll(s *sched.Schedule) error {
 		ord := se.order[k]
 		ops := s.Stages[k]
 		for p := range ops {
-			cid := se.lookup(k, ops[p])
+			cid := se.x.ID(k, ops[p])
 			if cid < 0 || se.seenEp[cid] == se.seenEpoch {
 				return fmt.Errorf("sim: session: stage %d op list is not a permutation of the bound schedule: %w", k, errs.ErrIncompatible)
 			}
@@ -907,65 +842,8 @@ func (se *Session) Recost(opt Options) error {
 	if opt.ActBudget != nil && len(opt.ActBudget) != se.P {
 		return fmt.Errorf("sim: ActBudget has %d entries, want %d: %w", len(opt.ActBudget), se.P, errs.ErrIncompatible)
 	}
-	se.opt = opt
-	se.base = opt.Sched
-	se.record = !opt.MakespanOnly
-	se.hasBudget = opt.ActBudget != nil
-	se.budget = append(se.budget[:0], opt.ActBudget...)
-	se.hasTail = opt.TailTime != nil
-	for k := 0; k < se.P; k++ {
-		if se.hasTail {
-			se.tailV[k] = opt.TailTime(k)
-		} else {
-			se.tailV[k] = 0
-		}
-	}
-	// Micro-invariant models re-cost only the micro-0 twins; the copies
-	// are bitwise (same reasoning as init's twin passes).
-	microInv := se.microInvariant(opt.Costs) && se.n == se.x.Total()
-	vss := se.x.PerStage() / se.N
-	for id := 0; id < se.n; id++ {
-		k := int(se.stg[id])
-		op := se.opsl[id]
-		if microInv && op.Micro > 0 {
-			continue
-		}
-		se.dur[id] = opt.Costs.OpTime(k, op)
-		switch op.Kind {
-		case sched.F:
-			se.memB[id] = opt.Costs.ActBytes(k, op)
-		case sched.BAct:
-			se.memB[id] = opt.Costs.GradBytes(k, op)
-		default:
-			se.memB[id] = 0
-		}
-	}
-	for id := 0; id < se.n; id++ {
-		if microInv && se.opsl[id].Micro > 0 {
-			continue
-		}
-		k := int(se.stg[id])
-		for e := se.depOff[id]; e < se.depOff[id+1]; e++ {
-			j := se.depID[e]
-			if int(se.stg[j]) != k {
-				se.depComm[e] = opt.Costs.CommTime(int(se.stg[j]), k, se.opsl[j])
-			} else {
-				se.depComm[e] = 0
-			}
-		}
-	}
-	if microInv {
-		for i := int32(0); i < int32(se.n); i++ {
-			m := se.opsl[i].Micro
-			if m == 0 {
-				continue
-			}
-			tw := se.lut[se.uid[i]-int32(m*vss)]
-			se.dur[i] = se.dur[tw]
-			se.memB[i] = se.memB[tw]
-			copy(se.depComm[se.depOff[i]:se.depOff[i+1]], se.depComm[se.depOff[tw]:se.depOff[tw+1]])
-		}
-	}
+	se.setOptions(opt)
+	se.cost(opt.Costs)
 	for k := 0; k < se.P; k++ {
 		se.stDirty[k] = true
 	}

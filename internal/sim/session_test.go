@@ -290,6 +290,20 @@ func TestSessionIncompatible(t *testing.T) {
 	if _, err := NewSession(Options{Sched: s, Costs: Unit(), Trace: nopSink{}}); !errors.Is(err, errs.ErrIncompatible) {
 		t.Fatalf("traced session: got %v, want ErrIncompatible", err)
 	}
+	// Binding needs the complete op universe even when validation is
+	// skipped: a short table, a duplicate and an out-of-shape op are all
+	// incompatible, not silently simulated.
+	short := sessClone(s)
+	short.Stages[2] = short.Stages[2][1:]
+	dup := sessClone(s)
+	dup.Stages[1][3] = dup.Stages[1][4]
+	outside := sessClone(s)
+	outside.Stages[0][0].Micro = s.N
+	for i, b := range []*sched.Schedule{short, dup, outside} {
+		if _, err := NewSession(Options{Sched: b, Costs: Unit(), AssumeValid: true}); !errors.Is(err, errs.ErrIncompatible) {
+			t.Fatalf("malformed table %d under AssumeValid: got %v, want ErrIncompatible", i, err)
+		}
+	}
 }
 
 // TestSessionZeroAllocSteadyState is the arena-reuse gate: once warm, a
@@ -338,6 +352,47 @@ func TestSessionZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Eval allocates %.1f times per move pair, want 0", allocs)
+	}
+}
+
+// TestRebindAllocs is the bind path's arena gate: once a session has bound
+// a shape, re-binding it to a complete schedule of the same shape — the
+// sweep workers' and the pooled Evaluate's steady state — reuses every
+// table and allocates nothing, in static and dynamic mode alike.
+func TestRebindAllocs(t *testing.T) {
+	a, err := sched.MEPipe(4, 2, 2, 6, 0, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := sched.MEPipe(4, 2, 2, 6, 8, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := []int64{40, 40, 40, 40}
+	for _, dynamicW := range []bool{false, true} {
+		optA := Options{Sched: a, Costs: Unit(), ActBudget: budget, DynamicW: dynamicW, AssumeValid: true}
+		optB := optA
+		optB.Sched = b
+		var se Session
+		for _, o := range []Options{optA, optB} {
+			if err := se.Bind(o); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := se.Eval(o.Sched); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := se.Bind(optA); err != nil {
+				t.Fatal(err)
+			}
+			if err := se.Bind(optB); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("dynamicW=%v: re-binding allocates %.1f times per pair, want 0", dynamicW, allocs)
+		}
 	}
 }
 
@@ -450,12 +505,17 @@ func benchCandidates(b *testing.B, base *sched.Schedule, n int) []*sched.Schedul
 	cur := sessClone(base)
 	out := make([]*sched.Schedule, 0, n)
 	for len(out) < n {
-		k := rng.next(cur.P)
-		ops := cur.Stages[k]
+		// Displace a clone and keep it only when it still runs: a
+		// deadlocking move left in place would make every later
+		// candidate deadlock too, and the loop would never end.
+		next := sessClone(cur)
+		k := rng.next(next.P)
+		ops := next.Stages[k]
 		sessDisplace(ops, rng.next(len(ops)), rng.next(len(ops)))
-		if _, err := Run(Options{Sched: cur, Costs: Unit(), MakespanOnly: true}); err != nil {
+		if _, err := Run(Options{Sched: next, Costs: Unit(), MakespanOnly: true}); err != nil {
 			continue
 		}
+		cur = next
 		out = append(out, sessClone(cur))
 	}
 	return out

@@ -69,11 +69,12 @@ type Options struct {
 	// AssumeValid skips the redundant Schedule.Validate at session bind.
 	// It is sound only for schedules that come valid — sched.Generate's
 	// output is valid by construction and the strategy paths additionally
-	// certify before binding. Misuse still fails safe:
-	// malformed tables are rejected while the identity tables build
-	// (wrapping errs.ErrIncompatible) and deadlocking orders surface at
-	// the first evaluation exactly like Run reports them (wrapping
-	// errs.ErrUncertified).
+	// certify before binding. Misuse still fails safe: a session binds
+	// ops by their sched.OpIndex ids and needs the complete op universe,
+	// so a table with missing, duplicate or out-of-shape ops is rejected
+	// while the identity tables build (wrapping errs.ErrIncompatible),
+	// and deadlocking orders surface at the first evaluation exactly like
+	// Run reports them (wrapping errs.ErrUncertified).
 	AssumeValid bool
 }
 

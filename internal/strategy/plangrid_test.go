@@ -1,0 +1,135 @@
+package strategy
+
+import (
+	"context"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"mepipe/internal/cluster"
+	"mepipe/internal/config"
+	"mepipe/internal/memplan"
+	"mepipe/internal/perf"
+	"mepipe/internal/sim"
+	"mepipe/internal/verify"
+)
+
+// planColdPoint is the cold /v1/search point of the end-to-end benchmark:
+// Llama-13B on four 8×RTX 4090 servers, global batch 32, MEPipe over the
+// default space — 48 grid points, 30 evaluated, 14 simulated (62,208 ops).
+func planColdPoint() (config.Model, cluster.Cluster, config.Training, SearchSpace) {
+	return config.Llama13B(), cluster.RTX4090Cluster(4), config.Training{GlobalBatch: 32, MicroBatch: 1}, DefaultSpace()
+}
+
+// TestPlanningGridEvaluateMatchesRun holds the session fast path to the
+// map-based replay on the planning grid's own candidates — up to S=32
+// slices and 7 weight-gradient pieces, shapes the fuzzers never reach:
+// for every simulated candidate, sim.Evaluate must DeepEqual
+// sim.RunContext.
+func TestPlanningGridEvaluateMatchesRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays every simulated candidate of the planning grid twice")
+	}
+	m, cl, tr, sp := planColdPoint()
+	cands := enumerate(MEPipe, cl.GPUs(), tr, sp)
+	simulated, maxS, maxPieces := 0, 0, 0
+	for _, par := range cands {
+		mesh, err := cluster.NewMesh(cl, par)
+		if err != nil {
+			continue
+		}
+		n, err := tr.MicroBatches(par)
+		if err != nil {
+			continue
+		}
+		plan, err := memplan.NewWithReserve(m, mesh, 0)
+		if err != nil || !plan.Feasible() {
+			continue
+		}
+		costs, err := perf.New(m, mesh)
+		if err != nil {
+			continue
+		}
+		s, dynamicW, _, err := buildSchedule(MEPipe, par, n, costs, plan)
+		if err != nil {
+			continue
+		}
+		if _, err := verify.Certify(s, verify.Options{}); err != nil {
+			t.Fatalf("%v: %v", par, err)
+		}
+		opt := sim.Options{Sched: s, Costs: costs, ActBudget: plan.ActBudget, DynamicW: dynamicW, TailTime: costs.TailTime}
+		want, err := sim.RunContext(context.Background(), opt)
+		if err != nil {
+			t.Fatalf("%v: RunContext: %v", par, err)
+		}
+		opt.AssumeValid = true
+		got, err := sim.Evaluate(context.Background(), opt)
+		if err != nil {
+			t.Fatalf("%v: Evaluate: %v", par, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: Evaluate differs from RunContext: iter %v vs %v, peak %d vs %d, oom %v vs %v",
+				par, got.IterTime, want.IterTime, got.PeakAct, want.PeakAct, got.OOM, want.OOM)
+		}
+		simulated++
+		maxS = max(maxS, s.S)
+		maxPieces = max(maxPieces, s.WPieces)
+	}
+	if len(cands) != 48 || simulated != 14 || maxS != 32 || maxPieces != 7 {
+		t.Fatalf("planning grid moved: %d points, %d simulated, S up to %d, %d W pieces; want 48, 14, 32, 7",
+			len(cands), simulated, maxS, maxPieces)
+	}
+}
+
+// TestSearchSameOnOneAndTwoCores: the worker pool's dispatch order must
+// not leak into the answer — SearchContext at GOMAXPROCS 1 and 2 returns
+// DeepEqual results.
+func TestSearchSameOnOneAndTwoCores(t *testing.T) {
+	m, cl, tr, sp := planColdPoint()
+	var res [2]*SearchResult
+	for i, procs := range []int{1, 2} {
+		prev := runtime.GOMAXPROCS(procs)
+		r, err := SearchContext(context.Background(), MEPipe, m, cl, tr, sp)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res[i] = r
+	}
+	if !reflect.DeepEqual(res[0], res[1]) {
+		t.Fatal("SearchContext differs between GOMAXPROCS 1 and 2")
+	}
+}
+
+// TestLargestFirst pins the dispatch order: descending P·V·S·N, ties in
+// grid order.
+func TestLargestFirst(t *testing.T) {
+	tr := config.Training{GlobalBatch: 32, MicroBatch: 1}
+	cands := []config.Parallel{
+		{PP: 2, DP: 16, CP: 1, SPP: 1, VP: 1},
+		{PP: 8, DP: 4, CP: 1, SPP: 4, VP: 1},
+		{PP: 4, DP: 8, CP: 1, SPP: 4, VP: 2},
+		{PP: 8, DP: 4, CP: 1, SPP: 32, VP: 1},
+		{PP: 2, DP: 16, CP: 1, SPP: 1, VP: 2},
+	}
+	// N = 32/DP: sizes 4, 256, 128, 2048, 8.
+	want := []int{3, 1, 2, 4, 0}
+	if got := largestFirst(cands, tr); !reflect.DeepEqual(got, want) {
+		t.Fatalf("largestFirst = %v, want %v", got, want)
+	}
+	ties := []config.Parallel{cands[0], cands[0], cands[3], cands[0]}
+	if got := largestFirst(ties, tr); !reflect.DeepEqual(got, []int{2, 0, 1, 3}) {
+		t.Fatalf("ties not in grid order: %v", got)
+	}
+}
+
+// BenchmarkPlanCold is the cold planning request's search alone.
+func BenchmarkPlanCold(b *testing.B) {
+	m, cl, tr, sp := planColdPoint()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := SearchContext(context.Background(), MEPipe, m, cl, tr, sp); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -470,7 +470,7 @@ func SearchContext(ctx context.Context, sys System, m config.Model, cl cluster.C
 				}
 			}()
 		}
-		for i := range cands {
+		for _, i := range largestFirst(cands, tr) {
 			next <- i
 		}
 		close(next)
@@ -497,6 +497,24 @@ func SearchContext(ctx context.Context, sys System, m config.Model, cl cluster.C
 		return res, fmt.Errorf("strategy: no candidate for %s fits %d GPUs: %w", sys, gpus, errs.ErrIncompatible)
 	}
 	return res, nil
+}
+
+// largestFirst returns the candidate indices in descending P·V·S·N order
+// (the number of op families in the candidate's schedule, which sets its
+// generate and simulate cost), ties in grid order: the worker pool then
+// starts its longest candidates first instead of finishing on one.
+// Results stay positional, so the order changes no byte of the answer.
+func largestFirst(cands []config.Parallel, tr config.Training) []int {
+	size := make([]int, len(cands))
+	order := make([]int, len(cands))
+	for i, par := range cands {
+		order[i] = i
+		if n, err := tr.MicroBatches(par); err == nil {
+			size[i] = par.PP * par.VP * par.SPP * n
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return size[order[a]] > size[order[b]] })
+	return order
 }
 
 // enumerate lists every candidate strategy of the system's grid, in the

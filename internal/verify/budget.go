@@ -76,11 +76,12 @@ func (e *BudgetError) Unwrap() error { return errs.ErrUncertified }
 // sweep walks each stage's op list in program order, replaying the
 // simulator's retention rules, and records peak live families (always)
 // and peak bytes under b's footprints (when b is non-nil). It fails the
-// moment a stage's retention exceeds its budget. Per-family state lives
-// in sc's arrays, indexed by OpIndex.FamilyOf; an op that does not index
-// can only get here when AssumeComplete was set on an incomplete table,
-// and is reported as checkComplete would have reported it.
-func sweep(s *sched.Schedule, b *Budget, cert *Certificate, sc *certScratch) error {
+// moment a stage's retention exceeds its budget. Ops are read as the ids
+// resolve left in sc, and per-family state lives in sc's arrays, indexed
+// by OpIndex.FamilyOf. An op that does not index can only get here when
+// AssumeComplete was set on an incomplete table, and is reported as
+// checkComplete would have reported it.
+func sweep(s *sched.Schedule, x sched.OpIndex, b *Budget, cert *Certificate, sc *certScratch) error {
 	famBytes := func(stage int, op sched.Op) int64 { return 1 }
 	gradBytes := func(stage int, op sched.Op) int64 { return 0 }
 	if b != nil {
@@ -95,7 +96,6 @@ func sweep(s *sched.Schedule, b *Budget, cert *Certificate, sc *certScratch) err
 				Detail: fmt.Sprintf("budget has %d stage entries, want %d", len(b.ActBudget), s.P)}
 		}
 	}
-	x := sched.IndexOf(s)
 	nf := x.Families()
 	sc.live = kgrow(sc.live, nf)
 	sc.bytes = kgrow(sc.bytes, nf)
@@ -107,6 +107,7 @@ func sweep(s *sched.Schedule, b *Budget, cert *Certificate, sc *certScratch) err
 	if b != nil {
 		cert.PeakBytes = make([]int64, s.P)
 	}
+	p := 0
 	for k, ops := range s.Stages {
 		var live int64
 		nlive := 0 // families with sc.live set on this stage
@@ -129,9 +130,10 @@ func sweep(s *sched.Schedule, b *Budget, cert *Certificate, sc *certScratch) err
 		}
 		peakFams, peakBytes := 0, int64(0)
 		for i, op := range ops {
-			id := x.ID(k, op)
+			id := sc.ids[p]
+			p++
 			if id < 0 {
-				return unindexedOp(s, k, op)
+				return unindexedOp(s, x, k, op, sc)
 			}
 			f := x.FamilyOf(id)
 			switch op.Kind {
@@ -171,8 +173,8 @@ func sweep(s *sched.Schedule, b *Budget, cert *Certificate, sc *certScratch) err
 
 // unindexedOp reports an op outside the schedule's dense index: the
 // completeness check's verdict, which always rejects such an op.
-func unindexedOp(s *sched.Schedule, k int, op sched.Op) error {
-	if err := checkComplete(s); err != nil {
+func unindexedOp(s *sched.Schedule, x sched.OpIndex, k int, op sched.Op, sc *certScratch) error {
+	if err := checkComplete(s, x, sc); err != nil {
 		return err
 	}
 	return &ShapeError{Schedule: s.String(), Detail: fmt.Sprintf("stage %d: op %v out of range", k, op)}

@@ -164,7 +164,9 @@ func fuzzBudget(c byte, p int) *Budget {
 func fuzzCompare(t *testing.T, s *sched.Schedule, b *Budget) {
 	t.Helper()
 	var dense Certificate
-	ok, handled := kahnDense(s, &dense, new(certScratch))
+	sc := new(certScratch)
+	sc.resolve(s, sched.IndexOf(s))
+	ok, handled := kahnDense(s, &dense, sc)
 	if !handled {
 		return
 	}

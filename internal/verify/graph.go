@@ -244,7 +244,11 @@ func checkAcyclic(s *sched.Schedule, cert *Certificate, sc *certScratch) error {
 // shape-sized, so pooling removes certification's allocation profile on
 // the hot path — on the failure path as well as the success path.
 type certScratch struct {
-	// The dense Kahn pass.
+	// ids holds every op's dense id (-1 when out of shape) by position,
+	// stage-major: resolved once per Certify and read by every pass.
+	ids []int32
+
+	// The completeness bitset and the dense Kahn pass.
 	seen  []bool
 	next  []int32
 	indeg []int32
@@ -270,6 +274,18 @@ type certScratch struct {
 }
 
 var certPool = sync.Pool{New: func() any { return new(certScratch) }}
+
+// resolve maps every op of s to its dense id, position by position, so
+// the completeness check, the Kahn pass, the counterexample and the
+// memory sweep read ids instead of each re-deriving them.
+func (sc *certScratch) resolve(s *sched.Schedule, x sched.OpIndex) {
+	sc.ids = sc.ids[:0]
+	for k, ops := range s.Stages {
+		for _, op := range ops {
+			sc.ids = append(sc.ids, x.ID(k, op))
+		}
+	}
+}
 
 // kgrow returns s resized to n elements, reusing capacity when it can.
 // Contents are NOT cleared — callers overwrite every element they read.
@@ -315,10 +331,12 @@ func kahnDense(s *sched.Schedule, cert *Certificate, sc *certScratch) (ok, handl
 	// One pass over the stages pins the op universe (every op indexes,
 	// no duplicates — with n == total that makes coverage exact), seeds
 	// in-degrees from the table rows, and chains program order.
-	for k, ops := range s.Stages {
+	p := 0
+	for _, ops := range s.Stages {
 		prev := int32(-1)
-		for idx, op := range ops {
-			id := x.ID(k, op)
+		for idx := range ops {
+			id := sc.ids[p]
+			p++
 			if id < 0 || sc.seen[id] {
 				return false, false
 			}
@@ -377,15 +395,10 @@ func (sc *certScratch) minimalCycle(s *sched.Schedule) ([]Node, []string) {
 	total := x.Total()
 	sc.pos = kgrow(sc.pos, total)
 	sc.sources = sc.sources[:0]
-	p := int32(0)
-	for k, ops := range s.Stages {
-		for _, op := range ops {
-			id := x.ID(k, op)
-			sc.pos[id] = p
-			p++
-			if sc.indeg[id] > 0 && len(sc.sources) < maxSources {
-				sc.sources = append(sc.sources, id)
-			}
+	for p, id := range sc.ids {
+		sc.pos[id] = int32(p)
+		if sc.indeg[id] > 0 && len(sc.sources) < maxSources {
+			sc.sources = append(sc.sources, id)
 		}
 	}
 	sc.buildResidualAdj(t)

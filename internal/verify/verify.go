@@ -175,18 +175,20 @@ func Certify(s *sched.Schedule, opts Options) (*Certificate, error) {
 	if s.Place == nil {
 		return nil, &ShapeError{Schedule: s.String(), Detail: "no chunk placement"}
 	}
+	sc := certPool.Get().(*certScratch)
+	defer certPool.Put(sc)
+	x := sched.IndexOf(s)
+	sc.resolve(s, x)
 	if !opts.AssumeComplete {
-		if err := checkComplete(s); err != nil {
+		if err := checkComplete(s, x, sc); err != nil {
 			return nil, err
 		}
 	}
 	cert := &Certificate{Schedule: s.String()}
-	sc := certPool.Get().(*certScratch)
-	defer certPool.Put(sc)
 	if err := checkAcyclic(s, cert, sc); err != nil {
 		return nil, err
 	}
-	if err := sweep(s, opts.Budget, cert, sc); err != nil {
+	if err := sweep(s, x, opts.Budget, cert, sc); err != nil {
 		return nil, err
 	}
 	return cert, nil
@@ -194,80 +196,69 @@ func Certify(s *sched.Schedule, opts Options) (*Certificate, error) {
 
 // checkComplete verifies that every op is in range, unique, and that
 // every (micro, slice, chunk) family has all its members: an F, and a B
-// (fused) or BAct plus W/WPieces (split). Presence is tracked in a dense
-// bitset over the arithmetic op index — no map, no per-family allocation.
-func checkComplete(s *sched.Schedule) error {
-	x := sched.IndexOf(s)
-	base := 0
-	seen := make([]bool, x.PerStage())
+// (fused) or BAct plus W/WPieces (split). It reads the ids resolve left
+// in sc and tracks presence in a pooled dense bitset — no map, no
+// per-family allocation.
+func checkComplete(s *sched.Schedule, x sched.OpIndex, sc *certScratch) error {
+	per := x.PerStage()
+	sc.seen = kgrow(sc.seen, per)
+	p := 0
 	for k, ops := range s.Stages {
-		for i := range seen {
-			seen[i] = false
-		}
+		clear(sc.seen)
+		base := int32(k * per)
 		for _, op := range ops {
-			if op.Micro < 0 || op.Micro >= s.N || op.Slice < 0 || op.Slice >= s.S ||
-				op.Chunk < 0 || op.Chunk >= s.V || op.Piece < 0 {
-				return &ShapeError{Schedule: s.String(),
-					Detail: fmt.Sprintf("stage %d: op %v out of range", k, op)}
+			id := sc.ids[p]
+			p++
+			if id < 0 || op.Piece < 0 {
+				return opShapeError(s, k, op)
 			}
-			if bad := kindMismatch(s, op); bad != "" {
-				return &ShapeError{Schedule: s.String(),
-					Detail: fmt.Sprintf("stage %d: op %v %s", k, op, bad)}
-			}
-			id := int(x.ID(k, op)) - base
-			if seen[id] {
+			if sc.seen[id-base] {
 				return &ShapeError{Schedule: s.String(),
 					Detail: fmt.Sprintf("stage %d: duplicate op %v", k, op)}
 			}
-			seen[id] = true
+			sc.seen[id-base] = true
 		}
-		for m := 0; m < s.N; m++ {
-			for i := 0; i < s.S; i++ {
-				for j := 0; j < s.V; j++ {
-					if op, ok := missingFamilyOp(s, x, seen, base, k, m, i, j); !ok {
-						return &IncompleteError{Schedule: s.String(), Stage: k, Missing: op}
-					}
-				}
-			}
+		if len(ops) == per {
+			continue // distinct in-shape ops, as many as the shape has
 		}
-		base += x.PerStage()
+		if op, ok := missingFamilyOp(s, x, sc.seen, k); !ok {
+			return &IncompleteError{Schedule: s.String(), Stage: k, Missing: op}
+		}
 	}
 	return nil
 }
 
-// missingFamilyOp scans one family's members under the schedule's
-// backward mode — F, then B (fused) or BAct followed by W or its pieces
-// (split) — and returns the first absent one (ok=false), if any.
-func missingFamilyOp(s *sched.Schedule, x sched.OpIndex, seen []bool, base, k, m, i, j int) (sched.Op, bool) {
-	probe := func(op sched.Op) bool { return seen[int(x.ID(k, op))-base] }
-	f := sched.Op{Kind: sched.F, Micro: m, Slice: i, Chunk: j}
-	if !probe(f) {
-		return f, false
+// opShapeError reports why op cannot be indexed: out of range, or a kind
+// the schedule's backward mode does not express.
+func opShapeError(s *sched.Schedule, k int, op sched.Op) error {
+	if op.Micro >= 0 && op.Micro < s.N && op.Slice >= 0 && op.Slice < s.S &&
+		op.Chunk >= 0 && op.Chunk < s.V && op.Piece >= 0 {
+		if bad := kindMismatch(s, op); bad != "" {
+			return &ShapeError{Schedule: s.String(),
+				Detail: fmt.Sprintf("stage %d: op %v %s", k, op, bad)}
+		}
 	}
-	switch {
-	case !s.SplitBW:
-		b := sched.Op{Kind: sched.B, Micro: m, Slice: i, Chunk: j}
-		if !probe(b) {
-			return b, false
-		}
-	case s.WPieces == 0:
-		b := sched.Op{Kind: sched.BAct, Micro: m, Slice: i, Chunk: j}
-		if !probe(b) {
-			return b, false
-		}
-		w := sched.Op{Kind: sched.W, Micro: m, Slice: i, Chunk: j}
-		if !probe(w) {
-			return w, false
-		}
-	default:
-		b := sched.Op{Kind: sched.BAct, Micro: m, Slice: i, Chunk: j}
-		if !probe(b) {
-			return b, false
-		}
-		for p := 0; p < s.WPieces; p++ {
-			w := sched.Op{Kind: sched.WPiece, Micro: m, Slice: i, Chunk: j, Piece: p}
-			if !probe(w) {
-				return w, false
+	return &ShapeError{Schedule: s.String(),
+		Detail: fmt.Sprintf("stage %d: op %v out of range", k, op)}
+}
+
+// missingFamilyOp scans stage k's families in (micro, slice, chunk) order,
+// and each family's members in slot order — F, then B (fused) or BAct
+// followed by W or its pieces (split) — and returns the first absent one
+// (ok=false), if any.
+func missingFamilyOp(s *sched.Schedule, x sched.OpIndex, seen []bool, k int) (sched.Op, bool) {
+	per := x.PerStage()
+	slots := per / (s.N * s.V * s.S)
+	for m := 0; m < s.N; m++ {
+		for i := 0; i < s.S; i++ {
+			for j := 0; j < s.V; j++ {
+				fam := ((m*s.V+j)*s.S + i) * slots
+				for slot := 0; slot < slots; slot++ {
+					if !seen[fam+slot] {
+						_, op := x.At(int32(k*per + fam + slot))
+						return op, false
+					}
+				}
 			}
 		}
 	}
