@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json verify-presets race-hot race bench bench-kernels bench-smoke bench-opt bench-sim bench-sweep serve-smoke opt-smoke sim-smoke sweep-smoke opt-regen report figures artifact check ci smoke clean
+.PHONY: all build test vet lint lint-json verify-presets race-hot race bench bench-kernels bench-smoke bench-opt bench-sim serve-smoke opt-smoke sim-smoke sweep-smoke opt-regen report figures artifact check ci smoke clean
 
 all: build test
 
@@ -107,26 +107,17 @@ sim-smoke:
 bench-sim:
 	$(GO) run ./cmd/mepipe-bench -sim -sim-out $(CURDIR)/BENCH_sim.json
 
-# Sweep-engine smoke (docs/PERFORMANCE.md): the golden equivalence suite
-# (sweep vs sequential search at 8/16/32 GPUs, ±prune, and mid-sweep
-# cancellation), short runs of the certifier's differential fuzzers (the
-# dense path against the map graph and map sweep, and Certify against
-# sim.Run's deadlock verdict), the /v1/sweep wire tests, and a short
-# -sweep bench pass (which cross-checks every candidate bitwise against
-# the per-point search before timing).
+# Grid-search engine smoke (docs/PERFORMANCE.md): the golden equivalence
+# suite (Sweep and SearchContext vs the sequential oracle at 8/16/32 GPUs,
+# ±prune, and mid-sweep cancellation), short runs of the certifier's
+# differential fuzzers (the dense path against the map graph and map
+# sweep, and Certify against sim.Run's deadlock verdict), and the
+# /v1/sweep wire tests.
 sweep-smoke:
 	$(GO) test ./internal/strategy -run 'TestSweep' -count=1
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyDenseMatchesGraph -fuzztime 10s
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyAgreesWithRun -fuzztime 10s
 	$(GO) test ./internal/serve ./api/v1 -run 'Sweep' -count=1
-	$(GO) run ./cmd/mepipe-bench -sweep -sweep-min-s 0.5 -sweep-out $(CURDIR)/BENCH_sweep_smoke.json
-
-# Sweep-engine throughput benchmark: measures multi-system grid-search
-# rates of the streaming sweep engine against the per-point search
-# (strategy.SearchContext) live in the same process, and regenerates the
-# machine-readable baseline (BENCH_sweep.json).
-bench-sweep:
-	$(GO) run ./cmd/mepipe-bench -sweep -sweep-min-s 4 -sweep-out $(CURDIR)/BENCH_sweep.json
 
 # Mirror of the GitHub Actions pipeline (.github/workflows/ci.yml).
 ci: build vet test lint verify-presets race-hot bench-smoke serve-smoke opt-smoke sim-smoke sweep-smoke smoke
@@ -162,4 +153,4 @@ artifact:
 	cd artifact && sh e0_run.sh && sh e1_run.sh && sh e2_run.sh
 
 clean:
-	rm -f report.html artifact/results/*.txt BENCH_opt_smoke.json BENCH_sim_smoke.json BENCH_sweep_smoke.json
+	rm -f report.html artifact/results/*.txt BENCH_opt_smoke.json BENCH_sim_smoke.json

@@ -13,7 +13,7 @@ import (
 )
 
 // SweepRequest asks POST /v1/sweep to grid-search several systems in one
-// streaming pass over a deduplicated work plan. It is the multi-system
+// pass of the grid-search engine. It is the multi-system
 // sibling of the search document: the same model/cluster/training/space
 // fields, with a list of systems instead of one.
 type SweepRequest struct {
@@ -49,15 +49,10 @@ type SweepPlan struct {
 // ratios spelled out so clients need no arithmetic.
 type SweepStats struct {
 	GridPoints  int     `json:"grid_points"`
-	Shapes      int     `json:"shapes"`
-	Generated   int     `json:"generated"`
-	Certified   int     `json:"certified"`
-	Deduped     int     `json:"deduped"`
 	Simulated   int     `json:"simulated"`
 	GateSkipped int     `json:"gate_skipped"`
 	Evaluated   int     `json:"evaluated"`
 	Pruned      int     `json:"pruned"`
-	DedupRatio  float64 `json:"dedup_ratio"`
 	PruneRate   float64 `json:"prune_rate"`
 }
 
@@ -79,9 +74,7 @@ type SweepResponse struct {
 	API string `json:"api"`
 	Key string `json:"key"`
 	// Certified reports that every simulated candidate passed static
-	// certification before it was timed; deduplicated grid points share
-	// their representative's certificate by byte-equality of the
-	// schedules.
+	// certification before it was timed.
 	Certified bool                `json:"certified"`
 	Systems   []SweepSystemResult `json:"systems"`
 	Stats     SweepStats          `json:"stats"`
@@ -217,15 +210,10 @@ func (r *SweepRequest) Key() (string, error) {
 func SweepStatsFrom(st strategy.SweepStats) SweepStats {
 	return SweepStats{
 		GridPoints:  st.GridPoints,
-		Shapes:      st.Shapes,
-		Generated:   st.Generated,
-		Certified:   st.Certified,
-		Deduped:     st.Deduped,
 		Simulated:   st.Simulated,
 		GateSkipped: st.GateSkipped,
 		Evaluated:   st.Evaluated,
 		Pruned:      st.Pruned,
-		DedupRatio:  st.DedupRatio(),
 		PruneRate:   st.PruneRate(),
 	}
 }

@@ -8,7 +8,6 @@
 //	mepipe-bench -list          # what exists
 //	mepipe-bench -opt           # replay the discovered-schedule artifact, write BENCH_opt.json
 //	mepipe-bench -sim           # measure simulator fast-path throughput, write BENCH_sim.json
-//	mepipe-bench -sweep         # measure grid-search sweep-engine throughput, write BENCH_sweep.json
 package main
 
 import (
@@ -26,28 +25,17 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "", "run a single experiment by id (see -list)")
-		list      = flag.Bool("list", false, "list available experiments")
-		format    = flag.String("format", "text", "output format: text or csv")
-		optBench  = flag.Bool("opt", false, "replay the checked-in discovered-schedule artifact's optimization and write a throughput report")
-		optIters  = flag.Int("opt-iters", 0, "override the artifact's annealing rounds in -opt mode (0 = the recorded count)")
-		optOut    = flag.String("opt-out", "BENCH_opt.json", "report file written by -opt")
-		simBench  = flag.Bool("sim", false, "measure simulator candidate-evaluation throughput (full vs incremental vs batched) and write a report")
-		simCands  = flag.Int("sim-candidates", 512, "candidate schedules to evaluate in -sim mode")
-		simOut    = flag.String("sim-out", "BENCH_sim.json", "report file written by -sim")
-		sweep     = flag.Bool("sweep", false, "measure multi-system grid-search throughput (sweep engine vs the per-point search) and write a report")
-		sweepMinS = flag.Float64("sweep-min-s", 2.0, "minimum measured duration per row in -sweep mode")
-		sweepOut  = flag.String("sweep-out", "BENCH_sweep.json", "report file written by -sweep")
+		exp      = flag.String("exp", "", "run a single experiment by id (see -list)")
+		list     = flag.Bool("list", false, "list available experiments")
+		format   = flag.String("format", "text", "output format: text or csv")
+		optBench = flag.Bool("opt", false, "replay the checked-in discovered-schedule artifact's optimization and write a throughput report")
+		optIters = flag.Int("opt-iters", 0, "override the artifact's annealing rounds in -opt mode (0 = the recorded count)")
+		optOut   = flag.String("opt-out", "BENCH_opt.json", "report file written by -opt")
+		simBench = flag.Bool("sim", false, "measure simulator candidate-evaluation throughput (full vs incremental vs batched) and write a report")
+		simCands = flag.Int("sim-candidates", 512, "candidate schedules to evaluate in -sim mode")
+		simOut   = flag.String("sim-out", "BENCH_sim.json", "report file written by -sim")
 	)
 	flag.Parse()
-
-	if *sweep {
-		if err := runSweepBench(*sweepMinS, *sweepOut); err != nil {
-			fmt.Fprintln(os.Stderr, "mepipe-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *simBench {
 		if err := runSimBench(*simCands, *simOut); err != nil {

@@ -90,9 +90,9 @@ func main() {
 		fatal(fmt.Errorf("-optimize needs a single system (got -system %s)", *system))
 	}
 
-	// One streaming sweep over all requested systems: schedules shared by
-	// several grid points are generated and certified once, and the
-	// results are identical to per-system Search calls.
+	// One sweep over all requested systems: their grid points share one
+	// worker pool, and the results are identical to per-system Search
+	// calls.
 	sw, err := strategy.Sweep(context.Background(), systems, m, cl, tr, space)
 	fatal(err)
 

@@ -3,7 +3,7 @@
 // the static certifier into long-running, heavily cacheable endpoints.
 //
 //	POST /v1/search    grid-search a system over a cluster (cached, coalesced)
-//	POST /v1/sweep     grid-search several systems in one deduplicated pass
+//	POST /v1/sweep     grid-search several systems in one pass
 //	POST /v1/simulate  evaluate one pinned strategy (cached, coalesced)
 //	POST /v1/optimize  anneal one pinned strategy's schedule (cached, coalesced)
 //	POST /v1/certify   statically certify a schedule artifact
@@ -56,8 +56,8 @@ type Backend struct {
 	Search   func(ctx context.Context, sys mepipe.System, m mepipe.Model, cl mepipe.Cluster, tr mepipe.Training, sp mepipe.SearchSpace, sink obs.Sink) (*mepipe.SearchResult, error)
 	Evaluate func(ctx context.Context, sys mepipe.System, m mepipe.Model, cl mepipe.Cluster, par mepipe.Parallel, tr mepipe.Training, sink obs.Sink) (*mepipe.Eval, error)
 	Optimize func(ctx context.Context, sys mepipe.System, m mepipe.Model, cl mepipe.Cluster, par mepipe.Parallel, tr mepipe.Training, o mepipe.OptimizeOptions, sink obs.Sink) (*mepipe.Optimized, error)
-	// Sweep takes no sink: the sweep engine's session reuse is
-	// incompatible with tracing, so the server never taps it.
+	// Sweep takes no sink: a sweep response carries no trace, so the
+	// server never taps it (trace one point through /v1/trace instead).
 	Sweep func(ctx context.Context, systems []mepipe.System, m mepipe.Model, cl mepipe.Cluster, tr mepipe.Training, sp mepipe.SearchSpace) (*mepipe.SweepResult, error)
 }
 

@@ -370,7 +370,7 @@ func (se *Session) release() {
 
 // microInvariant reports whether the cost model promises identical
 // answers for ops differing only in Micro (see sched.MicroInvariant),
-// which lets init and Recost query the micro-0 twin once and copy.
+// which lets init query the micro-0 twin once and copy.
 func (se *Session) microInvariant(c Costs) bool {
 	mi, ok := c.(sched.MicroInvariant)
 	return ok && mi.MicroInvariantCosts()
@@ -816,39 +816,6 @@ func (se *Session) assembleStatic() {
 			res.OOMStage = at
 		}
 	}
-}
-
-// Recost rebinds the session's cost-dependent tables — op durations,
-// memory charges, communication delays, budgets and tail times — without
-// rebuilding the op identity tables or revalidating the schedule. It is
-// the fast path for evaluating cost variants of one schedule shape (the
-// strategy sweep's recompute variants): opt.Sched must be compatible with
-// the bound schedule (same shape, op multiset and placement — it may
-// permute positions, which the next Eval reconciles), and opt.DynamicW
-// must match the binding. Violations return a wrapped
-// errs.ErrIncompatible, telling callers to rebuild the session instead.
-//
-//mepipe:deterministic
-func (se *Session) Recost(opt Options) error {
-	if opt.Trace != nil {
-		return fmt.Errorf("sim: sessions cannot trace (use RunContext for traced runs): %w", errs.ErrIncompatible)
-	}
-	if err := se.compat(opt.Sched); err != nil {
-		return err
-	}
-	if opt.DynamicW != se.dynamicW {
-		return fmt.Errorf("sim: session: cannot recost across dynamic-W modes: %w", errs.ErrIncompatible)
-	}
-	if opt.ActBudget != nil && len(opt.ActBudget) != se.P {
-		return fmt.Errorf("sim: ActBudget has %d entries, want %d: %w", len(opt.ActBudget), se.P, errs.ErrIncompatible)
-	}
-	se.setOptions(opt)
-	se.cost(opt.Costs)
-	for k := 0; k < se.P; k++ {
-		se.stDirty[k] = true
-	}
-	se.valid = false
-	return nil
 }
 
 // sgrow returns s resized to n, reusing capacity and preserving any prefix

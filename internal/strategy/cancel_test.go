@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -49,17 +50,16 @@ func TestSearchContextCancelMidway(t *testing.T) {
 	tr := config.Training{GlobalBatch: 64, MicroBatch: 1}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	var fired bool
+	var fired atomic.Bool
 	sink := sinkFunc(func(obs.Event) {
-		if !fired {
-			fired = true
+		if fired.CompareAndSwap(false, true) {
 			cancel()
 		}
 	})
 	_, err := SearchContext(ctx, MEPipe, m, cl, tr, SearchSpace{
-		PP: []int{8}, SPP: []int{4}, MinDP: 2, Prune: true, // sequential: sink is single-goroutine
+		PP: []int{8}, SPP: []int{4}, MinDP: 2, Prune: true,
 	}, WithSink(sink))
-	if !fired {
+	if !fired.Load() {
 		t.Fatal("no candidate simulated before cancellation")
 	}
 	if !errors.Is(err, errs.ErrCancelled) {

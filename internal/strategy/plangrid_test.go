@@ -83,21 +83,24 @@ func TestPlanningGridEvaluateMatchesRun(t *testing.T) {
 
 // TestSearchSameOnOneAndTwoCores: the worker pool's dispatch order must
 // not leak into the answer — SearchContext at GOMAXPROCS 1 and 2 returns
-// DeepEqual results.
+// DeepEqual results, with and without the branch-and-bound gate.
 func TestSearchSameOnOneAndTwoCores(t *testing.T) {
 	m, cl, tr, sp := planColdPoint()
-	var res [2]*SearchResult
-	for i, procs := range []int{1, 2} {
-		prev := runtime.GOMAXPROCS(procs)
-		r, err := SearchContext(context.Background(), MEPipe, m, cl, tr, sp)
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatal(err)
+	for _, prune := range []bool{false, true} {
+		sp.Prune = prune
+		var res [2]*SearchResult
+		for i, procs := range []int{1, 2} {
+			prev := runtime.GOMAXPROCS(procs)
+			r, err := SearchContext(context.Background(), MEPipe, m, cl, tr, sp)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res[i] = r
 		}
-		res[i] = r
-	}
-	if !reflect.DeepEqual(res[0], res[1]) {
-		t.Fatal("SearchContext differs between GOMAXPROCS 1 and 2")
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Fatalf("prune=%v: SearchContext differs between GOMAXPROCS 1 and 2", prune)
+		}
 	}
 }
 

@@ -8,9 +8,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 
 	"mepipe/internal/analytic"
 	"mepipe/internal/cluster"
@@ -34,8 +31,9 @@ type options struct {
 }
 
 // WithSink attaches a trace sink to the underlying simulation runs. With
-// Search, every simulated candidate emits into the same sink, so prefer
-// attaching it to a single Evaluate.
+// Search or Sweep, every simulated candidate emits into the same sink from
+// several workers at once, so the sink must be safe for concurrent use;
+// prefer attaching it to a single Evaluate.
 func WithSink(s obs.Sink) Option {
 	return func(o *options) { o.sink = s }
 }
@@ -400,127 +398,24 @@ func Search(sys System, m config.Model, cl cluster.Cluster, tr config.Training, 
 
 // SearchContext is Search with cancellation: a cancelled ctx stops the grid
 // between candidates (and inside each simulated candidate), drains every
-// worker goroutine, and returns an error wrapping errs.ErrCancelled.
+// worker goroutine, and returns an error wrapping errs.ErrCancelled. It is a
+// one-system Sweep.
 //
 //mepipe:deterministic
 func SearchContext(ctx context.Context, sys System, m config.Model, cl cluster.Cluster, tr config.Training, sp SearchSpace, opts ...Option) (*SearchResult, error) {
-	gpus := cl.GPUs()
-	cands := enumerate(sys, gpus, tr, sp)
-	res := &SearchResult{Sys: sys}
-	if sp.Prune {
-		// Pruning is inherently sequential (each decision depends on
-		// the best seen so far).
-		bestTime := 0.0
-		for _, par := range cands {
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("strategy: search for %s %w: %v", sys, errs.ErrCancelled, ctx.Err())
-			}
-			if bestTime > 0 {
-				if lb, ok := lowerBound(sys, m, cl, par, tr); ok && lb > bestTime {
-					res.Pruned++
-					continue
-				}
-			}
-			ev, err := EvaluateContext(ctx, sys, m, cl, par, tr, opts...)
-			if err != nil {
-				if errors.Is(err, errs.ErrIncompatible) {
-					continue // expected: partition/sequence shape rejection
-				}
-				// Cancellation or a genuine failure (a rejected schedule,
-				// a simulator error) — not a shape mismatch to skip.
-				return nil, err
-			}
-			res.Evaluated++
-			res.Candidates = append(res.Candidates, ev)
-			if !ev.OOM && (bestTime == 0 || ev.IterTime < bestTime) {
-				bestTime = ev.IterTime
-			}
+	sw, err := Sweep(ctx, []System{sys}, m, cl, tr, sp, opts...)
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil && errors.Is(err, errs.ErrCancelled) {
+			return nil, fmt.Errorf("strategy: search for %s %w: %v", sys, errs.ErrCancelled, cerr)
 		}
-	} else {
-		// Candidates are independent: evaluate them across the host's
-		// cores. Failures are classified exactly like the sequential
-		// branch: expected shape rejections (errs.ErrIncompatible) skip
-		// the candidate, anything else — a rejected schedule, a simulator
-		// failure — is a genuine error and the whole search reports the
-		// first one in grid order rather than silently dropping it.
-		evals := make([]*Eval, len(cands))
-		errsAt := make([]error, len(cands))
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(cands) {
-			workers = len(cands)
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					if ctx.Err() != nil {
-						continue // drain remaining indices
-					}
-					ev, err := EvaluateContext(ctx, sys, m, cl, cands[i], tr, opts...)
-					if err != nil {
-						if !errors.Is(err, errs.ErrIncompatible) {
-							errsAt[i] = err
-						}
-						continue
-					}
-					evals[i] = ev
-				}
-			}()
-		}
-		for _, i := range largestFirst(cands, tr) {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("strategy: search for %s %w: %v", sys, errs.ErrCancelled, ctx.Err())
-		}
-		for _, err := range errsAt {
-			if err != nil {
-				return nil, err
-			}
-		}
-		for _, ev := range evals {
-			if ev != nil {
-				res.Evaluated++
-				res.Candidates = append(res.Candidates, ev)
-			}
-		}
+		return nil, err
 	}
-	sort.SliceStable(res.Candidates, func(i, j int) bool {
-		return less(res.Candidates[i], res.Candidates[j])
-	})
-	if len(res.Candidates) == 0 {
-		return res, fmt.Errorf("strategy: no candidate for %s fits %d GPUs: %w", sys, gpus, errs.ErrIncompatible)
-	}
-	return res, nil
-}
-
-// largestFirst returns the candidate indices in descending P·V·S·N order
-// (the number of op families in the candidate's schedule, which sets its
-// generate and simulate cost), ties in grid order: the worker pool then
-// starts its longest candidates first instead of finishing on one.
-// Results stay positional, so the order changes no byte of the answer.
-func largestFirst(cands []config.Parallel, tr config.Training) []int {
-	size := make([]int, len(cands))
-	order := make([]int, len(cands))
-	for i, par := range cands {
-		order[i] = i
-		if n, err := tr.MicroBatches(par); err == nil {
-			size[i] = par.PP * par.VP * par.SPP * n
-		}
-	}
-	sort.SliceStable(order, func(a, b int) bool { return size[order[a]] > size[order[b]] })
-	return order
+	return sw.Results[0], sw.Errs[0]
 }
 
 // enumerate lists every candidate strategy of the system's grid, in the
-// fixed grid order both SearchContext and the sweep engine walk (the order
-// the branch-and-bound prefix gate and its sequential replay are defined
-// over).
+// fixed grid order the branch-and-bound prefix gate and the engine's
+// sequential replay are defined over.
 func enumerate(sys System, gpus int, tr config.Training, sp SearchSpace) []config.Parallel {
 	var cands []config.Parallel
 	add := func(par config.Parallel) {

@@ -13,78 +13,38 @@ import (
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
 	"mepipe/internal/errs"
-	"mepipe/internal/memplan"
-	"mepipe/internal/perf"
-	"mepipe/internal/sched"
-	"mepipe/internal/sim"
-	"mepipe/internal/verify"
 )
 
-// The streaming sweep engine. Sweep evaluates the grids of several systems
-// in one pass, and is guaranteed to return, per system, byte-identical
-// candidates (contents AND order) to a sequential SearchContext call — the
-// equivalence test in sweep_test.go pins that. It gets its speed from three
-// structural facts the one-candidate-at-a-time path cannot exploit:
+// The grid-search engine. Sweep searches the grids of several systems in
+// one pass; SearchContext is a one-system Sweep. Every grid point goes
+// through EvaluateContext, the only per-point code path:
 //
-//   - Shape-deduplicated certification. Grid points that differ only in a
-//     cost knob (the recomputation mode) share a schedule shape
-//     (sys, P, V, S, N, F, dynamicW). Members of a shape group are still
-//     generated individually — generation order depends on relative op
-//     costs, so byte-equality must be observed, not assumed — but when a
-//     member's table is byte-identical to the group representative's, its
-//     certification is provably the same pure function of the same bytes
-//     and is skipped, and the member is re-costed through the worker's
-//     bound sim.Session (Session.Recost) instead of paying a fresh bind.
-//
-//   - Memoized planning. Meshes, memory plans, and cost models are shared
-//     across grid points (and systems) with equal inputs: the memory plan
-//     is independent of the recomputation mode, and the cost model is keyed
-//     by the full strategy. ZBV's cost model is built fresh per point
-//     because its wave placement retarget mutates the model in place.
-//
-//   - Parallel branch-and-bound. Shape groups are processed by a worker
-//     pool sharing a monotonically tightening atomic prefix gate: point i
-//     may be skipped once any completed, non-OOM point j < i (grid order)
-//     has a simulated time below i's analytic lower bound. Every gate skip
-//     is provably also a sequential-pruning skip (see prefixGate), so a
-//     deterministic grid-order replay reconstructs the exact sequential
-//     result — including Evaluated/Pruned counters and the first error —
-//     regardless of worker interleaving.
-//
-// plannedPoint and the planning phase reproduce EvaluateContext's decision
-// sequence exactly; any divergence between the two paths is an equivalence
-// bug, not a tolerance.
+//   - The engine enumerates each system's grid (enumerate) and, when
+//     SearchSpace.Prune is set, each point's analytic lower bound.
+//   - Workers (at most GOMAXPROCS) pull point indices from an atomic
+//     cursor in largestFirst order over all systems, so the longest
+//     evaluations start first instead of finishing on one worker.
+//   - With pruning, the workers share a per-system prefixGate: point i is
+//     skipped before evaluation once a completed, non-OOM point j < i
+//     (grid order) has a simulated time below i's lower bound. Every gate
+//     skip is provably also a sequential-pruning skip (see prefixGate).
+//   - Results are positional. After the join, a grid-order replay per
+//     system reconstructs exactly what a sequential walk with pruning
+//     would have produced — candidates, Evaluated/Pruned counters and the
+//     first error in grid order — whatever the worker count or
+//     interleaving.
 
 // SweepStats counts what the engine actually did, across all systems.
 type SweepStats struct {
 	// GridPoints is the number of enumerated candidate strategies.
 	GridPoints int
-	// Shapes is the number of distinct schedule-shape groups the grid
-	// deduplicated into.
-	Shapes int
-	// Generated counts schedule generations; Certified counts the
-	// byte-distinct schedules that went through verify.Certify.
-	Generated, Certified int
-	// Deduped counts grid points that reused a representative's
-	// certification and session binding (certify + bind skipped; the
-	// point was re-costed through Session.Recost).
-	Deduped int
-	// Simulated counts simulator evaluations actually run; GateSkipped
-	// counts points the parallel branch-and-bound gate skipped before
-	// simulation.
+	// Simulated counts points whose evaluation ran the simulator;
+	// GateSkipped counts points the branch-and-bound gate skipped before
+	// evaluation.
 	Simulated, GateSkipped int
 	// Evaluated and Pruned are the sequential-equivalent totals over all
 	// systems (the sums of the per-system SearchResult counters).
 	Evaluated, Pruned int
-}
-
-// DedupRatio is the fraction of grid points that shared a previously
-// certified schedule.
-func (st SweepStats) DedupRatio() float64 {
-	if st.GridPoints == 0 {
-		return 0
-	}
-	return float64(st.Deduped) / float64(st.GridPoints)
 }
 
 // PruneRate is the sequential-equivalent fraction of grid points skipped by
@@ -99,7 +59,7 @@ func (st SweepStats) PruneRate() float64 {
 // SweepResult is the outcome of one multi-system sweep.
 type SweepResult struct {
 	// Results holds one SearchResult per requested system, in input
-	// order, each byte-identical to what SearchContext would return.
+	// order, each identical to what SearchContext returns.
 	Results []*SearchResult
 	// Errs[i] is the error SearchContext would have returned for system i
 	// (e.g. "no candidate fits"), nil on success. Cancellation and
@@ -110,484 +70,194 @@ type SweepResult struct {
 	Stats SweepStats
 }
 
-// Sweep grid-searches several systems in one streaming pass over a
-// deduplicated work plan. See the engine comment above for how it stays
-// byte-identical to per-system SearchContext calls while doing strictly
-// less work. Tracing (WithSink) is incompatible with the engine's session
-// reuse — attach sinks to a single Evaluate instead.
+// Sweep grid-searches several systems in one pass (see the engine comment
+// above). Options pass through to every EvaluateContext call; a sink
+// (WithSink) receives the events of every simulated point, from several
+// workers at once.
 //
 //mepipe:deterministic
 func Sweep(ctx context.Context, systems []System, m config.Model, cl cluster.Cluster, tr config.Training, sp SearchSpace, opts ...Option) (*SweepResult, error) {
-	o := buildOptions(opts)
-	if o.sink != nil {
-		return nil, fmt.Errorf("strategy: sweep cannot trace (attach the sink to a single Evaluate): %w", errs.ErrIncompatible)
-	}
-	plans := make([]*sysPlan, len(systems))
-	memo := newPlanMemo()
-	var groups []*shapeGroup
-	stats := SweepStats{}
+	grids := make([]*sysGrid, len(systems))
+	var points []gridPoint
+	var pars []config.Parallel
 	for si, sys := range systems {
-		pl := planSystem(sys, m, cl, tr, sp, memo)
-		plans[si] = pl
-		stats.GridPoints += len(pl.pts)
-		groups = append(groups, pl.groups(sp)...)
+		g := newSysGrid(sys, m, cl, tr, sp)
+		grids[si] = g
+		for i, par := range g.cands {
+			points = append(points, gridPoint{g: g, i: i})
+			pars = append(pars, par)
+		}
 	}
-	stats.Shapes = len(groups)
 
-	// Parallel branch-and-bound pass over the shape groups.
-	var counters sweepCounters
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers <= 1 {
-		w := &sweepWorker{o: o, counters: &counters}
-		for _, g := range groups {
-			w.runGroup(ctx, g)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w := &sweepWorker{o: o, counters: &counters}
-				for {
-					gi := int(cursor.Add(1)) - 1
-					if gi >= len(groups) {
-						return
-					}
-					w.runGroup(ctx, groups[gi])
+	order := largestFirst(pars, tr)
+	workers := min(runtime.GOMAXPROCS(0), len(points))
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				k := int(cursor.Add(1)) - 1
+				if k >= len(order) {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				pt := points[order[k]]
+				pt.g.run(ctx, pt.i, m, cl, tr, sp.Prune, opts)
+			}
+		}()
 	}
+	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("strategy: sweep %w: %v", errs.ErrCancelled, err)
 	}
-	stats.Generated = int(counters.generated.Load())
-	stats.Certified = int(counters.certified.Load())
-	stats.Deduped = int(counters.deduped.Load())
-	stats.Simulated = int(counters.simulated.Load())
-	stats.GateSkipped = int(counters.gateSkipped.Load())
 
-	// Deterministic sequential replay: reconstruct, per system, exactly
-	// what SearchContext would have produced from the superset of
-	// evaluations the parallel pass ran.
 	res := &SweepResult{
 		Results: make([]*SearchResult, len(systems)),
 		Errs:    make([]error, len(systems)),
 	}
-	for si, pl := range plans {
-		sr, err := pl.replay(sp)
-		if err != nil {
-			if errors.Is(err, errs.ErrIncompatible) && sr != nil {
-				// The system's own "no candidate fits" outcome: recorded
-				// per system, like a SearchContext caller looping systems
-				// and collecting errors would see it.
-				res.Results[si] = sr
-				res.Errs[si] = err
-				stats.Evaluated += sr.Evaluated
-				stats.Pruned += sr.Pruned
-				continue
-			}
+	st := &res.Stats
+	for si, g := range grids {
+		sr, err := g.replay(sp.Prune)
+		if err != nil && (sr == nil || !errors.Is(err, errs.ErrIncompatible)) {
 			return nil, err
 		}
-		res.Results[si] = sr
-		stats.Evaluated += sr.Evaluated
-		stats.Pruned += sr.Pruned
+		// A nil sr is a genuine failure; an ErrIncompatible error with a
+		// result is the system's own "no candidate fits" outcome,
+		// recorded per system like a SearchContext caller looping over
+		// systems would see it.
+		res.Results[si], res.Errs[si] = sr, err
+		st.GridPoints += len(g.cands)
+		st.Evaluated += sr.Evaluated
+		st.Pruned += sr.Pruned
+		for _, o := range g.out {
+			if o.ev != nil && o.ev.Result != nil {
+				st.Simulated++
+			}
+			if o.gated {
+				st.GateSkipped++
+			}
+		}
 	}
-	res.Stats = stats
 	return res, nil
 }
 
-// sweepCounters aggregates engine statistics across workers.
-type sweepCounters struct {
-	generated, certified, deduped, simulated, gateSkipped atomic.Int64
+// gridPoint names point i of one system's grid.
+type gridPoint struct {
+	g *sysGrid
+	i int
 }
 
-// plannedPoint is one grid point after the cheap planning phase: the
-// prefix of EvaluateContext that runs before schedule generation, with its
-// outcome when that prefix already settles the point.
-type plannedPoint struct {
-	par config.Parallel
-	n   int
-
-	// skip marks points EvaluateContext would reject before building a
-	// schedule (incompatible shape, mesh, micro-batching, or cost model).
-	// Sequential search skips them silently, and so does the replay.
-	skip bool
-
-	// lower bound for the pruning gate
-	lb   float64
-	lbOK bool
-
-	// planning products for the evaluation phase (nil when skip or done)
-	plan  *memplan.Plan
-	costs *perf.Costs
-	f     int // MEPipe's chosen SVPP variant
-	dynW  bool
-
-	// Settled outcome. done points (static OOM, no feasible F variant)
-	// never reach a worker; the rest are filled by the parallel pass.
-	done bool
-	ev   *Eval
-	err  error
-}
-
-// reject classifies a planning error exactly the way SearchContext does:
-// expected shape rejections (wrapping errs.ErrIncompatible) are skipped,
-// anything else is a genuine error the replay surfaces in grid order.
-func (pt *plannedPoint) reject(err error) {
-	if errors.Is(err, errs.ErrIncompatible) {
-		pt.skip = true
-		return
-	}
-	pt.err = err
-	pt.done = true
-}
-
-// sysPlan is one system's planned grid, in grid order.
-type sysPlan struct {
+// sysGrid is one system's grid in grid order, with its positional results.
+type sysGrid struct {
 	sys   System
 	gpus  int
-	prune bool // SearchSpace.Prune: the gate only runs when set
-	pts   []*plannedPoint
+	cands []config.Parallel
+	lb    []float64 // analytic lower bound, NaN when none applies (Prune only)
+	out   []outcome
 	gate  *prefixGate
 }
 
-// planMemo shares planning products across grid points — and systems —
-// with equal inputs.
-type planMemo struct {
-	mesh  map[config.Parallel]cluster.Mesh
-	plan  map[planKey]*memplan.Plan
-	costs map[config.Parallel]*perf.Costs
+// outcome is what the parallel pass learned about one point. Each point is
+// written by exactly one worker and read only after the join.
+type outcome struct {
+	ran   bool // EvaluateContext returned ev or err
+	gated bool // skipped by the branch-and-bound gate
+	ev    *Eval
+	err   error
 }
 
-// planKey identifies a memory plan: the strategy with its recomputation
-// mode cleared (the plan reads only the partition shape, never the cost
-// knob — see memplan.NewWithReserve) plus the allocator reserve.
-type planKey struct {
-	par     config.Parallel
-	reserve int64
+func newSysGrid(sys System, m config.Model, cl cluster.Cluster, tr config.Training, sp SearchSpace) *sysGrid {
+	g := &sysGrid{sys: sys, gpus: cl.GPUs()}
+	g.cands = enumerate(sys, g.gpus, tr, sp)
+	g.out = make([]outcome, len(g.cands))
+	if sp.Prune {
+		g.lb = make([]float64, len(g.cands))
+		for i, par := range g.cands {
+			g.lb[i] = math.NaN()
+			if lb, ok := lowerBound(sys, m, cl, par, tr); ok {
+				g.lb[i] = lb
+			}
+		}
+		g.gate = newPrefixGate(len(g.cands))
+	}
+	return g
 }
 
-func newPlanMemo() *planMemo {
-	return &planMemo{
-		mesh:  make(map[config.Parallel]cluster.Mesh),
-		plan:  make(map[planKey]*memplan.Plan),
-		costs: make(map[config.Parallel]*perf.Costs),
+// run evaluates point i unless the gate proves the replay will prune it.
+func (g *sysGrid) run(ctx context.Context, i int, m config.Model, cl cluster.Cluster, tr config.Training, prune bool, opts []Option) {
+	o := &g.out[i]
+	if prune && g.lb[i] > g.gate.bound(i) { // NaN compares false
+		o.gated = true
+		return
+	}
+	o.ev, o.err = EvaluateContext(ctx, g.sys, m, cl, g.cands[i], tr, opts...)
+	o.ran = true
+	if prune && o.err == nil && !o.ev.OOM {
+		g.gate.complete(i, o.ev.IterTime)
 	}
 }
 
-// planSystem runs the cheap prefix of EvaluateContext for every grid point
-// of one system: compatibility, mesh, micro-batching, the memory plan, the
-// cost model, and (for MEPipe) the F-variant choice. Points whose outcome
-// is already settled here (skips and pre-simulation OOMs) never reach the
-// parallel pass.
-func planSystem(sys System, m config.Model, cl cluster.Cluster, tr config.Training, sp SearchSpace, memo *planMemo) *sysPlan {
-	gpus := cl.GPUs()
-	cands := enumerate(sys, gpus, tr, sp)
-	pl := &sysPlan{sys: sys, gpus: gpus, prune: sp.Prune, pts: make([]*plannedPoint, len(cands))}
-	for i, par := range cands {
-		pt := &plannedPoint{par: par}
-		pl.pts[i] = pt
-		// The bound is computed for every point, settled or not:
-		// sequential search prune-checks a candidate before it can
-		// discover the candidate is incompatible, so the replay needs the
-		// bound even on points the planner rejects.
-		if lb, ok := lowerBound(sys, m, cl, par, tr); ok {
-			pt.lb, pt.lbOK = lb, true
-		}
-		if err := compatible(sys, par); err != nil {
-			pt.reject(err)
-			continue
-		}
-		mesh, ok := memo.mesh[par]
-		if !ok {
-			var err error
-			mesh, err = cluster.NewMesh(cl, par)
-			if err != nil {
-				pt.reject(err)
-				continue
-			}
-			memo.mesh[par] = mesh
-		}
-		n, err := tr.MicroBatches(par)
-		if err != nil {
-			pt.reject(err)
-			continue
-		}
-		pt.n = n
-		var reserve int64
-		if sys == ZB || sys == ZBV {
-			reserve = memplan.SplitReserve
-		}
-		pk := planKey{par: par, reserve: reserve}
-		pk.par.Recompute = config.RecomputeNone
-		plan, ok := memo.plan[pk]
-		if !ok {
-			plan, err = memplan.NewWithReserve(m, mesh, reserve)
-			if err != nil {
-				pt.reject(err)
-				continue
-			}
-			memo.plan[pk] = plan
-		}
-		pt.plan = plan
-		ev := &Eval{Sys: sys, Par: par, N: n, Budget: minInt64(plan.ActBudget)}
-		if !plan.Feasible() {
-			ev.OOM = true
-			ev.OOMWhy = "static memory exceeds device capacity"
-			pt.done, pt.ev = true, ev
-			continue
-		}
-		var costs *perf.Costs
-		if sys == ZBV {
-			// ZBV retargets the cost model at the wave placement in
-			// place (perf.Costs.WithPlacement mutates the receiver), so
-			// it must own a fresh model rather than a memoized one.
-			costs, err = perf.New(m, mesh)
-		} else {
-			var hit bool
-			costs, hit = memo.costs[par]
-			if !hit {
-				costs, err = perf.New(m, mesh)
-				if err == nil {
-					memo.costs[par] = costs
-				}
-			}
-		}
-		if err != nil {
-			pt.reject(err)
-			continue
-		}
-		pt.costs = costs
-		if sys == MEPipe {
-			fam := costs.ActBytes(0, sched.Op{Kind: sched.F})
-			grad := costs.GradBytes(0, sched.Op{Kind: sched.BAct})
-			f, err := memplan.ChooseF(par, fam, grad, plan.ActBudget[0])
-			if err != nil {
-				// No SVPP variant fits the activation budget: the same
-				// pre-simulation OOM EvaluateContext reports.
-				ev.OOM = true
-				ev.OOMWhy = fmt.Sprintf("%v: %v", err, errs.ErrOOM)
-				pt.done, pt.ev = true, ev
-				continue
-			}
-			pt.f = f
-			pt.dynW = true
-		}
-		pt.ev = ev
-	}
-	pl.gate = newPrefixGate(len(pl.pts))
-	return pl
-}
-
-// shapeKey identifies a schedule shape: every grid point with the same key
-// generates a structurally identical op universe, and byte-identical
-// tables whenever the cost knobs do not reorder the generator's choices.
-type shapeKey struct {
-	p, v, s, n, f int
-	dynW          bool
-}
-
-func (pt *plannedPoint) key() shapeKey {
-	return shapeKey{p: pt.par.PP, v: pt.par.VP, s: pt.par.SPP, n: pt.n, f: pt.f, dynW: pt.dynW}
-}
-
-// shapeGroup is one unit of parallel work: the open grid points of one
-// system sharing a schedule shape, in grid order.
-type shapeGroup struct {
-	pl  *sysPlan
-	idx []int
-}
-
-// groups partitions the system's open points into shape groups, preserving
-// grid order within each group and first-appearance order across groups.
-func (pl *sysPlan) groups(sp SearchSpace) []*shapeGroup {
-	var out []*shapeGroup
-	at := make(map[shapeKey]int)
-	for i, pt := range pl.pts {
-		if pt.skip || pt.done {
-			continue
-		}
-		k := pt.key()
-		gi, ok := at[k]
-		if !ok {
-			gi = len(out)
-			at[k] = gi
-			out = append(out, &shapeGroup{pl: pl})
-		}
-		out[gi].idx = append(out[gi].idx, i)
-	}
-	return out
-}
-
-// sweepWorker owns one reusable simulation session; the engine runs one
-// worker per core and hands each a stream of shape groups.
-type sweepWorker struct {
-	o        options
-	se       sim.Session
-	counters *sweepCounters
-}
-
-// runGroup evaluates one shape group: the first live member becomes the
-// representative (generated, certified, bound), and each later member is
-// generated, byte-compared, and — when identical — re-costed through the
-// bound session instead of re-certified and re-bound.
-func (w *sweepWorker) runGroup(ctx context.Context, g *shapeGroup) {
-	pl := g.pl
-	var rep *sched.Schedule
-	bound := false
-	for _, i := range g.idx {
-		if ctx.Err() != nil {
-			return // the sweep reports cancellation after the drain
-		}
-		pt := pl.pts[i]
-		if pl.prune && pt.lbOK {
-			// The branch-and-bound gate: skip the point if some
-			// completed earlier point already beats its lower bound.
-			// Every skip here is provably also a sequential-replay
-			// prune (see prefixGate), so skipped points are never
-			// needed again.
-			if b := pl.gate.bound(i); pt.lb > b {
-				w.counters.gateSkipped.Add(1)
-				continue
-			}
-		}
-		s, dynamicW, f, err := buildSchedule(pl.sys, pt.par, pt.n, pt.costs, pt.plan)
-		w.counters.generated.Add(1)
-		if err != nil {
-			ev := *pt.ev
-			ev.OOM = true
-			ev.OOMWhy = err.Error()
-			pt.ev = &ev
-			pt.done = true
-			continue
-		}
-		var simCosts sim.Costs = pt.costs
-		if w.o.costWrap != nil {
-			simCosts = w.o.costWrap(s, pt.costs)
-		}
-		opt := sim.Options{
-			Sched: s, Costs: simCosts,
-			ActBudget:   pt.plan.ActBudget,
-			DynamicW:    dynamicW,
-			TailTime:    pt.costs.TailTime,
-			AssumeValid: true,
-		}
-		if bound && rep != nil && sameOps(s, rep) {
-			// Byte-identical to the certified representative:
-			// certification of equal bytes is the same pure function
-			// application, so skip it and re-cost the bound session.
-			err = w.se.Recost(opt)
-			w.counters.deduped.Add(1)
-		} else {
-			if _, cerr := verify.Certify(s, verify.Options{}); cerr != nil {
-				pt.err = fmt.Errorf("strategy: %s schedule rejected: %w", pl.sys, cerr)
-				pt.done = true
-				continue
-			}
-			w.counters.certified.Add(1)
-			err = w.se.Bind(opt)
-			bound = err == nil
-			rep = s
-		}
-		if err == nil {
-			var r *sim.Result
-			r, err = w.se.Eval(s)
-			w.counters.simulated.Add(1)
-			if err == nil {
-				ev := *pt.ev
-				res := r.Clone()
-				ev.Result = res
-				ev.IterTime = res.IterTime
-				ev.Bubble = res.BubbleRatio
-				ev.PeakAct = res.PeakAct
-				ev.F = f
-				if res.OOM {
-					ev.OOM = true
-					ev.OOMWhy = fmt.Sprintf("activations exceed budget on stage %d", res.OOMStage)
-				}
-				pt.ev = &ev
-				pt.done = true
-				if !ev.OOM {
-					pl.gate.complete(i, ev.IterTime)
-				}
-				continue
-			}
-		}
-		pt.err = fmt.Errorf("strategy: simulating %s %v: %w", pl.sys, pt.par, err)
-		pt.done = true
-	}
-}
-
-// replay reconstructs the exact sequential SearchContext result from the
-// parallel pass's evaluations: it walks the grid in order, re-deriving the
-// best-so-far pruning decisions, and consumes the parallel results only
-// for points sequential search would actually have evaluated.
-func (pl *sysPlan) replay(sp SearchSpace) (*SearchResult, error) {
-	res := &SearchResult{Sys: pl.sys}
+// replay reconstructs the sequential search result from the parallel
+// pass: it walks the grid in order, re-deriving the best-so-far pruning
+// decisions, and consumes the evaluations only for points a sequential
+// walk would actually have evaluated.
+func (g *sysGrid) replay(prune bool) (*SearchResult, error) {
+	res := &SearchResult{Sys: g.sys}
 	bestTime := 0.0
-	for _, pt := range pl.pts {
-		// Mirror the sequential loop's order exactly: the prune check runs
-		// before anything else, so even a point the planner skipped or
-		// settled counts as pruned when its bound clears the best.
-		if sp.Prune && bestTime > 0 && pt.lbOK && pt.lb > bestTime {
+	for i := range g.cands {
+		// The prune check comes first, so even a point EvaluateContext
+		// would reject counts as pruned when its bound clears the best.
+		if prune && bestTime > 0 && g.lb[i] > bestTime {
 			res.Pruned++
 			continue
 		}
-		if pt.skip {
-			continue
-		}
-		if pt.err != nil {
-			if errors.Is(pt.err, errs.ErrIncompatible) {
-				continue
-			}
-			return nil, pt.err
-		}
-		if !pt.done {
+		o := g.out[i]
+		if !o.ran {
 			// Unreachable when the gate's prefix argument holds: a point
 			// the replay needs was evaluated by the parallel pass.
-			return nil, fmt.Errorf("strategy: sweep dropped %s %v (internal branch-and-bound error): %w",
-				pl.sys, pt.par, errs.ErrUncertified)
+			return nil, fmt.Errorf("strategy: search dropped %s %v (internal branch-and-bound error): %w",
+				g.sys, g.cands[i], errs.ErrUncertified)
+		}
+		if o.err != nil {
+			if errors.Is(o.err, errs.ErrIncompatible) {
+				continue // expected: partition/sequence shape rejection
+			}
+			// A rejected schedule or a simulator failure — not a shape
+			// mismatch to skip.
+			return nil, o.err
 		}
 		res.Evaluated++
-		res.Candidates = append(res.Candidates, pt.ev)
-		if !pt.ev.OOM && (bestTime == 0 || pt.ev.IterTime < bestTime) {
-			bestTime = pt.ev.IterTime
+		res.Candidates = append(res.Candidates, o.ev)
+		if !o.ev.OOM && (bestTime == 0 || o.ev.IterTime < bestTime) {
+			bestTime = o.ev.IterTime
 		}
 	}
 	sort.SliceStable(res.Candidates, func(i, j int) bool {
 		return less(res.Candidates[i], res.Candidates[j])
 	})
 	if len(res.Candidates) == 0 {
-		return res, fmt.Errorf("strategy: no candidate for %s fits %d GPUs: %w", pl.sys, pl.gpus, errs.ErrIncompatible)
+		return res, fmt.Errorf("strategy: no candidate for %s fits %d GPUs: %w", g.sys, g.gpus, errs.ErrIncompatible)
 	}
 	return res, nil
 }
 
-// sameOps reports whether two schedules of the same shape carry identical
-// op tables.
-func sameOps(a, b *sched.Schedule) bool {
-	if len(a.Stages) != len(b.Stages) {
-		return false
-	}
-	for k := range a.Stages {
-		x, y := a.Stages[k], b.Stages[k]
-		if len(x) != len(y) {
-			return false
-		}
-		for i := range x {
-			if x[i] != y[i] {
-				return false
-			}
+// largestFirst returns the candidate indices in descending P·V·S·N order
+// (the number of op families in the candidate's schedule, which sets its
+// generate and simulate cost), ties in input order: the workers then start
+// their longest candidates first instead of finishing on one. Results stay
+// positional, so the order changes no byte of the answer.
+func largestFirst(cands []config.Parallel, tr config.Training) []int {
+	size := make([]int, len(cands))
+	order := make([]int, len(cands))
+	for i, par := range cands {
+		order[i] = i
+		if n, err := tr.MicroBatches(par); err == nil {
+			size[i] = par.PP * par.VP * par.SPP * n
 		}
 	}
-	return true
+	sort.SliceStable(order, func(a, b int) bool { return size[order[a]] > size[order[b]] })
+	return order
 }
 
 // prefixGate is the monotonically tightening bound the branch-and-bound

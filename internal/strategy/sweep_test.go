@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,16 +17,72 @@ import (
 	"mepipe/internal/obs"
 )
 
-type nopSink struct{}
+// searchOracle is the sequential grid search the engine must reproduce:
+// enumerate the grid, prune a point whose lower bound exceeds the best
+// feasible time so far, and evaluate the rest one at a time in grid order.
+func searchOracle(sys System, m config.Model, cl cluster.Cluster, tr config.Training, sp SearchSpace) (*SearchResult, error) {
+	res := &SearchResult{Sys: sys}
+	bestTime := 0.0
+	for _, par := range enumerate(sys, cl.GPUs(), tr, sp) {
+		if sp.Prune && bestTime > 0 {
+			if lb, ok := lowerBound(sys, m, cl, par, tr); ok && lb > bestTime {
+				res.Pruned++
+				continue
+			}
+		}
+		ev, err := EvaluateContext(context.Background(), sys, m, cl, par, tr)
+		if err != nil {
+			if errors.Is(err, errs.ErrIncompatible) {
+				continue
+			}
+			return nil, err
+		}
+		res.Evaluated++
+		res.Candidates = append(res.Candidates, ev)
+		if !ev.OOM && (bestTime == 0 || ev.IterTime < bestTime) {
+			bestTime = ev.IterTime
+		}
+	}
+	sort.SliceStable(res.Candidates, func(i, j int) bool {
+		return less(res.Candidates[i], res.Candidates[j])
+	})
+	if len(res.Candidates) == 0 {
+		return res, fmt.Errorf("strategy: no candidate for %s fits %d GPUs: %w", sys, cl.GPUs(), errs.ErrIncompatible)
+	}
+	return res, nil
+}
 
-func (nopSink) Emit(obs.Event) {}
+// sameSearch fails t unless got/gotErr equal the oracle's answer: the
+// same error text, Evaluated/Pruned counters, and DeepEqual candidates in
+// the same order.
+func sameSearch(t *testing.T, what string, got *SearchResult, gotErr error, ref *SearchResult, refErr error) {
+	t.Helper()
+	if (refErr == nil) != (gotErr == nil) || (refErr != nil && refErr.Error() != gotErr.Error()) {
+		t.Fatalf("%s: error mismatch: got %v, oracle %v", what, gotErr, refErr)
+	}
+	if got == nil {
+		t.Fatalf("%s: no result", what)
+	}
+	if got.Evaluated != ref.Evaluated || got.Pruned != ref.Pruned {
+		t.Errorf("%s: counters (evaluated %d, pruned %d), want (%d, %d)",
+			what, got.Evaluated, got.Pruned, ref.Evaluated, ref.Pruned)
+	}
+	if len(got.Candidates) != len(ref.Candidates) {
+		t.Fatalf("%s: %d candidates, want %d", what, len(got.Candidates), len(ref.Candidates))
+	}
+	for i := range ref.Candidates {
+		if !reflect.DeepEqual(got.Candidates[i], ref.Candidates[i]) {
+			t.Fatalf("%s: candidate %d differs:\ngot:    %+v\noracle: %+v",
+				what, i, got.Candidates[i], ref.Candidates[i])
+		}
+	}
+}
 
 // TestSweepMatchesSequential is the engine's golden gate: for every preset
-// system, with and without pruning, at 8/16/32 GPUs, the sweep must return
-// bit-identical candidates — contents AND order — to a sequential
-// SearchContext call, along with identical Evaluated/Pruned counters and
-// per-system errors. Any drift between the deduplicated parallel engine
-// and the reference path fails here.
+// system, with and without pruning, at 8/16/32 GPUs, both Sweep and
+// SearchContext must return DeepEqual candidates — contents AND order — to
+// the sequential oracle, along with identical Evaluated/Pruned counters
+// and per-system errors.
 func TestSweepMatchesSequential(t *testing.T) {
 	m := config.Llama13B()
 	tr := config.Training{GlobalBatch: 64, MicroBatch: 1}
@@ -41,82 +99,26 @@ func TestSweepMatchesSequential(t *testing.T) {
 				if got, want := len(sw.Results), len(Systems()); got != want {
 					t.Fatalf("Sweep returned %d results, want %d", got, want)
 				}
-				for si, sys := range Systems() {
-					// The sequential reference. SearchContext's pruned
-					// branch is fully sequential; its unpruned branch
-					// evaluates independent candidates in a pool — both
-					// are the semantics Sweep must reproduce.
-					ref, refErr := SearchContext(context.Background(), sys, m, cl, tr, sp)
-					got, gotErr := sw.Results[si], sw.Errs[si]
-					if (refErr == nil) != (gotErr == nil) ||
-						(refErr != nil && refErr.Error() != gotErr.Error()) {
-						t.Fatalf("%s: error mismatch: sweep %v, sequential %v", sys, gotErr, refErr)
-					}
-					if got == nil {
-						t.Fatalf("%s: sweep returned no result", sys)
-					}
-					if got.Evaluated != ref.Evaluated || got.Pruned != ref.Pruned {
-						t.Errorf("%s: counters (evaluated %d, pruned %d), want (%d, %d)",
-							sys, got.Evaluated, got.Pruned, ref.Evaluated, ref.Pruned)
-					}
-					if len(got.Candidates) != len(ref.Candidates) {
-						t.Fatalf("%s: %d candidates, want %d", sys, len(got.Candidates), len(ref.Candidates))
-					}
-					for i := range ref.Candidates {
-						if !reflect.DeepEqual(got.Candidates[i], ref.Candidates[i]) {
-							t.Fatalf("%s: candidate %d differs:\nsweep:      %+v\nsequential: %+v",
-								sys, i, got.Candidates[i], ref.Candidates[i])
-						}
-					}
-				}
-				if sw.Stats.GridPoints == 0 {
-					t.Errorf("implausible stats: %+v", sw.Stats)
-				}
-				// Grids where any system found a feasible candidate must
-				// have certified at least one schedule; all-OOM grids (8
-				// GPUs) legitimately settle every point during planning.
 				var found bool
-				for _, r := range sw.Results {
-					found = found || r.Found()
+				var pruned int
+				for si, sys := range Systems() {
+					ref, refErr := searchOracle(sys, m, cl, tr, sp)
+					sameSearch(t, "Sweep "+sys.String(), sw.Results[si], sw.Errs[si], ref, refErr)
+					one, oneErr := SearchContext(context.Background(), sys, m, cl, tr, sp)
+					sameSearch(t, "SearchContext "+sys.String(), one, oneErr, ref, refErr)
+					found = found || ref.Found()
+					pruned += ref.Pruned
 				}
-				if found && sw.Stats.Certified == 0 {
-					t.Errorf("found candidates without certifying: %+v", sw.Stats)
+				if sw.Stats.GridPoints == 0 || sw.Stats.Pruned != pruned {
+					t.Errorf("implausible stats: %+v (oracle pruned %d)", sw.Stats, pruned)
 				}
-				if prune {
-					var pruned int
-					for _, r := range sw.Results {
-						pruned += r.Pruned
-					}
-					if sw.Stats.Pruned != pruned {
-						t.Errorf("Stats.Pruned = %d, want %d", sw.Stats.Pruned, pruned)
-					}
+				// All-OOM grids (8 GPUs) legitimately settle every point
+				// before simulation.
+				if found && sw.Stats.Simulated == 0 {
+					t.Errorf("found candidates without simulating: %+v", sw.Stats)
 				}
 			})
 		}
-	}
-}
-
-// TestSweepDedup pins the structural win: on the default 32-GPU grid the
-// recompute variants of DAPPLE and VPP must byte-share their schedule
-// shapes, so the engine certifies strictly fewer schedules than it has
-// grid points.
-func TestSweepDedup(t *testing.T) {
-	m := config.Llama13B()
-	cl := cluster.RTX4090Cluster(4)
-	tr := config.Training{GlobalBatch: 64, MicroBatch: 1}
-	sw, err := Sweep(context.Background(), Systems(), m, cl, tr, DefaultSpace())
-	if err != nil {
-		t.Fatalf("Sweep: %v", err)
-	}
-	st := sw.Stats
-	if st.Deduped == 0 {
-		t.Fatalf("no deduplication on the default grid: %+v", st)
-	}
-	if st.Certified >= st.Generated {
-		t.Errorf("certifications (%d) not reduced below generations (%d)", st.Certified, st.Generated)
-	}
-	if got := st.DedupRatio(); got <= 0 || got >= 1 {
-		t.Errorf("dedup ratio %v out of (0, 1)", got)
 	}
 }
 
@@ -163,14 +165,54 @@ func TestSweepCancelled(t *testing.T) {
 	}
 }
 
-// TestSweepRejectsSinks: tracing is incompatible with the engine's session
-// reuse and must be rejected up front with ErrIncompatible.
-func TestSweepRejectsSinks(t *testing.T) {
+// TestSearchTracedMatchesUntraced: a traced search takes every simulated
+// point through sim.RunContext instead of the pooled session, emits into
+// the sink from several workers, and returns the untraced answer.
+func TestSearchTracedMatchesUntraced(t *testing.T) {
+	m, cl, tr, sp := planColdPoint()
+	want, err := SearchContext(context.Background(), MEPipe, m, cl, tr, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	events := 0
+	sink := sinkFunc(func(obs.Event) {
+		mu.Lock()
+		events++
+		mu.Unlock()
+	})
+	got, err := SearchContext(context.Background(), MEPipe, m, cl, tr, sp, WithSink(sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events == 0 {
+		t.Fatal("traced search emitted no events")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("traced SearchContext differs from the untraced one")
+	}
+}
+
+// BenchmarkSweep is the multi-system search of docs/PERFORMANCE.md ("The
+// grid-search engine"): Llama-13B on four 8×RTX 4090 servers, global batch
+// 64, every preset system over the default space, 158 grid points.
+func BenchmarkSweep(b *testing.B) {
 	m := config.Llama13B()
-	cl := cluster.RTX4090Cluster(1)
+	cl := cluster.RTX4090Cluster(4)
 	tr := config.Training{GlobalBatch: 64, MicroBatch: 1}
-	_, err := Sweep(context.Background(), Systems(), m, cl, tr, DefaultSpace(), WithSink(nopSink{}))
-	if !errors.Is(err, errs.ErrIncompatible) {
-		t.Fatalf("Sweep with sink = %v, want ErrIncompatible", err)
+	for _, prune := range []bool{false, true} {
+		b.Run(fmt.Sprintf("prune=%v", prune), func(b *testing.B) {
+			sp := DefaultSpace()
+			sp.Prune = prune
+			points := 0
+			for i := 0; i < b.N; i++ {
+				sw, err := Sweep(context.Background(), Systems(), m, cl, tr, sp)
+				if err != nil {
+					b.Fatal(err)
+				}
+				points += sw.Stats.GridPoints
+			}
+			b.ReportMetric(float64(points)/b.Elapsed().Seconds(), "points/s")
+		})
 	}
 }

@@ -329,14 +329,13 @@ func Search(ctx context.Context, sys System, m Model, cl Cluster, tr Training, s
 	return strategy.SearchContext(ctx, sys, m, cl, tr, sp, strategy.WithSink(c.sink))
 }
 
-// Sweep grid-searches several systems in one streaming pass over a
-// deduplicated work plan: schedules are generated and certified once per
-// distinct shape, planning objects are memoized across grid points, and
-// shape groups run on a parallel branch-and-bound worker pool. The result
-// is byte-identical, per system, to a sequential Search call — including
-// candidate order and the Evaluated/Pruned counters — just cheaper to
-// produce (see docs/PERFORMANCE.md). Tracing options are incompatible with
-// the engine's session reuse; use Evaluate with WithTrace instead.
+// Sweep grid-searches several systems in one pass of the grid-search
+// engine Search also runs on: every grid point of every system is
+// evaluated like Evaluate does, on a worker pool that starts the largest
+// points first and, when sp.Prune is set, skips points the analytic lower
+// bound already rules out. The result is identical, per system, to a
+// Search call — including candidate order and the Evaluated/Pruned
+// counters (see docs/PERFORMANCE.md).
 func Sweep(ctx context.Context, systems []System, m Model, cl Cluster, tr Training, sp SearchSpace) (*SweepResult, error) {
 	return strategy.Sweep(ctx, systems, m, cl, tr, sp)
 }
