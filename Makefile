@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json verify-presets race-hot race bench bench-kernels bench-smoke bench-opt bench-sim serve-smoke opt-smoke sim-smoke sweep-smoke opt-regen report figures artifact check ci smoke clean
+.PHONY: all build test vet lint lint-json verify-presets race-hot race bench bench-kernels bench-smoke bench-opt serve-smoke opt-smoke sim-smoke sweep-smoke opt-regen report figures artifact check ci smoke clean
 
 all: build test
 
@@ -90,22 +90,16 @@ opt-regen:
 	$(GO) test ./internal/opt -run TestWriteDiscovered -write-discovered
 
 # Simulator fast-path smoke (docs/PERFORMANCE.md): the bitwise
-# session/batch equivalence tables and edge-case regressions, a short run
-# of the differential fuzzer, the discovered-artifact session replay
-# gate, and a small -sim bench pass (which cross-checks every candidate
-# bitwise before timing).
+# session/batch equivalence tables against the reference runner and the
+# edge-case regressions, the incremental-replay floor (Session.Eval ≥ 3×
+# the reference full replay at 0 allocs per candidate), the planning-grid
+# check (pooled evaluation vs the reference runner, traces included), a
+# short run of the differential fuzzer, and the discovered-artifact
+# session replay gate.
 sim-smoke:
-	$(GO) test ./internal/sim -run 'TestSession|TestEvaluate|TestDynamicOOM|TestStats|TestTraceWait' -count=1
+	$(GO) test ./internal/sim -run 'TestSession|TestEvaluate|TestDynamicOOM|TestStats|TestTraceWait|TestIncrementalReplayFloor|TestPlanningGrid' -count=1
 	$(GO) test ./internal/sim -run NONE -fuzz FuzzIncrementalEquivalence -fuzztime 10s
 	$(GO) test ./internal/opt -run TestDiscoveredReplaysThroughSession -count=1
-	$(GO) run ./cmd/mepipe-bench -sim -sim-candidates 64 -sim-out $(CURDIR)/BENCH_sim_smoke.json
-
-# Simulator throughput benchmark: measures candidate-evaluation rates of
-# the full replay, the incremental session, and batched EvaluateMany on
-# the artifact's canonical point, and regenerates the machine-readable
-# baseline (BENCH_sim.json) future PRs regress against.
-bench-sim:
-	$(GO) run ./cmd/mepipe-bench -sim -sim-out $(CURDIR)/BENCH_sim.json
 
 # Grid-search engine smoke (docs/PERFORMANCE.md): the golden equivalence
 # suite (Sweep and SearchContext vs the sequential oracle at 8/16/32 GPUs,
@@ -153,4 +147,4 @@ artifact:
 	cd artifact && sh e0_run.sh && sh e1_run.sh && sh e2_run.sh
 
 clean:
-	rm -f report.html artifact/results/*.txt BENCH_opt_smoke.json BENCH_sim_smoke.json
+	rm -f report.html artifact/results/*.txt BENCH_opt_smoke.json

@@ -7,7 +7,6 @@
 //	mepipe-bench -exp fig8      # one experiment
 //	mepipe-bench -list          # what exists
 //	mepipe-bench -opt           # replay the discovered-schedule artifact, write BENCH_opt.json
-//	mepipe-bench -sim           # measure simulator fast-path throughput, write BENCH_sim.json
 package main
 
 import (
@@ -31,19 +30,8 @@ func main() {
 		optBench = flag.Bool("opt", false, "replay the checked-in discovered-schedule artifact's optimization and write a throughput report")
 		optIters = flag.Int("opt-iters", 0, "override the artifact's annealing rounds in -opt mode (0 = the recorded count)")
 		optOut   = flag.String("opt-out", "BENCH_opt.json", "report file written by -opt")
-		simBench = flag.Bool("sim", false, "measure simulator candidate-evaluation throughput (full vs incremental vs batched) and write a report")
-		simCands = flag.Int("sim-candidates", 512, "candidate schedules to evaluate in -sim mode")
-		simOut   = flag.String("sim-out", "BENCH_sim.json", "report file written by -sim")
 	)
 	flag.Parse()
-
-	if *simBench {
-		if err := runSimBench(*simCands, *simOut); err != nil {
-			fmt.Fprintln(os.Stderr, "mepipe-bench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *optBench {
 		if err := runOptBench(*optIters, *optOut); err != nil {

@@ -5,15 +5,17 @@ import (
 	"math"
 
 	"mepipe/internal/errs"
+	"mepipe/internal/obs"
 	"mepipe/internal/sched"
 )
 
 // engState is the Session's dynamic-mode (§5) execution engine: a dense
-// replay of the runner's event loop over the session's id tables. Dynamic W
-// drain order depends on runtime decisions across stages, so there is no
-// local window to re-propagate — instead the engine mirrors the runner
-// op-for-op (same tie-breaks, same math.Max calls, same epsilon) on arrays
-// that are allocated once and reused across Evals.
+// replay of the reference runner's event loop (oracle_test.go) over the
+// session's id tables. Dynamic W drain order depends on runtime decisions
+// across stages, so there is no local window to re-propagate — instead the
+// engine mirrors the runner op-for-op (same tie-breaks, same math.Max
+// calls, same epsilon, same trace events) on arrays that are allocated
+// once and reused across Evals.
 type engState struct {
 	cursor []int // per stage: position of the next scheduled (non-W) op
 	free   []float64
@@ -170,18 +172,21 @@ func (se *Session) engExecute(k int) int {
 			if n := se.engFillGap(k, start, id); n > 0 {
 				return n
 			}
+			if se.opt.Trace != nil {
+				se.traceWait(k, id, start, e.free[k], e.fin)
+			}
 			e.cursor[k]++
 			se.engSkip(k)
-			se.engRunOp(k, id, start)
+			se.engRunOp(k, id, start, "")
 			return 1
 		}
 		if e.wqHead[k] < len(e.wq[k]) {
-			return se.engPopW(k)
+			return se.engPopW(k, "drain-gap")
 		}
 		return 0
 	}
 	if e.wqHead[k] < len(e.wq[k]) {
-		return se.engPopW(k)
+		return se.engPopW(k, "drain-tail")
 	}
 	return 0
 }
@@ -199,7 +204,7 @@ func (se *Session) engFillGap(k int, start float64, nextID int32) int {
 	dur := se.dur[w.id]
 	const eps = 1e-9
 	if wStart+dur <= start+eps {
-		return se.engPopW(k)
+		return se.engPopW(k, "drain-gap")
 	}
 	if se.hasBudget {
 		var need int64
@@ -210,16 +215,26 @@ func (se *Session) engFillGap(k int, start float64, nextID int32) int {
 		if need > 0 && e.live[k]+need > se.budget[k] {
 			if e.live[k]+need-e.drain[k] > se.budget[k] {
 				// Uncoverable overshoot: admit the op and let its
-				// allocation flag the OOM (see runner.fillGap).
+				// allocation flag the OOM (see runner.fillGap in
+				// oracle_test.go).
 				return 0
 			}
-			return se.engPopW(k)
+			if se.opt.Trace != nil {
+				se.opt.Trace.Emit(obs.Event{
+					Kind: obs.EvBudget, Stage: k, From: k, Op: se.opsl[nextID],
+					Start: e.free[k], End: e.free[k],
+					Bytes: need, Live: e.live[k],
+				})
+			}
+			return se.engPopW(k, "drain-budget")
 		}
 	}
 	return 0
 }
 
-func (se *Session) engPopW(k int) int {
+// engPopW executes the head of stage k's W queue; cause tags the drain in
+// traces.
+func (se *Session) engPopW(k int, cause string) int {
 	e := se.eng
 	w := e.wq[k][e.wqHead[k]]
 	e.wqHead[k]++
@@ -228,11 +243,11 @@ func (se *Session) engPopW(k int) int {
 		e.wqHead[k] = 0
 	}
 	start := max(e.free[k], w.ready)
-	se.engRunOp(k, w.id, start)
+	se.engRunOp(k, w.id, start, cause)
 	return 1
 }
 
-func (se *Session) engRunOp(k int, id int32, start float64) {
+func (se *Session) engRunOp(k int, id int32, start float64, cause string) {
 	e := se.eng
 	dur := se.dur[id]
 	end := start + dur
@@ -243,6 +258,9 @@ func (se *Session) engRunOp(k int, id int32, start float64) {
 	}
 	e.fin[id] = end
 	e.done[id] = e.ep
+	if se.opt.Trace != nil {
+		se.emitOp(k, id, start, end, cause)
+	}
 	e.stale[k] = true
 	for d := se.sucOff[id]; d < se.sucOff[id+1]; d++ {
 		e.stale[se.stg[se.sucID[d]]] = true
@@ -250,22 +268,22 @@ func (se *Session) engRunOp(k int, id int32, start float64) {
 	f := se.famID[id]
 	switch se.opsl[id].Kind {
 	case sched.F:
-		se.engAlloc(k, f, se.memB[id])
+		se.engAlloc(k, id)
 	case sched.B:
-		se.engRelease(k, f)
+		se.engRelease(k, id)
 	case sched.BAct:
-		se.engAlloc(k, f, se.memB[id])
+		se.engAlloc(k, id)
 		se.engEnqueueW(k, id, end)
 	case sched.W:
 		se.touchFam(f)
 		e.drain[k] -= se.famAcc[f]
-		se.engRelease(k, f)
+		se.engRelease(k, id)
 	case sched.WPiece:
 		se.touchFam(f)
 		se.famCnt[f]++
 		if int(se.famCnt[f]) == se.wPieces {
 			e.drain[k] -= se.famAcc[f]
-			se.engRelease(k, f)
+			se.engRelease(k, id)
 		}
 	}
 }
@@ -283,13 +301,17 @@ func (se *Session) engEnqueueW(k int, bID int32, ready float64) {
 	}
 }
 
-func (se *Session) engAlloc(k int, f int32, bytes int64) {
+func (se *Session) engAlloc(k int, id int32) {
 	e := se.eng
+	f, bytes := se.famID[id], se.memB[id]
 	se.touchFam(f)
 	se.famAcc[f] += bytes
 	e.live[k] += bytes
 	if e.live[k] > e.peak[k] {
 		e.peak[k] = e.live[k]
+	}
+	if se.opt.Trace != nil {
+		se.emitMem(obs.EvAlloc, k, id, bytes, e.live[k], e.free[k])
 	}
 	if se.hasBudget && e.live[k] > se.budget[k] && !e.oom {
 		// Dynamic mode is OOM exactly when draining every queued weight
@@ -301,10 +323,14 @@ func (se *Session) engAlloc(k int, f int32, bytes int64) {
 	}
 }
 
-func (se *Session) engRelease(k int, f int32) {
+func (se *Session) engRelease(k int, id int32) {
 	e := se.eng
+	f := se.famID[id]
 	se.touchFam(f)
 	e.live[k] -= se.famAcc[f]
+	if se.opt.Trace != nil {
+		se.emitMem(obs.EvFree, k, id, se.famAcc[f], e.live[k], e.free[k])
+	}
 	se.famAcc[f] = 0
 }
 

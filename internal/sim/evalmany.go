@@ -12,7 +12,7 @@ import (
 	"mepipe/internal/sched"
 )
 
-// sessionPool recycles Session capacity across Evaluate/EvaluateMany calls:
+// sessionPool recycles Session capacity across RunContext/EvaluateMany calls:
 // rebinding a pooled session reuses its id maps, edge tables, and result
 // buffers, which removes the dominant allocations of one-shot evaluation.
 var sessionPool = sync.Pool{New: func() any { return &Session{} }}
@@ -23,32 +23,12 @@ func putSession(se *Session) {
 	sessionPool.Put(se)
 }
 
-// Evaluate is RunContext through the session fast path: identical Results
-// (bitwise — the differential fuzzer gates this), far fewer allocations.
-// Traced runs fall back to RunContext, which owns span/event emission.
-// Unlike RunContext, cancellation is only checked on entry — a single
-// evaluation is short, so mid-run cancellation buys nothing.
-//
-// The returned Result is the caller's to keep.
+// Evaluate is RunContext under the name the batch and sweep paths use:
+// one pooled-session evaluation whose Result is the caller's to keep.
 //
 //mepipe:deterministic
 func Evaluate(ctx context.Context, opt Options) (*Result, error) {
-	if opt.Trace != nil {
-		return RunContext(ctx, opt)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sim: evaluate %w: %v", errs.ErrCancelled, err)
-	}
-	se := sessionPool.Get().(*Session)
-	defer putSession(se)
-	if err := se.init(opt); err != nil {
-		return nil, err
-	}
-	r, err := se.Eval(opt.Sched)
-	if err != nil {
-		return nil, err
-	}
-	return cloneResult(r), nil
+	return RunContext(ctx, opt)
 }
 
 // EvaluateMany simulates every schedule under the same Options (opt.Sched
@@ -59,7 +39,8 @@ func Evaluate(ctx context.Context, opt Options) (*Result, error) {
 // (invalid, deadlocked, nil) leaves a nil entry rather than failing the
 // batch. The only error is cancellation, which wraps errs.ErrCancelled and
 // returns the results completed so far. Tracing is incompatible with
-// batched evaluation and reports errs.ErrIncompatible.
+// batched evaluation — a batch of schedules has no single trace — and
+// reports errs.ErrIncompatible.
 //
 //mepipe:deterministic
 func EvaluateMany(ctx context.Context, scheds []*sched.Schedule, opt Options, workers int) ([]*Result, error) {

@@ -3,20 +3,26 @@ package sim
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"mepipe/internal/errs"
+	"mepipe/internal/obs"
 	"mepipe/internal/sched"
 )
 
 // FuzzIncrementalEquivalence is the differential gate behind the Session
 // fast path: for arbitrary shapes, cost models, budgets, modes, and move
 // sequences, the incremental evaluation must be bitwise-identical to a
-// fresh full replay — including agreeing on which orders deadlock and with
-// what error class. Byte layout:
+// fresh reference replay (runRef) — including agreeing on which orders
+// deadlock and with what error class. With the trace flag set, both sides
+// record into an obs.Recorder and every step's recordings must DeepEqual:
+// the session's events, dynamic drain and budget instants included, are
+// the runner's. Byte layout:
 //
 //	[0..5]  shape + mode header (P, S, N, split/pieces/dynamic/makespan,
-//	        budget/tail/comm/zero-weight flags, budget level)
+//	        budget/tail/comm/zero-weight/reschedule/trace flags, budget
+//	        level)
 //	[6..]   move stream, 3 bytes per move: stage, from, to
 func FuzzIncrementalEquivalence(f *testing.F) {
 	f.Add([]byte{2, 1, 2, 0x01, 0x00, 4, 0, 1, 2, 1, 5, 0})
@@ -24,6 +30,8 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 0x07, 0x05, 2, 1, 4, 4, 0, 0, 11, 1, 8, 2})
 	f.Add([]byte{0, 1, 2, 0x0f, 0x0f, 6, 0, 1, 1, 2, 3, 4, 1, 0, 2})
 	f.Add([]byte{1, 1, 1, 0x05, 0x0a, 5, 3, 2, 1, 0, 9, 9, 2, 4, 4})
+	f.Add([]byte{1, 1, 0, 0x01, 0x26, 4, 0, 1, 2, 1, 5, 0, 2, 3, 1})
+	f.Add([]byte{2, 1, 1, 0x0f, 0x25, 2, 1, 4, 4, 0, 0, 11, 1, 8, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 9 {
 			t.Skip()
@@ -40,6 +48,7 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 		makespanOnly := data[3]&8 != 0
 		useBudget := data[4]&1 != 0
 		useTail := data[4]&2 != 0
+		traced := data[4]&32 != 0
 		est := sched.UniformEst{F: 1, BFused: 2, BAct: 1, W: 1, WPiece: 0.5}
 		if data[4]&4 != 0 {
 			est.Comm = 0.25
@@ -71,6 +80,11 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 			opt.TailTime = func(k int) float64 { return 0.5 * float64(k+1) }
 		}
 		opt.Sched = sc
+		var incRec, refRec *obs.Recorder
+		if traced {
+			incRec, refRec = obs.NewRecorder(), obs.NewRecorder()
+			opt.Trace = incRec
+		}
 		se, err := NewSession(opt)
 		if err != nil {
 			t.Fatalf("NewSession on generated schedule: %v", err)
@@ -92,7 +106,12 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 			sessDisplace(ops, from, to)
 			fullOpt := opt
 			fullOpt.Sched = cur
-			full, fullErr := Run(fullOpt)
+			if traced {
+				incRec.Reset()
+				refRec.Reset()
+				fullOpt.Trace = refRec
+			}
+			full, fullErr := runRef(fullOpt)
 			inc, incErr := se.Eval(cur)
 			if (fullErr == nil) != (incErr == nil) {
 				t.Fatalf("move %d: full err %v, incremental err %v", i, fullErr, incErr)
@@ -105,8 +124,27 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 				continue
 			}
 			fuzzSameResult(t, full, inc)
+			if traced {
+				fuzzSameTrace(t, refRec.Trace(), incRec.Trace())
+			}
 		}
 	})
+}
+
+// fuzzSameTrace requires DeepEqual recordings, naming the first differing
+// event when they are not.
+func fuzzSameTrace(t *testing.T, full, inc *obs.Trace) {
+	t.Helper()
+	if reflect.DeepEqual(full, inc) {
+		return
+	}
+	for i := 0; i < len(full.Events) && i < len(inc.Events); i++ {
+		if full.Events[i] != inc.Events[i] {
+			t.Fatalf("trace event %d: full %+v, incremental %+v", i, full.Events[i], inc.Events[i])
+		}
+	}
+	t.Fatalf("traces differ: full %d events (makespan %v, bubble %v), incremental %d (makespan %v, bubble %v)",
+		len(full.Events), full.Makespan, full.Bubble, len(inc.Events), inc.Makespan, inc.Bubble)
 }
 
 func fuzzSameResult(t *testing.T, full, inc *Result) {

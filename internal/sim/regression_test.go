@@ -30,6 +30,11 @@ func (c hugeFCosts) ActBytes(k int, f sched.Op) int64 {
 
 func (c hugeFCosts) GradBytes(int, sched.Op) int64 { return 1 }
 
+// MicroInvariantCosts withdraws the promise the embedded UniformEst makes:
+// the huge forward's bytes depend on its micro-batch, so the session must
+// query every op rather than copy micro-0 twins (see sched.MicroInvariant).
+func (hugeFCosts) MicroInvariantCosts() bool { return false }
+
 // TestDynamicOOMUncoverableOvershoot is the satellite-1 regression: when an
 // admission overshoots the budget by more than draining every queued W
 // could free, the run must flag OOM at the admitting op — without first
@@ -169,11 +174,11 @@ func TestStatsRefuseMakespanOnly(t *testing.T) {
 	}
 }
 
-// TestTraceWaitReusesDepScratch is the satellite-3 pin: the traced hot loop
-// must reuse the runner's dependency scratch rather than allocating one
-// Deps walk per traced op. We bound the allocation *overhead* of tracing
-// (with a no-op sink) by a small fraction of the op count — the old code's
-// per-op allocation made it scale 1:1 with ops.
+// TestTraceWaitReusesDepScratch bounds what tracing costs in allocations:
+// the session walks its dense dependency rows to emit comm and stall
+// events, so a traced run (with a no-op sink) may allocate only a small
+// fraction of the op count more than an untraced one — per-op allocation
+// in the traced path would make the overhead scale 1:1 with ops.
 func TestTraceWaitReusesDepScratch(t *testing.T) {
 	s, err := sched.MEPipe(4, 1, 2, 6, 0, 4, nil)
 	if err != nil {

@@ -14,8 +14,10 @@ import (
 // moves (swap, shift, rebalance) touch a handful of list positions; instead
 // of replaying every op, Eval diffs the new order against the previous one
 // and re-propagates finish times only through the affected window. The
-// result is guaranteed bitwise-identical to sim.Run on the same Options —
-// the differential fuzzer in fuzz_test.go holds that gate closed.
+// result is guaranteed bitwise-identical, traced events included, to the
+// map-based reference runner in oracle_test.go on the same Options — the
+// differential fuzzer in fuzz_test.go holds that gate closed. Run and
+// RunContext are one pooled-session evaluation; there is no other engine.
 //
 // A session numbers ops by their sched.OpIndex ids and shares the bound
 // schedule's sched.DepTable rather than copying it, so it binds only a
@@ -36,7 +38,7 @@ type Session struct {
 	splitBW    bool
 	wPieces    int
 	dynamicW   bool
-	record     bool // spans recorded (i.e. !MakespanOnly; sessions never trace)
+	record     bool // spans recorded (!MakespanOnly, or traced)
 	hasBudget  bool
 	budget     []int64
 	hasTail    bool
@@ -121,10 +123,10 @@ type Session struct {
 
 // NewSession binds a fast-evaluation session to opt. opt.Sched is fully
 // validated and becomes the base order; subsequent Eval calls accept any
-// per-stage permutation of the same ops. Tracing is incompatible with
-// sessions (use RunContext), as is a nil schedule or a budget of the wrong
-// length, or (under AssumeValid) an incomplete op universe — all reported
-// as wrapped errs.ErrIncompatible.
+// per-stage permutation of the same ops, and emits into opt.Trace when it
+// is set. A nil schedule, a budget of the wrong length, or (under
+// AssumeValid) an incomplete op universe is reported as a wrapped
+// errs.ErrIncompatible.
 //
 //mepipe:deterministic
 func NewSession(opt Options) (*Session, error) {
@@ -146,9 +148,6 @@ func (se *Session) Bind(opt Options) error { return se.init(opt) }
 //
 //mepipe:coldalloc binding sizes every table once; Eval reuses the capacity, so the steady state never allocates
 func (se *Session) init(opt Options) error {
-	if opt.Trace != nil {
-		return fmt.Errorf("sim: sessions cannot trace (use RunContext for traced runs): %w", errs.ErrIncompatible)
-	}
 	s := opt.Sched
 	if s == nil {
 		return fmt.Errorf("sim: nil schedule: %w", errs.ErrIncompatible)
@@ -348,7 +347,7 @@ func (se *Session) cost(c Costs) {
 func (se *Session) setOptions(opt Options) {
 	se.opt = opt
 	se.base = opt.Sched
-	se.record = !opt.MakespanOnly
+	se.record = !opt.MakespanOnly || opt.Trace != nil
 	se.hasBudget = opt.ActBudget != nil
 	se.budget = append(se.budget[:0], opt.ActBudget...)
 	se.hasTail = opt.TailTime != nil
@@ -380,7 +379,7 @@ func (se *Session) microInvariant(c Costs) bool {
 // schedule's ops (shape and placement included — anything else returns a
 // wrapped errs.ErrIncompatible, telling callers to rebuild the session).
 // Orders that deadlock return a wrapped errs.ErrUncertified, exactly as
-// sim.Run reports them through Validate.
+// Validate reports them.
 //
 // The returned Result is owned by the session and is overwritten by the
 // next Eval.
@@ -421,6 +420,9 @@ func (se *Session) Eval(s *sched.Schedule) (*Result, error) {
 	}
 	se.memScan()
 	se.assembleStatic()
+	if se.opt.Trace != nil {
+		se.traceStatic()
+	}
 	return &se.res, nil
 }
 
@@ -565,7 +567,7 @@ func (se *Session) push(id int32) {
 //	height = 1 + max over predecessors(height)   (sources get 0)
 //
 // and reports whether finish or height changed. The float operations mirror
-// the runner's readyTime/execute exactly (same comparison order, same
+// the reference runner's readyTime/execute (oracle_test.go) exactly (same comparison order, same
 // math.Max), which is what makes incremental results bitwise-identical.
 func (se *Session) recompute(id int32) bool {
 	k := int(se.stg[id])
@@ -746,8 +748,9 @@ func (se *Session) memScan() {
 	}
 }
 
-// assembleStatic writes the Result exactly as the runner's result() does,
-// in the same float-operation order. The runner flags OOM at the first
+// assembleStatic writes the Result exactly as the reference runner's
+// result() does (oracle_test.go), in the same float-operation order. The
+// runner flags OOM at the first
 // over-budget allocation in global execution order; with static execution
 // sorted by (start, stage), that is the stage minimizing (start of its
 // first over-budget op, stage index).

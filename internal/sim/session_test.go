@@ -40,8 +40,8 @@ func (l *sessLCG) next(n int) int {
 	return int((uint64(*l) >> 33) % uint64(n))
 }
 
-// requireSameResult asserts bitwise identity between a full replay and a
-// session evaluation — the tentpole's hard gate.
+// requireSameResult asserts bitwise identity between a reference replay
+// (runRef) and a session evaluation — the fast path's hard gate.
 func requireSameResult(t *testing.T, full, inc *Result, label string) {
 	t.Helper()
 	if full == nil || inc == nil {
@@ -152,9 +152,9 @@ func sessionCases(t *testing.T) []sessionCase {
 }
 
 // TestSessionMatchesRun drives each case through a long deterministic move
-// walk, comparing every incremental evaluation bitwise against a fresh full
-// replay — including steps whose order deadlocks, where both sides must
-// fail with the same error class.
+// walk, comparing every incremental evaluation bitwise against a fresh
+// reference replay (runRef) — including steps whose order deadlocks, where
+// both sides must fail with the same error class.
 func TestSessionMatchesRun(t *testing.T) {
 	for _, tc := range sessionCases(t) {
 		tc := tc
@@ -191,7 +191,7 @@ func TestSessionMatchesRun(t *testing.T) {
 				}
 				fullOpt := tc.opt
 				fullOpt.Sched = cand
-				full, fullErr := Run(fullOpt)
+				full, fullErr := runRef(fullOpt)
 				inc, incErr := se.Eval(cand)
 				if (fullErr == nil) != (incErr == nil) {
 					t.Fatalf("step %d: full err %v, incremental err %v", step, fullErr, incErr)
@@ -222,7 +222,7 @@ func TestSessionMatchesRun(t *testing.T) {
 
 // TestSessionRecoversAfterError pins that an Eval that fails (deadlocked
 // order) leaves the session usable: the next valid order must still match
-// the full replay bitwise.
+// the reference replay bitwise.
 func TestSessionRecoversAfterError(t *testing.T) {
 	s, err := sched.MEPipe(4, 1, 2, 4, 0, 4, nil)
 	if err != nil {
@@ -248,7 +248,7 @@ func TestSessionRecoversAfterError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Run(Options{Sched: good, Costs: Unit()})
+	full, err := runRef(Options{Sched: good, Costs: Unit()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +285,6 @@ func TestSessionIncompatible(t *testing.T) {
 	// And the session still works on the bound schedule afterwards.
 	if _, err := se.Eval(s); err != nil {
 		t.Fatalf("after incompatible evals: %v", err)
-	}
-	// NewSession rejects traced options outright.
-	if _, err := NewSession(Options{Sched: s, Costs: Unit(), Trace: nopSink{}}); !errors.Is(err, errs.ErrIncompatible) {
-		t.Fatalf("traced session: got %v, want ErrIncompatible", err)
 	}
 	// Binding needs the complete op universe even when validation is
 	// skipped: a short table, a duplicate and an out-of-shape op are all
@@ -397,15 +393,15 @@ func TestRebindAllocs(t *testing.T) {
 }
 
 // TestEvaluateMatchesRun pins the pooled one-shot wrapper: identical result
-// to Run, caller-owned (survives later Evaluate calls), traced calls fall
-// back to RunContext.
+// to the reference replay (runRef), caller-owned (survives later Evaluate
+// calls), cancellation checked on entry.
 func TestEvaluateMatchesRun(t *testing.T) {
 	s, err := sched.MEPipe(4, 1, 2, 4, 0, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := Options{Sched: s, Costs: Unit(), DynamicW: true, ActBudget: []int64{9, 9, 9, 9}}
-	full, err := Run(opt)
+	full, err := runRef(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,8 +426,8 @@ func TestEvaluateMatchesRun(t *testing.T) {
 }
 
 // TestEvaluateManyMatchesRun pins batched evaluation: positional results
-// identical to per-schedule Run, nil entries for broken schedules, across
-// worker counts.
+// identical to per-schedule runRef, nil entries for broken schedules,
+// across worker counts.
 func TestEvaluateManyMatchesRun(t *testing.T) {
 	base, err := sched.MEPipe(4, 1, 2, 4, 0, 4, nil)
 	if err != nil {
@@ -460,7 +456,7 @@ func TestEvaluateManyMatchesRun(t *testing.T) {
 		}
 		o := opt
 		o.Sched = s
-		want[i], _ = Run(o) // nil on deadlocked orders, matching EvaluateMany
+		want[i], _ = runRef(o) // nil on deadlocked orders, matching EvaluateMany
 	}
 	for _, workers := range []int{1, 4} {
 		got, err := EvaluateMany(context.Background(), scheds, opt, workers)
@@ -489,7 +485,7 @@ func TestEvaluateManyMatchesRun(t *testing.T) {
 	}
 }
 
-// canonicalBenchWorkload is the P=4/S=2/N=6 point BENCH_sim.json reports.
+// canonicalBenchWorkload is the artifact's canonical P=4/S=2/N=6 point.
 func canonicalBenchWorkload(b *testing.B) (*sched.Schedule, Options) {
 	b.Helper()
 	s, err := sched.MEPipe(4, 1, 2, 6, 0, 4, nil)
@@ -512,7 +508,7 @@ func benchCandidates(b *testing.B, base *sched.Schedule, n int) []*sched.Schedul
 		k := rng.next(next.P)
 		ops := next.Stages[k]
 		sessDisplace(ops, rng.next(len(ops)), rng.next(len(ops)))
-		if _, err := Run(Options{Sched: next, Costs: Unit(), MakespanOnly: true}); err != nil {
+		if _, err := runRef(Options{Sched: next, Costs: Unit(), MakespanOnly: true}); err != nil {
 			continue
 		}
 		cur = next
@@ -521,6 +517,9 @@ func benchCandidates(b *testing.B, base *sched.Schedule, n int) []*sched.Schedul
 	return out
 }
 
+// BenchmarkFullReplay times the reference runner's full replay of each
+// walk candidate — the baseline TestIncrementalReplayFloor holds the
+// session to.
 func BenchmarkFullReplay(b *testing.B) {
 	base, opt := canonicalBenchWorkload(b)
 	cands := benchCandidates(b, base, 64)
@@ -529,7 +528,7 @@ func BenchmarkFullReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		o := opt
 		o.Sched = cands[i%len(cands)]
-		if _, err := Run(o); err != nil {
+		if _, err := runRef(o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -565,5 +564,27 @@ func BenchmarkEvaluateMany(b *testing.B) {
 		if _, err := EvaluateMany(context.Background(), cands, opt, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestIncrementalReplayFloor is the simulator fast path's floor as a gate:
+// over BenchmarkSessionEval's 64-candidate walk, an incremental
+// Session.Eval must run at least 3× faster than the reference full replay
+// (BenchmarkFullReplay) and allocate nothing per candidate.
+func TestIncrementalReplayFloor(t *testing.T) {
+	full := testing.Benchmark(BenchmarkFullReplay)
+	inc := testing.Benchmark(BenchmarkSessionEval)
+	if full.N == 0 || inc.N == 0 {
+		t.Fatal("a benchmark failed to run")
+	}
+	perOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
+	ratio := perOp(full) / perOp(inc)
+	t.Logf("full replay %.0f ns, %d allocs; Session.Eval %.0f ns, %d allocs; %.1f×",
+		perOp(full), full.AllocsPerOp(), perOp(inc), inc.AllocsPerOp(), ratio)
+	if a := inc.AllocsPerOp(); a != 0 {
+		t.Errorf("Session.Eval allocates %d times per candidate, want 0", a)
+	}
+	if ratio < 3 {
+		t.Errorf("Session.Eval is %.2f× the full replay, want ≥ 3×", ratio)
 	}
 }

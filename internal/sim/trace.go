@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"mepipe/internal/obs"
+	"mepipe/internal/sched"
 )
 
 // Trace converts the result's executed spans into an obs.Trace of op
@@ -35,4 +36,104 @@ func (r *Result) Trace() *obs.Trace {
 		return t.Events[i].Stage < t.Events[j].Stage
 	})
 	return t
+}
+
+// traceStatic emits a static evaluation's events after the solve: stage by
+// stage in list order, which is each stage's execution order, replaying
+// the stage's memory to report live totals.
+func (se *Session) traceStatic() {
+	for k := 0; k < se.P; k++ {
+		se.famEpoch++
+		free := 0.0
+		var live int64
+		for _, id := range se.order[k] {
+			start, end := se.start[id], se.finish[id]
+			se.traceWait(k, id, start, free, se.finish)
+			se.emitOp(k, id, start, end, "")
+			free = end
+			f := se.famID[id]
+			se.touchFam(f)
+			switch se.opsl[id].Kind {
+			case sched.F, sched.BAct:
+				b := se.memB[id]
+				se.famAcc[f] += b
+				live += b
+				se.emitMem(obs.EvAlloc, k, id, b, live, end)
+			case sched.B, sched.W:
+				live -= se.famAcc[f]
+				se.emitMem(obs.EvFree, k, id, se.famAcc[f], live, end)
+				se.famAcc[f] = 0
+			case sched.WPiece:
+				se.famCnt[f]++
+				if int(se.famCnt[f]) == se.wPieces {
+					live -= se.famAcc[f]
+					se.emitMem(obs.EvFree, k, id, se.famAcc[f], live, end)
+					se.famAcc[f] = 0
+				}
+			}
+		}
+	}
+}
+
+// traceWait emits the comm events feeding op id on stage k and classifies
+// any idle gap between free (when the stage went idle) and start as a
+// dependency or communication stall. fin holds the finish times of id's
+// dependencies, all of which have executed.
+func (se *Session) traceWait(k int, id int32, start, free float64, fin []float64) {
+	const eps = 1e-12
+	op := se.opsl[id]
+	be, sized := se.opt.Costs.(BytesEstimator)
+	depReady := 0.0 // latest dependency finish, communication excluded
+	for e := se.depOff[id]; e < se.depOff[id+1]; e++ {
+		d := se.depID[e]
+		f := fin[d]
+		if f > depReady {
+			depReady = f
+		}
+		if from := int(se.stg[d]); from != k {
+			var bytes int64
+			if sized {
+				bytes = be.CommBytes(from, k, se.opsl[d])
+			}
+			se.opt.Trace.Emit(obs.Event{
+				Kind: obs.EvComm, Stage: k, From: from, Op: op,
+				Start: f, End: f + se.depComm[e], Bytes: bytes,
+			})
+		}
+	}
+	if start <= free+eps {
+		return // no idle gap
+	}
+	cause := "dep"
+	if depReady <= free+eps {
+		// Inputs were computed before the stage went idle; the wait is
+		// purely tensors in flight.
+		cause = "comm"
+	}
+	se.opt.Trace.Emit(obs.Event{
+		Kind: obs.EvStall, Stage: k, From: k, Op: op,
+		Start: free, End: start, Cause: cause,
+	})
+}
+
+// emitOp emits op id's span on stage k; cause tags weight-gradient work the
+// dynamic engine drained.
+func (se *Session) emitOp(k int, id int32, start, end float64, cause string) {
+	se.opt.Trace.Emit(obs.Event{
+		Kind: obs.EvOp, Stage: k, From: k, Op: se.opsl[id],
+		Start: start, End: end, Cause: cause,
+	})
+}
+
+// emitMem emits the retention (EvAlloc) or release (EvFree) of bytes by op
+// id's family at time at, with live the stage total after it. Zero-byte
+// changes emit nothing.
+func (se *Session) emitMem(kind obs.EventKind, k int, id int32, bytes, live int64, at float64) {
+	if bytes == 0 {
+		return
+	}
+	se.opt.Trace.Emit(obs.Event{
+		Kind: kind, Stage: k, From: k, Op: se.opsl[id].Key(),
+		Start: at, End: at, Bytes: bytes, Live: live,
+	})
 }

@@ -8,10 +8,6 @@ import (
 
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
-	"mepipe/internal/memplan"
-	"mepipe/internal/perf"
-	"mepipe/internal/sim"
-	"mepipe/internal/verify"
 )
 
 // planColdPoint is the cold /v1/search point of the end-to-end benchmark:
@@ -19,66 +15,6 @@ import (
 // default space — 48 grid points, 30 evaluated, 14 simulated (62,208 ops).
 func planColdPoint() (config.Model, cluster.Cluster, config.Training, SearchSpace) {
 	return config.Llama13B(), cluster.RTX4090Cluster(4), config.Training{GlobalBatch: 32, MicroBatch: 1}, DefaultSpace()
-}
-
-// TestPlanningGridEvaluateMatchesRun holds the session fast path to the
-// map-based replay on the planning grid's own candidates — up to S=32
-// slices and 7 weight-gradient pieces, shapes the fuzzers never reach:
-// for every simulated candidate, sim.Evaluate must DeepEqual
-// sim.RunContext.
-func TestPlanningGridEvaluateMatchesRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("replays every simulated candidate of the planning grid twice")
-	}
-	m, cl, tr, sp := planColdPoint()
-	cands := enumerate(MEPipe, cl.GPUs(), tr, sp)
-	simulated, maxS, maxPieces := 0, 0, 0
-	for _, par := range cands {
-		mesh, err := cluster.NewMesh(cl, par)
-		if err != nil {
-			continue
-		}
-		n, err := tr.MicroBatches(par)
-		if err != nil {
-			continue
-		}
-		plan, err := memplan.NewWithReserve(m, mesh, 0)
-		if err != nil || !plan.Feasible() {
-			continue
-		}
-		costs, err := perf.New(m, mesh)
-		if err != nil {
-			continue
-		}
-		s, dynamicW, _, err := buildSchedule(MEPipe, par, n, costs, plan)
-		if err != nil {
-			continue
-		}
-		if _, err := verify.Certify(s, verify.Options{}); err != nil {
-			t.Fatalf("%v: %v", par, err)
-		}
-		opt := sim.Options{Sched: s, Costs: costs, ActBudget: plan.ActBudget, DynamicW: dynamicW, TailTime: costs.TailTime}
-		want, err := sim.RunContext(context.Background(), opt)
-		if err != nil {
-			t.Fatalf("%v: RunContext: %v", par, err)
-		}
-		opt.AssumeValid = true
-		got, err := sim.Evaluate(context.Background(), opt)
-		if err != nil {
-			t.Fatalf("%v: Evaluate: %v", par, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%v: Evaluate differs from RunContext: iter %v vs %v, peak %d vs %d, oom %v vs %v",
-				par, got.IterTime, want.IterTime, got.PeakAct, want.PeakAct, got.OOM, want.OOM)
-		}
-		simulated++
-		maxS = max(maxS, s.S)
-		maxPieces = max(maxPieces, s.WPieces)
-	}
-	if len(cands) != 48 || simulated != 14 || maxS != 32 || maxPieces != 7 {
-		t.Fatalf("planning grid moved: %d points, %d simulated, S up to %d, %d W pieces; want 48, 14, 32, 7",
-			len(cands), simulated, maxS, maxPieces)
-	}
 }
 
 // TestSearchSameOnOneAndTwoCores: the worker pool's dispatch order must

@@ -181,9 +181,8 @@ func EvaluateContext(ctx context.Context, sys System, m config.Model, cl cluster
 	if o.costWrap != nil {
 		simCosts = o.costWrap(s, costs)
 	}
-	// Evaluate takes the pooled-session fast path for untraced runs and
-	// falls back to RunContext itself when o.sink is set (tracing owns
-	// span emission); results are bitwise-identical either way.
+	// Evaluate binds a pooled session, which emits into o.sink when one
+	// is set; traced and untraced results are bitwise-identical.
 	res, err := sim.Evaluate(ctx, sim.Options{
 		Sched: s, Costs: simCosts,
 		ActBudget: plan.ActBudget,
@@ -397,7 +396,7 @@ func Search(sys System, m config.Model, cl cluster.Cluster, tr config.Training, 
 }
 
 // SearchContext is Search with cancellation: a cancelled ctx stops the grid
-// between candidates (and inside each simulated candidate), drains every
+// between candidates (and before each candidate's simulation), drains every
 // worker goroutine, and returns an error wrapping errs.ErrCancelled. It is a
 // one-system Sweep.
 //

@@ -165,9 +165,9 @@ func TestSweepCancelled(t *testing.T) {
 	}
 }
 
-// TestSearchTracedMatchesUntraced: a traced search takes every simulated
-// point through sim.RunContext instead of the pooled session, emits into
-// the sink from several workers, and returns the untraced answer.
+// TestSearchTracedMatchesUntraced: a traced search emits into the sink
+// from the pooled sessions of several workers and returns the untraced
+// answer.
 func TestSearchTracedMatchesUntraced(t *testing.T) {
 	m, cl, tr, sp := planColdPoint()
 	want, err := SearchContext(context.Background(), MEPipe, m, cl, tr, sp)

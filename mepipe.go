@@ -241,9 +241,10 @@ func WithCheckpointEvery(n int) Option {
 }
 
 // Simulate runs one simulated iteration of s under the given cost model.
-// The context cancels long runs (the returned error then wraps
-// ErrCancelled); options attach tracing, memory budgets, the §5 dynamic
-// weight-gradient engine, and tail time:
+// The context is checked on entry — one simulated iteration is short — and
+// a cancelled one returns an error wrapping ErrCancelled; options attach
+// tracing, memory budgets, the §5 dynamic weight-gradient engine, and tail
+// time:
 //
 //	rec := mepipe.NewRecorder()
 //	res, err := mepipe.Simulate(ctx, s, costs,
