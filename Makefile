@@ -68,13 +68,17 @@ serve-smoke:
 # Optimizer smoke (docs/OPTIMIZER.md): a short fixed-seed annealing run,
 # the discovered-schedule regression gate — the checked-in schedule under
 # internal/opt/testdata must re-certify, re-simulate to its recorded
-# time, and still beat its recorded preset baseline — the certifier's
-# allocation floor on the annealer's proposals (a rejected proposal
-# allocates little beyond its counterexample), and a one-round replay of
-# the BENCH_opt harness.
+# time, and still beat its recorded preset baseline — the incremental
+# certifier's floor (Delta.Check ≥ 10× a full Certify per annealer
+# proposal at the 13B point's size, 0 allocs), the certifiers' allocation
+# floors on one-stage moves (Delta.Check allocates nothing; a rejected
+# Certify little beyond its counterexample), a short run of Delta's
+# differential fuzzer against Certify, and a one-round replay of the
+# BENCH_opt harness.
 opt-smoke:
-	$(GO) test ./internal/opt -run 'TestDiscoveredBeatsPresets|TestOptimizeSmoke' -count=1
-	$(GO) test ./internal/verify -run TestCertifyAllocs -count=1
+	$(GO) test ./internal/opt -run 'TestDiscoveredBeatsPresets|TestOptimizeSmoke|TestDeltaFloor' -count=1
+	$(GO) test ./internal/verify -run 'TestCertifyAllocs|TestDeltaAllocs' -count=1
+	$(GO) test ./internal/verify -run NONE -fuzz FuzzDeltaMatchesCertify -fuzztime 10s
 	$(GO) run ./cmd/mepipe-bench -opt -opt-iters 1 -opt-out $(CURDIR)/BENCH_opt_smoke.json
 
 # Optimizer throughput benchmark: replays the checked-in artifact's full

@@ -88,17 +88,27 @@ func proposeRebalance(rng *rand.Rand, c *candidate, maxShift int) {
 	k := rng.Intn(c.sched.P)
 	ops := c.ownStage(k)
 	c.stage = k
-	var ws []int
-	for i, op := range ops {
-		if op.Kind == sched.W || op.Kind == sched.WPiece {
-			ws = append(ws, i)
+	count := 0
+	for _, op := range ops {
+		if isWeightGrad(op) {
+			count++
 		}
 	}
-	if len(ws) == 0 {
+	if count == 0 {
 		proposeShiftAt(rng, c, k, maxShift)
 		return
 	}
-	from := ws[rng.Intn(len(ws))]
+	// The nth weight-gradient op, found in a second pass: no index slice.
+	from, nth := 0, rng.Intn(count)
+	for i, op := range ops {
+		if isWeightGrad(op) {
+			if nth == 0 {
+				from = i
+				break
+			}
+			nth--
+		}
+	}
 	to := rng.Intn(len(ops))
 	if to == from {
 		return
@@ -106,6 +116,10 @@ func proposeRebalance(rng *rand.Rand, c *candidate, maxShift int) {
 	c.op = ops[from]
 	displace(ops, from, to)
 }
+
+// isWeightGrad reports whether op is weight-gradient work, which the
+// rebalance move re-places.
+func isWeightGrad(op sched.Op) bool { return op.Kind == sched.W || op.Kind == sched.WPiece }
 
 // proposeShiftAt is proposeShift pinned to stage k (the rebalance
 // fallback, which already owns stage k), keeping the operator label

@@ -61,8 +61,12 @@ func TestMovesCertifyOrRejectBeforeSim(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			counter := &countingCosts{Costs: sim.Unit()}
 			var sess *sim.Session
+			delta := verify.NewDelta(budget)
+			if err := delta.Bind(base); err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < 500; i++ {
-				c := candidate{sched: cloneSchedule(base)}
+				c := candidate{sched: shareStages(base)}
 				op.apply(rng, &c)
 
 				// Every operator preserves the op multiset — the
@@ -80,7 +84,7 @@ func TestMovesCertifyOrRejectBeforeSim(t *testing.T) {
 				}
 
 				before := counter.opCalls
-				evaluate(&c, counter, budget, &sess)
+				evaluate(&c, counter, delta, &sess)
 				if fastErr != nil {
 					if c.feasible {
 						t.Fatalf("%s on %s: uncertified candidate marked feasible", op.name, base.Name)

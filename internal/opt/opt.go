@@ -5,8 +5,9 @@
 // deterministic simulated annealing over certified op reorderings. Three
 // neighbourhood operators (swap adjacent ops on a stage, shift an op
 // across a slot boundary, rebalance weight-gradient placement) generate
-// candidates; verify.Certify is the feasibility oracle and the
-// discrete-event simulator the cost oracle, so every accepted candidate
+// candidates; the certifier is the feasibility oracle (a verify.Delta
+// re-checks each move's window against the certified current state) and
+// the discrete-event simulator the cost oracle, so every accepted candidate
 // is provably deadlock-free and within the memory budget by
 // construction, and infeasible candidates are rejected before a single
 // simulated op runs.
@@ -194,6 +195,20 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	// search trajectory is untouched.
 	sessions := make([]*sim.Session, opt.Workers)
 
+	// Likewise every candidate is the current state with one stage
+	// reordered, so each worker certifies it with a fork of one Delta
+	// bound to the current state: a re-check of the moved window instead
+	// of a full Certify, with the same verdict. The binding moves with the
+	// current state, once per accepted round.
+	deltas := make([]*verify.Delta, opt.Workers)
+	deltas[0] = verify.NewDelta(opt.Budget)
+	if err := deltas[0].Bind(cur); err != nil {
+		return nil, fmt.Errorf("opt: binding the start schedule: %w", err)
+	}
+	for w := 1; w < len(deltas); w++ {
+		deltas[w] = deltas[0].Fork()
+	}
+
 	for round := 0; round < opt.Iters; round++ {
 		if ctx.Err() != nil {
 			return nil, fmt.Errorf("opt: search %w after %d rounds: %v", errs.ErrCancelled, round, ctx.Err())
@@ -206,7 +221,7 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 		u := rng.Float64()
 
 		forEachWorker(opt.Workers, len(cands), func(w, i int) {
-			evaluate(&cands[i], costs, opt.Budget, &sessions[w])
+			evaluate(&cands[i], costs, deltas[w], &sessions[w])
 		})
 
 		res.Proposed += len(cands)
@@ -228,6 +243,10 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 			delta := c.time - curTime
 			if delta < -eps || (temp > 0 && u < math.Exp(-delta/temp)) {
 				cur, curTime = c.sched, c.time
+				if err := deltas[0].Bind(cur); err != nil {
+					// Unreachable: Check certified the candidate.
+					return nil, fmt.Errorf("opt: accepted candidate failed to bind: %w", err)
+				}
 				res.Accepted++
 				accepted = pick
 				if curTime < bestTime-eps {
@@ -257,11 +276,12 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	return res, nil
 }
 
-// evaluate certifies the candidate and, only if it certifies, simulates
-// it through the worker's incremental session. Infeasible candidates
-// never reach the simulator — the property the package tests pin.
-func evaluate(c *candidate, costs sim.Costs, budget *verify.Budget, sess **sim.Session) {
-	if _, err := verify.Certify(c.sched, verify.Options{Budget: budget, AssumeComplete: true}); err != nil {
+// evaluate certifies the candidate through the worker's Delta and, only
+// if it certifies, simulates it through the worker's incremental session.
+// Infeasible candidates never reach the simulator — the property the
+// package tests pin.
+func evaluate(c *candidate, costs sim.Costs, delta *verify.Delta, sess **sim.Session) {
+	if err := delta.Check(c.sched, c.stage); err != nil {
 		c.feasible = false
 		return
 	}

@@ -6,12 +6,13 @@ import (
 )
 
 // forEachWorker runs fn over indices 0..n-1 using at most `workers`
-// goroutines and joins them all before returning. Each invocation also
-// receives the stable index w of the worker running it, so callers can
-// give every worker private scratch (the annealer binds one incremental
-// simulator session per worker). It is the package's only goroutine
-// launch point (allowlisted for the gospawn analyzer): workers pull
-// indices from an atomic cursor, run pure evaluations, and cannot
+// goroutines — the caller's, as worker 0, plus workers-1 spawned ones —
+// and joins them all before returning. Each invocation also receives the
+// stable index w of the worker running it, so callers can give every
+// worker private scratch (the annealer binds one incremental simulator
+// session and one certifier fork per worker). It is the package's only
+// goroutine launch point (allowlisted for the gospawn analyzer): workers
+// pull indices from an atomic cursor, run pure evaluations, and cannot
 // outlive the call — there is no channel, no shared mutable search
 // state, and no panic path that leaks a goroutine past the WaitGroup.
 func forEachWorker(workers, n int, fn func(w, i int)) {
@@ -21,31 +22,24 @@ func forEachWorker(workers, n int, fn func(w, i int)) {
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
 	var next atomic.Int64
+	run := func(w int) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(w, i)
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	defer wg.Wait() // joins the spawned workers even if worker 0 panics
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
+			run(w)
 		}()
 	}
-	wg.Wait()
-}
-
-// forEach is forEachWorker for callers that need no per-worker state.
-func forEach(workers, n int, fn func(i int)) {
-	forEachWorker(workers, n, func(_, i int) { fn(i) })
+	run(0)
 }

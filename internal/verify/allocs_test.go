@@ -9,12 +9,13 @@ import (
 	"mepipe/internal/verify"
 )
 
-// TestCertifyAllocs pins certification's allocation profile on the
-// optimizer's inner loop, a machine-independent floor for its cost:
-// proposals drawn from the discovered artifact's schedule (swaps and
-// displacements of up to 8 positions), certified as the annealer
-// certifies them. A rejected proposal may allocate little beyond the
-// *CycleError it returns; an accepted one only its certificate.
+// TestCertifyAllocs pins the full certifier's allocation profile on
+// one-stage moves, a machine-independent floor for its cost: proposals
+// drawn from the discovered artifact's schedule (swaps and displacements
+// of up to 8 positions), certified with AssumeComplete as callers that
+// need the counterexample certify them. A rejected proposal may allocate
+// little beyond the *CycleError it returns; an accepted one only its
+// certificate.
 func TestCertifyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -32,7 +33,7 @@ func TestCertifyAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var rejected, accepted int
 	for i := 0; i < 200; i++ {
-		s := proposal(rng, base)
+		s, _ := proposal(rng, base)
 		_, err := verify.Certify(s, opts)
 		limit := float64(maxAccepted)
 		if err != nil {
@@ -50,14 +51,57 @@ func TestCertifyAllocs(t *testing.T) {
 	}
 }
 
-// proposal copies base and applies one random swap or displacement of
-// up to 8 positions on one stage.
-func proposal(rng *rand.Rand, base *sched.Schedule) *sched.Schedule {
-	s := *base
-	s.Stages = make([][]sched.Op, len(base.Stages))
-	for k := range base.Stages {
-		s.Stages[k] = append([]sched.Op(nil), base.Stages[k]...)
+// TestDeltaAllocs pins Delta.Check at zero allocations per proposal
+// after binding, on the proposals TestCertifyAllocs draws, and its
+// verdicts to Certify's.
+func TestDeltaAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
 	}
-	verify.ApplyMove(&s, []byte{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))})
-	return &s
+	a, err := opt.Discovered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := a.DiscoveredSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := verify.Options{Budget: a.Budget(), AssumeComplete: true}
+	d := verify.NewDelta(a.Budget())
+	if err := d.Bind(base); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var rejected, accepted int
+	for i := 0; i < 200; i++ {
+		s, k := proposal(rng, base)
+		err := d.Check(s, k)
+		if _, want := verify.Certify(s, opts); (err == nil) != (want == nil) {
+			t.Fatalf("proposal %d: Check says %v, Certify %v", i, err, want)
+		}
+		if err != nil {
+			rejected++
+		} else {
+			accepted++
+		}
+		if n := testing.AllocsPerRun(10, func() { d.Check(s, k) }); n != 0 {
+			t.Fatalf("proposal %d (check error %v) allocates %v per Check, want 0", i, err, n)
+		}
+	}
+	if rejected == 0 || accepted == 0 {
+		t.Fatalf("want both outcomes, got %d rejected and %d accepted proposals", rejected, accepted)
+	}
+}
+
+// proposal applies one random swap or displacement of up to 8 positions
+// to a copy of base's header that clones the moved stage and shares the
+// others, as the optimizer builds its proposals, and returns the stage.
+func proposal(rng *rand.Rand, base *sched.Schedule) (*sched.Schedule, int) {
+	move := []byte{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))}
+	k := int(move[0]&0x7f) % base.P
+	s := *base
+	s.Stages = append([][]sched.Op(nil), base.Stages...)
+	s.Stages[k] = append([]sched.Op(nil), base.Stages[k]...)
+	verify.ApplyMove(&s, move)
+	return &s, k
 }

@@ -1,0 +1,515 @@
+package verify
+
+import (
+	"fmt"
+
+	"mepipe/internal/errs"
+	"mepipe/internal/sched"
+)
+
+// Delta certifies one-stage moves against a certified base schedule: the
+// schedule optimizer's inner loop, where every candidate is the current
+// state with one stage's op order perturbed. Binding runs one dense Kahn
+// pass over the base and keeps each op's topological rank; a Check then
+// costs O(window) instead of Certify's O(ops + edges).
+//
+// Why the window suffices. Let [lo, hi] be the positions where the
+// candidate's stage differs from the base's. Every program-order edge the
+// move adds has both ends among the ops at those positions, or leads from
+// the op before the window into it, or out of it to the op after it; the
+// latter two, and every edge the move leaves alone, still point forward in
+// the base's rank order. A cycle needs at least one backward edge, and
+// following forward edges from the end of one only raises the rank, so
+// every op on a new cycle ranks between the base's ops at lo and hi. Kahn
+// over that rank interval, with the candidate's order for the moved
+// stage, is therefore exact. The memory sweep is stage-local, and an
+// acyclic move keeps each family's F before its backward before its
+// weight-gradient work (same-stage dependencies), so retention outside
+// the window is the base's and only the window is re-swept.
+//
+// A Check returns nil exactly when Certify(cand, Options{Budget,
+// AssumeComplete: true}) would, but never builds a counterexample: a
+// rejection is a shared error wrapping errs.ErrUncertified. Callers that
+// need the minimal *CycleError or *BudgetError call Certify.
+//
+// Forks share the bound base and own private scratch, so workers may
+// Check concurrently; Bind must not run concurrently with any Check. The
+// bound schedule's op lists must not change while it is bound: Check
+// recognises an unmoved stage by identity, not by content.
+type Delta struct {
+	b *deltaBase
+
+	// Per-worker scratch, indexed by dense op id unless noted.
+	win   []int32  // the candidate's window ids, in candidate order
+	stamp []uint32 // duplicate detection over the window
+	epoch uint32
+	cnext []int32 // candidate program-order successor of a window op
+	indeg []int32
+	queue []int32
+	last  []int32 // by family: last window position of a WPiece
+}
+
+// deltaBase is the binding forks share: read-only between Binds.
+type deltaBase struct {
+	budget *Budget
+	base   *sched.Schedule
+
+	// dense is false when the base is outside the dense path's model
+	// (an incomplete op universe or out-of-shape dependencies); every
+	// Check then runs the full Certify.
+	dense bool
+	t     *sched.DepTable
+	x     sched.OpIndex
+
+	// By dense op id: position within its stage, base program-order
+	// successor (-1 at the end of a stage), and topological rank; order
+	// inverts rank.
+	pos   []int32
+	next  []int32
+	rank  []int32
+	order []int32
+
+	// The memory side, filled only when the budget caps stages. live is
+	// the base's retention on its stage after each op, by id; famB and
+	// gradB are each family's F and BAct footprints, relPos the stage
+	// position of the op that releases it.
+	capped      bool
+	live        []int64
+	famB, gradB []int64
+	relPos      []int32
+
+	// Bind-time scratch.
+	pieces []int32
+}
+
+var (
+	errMoveCycle  = fmt.Errorf("verify: move closes a dependency cycle: %w", errs.ErrUncertified)
+	errMoveBudget = fmt.Errorf("verify: move overflows its stage's memory budget: %w", errs.ErrUncertified)
+)
+
+// NewDelta returns an unbound Delta for the budget (nil certifies
+// structure only, like Certify). Bind it before the first Check.
+func NewDelta(budget *Budget) *Delta {
+	return &Delta{b: &deltaBase{budget: budget}}
+}
+
+// Fork returns a Delta that shares d's binding (and every later Bind on
+// either) with private scratch of its own.
+func (d *Delta) Fork() *Delta { return &Delta{b: d.b} }
+
+// Bind makes base the schedule later candidates are checked against, in
+// O(ops + edges). It returns Certify's error (with its counterexample)
+// when base does not certify under the budget with AssumeComplete, and
+// leaves the Delta falling back to Certify on every Check until the next
+// successful Bind.
+func (d *Delta) Bind(base *sched.Schedule) error {
+	b := d.b
+	b.base, b.dense = base, false
+	if base == nil || base.P <= 0 || base.V <= 0 || base.S <= 0 || base.N <= 0 ||
+		len(base.Stages) != base.P || base.Place == nil || !d.bindDense() {
+		_, err := Certify(base, Options{Budget: b.budget, AssumeComplete: true})
+		return err
+	}
+	return nil
+}
+
+// bindDense indexes the base, ranks it and sweeps its retention. It
+// returns false when the base is not modelled by the dense path, is
+// cyclic, or overflows the budget — the cases Bind hands to Certify.
+func (d *Delta) bindDense() bool {
+	b := d.b
+	s := b.base
+	t := s.DepTable()
+	x := t.Ix
+	total := x.Total()
+	n := 0
+	for _, ops := range s.Stages {
+		n += len(ops)
+	}
+	if n != total || t.Neg > 0 {
+		return false
+	}
+	b.t, b.x = t, x
+	d.grow(total, x.Families())
+	b.pos = kgrow(b.pos, total)
+	b.next = kgrow(b.next, total)
+	b.rank = kgrow(b.rank, total)
+	b.order = kgrow(b.order, total)
+	for i := range b.pos {
+		b.pos[i] = -1
+	}
+	for k, ops := range s.Stages {
+		prev := int32(-1)
+		for i, op := range ops {
+			id := x.ID(k, op)
+			if id < 0 || b.pos[id] >= 0 {
+				return false
+			}
+			b.pos[id] = int32(i)
+			d.indeg[id] = t.Off[id+1] - t.Off[id]
+			if prev >= 0 {
+				b.next[prev] = id
+				d.indeg[id]++
+			}
+			prev = id
+		}
+		if prev >= 0 {
+			b.next[prev] = -1
+		}
+	}
+	if !d.rank() {
+		return false
+	}
+	b.capped = b.budget != nil && b.budget.ActBudget != nil
+	if b.capped && (len(b.budget.ActBudget) != s.P || !b.sweepBase()) {
+		return false
+	}
+	b.dense = true
+	return true
+}
+
+// rank runs Kahn's algorithm over the base with a FIFO queue seeded in
+// id order and ranks ops in the order it takes them. A FIFO Kahn advances
+// every stage about one op per wave, so the ops of a stage that are close
+// in program order are close in rank, and a window of w positions spans
+// roughly w·P ranks. It returns false on a cycle.
+func (d *Delta) rank() bool {
+	b := d.b
+	t := b.t
+	queue := b.order[:0]
+	for id, deg := range d.indeg {
+		if deg == 0 {
+			queue = append(queue, int32(id))
+		}
+	}
+	for h := 0; h < len(queue); h++ {
+		u := queue[h]
+		b.rank[u] = int32(h)
+		for _, j := range t.OutID[t.OutOff[u]:t.OutOff[u+1]] {
+			if d.indeg[j]--; d.indeg[j] == 0 {
+				queue = append(queue, j)
+			}
+		}
+		if j := b.next[u]; j >= 0 {
+			if d.indeg[j]--; d.indeg[j] == 0 {
+				queue = append(queue, j)
+			}
+		}
+	}
+	return len(queue) == len(d.indeg)
+}
+
+// sweepBase replays the memory sweep's retention rules over the base,
+// recording each family's footprints, where it is released, and the
+// stage's retention after every op. The base is acyclic here, so each
+// family runs F, then its backward, then its weight-gradient work. It
+// returns false when the base overflows its budget.
+func (b *deltaBase) sweepBase() bool {
+	s, x := b.base, b.x
+	famBytes := func(stage int, op sched.Op) int64 { return 1 }
+	gradBytes := func(stage int, op sched.Op) int64 { return 0 }
+	if b.budget.FamilyBytes != nil {
+		famBytes = b.budget.FamilyBytes
+	}
+	if b.budget.GradBytes != nil {
+		gradBytes = b.budget.GradBytes
+	}
+	nf := x.Families()
+	b.famB = kgrow(b.famB, nf)
+	b.gradB = kgrow(b.gradB, nf)
+	b.relPos = kgrow(b.relPos, nf)
+	b.pieces = kgrow(b.pieces, nf)
+	clear(b.pieces)
+	b.live = kgrow(b.live, x.Total())
+	for k, ops := range s.Stages {
+		var live int64
+		for i, op := range ops {
+			id := x.ID(k, op)
+			f := x.FamilyOf(id)
+			lastPiece := false
+			switch op.Kind {
+			case sched.F:
+				b.famB[f], b.gradB[f] = famBytes(k, op), 0
+			case sched.BAct:
+				b.gradB[f] = gradBytes(k, op)
+			case sched.WPiece:
+				b.pieces[f]++
+				lastPiece = int(b.pieces[f]) == s.WPieces
+			}
+			if releases(op.Kind, lastPiece) {
+				b.relPos[f] = int32(i)
+			}
+			live += b.retention(op.Kind, f, lastPiece)
+			if live > b.budget.ActBudget[k] {
+				return false
+			}
+			b.live[id] = live
+		}
+	}
+	return true
+}
+
+// releases reports whether an op frees its family's retention under the
+// memory sweep's rules: a full backward, a weight gradient, or the
+// family's last weight-gradient piece.
+func releases(kind sched.Kind, lastPiece bool) bool {
+	return kind == sched.B || kind == sched.W || kind == sched.WPiece && lastPiece
+}
+
+// retention is the change an op of family f makes to its stage's
+// retention, the memory sweep's rule in the binding's footprints: a
+// forward retains the family's activations, a split backward adds its
+// gradient bytes, and a releasing op frees both.
+func (b *deltaBase) retention(kind sched.Kind, f int32, lastPiece bool) int64 {
+	switch {
+	case kind == sched.F:
+		return b.famB[f]
+	case kind == sched.BAct:
+		return b.gradB[f]
+	case releases(kind, lastPiece):
+		return -(b.famB[f] + b.gradB[f])
+	}
+	return 0
+}
+
+// grow sizes the per-worker scratch for a shape of total ops.
+//
+//mepipe:coldalloc first-touch growth of per-worker scratch, once per shape
+func (d *Delta) grow(total, families int) {
+	if len(d.stamp) == total && len(d.last) == families {
+		return
+	}
+	d.stamp = make([]uint32, total)
+	d.epoch = 0
+	d.cnext = make([]int32, total)
+	d.indeg = make([]int32, total)
+	d.last = make([]int32, families)
+	d.queue = make([]int32, 0, total)
+	d.win = make([]int32, 0, total/max(len(d.b.base.Stages), 1)+1)
+}
+
+// Check reports whether cand certifies, given that it equals the bound
+// base except for the order of ops on stage: every other stage must be
+// the base's own slice (as a move built by copying the base's Stages
+// header and cloning one stage leaves it), and cand must share the base's
+// shape and map every model chunk to the same host. A candidate outside
+// that contract gets the full Certify. The verdict is Certify(cand, Options{Budget, AssumeComplete:
+// true})'s; a rejection carries no counterexample.
+//
+//mepipe:hotpath
+func (d *Delta) Check(cand *sched.Schedule, stage int) error {
+	b := d.b
+	if !b.dense || !b.contract(cand, stage) {
+		return d.full(cand)
+	}
+	if len(d.stamp) != b.x.Total() {
+		d.grow(b.x.Total(), b.x.Families())
+	}
+	bops, cops := b.base.Stages[stage], cand.Stages[stage]
+	lo, hi, moved := diffWindow(bops, cops)
+	if !moved {
+		return nil // the base's own order
+	}
+	if !d.window(stage, bops, cops, lo, hi) {
+		return d.full(cand)
+	}
+	if !d.acyclic(stage, bops, lo, hi) {
+		return errMoveCycle
+	}
+	if b.capped && !d.fits(stage, cops, lo, hi) {
+		return errMoveBudget
+	}
+	return nil
+}
+
+// diffWindow returns the first and last positions where two equally long
+// op lists differ; moved is false when they do not.
+func diffWindow(bops, cops []sched.Op) (lo, hi int, moved bool) {
+	lo, hi = 0, len(cops)-1
+	for lo <= hi && cops[lo] == bops[lo] {
+		lo++
+	}
+	if lo > hi {
+		return 0, 0, false
+	}
+	for cops[hi] == bops[hi] {
+		hi--
+	}
+	return lo, hi, true
+}
+
+// contract reports whether c is a one-stage move of the base on stage k.
+func (b *deltaBase) contract(c *sched.Schedule, k int) bool {
+	s := b.base
+	if c == nil || c.P != s.P || c.V != s.V || c.S != s.S || c.N != s.N ||
+		c.SplitBW != s.SplitBW || c.WPieces != s.WPieces || c.Place == nil ||
+		len(c.Stages) != s.P || uint(k) >= uint(s.P) || len(c.Stages[k]) != len(s.Stages[k]) {
+		return false
+	}
+	for j, ops := range s.Stages {
+		if j != k && !sameSlice(c.Stages[j], ops) {
+			return false
+		}
+	}
+	return samePlace(c.Place, s.Place, s.P*s.V)
+}
+
+// samePlace reports whether two placements host each of the first chunks
+// global model chunks on the same stage and local chunk. Placements are
+// compared by their maps, not by value: a Placement need not be
+// comparable.
+func samePlace(a, b sched.Placement, chunks int) bool {
+	if a.Stages() != b.Stages() || a.ChunksPerStage() != b.ChunksPerStage() {
+		return false
+	}
+	for g := 0; g < chunks; g++ {
+		ka, la := a.Host(g)
+		kb, lb := b.Host(g)
+		if ka != kb || la != lb {
+			return false
+		}
+	}
+	return true
+}
+
+// sameSlice reports whether a and b are the same op list, not merely
+// equal ones.
+func sameSlice(a, b []sched.Op) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// window resolves the candidate's ops at [lo, hi] into d.win and chains
+// them in candidate order through d.cnext. It returns false unless they
+// are a permutation of the base's ops at those positions.
+func (d *Delta) window(k int, bops, cops []sched.Op, lo, hi int) bool {
+	b := d.b
+	d.epoch++
+	if d.epoch == 0 {
+		clear(d.stamp)
+		d.epoch = 1
+	}
+	win := d.win[:0]
+	for i := lo; i <= hi; i++ {
+		op := cops[i]
+		id := b.x.ID(k, op)
+		if id < 0 {
+			return false
+		}
+		p := int(b.pos[id])
+		if p < lo || p > hi || bops[p] != op || d.stamp[id] == d.epoch {
+			return false
+		}
+		d.stamp[id] = d.epoch
+		if len(win) > 0 {
+			d.cnext[win[len(win)-1]] = id
+		}
+		win = append(win, id)
+	}
+	d.cnext[win[len(win)-1]] = -1 // its successor ranks past the interval
+	d.win = win
+	return true
+}
+
+// acyclic runs Kahn's algorithm over the ops ranked between the base's
+// ops at lo and hi on stage k, with the candidate's order on stage k.
+// Stage k's ops in that interval are exactly its window.
+func (d *Delta) acyclic(k int, bops []sched.Op, lo, hi int) bool {
+	b := d.b
+	t := b.t
+	rlo, rhi := b.rank[b.x.ID(k, bops[lo])], b.rank[b.x.ID(k, bops[hi])]
+	order := b.order[rlo : rhi+1]
+	per := int32(b.x.PerStage())
+	kLo, kHi := int32(k)*per, int32(k+1)*per
+	for _, u := range order {
+		d.indeg[u] = 0
+	}
+	for _, u := range order {
+		for _, j := range t.OutID[t.OutOff[u]:t.OutOff[u+1]] {
+			if r := b.rank[j]; r >= rlo && r <= rhi {
+				d.indeg[j]++
+			}
+		}
+		if j := d.chainNext(u, kLo, kHi); j >= 0 {
+			if r := b.rank[j]; r >= rlo && r <= rhi {
+				d.indeg[j]++
+			}
+		}
+	}
+	queue := d.queue[:0]
+	for _, u := range order {
+		if d.indeg[u] == 0 {
+			queue = append(queue, u)
+		}
+	}
+	for h := 0; h < len(queue); h++ {
+		u := queue[h]
+		for _, j := range t.OutID[t.OutOff[u]:t.OutOff[u+1]] {
+			if r := b.rank[j]; r >= rlo && r <= rhi {
+				if d.indeg[j]--; d.indeg[j] == 0 {
+					queue = append(queue, j)
+				}
+			}
+		}
+		if j := d.chainNext(u, kLo, kHi); j >= 0 {
+			if r := b.rank[j]; r >= rlo && r <= rhi {
+				if d.indeg[j]--; d.indeg[j] == 0 {
+					queue = append(queue, j)
+				}
+			}
+		}
+	}
+	d.queue = queue
+	return len(queue) == len(order)
+}
+
+// chainNext is op u's program-order successor in the candidate: the
+// window's chain on the moved stage (ids in [kLo, kHi)), the base's
+// elsewhere.
+func (d *Delta) chainNext(u, kLo, kHi int32) int32 {
+	if u >= kLo && u < kHi {
+		return d.cnext[u]
+	}
+	return d.b.next[u]
+}
+
+// fits re-sweeps stage k's retention over the window, starting from the
+// base's retention just before it. A family's weight-gradient pieces
+// release it at the last piece in the candidate's order, which falls in
+// the window exactly when the base's release does.
+func (d *Delta) fits(k int, cops []sched.Op, lo, hi int) bool {
+	b := d.b
+	x := b.x
+	if b.base.WPieces > 0 {
+		for i, id := range d.win {
+			if cops[lo+i].Kind == sched.WPiece {
+				d.last[x.FamilyOf(id)] = int32(lo + i)
+			}
+		}
+	}
+	capK := b.budget.ActBudget[k]
+	var cur int64
+	if lo > 0 {
+		cur = b.live[x.ID(k, cops[lo-1])]
+	}
+	for i, id := range d.win {
+		f := x.FamilyOf(id)
+		kind := cops[lo+i].Kind
+		lastPiece := false
+		if kind == sched.WPiece {
+			rp := int(b.relPos[f])
+			lastPiece = rp >= lo && rp <= hi && int(d.last[f]) == lo+i
+		}
+		if cur += b.retention(kind, f, lastPiece); cur > capK {
+			return false
+		}
+	}
+	return true
+}
+
+// full is the out-of-contract path: the whole certifier.
+//
+//mepipe:coldalloc a candidate outside the one-stage contract pays for a full Certify
+func (d *Delta) full(cand *sched.Schedule) error {
+	_, err := Certify(cand, Options{Budget: d.b.budget, AssumeComplete: true})
+	return err
+}
