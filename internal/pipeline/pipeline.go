@@ -193,8 +193,8 @@ func (r *Runner) WithTrace(sink obs.Sink) *Runner {
 	return r
 }
 
-// WithKernels applies a GEMM kernel configuration (worker count, tile
-// sizes) to the shared kernel pool when the run starts. Kernel parallelism
+// WithKernels applies a GEMM kernel configuration (worker count, rows per
+// work unit) to the shared kernel pool when the run starts. Kernel parallelism
 // never changes results: work is partitioned by destination-row ownership,
 // so outputs are bitwise identical to serial execution.
 func (r *Runner) WithKernels(cfg tensor.KernelConfig) *Runner {

@@ -65,17 +65,42 @@ func BenchmarkKernels(b *testing.B) {
 // output y, weight w, and their gradients.
 type decoderLayer struct{ x, y, w, dx, dy, dw *Matrix }
 
+// decoderRows is one slice of the training benchmark's decoder (SeqLen 32
+// / S 4). decoderMix is the in×out weights of its eight linear layers
+// (hidden 64, FFN 256, vocab 256): the set the benchmark's gemmRate times.
+const decoderRows = 8
+
+var decoderMix = [][2]int{{64, 64}, {64, 64}, {64, 64}, {64, 64}, {64, 256}, {64, 256}, {256, 64}, {64, 256}}
+
+// benchDecoder times run over one decoder slice's layers of the given
+// in×out weight shapes; gemms is the number of GEMMs run performs per layer.
+func benchDecoder(b *testing.B, shapes [][2]int, gemms int, run func(decoderLayer)) {
+	rng := rand.New(rand.NewSource(78))
+	var layers []decoderLayer
+	var flop float64
+	for _, sh := range shapes {
+		in, out := sh[0], sh[1]
+		layers = append(layers, decoderLayer{randMat(rng, decoderRows, in), New(decoderRows, out), randMat(rng, in, out),
+			New(decoderRows, in), randMat(rng, decoderRows, out), New(in, out)})
+		flop += float64(gemms) * 2 * float64(decoderRows*in*out)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, l := range layers {
+			run(l)
+		}
+	}
+	b.ReportMetric(flop*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
 // BenchmarkDecoderSlice times the three GEMMs of a linear layer — forward
 // y += x·W, activation gradient dx += dy·Wᵀ, weight gradient dW += xᵀ·dy —
-// at the shapes the pipelined decoder runs them: one slice of 8 rows
-// (SeqLen 32 / S 4) through each in×out weight of the training benchmark's
-// model (hidden 64, FFN 256, vocab 256). The rows × in × out sub-benchmarks
-// take one weight shape; "mix" takes the eight linear layers the
-// benchmark's gemmRate times, and kernel "all" runs the three GEMMs of
-// each layer, so all/mix is the rate gemmRate reports.
+// at the shapes the pipelined decoder runs them. The rows × in × out
+// sub-benchmarks take one weight shape; "mix" takes decoderMix, and kernel
+// "all" runs the three GEMMs of each layer, so all/mix is the rate
+// gemmRate reports.
 func BenchmarkDecoderSlice(b *testing.B) {
-	const rows, h, f, v = 8, 64, 256, 256
-	mix := [][2]int{{h, h}, {h, h}, {h, h}, {h, h}, {h, f}, {h, f}, {f, h}, {h, v}}
+	const h, f = 64, 256
 	serial := NewPool(KernelConfig{Workers: 1})
 	defer serial.Close()
 	kernels := []struct {
@@ -92,30 +117,12 @@ func BenchmarkDecoderSlice(b *testing.B) {
 			serial.MatMulAT(l.dw, l.x, l.dy)
 		}},
 	}
-	bench := func(b *testing.B, shapes [][2]int, gemms int, run func(decoderLayer)) {
-		rng := rand.New(rand.NewSource(78))
-		var layers []decoderLayer
-		var flop float64
-		for _, sh := range shapes {
-			in, out := sh[0], sh[1]
-			layers = append(layers, decoderLayer{randMat(rng, rows, in), New(rows, out), randMat(rng, in, out),
-				New(rows, in), randMat(rng, rows, out), New(in, out)})
-			flop += float64(gemms) * 2 * float64(rows*in*out)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, l := range layers {
-				run(l)
-			}
-		}
-		b.ReportMetric(flop*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-	}
 	for _, kern := range kernels {
 		for _, sh := range [][2]int{{h, h}, {h, f}, {f, h}} {
-			b.Run(fmt.Sprintf("%s/%dx%dx%d", kern.name, rows, sh[0], sh[1]), func(b *testing.B) {
-				bench(b, [][2]int{sh}, kern.gemms, kern.run)
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", kern.name, decoderRows, sh[0], sh[1]), func(b *testing.B) {
+				benchDecoder(b, [][2]int{sh}, kern.gemms, kern.run)
 			})
 		}
-		b.Run(kern.name+"/mix", func(b *testing.B) { bench(b, mix, kern.gemms, kern.run) })
+		b.Run(kern.name+"/mix", func(b *testing.B) { benchDecoder(b, decoderMix, kern.gemms, kern.run) })
 	}
 }

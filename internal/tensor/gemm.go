@@ -2,13 +2,13 @@ package tensor
 
 import "fmt"
 
-// The three GEMM variants below are cache-tiled and may run on the shared
-// worker pool (pool.go). Parallelism always partitions the destination rows
-// into tiles owned by exactly one worker, and within every destination
-// element the reduction order over k is strictly ascending with a single
-// accumulator — so the result is bitwise identical for any worker count,
-// any tile size, and identical to the naive reference kernels kept at the
-// bottom of this file.
+// The three GEMM variants below may run on the shared worker pool
+// (pool.go). Parallelism always partitions the destination rows into tiles
+// owned by exactly one worker, and within every destination element the
+// reduction order over k is strictly ascending with a single accumulator —
+// so the result is bitwise identical for any worker count, any tile size,
+// and identical to the naive reference kernels kept at the bottom of this
+// file.
 
 // gemmKind selects which transpose variant a row range executes.
 type gemmKind uint8
@@ -58,10 +58,10 @@ func MatMulAT(dst, a, b *Matrix) {
 
 // gemmRange executes one variant over destination rows [i0, i1) — the unit
 // of work a pool worker owns. Serial execution is gemmRange over [0, Rows).
-func gemmRange(kind gemmKind, dst, a, b *Matrix, i0, i1 int, cfg KernelConfig) {
+func gemmRange(kind gemmKind, dst, a, b *Matrix, i0, i1 int) {
 	switch kind {
 	case kindMM:
-		matMulRange(dst, a, b, i0, i1, cfg)
+		matMulRange(dst, a, b, i0, i1)
 	case kindBT:
 		matMulBTRange(dst, a, b, i0, i1)
 	case kindAT:
@@ -69,33 +69,30 @@ func gemmRange(kind gemmKind, dst, a, b *Matrix, i0, i1 int, cfg KernelConfig) {
 	}
 }
 
-// matMulRange tiles over k (operand reuse) and n (dst-row working set); the
-// per-element accumulation order stays ascending in k because k tiles are
-// visited in order and each (i, j) is touched once per k step.
-func matMulRange(dst, a, b *Matrix, i0, i1 int, cfg KernelConfig) {
+// On amd64, axpy and matMulBTRange are SSE leaves (gemm_amd64.s), and
+// matMulRange and matMulATRange run a register-blocked SSE micro-kernel
+// that leaves only the edges to matMulCols and matMulATCols. Elsewhere
+// gemm_generic.go routes all of them to the Go loops of this file;
+// axpyGo and matMulBTRangeGo stay compiled on amd64 as the differential
+// oracles of their assembly.
+
+// matMulCols is MatMul restricted to dst rows [i0, i1) and columns
+// [j0, n): one axpy per row and nonzero a element, in ascending k.
+func matMulCols(dst, a, b *Matrix, i0, i1, j0 int) {
 	k, n := a.Cols, b.Cols
-	for j0 := 0; j0 < n; j0 += cfg.TileN {
-		j1 := min(j0+cfg.TileN, n)
-		for k0 := 0; k0 < k; k0 += cfg.TileK {
-			k1 := min(k0+cfg.TileK, k)
-			for i := i0; i < i1; i++ {
-				ar := a.Data[i*k : (i+1)*k]
-				dr := dst.Data[i*n+j0 : i*n+j1]
-				for kk := k0; kk < k1; kk++ {
-					av := ar[kk]
-					if av == 0 {
-						continue
-					}
-					axpy(dr, b.Data[kk*n+j0:kk*n+j1], av)
-				}
+	if j0 == n {
+		return
+	}
+	for i := i0; i < i1; i++ {
+		dr := dst.Data[i*n+j0 : (i+1)*n]
+		for kk, av := range a.Data[i*k : (i+1)*k] {
+			if av == 0 {
+				continue
 			}
+			axpy(dr, b.Data[kk*n+j0:(kk+1)*n], av)
 		}
 	}
 }
-
-// The two leaves below, axpy and matMulBTRange, have SSE versions on amd64
-// (gemm_amd64.s); elsewhere gemm_generic.go routes them to these Go loops,
-// which stay compiled everywhere as the differential oracle of the assembly.
 
 // axpyGo computes dst += a·x, 4×-unrolled. Each dst[j] is written by
 // exactly one statement, so the unroll does not change accumulation order.
@@ -150,20 +147,23 @@ func matMulBTRangeGo(dst, a, b *Matrix, i0, i1 int) {
 	}
 }
 
-// matMulATRange keeps the reference loop order (outer k so a and b stream
-// row-wise) but restricted to dst rows [i0, i1); a narrow row range keeps
-// the dst tile resident across the k sweep.
-func matMulATRange(dst, a, b *Matrix, i0, i1 int) {
+// matMulATCols is MatMulAT restricted to dst rows [i0, i1) and columns
+// [j0, n). It keeps the reference loop order (outer k, so a and b stream
+// row-wise): one axpy per k step and nonzero a element.
+func matMulATCols(dst, a, b *Matrix, i0, i1, j0 int) {
 	k, m, n := a.Rows, a.Cols, b.Cols
+	if j0 == n {
+		return
+	}
 	for kk := 0; kk < k; kk++ {
 		ar := a.Data[kk*m : (kk+1)*m]
-		br := b.Data[kk*n : (kk+1)*n]
+		br := b.Data[kk*n+j0 : (kk+1)*n]
 		for i := i0; i < i1; i++ {
 			av := ar[i]
 			if av == 0 {
 				continue
 			}
-			axpy(dst.Data[i*n:(i+1)*n], br, av)
+			axpy(dst.Data[i*n+j0:(i+1)*n], br, av)
 		}
 	}
 }

@@ -153,3 +153,109 @@ store:
 	MOVUPS X2, 32(DI)
 	MOVUPS X3, 48(DI)
 	RET
+
+// MADD adds one k step's products into one row of the 4×8 block: lane
+// SEL of X10 (the row's a value) broadcast, times the b row in X8:X9,
+// added into the row's accumulators LO:HI. T0 and T1 are scratch.
+#define MADD(SEL, T0, T1, LO, HI) \
+	PSHUFD SEL, X10, T0;  \
+	MOVAPS T0, T1;        \
+	MULPS  X8, T0;        \
+	MULPS  X9, T1;        \
+	ADDPS  T0, LO;        \
+	ADDPS  T1, HI
+
+// func panel4x8(dst []float32, ldd int, a []float32, lda int, b []float32, ldb, k, n8 int)
+//
+// For each of n8 blocks of eight columns, X0..X7 hold the 4×8 block of
+// dst (row r in X(2r):X(2r+1)) across all k steps. Step t reads the four
+// a values a[t·lda : t·lda+4] and the b row b[t·ldb : t·ldb+8], block
+// offset added. A step with a ±0 a value takes the masked path, which
+// leaves that row alone. Strides are in floats.
+TEXT ·panel4x8(SB), NOSPLIT, $0-112
+	MOVQ dst_base+0(FP), DI
+	MOVQ ldd+24(FP), R8
+	MOVQ a_base+32(FP), SI
+	MOVQ lda+56(FP), R9
+	MOVQ b_base+64(FP), DX
+	MOVQ ldb+88(FP), R10
+	MOVQ n8+104(FP), BX
+	SHLQ $2, R8
+	SHLQ $2, R9
+	SHLQ $2, R10
+	LEAQ (R8)(R8*2), R11 // byte offset of dst row 3
+	TESTQ BX, BX
+	JZ   done
+
+block:
+	MOVUPS (DI), X0
+	MOVUPS 16(DI), X1
+	MOVUPS (DI)(R8*1), X2
+	MOVUPS 16(DI)(R8*1), X3
+	MOVUPS (DI)(R8*2), X4
+	MOVUPS 16(DI)(R8*2), X5
+	MOVUPS (DI)(R11*1), X6
+	MOVUPS 16(DI)(R11*1), X7
+	MOVQ   SI, R12 // a values of step t
+	MOVQ   DX, R13 // b row of step t
+	MOVQ   k+96(FP), AX
+	TESTQ  AX, AX
+	JZ     store
+
+step:
+	MOVUPS   (R13), X8
+	MOVUPS   16(R13), X9
+	MOVUPS   (R12), X10
+	XORPS    X11, X11
+	CMPPS    X10, X11, $0 // lane r all ones where a_r == ±0
+	MOVMSKPS X11, CX
+	TESTL    CX, CX
+	JNZ      masked
+	MADD($0x00, X11, X12, X0, X1)
+	MADD($0x55, X13, X14, X2, X3)
+	MADD($0xAA, X11, X12, X4, X5)
+	MADD($0xFF, X13, X14, X6, X7)
+
+next:
+	ADDQ R9, R12
+	ADDQ R10, R13
+	DECQ AX
+	JNZ  step
+
+store:
+	MOVUPS X0, (DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, (DI)(R8*1)
+	MOVUPS X3, 16(DI)(R8*1)
+	MOVUPS X4, (DI)(R8*2)
+	MOVUPS X5, 16(DI)(R8*2)
+	MOVUPS X6, (DI)(R11*1)
+	MOVUPS X7, 16(DI)(R11*1)
+	ADDQ   $32, DI
+	ADDQ   $32, DX
+	DECQ   BX
+	JNZ    block
+
+done:
+	RET
+
+masked:
+	TESTL $1, CX
+	JNZ   skip0
+	MADD($0x00, X11, X12, X0, X1)
+
+skip0:
+	TESTL $2, CX
+	JNZ   skip1
+	MADD($0x55, X13, X14, X2, X3)
+
+skip1:
+	TESTL $4, CX
+	JNZ   skip2
+	MADD($0xAA, X11, X12, X4, X5)
+
+skip2:
+	TESTL $8, CX
+	JNZ   next
+	MADD($0xFF, X13, X14, X6, X7)
+	JMP   next

@@ -6,4 +6,8 @@ package tensor
 
 func axpy(dst, x []float32, a float32) { axpyGo(dst, x, a) }
 
+func matMulRange(dst, a, b *Matrix, i0, i1 int) { matMulCols(dst, a, b, i0, i1, 0) }
+
+func matMulATRange(dst, a, b *Matrix, i0, i1 int) { matMulATCols(dst, a, b, i0, i1, 0) }
+
 func matMulBTRange(dst, a, b *Matrix, i0, i1 int) { matMulBTRangeGo(dst, a, b, i0, i1) }

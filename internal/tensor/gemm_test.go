@@ -74,8 +74,9 @@ func firstBitDiff(got, want []float32) int {
 
 // TestGemmEdgeShapes runs every variant over shapes that stress tile and
 // SIMD boundaries: non-divisible dims, single rows/columns, k == 1, an
-// empty reduction, the decoder's 8-row slice shapes, and every m, k, n in
-// 1–9 (the tails of the 4- and 8-wide SIMD loops).
+// empty reduction, the decoder's 8-row slice shapes (MatMul's 8 rows and
+// MatMulAT's 8-row reduction), and every m, k, n in 1–9 (the tails of the
+// 4- and 8-wide SIMD loops).
 func TestGemmEdgeShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	shapes := [][3]int{
@@ -88,6 +89,11 @@ func TestGemmEdgeShapes(t *testing.T) {
 	for _, k := range []int{16, 64, 256} {
 		for _, n := range []int{16, 64, 256} {
 			shapes = append(shapes, [3]int{8, k, n})
+		}
+	}
+	for _, m := range []int{64, 256} {
+		for _, n := range []int{64, 256} {
+			shapes = append(shapes, [3]int{m, 8, n})
 		}
 	}
 	for m := 1; m <= 9; m++ {
@@ -116,14 +122,16 @@ func TestGemmEdgeShapes(t *testing.T) {
 }
 
 // TestGemmBitwiseSerialVsParallel: the same multiplication through a
-// 1-worker pool, an 8-worker pool, odd tile sizes, and the naive reference
-// must be bitwise identical — the determinism contract of the kernels.
+// 1-worker pool, an 8-worker pool with an odd row tile, and the naive
+// reference must be bitwise identical — the determinism contract of the
+// kernels.
 func TestGemmBitwiseSerialVsParallel(t *testing.T) {
 	serial := NewPool(KernelConfig{Workers: 1})
 	defer serial.Close()
-	// TileM 5 forces uneven tile ownership; tiny tiles exercise the loop
-	// tails. The FLOP cutoff is bypassed by sizing the product above it.
-	wide := NewPool(KernelConfig{Workers: 8, TileM: 5, TileN: 19, TileK: 23})
+	// TileM 5 forces uneven tile ownership, and every tile ends in a row
+	// edge of the 4-row micro-kernel. The FLOP cutoff is bypassed by sizing
+	// the product above it.
+	wide := NewPool(KernelConfig{Workers: 8, TileM: 5})
 	defer wide.Close()
 
 	rng := rand.New(rand.NewSource(42))

@@ -8,9 +8,10 @@ import (
 )
 
 // KernelConfig sizes the GEMM kernels: how many workers cooperate on one
-// multiplication and how the loops are tiled. The zero value of any field
-// selects the default. Tile sizes never affect results (accumulation order
-// per destination element is fixed); they only affect speed.
+// multiplication and how many destination rows each work unit holds. The
+// zero value of any field selects the default. Neither affects results
+// (accumulation order per destination element is fixed); they only affect
+// speed.
 type KernelConfig struct {
 	// Workers is the total number of participants in one GEMM, including
 	// the calling goroutine. <= 0 means GOMAXPROCS.
@@ -18,16 +19,10 @@ type KernelConfig struct {
 	// TileM is the number of destination rows per work unit handed to a
 	// worker. <= 0 means 32.
 	TileM int
-	// TileN is the destination-column tile of the MM variant. <= 0 means 256.
-	TileN int
-	// TileK is the reduction-dimension tile of the MM variant. <= 0 means 256.
-	TileK int
 }
 
 const (
 	defaultTileM = 32
-	defaultTileN = 256
-	defaultTileK = 256
 
 	// parallelFLOPCutoff is the GEMM cost below which fan-out costs more
 	// than it saves and the calling goroutine runs the kernel alone.
@@ -45,12 +40,6 @@ func (c KernelConfig) withDefaults() KernelConfig {
 	}
 	if c.TileM <= 0 {
 		c.TileM = defaultTileM
-	}
-	if c.TileN <= 0 {
-		c.TileN = defaultTileN
-	}
-	if c.TileK <= 0 {
-		c.TileK = defaultTileK
 	}
 	return c
 }
@@ -71,7 +60,6 @@ type gemmJob struct {
 	kind       gemmKind
 	dst, a, b  *Matrix
 	rows, tile int
-	cfg        KernelConfig
 	cursor     atomic.Int64
 	wg         sync.WaitGroup
 }
@@ -120,7 +108,7 @@ func (j *gemmJob) work() {
 		if i0 >= j.rows {
 			return
 		}
-		gemmRange(j.kind, j.dst, j.a, j.b, i0, min(i0+j.tile, j.rows), j.cfg)
+		gemmRange(j.kind, j.dst, j.a, j.b, i0, min(i0+j.tile, j.rows))
 	}
 }
 
@@ -130,7 +118,7 @@ func (j *gemmJob) work() {
 func (p *Pool) run(kind gemmKind, dst, a, b *Matrix, rows int) {
 	j := jobPool.Get().(*gemmJob)
 	j.kind, j.dst, j.a, j.b = kind, dst, a, b
-	j.rows, j.tile, j.cfg = rows, p.cfg.TileM, p.cfg
+	j.rows, j.tile = rows, p.cfg.TileM
 	j.cursor.Store(0)
 	helpers := p.cfg.Workers - 1
 	j.wg.Add(helpers)
@@ -174,7 +162,7 @@ func (p *Pool) MatMulAT(dst, a, b *Matrix) {
 // with fewer row tiles than workers could share) stay on the caller.
 func (p *Pool) gemm(kind gemmKind, dst, a, b *Matrix, rows int, flops int64) {
 	if p.cfg.Workers < 2 || flops < parallelFLOPCutoff || rows < 2*p.cfg.TileM {
-		gemmRange(kind, dst, a, b, 0, rows, p.cfg)
+		gemmRange(kind, dst, a, b, 0, rows)
 		return
 	}
 	p.run(kind, dst, a, b, rows)

@@ -9,14 +9,14 @@ import (
 )
 
 // Kernel configuration. The live runtime's GEMMs run on a shared persistent
-// worker pool with cache-tiled loops; work is partitioned by destination-row
-// ownership, so results are bitwise identical for any worker count — the
-// sim-vs-runtime equivalence guarantees are unaffected by parallelism. See
-// docs/PERFORMANCE.md.
+// worker pool with register-blocked loops; work is partitioned by
+// destination-row ownership, so results are bitwise identical for any
+// worker count — the sim-vs-runtime equivalence guarantees are unaffected
+// by parallelism. See docs/PERFORMANCE.md.
 type KernelConfig = tensor.KernelConfig
 
 // ConfigureKernels replaces the process-wide GEMM worker pool (worker count,
-// tile sizes) and returns the resolved configuration. Zero fields select
+// rows per work unit) and returns the resolved configuration. Zero fields select
 // defaults (Workers: GOMAXPROCS). Call it at startup, not concurrently with
 // running kernels.
 func ConfigureKernels(cfg KernelConfig) KernelConfig { return tensor.Configure(cfg) }
