@@ -69,16 +69,19 @@ serve-smoke:
 # the discovered-schedule regression gate — the checked-in schedule under
 # internal/opt/testdata must re-certify, re-simulate to its recorded
 # time, and still beat its recorded preset baseline — the incremental
-# certifier's floor (Delta.Check ≥ 10× a full Certify per annealer
-# proposal at the 13B point's size, 0 allocs), the certifiers' allocation
-# floors on one-stage moves (Delta.Check allocates nothing; a rejected
-# Certify little beyond its counterexample), a short run of Delta's
-# differential fuzzer against Certify, and a one-round replay of the
+# certifier's floors at the 13B point's size (Delta.Check ≥ 10× a full
+# Certify per annealer proposal, and Delta.Rebind ≥ 10× a full Bind per
+# accepted move, both at 0 allocs), the certifiers' allocation floors on
+# one-stage moves (Delta.Check allocates nothing; a rejected Certify
+# little beyond its counterexample), Rebind's seeded differential test
+# against a fresh Bind, short runs of Delta's differential fuzzers (Check
+# against Certify, Rebind against Bind), and a one-round replay of the
 # BENCH_opt harness.
 opt-smoke:
 	$(GO) test ./internal/opt -run 'TestDiscoveredBeatsPresets|TestOptimizeSmoke|TestDeltaFloor' -count=1
-	$(GO) test ./internal/verify -run 'TestCertifyAllocs|TestDeltaAllocs' -count=1
+	$(GO) test ./internal/verify -run 'TestCertifyAllocs|TestDeltaAllocs|TestDeltaRebindMatchesBind' -count=1
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzDeltaMatchesCertify -fuzztime 10s
+	$(GO) test ./internal/verify -run NONE -fuzz FuzzDeltaRebind -fuzztime 10s
 	$(GO) run ./cmd/mepipe-bench -opt -opt-iters 1 -opt-out $(CURDIR)/BENCH_opt_smoke.json
 
 # Optimizer throughput benchmark: replays the checked-in artifact's full
@@ -95,8 +98,10 @@ opt-regen:
 
 # Simulator fast-path smoke (docs/PERFORMANCE.md): the bitwise
 # session/batch equivalence tables against the reference runner and the
-# edge-case regressions, the incremental-replay floor (Session.Eval ≥ 3×
-# the reference full replay at 0 allocs per candidate), the planning-grid
+# edge-case regressions, the incremental-replay floors (Session.Eval ≥ 3×
+# the reference full replay at 0 allocs per candidate, and ≥ 2× the
+# session's own dense sweep per certified shift proposal at the 13B
+# point, 0 allocs), the planning-grid
 # check (pooled evaluation vs the reference runner, traces included), a
 # short run of the differential fuzzer, and the discovered-artifact
 # session replay gate.

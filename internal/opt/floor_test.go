@@ -66,10 +66,67 @@ func BenchmarkDeltaProposal(b *testing.B) {
 	}
 }
 
-// TestDeltaFloor is the incremental certifier's floor as a gate: per
-// annealer proposal at the 13B point's size, Delta.Check must run at
-// least 10× faster than the full Certify it replaces, with the same
-// verdicts, and allocate nothing.
+// acceptedWorkload is floorWorkload's proposals that certify: the moves
+// an annealer could accept, each with the Delta bound to their base.
+func acceptedWorkload(tb testing.TB) (*sched.Schedule, *verify.Delta, []candidate) {
+	tb.Helper()
+	s, budget, cands := floorWorkload(tb)
+	d := verify.NewDelta(budget)
+	if err := d.Bind(s); err != nil {
+		tb.Fatal(err)
+	}
+	var acc []candidate
+	for _, c := range cands {
+		if d.Check(c.sched, c.stage) == nil {
+			acc = append(acc, c)
+		}
+	}
+	if len(acc) == 0 {
+		tb.Fatal("no proposal certifies")
+	}
+	return s, d, acc
+}
+
+// benchAccept binds d to each accepted proposal in turn and back to its
+// base, one accept per iteration: the annealer's bind on accept.
+func benchAccept(b *testing.B, bind func(d *verify.Delta, s *sched.Schedule, stage int) error) {
+	s, d, acc := acceptedWorkload(b)
+	step := func(i int) {
+		c := &acc[i/2%len(acc)]
+		to := c.sched
+		if i%2 == 1 {
+			to = s
+		}
+		if err := bind(d, to, c.stage); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 2*len(acc); i++ {
+		step(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i)
+	}
+}
+
+// BenchmarkBindAccept is what moving the binding to an accepted move cost
+// before Rebind: a full Bind.
+func BenchmarkBindAccept(b *testing.B) {
+	benchAccept(b, func(d *verify.Delta, s *sched.Schedule, _ int) error { return d.Bind(s) })
+}
+
+// BenchmarkRebindAccept moves it by Rebind over the move's window.
+func BenchmarkRebindAccept(b *testing.B) {
+	benchAccept(b, func(d *verify.Delta, s *sched.Schedule, stage int) error { return d.Rebind(s, stage) })
+}
+
+// TestDeltaFloor is the incremental certifier's floor as a gate, at the
+// 13B point's size. Per annealer proposal, Delta.Check must run at least
+// 10× faster than the full Certify it replaces, with the same verdicts,
+// and allocate nothing. Per accepted move, Rebind must run at least 10×
+// faster than the full Bind it replaces, and allocate nothing.
 func TestDeltaFloor(t *testing.T) {
 	s, budget, cands := floorWorkload(t)
 	d := verify.NewDelta(budget)
@@ -86,19 +143,23 @@ func TestDeltaFloor(t *testing.T) {
 			rejected++
 		}
 	}
-	full := testing.Benchmark(BenchmarkCertifyProposal)
-	inc := testing.Benchmark(BenchmarkDeltaProposal)
-	if full.N == 0 || inc.N == 0 {
-		t.Fatal("a benchmark failed to run")
-	}
 	perOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
-	ratio := perOp(full) / perOp(inc)
-	t.Logf("%d of %d proposals rejected; Certify %.0f ns, %d allocs; Delta.Check %.0f ns, %d allocs; %.1f×",
-		rejected, len(cands), perOp(full), full.AllocsPerOp(), perOp(inc), inc.AllocsPerOp(), ratio)
-	if a := inc.AllocsPerOp(); a != 0 {
-		t.Errorf("Delta.Check allocates %d times per proposal, want 0", a)
+	floor := func(what, base string, full, inc testing.BenchmarkResult) {
+		t.Helper()
+		if full.N == 0 || inc.N == 0 {
+			t.Fatalf("a %s benchmark failed to run", what)
+		}
+		ratio := perOp(full) / perOp(inc)
+		t.Logf("%s %.0f ns, %d allocs; %s %.0f ns, %d allocs; %.1f×",
+			base, perOp(full), full.AllocsPerOp(), what, perOp(inc), inc.AllocsPerOp(), ratio)
+		if a := inc.AllocsPerOp(); a != 0 {
+			t.Errorf("%s allocates %d times per op, want 0", what, a)
+		}
+		if ratio < 10 {
+			t.Errorf("%s is %.2f× the full %s, want ≥ 10×", what, ratio, base)
+		}
 	}
-	if ratio < 10 {
-		t.Errorf("Delta.Check is %.2f× the full Certify, want ≥ 10×", ratio)
-	}
+	t.Logf("%d of %d proposals rejected", rejected, len(cands))
+	floor("Delta.Check", "Certify", testing.Benchmark(BenchmarkCertifyProposal), testing.Benchmark(BenchmarkDeltaProposal))
+	floor("Delta.Rebind", "Bind", testing.Benchmark(BenchmarkBindAccept), testing.Benchmark(BenchmarkRebindAccept))
 }

@@ -187,19 +187,21 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	cands := make([]candidate, opt.Proposals)
 
 	// Every candidate is a permutation of the seed's ops, so each worker
-	// binds one incremental simulator session and re-propagates only the
-	// window each move disturbs instead of replaying the whole pipeline.
-	// Sessions affect wall-clock only: Eval is bitwise-identical to a
-	// full sim.Run (the sim package's differential fuzzer gates this),
-	// and the random stream above is drawn before evaluation, so the
-	// search trajectory is untouched.
+	// binds one incremental simulator session, which re-sorts only the
+	// rank interval each move disturbs and re-solves the ops from the
+	// first moved rank onward, each once, instead of replaying the whole
+	// pipeline. Sessions affect wall-clock only: Eval is bitwise-identical
+	// to a full sim.Run (the sim package's differential fuzzer gates
+	// this), and the random stream above is drawn before evaluation, so
+	// the search trajectory is untouched.
 	sessions := make([]*sim.Session, opt.Workers)
 
 	// Likewise every candidate is the current state with one stage
 	// reordered, so each worker certifies it with a fork of one Delta
 	// bound to the current state: a re-check of the moved window instead
 	// of a full Certify, with the same verdict. The binding moves with the
-	// current state, once per accepted round.
+	// current state, once per accepted round, by a Rebind over the
+	// accepted move's window.
 	deltas := make([]*verify.Delta, opt.Workers)
 	deltas[0] = verify.NewDelta(opt.Budget)
 	if err := deltas[0].Bind(cur); err != nil {
@@ -243,7 +245,7 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 			delta := c.time - curTime
 			if delta < -eps || (temp > 0 && u < math.Exp(-delta/temp)) {
 				cur, curTime = c.sched, c.time
-				if err := deltas[0].Bind(cur); err != nil {
+				if err := deltas[0].Rebind(cur, c.stage); err != nil {
 					// Unreachable: Check certified the candidate.
 					return nil, fmt.Errorf("opt: accepted candidate failed to bind: %w", err)
 				}

@@ -12,7 +12,7 @@ import (
 // engState is the Session's dynamic-mode (§5) execution engine: a dense
 // replay of the reference runner's event loop (oracle_test.go) over the
 // session's id tables. Dynamic W drain order depends on runtime decisions
-// across stages, so there is no local window to re-propagate — instead the
+// across stages, so there is no local window to re-solve — instead the
 // engine mirrors the runner op-for-op (same tie-breaks, same math.Max
 // calls, same epsilon, same trace events) on arrays that are allocated
 // once and reused across Evals.

@@ -1,0 +1,132 @@
+package sim_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"mepipe/internal/cluster"
+	"mepipe/internal/config"
+	"mepipe/internal/memplan"
+	"mepipe/internal/perf"
+	"mepipe/internal/sched"
+	"mepipe/internal/sim"
+	"mepipe/internal/verify"
+)
+
+// orderFloorWorkload is the annealer's large point: the MEPipe schedule
+// the strategy search builds for Llama-13B on 32 RTX 4090s (PP=8, DP=4,
+// SPP=4, N=16, 7 weight-gradient pieces: 4,608 ops) with its real cost
+// model, and 64 of the optimizer's shift proposals drawn from it that
+// certify — the candidates a worker session evaluates, each differing
+// from the one before on two stages.
+func orderFloorWorkload(tb testing.TB) (sim.Options, []*sched.Schedule) {
+	tb.Helper()
+	par := config.Parallel{PP: 8, DP: 4, CP: 1, SPP: 4, VP: 1}
+	tr := config.Training{GlobalBatch: 64, MicroBatch: 1}
+	m := config.Llama13B()
+	mesh, err := cluster.NewMesh(cluster.RTX4090Cluster(4), par)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, err := tr.MicroBatches(par)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan, err := memplan.NewWithReserve(m, mesh, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	costs, err := perf.New(m, mesh)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fam := costs.ActBytes(0, sched.Op{Kind: sched.F})
+	grad := costs.GradBytes(0, sched.Op{Kind: sched.BAct})
+	f, err := memplan.ChooseF(par, fam, grad, plan.ActBudget[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s, err := sched.MEPipe(par.PP, par.VP, par.SPP, n, f, costs.WPieces(), costs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if got := sched.IndexOf(s).Total(); got != 4608 {
+		tb.Fatalf("the workload has %d ops, want 4,608", got)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var cands []*sched.Schedule
+	for len(cands) < 64 {
+		c := *s
+		c.Stages = append([][]sched.Op(nil), s.Stages...)
+		k := rng.Intn(c.P)
+		ops := append([]sched.Op(nil), c.Stages[k]...)
+		c.Stages[k] = ops
+		from := rng.Intn(len(ops))
+		to := from + rng.Intn(17) - 8
+		if to < 0 || to >= len(ops) || to == from {
+			continue
+		}
+		op := ops[from]
+		if from < to {
+			copy(ops[from:], ops[from+1:to+1])
+		} else {
+			copy(ops[to+1:], ops[to:from])
+		}
+		ops[to] = op
+		if _, err := verify.Certify(&c, verify.Options{AssumeComplete: true}); err == nil {
+			cands = append(cands, &c)
+		}
+	}
+	return sim.Options{Sched: s, Costs: costs, MakespanOnly: true}, cands
+}
+
+// benchOrderFloor evaluates the workload's proposals in turn through one
+// warm session with eval.
+func benchOrderFloor(b *testing.B, eval func(*sim.Session, *sched.Schedule) (*sim.Result, error)) {
+	opt, cands := orderFloorWorkload(b)
+	se, err := sim.NewSession(opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range cands {
+		if _, err := eval(se, c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eval(se, cands[i%len(cands)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSessionSweep13B evaluates each proposal by the session's own
+// dense sweep.
+func BenchmarkSessionSweep13B(b *testing.B) { benchOrderFloor(b, (*sim.Session).EvalDense) }
+
+// BenchmarkSessionEval13B evaluates each proposal incrementally.
+func BenchmarkSessionEval13B(b *testing.B) { benchOrderFloor(b, (*sim.Session).Eval) }
+
+// TestSessionOrderFloor is the incremental re-solve's floor against the
+// session's own dense sweep, not only the reference runner: per certified
+// shift proposal at the 13B point, Session.Eval must run at least 2×
+// faster than re-solving every op in Kahn order, and allocate nothing.
+func TestSessionOrderFloor(t *testing.T) {
+	dense := testing.Benchmark(BenchmarkSessionSweep13B)
+	inc := testing.Benchmark(BenchmarkSessionEval13B)
+	if dense.N == 0 || inc.N == 0 {
+		t.Fatal("a benchmark failed to run")
+	}
+	perOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
+	ratio := perOp(dense) / perOp(inc)
+	t.Logf("dense sweep %.0f ns, %d allocs; Session.Eval %.0f ns, %d allocs; %.2f×",
+		perOp(dense), dense.AllocsPerOp(), perOp(inc), inc.AllocsPerOp(), ratio)
+	if a := inc.AllocsPerOp(); a != 0 {
+		t.Errorf("Session.Eval allocates %d times per proposal, want 0", a)
+	}
+	if ratio < 2 {
+		t.Errorf("Session.Eval is %.2f× the dense sweep, want ≥ 2×", ratio)
+	}
+}

@@ -54,8 +54,9 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 			est.Comm = 0.25
 		}
 		if data[4]&8 != 0 {
-			// Zero-weight ops stress the cycle certificate: finish-only
-			// propagation could silently converge through a 0-cost cycle.
+			// Zero-weight ops stress the deadlock check: a re-solve that
+			// trusted finish times alone could converge through a 0-cost
+			// cycle.
 			est.W, est.WPiece = 0, 0
 		}
 		sc, err := sched.SVPP(sched.SVPPOptions{

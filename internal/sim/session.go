@@ -12,10 +12,14 @@ import (
 // pins the cost model, budgets, and op identities once, then re-simulates
 // edited copies of the schedule incrementally. The schedule optimizer's
 // moves (swap, shift, rebalance) touch a handful of list positions; instead
-// of replaying every op, Eval diffs the new order against the previous one
-// and re-propagates finish times only through the affected window. The
-// result is guaranteed bitwise-identical, traced events included, to the
-// map-based reference runner in oracle_test.go on the same Options — the
+// of replaying every op, Eval diffs the new order against the previous one,
+// re-sorts only each moved stage's rank interval of the topological order
+// the last solve used (sched.Topo.Interval), and re-solves in that order
+// from the first moved rank onward, recomputing each op whose inputs may
+// have changed exactly once. A cycle inside an interval falls back to the
+// dense Kahn sweep, which owns the deadlock verdict. The result is
+// guaranteed bitwise-identical, traced events included, to the map-based
+// reference runner in oracle_test.go on the same Options — the
 // differential fuzzer in fuzz_test.go holds that gate closed. Run and
 // RunContext are one pooled-session evaluation; there is no other engine.
 //
@@ -55,6 +59,7 @@ type Session struct {
 	opsl  []sched.Op // id -> op
 	stg   []int32    // id -> stage
 	pos   []int32    // id -> current position in its stage list
+	next  []int32    // id -> its list successor, -1 at the end of a stage
 	order [][]int32  // stage -> position -> id
 	famID []int32    // id -> family slot
 	dur   []float64  // id -> op duration
@@ -63,29 +68,29 @@ type Session struct {
 	// dependency edges (identity-based, immutable across moves). The
 	// offsets and ids alias the bound schedule's sched.DepTable — never
 	// written through, and dropped before a session returns to its pool.
+	dt      *sched.DepTable
 	depOff  []int32 // id -> [depOff[id], depOff[id+1]) into depID/depComm
 	depID   []int32
 	depComm []float64 // communication delay, 0 for same-stage edges
 	sucOff  []int32   // reverse edges: id -> dependents
 	sucID   []int32
 
-	// solved static state: start/finish per op, plus a longest-path height
-	// used as the cycle certificate (heights have no fixed point on a
-	// cycle, so incremental propagation cannot silently converge through
-	// one — it blows its pop budget and the dense sweep catches it).
+	// solved static state: start/finish per op, and the topological
+	// order they were solved in
 	start  []float64
 	finish []float64
-	height []int32
+	topo   sched.Topo
 
-	// worklist (FIFO) for incremental propagation
-	queue  []int32
-	qhead  int
-	inQ    []uint32
-	qEpoch uint32
+	// incremental re-solve: ops marked dirty this Eval (epoch-stamped),
+	// how many are still unsolved, and the first rank a move touched
+	dirty   []uint32
+	dirtyEp uint32
+	pending int
+	from    int32
 
-	// dense-sweep scratch (Kahn)
-	rem   []int32
-	stack []int32
+	// Kahn scratch: in-degrees and an interval's sorted ops
+	indeg  []int32
+	sorted []int32
 
 	// diff scratch: window multiset check via epoch-stamped counters
 	seenCnt   []int32
@@ -117,7 +122,7 @@ type Session struct {
 	res        Result
 	eng        *engState
 
-	valid  bool // start/finish/height solve the current order
+	valid  bool // start/finish solve the current order, in topo
 	resync bool // orders may be inconsistent; rebuild from the schedule
 }
 
@@ -188,6 +193,7 @@ func (se *Session) init(opt Options) error {
 	se.opsl = sgrow(se.opsl, n)
 	se.stg = sgrow(se.stg, n)
 	se.pos = sgrow(se.pos, n)
+	se.next = sgrow(se.next, n)
 	se.famID = sgrow(se.famID, n)
 	se.dur = sgrow(se.dur, n)
 	se.memB = sgrow(se.memB, n)
@@ -213,6 +219,7 @@ func (se *Session) init(opt Options) error {
 			se.famID[id] = se.x.FamilyOf(id)
 		}
 		se.order[k] = ord
+		se.link(ord, 0, len(ord)-1)
 	}
 	se.nfam = se.x.Families()
 
@@ -223,6 +230,7 @@ func (se *Session) init(opt Options) error {
 	if dt.Neg > 0 {
 		return se.absentDepErr(s, dt)
 	}
+	se.dt = dt
 	se.depOff, se.depID = dt.Off, dt.ID
 	se.sucOff, se.sucID = dt.OutOff, dt.OutID
 	se.depComm = sgrow(se.depComm, len(dt.ID))
@@ -243,11 +251,9 @@ func (se *Session) init(opt Options) error {
 
 	se.start = sgrow(se.start, n)
 	se.finish = sgrow(se.finish, n)
-	se.height = sgrow(se.height, n)
-	se.rem = sgrow(se.rem, n)
-	se.inQ = sgrow(se.inQ, n)
+	se.dirty = sgrow(se.dirty, n)
+	se.indeg = sgrow(se.indeg, n)
 	se.seenCnt = sgrow(se.seenCnt, n)
-	se.stack = se.stack[:0]
 	se.famAcc = sgrow(se.famAcc, se.nfam)
 	se.famCnt = sgrow(se.famCnt, se.nfam)
 	se.famEp = sgrow(se.famEp, se.nfam)
@@ -260,12 +266,10 @@ func (se *Session) init(opt Options) error {
 	}
 	se.res.Stages = sgrow(se.res.Stages, se.P)
 	se.spanBuf = sgrow(se.spanBuf, se.P)
-	se.queue = se.queue[:0]
-	se.qhead = 0
 	// Bump every epoch past any stamp a previous binding left in reused
 	// arrays; new array regions are zero, which the bumped counters also
 	// exceed.
-	se.qEpoch++
+	se.dirtyEp++
 	se.seenEpoch++
 	se.famEpoch++
 	se.valid = false
@@ -363,7 +367,7 @@ func (se *Session) setOptions(opt Options) {
 // aliased dependency table above all — so a pooled session never pins a
 // schedule's tables. The next Bind restores them.
 func (se *Session) release() {
-	se.opt, se.base = Options{}, nil
+	se.opt, se.base, se.dt = Options{}, nil, nil
 	se.depOff, se.depID, se.sucOff, se.sucID = nil, nil, nil, nil
 }
 
@@ -389,28 +393,23 @@ func (se *Session) Eval(s *sched.Schedule) (*Result, error) {
 	if err := se.compat(s); err != nil {
 		return nil, err
 	}
-	se.qEpoch++
-	se.queue = se.queue[:0]
-	se.qhead = 0
 	if se.resync {
 		if err := se.remapAll(s); err != nil {
 			return nil, err
 		}
-	} else if err := se.diff(s); err != nil {
-		return nil, err
+	} else if k := se.diff(s); k >= 0 {
+		// The order tables are now partially rewritten; remap from
+		// scratch on the next Eval.
+		se.resync, se.valid = true, false
+		return nil, fmt.Errorf("sim: session: stage %d op list is not a permutation of the bound schedule: %w", k, errs.ErrIncompatible)
 	}
 	if !se.valid {
 		if err := se.sweep(); err != nil {
 			return nil, err
 		}
-	} else if se.qhead < len(se.queue) {
-		if !se.propagate() {
-			if err := se.sweep(); err != nil {
-				return nil, err
-			}
-		}
+	} else {
+		se.resolve()
 	}
-	se.valid = true
 	if se.dynamicW {
 		if err := se.runEngine(); err != nil {
 			return nil, err
@@ -469,9 +468,19 @@ func (se *Session) touchSeen(id int32) {
 
 // diff aligns the session's order tables with s stage by stage: matching
 // prefixes and suffixes bound the edited window, an epoch-stamped counter
-// checks the window is a permutation, and the window's ops (plus the one
-// just after it, whose list predecessor changed) seed the worklist.
-func (se *Session) diff(s *sched.Schedule) error {
+// checks the window is a permutation, and, while the solve is valid, the
+// window's rank interval is re-sorted and spliced back and the window's
+// ops (plus the one just after it, whose list predecessor changed) are
+// marked dirty. A cyclic interval — the move deadlocks, or, with several
+// stages moved, only the stages re-sorted so far close a cycle — leaves
+// the rest to the dense sweep. It returns the first stage whose list is
+// not a permutation of the bound one, or -1.
+//
+//mepipe:hotpath
+func (se *Session) diff(s *sched.Schedule) int {
+	se.dirtyEp++
+	se.pending = 0
+	se.from = int32(se.n)
 	for k := 0; k < se.P; k++ {
 		ord := se.order[k]
 		ops := s.Stages[k]
@@ -486,47 +495,57 @@ func (se *Session) diff(s *sched.Schedule) error {
 		for hi > lo && se.opsl[ord[hi]] == ops[hi] {
 			hi--
 		}
+		var rlo, rhi int32
+		if se.valid {
+			rlo, rhi = se.topo.Rank[ord[lo]], se.topo.Rank[ord[hi]]
+		}
 		se.seenEpoch++
 		for p := lo; p <= hi; p++ {
 			cid := ord[p]
 			se.touchSeen(cid)
 			se.seenCnt[cid]++
 		}
-		ok := true
 		for p := lo; p <= hi; p++ {
 			cid := se.x.ID(k, ops[p])
 			if cid < 0 {
-				ok = false
-				break
+				return k
 			}
 			se.touchSeen(cid)
 			se.seenCnt[cid]--
 			if se.seenCnt[cid] < 0 {
-				ok = false
-				break
+				return k
 			}
 			ord[p] = cid
 			se.pos[cid] = int32(p)
 		}
-		if !ok {
-			// The order tables are now partially rewritten; remap from
-			// scratch on the next Eval.
-			se.resync = true
-			se.valid = false
-			return fmt.Errorf("sim: session: stage %d op list is not a permutation of the bound schedule: %w", k, errs.ErrIncompatible)
-		}
 		se.stDirty[k] = true
-		if se.valid {
-			end := hi + 1
-			if end > len(ops)-1 {
-				end = len(ops) - 1
-			}
-			for p := lo; p <= end; p++ {
-				se.push(ord[p])
-			}
+		se.link(ord, max(lo-1, 0), hi)
+		if !se.valid {
+			continue
+		}
+		se.sorted = se.topo.Interval(se.dt, se.next, sched.Chain{}, rlo, rhi, se.indeg, se.sorted)
+		if len(se.sorted) != int(rhi-rlo+1) {
+			se.valid = false
+			continue
+		}
+		se.topo.Splice(rlo, se.sorted)
+		se.from = min(se.from, rlo)
+		for p := lo; p <= min(hi+1, len(ops)-1); p++ {
+			se.mark(ord[p])
 		}
 	}
-	return nil
+	return -1
+}
+
+// link sets the list successors of the ops at positions lo through hi of a
+// stage's order.
+func (se *Session) link(ord []int32, lo, hi int) {
+	for p := lo; p <= hi; p++ {
+		se.next[ord[p]] = -1
+		if p+1 < len(ord) {
+			se.next[ord[p]] = ord[p+1]
+		}
+	}
 }
 
 // remapAll rebuilds order/pos from s after a failed diff, verifying the
@@ -545,6 +564,7 @@ func (se *Session) remapAll(s *sched.Schedule) error {
 			ord[p] = cid
 			se.pos[cid] = int32(p)
 		}
+		se.link(ord, 0, len(ord)-1)
 		se.stDirty[k] = true
 	}
 	se.resync = false
@@ -552,137 +572,82 @@ func (se *Session) remapAll(s *sched.Schedule) error {
 	return nil
 }
 
-func (se *Session) push(id int32) {
-	if se.inQ[id] == se.qEpoch {
-		return
+// mark flags op id for re-solving in this Eval.
+func (se *Session) mark(id int32) {
+	if se.dirty[id] != se.dirtyEp {
+		se.dirty[id] = se.dirtyEp
+		se.pending++
 	}
-	se.inQ[id] = se.qEpoch
-	se.queue = append(se.queue, id)
 }
 
 // recompute solves one op's recurrence from its current predecessors:
 //
 //	start  = max(finish[list predecessor], max over deps(finish + comm))
 //	finish = start + dur
-//	height = 1 + max over predecessors(height)   (sources get 0)
 //
-// and reports whether finish or height changed. The float operations mirror
-// the reference runner's readyTime/execute (oracle_test.go) exactly (same comparison order, same
-// math.Max), which is what makes incremental results bitwise-identical.
+// and reports whether finish changed. The float operations mirror the
+// reference runner's readyTime/execute (oracle_test.go) exactly (same
+// comparison order, same math.Max), which is what makes incremental
+// results bitwise-identical.
 func (se *Session) recompute(id int32) bool {
 	k := int(se.stg[id])
 	p := int(se.pos[id])
 	prevFin := 0.0
-	h := int32(-1)
 	if p > 0 {
-		pv := se.order[k][p-1]
-		prevFin = se.finish[pv]
-		h = se.height[pv]
+		prevFin = se.finish[se.order[k][p-1]]
 	}
 	t := 0.0
 	for e := se.depOff[id]; e < se.depOff[id+1]; e++ {
-		d := se.depID[e]
-		f := se.finish[d] + se.depComm[e]
+		f := se.finish[se.depID[e]] + se.depComm[e]
 		if f > t {
 			t = f
-		}
-		if se.height[d] > h {
-			h = se.height[d]
 		}
 	}
 	st := max(prevFin, t)
 	fin := st + se.dur[id]
-	h++
-	changed := math.Float64bits(fin) != math.Float64bits(se.finish[id]) || h != se.height[id]
+	changed := math.Float64bits(fin) != math.Float64bits(se.finish[id])
 	se.start[id] = st
 	se.finish[id] = fin
-	se.height[id] = h
 	return changed
 }
 
-// propagate drains the worklist seeded by diff, pushing an op's list
-// successor and dependents whenever its finish or height changed. On a DAG
-// this chaotic iteration reaches the unique fixed point of the recurrence —
-// the same values a full replay computes. On a cyclic order heights grow
-// without bound, so the pop budget trips and the caller falls back to the
-// dense sweep, which certifies the cycle. Returns false on budget trip.
+// resolve walks the topological order from the first rank diff touched
+// and recomputes each dirty op once: every predecessor ranks earlier, so
+// its finish is final by then. An op whose finish changed dirties its list
+// successor and its dependents; the walk stops once no dirty op is left.
 //
 //mepipe:hotpath
-func (se *Session) propagate() bool {
-	budget := 16*se.n + 64
-	pops := 0
-	for se.qhead < len(se.queue) {
-		if pops >= budget {
-			return false
+func (se *Session) resolve() {
+	order := se.topo.Order
+	for r := se.from; se.pending > 0; r++ {
+		id := order[r]
+		if se.dirty[id] != se.dirtyEp {
+			continue
 		}
-		pops++
-		id := se.queue[se.qhead]
-		se.qhead++
-		se.inQ[id] = se.qEpoch - 1
-		if se.recompute(id) {
-			k := int(se.stg[id])
-			nx := int(se.pos[id]) + 1
-			ord := se.order[k]
-			if nx < len(ord) {
-				se.push(ord[nx])
-			}
-			for e := se.sucOff[id]; e < se.sucOff[id+1]; e++ {
-				se.push(se.sucID[e])
-			}
+		se.pending--
+		if !se.recompute(id) {
+			continue
 		}
-	}
-	se.queue = se.queue[:0]
-	se.qhead = 0
-	return true
-}
-
-// sweep recomputes every op in Kahn order over program-order and dependency
-// edges. It is the first-evaluation path, the resync path, and the fallback
-// that turns a non-converging propagation into a certified cycle error.
-func (se *Session) sweep() error {
-	se.qEpoch++
-	se.queue = se.queue[:0]
-	se.qhead = 0
-	for i := 0; i < se.n; i++ {
-		d := se.depOff[i+1] - se.depOff[i]
-		if se.pos[i] > 0 {
-			d++
-		}
-		se.rem[i] = d
-	}
-	se.stack = se.stack[:0]
-	for i := 0; i < se.n; i++ {
-		if se.rem[i] == 0 {
-			se.stack = append(se.stack, int32(i))
-		}
-	}
-	processed := 0
-	for len(se.stack) > 0 {
-		id := se.stack[len(se.stack)-1]
-		se.stack = se.stack[:len(se.stack)-1]
-		se.recompute(id)
-		processed++
-		k := int(se.stg[id])
-		nx := int(se.pos[id]) + 1
-		ord := se.order[k]
-		if nx < len(ord) {
-			j := ord[nx]
-			se.rem[j]--
-			if se.rem[j] == 0 {
-				se.stack = append(se.stack, j)
-			}
+		if j := se.next[id]; j >= 0 {
+			se.mark(j)
 		}
 		for e := se.sucOff[id]; e < se.sucOff[id+1]; e++ {
-			j := se.sucID[e]
-			se.rem[j]--
-			if se.rem[j] == 0 {
-				se.stack = append(se.stack, j)
-			}
+			se.mark(se.sucID[e])
 		}
 	}
-	if processed != se.n {
+}
+
+// sweep ranks every op by Kahn's algorithm over program-order and
+// dependency edges and solves them in that order. It is the
+// first-evaluation path, the resync path, and the fallback that turns a
+// cyclic interval into a certified cycle error.
+func (se *Session) sweep() error {
+	if ranked := se.topo.Sort(se.dt, se.next, se.indeg); ranked != se.n {
 		se.valid = false
-		return fmt.Errorf("sim: session: %d of %d ops are on a program-order/dependency cycle (the order deadlocks): %w", se.n-processed, se.n, errs.ErrUncertified)
+		return fmt.Errorf("sim: session: %d of %d ops are on a program-order/dependency cycle (the order deadlocks): %w", se.n-ranked, se.n, errs.ErrUncertified)
+	}
+	for _, id := range se.topo.Order {
+		se.recompute(id)
 	}
 	se.valid = true
 	return nil

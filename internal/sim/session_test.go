@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"mepipe/internal/errs"
@@ -586,5 +587,169 @@ func TestIncrementalReplayFloor(t *testing.T) {
 	}
 	if ratio < 3 {
 		t.Errorf("Session.Eval is %.2f× the full replay, want ≥ 3×", ratio)
+	}
+}
+
+// TestSessionTwoStageDiff drives each case the way an annealer worker
+// does: every candidate is one move away from the current state, so the
+// session, still holding the previous candidate, sees that candidate's
+// stage reverted plus a new stage moved. Each evaluation must match the
+// reference replay bitwise.
+func TestSessionTwoStageDiff(t *testing.T) {
+	for _, tc := range sessionCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			se, err := NewSession(tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := tc.opt.Sched
+			if _, err := se.Eval(cur); err != nil {
+				t.Fatal(err)
+			}
+			rng := sessLCG(5)
+			last, twoStage := -1, 0
+			for step := 0; step < 120; step++ {
+				cand := *cur
+				cand.Stages = append([][]sched.Op(nil), cur.Stages...)
+				k := rng.next(cand.P)
+				ops := append([]sched.Op(nil), cur.Stages[k]...)
+				cand.Stages[k] = ops
+				from := rng.next(len(ops))
+				sessDisplace(ops, from, min(max(from+rng.next(9)-4, 0), len(ops)-1))
+				o := tc.opt
+				o.Sched = &cand
+				full, fullErr := runRef(o)
+				if fullErr != nil {
+					continue // the annealer's certifier rejects it before simulation
+				}
+				if last >= 0 && last != k {
+					twoStage++
+				}
+				inc, err := se.Eval(&cand)
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				requireSameResult(t, full, inc, tc.name)
+				last = k
+				if step%5 == 0 {
+					cur, last = &cand, -1
+				}
+			}
+			if twoStage < 20 {
+				t.Fatalf("only %d evaluations diffed two stages", twoStage)
+			}
+		})
+	}
+}
+
+// TestSessionCyclicIntermediate pins the dense fallback for a diff whose
+// intermediate state is cyclic. On DAPPLE(4, 6), move a swaps stage 1's
+// B0 ahead of F3 and move b swaps stage 0's F3 behind B0; each certifies
+// alone, but together they close B0@0 → F3@0 → F3@1 → B0@1 → B0@0. A
+// session holding cur+a that evaluates cur+b re-sorts stage 0's interval
+// first, over cur+a+b, and must still match the reference replay of
+// cur+b bitwise.
+func TestSessionCyclicIntermediate(t *testing.T) {
+	s, err := sched.DAPPLE(4, 6, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Sched: s, Costs: UniformCosts{Est: sched.UniformEst{F: 1, BFused: 2, Comm: 0.2}, Act: 1}}
+	run := func(c *sched.Schedule) (*Result, error) {
+		o := opt
+		o.Sched = c
+		return runRef(o)
+	}
+	f3, b0 := sched.Op{Kind: sched.F, Micro: 3}, sched.Op{Kind: sched.B, Micro: 0}
+	swap := func(base *sched.Schedule, k int, first, second sched.Op) *sched.Schedule {
+		c := *base
+		c.Stages = append([][]sched.Op(nil), base.Stages...)
+		ops := append([]sched.Op(nil), base.Stages[k]...)
+		c.Stages[k] = ops
+		p := slices.Index(ops, first)
+		if p < 0 || p+1 >= len(ops) || ops[p+1] != second {
+			t.Fatalf("stage %d: %v is not just before %v", k, first, second)
+		}
+		ops[p], ops[p+1] = ops[p+1], ops[p]
+		return &c
+	}
+	a := swap(s, 1, b0, f3)
+	b := swap(s, 0, f3, b0)
+	if _, err := run(swap(a, 0, f3, b0)); !errors.Is(err, errs.ErrUncertified) {
+		t.Fatalf("cur+a+b: got %v, want a deadlock", err)
+	}
+	if _, err := run(a); err != nil {
+		t.Fatalf("cur+a: %v", err)
+	}
+	want, err := run(b)
+	if err != nil {
+		t.Fatalf("cur+b: %v", err)
+	}
+	se, err := NewSession(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := se.Eval(a); err != nil {
+		t.Fatal(err)
+	}
+	got, err := se.Eval(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, want, got, "cyclic intermediate")
+}
+
+// TestSessionCyclicCandidate pins the deadlock verdict's exact message,
+// whichever path finds the cycle — a one-op move's interval or a whole
+// reversed stage — and that the session recovers on the next Eval.
+func TestSessionCyclicCandidate(t *testing.T) {
+	s, err := sched.MEPipe(4, 1, 2, 4, 0, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Sched: s, Costs: Unit()}
+	se, err := NewSession(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := se.Eval(s); err != nil {
+		t.Fatal(err)
+	}
+	// Stage 1's first F moved behind its own backward.
+	shifted := sessClone(s)
+	ops := shifted.Stages[1]
+	for p, op := range ops {
+		if op.Kind == sched.BAct && op.Micro == 0 && op.Slice == 1 {
+			sessDisplace(ops, 0, p)
+			break
+		}
+	}
+	reversed := sessClone(s)
+	slices.Reverse(reversed.Stages[0])
+	// The recovery order: the first adjacent swap on stage 2 that runs.
+	var good *sched.Schedule
+	var want *Result
+	for p := 0; want == nil; p++ {
+		good = sessClone(s)
+		good.Stages[2][p], good.Stages[2][p+1] = good.Stages[2][p+1], good.Stages[2][p]
+		want, _ = runRef(Options{Sched: good, Costs: Unit()})
+	}
+	for _, c := range []struct {
+		name string
+		s    *sched.Schedule
+		want string
+	}{
+		{"shifted", shifted, "sim: session: 187 of 192 ops are on a program-order/dependency cycle (the order deadlocks): "},
+		{"reversed", reversed, "sim: session: 192 of 192 ops are on a program-order/dependency cycle (the order deadlocks): "},
+	} {
+		_, err := se.Eval(c.s)
+		if !errors.Is(err, errs.ErrUncertified) || err.Error() != c.want+errs.ErrUncertified.Error() {
+			t.Fatalf("%s: got %v, want %q wrapping ErrUncertified", c.name, err, c.want)
+		}
+		got, err := se.Eval(good)
+		if err != nil {
+			t.Fatalf("after %s: %v", c.name, err)
+		}
+		requireSameResult(t, want, got, "recovery after "+c.name)
 	}
 }

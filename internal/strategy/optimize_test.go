@@ -1,0 +1,50 @@
+package strategy
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"mepipe/internal/cluster"
+	"mepipe/internal/config"
+	"mepipe/internal/opt"
+)
+
+// optimize13B is the annealer's large point: the best MEPipe plan for
+// Llama-13B on 32 RTX 4090s (PP=8, DP=4, SPP=4, N=16; 4,608 ops), annealed
+// with default options under the plan's byte-accurate budget.
+func optimize13B(tb testing.TB) *Optimized {
+	tb.Helper()
+	par := config.Parallel{PP: 8, DP: 4, CP: 1, SPP: 4, VP: 1}
+	tr := config.Training{GlobalBatch: 64, MicroBatch: 1}
+	o, err := OptimizeContext(context.Background(), MEPipe, config.Llama13B(), cluster.RTX4090Cluster(4), par, tr, opt.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return o
+}
+
+// BenchmarkOptimize13B times one default annealing run at the 13B point.
+func BenchmarkOptimize13B(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		optimize13B(b)
+	}
+}
+
+// TestOptimize13BPinned pins BenchmarkOptimize13B's search: its counters
+// and best time, bitwise. A faster evaluation or certification path must
+// walk exactly the same trajectory.
+func TestOptimize13BPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full annealing run at the 13B point")
+	}
+	r := optimize13B(t).Opt
+	got := [4]int{r.Proposed, r.Infeasible, r.Evaluated, r.Accepted}
+	if want := [4]int{6000, 1396, 4604, 1486}; got != want {
+		t.Errorf("proposed/infeasible/evaluated/accepted = %v, want %v", got, want)
+	}
+	if want := 5.78577978045449; math.Float64bits(r.BestTime) != math.Float64bits(want) {
+		t.Errorf("best time %v, want %v", r.BestTime, want)
+	}
+}

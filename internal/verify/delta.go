@@ -11,21 +11,14 @@ import (
 // schedule optimizer's inner loop, where every candidate is the current
 // state with one stage's op order perturbed. Binding runs one dense Kahn
 // pass over the base and keeps each op's topological rank; a Check then
-// costs O(window) instead of Certify's O(ops + edges).
-//
-// Why the window suffices. Let [lo, hi] be the positions where the
-// candidate's stage differs from the base's. Every program-order edge the
-// move adds has both ends among the ops at those positions, or leads from
-// the op before the window into it, or out of it to the op after it; the
-// latter two, and every edge the move leaves alone, still point forward in
-// the base's rank order. A cycle needs at least one backward edge, and
-// following forward edges from the end of one only raises the rank, so
-// every op on a new cycle ranks between the base's ops at lo and hi. Kahn
-// over that rank interval, with the candidate's order for the moved
-// stage, is therefore exact. The memory sweep is stage-local, and an
-// acyclic move keeps each family's F before its backward before its
-// weight-gradient work (same-stage dependencies), so retention outside
-// the window is the base's and only the window is re-swept.
+// costs O(window) instead of Certify's O(ops + edges): Kahn over the rank
+// interval of the moved window (sched.Topo.Interval, which argues why
+// that interval is exact), with the candidate's order for the moved
+// stage. The memory sweep is stage-local, and an acyclic move keeps each
+// family's F before its backward before its weight-gradient work
+// (same-stage dependencies), so retention outside the window is the
+// base's and only the window is re-swept. Rebind moves the binding to an
+// accepted move in the same O(window).
 //
 // A Check returns nil exactly when Certify(cand, Options{Budget,
 // AssumeComplete: true}) would, but never builds a counterexample: a
@@ -33,9 +26,9 @@ import (
 // need the minimal *CycleError or *BudgetError call Certify.
 //
 // Forks share the bound base and own private scratch, so workers may
-// Check concurrently; Bind must not run concurrently with any Check. The
-// bound schedule's op lists must not change while it is bound: Check
-// recognises an unmoved stage by identity, not by content.
+// Check concurrently; Bind and Rebind must not run concurrently with any
+// Check. The bound schedule's op lists must not change while it is bound:
+// Check recognises an unmoved stage by identity, not by content.
 type Delta struct {
 	b *deltaBase
 
@@ -61,13 +54,11 @@ type deltaBase struct {
 	t     *sched.DepTable
 	x     sched.OpIndex
 
-	// By dense op id: position within its stage, base program-order
-	// successor (-1 at the end of a stage), and topological rank; order
-	// inverts rank.
-	pos   []int32
-	next  []int32
-	rank  []int32
-	order []int32
+	// By dense op id: position within its stage and base program-order
+	// successor (-1 at the end of a stage); topo ranks the base.
+	pos  []int32
+	next []int32
+	topo sched.Topo
 
 	// The memory side, filled only when the budget caps stages. live is
 	// the base's retention on its stage after each op, by id; famB and
@@ -133,8 +124,6 @@ func (d *Delta) bindDense() bool {
 	d.grow(total, x.Families())
 	b.pos = kgrow(b.pos, total)
 	b.next = kgrow(b.next, total)
-	b.rank = kgrow(b.rank, total)
-	b.order = kgrow(b.order, total)
 	for i := range b.pos {
 		b.pos[i] = -1
 	}
@@ -146,10 +135,8 @@ func (d *Delta) bindDense() bool {
 				return false
 			}
 			b.pos[id] = int32(i)
-			d.indeg[id] = t.Off[id+1] - t.Off[id]
 			if prev >= 0 {
 				b.next[prev] = id
-				d.indeg[id]++
 			}
 			prev = id
 		}
@@ -157,7 +144,7 @@ func (d *Delta) bindDense() bool {
 			b.next[prev] = -1
 		}
 	}
-	if !d.rank() {
+	if b.topo.Sort(t, b.next, d.indeg) != total {
 		return false
 	}
 	b.capped = b.budget != nil && b.budget.ActBudget != nil
@@ -166,37 +153,6 @@ func (d *Delta) bindDense() bool {
 	}
 	b.dense = true
 	return true
-}
-
-// rank runs Kahn's algorithm over the base with a FIFO queue seeded in
-// id order and ranks ops in the order it takes them. A FIFO Kahn advances
-// every stage about one op per wave, so the ops of a stage that are close
-// in program order are close in rank, and a window of w positions spans
-// roughly w·P ranks. It returns false on a cycle.
-func (d *Delta) rank() bool {
-	b := d.b
-	t := b.t
-	queue := b.order[:0]
-	for id, deg := range d.indeg {
-		if deg == 0 {
-			queue = append(queue, int32(id))
-		}
-	}
-	for h := 0; h < len(queue); h++ {
-		u := queue[h]
-		b.rank[u] = int32(h)
-		for _, j := range t.OutID[t.OutOff[u]:t.OutOff[u+1]] {
-			if d.indeg[j]--; d.indeg[j] == 0 {
-				queue = append(queue, j)
-			}
-		}
-		if j := b.next[u]; j >= 0 {
-			if d.indeg[j]--; d.indeg[j] == 0 {
-				queue = append(queue, j)
-			}
-		}
-	}
-	return len(queue) == len(d.indeg)
 }
 
 // sweepBase replays the memory sweep's retention rules over the base,
@@ -313,14 +269,65 @@ func (d *Delta) Check(cand *sched.Schedule, stage int) error {
 	if !d.window(stage, bops, cops, lo, hi) {
 		return d.full(cand)
 	}
-	if !d.acyclic(stage, bops, lo, hi) {
+	if _, ok := d.sortWindow(stage, bops, lo, hi); !ok {
 		return errMoveCycle
 	}
-	if b.capped && !d.fits(stage, cops, lo, hi) {
+	if b.capped && !d.fits(stage, cops, lo, hi, false) {
 		return errMoveBudget
 	}
 	return nil
 }
+
+// Rebind moves the binding to cand, an accepted one-stage move of the
+// bound base on stage (Check's contract), in O(window): it splices the
+// window's Kahn order into the ranks, re-links the moved stage's
+// positions and successors, and re-sweeps the window's retention. It
+// leaves pos, next and the retention tables exactly as Bind(cand) would,
+// and the ranks a topological order of cand (not necessarily Bind's). A
+// candidate outside the contract, or one that does not certify, gets the
+// full Bind and its error.
+//
+//mepipe:hotpath
+func (d *Delta) Rebind(cand *sched.Schedule, stage int) error {
+	b := d.b
+	if !b.dense || !b.contract(cand, stage) {
+		return d.bindFull(cand)
+	}
+	if len(d.stamp) != b.x.Total() {
+		d.grow(b.x.Total(), b.x.Families())
+	}
+	bops, cops := b.base.Stages[stage], cand.Stages[stage]
+	lo, hi, moved := diffWindow(bops, cops)
+	if !moved {
+		b.base = cand
+		return nil
+	}
+	if !d.window(stage, bops, cops, lo, hi) {
+		return d.bindFull(cand)
+	}
+	rlo, ok := d.sortWindow(stage, bops, lo, hi)
+	if !ok || b.capped && !d.fits(stage, cops, lo, hi, true) {
+		return d.bindFull(cand)
+	}
+	b.topo.Splice(rlo, d.queue)
+	last := d.win[len(d.win)-1]
+	after := b.next[b.x.ID(stage, bops[hi])]
+	if lo > 0 {
+		b.next[b.x.ID(stage, bops[lo-1])] = d.win[0]
+	}
+	for i, id := range d.win {
+		b.pos[id] = int32(lo + i)
+		b.next[id] = d.cnext[id]
+	}
+	b.next[last] = after
+	b.base = cand
+	return nil
+}
+
+// bindFull is Rebind's out-of-contract path: the whole Bind.
+//
+//mepipe:coldalloc a move outside the one-stage contract pays for a full Bind
+func (d *Delta) bindFull(cand *sched.Schedule) error { return d.Bind(cand) }
 
 // diffWindow returns the first and last positions where two equally long
 // op lists differ; moved is false when they do not.
@@ -410,73 +417,28 @@ func (d *Delta) window(k int, bops, cops []sched.Op, lo, hi int) bool {
 	return true
 }
 
-// acyclic runs Kahn's algorithm over the ops ranked between the base's
-// ops at lo and hi on stage k, with the candidate's order on stage k.
-// Stage k's ops in that interval are exactly its window.
-func (d *Delta) acyclic(k int, bops []sched.Op, lo, hi int) bool {
+// sortWindow runs Kahn's algorithm over the ops ranked between the
+// base's ops at lo and hi on stage k, with the candidate's order on stage
+// k, into d.queue. Stage k's ops in that interval are exactly its window.
+// It returns the interval's first rank and whether the interval is
+// acyclic.
+func (d *Delta) sortWindow(k int, bops []sched.Op, lo, hi int) (int32, bool) {
 	b := d.b
-	t := b.t
-	rlo, rhi := b.rank[b.x.ID(k, bops[lo])], b.rank[b.x.ID(k, bops[hi])]
-	order := b.order[rlo : rhi+1]
+	rlo, rhi := b.topo.Rank[b.x.ID(k, bops[lo])], b.topo.Rank[b.x.ID(k, bops[hi])]
 	per := int32(b.x.PerStage())
-	kLo, kHi := int32(k)*per, int32(k+1)*per
-	for _, u := range order {
-		d.indeg[u] = 0
-	}
-	for _, u := range order {
-		for _, j := range t.OutID[t.OutOff[u]:t.OutOff[u+1]] {
-			if r := b.rank[j]; r >= rlo && r <= rhi {
-				d.indeg[j]++
-			}
-		}
-		if j := d.chainNext(u, kLo, kHi); j >= 0 {
-			if r := b.rank[j]; r >= rlo && r <= rhi {
-				d.indeg[j]++
-			}
-		}
-	}
-	queue := d.queue[:0]
-	for _, u := range order {
-		if d.indeg[u] == 0 {
-			queue = append(queue, u)
-		}
-	}
-	for h := 0; h < len(queue); h++ {
-		u := queue[h]
-		for _, j := range t.OutID[t.OutOff[u]:t.OutOff[u+1]] {
-			if r := b.rank[j]; r >= rlo && r <= rhi {
-				if d.indeg[j]--; d.indeg[j] == 0 {
-					queue = append(queue, j)
-				}
-			}
-		}
-		if j := d.chainNext(u, kLo, kHi); j >= 0 {
-			if r := b.rank[j]; r >= rlo && r <= rhi {
-				if d.indeg[j]--; d.indeg[j] == 0 {
-					queue = append(queue, j)
-				}
-			}
-		}
-	}
-	d.queue = queue
-	return len(queue) == len(order)
-}
-
-// chainNext is op u's program-order successor in the candidate: the
-// window's chain on the moved stage (ids in [kLo, kHi)), the base's
-// elsewhere.
-func (d *Delta) chainNext(u, kLo, kHi int32) int32 {
-	if u >= kLo && u < kHi {
-		return d.cnext[u]
-	}
-	return d.b.next[u]
+	ch := sched.Chain{Lo: int32(k) * per, Hi: int32(k+1) * per, Next: d.cnext}
+	d.queue = b.topo.Interval(b.t, b.next, ch, rlo, rhi, d.indeg, d.queue)
+	return rlo, len(d.queue) == int(rhi-rlo+1)
 }
 
 // fits re-sweeps stage k's retention over the window, starting from the
 // base's retention just before it. A family's weight-gradient pieces
 // release it at the last piece in the candidate's order, which falls in
-// the window exactly when the base's release does.
-func (d *Delta) fits(k int, cops []sched.Op, lo, hi int) bool {
+// the window exactly when the base's release does. With commit set it
+// records the window's retention and release positions in the base, as
+// a Bind of the candidate would (the caller rebinds in full if it does
+// not fit).
+func (d *Delta) fits(k int, cops []sched.Op, lo, hi int, commit bool) bool {
 	b := d.b
 	x := b.x
 	if b.base.WPieces > 0 {
@@ -501,6 +463,12 @@ func (d *Delta) fits(k int, cops []sched.Op, lo, hi int) bool {
 		}
 		if cur += b.retention(kind, f, lastPiece); cur > capK {
 			return false
+		}
+		if commit {
+			b.live[id] = cur
+			if releases(kind, lastPiece) {
+				b.relPos[f] = int32(lo + i)
+			}
 		}
 	}
 	return true

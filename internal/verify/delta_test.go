@@ -2,7 +2,9 @@ package verify
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mepipe/internal/errs"
@@ -187,5 +189,132 @@ func TestDeltaBindRejects(t *testing.T) {
 	_, want = Certify(c, Options{Budget: tight, AssumeComplete: true})
 	if got := d.Check(c, 0); !reflect.DeepEqual(got, want) {
 		t.Errorf("after a failed Bind, Check returned %v, Certify %v", got, want)
+	}
+}
+
+// FuzzDeltaRebind is Rebind's differential gate, with a fresh Bind as its
+// oracle, over FuzzDeltaMatchesCertify's byte layout. Every move is
+// checked against Certify; after every accepted one, the rebound Delta's
+// positions, successors and retention tables must equal a fresh Bind's of
+// the accepted schedule, and its ranks must be a topological order of it.
+func FuzzDeltaRebind(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 8, 0, 1, 2, 0x80, 3, 9})
+	f.Add([]byte{1, 1, 1, 1, 11, 0x81, 0, 1, 0x81, 3, 4, 1, 5, 6})
+	f.Add([]byte{2, 2, 2, 0, 15, 0x80, 7, 9, 1, 1, 2, 0x41, 5, 6})
+	f.Add([]byte{3, 1, 0, 1, 7, 0x82, 4, 0, 0x83, 8, 8, 2, 9, 10})
+	f.Add([]byte{3, 2, 2, 1, 14, 0x81, 20, 16, 0x80, 30, 2, 0x82, 11, 1})
+	f.Add([]byte{5, 2, 1, 1, 6, 0x83, 11, 2, 2, 5, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			t.Skip()
+		}
+		rebindStream(t, data)
+	})
+}
+
+// TestDeltaRebindMatchesBind runs seeded move streams through
+// rebindStream over every preset family and budget mode, and requires
+// them to accept enough moves to mean something.
+func TestDeltaRebindMatchesBind(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	accepted := 0
+	for preset := byte(0); preset < 6; preset++ {
+		for _, budget := range []byte{8, 3, 7} {
+			data := []byte{preset, 2, 2, 1, budget}
+			for i := 0; i < 3*150; i++ {
+				data = append(data, byte(rng.Intn(256)))
+			}
+			accepted += rebindStream(t, data)
+		}
+	}
+	t.Logf("%d moves accepted and rebound", accepted)
+	if accepted < 400 {
+		t.Fatalf("the streams accepted only %d moves", accepted)
+	}
+}
+
+// rebindStream decodes data as FuzzDeltaMatchesCertify does and walks its
+// move stream, moving the binding by Rebind on every accepted move and
+// holding it to a fresh Bind. It returns how many moves were accepted.
+func rebindStream(t *testing.T, data []byte) int {
+	t.Helper()
+	base := fuzzPreset(data[0]%6, 2+int(data[1]%3), 2+int(data[2]%3), 1+int(data[3]%2))
+	if base == nil {
+		return 0
+	}
+	b := fuzzBudget(data[4], base.P)
+	d := NewDelta(b)
+	if d.Bind(base) != nil {
+		return 0 // the preset itself does not fit the budget
+	}
+	fork := d.Fork()
+	accepted := 0
+	for i := 5; i+2 < len(data); i += 3 {
+		move := data[i : i+3]
+		k := int(move[0]&0x7f) % base.P
+		cand := oneStageCopy(base, k)
+		if move[0]&0x40 != 0 {
+			cand = cloneAll(base)
+		}
+		applyMove(cand, move)
+		got := fork.Check(cand, k)
+		_, want := Certify(cand, Options{Budget: b, AssumeComplete: true})
+		if (got == nil) != (want == nil) {
+			t.Fatalf("move %d on stage %d: Check says %v, Certify says %v", (i-5)/3, k, got, want)
+		}
+		if got != nil {
+			continue
+		}
+		if err := d.Rebind(cand, k); err != nil {
+			t.Fatalf("move %d: rebinding an accepted move: %v", (i-5)/3, err)
+		}
+		base = cand
+		accepted++
+		requireBoundLike(t, d, base, b)
+	}
+	return accepted
+}
+
+// requireBoundLike asserts that d is bound to s exactly as a fresh Bind
+// would leave it, up to the choice of topological order: same positions,
+// successors and retention tables, and ranks that order every dependency
+// and program-order edge of s forward.
+func requireBoundLike(t *testing.T, d *Delta, s *sched.Schedule, budget *Budget) {
+	t.Helper()
+	fresh := NewDelta(budget)
+	if err := fresh.Bind(s); err != nil {
+		t.Fatalf("a fresh Bind of the accepted schedule: %v", err)
+	}
+	got, want := d.b, fresh.b
+	if got.base != s || got.dense != want.dense || got.capped != want.capped {
+		t.Fatalf("binding: base %v dense %v capped %v, want %v %v %v", got.base == s, got.dense, got.capped, true, want.dense, want.capped)
+	}
+	if !want.dense {
+		return
+	}
+	if !slices.Equal(got.pos, want.pos) || !slices.Equal(got.next, want.next) {
+		t.Fatal("rebound positions or successors differ from a fresh Bind's")
+	}
+	if want.capped && (!slices.Equal(got.live, want.live) || !slices.Equal(got.relPos, want.relPos) ||
+		!slices.Equal(got.famB, want.famB) || !slices.Equal(got.gradB, want.gradB)) {
+		t.Fatal("rebound retention tables differ from a fresh Bind's")
+	}
+	rank, order := got.topo.Rank, got.topo.Order
+	if len(rank) != len(want.pos) || len(order) != len(rank) {
+		t.Fatalf("rank tables hold %d/%d entries, want %d", len(rank), len(order), len(want.pos))
+	}
+	tab := s.DepTable()
+	for id := range rank {
+		if order[rank[id]] != int32(id) {
+			t.Fatalf("order does not invert rank at op %d", id)
+		}
+		for _, j := range tab.ID[tab.Off[id]:tab.Off[id+1]] {
+			if rank[j] >= rank[id] {
+				t.Fatalf("dependency %d -> %d ranks backward (%d ≥ %d)", j, id, rank[j], rank[id])
+			}
+		}
+		if j := got.next[id]; j >= 0 && rank[j] <= rank[id] {
+			t.Fatalf("program order %d -> %d ranks backward (%d ≥ %d)", id, j, rank[id], rank[j])
+		}
 	}
 }
