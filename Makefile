@@ -112,12 +112,15 @@ sim-smoke:
 
 # Grid-search engine smoke (docs/PERFORMANCE.md): the golden equivalence
 # suite (Sweep and SearchContext vs the sequential oracle at 8/16/32 GPUs,
-# ±prune, and mid-sweep cancellation), short runs of the certifier's
-# differential fuzzers (the dense path against the map graph and map
-# sweep, and Certify against sim.Run's deadlock verdict), and the
-# /v1/sweep wire tests.
+# ±prune, and mid-sweep cancellation), the peak-equality test (Certify's
+# per-stage peaks equal sim.Run's static ones under the same footprints,
+# over every preset family — the one retention rule, applied alike),
+# short runs of the certifier's differential fuzzers (the dense path
+# against the map graph and map sweep, and Certify against sim.Run's
+# deadlock verdict), and the /v1/sweep wire tests.
 sweep-smoke:
 	$(GO) test ./internal/strategy -run 'TestSweep' -count=1
+	$(GO) test ./internal/verify -run 'TestCertifyPeaksMatchRun' -count=1
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyDenseMatchesGraph -fuzztime 10s
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyAgreesWithRun -fuzztime 10s
 	$(GO) test ./internal/serve ./api/v1 -run 'Sweep' -count=1

@@ -241,14 +241,13 @@ type OptimizeResponse struct {
 	F   int     `json:"f,omitempty"`
 	Opt OptSpec `json:"opt"`
 
-	// StartedFrom names the annealing seed that won: "preset" or "heft".
+	// StartedFrom names the schedule the annealer started from. It is
+	// always "preset", the only seed; the field stays for v1 clients.
 	StartedFrom string `json:"started_from"`
 	// BaseIterTimeS is the preset schedule's simulated iteration time,
-	// HEFTIterTimeS the list-scheduling seed's (omitted when infeasible),
 	// BestIterTimeS the discovered schedule's; Gain the fractional
 	// improvement over the preset.
 	BaseIterTimeS float64 `json:"base_iter_time_s"`
-	HEFTIterTimeS float64 `json:"heft_iter_time_s,omitempty"`
 	BestIterTimeS float64 `json:"best_iter_time_s"`
 	Gain          float64 `json:"gain"`
 

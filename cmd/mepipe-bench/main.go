@@ -98,7 +98,6 @@ type optReport struct {
 	PresetIterTime   float64 `json:"preset_iter_time"`
 	PresetBubble     float64 `json:"preset_bubble"`
 	StartedFrom      string  `json:"started_from"`
-	HEFTIterTime     float64 `json:"heft_iter_time,omitempty"`
 	BestIterTime     float64 `json:"best_iter_time"`
 	BestBubble       float64 `json:"best_bubble"`
 	Gain             float64 `json:"gain"`
@@ -162,8 +161,7 @@ func runOptBench(iters int, out string) error {
 		Preset:           best.Name,
 		PresetIterTime:   res.BaseTime,
 		PresetBubble:     presetRun.BubbleRatio,
-		StartedFrom:      res.Seed,
-		HEFTIterTime:     res.HEFTTime,
+		StartedFrom:      "preset",
 		BestIterTime:     res.BestTime,
 		BestBubble:       bestRun.BubbleRatio,
 		Gain:             res.Gain(),
@@ -197,8 +195,8 @@ func runOptBench(iters int, out string) error {
 	fmt.Printf("opt replay: P=%d V=%d S=%d N=%d, %d rounds x %d proposals, seed %d\n",
 		rep.P, rep.V, rep.S, rep.N, rep.Iters, rep.Proposals, rep.Seed)
 	fmt.Printf("  preset     %s: %.3f (bubble %.1f%%)\n", rep.Preset, rep.PresetIterTime, 100*rep.PresetBubble)
-	fmt.Printf("  discovered %.3f (bubble %.1f%%, %.2f%% faster, from the %s seed)\n",
-		rep.BestIterTime, 100*rep.BestBubble, 100*rep.Gain, rep.StartedFrom)
+	fmt.Printf("  discovered %.3f (bubble %.1f%%, %.2f%% faster)\n",
+		rep.BestIterTime, 100*rep.BestBubble, 100*rep.Gain)
 	fmt.Printf("  search     %d proposed (%d infeasible), %.0f candidates/s, accept rate %.2f\n",
 		rep.Proposed, rep.Infeasible, rep.CandidatesPerSec, rep.AcceptRate)
 	fmt.Printf("  report     written to %s\n", out)

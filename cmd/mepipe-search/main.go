@@ -142,11 +142,7 @@ func runOptimize(sys strategy.System, m config.Model, cl cluster.Cluster, par co
 	r := res.Opt
 	fmt.Printf("\noptimize %s %v (seed %d, %d rounds):\n", sys, par, seed, iters)
 	fmt.Printf("  preset     %.3f ms\n", r.BaseTime*1e3)
-	if r.HEFTTime > 0 {
-		fmt.Printf("  heft seed  %.3f ms\n", r.HEFTTime*1e3)
-	}
-	fmt.Printf("  discovered %.3f ms (%.2f%% faster, annealed from the %s seed)\n",
-		r.BestTime*1e3, 100*r.Gain(), r.Seed)
+	fmt.Printf("  discovered %.3f ms (%.2f%% faster)\n", r.BestTime*1e3, 100*r.Gain())
 	fmt.Printf("  search     %d proposed, %d infeasible, %d evaluated, %d accepted, %d improvements\n",
 		r.Proposed, r.Infeasible, r.Evaluated, r.Accepted, r.Improved)
 	if out != "" {

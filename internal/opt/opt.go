@@ -1,7 +1,6 @@
 // Package opt discovers pipeline schedules that beat the presets. It
 // treats scheduling as local search over the op DAG (OptPipe's framing,
-// see PAPERS.md): starting from the best preset — and from a HEFT-style
-// list-scheduling seed over the dependency graph — it runs seeded,
+// see PAPERS.md): starting from the best preset, it runs seeded,
 // deterministic simulated annealing over certified op reorderings. Three
 // neighbourhood operators (swap adjacent ops on a stage, shift an op
 // across a slot boundary, rebalance weight-gradient placement) generate
@@ -69,10 +68,6 @@ type Options struct {
 	// (default 8 positions).
 	MaxShift int
 
-	// DisableHEFT skips the HEFT list-scheduling seed and anneals from
-	// the input schedule alone.
-	DisableHEFT bool
-
 	// Budget, when non-nil, is enforced on every candidate: proposals
 	// whose static memory sweep exceeds it are rejected before
 	// simulation.
@@ -108,14 +103,10 @@ type Result struct {
 	Schedule *sched.Schedule
 	Cert     *verify.Certificate
 
-	// BaseTime is the input schedule's simulated iteration time;
-	// HEFTTime the list-scheduling seed's (0 when disabled or
-	// infeasible); BestTime the discovered schedule's. Seed names which
-	// of the two the annealer started from ("preset" or "heft").
+	// BaseTime is the input schedule's simulated iteration time, where
+	// the annealer starts; BestTime the discovered schedule's.
 	BaseTime float64
-	HEFTTime float64
 	BestTime float64
-	Seed     string
 
 	// Search counters: Proposed candidates total, Infeasible rejected
 	// by certification before simulation, Evaluated simulated, Accepted
@@ -163,19 +154,10 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	if err != nil {
 		return nil, fmt.Errorf("opt: seed simulation: %w", err)
 	}
-	res := &Result{BaseTime: base.IterTime, Seed: "preset"}
+	res := &Result{BaseTime: base.IterTime}
 
 	cur := cloneSchedule(s)
 	curTime := base.IterTime
-	if !opt.DisableHEFT {
-		if h, ht, ok := heftSeed(s, costs, opt.Budget); ok {
-			res.HEFTTime = ht
-			if ht < curTime-eps {
-				cur, curTime = h, ht
-				res.Seed = "heft"
-			}
-		}
-	}
 	best := cloneSchedule(cur)
 	bestTime := curTime
 

@@ -306,7 +306,7 @@ func TestOptimizeFusedAndSplitPresets(t *testing.T) {
 			if res.BestTime > res.BaseTime+eps {
 				t.Errorf("worsened: %.6f > %.6f", res.BestTime, res.BaseTime)
 			}
-			t.Logf("%.4g -> %.4g (%.2f%%, from the %s seed)", res.BaseTime, res.BestTime, 100*res.Gain(), res.Seed)
+			t.Logf("%.4g -> %.4g (%.2f%%)", res.BaseTime, res.BestTime, 100*res.Gain())
 			if g := res.Gain(); g < tc.minGain || g > tc.maxGain {
 				t.Errorf("gain %.2f%%, want within [%.0f%%, %.0f%%]", 100*g, 100*tc.minGain, 100*tc.maxGain)
 			}

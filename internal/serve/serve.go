@@ -482,9 +482,8 @@ func (s *Server) computeOptimize(ctx context.Context, key string, plan *v1.Plan,
 		MicroBatches:  res.N,
 		F:             res.F,
 		Opt:           spec,
-		StartedFrom:   res.Opt.Seed,
+		StartedFrom:   "preset",
 		BaseIterTimeS: res.Opt.BaseTime,
-		HEFTIterTimeS: res.Opt.HEFTTime,
 		BestIterTimeS: res.Opt.BestTime,
 		Gain:          res.Opt.Gain(),
 		Proposed:      res.Opt.Proposed,

@@ -626,7 +626,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	if or.API != v1.Version || or.Key == "" || or.System != "mepipe" || !or.Certified {
 		t.Errorf("response = %+v", or)
 	}
-	if or.StartedFrom != "preset" && or.StartedFrom != "heft" {
+	if or.StartedFrom != "preset" {
 		t.Errorf("started_from = %q", or.StartedFrom)
 	}
 	if or.BestIterTimeS > or.BaseIterTimeS {

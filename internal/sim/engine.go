@@ -207,11 +207,7 @@ func (se *Session) engFillGap(k int, start float64, nextID int32) int {
 		return se.engPopW(k, "drain-gap")
 	}
 	if se.hasBudget {
-		var need int64
-		switch se.opsl[nextID].Kind {
-		case sched.F, sched.BAct:
-			need = se.memB[nextID]
-		}
+		need := se.memB[nextID] // what the op retains, if it retains
 		if need > 0 && e.live[k]+need > se.budget[k] {
 			if e.live[k]+need-e.drain[k] > se.budget[k] {
 				// Uncoverable overshoot: admit the op and let its
@@ -265,25 +261,30 @@ func (se *Session) engRunOp(k int, id int32, start float64, cause string) {
 	for d := se.sucOff[id]; d < se.sucOff[id+1]; d++ {
 		e.stale[se.stg[se.sucID[d]]] = true
 	}
-	f := se.famID[id]
-	switch se.opsl[id].Kind {
-	case sched.F:
-		se.engAlloc(k, id)
-	case sched.B:
-		se.engRelease(k, id)
-	case sched.BAct:
-		se.engAlloc(k, id)
-		se.engEnqueueW(k, id, end)
-	case sched.W:
-		se.touchFam(f)
-		e.drain[k] -= se.famAcc[f]
-		se.engRelease(k, id)
-	case sched.WPiece:
-		se.touchFam(f)
-		se.famCnt[f]++
-		if int(se.famCnt[f]) == se.wPieces {
-			e.drain[k] -= se.famAcc[f]
-			se.engRelease(k, id)
+	switch r, b := se.memStep(id); r {
+	case sched.RetainAct, sched.RetainGrad:
+		e.live[k] += b
+		e.peak[k] = max(e.peak[k], e.live[k])
+		if se.opt.Trace != nil {
+			se.emitMem(obs.EvAlloc, k, id, b, e.live[k], end)
+		}
+		// Dynamic mode is OOM exactly when draining every queued weight
+		// gradient could not bring the stage back under budget.
+		if se.hasBudget && !e.oom && e.live[k] > se.budget[k] && e.live[k]-e.drain[k] > se.budget[k] {
+			e.oom = true
+			e.oomAt = k
+		}
+		if r == sched.RetainGrad {
+			se.engEnqueueW(k, id, end)
+		}
+	case sched.Release:
+		// Dynamic mode splits every backward, so the release is the
+		// family's queued weight-gradient work: its bytes stop being
+		// drainable.
+		e.drain[k] -= b
+		e.live[k] -= b
+		if se.opt.Trace != nil {
+			se.emitMem(obs.EvFree, k, id, b, e.live[k], end)
 		}
 	}
 }
@@ -292,46 +293,11 @@ func (se *Session) engRunOp(k int, id int32, start float64, cause string) {
 // its retained bytes drainable, mirroring the runner's enqueueW.
 func (se *Session) engEnqueueW(k int, bID int32, ready float64) {
 	e := se.eng
-	f := se.famID[bID]
-	se.touchFam(f)
-	e.drain[k] += se.famAcc[f]
+	e.drain[k] += se.famAcc[se.famID[bID]]
 	lo, hi := se.x.WeightGrads(bID)
 	for w := lo; w < hi; w++ {
 		e.wq[k] = append(e.wq[k], wRef{w, ready})
 	}
-}
-
-func (se *Session) engAlloc(k int, id int32) {
-	e := se.eng
-	f, bytes := se.famID[id], se.memB[id]
-	se.touchFam(f)
-	se.famAcc[f] += bytes
-	e.live[k] += bytes
-	if e.live[k] > e.peak[k] {
-		e.peak[k] = e.live[k]
-	}
-	if se.opt.Trace != nil {
-		se.emitMem(obs.EvAlloc, k, id, bytes, e.live[k], e.free[k])
-	}
-	if se.hasBudget && e.live[k] > se.budget[k] && !e.oom {
-		// Dynamic mode is OOM exactly when draining every queued weight
-		// gradient could not bring the stage back under budget.
-		if e.live[k]-e.drain[k] > se.budget[k] {
-			e.oom = true
-			e.oomAt = k
-		}
-	}
-}
-
-func (se *Session) engRelease(k int, id int32) {
-	e := se.eng
-	f := se.famID[id]
-	se.touchFam(f)
-	e.live[k] -= se.famAcc[f]
-	if se.opt.Trace != nil {
-		se.emitMem(obs.EvFree, k, id, se.famAcc[f], e.live[k], e.free[k])
-	}
-	se.famAcc[f] = 0
 }
 
 // assembleDynamic writes the Result from the engine's per-stage state in

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mepipe/internal/errs"
+	"mepipe/internal/obs"
 	"mepipe/internal/sched"
 )
 
@@ -315,10 +316,10 @@ func (se *Session) cost(c Costs) {
 		}
 		k := int(se.stg[id])
 		se.dur[id] = c.OpTime(k, op)
-		switch op.Kind {
-		case sched.F:
+		switch sched.RetentionOf(op.Kind, false) {
+		case sched.RetainAct:
 			se.memB[id] = c.ActBytes(k, op)
-		case sched.BAct:
+		case sched.RetainGrad:
 			se.memB[id] = c.GradBytes(k, op)
 		default:
 			se.memB[id] = 0
@@ -419,9 +420,6 @@ func (se *Session) Eval(s *sched.Schedule) (*Result, error) {
 	}
 	se.memScan()
 	se.assembleStatic()
-	if se.opt.Trace != nil {
-		se.traceStatic()
-	}
 	return &se.res, nil
 }
 
@@ -661,49 +659,65 @@ func (se *Session) touchFam(f int32) {
 	}
 }
 
-// memScan replays each dirty stage's alloc/free sequence in list order —
+// memStep steps op id through the retention rule (sched.PieceStep) on
+// its family's retained bytes, and returns the step with the bytes it
+// retains or releases: the memory accounting the static scan (traced or
+// not) and the dynamic engine share.
+func (se *Session) memStep(id int32) (sched.Retention, int64) {
+	f := se.famID[id]
+	se.touchFam(f)
+	r := sched.PieceStep(se.opsl[id].Kind, &se.famCnt[f], se.wPieces)
+	switch r {
+	case sched.RetainAct, sched.RetainGrad:
+		se.famAcc[f] += se.memB[id]
+		return r, se.memB[id]
+	case sched.Release:
+		b := se.famAcc[f]
+		se.famAcc[f] = 0
+		return r, b
+	}
+	return r, 0
+}
+
+// memScan replays each dirty stage's ops in list order through memStep —
 // memory in static mode depends only on the per-stage order, never on
 // times — caching compute time, peak bytes, and the first over-budget
-// position for assembly.
+// position for assembly. A traced evaluation scans every stage and emits
+// its events as it goes: stage by stage in list order, which is each
+// stage's execution order.
 func (se *Session) memScan() {
+	traced := se.opt.Trace != nil
 	for k := 0; k < se.P; k++ {
-		if !se.stDirty[k] {
+		if !se.stDirty[k] && !traced {
 			continue
 		}
 		se.stDirty[k] = false
 		se.famEpoch++
-		ord := se.order[k]
-		compute := 0.0
+		compute, free := 0.0, 0.0
 		var live, peak int64
 		oomPos := int32(-1)
-		var bLim int64
-		if se.hasBudget {
-			bLim = se.budget[k]
-		}
-		for p := 0; p < len(ord); p++ {
-			id := ord[p]
+		for p, id := range se.order[k] {
 			compute += se.dur[id]
-			f := se.famID[id]
-			se.touchFam(f)
-			switch se.opsl[id].Kind {
-			case sched.F, sched.BAct:
-				b := se.memB[id]
-				se.famAcc[f] += b
+			end := se.finish[id]
+			if traced {
+				se.traceWait(k, id, se.start[id], free, se.finish)
+				se.emitOp(k, id, se.start[id], end, "")
+				free = end
+			}
+			switch r, b := se.memStep(id); r {
+			case sched.RetainAct, sched.RetainGrad:
 				live += b
-				if live > peak {
-					peak = live
-				}
-				if se.hasBudget && live > bLim && oomPos < 0 {
+				peak = max(peak, live)
+				if se.hasBudget && live > se.budget[k] && oomPos < 0 {
 					oomPos = int32(p)
 				}
-			case sched.B, sched.W:
-				live -= se.famAcc[f]
-				se.famAcc[f] = 0
-			case sched.WPiece:
-				se.famCnt[f]++
-				if int(se.famCnt[f]) == se.wPieces {
-					live -= se.famAcc[f]
-					se.famAcc[f] = 0
+				if traced {
+					se.emitMem(obs.EvAlloc, k, id, b, live, end)
+				}
+			case sched.Release:
+				live -= b
+				if traced {
+					se.emitMem(obs.EvFree, k, id, b, live, end)
 				}
 			}
 		}

@@ -543,36 +543,50 @@ func TestPerStageTail(t *testing.T) {
 }
 
 // TestMemorySeriesConsistent: the reconstructed curve's maximum equals the
-// tracker's peak and the curve returns to zero.
+// tracker's peak and the curve returns to zero, for every way a family
+// is released — a fused B (DAPPLE), a whole W (ZB-1P) and the last of its
+// WPieces (MEPipe) — in static mode and, for the split schedules, in
+// dynamic mode, where weight-gradient work runs out of list order.
 func TestMemorySeriesConsistent(t *testing.T) {
-	s, err := sched.MEPipe(4, 1, 2, 4, 0, 3, nil)
-	if err != nil {
-		t.Fatal(err)
+	costs := UniformCosts{Est: sched.UniformEst{F: 1, BFused: 2, BAct: 1, W: 1, WPiece: 0.3, Comm: 0.2}, Act: 5, Grad: 2}
+	cases := []struct {
+		name    string
+		build   func() (*sched.Schedule, error)
+		dynamic []bool
+	}{
+		{"dapple", func() (*sched.Schedule, error) { return sched.DAPPLE(4, 8, nil) }, []bool{false}},
+		{"zb1p", func() (*sched.Schedule, error) { return sched.ZB1P(4, 8, nil) }, []bool{false, true}},
+		{"mepipe-pieces", func() (*sched.Schedule, error) { return sched.MEPipe(4, 1, 2, 4, 0, 3, nil) }, []bool{false, true}},
 	}
-	costs := UniformCosts{Est: sched.UniformEst{F: 1, BAct: 1, WPiece: 0.3}, Act: 5, Grad: 2}
-	res, err := Run(Options{Sched: s, Costs: costs, DynamicW: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < s.P; k++ {
-		series, err := res.MemorySeries(s, costs, k)
+	for _, tc := range cases {
+		s, err := tc.build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var peak int64
-		for _, p := range series {
-			if p.Bytes < 0 {
-				t.Fatalf("stage %d: negative retained bytes", k)
+		for _, dyn := range tc.dynamic {
+			res, err := Run(Options{Sched: s, Costs: costs, DynamicW: dyn})
+			if err != nil {
+				t.Fatalf("%s dynamic=%v: %v", tc.name, dyn, err)
 			}
-			if p.Bytes > peak {
-				peak = p.Bytes
+			for k := 0; k < s.P; k++ {
+				series, err := res.MemorySeries(s, costs, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var peak int64
+				for _, p := range series {
+					if p.Bytes < 0 {
+						t.Fatalf("%s dynamic=%v stage %d: negative retained bytes", tc.name, dyn, k)
+					}
+					peak = max(peak, p.Bytes)
+				}
+				if peak != res.Stages[k].PeakAct {
+					t.Errorf("%s dynamic=%v stage %d: series peak %d != tracked peak %d", tc.name, dyn, k, peak, res.Stages[k].PeakAct)
+				}
+				if last := series[len(series)-1].Bytes; last != 0 {
+					t.Errorf("%s dynamic=%v stage %d: %d bytes leaked at iteration end", tc.name, dyn, k, last)
+				}
 			}
-		}
-		if peak != res.Stages[k].PeakAct {
-			t.Errorf("stage %d: series peak %d != tracked peak %d", k, peak, res.Stages[k].PeakAct)
-		}
-		if series[len(series)-1].Bytes != 0 {
-			t.Errorf("stage %d: %d bytes leaked at iteration end", k, series[len(series)-1].Bytes)
 		}
 	}
 }

@@ -112,46 +112,38 @@ type MemPoint struct {
 }
 
 // MemorySeries reconstructs stage k's retained activation bytes over time
-// from the executed spans — the per-stage curve behind Fig 1's peak values.
-// The same alloc/free rules as the live tracker apply: forwards allocate,
-// fused backwards free, split backwards retain gradients until the
-// family's weight gradients finish. It fails with a wrapped
-// errs.ErrIncompatible when the result carries no spans (MakespanOnly).
+// from the executed spans — the per-stage curve behind Fig 1's peak values
+// — stepping each span through the retention rule the simulator itself
+// applies (sched.RetentionOf). It fails with a wrapped
+// errs.ErrIncompatible when the result carries no spans (MakespanOnly) or
+// a span's op is outside s's shape.
 func (r *Result) MemorySeries(s *sched.Schedule, costs Costs, k int) ([]MemPoint, error) {
 	if !r.SpansRecorded {
 		return nil, errNoSpans("memory series")
 	}
-	type fam struct{ act, grad int64 }
+	x := sched.IndexOf(s)
+	held := make([]int64, x.Families())   // by family: retained bytes
+	pieces := make([]int32, x.Families()) // by family: WPieces run so far
 	live := int64(0)
-	fams := map[sched.Op]fam{}
-	piecesDone := map[sched.Op]int{}
 	out := []MemPoint{{0, 0}}
 	for _, sp := range r.Stages[k].Spans {
-		switch sp.Op.Kind {
-		case sched.F:
+		id := x.ID(k, sp.Op)
+		if id < 0 {
+			return nil, fmt.Errorf("sim: memory series: op %v@stage%d is outside %s: %w", sp.Op, k, s, errs.ErrIncompatible)
+		}
+		f := x.FamilyOf(id)
+		switch sched.PieceStep(sp.Op.Kind, &pieces[f], s.WPieces) {
+		case sched.RetainAct:
 			b := costs.ActBytes(k, sp.Op)
-			fams[sp.Op.Key()] = fam{act: b}
+			held[f] += b
 			live += b
-		case sched.B:
-			live -= fams[sp.Op.Key()].act
-			delete(fams, sp.Op.Key())
-		case sched.BAct:
-			g := costs.GradBytes(k, sp.Op)
-			f := fams[sp.Op.Key()]
-			f.grad = g
-			fams[sp.Op.Key()] = f
-			live += g
-		case sched.W:
-			f := fams[sp.Op.Key()]
-			live -= f.act + f.grad
-			delete(fams, sp.Op.Key())
-		case sched.WPiece:
-			piecesDone[sp.Op.Key()]++
-			if piecesDone[sp.Op.Key()] == s.WPieces {
-				f := fams[sp.Op.Key()]
-				live -= f.act + f.grad
-				delete(fams, sp.Op.Key())
-			}
+		case sched.RetainGrad:
+			b := costs.GradBytes(k, sp.Op)
+			held[f] += b
+			live += b
+		case sched.Release:
+			live -= held[f]
+			held[f] = 0
 		}
 		out = append(out, MemPoint{sp.End, live})
 	}

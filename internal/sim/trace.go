@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"mepipe/internal/obs"
-	"mepipe/internal/sched"
 )
 
 // Trace converts the result's executed spans into an obs.Trace of op
@@ -36,43 +35,6 @@ func (r *Result) Trace() *obs.Trace {
 		return t.Events[i].Stage < t.Events[j].Stage
 	})
 	return t
-}
-
-// traceStatic emits a static evaluation's events after the solve: stage by
-// stage in list order, which is each stage's execution order, replaying
-// the stage's memory to report live totals.
-func (se *Session) traceStatic() {
-	for k := 0; k < se.P; k++ {
-		se.famEpoch++
-		free := 0.0
-		var live int64
-		for _, id := range se.order[k] {
-			start, end := se.start[id], se.finish[id]
-			se.traceWait(k, id, start, free, se.finish)
-			se.emitOp(k, id, start, end, "")
-			free = end
-			f := se.famID[id]
-			se.touchFam(f)
-			switch se.opsl[id].Kind {
-			case sched.F, sched.BAct:
-				b := se.memB[id]
-				se.famAcc[f] += b
-				live += b
-				se.emitMem(obs.EvAlloc, k, id, b, live, end)
-			case sched.B, sched.W:
-				live -= se.famAcc[f]
-				se.emitMem(obs.EvFree, k, id, se.famAcc[f], live, end)
-				se.famAcc[f] = 0
-			case sched.WPiece:
-				se.famCnt[f]++
-				if int(se.famCnt[f]) == se.wPieces {
-					live -= se.famAcc[f]
-					se.emitMem(obs.EvFree, k, id, se.famAcc[f], live, end)
-					se.famAcc[f] = 0
-				}
-			}
-		}
-	}
 }
 
 // traceWait emits the comm events feeding op id on stage k and classifies

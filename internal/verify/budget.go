@@ -50,6 +50,21 @@ func PlanBudget(plan *memplan.Plan, fp Footprints) *Budget {
 	}
 }
 
+// footprints returns the per-op footprints the sweep charges: b's, with
+// unit slot counting (one per family, no gradient retention) standing in
+// for any that are nil, or for a nil b.
+func (b *Budget) footprints() (fam, grad func(stage int, op sched.Op) int64) {
+	fam = func(int, sched.Op) int64 { return 1 }
+	grad = func(int, sched.Op) int64 { return 0 }
+	if b != nil && b.FamilyBytes != nil {
+		fam = b.FamilyBytes
+	}
+	if b != nil && b.GradBytes != nil {
+		grad = b.GradBytes
+	}
+	return fam, grad
+}
+
 // BudgetError is the memory-safety counterexample: the first op at which
 // a stage's swept retention exceeds its budget, with what was live.
 type BudgetError struct {
@@ -73,28 +88,19 @@ func (e *BudgetError) Error() string {
 
 func (e *BudgetError) Unwrap() error { return errs.ErrUncertified }
 
-// sweep walks each stage's op list in program order, replaying the
-// simulator's retention rules, and records peak live families (always)
-// and peak bytes under b's footprints (when b is non-nil). It fails the
-// moment a stage's retention exceeds its budget. Ops are read as the ids
+// sweep walks each stage's op list in program order, stepping each op
+// through the one retention rule (sched.PieceStep), and records peak live
+// families (always) and peak bytes under b's footprints (when b is
+// non-nil). It fails the moment a stage's retention exceeds its budget. Ops are read as the ids
 // resolve left in sc, and per-family state lives in sc's arrays, indexed
 // by OpIndex.FamilyOf. An op that does not index can only get here when
 // AssumeComplete was set on an incomplete table, and is reported as
 // checkComplete would have reported it.
 func sweep(s *sched.Schedule, x sched.OpIndex, b *Budget, cert *Certificate, sc *certScratch) error {
-	famBytes := func(stage int, op sched.Op) int64 { return 1 }
-	gradBytes := func(stage int, op sched.Op) int64 { return 0 }
-	if b != nil {
-		if b.FamilyBytes != nil {
-			famBytes = b.FamilyBytes
-		}
-		if b.GradBytes != nil {
-			gradBytes = b.GradBytes
-		}
-		if b.ActBudget != nil && len(b.ActBudget) != s.P {
-			return &ShapeError{Schedule: s.String(),
-				Detail: fmt.Sprintf("budget has %d stage entries, want %d", len(b.ActBudget), s.P)}
-		}
+	famBytes, gradBytes := b.footprints()
+	if b != nil && b.ActBudget != nil && len(b.ActBudget) != s.P {
+		return &ShapeError{Schedule: s.String(),
+			Detail: fmt.Sprintf("budget has %d stage entries, want %d", len(b.ActBudget), s.P)}
 	}
 	nf := x.Families()
 	sc.live = kgrow(sc.live, nf)
@@ -136,19 +142,13 @@ func sweep(s *sched.Schedule, x sched.OpIndex, b *Budget, cert *Certificate, sc 
 				return unindexedOp(s, x, k, op, sc)
 			}
 			f := x.FamilyOf(id)
-			switch op.Kind {
-			case sched.F:
+			switch sched.PieceStep(op.Kind, &sc.pieces[f], s.WPieces) {
+			case sched.RetainAct:
 				retain(f, famBytes(k, op))
-			case sched.B, sched.W:
-				release(f)
-			case sched.BAct:
+			case sched.RetainGrad:
 				retain(f, gradBytes(k, op))
-			case sched.WPiece:
-				sc.pieces[f]++
-				if int(sc.pieces[f]) == s.WPieces {
-					release(f)
-					sc.pieces[f] = 0
-				}
+			case sched.Release:
+				release(f)
 			}
 			if nlive > peakFams {
 				peakFams = nlive

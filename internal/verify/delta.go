@@ -155,21 +155,14 @@ func (d *Delta) bindDense() bool {
 	return true
 }
 
-// sweepBase replays the memory sweep's retention rules over the base,
+// sweepBase steps the base through the retention rule (sched.PieceStep),
 // recording each family's footprints, where it is released, and the
 // stage's retention after every op. The base is acyclic here, so each
 // family runs F, then its backward, then its weight-gradient work. It
 // returns false when the base overflows its budget.
 func (b *deltaBase) sweepBase() bool {
 	s, x := b.base, b.x
-	famBytes := func(stage int, op sched.Op) int64 { return 1 }
-	gradBytes := func(stage int, op sched.Op) int64 { return 0 }
-	if b.budget.FamilyBytes != nil {
-		famBytes = b.budget.FamilyBytes
-	}
-	if b.budget.GradBytes != nil {
-		gradBytes = b.budget.GradBytes
-	}
+	famBytes, gradBytes := b.budget.footprints()
 	nf := x.Families()
 	b.famB = kgrow(b.famB, nf)
 	b.gradB = kgrow(b.gradB, nf)
@@ -182,20 +175,16 @@ func (b *deltaBase) sweepBase() bool {
 		for i, op := range ops {
 			id := x.ID(k, op)
 			f := x.FamilyOf(id)
-			lastPiece := false
-			switch op.Kind {
-			case sched.F:
+			r := sched.PieceStep(op.Kind, &b.pieces[f], s.WPieces)
+			switch r {
+			case sched.RetainAct:
 				b.famB[f], b.gradB[f] = famBytes(k, op), 0
-			case sched.BAct:
+			case sched.RetainGrad:
 				b.gradB[f] = gradBytes(k, op)
-			case sched.WPiece:
-				b.pieces[f]++
-				lastPiece = int(b.pieces[f]) == s.WPieces
-			}
-			if releases(op.Kind, lastPiece) {
+			case sched.Release:
 				b.relPos[f] = int32(i)
 			}
-			live += b.retention(op.Kind, f, lastPiece)
+			live += b.retention(r, f)
 			if live > b.budget.ActBudget[k] {
 				return false
 			}
@@ -205,24 +194,15 @@ func (b *deltaBase) sweepBase() bool {
 	return true
 }
 
-// releases reports whether an op frees its family's retention under the
-// memory sweep's rules: a full backward, a weight gradient, or the
-// family's last weight-gradient piece.
-func releases(kind sched.Kind, lastPiece bool) bool {
-	return kind == sched.B || kind == sched.W || kind == sched.WPiece && lastPiece
-}
-
-// retention is the change an op of family f makes to its stage's
-// retention, the memory sweep's rule in the binding's footprints: a
-// forward retains the family's activations, a split backward adds its
-// gradient bytes, and a releasing op frees both.
-func (b *deltaBase) retention(kind sched.Kind, f int32, lastPiece bool) int64 {
-	switch {
-	case kind == sched.F:
+// retention is the change step r of family f makes to its stage's
+// retention, in the binding's footprints.
+func (b *deltaBase) retention(r sched.Retention, f int32) int64 {
+	switch r {
+	case sched.RetainAct:
 		return b.famB[f]
-	case kind == sched.BAct:
+	case sched.RetainGrad:
 		return b.gradB[f]
-	case releases(kind, lastPiece):
+	case sched.Release:
 		return -(b.famB[f] + b.gradB[f])
 	}
 	return 0
@@ -461,12 +441,13 @@ func (d *Delta) fits(k int, cops []sched.Op, lo, hi int, commit bool) bool {
 			rp := int(b.relPos[f])
 			lastPiece = rp >= lo && rp <= hi && int(d.last[f]) == lo+i
 		}
-		if cur += b.retention(kind, f, lastPiece); cur > capK {
+		r := sched.RetentionOf(kind, lastPiece)
+		if cur += b.retention(r, f); cur > capK {
 			return false
 		}
 		if commit {
 			b.live[id] = cur
-			if releases(kind, lastPiece) {
+			if r == sched.Release {
 				b.relPos[f] = int32(lo + i)
 			}
 		}

@@ -197,6 +197,8 @@ func TestDeltaBindRejects(t *testing.T) {
 // checked against Certify; after every accepted one, the rebound Delta's
 // positions, successors and retention tables must equal a fresh Bind's of
 // the accepted schedule, and its ranks must be a topological order of it.
+// Every accepted schedule's certified peaks must also equal a static
+// sim.Run's under the budget's footprints (see requirePeaksMatch).
 func FuzzDeltaRebind(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 8, 0, 1, 2, 0x80, 3, 9})
 	f.Add([]byte{1, 1, 1, 1, 11, 0x81, 0, 1, 0x81, 3, 4, 1, 5, 6})
@@ -271,6 +273,8 @@ func rebindStream(t *testing.T, data []byte) int {
 		base = cand
 		accepted++
 		requireBoundLike(t, d, base, b)
+		act, grad := b.footprints()
+		requirePeaksMatch(t, base, act, grad)
 	}
 	return accepted
 }
