@@ -75,10 +75,13 @@ serve-smoke:
 # one-stage moves (Delta.Check allocates nothing; a rejected Certify
 # little beyond its counterexample), Rebind's seeded differential test
 # against a fresh Bind, short runs of Delta's differential fuzzers (Check
-# against Certify, Rebind against Bind), and a one-round replay of the
-# BENCH_opt harness.
+# against Certify, Rebind against Bind), the worker-group checks (the same
+# search at every Workers × GOMAXPROCS, on the serial and the fan-out
+# side; the fan-out decision at its two reference points; no goroutine
+# outlives a run, cancelled or failed ones included), and a one-round
+# replay of the BENCH_opt harness.
 opt-smoke:
-	$(GO) test ./internal/opt -run 'TestDiscoveredBeatsPresets|TestOptimizeSmoke|TestDeltaFloor' -count=1
+	$(GO) test ./internal/opt -run 'TestDiscoveredBeatsPresets|TestOptimizeSmoke|TestDeltaFloor|TestOptimizeDeterministicAcrossWorkers|TestFanOutReferencePoints|TestOptimizeJoinsWorkers' -count=1
 	$(GO) test ./internal/verify -run 'TestCertifyAllocs|TestDeltaAllocs|TestDeltaRebindMatchesBind' -count=1
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzDeltaMatchesCertify -fuzztime 10s
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzDeltaRebind -fuzztime 10s

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"mepipe/internal/bench"
@@ -86,7 +87,8 @@ func main() {
 
 // optReport is the BENCH_opt.json document: the artifact's point, the
 // preset baseline vs the schedule the replayed search discovered, and the
-// search throughput on this machine.
+// search throughput on this machine, with the core count it ran on and
+// how many workers evaluated each round.
 type optReport struct {
 	Note string `json:"note"`
 	P    int    `json:"p"`
@@ -115,6 +117,8 @@ type optReport struct {
 	AcceptRate       float64 `json:"accept_rate"`
 	CandidatesPerSec float64 `json:"candidates_per_sec"`
 	ElapsedS         float64 `json:"elapsed_s"`
+	GOMAXPROCS       int     `json:"gomaxprocs"`
+	Workers          int     `json:"workers"`
 }
 
 // runOptBench replays the checked-in discovered-schedule artifact's
@@ -169,7 +173,7 @@ func runOptBench(iters int, out string) error {
 		Seed:             o.Seed, Iters: o.Iters, Proposals: o.Proposals,
 		Proposed: res.Proposed, Infeasible: res.Infeasible,
 		Evaluated: res.Evaluated, Accepted: res.Accepted, Improved: res.Improved,
-		ElapsedS: elapsed,
+		ElapsedS: elapsed, GOMAXPROCS: runtime.GOMAXPROCS(0), Workers: res.Workers,
 	}
 	if o.Iters > 0 {
 		rep.AcceptRate = float64(res.Accepted) / float64(o.Iters)
@@ -199,6 +203,7 @@ func runOptBench(iters int, out string) error {
 		rep.BestIterTime, 100*rep.BestBubble, 100*rep.Gain)
 	fmt.Printf("  search     %d proposed (%d infeasible), %.0f candidates/s, accept rate %.2f\n",
 		rep.Proposed, rep.Infeasible, rep.CandidatesPerSec, rep.AcceptRate)
+	fmt.Printf("  workers    %d (GOMAXPROCS %d)\n", rep.Workers, rep.GOMAXPROCS)
 	fmt.Printf("  report     written to %s\n", out)
 	return nil
 }

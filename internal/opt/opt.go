@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 
 	"mepipe/internal/errs"
 	"mepipe/internal/obs"
@@ -50,9 +51,13 @@ type Options struct {
 	// Workers is not.
 	Proposals int
 
-	// Workers bounds how many candidates are evaluated concurrently
-	// (default Proposals). It affects wall-clock speed only, never the
-	// result.
+	// Workers bounds how many goroutines evaluate a round's candidates
+	// (default Proposals). A run uses min(Workers, Proposals,
+	// GOMAXPROCS) of them, started once per run, and only when a round's
+	// work (schedule ops × Proposals) is large enough to pay for them;
+	// smaller rounds run serially on the calling goroutine. It affects
+	// wall-clock speed and Result.Workers only, never the discovered
+	// schedule or the counters.
 	Workers int
 
 	// InitTemp is the initial Metropolis temperature. Zero selects
@@ -117,6 +122,11 @@ type Result struct {
 	Evaluated  int
 	Accepted   int
 	Improved   int
+
+	// Workers is how many goroutines evaluated each round: 1 when the
+	// rounds ran serially on the caller. Unlike the counters it may vary
+	// with Options.Workers and GOMAXPROCS.
+	Workers int
 }
 
 // Gain returns the fractional improvement over the input schedule.
@@ -168,6 +178,13 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	temp := opt.InitTemp
 	cands := make([]candidate, opt.Proposals)
 
+	// A round's work grows with the schedule: small rounds run on the
+	// calling goroutine, larger ones on a group of workers started once
+	// for the run. Per-worker state below is sized to the workers that
+	// actually run.
+	workers := fanOut(numOps(s), opt.Proposals, opt.Workers, runtime.GOMAXPROCS(0))
+	res.Workers = workers
+
 	// Every candidate is a permutation of the seed's ops, so each worker
 	// binds one incremental simulator session, which re-sorts only the
 	// rank interval each move disturbs and re-solves the ops from the
@@ -176,7 +193,7 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	// to a full sim.Run (the sim package's differential fuzzer gates
 	// this), and the random stream above is drawn before evaluation, so
 	// the search trajectory is untouched.
-	sessions := make([]*sim.Session, opt.Workers)
+	sessions := make([]*sim.Session, workers)
 
 	// Likewise every candidate is the current state with one stage
 	// reordered, so each worker certifies it with a fork of one Delta
@@ -184,7 +201,7 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	// of a full Certify, with the same verdict. The binding moves with the
 	// current state, once per accepted round, by a Rebind over the
 	// accepted move's window.
-	deltas := make([]*verify.Delta, opt.Workers)
+	deltas := make([]*verify.Delta, workers)
 	deltas[0] = verify.NewDelta(opt.Budget)
 	if err := deltas[0].Bind(cur); err != nil {
 		return nil, fmt.Errorf("opt: binding the start schedule: %w", err)
@@ -192,6 +209,11 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	for w := 1; w < len(deltas); w++ {
 		deltas[w] = deltas[0].Fork()
 	}
+
+	g := startGroup(workers, func(w, i int) {
+		evaluate(&cands[i], costs, deltas[w], &sessions[w])
+	})
+	defer g.stop()
 
 	for round := 0; round < opt.Iters; round++ {
 		if ctx.Err() != nil {
@@ -204,9 +226,7 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 		}
 		u := rng.Float64()
 
-		forEachWorker(opt.Workers, len(cands), func(w, i int) {
-			evaluate(&cands[i], costs, deltas[w], &sessions[w])
-		})
+		g.round(len(cands))
 
 		res.Proposed += len(cands)
 		pick := -1
@@ -290,7 +310,9 @@ func evalSim(s *sched.Schedule, costs sim.Costs, sess **sim.Session) (*sim.Resul
 		}
 		*sess = nil
 	}
-	se, err := sim.NewSession(sim.Options{Sched: s, Costs: costs, MakespanOnly: true})
+	// Check has just certified the candidate, so a Validate at bind would
+	// prove nothing new; the session still rejects an incomplete op table.
+	se, err := sim.NewSession(sim.Options{Sched: s, Costs: costs, MakespanOnly: true, AssumeValid: true})
 	if err != nil {
 		return nil, err
 	}
@@ -315,6 +337,15 @@ func emitMoves(sink obs.Sink, cands []candidate, accepted int) {
 			Start: c.time, End: c.time, Cause: c.operator + "/" + outcome,
 		})
 	}
+}
+
+// numOps counts the schedule's ops across all stages.
+func numOps(s *sched.Schedule) int {
+	n := 0
+	for _, ops := range s.Stages {
+		n += len(ops)
+	}
+	return n
 }
 
 func cloneSchedule(s *sched.Schedule) *sched.Schedule {

@@ -9,7 +9,9 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"mepipe/internal/errs"
 	"mepipe/internal/obs"
@@ -205,36 +207,191 @@ func TestOptimizeSmoke(t *testing.T) {
 	}
 }
 
-// TestOptimizeDeterministicAcrossWorkers pins that Workers affects
-// wall-clock only: 1 worker and 8 workers discover byte-identical
-// schedules with identical counters.
+// fanOutSchedule is a schedule whose rounds fan out: MEPipe at P=8, S=4,
+// N=2 with 7 weight-gradient pieces (576 ops), so a round of 4 proposals
+// is above fanOutCutoff.
+func fanOutSchedule(tb testing.TB) *sched.Schedule {
+	tb.Helper()
+	s, err := sched.MEPipe(8, 1, 4, 2, 0, 7, sched.Unit())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if numOps(s)*4 < fanOutCutoff {
+		tb.Fatalf("%d ops × 4 proposals is below the fan-out cutoff %d", numOps(s), fanOutCutoff)
+	}
+	return s
+}
+
+// withProcs runs fn with GOMAXPROCS set to procs.
+func withProcs(procs int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	fn()
+}
+
+// TestOptimizeDeterministicAcrossWorkers pins that Workers and GOMAXPROCS
+// affect wall-clock only: every Workers ∈ {1, 2, 8} × GOMAXPROCS ∈ {1, 2}
+// run discovers byte-identical schedules with bitwise-equal best times and
+// identical counters, both at the artifact point, whose rounds run on the
+// caller, and at a schedule whose rounds fan out to the worker group.
 func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	a := discoveredPoint()
 	_, presetSched, err := a.BestPreset()
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) (*Result, []byte) {
-		res, err := Optimize(context.Background(), presetSched, a.Costs(), Options{
-			Seed: 7, Iters: 150, Workers: workers, Budget: a.Budget(),
+	points := []struct {
+		name   string
+		s      *sched.Schedule
+		costs  sim.Costs
+		budget *verify.Budget
+		iters  int
+		serial bool
+	}{
+		{"artifact", presetSched, a.Costs(), a.Budget(), 150, true},
+		{"fan-out", fanOutSchedule(t), sim.Unit(), nil, 40, false},
+	}
+	for _, p := range points {
+		t.Run(p.name, func(t *testing.T) {
+			var first *Result
+			var firstBytes []byte
+			for _, procs := range []int{1, 2} {
+				for _, workers := range []int{1, 2, 8} {
+					var res *Result
+					var err error
+					withProcs(procs, func() {
+						res, err = Optimize(context.Background(), p.s, p.costs, Options{
+							Seed: 7, Iters: p.iters, Workers: workers, Budget: p.budget,
+						})
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := 1
+					if !p.serial {
+						want = min(workers, 4, procs)
+					}
+					if res.Workers != want {
+						t.Errorf("Workers=%d GOMAXPROCS=%d: ran %d workers, want %d", workers, procs, res.Workers, want)
+					}
+					var b bytes.Buffer
+					if err := res.Schedule.Save(&b); err != nil {
+						t.Fatal(err)
+					}
+					if first == nil {
+						if res.Accepted == 0 {
+							t.Fatal("no move accepted; the comparison would be vacuous")
+						}
+						first, firstBytes = res, b.Bytes()
+						continue
+					}
+					if !bytes.Equal(b.Bytes(), firstBytes) {
+						t.Errorf("Workers=%d GOMAXPROCS=%d discovered a different schedule", workers, procs)
+					}
+					if math.Float64bits(res.BestTime) != math.Float64bits(first.BestTime) {
+						t.Errorf("Workers=%d GOMAXPROCS=%d: best time %.17g, want %.17g", workers, procs, res.BestTime, first.BestTime)
+					}
+					got := [5]int{res.Proposed, res.Infeasible, res.Evaluated, res.Accepted, res.Improved}
+					wantC := [5]int{first.Proposed, first.Infeasible, first.Evaluated, first.Accepted, first.Improved}
+					if got != wantC {
+						t.Errorf("Workers=%d GOMAXPROCS=%d: proposed/infeasible/evaluated/accepted/improved = %v, want %v",
+							workers, procs, got, wantC)
+					}
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
+	}
+}
+
+// TestFanOutReferencePoints pins the fan-out decision at the two points
+// the cutoff was measured between: the artifact point's rounds run on the
+// caller, and the 13B point's (MEPipe P=8, S=4, N=16, 7 weight-gradient
+// pieces) fan out to min(Workers, Proposals, GOMAXPROCS) workers.
+func TestFanOutReferencePoints(t *testing.T) {
+	_, artifact, err := discoveredPoint().BestPreset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := sched.MEPipe(8, 1, 4, 16, 0, 7, sched.Unit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := numOps(artifact); n != 96 {
+		t.Fatalf("artifact point has %d ops, want 96", n)
+	}
+	if n := numOps(big); n != 4608 {
+		t.Fatalf("13B point has %d ops, want 4608", n)
+	}
+	for _, c := range []struct{ ops, workers, procs, want int }{
+		{96, 4, 2, 1},
+		{96, 8, 64, 1},
+		{4608, 4, 2, 2},
+		{4608, 8, 64, 4},
+		{4608, 3, 64, 3},
+		{4608, 4, 1, 1},
+		{4608, 1, 2, 1},
+	} {
+		if got := fanOut(c.ops, 4, c.workers, c.procs); got != c.want {
+			t.Errorf("fanOut(ops=%d, proposals=4, workers=%d, procs=%d) = %d, want %d",
+				c.ops, c.workers, c.procs, got, c.want)
 		}
-		var b bytes.Buffer
-		if err := res.Schedule.Save(&b); err != nil {
-			t.Fatal(err)
+	}
+}
+
+// cancelAfter cancels its context once it has seen n events.
+type cancelAfter struct {
+	n      int
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) Emit(obs.Event) {
+	if c.n--; c.n == 0 {
+		c.cancel()
+	}
+}
+
+// TestOptimizeJoinsWorkers pins that a run's worker group never outlives
+// Optimize: the goroutine count settles back to its baseline after a
+// normal return, after a context cancelled mid-search, and after an
+// early error return.
+func TestOptimizeJoinsWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	s := fanOutSchedule(t)
+	base := runtime.NumGoroutine()
+	settled := func(after string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+			if time.Now().After(deadline) {
+				t.Fatalf("after %s: %d goroutines, baseline %d", after, n, base)
+			}
+			time.Sleep(time.Millisecond)
 		}
-		return res, b.Bytes()
 	}
-	r1, b1 := run(1)
-	r8, b8 := run(8)
-	if !bytes.Equal(b1, b8) {
-		t.Error("1-worker and 8-worker runs discovered different schedules")
+
+	res, err := Optimize(context.Background(), s, sim.Unit(), Options{Seed: 1, Iters: 20, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r1.BestTime != r8.BestTime || r1.Accepted != r8.Accepted || r1.Infeasible != r8.Infeasible {
-		t.Errorf("counter drift across workers: %+v vs %+v", r1, r8)
+	if res.Workers != 2 {
+		t.Fatalf("ran %d workers, want 2: the group must start for this test to check anything", res.Workers)
 	}
+	settled("a normal run")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = Optimize(ctx, s, sim.Unit(), Options{
+		Seed: 1, Iters: 1000, Workers: 2, Trace: &cancelAfter{n: 3 * 4, cancel: cancel},
+	})
+	if !errors.Is(err, errs.ErrCancelled) {
+		t.Fatalf("cancelled mid-search: got %v, want ErrCancelled", err)
+	}
+	settled("a run cancelled mid-search")
+
+	tight := verify.SlotBudget([]int{1, 1, 1, 1, 1, 1, 1, 1})
+	if _, err := Optimize(context.Background(), s, sim.Unit(), Options{Workers: 2, Budget: tight}); !errors.Is(err, errs.ErrUncertified) {
+		t.Fatalf("over-budget seed: got %v, want ErrUncertified", err)
+	}
+	settled("an early error return")
 }
 
 // TestOptimizeErrors pins the sentinel contract.

@@ -406,7 +406,9 @@ type (
 // Optimize anneals one schedule under a cost model and returns the best
 // certified reordering discovered. The search is deterministic in
 // (schedule, costs, options) — Workers only changes wall-clock time.
-// Errors wrap ErrIncompatible (nil inputs), ErrUncertified (the input
+// Small schedules run every round on the calling goroutine; larger ones
+// fan each round out to min(Workers, Proposals, GOMAXPROCS) workers
+// started once per call and joined before it returns. Errors wrap ErrIncompatible (nil inputs), ErrUncertified (the input
 // schedule fails certification under the options' budget) or
 // ErrCancelled. WithTrace taps one EvMove event per proposal.
 func Optimize(ctx context.Context, s *Schedule, costs SimCosts, o OptimizeOptions, opts ...Option) (*OptimizeResult, error) {
