@@ -100,16 +100,17 @@ opt-regen:
 	$(GO) test ./internal/opt -run TestWriteDiscovered -write-discovered
 
 # Simulator fast-path smoke (docs/PERFORMANCE.md): the bitwise
-# session/batch equivalence tables against the reference runner and the
+# session/Evaluate equivalence tables against the reference runner and the
 # edge-case regressions, the incremental-replay floors (Session.Eval ≥ 3×
 # the reference full replay at 0 allocs per candidate, and ≥ 2× the
 # session's own dense sweep per certified shift proposal at the 13B
 # point, 0 allocs), the planning-grid
-# check (pooled evaluation vs the reference runner, traces included), a
+# check (pooled evaluation vs the reference runner, traces included), the
+# order-free lower bounds (critical-path bits pinned under real costs), a
 # short run of the differential fuzzer, and the discovered-artifact
 # session replay gate.
 sim-smoke:
-	$(GO) test ./internal/sim -run 'TestSession|TestEvaluate|TestDynamicOOM|TestStats|TestTraceWait|TestIncrementalReplayFloor|TestPlanningGrid' -count=1
+	$(GO) test ./internal/sim -run 'TestSession|TestEvaluateMatchesRun|TestDynamicOOM|TestStats|TestTraceWait|TestIncrementalReplayFloor|TestPlanningGrid|TestMakespanBounds' -count=1
 	$(GO) test ./internal/sim -run NONE -fuzz FuzzIncrementalEquivalence -fuzztime 10s
 	$(GO) test ./internal/opt -run TestDiscoveredReplaysThroughSession -count=1
 
@@ -118,12 +119,14 @@ sim-smoke:
 # ±prune, and mid-sweep cancellation), the peak-equality test (Certify's
 # per-stage peaks equal sim.Run's static ones under the same footprints,
 # over every preset family — the one retention rule, applied alike),
-# short runs of the certifier's differential fuzzers (the dense path
-# against the map graph and map sweep, and Certify against sim.Run's
-# deadlock verdict), and the /v1/sweep wire tests.
+# Validate's pinned error text, short runs of the certifier's differential
+# fuzzers (the dense path against the map graph and map sweep, and Certify
+# against sim.Run's deadlock verdict and Validate's), and the /v1/sweep
+# wire tests.
 sweep-smoke:
 	$(GO) test ./internal/strategy -run 'TestSweep' -count=1
 	$(GO) test ./internal/verify -run 'TestCertifyPeaksMatchRun' -count=1
+	$(GO) test ./internal/sched -run 'TestValidateMessages' -count=1
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyDenseMatchesGraph -fuzztime 10s
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyAgreesWithRun -fuzztime 10s
 	$(GO) test ./internal/serve ./api/v1 -run 'Sweep' -count=1

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"bytes"
-	"context"
 	_ "embed"
 	"encoding/json"
 	"fmt"
@@ -122,21 +121,15 @@ func (a *Artifact) DiscoveredSchedule() (*sched.Schedule, error) {
 
 // BestPreset sweeps the SVPP preset family at the artifact's point —
 // split × reschedule × f up to the micro-batch count — keeping only
-// presets that certify under the budget, and returns the fastest. This
-// is the baseline the discovered schedule must beat, recomputed from
-// scratch so the recorded iteration times cannot drift silently. The
-// certified presets are simulated as one sim.EvaluateMany batch; the
-// winner is selected in generation order, so the result is identical to
-// the serial sweep regardless of worker count.
+// presets that certify under the budget, and returns the fastest, the
+// first in generation order on a tie. This is the baseline the discovered
+// schedule must beat, recomputed from scratch so the recorded iteration
+// times cannot drift silently.
 func (a *Artifact) BestPreset() (ArtifactPreset, *sched.Schedule, error) {
 	costs := a.Costs()
 	budget := a.Budget()
-	type presetCand struct {
-		p ArtifactPreset
-		s *sched.Schedule
-	}
-	var cands []presetCand
-	var scheds []*sched.Schedule
+	var best ArtifactPreset
+	var bestSched *sched.Schedule
 	for _, split := range []bool{false, true} {
 		for _, re := range []bool{false, true} {
 			for f := 1; f <= a.N*a.S; f++ {
@@ -150,33 +143,21 @@ func (a *Artifact) BestPreset() (ArtifactPreset, *sched.Schedule, error) {
 				if _, err := verify.Certify(s, verify.Options{Budget: budget}); err != nil {
 					continue
 				}
-				cands = append(cands, presetCand{
-					p: ArtifactPreset{
+				r, err := sim.Run(sim.Options{Sched: s, Costs: costs, MakespanOnly: true})
+				if err != nil || r.OOM {
+					continue
+				}
+				if bestSched == nil || r.IterTime < best.IterTime-eps {
+					best = ArtifactPreset{
 						Name:       fmt.Sprintf("svpp f=%d split=%v resched=%v", f, split, re),
 						F:          f,
 						Split:      split,
 						Reschedule: re,
-					},
-					s: s,
-				})
-				scheds = append(scheds, s)
+						IterTime:   r.IterTime,
+					}
+					bestSched = s
+				}
 			}
-		}
-	}
-	results, err := sim.EvaluateMany(context.Background(), scheds, sim.Options{Costs: costs, MakespanOnly: true}, 0)
-	if err != nil {
-		return ArtifactPreset{}, nil, fmt.Errorf("opt: preset sweep: %w", err)
-	}
-	var best ArtifactPreset
-	var bestSched *sched.Schedule
-	for i, r := range results {
-		if r == nil || r.OOM {
-			continue
-		}
-		if bestSched == nil || r.IterTime < best.IterTime-eps {
-			best = cands[i].p
-			best.IterTime = r.IterTime
-			bestSched = cands[i].s
 		}
 	}
 	if bestSched == nil {

@@ -353,3 +353,56 @@ func TestWaveWithSplitShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestValidateMessages pins Validate's error text: a deadlocking order
+// names the first op, in stage-list order, left on a cycle, and an absent
+// dependency names the first op, in stage-list order, whose dependency
+// decodes out of shape.
+func TestValidateMessages(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func() *Schedule
+		want  string
+	}{
+		{"deadlock", func() *Schedule {
+			s, err := DAPPLE(2, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// All backwards before all forwards on stage 0.
+			var reordered []Op
+			for _, kind := range []Kind{B, F} {
+				for _, op := range s.Stages[0] {
+					if op.Kind == kind {
+						reordered = append(reordered, op)
+					}
+				}
+			}
+			s.Stages[0] = reordered
+			return s
+		}, "sched: DAPPLE{p=2 v=1 s=1 n=2 split=false} deadlocks: op B[m0 s0 c0]@stage0 is on a dependency cycle: schedule failed certification"},
+		{"off grid", func() *Schedule {
+			s, err := DAPPLE(2, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A fresh Schedule: the DepTable cache is keyed by shape,
+			// not by placement.
+			return &Schedule{Name: s.Name, P: 2, V: 1, S: 1, N: 2, Place: offGrid{RoundRobin{P: 2, V: 1}}, Stages: s.Stages}
+		}, "sched: DAPPLE{p=2 v=1 s=1 n=2 split=false} stage 0: op B[m0 s0 c0] depends on absent B[m0 s0 c0]@stage2: incompatible configuration"},
+		{"stray piece", func() *Schedule {
+			s, err := DAPPLE(2, 2, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Stages[1][0].Piece = 7
+			return s
+		}, "sched: DAPPLE{p=2 v=1 s=1 n=2 split=false} stage 1: F[m0 s0 c0] carries weight-gradient piece 7: incompatible configuration"},
+	}
+	for _, c := range cases {
+		err := c.build().Validate()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate() = %v, want %q", c.name, err, c.want)
+		}
+	}
+}

@@ -28,7 +28,11 @@ func (c Chain) succ(u int32, next []int32) int32 {
 // and the program-order chains next (id -> successor, -1 at the end of a
 // stage), taking ops from a FIFO queue seeded in id order. It returns how
 // many ops it ranked: all of them unless a cycle blocks the rest, in which
-// case the tables are partial. indeg is scratch of one entry per op.
+// case the tables are partial and indeg is positive exactly on the
+// unranked ops — Kahn's residual, the ops on or behind a cycle, which does
+// not depend on queue order. indeg is otherwise scratch of one entry per
+// op. Sort is the one Kahn pass over a schedule: Validate, the certifier,
+// the simulator session and the critical-path bound all rank through it.
 //
 // A FIFO Kahn advances every stage about one op per wave, so the ops of a
 // stage that are close in program order are close in rank, and a window

@@ -17,7 +17,8 @@ import (
 //
 // A nil error means any dependency-respecting executor can run the schedule
 // to completion. Both checks run on the dense arithmetic op index
-// (opIndexer) — no hashing, no per-op allocation.
+// (opIndexer) — no hashing, no per-op allocation — and the acyclicity
+// check fills the schedule's DepTable cache.
 func (s *Schedule) Validate() error {
 	if s.P <= 0 || s.V <= 0 || s.S <= 0 || s.N <= 0 {
 		return fmt.Errorf("sched: %s has non-positive shape: %w", s, errs.ErrIncompatible)
@@ -73,6 +74,9 @@ func (s *Schedule) checkShape(stage int, op Op) error {
 	if op.Micro < 0 || op.Micro >= s.N || op.Slice < 0 || op.Slice >= s.S || op.Chunk < 0 || op.Chunk >= s.V {
 		return fmt.Errorf("sched: %s stage %d: op %s out of range: %w", s, stage, op, errs.ErrIncompatible)
 	}
+	if op.Kind != WPiece && op.Piece != 0 {
+		return fmt.Errorf("sched: %s stage %d: %s carries weight-gradient piece %d: %w", s, stage, op, op.Piece, errs.ErrIncompatible)
+	}
 	switch op.Kind {
 	case F:
 	case B:
@@ -97,94 +101,50 @@ func (s *Schedule) checkShape(stage int, op Op) error {
 	return nil
 }
 
-// checkAcyclic runs Kahn's algorithm over program-order and data edges,
-// numbering nodes with the dense arithmetic index. checkComplete has
-// already proven every in-shape op present, so a dependency that decodes
-// to a valid id is known to exist.
+// checkAcyclic ranks the ops with Topo.Sort over the schedule's cached
+// dependency table and its per-stage program-order chains. checkComplete
+// has already proven every in-shape op present, so a dependency that
+// decodes to a valid id is known to exist.
 func (s *Schedule) checkAcyclic() error {
-	x := s.indexer()
-	total := x.total()
-	indeg := make([]int32, total)
-	// Edge counting pass: one program-order edge per adjacent pair plus
-	// the data dependencies.
-	edges := 0
-	var deps []Dep
-	for k, ops := range s.Stages {
-		if len(ops) > 1 {
-			edges += len(ops) - 1
-		}
-		for _, op := range ops {
-			deps = s.Deps(deps[:0], k, op)
-			for _, d := range deps {
-				if x.id(d.Stage, d.Op) < 0 {
-					return fmt.Errorf("sched: %s stage %d: op %s depends on absent %s@stage%d: %w", s, k, op, d.Op, d.Stage, errs.ErrIncompatible)
-				}
-			}
-			edges += len(deps)
-		}
-	}
-	// CSR fill pass.
-	off := make([]int32, total+1)
-	for k, ops := range s.Stages {
-		for idx, op := range ops {
-			if idx > 0 {
-				off[x.id(k, ops[idx-1])+1]++
-			}
-			deps = s.Deps(deps[:0], k, op)
-			for _, d := range deps {
-				off[x.id(d.Stage, d.Op)+1]++
-			}
-		}
-	}
-	for id := 0; id < total; id++ {
-		off[id+1] += off[id]
-	}
-	adj := make([]int32, edges)
-	cursor := make([]int32, total)
-	addEdge := func(from, to int32) {
-		adj[off[from]+cursor[from]] = to
-		cursor[from]++
-		indeg[to]++
-	}
-	for k, ops := range s.Stages {
-		for idx, op := range ops {
-			to := x.id(k, op)
-			if idx > 0 {
-				addEdge(x.id(k, ops[idx-1]), to)
-			}
-			deps = s.Deps(deps[:0], k, op)
-			for _, d := range deps {
-				addEdge(x.id(d.Stage, d.Op), to)
-			}
-		}
-	}
-	queue := make([]int32, 0, total)
-	for id := 0; id < total; id++ {
-		if indeg[id] == 0 {
-			queue = append(queue, int32(id))
-		}
-	}
-	done := 0
-	for len(queue) > 0 {
-		n := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		done++
-		for e := off[n]; e < off[n+1]; e++ {
-			t := adj[e]
-			indeg[t]--
-			if indeg[t] == 0 {
-				queue = append(queue, t)
-			}
-		}
-	}
-	if done != total {
-		// Report the first stuck op in stage-list appearance order — the
-		// order the old first-appearance node numbering produced.
+	t := s.DepTable()
+	x := t.Ix.x
+	if t.Neg > 0 {
+		// Report the first absent dependency in stage-list order.
+		var deps []Dep
 		for k, ops := range s.Stages {
 			for _, op := range ops {
-				if indeg[x.id(k, op)] > 0 {
-					return fmt.Errorf("sched: %s deadlocks: op %s@stage%d is on a dependency cycle: %w", s, op, k, errs.ErrUncertified)
+				deps = s.Deps(deps[:0], k, op)
+				for _, d := range deps {
+					if x.id(d.Stage, d.Op) < 0 {
+						return fmt.Errorf("sched: %s stage %d: op %s depends on absent %s@stage%d: %w", s, k, op, d.Op, d.Stage, errs.ErrIncompatible)
+					}
 				}
+			}
+		}
+	}
+	total := x.total()
+	next := make([]int32, total)
+	for k, ops := range s.Stages {
+		prev := int32(-1)
+		for _, op := range ops {
+			id := x.id(k, op)
+			if prev >= 0 {
+				next[prev] = id
+			}
+			prev = id
+		}
+		next[prev] = -1
+	}
+	unmet := make([]int32, total) // unranked predecessors, per op
+	var o Topo
+	if o.Sort(t, next, unmet) == total {
+		return nil
+	}
+	// Report the first stuck op in stage-list order.
+	for k, ops := range s.Stages {
+		for _, op := range ops {
+			if unmet[x.id(k, op)] > 0 {
+				return fmt.Errorf("sched: %s deadlocks: op %s@stage%d is on a dependency cycle: %w", s, op, k, errs.ErrUncertified)
 			}
 		}
 	}

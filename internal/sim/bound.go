@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"mepipe/internal/errs"
-	"mepipe/internal/sched"
-)
+import "mepipe/internal/sched"
 
 // Lower bounds on the iteration makespan, independent of op ordering. They
 // quantify how much a *better schedule* could still buy: the simulated
@@ -15,68 +10,35 @@ import (
 // CriticalPathBound returns the longest dependency chain through the
 // schedule's op DAG (durations plus cross-stage communication), ignoring
 // resource (stage) contention. No executor — however cleverly ordered — can
-// finish faster.
+// finish faster. The chain is solved in a Topo.Sort order of the
+// dependency edges alone: no op has a program-order successor.
 func CriticalPathBound(s *sched.Schedule, costs Costs) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, err
 	}
-	type node struct {
-		stage int
-		op    sched.Op
+	t := s.DepTable()
+	ix := t.Ix
+	n := ix.Total()
+	next := make([]int32, n)
+	for i := range next {
+		next[i] = -1
 	}
-	index := map[node]int{}
-	var nodes []node
-	for k, ops := range s.Stages {
-		for _, op := range ops {
-			index[node{k, op}] = len(nodes)
-			nodes = append(nodes, node{k, op})
-		}
-	}
-	// Longest path via reverse topological order (Kahn).
-	adj := make([][]int32, len(nodes))
-	indeg := make([]int, len(nodes))
-	var deps []sched.Dep
-	for id, n := range nodes {
-		deps = s.Deps(deps[:0], n.stage, n.op)
-		for _, d := range deps {
-			from, ok := index[node{d.Stage, d.Op}]
-			if !ok {
-				return 0, fmt.Errorf("sim: dangling dependency %v@%d: %w", d.Op, d.Stage, errs.ErrIncompatible)
-			}
-			adj[from] = append(adj[from], int32(id))
-			indeg[id]++
-		}
-	}
-	finish := make([]float64, len(nodes))
-	queue := make([]int, 0, len(nodes))
-	for id, d := range indeg {
-		if d == 0 {
-			queue = append(queue, id)
-			finish[id] = costs.OpTime(nodes[id].stage, nodes[id].op)
-		}
-	}
+	var o sched.Topo
+	o.Sort(t, next, make([]int32, n)) // ranks all n: Validate proved a supergraph acyclic
+	finish := make([]float64, n)
 	best := 0.0
-	for len(queue) > 0 {
-		id := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if finish[id] > best {
-			best = finish[id]
+	for _, u := range o.Order {
+		k, op := ix.At(u)
+		ready := 0.0
+		for _, d := range t.ID[t.Off[u]:t.Off[u+1]] {
+			r := finish[d]
+			if dk, dop := ix.At(d); dk != k {
+				r += costs.CommTime(dk, k, dop)
+			}
+			ready = max(ready, r)
 		}
-		for _, t := range adj[id] {
-			n := nodes[t]
-			ready := finish[id]
-			if nodes[id].stage != n.stage {
-				ready += costs.CommTime(nodes[id].stage, n.stage, nodes[id].op)
-			}
-			start := ready + costs.OpTime(n.stage, n.op)
-			if start > finish[t] {
-				finish[t] = start
-			}
-			indeg[t]--
-			if indeg[t] == 0 {
-				queue = append(queue, int(t))
-			}
-		}
+		finish[u] = ready + costs.OpTime(k, op)
+		best = max(best, finish[u])
 	}
 	return best, nil
 }

@@ -30,10 +30,10 @@ import (
 // and under Options.AssumeValid a table short of it is rejected with a
 // wrapped errs.ErrIncompatible.
 //
-// A Session is not safe for concurrent use; EvaluateMany runs one per
-// worker. All slices inside the returned Result are owned by the session
-// and are overwritten by the next Eval — callers that retain results across
-// evaluations must copy them first.
+// A Session is not safe for concurrent use. All slices inside the
+// returned Result are owned by the session and are overwritten by the next
+// Eval — callers that retain results across evaluations must copy them
+// first.
 type Session struct {
 	opt  Options
 	base *sched.Schedule

@@ -426,66 +426,6 @@ func TestEvaluateMatchesRun(t *testing.T) {
 	}
 }
 
-// TestEvaluateManyMatchesRun pins batched evaluation: positional results
-// identical to per-schedule runRef, nil entries for broken schedules,
-// across worker counts.
-func TestEvaluateManyMatchesRun(t *testing.T) {
-	base, err := sched.MEPipe(4, 1, 2, 4, 0, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := Options{Costs: Unit(), MakespanOnly: true}
-	rng := sessLCG(7)
-	var scheds []*sched.Schedule
-	cur := sessClone(base)
-	for i := 0; i < 40; i++ {
-		k := rng.next(cur.P)
-		ops := cur.Stages[k]
-		sessDisplace(ops, rng.next(len(ops)), rng.next(len(ops)))
-		scheds = append(scheds, sessClone(cur))
-	}
-	scheds[5] = nil // must yield a nil result, not an error
-	other, err := sched.DAPPLE(4, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheds[11] = other // shape change mid-batch forces a worker rebind
-	want := make([]*Result, len(scheds))
-	for i, s := range scheds {
-		if s == nil {
-			continue
-		}
-		o := opt
-		o.Sched = s
-		want[i], _ = runRef(o) // nil on deadlocked orders, matching EvaluateMany
-	}
-	for _, workers := range []int{1, 4} {
-		got, err := EvaluateMany(context.Background(), scheds, opt, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got) != len(scheds) {
-			t.Fatalf("workers=%d: %d results for %d schedules", workers, len(got), len(scheds))
-		}
-		for i := range got {
-			if (want[i] == nil) != (got[i] == nil) {
-				t.Fatalf("workers=%d: entry %d nil mismatch (want nil=%v)", workers, i, want[i] == nil)
-			}
-			if want[i] != nil {
-				requireSameResult(t, want[i], got[i], "batch entry")
-			}
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := EvaluateMany(ctx, scheds, opt, 2); !errors.Is(err, errs.ErrCancelled) {
-		t.Fatalf("cancelled EvaluateMany: got %v, want ErrCancelled", err)
-	}
-	if _, err := EvaluateMany(context.Background(), scheds, Options{Costs: Unit(), Trace: nopSink{}}, 2); !errors.Is(err, errs.ErrIncompatible) {
-		t.Fatalf("traced EvaluateMany: got %v, want ErrIncompatible", err)
-	}
-}
-
 // canonicalBenchWorkload is the artifact's canonical P=4/S=2/N=6 point.
 func canonicalBenchWorkload(b *testing.B) (*sched.Schedule, Options) {
 	b.Helper()
@@ -551,18 +491,6 @@ func BenchmarkSessionEval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := se.Eval(cands[i%len(cands)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEvaluateMany(b *testing.B) {
-	base, opt := canonicalBenchWorkload(b)
-	cands := benchCandidates(b, base, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(cands) {
-		if _, err := EvaluateMany(context.Background(), cands, opt, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,6 +11,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"mepipe/internal/errs"
 	"mepipe/internal/obs"
@@ -121,6 +122,17 @@ type Result struct {
 	SpansRecorded bool
 }
 
+// sessionPool recycles Session capacity across RunContext calls:
+// rebinding a pooled session reuses its id maps, edge tables, and result
+// buffers, which removes the dominant allocations of one-shot evaluation.
+var sessionPool = sync.Pool{New: func() any { return &Session{} }}
+
+// putSession returns se to the pool without the schedule it was bound to.
+func putSession(se *Session) {
+	se.release()
+	sessionPool.Put(se)
+}
+
 // Run simulates one iteration and returns its result.
 //
 //mepipe:deterministic
@@ -149,4 +161,33 @@ func RunContext(ctx context.Context, opt Options) (*Result, error) {
 		return nil, err
 	}
 	return cloneResult(r), nil
+}
+
+// Evaluate is RunContext under the name the sweep paths use: one
+// pooled-session evaluation whose Result is the caller's to keep.
+//
+//mepipe:deterministic
+func Evaluate(ctx context.Context, opt Options) (*Result, error) {
+	return RunContext(ctx, opt)
+}
+
+// Clone deep-copies the result. Callers that drive a Session directly and
+// retain results across Eval calls need it: Eval's Result is session-owned
+// and overwritten by the next evaluation.
+func (r *Result) Clone() *Result { return cloneResult(r) }
+
+// cloneResult deep-copies a session-owned Result so it survives the next
+// Eval.
+func cloneResult(r *Result) *Result {
+	out := *r
+	out.Stages = make([]StageResult, len(r.Stages))
+	copy(out.Stages, r.Stages)
+	for k := range out.Stages {
+		if sp := out.Stages[k].Spans; sp != nil {
+			c := make([]Span, len(sp))
+			copy(c, sp)
+			out.Stages[k].Spans = c
+		}
+	}
+	return &out
 }

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 
 	"mepipe/internal/analytic"
+	"mepipe/internal/cluster"
+	"mepipe/internal/config"
+	"mepipe/internal/perf"
 	"mepipe/internal/sched"
 )
 
@@ -479,6 +482,47 @@ func TestMakespanBounds(t *testing.T) {
 	}
 	if busiest <= cp {
 		t.Errorf("with n >> p the resource bound (%.0f) should dominate the chain bound (%.0f)", busiest, cp)
+	}
+
+	// Unit costs cannot tell a reassociated max/add apart, so the chain
+	// bound's bits are pinned under real costs: Llama-13B on RTX 4090
+	// servers, SVPP at N=16, F=2 with backward rescheduling.
+	pins := []struct {
+		par          config.Parallel
+		fused, split float64
+	}{
+		{config.Parallel{PP: 8, DP: 4, CP: 1, TP: 1, SPP: 4, VP: 1}, 0.94992606963393922, 0.66935602868409783},
+		{config.Parallel{PP: 4, DP: 2, CP: 1, TP: 1, SPP: 2, VP: 2}, 1.4664952986349904, 1.0322762365323024},
+	}
+	for _, p := range pins {
+		mesh, err := cluster.NewMesh(cluster.RTX4090Cluster(p.par.Devices()/8), p.par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		real, err := perf.New(config.Llama13B(), mesh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, split := range []bool{false, true} {
+			s, err := sched.SVPP(sched.SVPPOptions{
+				P: p.par.PP, V: p.par.VP, S: p.par.SPP, N: 16, F: 2, Split: split,
+				Reschedule: true, FineGrainedW: real.WPieces(), Est: real,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := CriticalPathBound(s, real)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := p.fused
+			if split {
+				want = p.split
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%v split=%v: critical path %.17g, want %.17g", p.par, split, got, want)
+			}
+		}
 	}
 }
 

@@ -53,7 +53,7 @@ func FuzzCertifyDenseMatchesGraph(f *testing.F) {
 // against its cost oracle: on random swap and displacement streams over
 // DAPPLE, ZB1P, MEPipe and Hanayo presets, Certify (without a Budget)
 // accepts an order exactly when sim.Run simulates it without reporting a
-// deadlock. Byte layout:
+// deadlock, and exactly when sched.Validate accepts it. Byte layout:
 //
 //	[0..3]  preset, P, N, S
 //	[4..]   move stream, 3 bytes per move (see applyMove)
@@ -80,6 +80,9 @@ func FuzzCertifyAgreesWithRun(f *testing.F) {
 			}
 			if (cerr == nil) != (rerr == nil) {
 				t.Fatalf("Certify and sim.Run disagree: certify=%v run=%v", cerr, rerr)
+			}
+			if verr := s.Validate(); (cerr == nil) != (verr == nil) {
+				t.Fatalf("Certify and Validate disagree: certify=%v validate=%v", cerr, verr)
 			}
 		}
 		check()

@@ -248,16 +248,20 @@ type certScratch struct {
 	// stage-major: resolved once per Certify and read by every pass.
 	ids []int32
 
-	// The completeness bitset and the dense Kahn pass.
+	// The completeness bitset, and the dense pass's program-order chains,
+	// topological order and Sort's in-degree scratch: unmet[id] counts the
+	// predecessors of id not yet ranked, so after a short Sort it is
+	// positive exactly on the residual.
 	seen  []bool
 	next  []int32
-	indeg []int32
-	queue []int32
+	unmet []int32
+	topo  sched.Topo
 
 	// Counterexample extraction: each op's position (stage-major, then
 	// index within the stage), the residual successor CSR in position
 	// order, and epoch-stamped BFS state.
 	pos       []int32
+	queue     []int32
 	radjOff   []int32
 	radj      []int32
 	stamp     []uint32
@@ -296,21 +300,19 @@ func kgrow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// kahnDense runs Kahn's algorithm over the dense op index, filling the
+// kahnDense ranks the schedule with sched.Topo.Sort, filling the
 // certificate's node/edge statistics. The edge universe is never
-// materialized: in-degrees come from the schedule's cached dependency
-// table row widths, successors are walked through the table's dependents
-// CSR plus a per-stage program-order chain, and the edge statistics are
-// cached on the table itself. It reports ok=false when the graph has a
-// cycle, leaving the residual in-degrees in sc for minimalCycle, and
+// materialized: Sort walks the schedule's cached dependency table plus a
+// per-stage program-order chain, and the edge statistics are cached on
+// the table itself. It reports ok=false when the graph has a cycle,
+// leaving the residual in-degrees in sc for minimalCycle, and
 // handled=false on tables the fast path does not model — incomplete op
 // universes or out-of-shape deps, both only reachable with AssumeComplete
 // or hand-built placements — which fall back to the labelled map-based
 // graph.
 func kahnDense(s *sched.Schedule, cert *Certificate, sc *certScratch) (ok, handled bool) {
 	t := s.DepTable()
-	x := t.Ix
-	total := x.Total()
+	total := t.Ix.Total()
 	n := 0
 	nonEmpty := 0
 	for k := range s.Stages {
@@ -323,30 +325,25 @@ func kahnDense(s *sched.Schedule, cert *Certificate, sc *certScratch) (ok, handl
 		return false, false
 	}
 	sc.seen = kgrow(sc.seen, total)
-	for i := range sc.seen {
-		sc.seen[i] = false
-	}
+	clear(sc.seen)
 	sc.next = kgrow(sc.next, total)
-	sc.indeg = kgrow(sc.indeg, total)
+	sc.unmet = kgrow(sc.unmet, total)
 	// One pass over the stages pins the op universe (every op indexes,
-	// no duplicates — with n == total that makes coverage exact), seeds
-	// in-degrees from the table rows, and chains program order.
+	// no duplicates — with n == total that makes coverage exact) and
+	// chains program order.
 	p := 0
 	for _, ops := range s.Stages {
 		prev := int32(-1)
-		for idx := range ops {
+		for range ops {
 			id := sc.ids[p]
 			p++
 			if id < 0 || sc.seen[id] {
 				return false, false
 			}
 			sc.seen[id] = true
-			deg := t.Off[id+1] - t.Off[id]
-			if idx > 0 {
-				deg++
+			if prev >= 0 {
 				sc.next[prev] = id
 			}
-			sc.indeg[id] = deg
 			prev = id
 		}
 		if prev >= 0 {
@@ -356,36 +353,12 @@ func kahnDense(s *sched.Schedule, cert *Certificate, sc *certScratch) (ok, handl
 	cert.Nodes = total
 	cert.Edges = len(t.ID) + n - nonEmpty
 	cert.CrossEdges = t.Cross
-	sc.queue = sc.queue[:0]
-	for id := 0; id < total; id++ {
-		if sc.indeg[id] == 0 {
-			sc.queue = append(sc.queue, int32(id))
-		}
-	}
-	done := 0
-	dec := func(j int32) {
-		sc.indeg[j]--
-		if sc.indeg[j] == 0 {
-			sc.queue = append(sc.queue, j)
-		}
-	}
-	for len(sc.queue) > 0 {
-		u := sc.queue[len(sc.queue)-1]
-		sc.queue = sc.queue[:len(sc.queue)-1]
-		done++
-		for _, j := range t.OutID[t.OutOff[u]:t.OutOff[u+1]] {
-			dec(j)
-		}
-		if j := sc.next[u]; j >= 0 {
-			dec(j)
-		}
-	}
-	return done == total, true
+	return sc.topo.Sort(t, sc.next, sc.unmet) == total, true
 }
 
 // minimalCycle is graph.minimalCycle on the dense index, run on the
-// residual kahnDense left in sc.indeg (a node is residual iff its
-// in-degree stayed positive). It reproduces the map graph's answer
+// residual kahnDense left in sc.unmet (a node is residual iff it still
+// has an unmet predecessor). It reproduces the map graph's answer
 // exactly: sources and successors are visited in the map graph's node
 // order (ascending position), with the same source cap, length bound and
 // 2-cycle early exit.
@@ -397,7 +370,7 @@ func (sc *certScratch) minimalCycle(s *sched.Schedule) ([]Node, []string) {
 	sc.sources = sc.sources[:0]
 	for p, id := range sc.ids {
 		sc.pos[id] = int32(p)
-		if sc.indeg[id] > 0 && len(sc.sources) < maxSources {
+		if sc.unmet[id] > 0 && len(sc.sources) < maxSources {
 			sc.sources = append(sc.sources, id)
 		}
 	}
@@ -449,20 +422,20 @@ const maxSources = 256
 // successors — the program-order successor plus the table's dependents —
 // sorted by position, which is the map graph's adjacency order.
 func (sc *certScratch) buildResidualAdj(t *sched.DepTable) {
-	total := len(sc.indeg)
+	total := len(sc.unmet)
 	sc.radjOff = kgrow(sc.radjOff, total+1)
 	sc.radj = sc.radj[:0]
 	for u := 0; u < total; u++ {
 		sc.radjOff[u] = int32(len(sc.radj))
-		if sc.indeg[u] <= 0 {
+		if sc.unmet[u] <= 0 {
 			continue
 		}
 		start := len(sc.radj)
-		if j := sc.next[u]; j >= 0 && sc.indeg[j] > 0 {
+		if j := sc.next[u]; j >= 0 && sc.unmet[j] > 0 {
 			sc.radj = append(sc.radj, j)
 		}
 		for _, j := range t.OutID[t.OutOff[u]:t.OutOff[u+1]] {
-			if sc.indeg[j] > 0 {
+			if sc.unmet[j] > 0 {
 				sc.radj = append(sc.radj, j)
 			}
 		}

@@ -209,7 +209,7 @@ func checkComplete(s *sched.Schedule, x sched.OpIndex, sc *certScratch) error {
 		for _, op := range ops {
 			id := sc.ids[p]
 			p++
-			if id < 0 || op.Piece < 0 {
+			if id < 0 || op.Piece < 0 || op.Piece != 0 && op.Kind != sched.WPiece {
 				return opShapeError(s, k, op)
 			}
 			if sc.seen[id-base] {
@@ -228,8 +228,9 @@ func checkComplete(s *sched.Schedule, x sched.OpIndex, sc *certScratch) error {
 	return nil
 }
 
-// opShapeError reports why op cannot be indexed: out of range, or a kind
-// the schedule's backward mode does not express.
+// opShapeError reports why op cannot be indexed: out of range, a kind
+// the schedule's backward mode does not express, or a piece number on an
+// op that is not a weight-gradient piece.
 func opShapeError(s *sched.Schedule, k int, op sched.Op) error {
 	if op.Micro >= 0 && op.Micro < s.N && op.Slice >= 0 && op.Slice < s.S &&
 		op.Chunk >= 0 && op.Chunk < s.V && op.Piece >= 0 {
@@ -265,9 +266,12 @@ func missingFamilyOp(s *sched.Schedule, x sched.OpIndex, seen []bool, k int) (sc
 	return sched.Op{}, true
 }
 
-// kindMismatch reports why op's kind is inexpressible under the
-// schedule's backward mode ("" when fine).
+// kindMismatch reports why op's kind (or its piece number) is
+// inexpressible under the schedule's backward mode ("" when fine).
 func kindMismatch(s *sched.Schedule, op sched.Op) string {
+	if op.Piece != 0 && op.Kind != sched.WPiece {
+		return fmt.Sprintf("carries weight-gradient piece %d", op.Piece)
+	}
 	switch op.Kind {
 	case sched.F:
 	case sched.B:

@@ -199,6 +199,21 @@ func TestIncompleteAndMissing(t *testing.T) {
 		}
 	})
 
+	t.Run("stray-piece", func(t *testing.T) {
+		// A piece number on a forward aliases the forward's own id, so
+		// only the shape check can see it.
+		s := mustDAPPLE(t, 2, 2)
+		s.Stages[1][0].Piece = 7
+		_, err := Certify(s, Options{})
+		var se *ShapeError
+		if !errors.As(err, &se) {
+			t.Fatalf("want *ShapeError, got %T (%v)", err, err)
+		}
+		if want := "stage 1: op F[m0 s0 c0] carries weight-gradient piece 7"; se.Detail != want {
+			t.Errorf("detail %q, want %q", se.Detail, want)
+		}
+	})
+
 	t.Run("assume-complete-out-of-range", func(t *testing.T) {
 		// A dependency-free forward of a micro-batch the shape does not
 		// have passes the graph check, so only the memory sweep meets
