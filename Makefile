@@ -118,15 +118,19 @@ sim-smoke:
 # suite (Sweep and SearchContext vs the sequential oracle at 8/16/32 GPUs,
 # ±prune, and mid-sweep cancellation), the peak-equality test (Certify's
 # per-stage peaks equal sim.Run's static ones under the same footprints,
-# over every preset family — the one retention rule, applied alike),
-# Validate's pinned error text, short runs of the certifier's differential
-# fuzzers (the dense path against the map graph and map sweep, and Certify
+# over every preset family — the one retention rule, applied alike), the
+# certifier's verdict on partial tables (rejected alike with or without
+# AssumeComplete, and by Delta.Bind), the pinned absent-dependency texts of
+# Certify, Validate and the simulator session, short runs of the
+# certifier's differential fuzzers (the dense path — the only production
+# path — against the test-only map graph and map sweep, and Certify
 # against sim.Run's deadlock verdict and Validate's), and the /v1/sweep
 # wire tests.
 sweep-smoke:
 	$(GO) test ./internal/strategy -run 'TestSweep' -count=1
-	$(GO) test ./internal/verify -run 'TestCertifyPeaksMatchRun' -count=1
+	$(GO) test ./internal/verify -run 'TestCertifyPeaksMatchRun|TestIncompleteAndMissing|TestMissingDepMessage' -count=1
 	$(GO) test ./internal/sched -run 'TestValidateMessages' -count=1
+	$(GO) test ./internal/sim -run 'TestSessionAbsentDepMessage' -count=1
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyDenseMatchesGraph -fuzztime 10s
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyAgreesWithRun -fuzztime 10s
 	$(GO) test ./internal/serve ./api/v1 -run 'Sweep' -count=1

@@ -35,11 +35,10 @@ func floorWorkload(tb testing.TB) (*sched.Schedule, *verify.Budget, []candidate)
 }
 
 // BenchmarkCertifyProposal is what certifying an annealer proposal cost
-// before Delta: a full Certify with AssumeComplete, counterexample
-// included on rejection.
+// before Delta: a full Certify, counterexample included on rejection.
 func BenchmarkCertifyProposal(b *testing.B) {
 	_, budget, cands := floorWorkload(b)
-	opts := verify.Options{Budget: budget, AssumeComplete: true}
+	opts := verify.Options{Budget: budget}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -135,7 +134,7 @@ func TestDeltaFloor(t *testing.T) {
 	}
 	rejected := 0
 	for i, c := range cands {
-		_, want := verify.Certify(c.sched, verify.Options{Budget: budget, AssumeComplete: true})
+		_, want := verify.Certify(c.sched, verify.Options{Budget: budget})
 		if got := d.Check(c.sched, c.stage); (got == nil) != (want == nil) {
 			t.Fatalf("proposal %d (%s): Check says %v, Certify %v", i, c.operator, got, want)
 		}

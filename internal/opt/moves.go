@@ -7,8 +7,8 @@ import (
 )
 
 // The neighbourhood. Each operator perturbs exactly one stage's op order
-// and by construction preserves the schedule's op multiset — which is
-// what makes verify.Options.AssumeComplete sound in the evaluation path.
+// and by construction preserves the schedule's op multiset — a one-stage
+// permutation, the move verify.Delta.Check certifies incrementally.
 // None of them tries to be clever about feasibility: deadlock-freedom and
 // the memory budget are the certifier's job, and proposals it rejects
 // cost one graph check, never a simulation.

@@ -154,9 +154,8 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	}
 	opt.setDefaults()
 
-	// The input must certify in full — completeness included — before
-	// the search may assume it; every later candidate only permutes op
-	// positions, which is what makes AssumeComplete sound below.
+	// The input must certify before the search starts from it; every
+	// later candidate only permutes one stage's op positions.
 	if _, err := verify.Certify(s, verify.Options{Budget: opt.Budget}); err != nil {
 		return nil, fmt.Errorf("opt: seed schedule does not certify: %w", err)
 	}

@@ -97,6 +97,30 @@ type DepTable struct {
 	Neg   int
 }
 
+// AbsentDep returns the first dependency, in stage-list order and Deps
+// order within an op, whose producer lies outside the schedule's shape
+// (a placement whose Host maps off the grid), with the stage and op that
+// depend on it; ok is false when there is none. The cached DepTable
+// counts such entries, so a schedule without one pays a single lookup.
+func (s *Schedule) AbsentDep() (stage int, op Op, dep Dep, ok bool) {
+	if s.DepTable().Neg == 0 {
+		return 0, Op{}, Dep{}, false
+	}
+	x := s.indexer()
+	var deps []Dep
+	for k, ops := range s.Stages {
+		for _, op := range ops {
+			deps = s.Deps(deps[:0], k, op)
+			for _, d := range deps {
+				if x.id(d.Stage, d.Op) < 0 {
+					return k, op, d, true
+				}
+			}
+		}
+	}
+	return 0, Op{}, Dep{}, false
+}
+
 // DepTable returns the schedule's dense dependency table, building and
 // caching it on first use (the generator pre-populates the cache). The
 // cache is keyed by the shape fields, so mutating P/V/S/N/SplitBW/WPieces

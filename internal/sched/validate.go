@@ -102,26 +102,16 @@ func (s *Schedule) checkShape(stage int, op Op) error {
 }
 
 // checkAcyclic ranks the ops with Topo.Sort over the schedule's cached
-// dependency table and its per-stage program-order chains. checkComplete
-// has already proven every in-shape op present, so a dependency that
-// decodes to a valid id is known to exist.
+// dependency table and its per-stage program-order chains, after
+// AbsentDep has ruled out a dependency outside the shape. checkComplete
+// has already proven every in-shape op present, so every dependency
+// then names a scheduled op.
 func (s *Schedule) checkAcyclic() error {
+	if k, op, d, ok := s.AbsentDep(); ok {
+		return fmt.Errorf("sched: %s stage %d: op %s depends on absent %s@stage%d: %w", s, k, op, d.Op, d.Stage, errs.ErrIncompatible)
+	}
 	t := s.DepTable()
 	x := t.Ix.x
-	if t.Neg > 0 {
-		// Report the first absent dependency in stage-list order.
-		var deps []Dep
-		for k, ops := range s.Stages {
-			for _, op := range ops {
-				deps = s.Deps(deps[:0], k, op)
-				for _, d := range deps {
-					if x.id(d.Stage, d.Op) < 0 {
-						return fmt.Errorf("sched: %s stage %d: op %s depends on absent %s@stage%d: %w", s, k, op, d.Op, d.Stage, errs.ErrIncompatible)
-					}
-				}
-			}
-		}
-	}
 	total := x.total()
 	next := make([]int32, total)
 	for k, ops := range s.Stages {

@@ -118,10 +118,9 @@ type Session struct {
 	placeGlobal []int32 // k*V+j -> global chunk
 	placeHost   []int32 // g -> stage
 
-	depScratch []sched.Dep
-	spanBuf    [][]Span
-	res        Result
-	eng        *engState
+	spanBuf [][]Span
+	res     Result
+	eng     *engState
 
 	valid  bool // start/finish solve the current order, in topo
 	resync bool // orders may be inconsistent; rebuild from the schedule
@@ -229,7 +228,8 @@ func (se *Session) init(opt Options) error {
 	// consumed — so binding never re-derives or copies a Dep.
 	dt := s.DepTable()
 	if dt.Neg > 0 {
-		return se.absentDepErr(s, dt)
+		k, op, d, _ := s.AbsentDep()
+		return fmt.Errorf("sim: session: op %v@stage%d depends on absent op %v@stage%d: %w", op, k, d.Op, d.Stage, errs.ErrIncompatible)
 	}
 	se.dt = dt
 	se.depOff, se.depID = dt.Off, dt.ID
@@ -276,26 +276,6 @@ func (se *Session) init(opt Options) error {
 	se.valid = false
 	se.resync = false
 	return nil
-}
-
-// absentDepErr names the first op, in stage-list order, with a dependency
-// outside the schedule's shape (a placement whose Host maps off the
-// grid). Cold path: the dependency is re-derived only to name it.
-func (se *Session) absentDepErr(s *sched.Schedule, dt *sched.DepTable) error {
-	for k := range se.order {
-		for _, id := range se.order[k] {
-			for e := dt.Off[id]; e < dt.Off[id+1]; e++ {
-				if dt.ID[e] >= 0 {
-					continue
-				}
-				op := se.opsl[id]
-				se.depScratch = s.Deps(se.depScratch[:0], k, op)
-				d := se.depScratch[e-dt.Off[id]]
-				return fmt.Errorf("sim: session: op %v@stage%d depends on absent op %v@stage%d: %w", op, k, d.Op, d.Stage, errs.ErrIncompatible)
-			}
-		}
-	}
-	return fmt.Errorf("sim: session: %s has an absent dependency: %w", s, errs.ErrIncompatible)
 }
 
 // cost fills the cost-dependent tables — durations, memory charges (F

@@ -681,3 +681,32 @@ func TestSessionCyclicCandidate(t *testing.T) {
 		requireSameResult(t, want, got, "recovery after "+c.name)
 	}
 }
+
+// offGrid is a round-robin placement whose host map sends global chunk 1
+// off the pipeline, so dependency rows carry out-of-shape entries.
+type offGrid struct{ sched.RoundRobin }
+
+func (o offGrid) Host(g int) (int, int) {
+	if g == 1 {
+		return o.P, 0
+	}
+	return o.RoundRobin.Host(g)
+}
+
+// TestSessionAbsentDepMessage pins the bind error for a dependency outside
+// the shape under AssumeValid: the first one in stage-list order.
+func TestSessionAbsentDepMessage(t *testing.T) {
+	d, err := sched.DAPPLE(2, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fresh Schedule: the DepTable cache is keyed by shape, not by
+	// placement.
+	s := &sched.Schedule{Name: d.Name, P: 2, V: 1, S: 1, N: 2,
+		Place: offGrid{sched.RoundRobin{P: 2, V: 1}}, Stages: d.Stages}
+	_, err = NewSession(Options{Sched: s, Costs: Unit(), AssumeValid: true})
+	const want = "sim: session: op B[m0 s0 c0]@stage0 depends on absent op B[m0 s0 c0]@stage2: incompatible configuration"
+	if err == nil || err.Error() != want {
+		t.Fatalf("got  %v\nwant %s", err, want)
+	}
+}

@@ -12,8 +12,8 @@ import (
 // TestCertifyAllocs pins the full certifier's allocation profile on
 // one-stage moves, a machine-independent floor for its cost: proposals
 // drawn from the discovered artifact's schedule (swaps and displacements
-// of up to 8 positions), certified with AssumeComplete as callers that
-// need the counterexample certify them. A rejected proposal may allocate
+// of up to 8 positions), certified as callers that need the
+// counterexample certify them. A rejected proposal may allocate
 // little beyond the *CycleError it returns; an accepted one only its
 // certificate.
 func TestCertifyAllocs(t *testing.T) {
@@ -29,7 +29,7 @@ func TestCertifyAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := verify.Options{Budget: a.Budget(), AssumeComplete: true}
+	opts := verify.Options{Budget: a.Budget()}
 	rng := rand.New(rand.NewSource(1))
 	var rejected, accepted int
 	for i := 0; i < 200; i++ {
@@ -66,7 +66,7 @@ func TestDeltaAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := verify.Options{Budget: a.Budget(), AssumeComplete: true}
+	opts := verify.Options{Budget: a.Budget()}
 	d := verify.NewDelta(a.Budget())
 	if err := d.Bind(base); err != nil {
 		t.Fatal(err)

@@ -91,11 +91,10 @@ func (e *BudgetError) Unwrap() error { return errs.ErrUncertified }
 // sweep walks each stage's op list in program order, stepping each op
 // through the one retention rule (sched.PieceStep), and records peak live
 // families (always) and peak bytes under b's footprints (when b is
-// non-nil). It fails the moment a stage's retention exceeds its budget. Ops are read as the ids
-// resolve left in sc, and per-family state lives in sc's arrays, indexed
-// by OpIndex.FamilyOf. An op that does not index can only get here when
-// AssumeComplete was set on an incomplete table, and is reported as
-// checkComplete would have reported it.
+// non-nil). It fails the moment a stage's retention exceeds its budget.
+// Ops are read as the ids resolve left in sc — checkUniverse has proven
+// each one in shape — and per-family state lives in sc's arrays, indexed
+// by OpIndex.FamilyOf.
 func sweep(s *sched.Schedule, x sched.OpIndex, b *Budget, cert *Certificate, sc *certScratch) error {
 	famBytes, gradBytes := b.footprints()
 	if b != nil && b.ActBudget != nil && len(b.ActBudget) != s.P {
@@ -136,12 +135,8 @@ func sweep(s *sched.Schedule, x sched.OpIndex, b *Budget, cert *Certificate, sc 
 		}
 		peakFams, peakBytes := 0, int64(0)
 		for i, op := range ops {
-			id := sc.ids[p]
+			f := x.FamilyOf(sc.ids[p])
 			p++
-			if id < 0 {
-				return unindexedOp(s, x, k, op, sc)
-			}
-			f := x.FamilyOf(id)
 			switch sched.PieceStep(op.Kind, &sc.pieces[f], s.WPieces) {
 			case sched.RetainAct:
 				retain(f, famBytes(k, op))
@@ -169,13 +164,4 @@ func sweep(s *sched.Schedule, x sched.OpIndex, b *Budget, cert *Certificate, sc 
 		}
 	}
 	return nil
-}
-
-// unindexedOp reports an op outside the schedule's dense index: the
-// completeness check's verdict, which always rejects such an op.
-func unindexedOp(s *sched.Schedule, x sched.OpIndex, k int, op sched.Op, sc *certScratch) error {
-	if err := checkComplete(s, x, sc); err != nil {
-		return err
-	}
-	return &ShapeError{Schedule: s.String(), Detail: fmt.Sprintf("stage %d: op %v out of range", k, op)}
 }

@@ -20,10 +20,10 @@ import (
 // base's and only the window is re-swept. Rebind moves the binding to an
 // accepted move in the same O(window).
 //
-// A Check returns nil exactly when Certify(cand, Options{Budget,
-// AssumeComplete: true}) would, but never builds a counterexample: a
-// rejection is a shared error wrapping errs.ErrUncertified. Callers that
-// need the minimal *CycleError or *BudgetError call Certify.
+// A Check returns nil exactly when Certify(cand, Options{Budget}) would,
+// but never builds a counterexample: a rejection is a shared error
+// wrapping errs.ErrUncertified. Callers that need the minimal *CycleError
+// or *BudgetError call Certify.
 //
 // Forks share the bound base and own private scratch, so workers may
 // Check concurrently; Bind and Rebind must not run concurrently with any
@@ -47,9 +47,8 @@ type deltaBase struct {
 	budget *Budget
 	base   *sched.Schedule
 
-	// dense is false when the base is outside the dense path's model
-	// (an incomplete op universe or out-of-shape dependencies); every
-	// Check then runs the full Certify.
+	// dense is false until a Bind certifies; every Check then runs the
+	// full Certify.
 	dense bool
 	t     *sched.DepTable
 	x     sched.OpIndex
@@ -69,8 +68,10 @@ type deltaBase struct {
 	famB, gradB []int64
 	relPos      []int32
 
-	// Bind-time scratch.
+	// Bind-time scratch: Certify's universe pass runs in sc, and next
+	// aliases the chains it leaves in sc.next.
 	pieces []int32
+	sc     certScratch
 }
 
 var (
@@ -90,69 +91,17 @@ func (d *Delta) Fork() *Delta { return &Delta{b: d.b} }
 
 // Bind makes base the schedule later candidates are checked against, in
 // O(ops + edges). It returns Certify's error (with its counterexample)
-// when base does not certify under the budget with AssumeComplete, and
-// leaves the Delta falling back to Certify on every Check until the next
-// successful Bind.
+// when base does not certify under the budget, and leaves the Delta
+// falling back to Certify on every Check until the next successful Bind.
 func (d *Delta) Bind(base *sched.Schedule) error {
 	b := d.b
 	b.base, b.dense = base, false
 	if base == nil || base.P <= 0 || base.V <= 0 || base.S <= 0 || base.N <= 0 ||
 		len(base.Stages) != base.P || base.Place == nil || !d.bindDense() {
-		_, err := Certify(base, Options{Budget: b.budget, AssumeComplete: true})
+		_, err := Certify(base, Options{Budget: b.budget})
 		return err
 	}
 	return nil
-}
-
-// bindDense indexes the base, ranks it and sweeps its retention. It
-// returns false when the base is not modelled by the dense path, is
-// cyclic, or overflows the budget — the cases Bind hands to Certify.
-func (d *Delta) bindDense() bool {
-	b := d.b
-	s := b.base
-	t := s.DepTable()
-	x := t.Ix
-	total := x.Total()
-	n := 0
-	for _, ops := range s.Stages {
-		n += len(ops)
-	}
-	if n != total || t.Neg > 0 {
-		return false
-	}
-	b.t, b.x = t, x
-	d.grow(total, x.Families())
-	b.pos = kgrow(b.pos, total)
-	b.next = kgrow(b.next, total)
-	for i := range b.pos {
-		b.pos[i] = -1
-	}
-	for k, ops := range s.Stages {
-		prev := int32(-1)
-		for i, op := range ops {
-			id := x.ID(k, op)
-			if id < 0 || b.pos[id] >= 0 {
-				return false
-			}
-			b.pos[id] = int32(i)
-			if prev >= 0 {
-				b.next[prev] = id
-			}
-			prev = id
-		}
-		if prev >= 0 {
-			b.next[prev] = -1
-		}
-	}
-	if b.topo.Sort(t, b.next, d.indeg) != total {
-		return false
-	}
-	b.capped = b.budget != nil && b.budget.ActBudget != nil
-	if b.capped && (len(b.budget.ActBudget) != s.P || !b.sweepBase()) {
-		return false
-	}
-	b.dense = true
-	return true
 }
 
 // sweepBase steps the base through the retention rule (sched.PieceStep),
@@ -170,10 +119,12 @@ func (b *deltaBase) sweepBase() bool {
 	b.pieces = kgrow(b.pieces, nf)
 	clear(b.pieces)
 	b.live = kgrow(b.live, x.Total())
+	p := 0
 	for k, ops := range s.Stages {
 		var live int64
 		for i, op := range ops {
-			id := x.ID(k, op)
+			id := b.sc.ids[p]
+			p++
 			f := x.FamilyOf(id)
 			r := sched.PieceStep(op.Kind, &b.pieces[f], s.WPieces)
 			switch r {
@@ -229,8 +180,8 @@ func (d *Delta) grow(total, families int) {
 // the base's own slice (as a move built by copying the base's Stages
 // header and cloning one stage leaves it), and cand must share the base's
 // shape and map every model chunk to the same host. A candidate outside
-// that contract gets the full Certify. The verdict is Certify(cand, Options{Budget, AssumeComplete:
-// true})'s; a rejection carries no counterexample.
+// that contract gets the full Certify. The verdict is Certify(cand,
+// Options{Budget})'s; a rejection carries no counterexample.
 //
 //mepipe:hotpath
 func (d *Delta) Check(cand *sched.Schedule, stage int) error {
@@ -256,6 +207,40 @@ func (d *Delta) Check(cand *sched.Schedule, stage int) error {
 		return errMoveBudget
 	}
 	return nil
+}
+
+// bindDense runs Certify's universe check over the base, ranks it and
+// sweeps its retention. It returns false when any of Certify's checks
+// fails — the cases Bind hands to Certify for the counterexample.
+func (d *Delta) bindDense() bool {
+	b := d.b
+	s, sc := b.base, &b.sc
+	b.t = s.DepTable()
+	b.x = b.t.Ix
+	sc.resolve(s, b.x)
+	if sc.checkUniverse(s, b.x) != nil || b.t.Neg > 0 {
+		return false
+	}
+	total := b.x.Total()
+	d.grow(total, b.x.Families())
+	b.pos = kgrow(b.pos, total)
+	p := 0
+	for _, ops := range s.Stages {
+		for i := range ops {
+			b.pos[sc.ids[p]] = int32(i)
+			p++
+		}
+	}
+	b.next = sc.next
+	if b.topo.Sort(b.t, b.next, d.indeg) != total {
+		return false
+	}
+	b.capped = b.budget != nil && b.budget.ActBudget != nil
+	if b.capped && (len(b.budget.ActBudget) != s.P || !b.sweepBase()) {
+		return false
+	}
+	b.dense = true
+	return true
 }
 
 // Rebind moves the binding to cand, an accepted one-stage move of the
@@ -459,6 +444,6 @@ func (d *Delta) fits(k int, cops []sched.Op, lo, hi int, commit bool) bool {
 //
 //mepipe:coldalloc a candidate outside the one-stage contract pays for a full Certify
 func (d *Delta) full(cand *sched.Schedule) error {
-	_, err := Certify(cand, Options{Budget: d.b.budget, AssumeComplete: true})
+	_, err := Certify(cand, Options{Budget: d.b.budget})
 	return err
 }

@@ -15,7 +15,7 @@ import (
 // Certify as its oracle. Over every preset family and budget mode, a
 // stream of within-stage swaps and displacements runs against a Delta
 // bound to the current schedule, and a fork of it checks each move: the
-// verdict must be Certify's (AssumeComplete) at every step, and an
+// verdict must be Certify's at every step, and an
 // accepted move becomes the new base. Byte layout:
 //
 //	[0..3]  preset, P, N, S
@@ -42,7 +42,7 @@ func FuzzDeltaMatchesCertify(f *testing.F) {
 		}
 		b := fuzzBudget(data[4], base.P)
 		d := NewDelta(b)
-		_, want := Certify(base, Options{Budget: b, AssumeComplete: true})
+		_, want := Certify(base, Options{Budget: b})
 		if err := d.Bind(base); !reflect.DeepEqual(err, want) {
 			t.Fatalf("Bind returned %v, Certify %v", err, want)
 		}
@@ -59,7 +59,7 @@ func FuzzDeltaMatchesCertify(f *testing.F) {
 			}
 			applyMove(cand, move)
 			got := fork.Check(cand, k)
-			_, want := Certify(cand, Options{Budget: b, AssumeComplete: true})
+			_, want := Certify(cand, Options{Budget: b})
 			if (got == nil) != (want == nil) {
 				t.Fatalf("move %d on stage %d: Check says %v, Certify says %v", (i-5)/3, k, got, want)
 			}
@@ -147,7 +147,7 @@ func TestDeltaOutOfContract(t *testing.T) {
 	}
 	for name, mk := range cases {
 		c, k := mk()
-		_, want := Certify(c, Options{AssumeComplete: true})
+		_, want := Certify(c, Options{})
 		if want == nil {
 			t.Fatalf("%s: the case certifies; it tests nothing", name)
 		}
@@ -157,7 +157,7 @@ func TestDeltaOutOfContract(t *testing.T) {
 	}
 	c := oneStageCopy(base, 0)
 	reversed(c.Stages[0])
-	_, want := Certify(c, Options{AssumeComplete: true})
+	_, want := Certify(c, Options{})
 	if got := NewDelta(nil).Check(c, 0); !reflect.DeepEqual(got, want) {
 		t.Errorf("unbound: Check returned %v, Certify %v", got, want)
 	}
@@ -179,14 +179,14 @@ func TestDeltaBindRejects(t *testing.T) {
 	base := mustDAPPLE(t, 3, 4)
 	tight := SlotBudget([]int{1, 1, 1})
 	d := NewDelta(tight)
-	_, want := Certify(base, Options{Budget: tight, AssumeComplete: true})
+	_, want := Certify(base, Options{Budget: tight})
 	var be *BudgetError
 	if err := d.Bind(base); !errors.As(err, &be) || !reflect.DeepEqual(err, want) {
 		t.Fatalf("Bind over budget returned %v, want %v", err, want)
 	}
 	c := oneStageCopy(base, 0)
 	c.Stages[0][0], c.Stages[0][1] = c.Stages[0][1], c.Stages[0][0]
-	_, want = Certify(c, Options{Budget: tight, AssumeComplete: true})
+	_, want = Certify(c, Options{Budget: tight})
 	if got := d.Check(c, 0); !reflect.DeepEqual(got, want) {
 		t.Errorf("after a failed Bind, Check returned %v, Certify %v", got, want)
 	}
@@ -260,7 +260,7 @@ func rebindStream(t *testing.T, data []byte) int {
 		}
 		applyMove(cand, move)
 		got := fork.Check(cand, k)
-		_, want := Certify(cand, Options{Budget: b, AssumeComplete: true})
+		_, want := Certify(cand, Options{Budget: b})
 		if (got == nil) != (want == nil) {
 			t.Fatalf("move %d on stage %d: Check says %v, Certify says %v", (i-5)/3, k, got, want)
 		}

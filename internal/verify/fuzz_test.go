@@ -14,10 +14,11 @@ import (
 // certification path, with the labelled map graph (buildGraph, edges,
 // residual, minimalCycle) and the map-based memory sweep (mapSweep) as
 // oracles. For fused, split and wave presets perturbed by random
-// within-stage swaps and displacements, whenever kahnDense handles a
-// schedule its node/edge statistics and acyclic verdict must equal the
-// graph's, and Certify must give the same answer the oracles give: the
-// same *CycleError on a cyclic order, else the same certificate or
+// within-stage swaps and displacements, on every table that passes the
+// universe check with no dependency outside the shape, kahnDense's
+// node/edge statistics and acyclic verdict must equal the graph's, and
+// Certify must give the same answer the oracles give: the same
+// *CycleError on a cyclic order, else the same certificate or
 // *BudgetError. Byte layout:
 //
 //	[0..3]  preset, P, N, S
@@ -73,7 +74,7 @@ func FuzzCertifyAgreesWithRun(f *testing.F) {
 		}
 		check := func() {
 			t.Helper()
-			_, cerr := Certify(s, Options{AssumeComplete: true})
+			_, cerr := Certify(s, Options{})
 			_, rerr := sim.Run(sim.Options{Sched: s, Costs: sim.Unit(), MakespanOnly: true})
 			if rerr != nil && !errors.Is(rerr, errs.ErrUncertified) {
 				t.Fatalf("sim.Run failed for a reason other than a deadlock: %v", rerr)
@@ -168,11 +169,13 @@ func fuzzCompare(t *testing.T, s *sched.Schedule, b *Budget) {
 	t.Helper()
 	var dense Certificate
 	sc := new(certScratch)
-	sc.resolve(s, sched.IndexOf(s))
-	ok, handled := kahnDense(s, &dense, sc)
-	if !handled {
+	x := sched.IndexOf(s)
+	sc.resolve(s, x)
+	tab := s.DepTable()
+	if sc.checkUniverse(s, x) != nil || tab.Neg > 0 {
 		return
 	}
+	ok := kahnDense(s, tab, &dense, sc)
 	g, err := buildGraph(s)
 	if err != nil {
 		t.Fatalf("dense path handled a schedule the graph rejects: %v", err)

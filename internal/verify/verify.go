@@ -75,13 +75,10 @@ type Options struct {
 	// properties (deadlock-freedom, completeness) are certified.
 	Budget *Budget
 
-	// AssumeComplete skips the op-family completeness check. It is sound
-	// only when the schedule's op multiset has already been certified and
-	// the candidate merely permutes op positions — the schedule
-	// optimizer's inner loop, where every move preserves the multiset by
-	// construction and completeness would otherwise dominate the
-	// per-candidate certification cost. Deadlock-freedom and the memory
-	// sweep are always re-proved.
+	// AssumeComplete has no effect: the pass that indexes the table
+	// proves completeness on every call, at no extra cost.
+	//
+	// Deprecated: completeness is always certified; leave it unset.
 	AssumeComplete bool
 }
 
@@ -179,10 +176,8 @@ func Certify(s *sched.Schedule, opts Options) (*Certificate, error) {
 	defer certPool.Put(sc)
 	x := sched.IndexOf(s)
 	sc.resolve(s, x)
-	if !opts.AssumeComplete {
-		if err := checkComplete(s, x, sc); err != nil {
-			return nil, err
-		}
+	if err := sc.checkUniverse(s, x); err != nil {
+		return nil, err
 	}
 	cert := &Certificate{Schedule: s.String()}
 	if err := checkAcyclic(s, cert, sc); err != nil {
@@ -192,40 +187,6 @@ func Certify(s *sched.Schedule, opts Options) (*Certificate, error) {
 		return nil, err
 	}
 	return cert, nil
-}
-
-// checkComplete verifies that every op is in range, unique, and that
-// every (micro, slice, chunk) family has all its members: an F, and a B
-// (fused) or BAct plus W/WPieces (split). It reads the ids resolve left
-// in sc and tracks presence in a pooled dense bitset — no map, no
-// per-family allocation.
-func checkComplete(s *sched.Schedule, x sched.OpIndex, sc *certScratch) error {
-	per := x.PerStage()
-	sc.seen = kgrow(sc.seen, per)
-	p := 0
-	for k, ops := range s.Stages {
-		clear(sc.seen)
-		base := int32(k * per)
-		for _, op := range ops {
-			id := sc.ids[p]
-			p++
-			if id < 0 || op.Piece < 0 || op.Piece != 0 && op.Kind != sched.WPiece {
-				return opShapeError(s, k, op)
-			}
-			if sc.seen[id-base] {
-				return &ShapeError{Schedule: s.String(),
-					Detail: fmt.Sprintf("stage %d: duplicate op %v", k, op)}
-			}
-			sc.seen[id-base] = true
-		}
-		if len(ops) == per {
-			continue // distinct in-shape ops, as many as the shape has
-		}
-		if op, ok := missingFamilyOp(s, x, sc.seen, k); !ok {
-			return &IncompleteError{Schedule: s.String(), Stage: k, Missing: op}
-		}
-	}
-	return nil
 }
 
 // opShapeError reports why op cannot be indexed: out of range, a kind
@@ -245,8 +206,8 @@ func opShapeError(s *sched.Schedule, k int, op sched.Op) error {
 
 // missingFamilyOp scans stage k's families in (micro, slice, chunk) order,
 // and each family's members in slot order — F, then B (fused) or BAct
-// followed by W or its pieces (split) — and returns the first absent one
-// (ok=false), if any.
+// followed by W or its pieces (split) — and returns the first one absent
+// from seen, the stage's presence bitset (ok=false), if any.
 func missingFamilyOp(s *sched.Schedule, x sched.OpIndex, seen []bool, k int) (sched.Op, bool) {
 	per := x.PerStage()
 	slots := per / (s.N * s.V * s.S)

@@ -215,19 +215,52 @@ func TestIncompleteAndMissing(t *testing.T) {
 	})
 
 	t.Run("assume-complete-out-of-range", func(t *testing.T) {
-		// A dependency-free forward of a micro-batch the shape does not
-		// have passes the graph check, so only the memory sweep meets
-		// it; misusing AssumeComplete must still report the op as the
-		// completeness check does.
-		s := mustDAPPLE(t, 2, 2)
-		s.Stages[0] = append(s.Stages[0], sched.Op{Kind: sched.F, Micro: 5})
-		_, want := Certify(s, Options{})
-		var se *ShapeError
-		if !errors.As(want, &se) {
-			t.Fatalf("want *ShapeError, got %T (%v)", want, want)
+		// Tables whose op universe is not the shape's: each is rejected
+		// with the same counterexample with or without AssumeComplete,
+		// and by Delta.Bind.
+		cases := []struct {
+			name   string
+			mutate func(s *sched.Schedule)
+			want   error // its type; the value is Certify's
+		}{
+			{"dropped-last-backward", func(s *sched.Schedule) {
+				// Stage 0 hosts the first chunk, so nothing depends on its
+				// backwards: dropping one leaves no dangling dependency.
+				ops := s.Stages[0]
+				for i := len(ops) - 1; i >= 0; i-- {
+					if ops[i].Kind == sched.B {
+						s.Stages[0] = append(ops[:i:i], ops[i+1:]...)
+						return
+					}
+				}
+			}, &IncompleteError{}},
+			{"duplicate-op", func(s *sched.Schedule) {
+				s.Stages[0] = append(s.Stages[0], s.Stages[0][0])
+			}, &ShapeError{}},
+			{"stray-piece", func(s *sched.Schedule) {
+				s.Stages[1][0].Piece = 7
+			}, &ShapeError{}},
+			{"out-of-range-forward", func(s *sched.Schedule) {
+				// A dependency-free forward of a micro-batch the shape does
+				// not have.
+				s.Stages[0] = append(s.Stages[0], sched.Op{Kind: sched.F, Micro: 5})
+			}, &ShapeError{}},
 		}
-		if _, err := Certify(s, Options{AssumeComplete: true}); !reflect.DeepEqual(err, want) {
-			t.Fatalf("AssumeComplete returned %v, want %v", err, want)
+		for _, c := range cases {
+			t.Run(c.name, func(t *testing.T) {
+				s := mustDAPPLE(t, 2, 2)
+				c.mutate(s)
+				_, want := Certify(s, Options{})
+				if reflect.TypeOf(want) != reflect.TypeOf(c.want) {
+					t.Fatalf("Certify returned %T (%v), want %T", want, want, c.want)
+				}
+				if _, err := Certify(s, Options{AssumeComplete: true}); !reflect.DeepEqual(err, want) {
+					t.Errorf("AssumeComplete returned %v, want %v", err, want)
+				}
+				if err := NewDelta(nil).Bind(s); !reflect.DeepEqual(err, want) {
+					t.Errorf("Delta.Bind returned %v, want %v", err, want)
+				}
+			})
 		}
 	})
 
@@ -266,3 +299,38 @@ type constFootprints struct{ act int64 }
 
 func (c constFootprints) ActBytes(stage int, f sched.Op) int64  { return c.act }
 func (c constFootprints) GradBytes(stage int, b sched.Op) int64 { return 0 }
+
+// offGrid is a round-robin placement whose host map sends global chunk 1
+// off the pipeline, so dependency rows carry out-of-shape entries.
+type offGrid struct{ sched.RoundRobin }
+
+func (o offGrid) Host(g int) (int, int) {
+	if g == 1 {
+		return o.P, 0
+	}
+	return o.RoundRobin.Host(g)
+}
+
+// offGridDAPPLE is DAPPLE(2,2)'s stage lists on a fresh Schedule (the
+// dependency-table cache is keyed by shape, not by placement) whose
+// placement sends global chunk 1 off the grid.
+func offGridDAPPLE(t *testing.T) *sched.Schedule {
+	t.Helper()
+	s := mustDAPPLE(t, 2, 2)
+	return &sched.Schedule{Name: s.Name, P: 2, V: 1, S: 1, N: 2,
+		Place: offGrid{sched.RoundRobin{P: 2, V: 1}}, Stages: s.Stages}
+}
+
+// TestMissingDepMessage pins the absent-dependency counterexample: the
+// first dependency, in stage-list order, that falls outside the shape.
+func TestMissingDepMessage(t *testing.T) {
+	_, err := Certify(offGridDAPPLE(t), Options{})
+	var me *MissingDepError
+	if !errors.As(err, &me) {
+		t.Fatalf("want *MissingDepError, got %T (%v)", err, err)
+	}
+	const want = "verify: DAPPLE{p=2 v=1 s=1 n=2 split=false}: B[m0 s0 c0]@stage0 depends on B[m0 s0 c0]@stage2, which is not scheduled (no sender)"
+	if got := err.Error(); got != want {
+		t.Fatalf("got  %q\nwant %q", got, want)
+	}
+}
