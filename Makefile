@@ -121,16 +121,22 @@ sim-smoke:
 # over every preset family — the one retention rule, applied alike), the
 # certifier's verdict on partial tables (rejected alike with or without
 # AssumeComplete, and by Delta.Bind), the pinned absent-dependency texts of
-# Certify, Validate and the simulator session, short runs of the
+# Certify, Validate and the simulator session, the pinned op-universe
+# texts of the three (one sched.Program.Load pass, each caller's words),
+# the session's universe bugfixes (a stray piece rejected at bind, diff
+# and reload; a non-positive shape rejected at bind), short runs of the
 # certifier's differential fuzzers (the dense path — the only production
 # path — against the test-only map graph and map sweep, and Certify
-# against sim.Run's deadlock verdict and Validate's), and the /v1/sweep
-# wire tests.
+# against sim.Run's deadlock verdict and Validate's), a short run of the
+# universe-verdict fuzzer (Validate, Certify, a session bind and a bound
+# session's Eval accept or reject a broken table alike), and the
+# /v1/sweep wire tests.
 sweep-smoke:
 	$(GO) test ./internal/strategy -run 'TestSweep' -count=1
-	$(GO) test ./internal/verify -run 'TestCertifyPeaksMatchRun|TestIncompleteAndMissing|TestMissingDepMessage' -count=1
+	$(GO) test ./internal/verify -run 'TestCertifyPeaksMatchRun|TestIncompleteAndMissing|TestMissingDepMessage|TestUniverseTexts' -count=1
 	$(GO) test ./internal/sched -run 'TestValidateMessages' -count=1
-	$(GO) test ./internal/sim -run 'TestSessionAbsentDepMessage' -count=1
+	$(GO) test ./internal/sim -run 'TestSessionAbsentDepMessage|TestSessionIncompatible|TestSessionNonPositiveShape' -count=1
+	$(GO) test ./internal/verify -run NONE -fuzz FuzzUniverseVerdicts -fuzztime 10s
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyDenseMatchesGraph -fuzztime 10s
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyAgreesWithRun -fuzztime 10s
 	$(GO) test ./internal/serve ./api/v1 -run 'Sweep' -count=1

@@ -16,9 +16,9 @@ import (
 //     lists in order can never deadlock.
 //
 // A nil error means any dependency-respecting executor can run the schedule
-// to completion. Both checks run on the dense arithmetic op index
-// (opIndexer) — no hashing, no per-op allocation — and the acyclicity
-// check fills the schedule's DepTable cache.
+// to completion. Both checks run on the dense arithmetic op index — the
+// first is Program.Load, no hashing, no per-op allocation — and the
+// acyclicity check fills the schedule's DepTable cache.
 func (s *Schedule) Validate() error {
 	if s.P <= 0 || s.V <= 0 || s.S <= 0 || s.N <= 0 {
 		return fmt.Errorf("sched: %s has non-positive shape: %w", s, errs.ErrIncompatible)
@@ -29,45 +29,19 @@ func (s *Schedule) Validate() error {
 	if s.Place == nil {
 		return fmt.Errorf("sched: %s has no chunk placement: %w", s, errs.ErrIncompatible)
 	}
-	if err := s.checkComplete(); err != nil {
-		return err
+	var p Program
+	switch f := p.Load(s); f.Kind {
+	case Misfit:
+		return s.checkShape(f.Stage, f.Op)
+	case Duplicate:
+		return fmt.Errorf("sched: %s stage %d: duplicate op %s: %w", s, f.Stage, f.Op, errs.ErrIncompatible)
+	case Short:
+		return fmt.Errorf("sched: %s stage %d: %d ops, want %d: %w", s, f.Stage, len(s.Stages[f.Stage]), s.OpsPerStage(), errs.ErrIncompatible)
 	}
-	return s.checkAcyclic()
-}
-
-func (s *Schedule) checkComplete() error {
-	x := s.indexer()
-	seen := make([]bool, x.perStage)
-	for k, ops := range s.Stages {
-		for i := range seen {
-			seen[i] = false
-		}
-		for _, op := range ops {
-			if err := s.checkShape(k, op); err != nil {
-				return err
-			}
-			id := int(x.id(k, op)) - k*x.perStage
-			if seen[id] {
-				return fmt.Errorf("sched: %s stage %d: duplicate op %s: %w", s, k, op, errs.ErrIncompatible)
-			}
-			seen[id] = true
-		}
-		want := s.OpsPerStage()
-		if len(ops) != want {
-			return fmt.Errorf("sched: %s stage %d: %d ops, want %d: %w", s, k, len(ops), want, errs.ErrIncompatible)
-		}
-		// Completeness: want distinct in-shape ops out of exactly want
-		// possible means every (kind, m, i, j[, piece]) is present; the
-		// scan below can only fire if the shape arithmetic ever drifts
-		// from OpsPerStage.
-		for id, ok := range seen {
-			if !ok {
-				_, op := x.opAt(int32(k*x.perStage + id))
-				return fmt.Errorf("sched: %s stage %d: missing op %s: %w", s, k, op, errs.ErrIncompatible)
-			}
-		}
+	if k, op, d, ok := s.AbsentDep(); ok {
+		return fmt.Errorf("sched: %s stage %d: op %s depends on absent %s@stage%d: %w", s, k, op, d.Op, d.Stage, errs.ErrIncompatible)
 	}
-	return nil
+	return s.checkAcyclic(&p)
 }
 
 func (s *Schedule) checkShape(stage int, op Op) error {
@@ -102,40 +76,23 @@ func (s *Schedule) checkShape(stage int, op Op) error {
 }
 
 // checkAcyclic ranks the ops with Topo.Sort over the schedule's cached
-// dependency table and its per-stage program-order chains, after
-// AbsentDep has ruled out a dependency outside the shape. checkComplete
-// has already proven every in-shape op present, so every dependency
-// then names a scheduled op.
-func (s *Schedule) checkAcyclic() error {
-	if k, op, d, ok := s.AbsentDep(); ok {
-		return fmt.Errorf("sched: %s stage %d: op %s depends on absent %s@stage%d: %w", s, k, op, d.Op, d.Stage, errs.ErrIncompatible)
-	}
+// dependency table and the program-order chains p loaded. The loaded
+// lists are the whole universe and AbsentDep has ruled out a dependency
+// outside the shape, so every dependency names a scheduled op.
+func (s *Schedule) checkAcyclic(p *Program) error {
 	t := s.DepTable()
-	x := t.Ix.x
-	total := x.total()
-	next := make([]int32, total)
-	for k, ops := range s.Stages {
-		prev := int32(-1)
-		for _, op := range ops {
-			id := x.id(k, op)
-			if prev >= 0 {
-				next[prev] = id
-			}
-			prev = id
-		}
-		next[prev] = -1
-	}
+	total := len(p.Next)
 	unmet := make([]int32, total) // unranked predecessors, per op
 	var o Topo
-	if o.Sort(t, next, unmet) == total {
+	if o.Sort(t, p.Next, unmet) == total {
 		return nil
 	}
-	// Report the first stuck op in stage-list order.
-	for k, ops := range s.Stages {
-		for _, op := range ops {
-			if unmet[x.id(k, op)] > 0 {
-				return fmt.Errorf("sched: %s deadlocks: op %s@stage%d is on a dependency cycle: %w", s, op, k, errs.ErrUncertified)
-			}
+	// Report the first stuck op in stage-list order. A loaded op is its
+	// id's own op, so decoding the id names it.
+	for _, id := range p.IDs {
+		if unmet[id] > 0 {
+			k, op := t.Ix.At(id)
+			return fmt.Errorf("sched: %s deadlocks: op %s@stage%d is on a dependency cycle: %w", s, op, k, errs.ErrUncertified)
 		}
 	}
 	return nil

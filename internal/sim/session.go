@@ -26,9 +26,11 @@ import (
 //
 // A session numbers ops by their sched.OpIndex ids and shares the bound
 // schedule's sched.DepTable rather than copying it, so it binds only a
-// complete schedule: every op of the shape, once. Validate demands that,
-// and under Options.AssumeValid a table short of it is rejected with a
-// wrapped errs.ErrIncompatible.
+// complete schedule: every op of the shape, once. It loads every full
+// table through sched.Program.Load, the universe pass Validate and the
+// certifier share, so under Options.AssumeValid a table that Validate
+// would reject for its op universe is rejected alike, with a wrapped
+// errs.ErrIncompatible.
 //
 // A Session is not safe for concurrent use. All slices inside the
 // returned Result are owned by the session and are overwritten by the next
@@ -57,14 +59,15 @@ type Session struct {
 	n     int
 	x     sched.OpIndex // dense (stage, op) numbering of the bound shape
 	nfam  int
-	opsl  []sched.Op // id -> op
-	stg   []int32    // id -> stage
-	pos   []int32    // id -> current position in its stage list
-	next  []int32    // id -> its list successor, -1 at the end of a stage
-	order [][]int32  // stage -> position -> id
-	famID []int32    // id -> family slot
-	dur   []float64  // id -> op duration
-	memB  []int64    // id -> bytes allocated at execution (F: act, BAct: grad)
+	prog  sched.Program // the current order, loaded onto the universe
+	opsl  []sched.Op    // id -> op
+	stg   []int32       // id -> stage
+	pos   []int32       // id -> current position in its stage list: prog.Pos
+	next  []int32       // id -> list successor, -1 at a stage's end: prog.Next
+	order [][]int32     // stage -> position -> id: views of prog.IDs
+	famID []int32       // id -> family slot
+	dur   []float64     // id -> op duration
+	memB  []int64       // id -> bytes allocated at execution (F: act, BAct: grad)
 
 	// dependency edges (identity-based, immutable across moves). The
 	// offsets and ids alias the bound schedule's sched.DepTable — never
@@ -93,8 +96,7 @@ type Session struct {
 	indeg  []int32
 	sorted []int32
 
-	// diff scratch: window multiset check via epoch-stamped counters
-	seenCnt   []int32
+	// diff scratch: each window op seen once, by epoch stamp
 	seenEp    []uint32
 	seenEpoch uint32
 
@@ -171,6 +173,9 @@ func (se *Session) init(opt Options) error {
 	if s.Place == nil {
 		return fmt.Errorf("sim: schedule has no placement: %w", errs.ErrIncompatible)
 	}
+	if s.P <= 0 || s.V <= 0 || s.S <= 0 || s.N <= 0 {
+		return fmt.Errorf("sim: session: %s has non-positive shape: %w", s, errs.ErrIncompatible)
+	}
 	se.P, se.V, se.S, se.N = s.P, s.V, s.S, s.N
 	se.splitBW, se.wPieces = s.SplitBW, s.WPieces
 	se.dynamicW = opt.DynamicW
@@ -178,48 +183,40 @@ func (se *Session) init(opt Options) error {
 	se.setOptions(opt)
 
 	// Ids are the universe ids, so the session needs every op of the
-	// shape: a stage-list count equal to the universe, all in shape and
-	// none twice, is exactly that bijection.
+	// shape, once: exactly what Program.Load proves.
 	se.x = sched.IndexOf(s)
 	n := se.x.Total()
-	ops := 0
-	for k := range s.Stages {
-		ops += len(s.Stages[k])
+	f := sched.Fault{Kind: sched.Short} // a wrong stage-list count reads as short
+	if len(s.Stages) == s.P {
+		f = se.prog.Load(s)
 	}
-	if len(s.Stages) != s.P || ops != n {
+	switch f.Kind {
+	case sched.Misfit:
+		return fmt.Errorf("sim: session: op %v@stage%d is outside the schedule shape: %w", f.Op, f.Stage, errs.ErrIncompatible)
+	case sched.Duplicate:
+		return fmt.Errorf("sim: session: duplicate op %v@stage%d: %w", f.Op, f.Stage, errs.ErrIncompatible)
+	case sched.Short:
+		ops := 0
+		for _, st := range s.Stages {
+			ops += len(st)
+		}
 		return fmt.Errorf("sim: session: %s has %d ops in %d stage lists, want the complete universe of %d in %d: %w", s, ops, len(s.Stages), n, s.P, errs.ErrIncompatible)
 	}
 	se.n = n
 	se.opsl = sgrow(se.opsl, n)
 	se.stg = sgrow(se.stg, n)
-	se.pos = sgrow(se.pos, n)
-	se.next = sgrow(se.next, n)
 	se.famID = sgrow(se.famID, n)
 	se.dur = sgrow(se.dur, n)
 	se.memB = sgrow(se.memB, n)
 	se.seenEp = sgrow(se.seenEp, n)
 	se.order = sgrow(se.order, s.P)
-	se.seenEpoch++
-	for k := range s.Stages {
-		ops := s.Stages[k]
-		ord := sgrow(se.order[k], len(ops))
-		for p, op := range ops {
-			id := se.x.ID(k, op)
-			if id < 0 {
-				return fmt.Errorf("sim: session: op %v@stage%d is outside the schedule shape: %w", op, k, errs.ErrIncompatible)
-			}
-			if se.seenEp[id] == se.seenEpoch {
-				return fmt.Errorf("sim: session: duplicate op %v@stage%d: %w", op, k, errs.ErrIncompatible)
-			}
-			se.seenEp[id] = se.seenEpoch
-			se.opsl[id] = op
+	se.view()
+	for k, ops := range s.Stages {
+		for p, id := range se.order[k] {
+			se.opsl[id] = ops[p]
 			se.stg[id] = int32(k)
-			se.pos[id] = int32(p)
-			ord[p] = id
 			se.famID[id] = se.x.FamilyOf(id)
 		}
-		se.order[k] = ord
-		se.link(ord, 0, len(ord)-1)
 	}
 	se.nfam = se.x.Families()
 
@@ -254,7 +251,6 @@ func (se *Session) init(opt Options) error {
 	se.finish = sgrow(se.finish, n)
 	se.dirty = sgrow(se.dirty, n)
 	se.indeg = sgrow(se.indeg, n)
-	se.seenCnt = sgrow(se.seenCnt, n)
 	se.famAcc = sgrow(se.famAcc, se.nfam)
 	se.famCnt = sgrow(se.famCnt, se.nfam)
 	se.famEp = sgrow(se.famEp, se.nfam)
@@ -437,19 +433,13 @@ func (se *Session) compat(s *sched.Schedule) error {
 	return nil
 }
 
-func (se *Session) touchSeen(id int32) {
-	if se.seenEp[id] != se.seenEpoch {
-		se.seenEp[id] = se.seenEpoch
-		se.seenCnt[id] = 0
-	}
-}
-
 // diff aligns the session's order tables with s stage by stage: matching
-// prefixes and suffixes bound the edited window, an epoch-stamped counter
-// checks the window is a permutation, and, while the solve is valid, the
-// window's rank interval is re-sorted and spliced back and the window's
-// ops (plus the one just after it, whose list predecessor changed) are
-// marked dirty. A cyclic interval — the move deadlocks, or, with several
+// prefixes and suffixes bound the edited window, which is a permutation
+// of the bound one when each of its ops is its id's bound op, sits in the
+// window and is seen once (as verify.Delta checks a move), and, while the
+// solve is valid, the window's rank interval is re-sorted and spliced
+// back and the window's ops (plus the one just after it, whose list
+// predecessor changed) are marked dirty. A cyclic interval — the move deadlocks, or, with several
 // stages moved, only the stages re-sorted so far close a cycle — leaves
 // the rest to the dense sweep. It returns the first stage whose list is
 // not a permutation of the bound one, or -1.
@@ -479,20 +469,14 @@ func (se *Session) diff(s *sched.Schedule) int {
 		}
 		se.seenEpoch++
 		for p := lo; p <= hi; p++ {
-			cid := ord[p]
-			se.touchSeen(cid)
-			se.seenCnt[cid]++
-		}
-		for p := lo; p <= hi; p++ {
 			cid := se.x.ID(k, ops[p])
-			if cid < 0 {
+			if cid < 0 || se.opsl[cid] != ops[p] || se.seenEp[cid] == se.seenEpoch {
 				return k
 			}
-			se.touchSeen(cid)
-			se.seenCnt[cid]--
-			if se.seenCnt[cid] < 0 {
+			if q := int(se.pos[cid]); q < lo || q > hi {
 				return k
 			}
+			se.seenEp[cid] = se.seenEpoch
 			ord[p] = cid
 			se.pos[cid] = int32(p)
 		}
@@ -526,28 +510,29 @@ func (se *Session) link(ord []int32, lo, hi int) {
 	}
 }
 
-// remapAll rebuilds order/pos from s after a failed diff, verifying the
-// whole schedule is a per-stage bijection onto the bound op set.
+// remapAll reloads the order tables from s after a failed diff; Load
+// proves s a per-stage bijection onto the bound op set, whose shape compat
+// has checked.
 func (se *Session) remapAll(s *sched.Schedule) error {
-	se.seenEpoch++
-	for k := 0; k < se.P; k++ {
-		ord := se.order[k]
-		ops := s.Stages[k]
-		for p := range ops {
-			cid := se.x.ID(k, ops[p])
-			if cid < 0 || se.seenEp[cid] == se.seenEpoch {
-				return fmt.Errorf("sim: session: stage %d op list is not a permutation of the bound schedule: %w", k, errs.ErrIncompatible)
-			}
-			se.seenEp[cid] = se.seenEpoch
-			ord[p] = cid
-			se.pos[cid] = int32(p)
-		}
-		se.link(ord, 0, len(ord)-1)
+	if f := se.prog.Load(s); f.Kind != sched.NoFault {
+		return fmt.Errorf("sim: session: stage %d op list is not a permutation of the bound schedule: %w", f.Stage, errs.ErrIncompatible)
+	}
+	se.view()
+	for k := range se.stDirty {
 		se.stDirty[k] = true
 	}
-	se.resync = false
-	se.valid = false
+	se.resync, se.valid = false, false
 	return nil
+}
+
+// view points the order tables at the loaded program: stage k's order is
+// its run of prog.IDs, every stage holding the universe's per-stage ops.
+func (se *Session) view() {
+	per := se.x.PerStage()
+	for k := range se.order {
+		se.order[k] = se.prog.IDs[k*per : (k+1)*per]
+	}
+	se.pos, se.next = se.prog.Pos, se.prog.Next
 }
 
 // mark flags op id for re-solving in this Eval.

@@ -301,6 +301,59 @@ func TestSessionIncompatible(t *testing.T) {
 			t.Fatalf("malformed table %d under AssumeValid: got %v, want ErrIncompatible", i, err)
 		}
 	}
+	// A piece number on a forward resolves to the forward's own id, yet
+	// the table is not the universe: the bind, the window diff and the
+	// full reload after a failed diff all reject it, as Validate does.
+	d, err := sched.DAPPLE(2, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray := sessClone(d)
+	stray.Stages[1][0].Piece = 7
+	if _, err := NewSession(Options{Sched: stray, Costs: Unit(), AssumeValid: true}); !errors.Is(err, errs.ErrIncompatible) {
+		t.Fatalf("stray piece under AssumeValid: got %v, want ErrIncompatible", err)
+	}
+	clean, err := NewSession(Options{Sched: d, Costs: Unit()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clean.Eval(stray); !errors.Is(err, errs.ErrIncompatible) {
+		t.Fatalf("stray piece, diff path: got %v, want ErrIncompatible", err)
+	}
+	if _, err := clean.Eval(d); err != nil {
+		t.Fatalf("after the stray-piece diff: %v", err)
+	}
+	dupD := sessClone(d)
+	dupD.Stages[0][0] = dupD.Stages[0][1]
+	if _, err := clean.Eval(dupD); !errors.Is(err, errs.ErrIncompatible) {
+		t.Fatalf("duplicated op: got %v, want ErrIncompatible", err)
+	}
+	if _, err := clean.Eval(stray); !errors.Is(err, errs.ErrIncompatible) {
+		t.Fatalf("stray piece, reload path: got %v, want ErrIncompatible", err)
+	}
+	if _, err := clean.Eval(d); err != nil {
+		t.Fatalf("after the stray-piece reload: %v", err)
+	}
+}
+
+// TestSessionNonPositiveShape: binding an empty table of a non-positive
+// shape under AssumeValid is incompatible — neither a divide by zero nor
+// a session over no ops.
+func TestSessionNonPositiveShape(t *testing.T) {
+	for _, shape := range [][4]int{{2, 1, 1, 0}, {0, 1, 1, 2}, {2, 0, 1, 2}, {2, 1, 0, 2}} {
+		s := &sched.Schedule{Name: "empty", P: shape[0], V: shape[1], S: shape[2], N: shape[3],
+			Place: sched.RoundRobin{P: max(shape[0], 1), V: 1}, Stages: make([][]sched.Op, shape[0])}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("shape %v: bind panicked: %v", shape, r)
+				}
+			}()
+			if _, err := NewSession(Options{Sched: s, Costs: Unit(), AssumeValid: true}); !errors.Is(err, errs.ErrIncompatible) {
+				t.Errorf("shape %v: got %v, want ErrIncompatible", shape, err)
+			}
+		}()
+	}
 }
 
 // TestSessionZeroAllocSteadyState is the arena-reuse gate: once warm, a

@@ -73,11 +73,12 @@ type Options struct {
 	// It is sound only for schedules that come valid — sched.Generate's
 	// output is valid by construction and the strategy paths additionally
 	// certify before binding. Misuse still fails safe: a session binds
-	// ops by their sched.OpIndex ids and needs the complete op universe,
-	// so a table with missing, duplicate or out-of-shape ops is rejected
-	// while the identity tables build (wrapping errs.ErrIncompatible),
-	// and deadlocking orders surface at the first evaluation exactly like
-	// Validate reports them (wrapping errs.ErrUncertified).
+	// ops by their sched.OpIndex ids and loads the table with
+	// sched.Program.Load, the universe pass Validate runs, so a table of
+	// a non-positive shape or with missing, duplicate or misfit ops is
+	// rejected (wrapping errs.ErrIncompatible), and deadlocking orders
+	// surface at the first evaluation exactly like Validate reports them
+	// (wrapping errs.ErrUncertified).
 	AssumeValid bool
 }
 

@@ -92,9 +92,8 @@ func (e *BudgetError) Unwrap() error { return errs.ErrUncertified }
 // through the one retention rule (sched.PieceStep), and records peak live
 // families (always) and peak bytes under b's footprints (when b is
 // non-nil). It fails the moment a stage's retention exceeds its budget.
-// Ops are read as the ids resolve left in sc — checkUniverse has proven
-// each one in shape — and per-family state lives in sc's arrays, indexed
-// by OpIndex.FamilyOf.
+// Ops are read as the ids sc loaded, and per-family state lives in sc's
+// arrays, indexed by OpIndex.FamilyOf.
 func sweep(s *sched.Schedule, x sched.OpIndex, b *Budget, cert *Certificate, sc *certScratch) error {
 	famBytes, gradBytes := b.footprints()
 	if b != nil && b.ActBudget != nil && len(b.ActBudget) != s.P {
@@ -135,7 +134,7 @@ func sweep(s *sched.Schedule, x sched.OpIndex, b *Budget, cert *Certificate, sc 
 		}
 		peakFams, peakBytes := 0, int64(0)
 		for i, op := range ops {
-			f := x.FamilyOf(sc.ids[p])
+			f := x.FamilyOf(sc.IDs[p])
 			p++
 			switch sched.PieceStep(op.Kind, &sc.pieces[f], s.WPieces) {
 			case sched.RetainAct:

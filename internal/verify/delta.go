@@ -54,7 +54,8 @@ type deltaBase struct {
 	x     sched.OpIndex
 
 	// By dense op id: position within its stage and base program-order
-	// successor (-1 at the end of a stage); topo ranks the base.
+	// successor (-1 at the end of a stage), aliasing the base as sc
+	// loaded it; topo ranks the base.
 	pos  []int32
 	next []int32
 	topo sched.Topo
@@ -68,8 +69,7 @@ type deltaBase struct {
 	famB, gradB []int64
 	relPos      []int32
 
-	// Bind-time scratch: Certify's universe pass runs in sc, and next
-	// aliases the chains it leaves in sc.next.
+	// Bind-time scratch: the base is loaded onto its universe in sc.
 	pieces []int32
 	sc     certScratch
 }
@@ -123,7 +123,7 @@ func (b *deltaBase) sweepBase() bool {
 	for k, ops := range s.Stages {
 		var live int64
 		for i, op := range ops {
-			id := b.sc.ids[p]
+			id := b.sc.IDs[p]
 			p++
 			f := x.FamilyOf(id)
 			r := sched.PieceStep(op.Kind, &b.pieces[f], s.WPieces)
@@ -209,29 +209,20 @@ func (d *Delta) Check(cand *sched.Schedule, stage int) error {
 	return nil
 }
 
-// bindDense runs Certify's universe check over the base, ranks it and
-// sweeps its retention. It returns false when any of Certify's checks
+// bindDense loads the base onto its universe as Certify does, ranks it
+// and sweeps its retention. It returns false when any of Certify's checks
 // fails — the cases Bind hands to Certify for the counterexample.
 func (d *Delta) bindDense() bool {
 	b := d.b
 	s, sc := b.base, &b.sc
 	b.t = s.DepTable()
 	b.x = b.t.Ix
-	sc.resolve(s, b.x)
-	if sc.checkUniverse(s, b.x) != nil || b.t.Neg > 0 {
+	if b.t.Neg > 0 || sc.Load(s).Kind != sched.NoFault {
 		return false
 	}
 	total := b.x.Total()
 	d.grow(total, b.x.Families())
-	b.pos = kgrow(b.pos, total)
-	p := 0
-	for _, ops := range s.Stages {
-		for i := range ops {
-			b.pos[sc.ids[p]] = int32(i)
-			p++
-		}
-	}
-	b.next = sc.next
+	b.pos, b.next = sc.Pos, sc.Next
 	if b.topo.Sort(b.t, b.next, d.indeg) != total {
 		return false
 	}

@@ -7,50 +7,26 @@ import (
 	"mepipe/internal/sched"
 )
 
-// checkUniverse proves the stage lists are exactly the shape's op
-// universe, reading the ids resolve left in sc, and chains program order
-// into sc.next. Stage by stage, an op out of shape, carrying a stray piece
-// number or seen twice is a *ShapeError, and a stage with fewer ops than
-// the shape has is an *IncompleteError naming its first missing member.
-// Distinct in-shape ops as many as the universe are the universe, so the
-// pass proves completeness whatever the caller assumes.
-func (sc *certScratch) checkUniverse(s *sched.Schedule, x sched.OpIndex) error {
-	per := x.PerStage()
-	sc.seen = kgrow(sc.seen, x.Total())
-	clear(sc.seen)
-	sc.next = kgrow(sc.next, x.Total())
-	p := 0
-	for k, ops := range s.Stages {
-		prev := int32(-1)
-		for _, op := range ops {
-			id := sc.ids[p]
-			p++
-			if id < 0 || op.Piece < 0 || op.Piece != 0 && op.Kind != sched.WPiece {
-				return opShapeError(s, k, op)
-			}
-			if sc.seen[id] {
-				return &ShapeError{Schedule: s.String(),
-					Detail: fmt.Sprintf("stage %d: duplicate op %v", k, op)}
-			}
-			sc.seen[id] = true
-			if prev >= 0 {
-				sc.next[prev] = id
-			}
-			prev = id
-		}
-		if len(ops) != per {
-			op, _ := missingFamilyOp(s, x, sc.seen[k*per:(k+1)*per], k)
-			return &IncompleteError{Schedule: s.String(), Stage: k, Missing: op}
-		}
-		sc.next[prev] = -1
+// universeError reports f, the first fault sched.Program.Load found in s,
+// as a counterexample: an op that does not fit the shape or is listed
+// twice is a *ShapeError, a short stage an *IncompleteError naming its
+// first missing member.
+func universeError(s *sched.Schedule, f sched.Fault) error {
+	switch f.Kind {
+	case sched.Misfit:
+		return opShapeError(s, f.Stage, f.Op)
+	case sched.Duplicate:
+		return &ShapeError{Schedule: s.String(),
+			Detail: fmt.Sprintf("stage %d: duplicate op %v", f.Stage, f.Op)}
 	}
-	return nil
+	return &IncompleteError{Schedule: s.String(), Stage: f.Stage, Missing: f.Op}
 }
 
 // checkAcyclic proves deadlock-freedom on the dense op index, filling the
 // certificate's graph statistics, or returns the counterexample: the
 // first dependency outside the shape (sched.Schedule.AbsentDep), else the
-// minimal cycle. checkUniverse has already chained program order into sc.
+// minimal cycle. sc has loaded the table: the whole universe, its program
+// order chained.
 func checkAcyclic(s *sched.Schedule, cert *Certificate, sc *certScratch) error {
 	t := s.DepTable()
 	if k, op, d, ok := s.AbsentDep(); ok {
@@ -68,23 +44,20 @@ func checkAcyclic(s *sched.Schedule, cert *Certificate, sc *certScratch) error {
 // shape-sized, so pooling removes certification's allocation profile on
 // the hot path — on the failure path as well as the success path.
 type certScratch struct {
-	// ids holds every op's dense id (-1 when out of shape) by position,
-	// stage-major: resolved once per Certify and read by every pass.
-	ids []int32
+	// The table loaded onto its universe (sched.Program.Load, the one
+	// universe pass Validate and the simulator session share): every
+	// position's id, read by every later pass, and every id's
+	// program-order successor and position in its stage.
+	sched.Program
 
-	// checkUniverse's presence bitset and program-order chains, and the
-	// topological order and Sort's in-degree scratch: unmet[id] counts the
-	// predecessors of id not yet ranked, so after a short Sort it is
+	// The topological order and Sort's in-degree scratch: unmet[id] counts
+	// the predecessors of id not yet ranked, so after a short Sort it is
 	// positive exactly on the ops it left unranked.
-	seen  []bool
-	next  []int32
 	unmet []int32
 	topo  sched.Topo
 
-	// Counterexample extraction: each op's position (stage-major, then
-	// index within the stage), the unranked ops' successor CSR in position
-	// order, and epoch-stamped BFS state.
-	pos       []int32
+	// Counterexample extraction: the unranked ops' successor CSR in
+	// position order, and epoch-stamped BFS state.
 	queue     []int32
 	radjOff   []int32
 	radj      []int32
@@ -103,18 +76,6 @@ type certScratch struct {
 
 var certPool = sync.Pool{New: func() any { return new(certScratch) }}
 
-// resolve maps every op of s to its dense id, position by position, so
-// the universe check, the counterexample and the memory sweep read ids
-// instead of each re-deriving them.
-func (sc *certScratch) resolve(s *sched.Schedule, x sched.OpIndex) {
-	sc.ids = sc.ids[:0]
-	for k, ops := range s.Stages {
-		for _, op := range ops {
-			sc.ids = append(sc.ids, x.ID(k, op))
-		}
-	}
-}
-
 // kgrow returns s resized to n elements, reusing capacity when it can.
 // Contents are NOT cleared — callers overwrite every element they read.
 func kgrow[T any](s []T, n int) []T {
@@ -128,7 +89,7 @@ func kgrow[T any](s []T, n int) []T {
 // filling the certificate's node/edge statistics, and reports whether it
 // is acyclic. The edge universe is never materialized: Sort walks the
 // schedule's cached dependency table plus the program-order chains
-// checkUniverse left in sc.next, and the edge statistics are cached on
+// loaded into sc.Next, and the edge statistics are cached on
 // the table itself. On a cycle it leaves the unranked in-degrees in
 // sc.unmet for minimalCycle.
 func kahnDense(s *sched.Schedule, t *sched.DepTable, cert *Certificate, sc *certScratch) bool {
@@ -139,7 +100,7 @@ func kahnDense(s *sched.Schedule, t *sched.DepTable, cert *Certificate, sc *cert
 	cert.Edges = len(t.ID) + total - s.P
 	cert.CrossEdges = t.Cross
 	sc.unmet = kgrow(sc.unmet, total)
-	return sc.topo.Sort(t, sc.next, sc.unmet) == total
+	return sc.topo.Sort(t, sc.Next, sc.unmet) == total
 }
 
 // minimalCycle extracts a shortest dependency cycle through the ops
@@ -153,10 +114,8 @@ func (sc *certScratch) minimalCycle(s *sched.Schedule) ([]Node, []string) {
 	t := s.DepTable()
 	x := t.Ix
 	total := x.Total()
-	sc.pos = kgrow(sc.pos, total)
 	sc.sources = sc.sources[:0]
-	for p, id := range sc.ids {
-		sc.pos[id] = int32(p)
+	for _, id := range sc.IDs {
 		if sc.unmet[id] > 0 && len(sc.sources) < maxSources {
 			sc.sources = append(sc.sources, id)
 		}
@@ -190,7 +149,8 @@ func (sc *certScratch) minimalCycle(s *sched.Schedule) ([]Node, []string) {
 	nodes := make([]Node, len(best))
 	kinds := make([]string, len(best))
 	for i, id := range best {
-		nodes[i] = sc.node(s, x, id)
+		k := x.Stage(id)
+		nodes[i] = Node{Stage: k, Op: s.Stages[k][sc.Pos[id]]}
 		kinds[i] = "order"
 		next := best[(i+1)%len(best)]
 		for _, j := range t.OutID[t.OutOff[id]:t.OutOff[id+1]] {
@@ -208,9 +168,13 @@ const maxSources = 256
 
 // buildUnrankedAdj lays out, for every unranked op, its unranked
 // successors — the program-order successor plus the table's dependents —
-// sorted by position, the order the map graph oracle visits them in.
+// sorted by position, the order the map graph oracle visits them in. Ids
+// are stage-major and every stage holds per ops, so an op's position in
+// the concatenated lists is its stage's first id plus its Pos.
 func (sc *certScratch) buildUnrankedAdj(t *sched.DepTable) {
 	total := len(sc.unmet)
+	per, pos := int32(t.Ix.PerStage()), sc.Pos
+	at := func(id int32) int32 { return id/per*per + pos[id] }
 	sc.radjOff = kgrow(sc.radjOff, total+1)
 	sc.radj = sc.radj[:0]
 	for u := 0; u < total; u++ {
@@ -219,7 +183,7 @@ func (sc *certScratch) buildUnrankedAdj(t *sched.DepTable) {
 			continue
 		}
 		start := len(sc.radj)
-		if j := sc.next[u]; j >= 0 && sc.unmet[j] > 0 {
+		if j := sc.Next[u]; j >= 0 && sc.unmet[j] > 0 {
 			sc.radj = append(sc.radj, j)
 		}
 		for _, j := range t.OutID[t.OutOff[u]:t.OutOff[u+1]] {
@@ -229,7 +193,7 @@ func (sc *certScratch) buildUnrankedAdj(t *sched.DepTable) {
 		}
 		row := sc.radj[start:]
 		for i := 1; i < len(row); i++ {
-			for h := i; h > 0 && sc.pos[row[h]] < sc.pos[row[h-1]]; h-- {
+			for h := i; h > 0 && at(row[h]) < at(row[h-1]); h-- {
 				row[h], row[h-1] = row[h-1], row[h]
 			}
 		}
@@ -278,15 +242,4 @@ func (sc *certScratch) bfsCycle(src int32, bound int) []int32 {
 	}
 	sc.queue = queue
 	return nil
-}
-
-// node returns the schedule's own op at dense id: the op stored at the
-// id's position.
-func (sc *certScratch) node(s *sched.Schedule, x sched.OpIndex, id int32) Node {
-	k := x.Stage(id)
-	p := int(sc.pos[id])
-	for _, ops := range s.Stages[:k] {
-		p -= len(ops)
-	}
-	return Node{Stage: k, Op: s.Stages[k][p]}
 }

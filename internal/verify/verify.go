@@ -175,9 +175,8 @@ func Certify(s *sched.Schedule, opts Options) (*Certificate, error) {
 	sc := certPool.Get().(*certScratch)
 	defer certPool.Put(sc)
 	x := sched.IndexOf(s)
-	sc.resolve(s, x)
-	if err := sc.checkUniverse(s, x); err != nil {
-		return nil, err
+	if f := sc.Load(s); f.Kind != sched.NoFault {
+		return nil, universeError(s, f)
 	}
 	cert := &Certificate{Schedule: s.String()}
 	if err := checkAcyclic(s, cert, sc); err != nil {
@@ -202,29 +201,6 @@ func opShapeError(s *sched.Schedule, k int, op sched.Op) error {
 	}
 	return &ShapeError{Schedule: s.String(),
 		Detail: fmt.Sprintf("stage %d: op %v out of range", k, op)}
-}
-
-// missingFamilyOp scans stage k's families in (micro, slice, chunk) order,
-// and each family's members in slot order — F, then B (fused) or BAct
-// followed by W or its pieces (split) — and returns the first one absent
-// from seen, the stage's presence bitset (ok=false), if any.
-func missingFamilyOp(s *sched.Schedule, x sched.OpIndex, seen []bool, k int) (sched.Op, bool) {
-	per := x.PerStage()
-	slots := per / (s.N * s.V * s.S)
-	for m := 0; m < s.N; m++ {
-		for i := 0; i < s.S; i++ {
-			for j := 0; j < s.V; j++ {
-				fam := ((m*s.V+j)*s.S + i) * slots
-				for slot := 0; slot < slots; slot++ {
-					if !seen[fam+slot] {
-						_, op := x.At(int32(k*per + fam + slot))
-						return op, false
-					}
-				}
-			}
-		}
-	}
-	return sched.Op{}, true
 }
 
 // kindMismatch reports why op's kind (or its piece number) is
