@@ -61,9 +61,18 @@ smoke:
 
 # Planning-server smoke (docs/SERVE.md): boots mepipe-serve on an
 # ephemeral port in-process, proves a /v1/search answers certified, the
-# identical repeat is a cache hit, and the stats reflect both.
+# identical repeat is a cache hit, and the stats reflect both; then short
+# runs of every api/v1 decoder fuzzer (decoding never panics, the serving
+# compile step accepts exactly what Normalize accepts, normalizing a
+# canonical document is the identity, and a key survives re-encoding with
+# another field order and whitespace).
 serve-smoke:
 	$(GO) run ./cmd/mepipe-serve -selfcheck
+	$(GO) test ./api/v1 -run NONE -fuzz '^FuzzDecodePlanRequest$$' -fuzztime 10s
+	$(GO) test ./api/v1 -run NONE -fuzz '^FuzzDecodeTraceRequest$$' -fuzztime 10s
+	$(GO) test ./api/v1 -run NONE -fuzz '^FuzzDecodeSweepRequest$$' -fuzztime 10s
+	$(GO) test ./api/v1 -run NONE -fuzz '^FuzzDecodeOptimizeRequest$$' -fuzztime 10s
+	$(GO) test ./api/v1 -run NONE -fuzz '^FuzzDecodeCertifyRequest$$' -fuzztime 10s
 
 # Optimizer smoke (docs/OPTIMIZER.md): a short fixed-seed annealing run,
 # the discovered-schedule regression gate — the checked-in schedule under

@@ -97,50 +97,34 @@ func ModelFrom(m config.Model) ModelSpec {
 	}
 }
 
-// Cluster converts the spec to a modelled cluster.
+// Cluster converts the spec to a modelled cluster. A preset picks its
+// testbed; an explicit GPU picks the testbed with that GPU, so the
+// interconnect model stays calibrated. Servers and GPUsPerServer then
+// override the shape, which must be positive either way.
 func (s ClusterSpec) Cluster() (cluster.Cluster, error) {
 	if s.Preset != "" && s.GPU != "" {
 		return cluster.Cluster{}, fmt.Errorf("%w: cluster preset %q cannot be combined with an explicit gpu", ErrBadRequest, s.Preset)
 	}
+	var cl cluster.Cluster
 	switch strings.ToLower(s.Preset) {
 	case "rtx4090", "4090":
-		servers := s.Servers
-		if servers == 0 {
-			servers = 8
-		}
-		cl := cluster.RTX4090Cluster(servers)
-		if s.GPUsPerServer != 0 {
-			cl.GPUsPerServer = s.GPUsPerServer
-		}
-		return cl, nil
+		cl = cluster.RTX4090Cluster(8)
 	case "a100":
-		servers := s.Servers
-		if servers == 0 {
-			servers = 4
-		}
-		cl := cluster.A100Cluster(servers)
-		if s.GPUsPerServer != 0 {
-			cl.GPUsPerServer = s.GPUsPerServer
-		}
-		return cl, nil
+		cl = cluster.A100Cluster(4)
 	case "":
+		if s.GPU == "" {
+			return cluster.Cluster{}, fmt.Errorf("%w: cluster needs a preset or a gpu name", ErrBadRequest)
+		}
+		gpu, err := hw.GPUByName(s.GPU)
+		if err != nil {
+			return cluster.Cluster{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
+		cl = cluster.RTX4090Cluster(8)
+		if gpu.Name == hw.A100().Name {
+			cl = cluster.A100Cluster(4)
+		}
 	default:
 		return cluster.Cluster{}, fmt.Errorf("%w: unknown cluster preset %q (want rtx4090 or a100)", ErrBadRequest, s.Preset)
-	}
-	if s.GPU == "" {
-		return cluster.Cluster{}, fmt.Errorf("%w: cluster needs a preset or a gpu name", ErrBadRequest)
-	}
-	gpu, err := hw.GPUByName(s.GPU)
-	if err != nil {
-		return cluster.Cluster{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	// Explicit clusters reuse the preset testbed matching the GPU so the
-	// interconnect model stays calibrated; only the shape is overridden.
-	var cl cluster.Cluster
-	if gpu.Name == hw.A100().Name {
-		cl = cluster.A100Cluster(4)
-	} else {
-		cl = cluster.RTX4090Cluster(8)
 	}
 	if s.Servers != 0 {
 		cl.Servers = s.Servers
@@ -199,51 +183,38 @@ func TrainingFrom(t config.Training) TrainingSpec {
 	return TrainingSpec{GlobalBatch: t.GlobalBatch, MicroBatch: t.MicroBatch}
 }
 
-// Space converts the spec to a strategy.SearchSpace; a nil spec is the
-// paper's default space.
-func (s *SpaceSpec) Space() strategy.SearchSpace {
-	if s == nil {
-		return strategy.DefaultSpace()
+// canonical validates the search space and returns its canonical wire
+// form and the domain space it denotes, which shares its lists. Empty lists
+// and a zero min_dp take the paper's default space's values, a nil spec is
+// that space, and lists are sorted and deduplicated (the ranked search
+// result is independent of enumeration order). Every list entry must be
+// positive and min_dp non-negative.
+func (s *SpaceSpec) canonical() (*SpaceSpec, strategy.SearchSpace, error) {
+	sp := strategy.DefaultSpace()
+	if s != nil {
+		sp.PP, sp.CP = sortedUnique(s.PP, sp.PP), sortedUnique(s.CP, sp.CP)
+		sp.SPP, sp.VP = sortedUnique(s.SPP, sp.SPP), sortedUnique(s.VP, sp.VP)
+		if s.MinDP != 0 {
+			sp.MinDP = s.MinDP
+		}
+		sp.Prune = s.Prune
 	}
-	sp := strategy.SearchSpace{
-		PP: append([]int(nil), s.PP...), CP: append([]int(nil), s.CP...),
-		SPP: append([]int(nil), s.SPP...), VP: append([]int(nil), s.VP...),
-		MinDP: s.MinDP, Prune: s.Prune,
+	for i, l := range [][]int{sp.PP, sp.CP, sp.SPP, sp.VP} {
+		if l[0] < 1 {
+			return nil, strategy.SearchSpace{}, fmt.Errorf("%w: space.%s entry %d must be positive", ErrBadRequest, [...]string{"pp", "cp", "spp", "vp"}[i], l[0])
+		}
 	}
-	d := strategy.DefaultSpace()
-	if len(sp.PP) == 0 {
-		sp.PP = d.PP
+	if sp.MinDP < 0 {
+		return nil, strategy.SearchSpace{}, fmt.Errorf("%w: space.min_dp %d must be non-negative", ErrBadRequest, sp.MinDP)
 	}
-	if len(sp.CP) == 0 {
-		sp.CP = d.CP
-	}
-	if len(sp.SPP) == 0 {
-		sp.SPP = d.SPP
-	}
-	if len(sp.VP) == 0 {
-		sp.VP = d.VP
-	}
-	if sp.MinDP == 0 {
-		sp.MinDP = d.MinDP
-	}
-	return sp
+	return &SpaceSpec{PP: sp.PP, CP: sp.CP, SPP: sp.SPP, VP: sp.VP, MinDP: sp.MinDP, Prune: sp.Prune}, sp, nil
 }
 
-// SpaceFrom builds the wire spec for a search space.
-func SpaceFrom(sp strategy.SearchSpace) *SpaceSpec {
-	return &SpaceSpec{
-		PP: sortedUnique(sp.PP), CP: sortedUnique(sp.CP),
-		SPP: sortedUnique(sp.SPP), VP: sortedUnique(sp.VP),
-		MinDP: sp.MinDP, Prune: sp.Prune,
-	}
-}
-
-// sortedUnique returns a sorted copy with duplicates removed — the
-// canonical list form used by hashing (the ranked search result is
-// independent of enumeration order, so this is semantics-preserving).
-func sortedUnique(xs []int) []int {
+// sortedUnique returns a sorted copy of xs with duplicates removed, or def
+// when xs is empty.
+func sortedUnique(xs, def []int) []int {
 	if len(xs) == 0 {
-		return nil
+		return def
 	}
 	out := append([]int(nil), xs...)
 	sort.Ints(out)

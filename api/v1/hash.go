@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
@@ -12,8 +13,10 @@ import (
 )
 
 // Plan is a compiled request: the domain values every entry point
-// ultimately consumes.
+// ultimately consumes, those of the request's canonical document.
 type Plan struct {
+	// System is the searched or pinned system (every document but a
+	// sweep's).
 	System   strategy.System
 	Model    config.Model
 	Cluster  cluster.Cluster
@@ -23,68 +26,96 @@ type Plan struct {
 	Space    strategy.SearchSpace
 	// Top caps the candidates carried by a search response (0 = all).
 	Top int
+	// Systems lists a sweep's systems in response order (sweep only).
+	Systems []strategy.System
+	// Opt is the optimizer spec, defaults filled (optimize only).
+	Opt OptSpec
 }
 
-// Normalize returns the canonical form of the request: version pinned,
-// presets expanded to explicit dimensions, defaults filled (micro batch,
-// SPP/VP system defaults, derived DP, default search space with sorted
-// lists). Two documents that mean the same job normalize to byte-identical
-// canonical JSON, which is what Key hashes. The receiver is not modified;
-// failures wrap ErrBadRequest.
-func (r *PlanRequest) Normalize() (*PlanRequest, error) {
-	if r == nil {
-		return nil, fmt.Errorf("%w: empty request", ErrBadRequest)
+// errEmpty rejects a nil request.
+var errEmpty = fmt.Errorf("%w: empty request", ErrBadRequest)
+
+// checkAPI rejects every wire version but this package's.
+func checkAPI(api string) error {
+	if api != "" && api != Version {
+		return fmt.Errorf("%w: unsupported api version %q (this server speaks %q)", ErrBadRequest, api, Version)
 	}
-	if r.API != "" && r.API != Version {
-		return nil, fmt.Errorf("%w: unsupported api version %q (this server speaks %q)", ErrBadRequest, r.API, Version)
-	}
-	sys, err := SystemByName(r.System)
-	if err != nil {
-		return nil, err
+	return nil
+}
+
+// compileShared is the one compile step every planning document goes
+// through. It validates and canonicalizes the fields all of them share:
+// api version, model, cluster, training, search space and top. It returns
+// the plan and the canonical document of those fields; the caller adds its
+// own. A document that pins a strategy keeps a search space only if it
+// spells one out.
+func compileShared(r *PlanRequest) (*Plan, *PlanRequest, error) {
+	if err := checkAPI(r.API); err != nil {
+		return nil, nil, err
 	}
 	m, err := r.Model.Model()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cl, err := r.Cluster.Cluster()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if r.Training.GlobalBatch <= 0 {
-		return nil, fmt.Errorf("%w: training.global_batch %d must be positive", ErrBadRequest, r.Training.GlobalBatch)
+		return nil, nil, fmt.Errorf("%w: training.global_batch %d must be positive", ErrBadRequest, r.Training.GlobalBatch)
 	}
 	tr := r.Training.Training()
 	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	out := &PlanRequest{
-		API:      Version,
-		System:   SystemName(sys),
-		Model:    ModelFrom(m),
-		Cluster:  ClusterFrom(cl),
-		Training: TrainingFrom(tr),
-		Top:      r.Top,
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if r.Top < 0 {
-		return nil, fmt.Errorf("%w: top %d must be non-negative", ErrBadRequest, r.Top)
+		return nil, nil, fmt.Errorf("%w: top %d must be non-negative", ErrBadRequest, r.Top)
 	}
-	if r.Parallel != nil {
-		par, err := r.Parallel.Parallel()
-		if err != nil {
-			return nil, err
+	p := &Plan{Model: m, Cluster: cl, Training: tr, Top: r.Top}
+	c := &PlanRequest{
+		API: Version, Model: ModelFrom(m), Cluster: ClusterFrom(cl),
+		Training: TrainingFrom(tr), Top: r.Top,
+	}
+	if r.Space == nil && r.Parallel != nil {
+		p.Space = strategy.DefaultSpace()
+	} else if c.Space, p.Space, err = r.Space.canonical(); err != nil {
+		return nil, nil, err
+	}
+	return p, c, nil
+}
+
+// compile runs the one compile step for op and adds the document's system
+// and pinned strategy. It is the one place that decides which ops need a
+// pinned strategy: simulate, optimize and trace evaluate one.
+func (r *PlanRequest) compile(op string) (*Plan, *PlanRequest, error) {
+	if r == nil {
+		return nil, nil, errEmpty
+	}
+	p, c, err := compileShared(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	if p.System, err = SystemByName(r.System); err != nil {
+		return nil, nil, err
+	}
+	c.System = SystemName(p.System)
+	if r.Parallel == nil {
+		if op == "simulate" || op == "optimize" || op == "trace" {
+			return nil, nil, fmt.Errorf("%w: %s needs a parallel strategy", ErrBadRequest, op)
 		}
-		par = defaultParallel(par, sys, cl)
-		if err := par.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-		}
-		spec := ParallelFrom(par)
-		out.Parallel = &spec
+		return p, c, nil
 	}
-	if r.Space != nil || r.Parallel == nil {
-		sp := r.Space.Space()
-		out.Space = SpaceFrom(sp)
+	par, err := r.Parallel.Parallel()
+	if err != nil {
+		return nil, nil, err
 	}
-	return out, nil
+	par = defaultParallel(par, p.System, p.Cluster)
+	if err := par.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	spec := ParallelFrom(par)
+	p.Parallel, c.Parallel = &par, &spec
+	return p, c, nil
 }
 
 // defaultParallel fills the zero fields of a pinned strategy the way the
@@ -115,38 +146,76 @@ func defaultParallel(par config.Parallel, sys strategy.System, cl cluster.Cluste
 	return par
 }
 
-// Compile normalizes the request and converts it to domain values.
-func (r *PlanRequest) Compile() (*Plan, error) {
-	norm, err := r.Normalize()
+// key is the content address of a canonical document under an operation
+// ("search", "simulate", …): the hex SHA-256 of the operation tag plus the
+// document's canonical JSON.
+func key(op string, doc any) (string, error) {
+	b, err := json.Marshal(struct {
+		Op  string `json:"op"`
+		Req any    `json:"req"`
+	}{Op: op, Req: doc})
 	if err != nil {
-		return nil, err
+		return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
-	sys, err := SystemByName(norm.System)
-	if err != nil {
-		return nil, err
-	}
-	m, err := norm.Model.Model()
-	if err != nil {
-		return nil, err
-	}
-	cl, err := norm.Cluster.Cluster()
-	if err != nil {
-		return nil, err
-	}
-	p := &Plan{
-		System: sys, Model: m, Cluster: cl,
-		Training: norm.Training.Training(),
-		Space:    norm.Space.Space(),
-		Top:      norm.Top,
-	}
-	if norm.Parallel != nil {
-		par, err := norm.Parallel.Parallel()
-		if err != nil {
-			return nil, err
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// ReadPlan is the request path of the cached endpoints. It strictly
+// decodes op's document from body (a SweepRequest for "sweep", an
+// OptimizeRequest for "optimize", a PlanRequest for "search" and
+// "simulate"), compiles it once, and returns its plan and the key of its
+// canonical document. Failures wrap ErrBadRequest.
+func ReadPlan(op string, body io.Reader) (*Plan, string, error) {
+	var (
+		p     *Plan
+		canon any
+		err   error
+	)
+	switch op {
+	case "sweep":
+		var req SweepRequest
+		if err = decode(body, &req); err == nil {
+			p, canon, err = req.compile()
 		}
-		p.Parallel = &par
+	case "optimize":
+		var req OptimizeRequest
+		if err = decode(body, &req); err == nil {
+			p, canon, err = req.compile()
+		}
+	default:
+		var req PlanRequest
+		if err = decode(body, &req); err == nil {
+			p, canon, err = req.compile(op)
+		}
 	}
-	return p, nil
+	if err != nil {
+		return nil, "", err
+	}
+	k, err := key(op, canon)
+	return p, k, err
+}
+
+// Normalize returns the canonical form of the request: version pinned,
+// presets expanded to explicit dimensions, defaults filled (micro batch,
+// SPP/VP system defaults, derived DP, default search space with sorted
+// lists). Two documents that mean the same job normalize to byte-identical
+// canonical JSON, which is what Key hashes. The receiver is not modified;
+// failures wrap ErrBadRequest.
+func (r *PlanRequest) Normalize() (*PlanRequest, error) {
+	_, c, err := r.compile("")
+	return c, err
+}
+
+// Compile normalizes the request and converts it to domain values.
+//
+// It stays out of line: inlined, it would grow every caller and shift the
+// alignment of the code linked after it, which moves benchmark timings.
+//
+//go:noinline
+func (r *PlanRequest) Compile() (*Plan, error) {
+	p, _, err := r.compile("")
+	return p, err
 }
 
 // Key returns the request's content address for one operation ("search",
@@ -155,19 +224,17 @@ func (r *PlanRequest) Compile() (*Plan, error) {
 // explicit model, shuffled search lists, defaulted vs spelled-out fields —
 // share a key; any semantic difference changes it.
 func (r *PlanRequest) Key(op string) (string, error) {
-	norm, err := r.Normalize()
+	_, c, err := r.compile("")
 	if err != nil {
 		return "", err
 	}
-	doc, err := json.Marshal(struct {
-		Op  string       `json:"op"`
-		Req *PlanRequest `json:"req"`
-	}{Op: op, Req: norm})
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	sum := sha256.Sum256(doc)
-	return hex.EncodeToString(sum[:]), nil
+	return key(op, c)
+}
+
+// Compile compiles a trace document, which must pin its strategy.
+func (r *TraceRequest) Compile() (*Plan, error) {
+	p, _, err := r.PlanRequest.compile("trace")
+	return p, err
 }
 
 // Wire defaults for optimizer settings, matching the opt package's own
@@ -180,29 +247,26 @@ const (
 	DefaultOptProposals = 4
 )
 
-// Normalize returns the canonical form of an optimize request: the plan
-// normalized exactly like simulate (parallel required), the optimizer
-// spec filled with the wire defaults. Failures wrap ErrBadRequest.
-func (r *OptimizeRequest) Normalize() (*OptimizeRequest, error) {
+// compile runs the one compile step of an optimize document: the plan
+// compiled exactly like simulate (parallel required), the optimizer spec
+// filled with the wire defaults.
+func (r *OptimizeRequest) compile() (*Plan, *OptimizeRequest, error) {
 	if r == nil {
-		return nil, fmt.Errorf("%w: empty request", ErrBadRequest)
+		return nil, nil, errEmpty
 	}
-	norm, err := r.PlanRequest.Normalize()
+	p, c, err := r.PlanRequest.compile("optimize")
 	if err != nil {
-		return nil, err
-	}
-	if norm.Parallel == nil {
-		return nil, fmt.Errorf("%w: optimize needs a parallel strategy", ErrBadRequest)
+		return nil, nil, err
 	}
 	spec := OptSpec{}
 	if r.Opt != nil {
 		spec = *r.Opt
 	}
 	if spec.Iters < 0 {
-		return nil, fmt.Errorf("%w: opt.iters %d must be non-negative", ErrBadRequest, spec.Iters)
+		return nil, nil, fmt.Errorf("%w: opt.iters %d must be non-negative", ErrBadRequest, spec.Iters)
 	}
 	if spec.Proposals < 0 {
-		return nil, fmt.Errorf("%w: opt.proposals %d must be non-negative", ErrBadRequest, spec.Proposals)
+		return nil, nil, fmt.Errorf("%w: opt.proposals %d must be non-negative", ErrBadRequest, spec.Proposals)
 	}
 	if spec.Seed == 0 {
 		spec.Seed = DefaultOptSeed
@@ -213,7 +277,16 @@ func (r *OptimizeRequest) Normalize() (*OptimizeRequest, error) {
 	if spec.Proposals == 0 {
 		spec.Proposals = DefaultOptProposals
 	}
-	return &OptimizeRequest{PlanRequest: *norm, Opt: &spec}, nil
+	p.Opt = spec
+	return p, &OptimizeRequest{PlanRequest: *c, Opt: &spec}, nil
+}
+
+// Normalize returns the canonical form of an optimize request: the plan
+// normalized exactly like simulate (parallel required), the optimizer
+// spec filled with the wire defaults. Failures wrap ErrBadRequest.
+func (r *OptimizeRequest) Normalize() (*OptimizeRequest, error) {
+	_, c, err := r.compile()
+	return c, err
 }
 
 // Key returns the optimize request's content address: the hex SHA-256 of
@@ -222,17 +295,9 @@ func (r *OptimizeRequest) Normalize() (*OptimizeRequest, error) {
 // so two requests share a key exactly when they discover the same
 // schedule).
 func (r *OptimizeRequest) Key() (string, error) {
-	norm, err := r.Normalize()
+	_, c, err := r.compile()
 	if err != nil {
 		return "", err
 	}
-	doc, err := json.Marshal(struct {
-		Op  string           `json:"op"`
-		Req *OptimizeRequest `json:"req"`
-	}{Op: "optimize", Req: norm})
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	sum := sha256.Sum256(doc)
-	return hex.EncodeToString(sum[:]), nil
+	return key("optimize", c)
 }

@@ -1,14 +1,9 @@
 package v1
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 
-	"mepipe/internal/cluster"
-	"mepipe/internal/config"
 	"mepipe/internal/strategy"
 )
 
@@ -33,16 +28,6 @@ type SweepRequest struct {
 
 	// Top caps the ranked candidates carried per system; 0 returns all.
 	Top int `json:"top,omitempty"`
-}
-
-// SweepPlan is a compiled sweep request.
-type SweepPlan struct {
-	Systems  []strategy.System
-	Model    config.Model
-	Cluster  cluster.Cluster
-	Training config.Training
-	Space    strategy.SearchSpace
-	Top      int
 }
 
 // SweepStats mirrors strategy.SweepStats on the wire, with the derived
@@ -89,52 +74,30 @@ func DecodeSweepRequest(r io.Reader) (*SweepRequest, error) {
 	return &req, nil
 }
 
-// Normalize returns the canonical form of the sweep request: version
-// pinned, presets expanded, defaults filled, and the system list spelled
-// out in canonical lower-case (an empty list expands to every system, so
-// "all by default" and "all spelled out" hash identically). The receiver
-// is not modified; failures wrap ErrBadRequest.
-func (r *SweepRequest) Normalize() (*SweepRequest, error) {
+// compile runs the one compile step of a sweep document and spells its
+// system list out in canonical lower-case (an empty list expands to every
+// system, so "all by default" and "all spelled out" hash identically).
+func (r *SweepRequest) compile() (*Plan, *SweepRequest, error) {
 	if r == nil {
-		return nil, fmt.Errorf("%w: empty request", ErrBadRequest)
+		return nil, nil, errEmpty
 	}
-	if r.API != "" && r.API != Version {
-		return nil, fmt.Errorf("%w: unsupported api version %q (this server speaks %q)", ErrBadRequest, r.API, Version)
-	}
-	systems, err := sweepSystems(r.Systems)
+	p, c, err := compileShared(&PlanRequest{
+		API: r.API, Model: r.Model, Cluster: r.Cluster,
+		Training: r.Training, Space: r.Space, Top: r.Top,
+	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	names := make([]string, len(systems))
-	for i, sys := range systems {
+	if p.Systems, err = sweepSystems(r.Systems); err != nil {
+		return nil, nil, err
+	}
+	names := make([]string, len(p.Systems))
+	for i, sys := range p.Systems {
 		names[i] = SystemName(sys)
 	}
-	m, err := r.Model.Model()
-	if err != nil {
-		return nil, err
-	}
-	cl, err := r.Cluster.Cluster()
-	if err != nil {
-		return nil, err
-	}
-	if r.Training.GlobalBatch <= 0 {
-		return nil, fmt.Errorf("%w: training.global_batch %d must be positive", ErrBadRequest, r.Training.GlobalBatch)
-	}
-	tr := r.Training.Training()
-	if err := tr.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	if r.Top < 0 {
-		return nil, fmt.Errorf("%w: top %d must be non-negative", ErrBadRequest, r.Top)
-	}
-	return &SweepRequest{
-		API:      Version,
-		Systems:  names,
-		Model:    ModelFrom(m),
-		Cluster:  ClusterFrom(cl),
-		Training: TrainingFrom(tr),
-		Space:    SpaceFrom(r.Space.Space()),
-		Top:      r.Top,
+	return p, &SweepRequest{
+		API: c.API, Systems: names, Model: c.Model, Cluster: c.Cluster,
+		Training: c.Training, Space: c.Space, Top: c.Top,
 	}, nil
 }
 
@@ -159,51 +122,30 @@ func sweepSystems(names []string) ([]strategy.System, error) {
 	return systems, nil
 }
 
+// Normalize returns the canonical form of the sweep request: version
+// pinned, presets expanded, defaults filled, and the system list spelled
+// out in canonical lower-case. The receiver is not modified; failures wrap
+// ErrBadRequest.
+func (r *SweepRequest) Normalize() (*SweepRequest, error) {
+	_, c, err := r.compile()
+	return c, err
+}
+
 // Compile normalizes the request and converts it to domain values.
-func (r *SweepRequest) Compile() (*SweepPlan, error) {
-	norm, err := r.Normalize()
-	if err != nil {
-		return nil, err
-	}
-	systems, err := sweepSystems(norm.Systems)
-	if err != nil {
-		return nil, err
-	}
-	m, err := norm.Model.Model()
-	if err != nil {
-		return nil, err
-	}
-	cl, err := norm.Cluster.Cluster()
-	if err != nil {
-		return nil, err
-	}
-	return &SweepPlan{
-		Systems:  systems,
-		Model:    m,
-		Cluster:  cl,
-		Training: norm.Training.Training(),
-		Space:    norm.Space.Space(),
-		Top:      norm.Top,
-	}, nil
+func (r *SweepRequest) Compile() (*Plan, error) {
+	p, _, err := r.compile()
+	return p, err
 }
 
 // Key returns the sweep request's content address: the hex SHA-256 of the
 // "sweep" operation tag plus the canonical JSON of the normalized
 // document.
 func (r *SweepRequest) Key() (string, error) {
-	norm, err := r.Normalize()
+	_, c, err := r.compile()
 	if err != nil {
 		return "", err
 	}
-	doc, err := json.Marshal(struct {
-		Op  string        `json:"op"`
-		Req *SweepRequest `json:"req"`
-	}{Op: "sweep", Req: norm})
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	sum := sha256.Sum256(doc)
-	return hex.EncodeToString(sum[:]), nil
+	return key("sweep", c)
 }
 
 // SweepStatsFrom builds the wire form of the engine counters.

@@ -363,8 +363,8 @@ func DecodeCertifyRequest(r io.Reader) (*CertifyRequest, error) {
 	if len(req.Schedule) == 0 {
 		return nil, fmt.Errorf("%w: certify request has no schedule document", ErrBadRequest)
 	}
-	if req.API != "" && req.API != Version {
-		return nil, fmt.Errorf("%w: unsupported api version %q (this server speaks %q)", ErrBadRequest, req.API, Version)
+	if err := checkAPI(req.API); err != nil {
+		return nil, err
 	}
 	return &req, nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -54,7 +55,7 @@ func (g *coalescer) Do(ctx context.Context, key string, fn func(context.Context)
 	c := &call{done: make(chan struct{}), waiters: 1, cancel: cancel}
 	g.calls[key] = c
 	go func() {
-		v, err := fn(runCtx)
+		v, err := recovered(func() (any, error) { return fn(runCtx) })
 		g.mu.Lock()
 		c.val, c.err = v, err
 		// Release the key (unless a later call already replaced a
@@ -68,6 +69,21 @@ func (g *coalescer) Do(ctx context.Context, key string, fn func(context.Context)
 	}()
 	g.mu.Unlock()
 	return g.wait(ctx, key, c, false)
+}
+
+// errPanicked marks a computation that panicked.
+var errPanicked = errors.New("serve: computation panicked")
+
+// recovered calls fn, turning a panic into an error: the computation fails
+// (a 500 internal reply to its waiters) instead of the process, since
+// net/http recovers panics only on a handler's own goroutine.
+func recovered(fn func() (any, error)) (v any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%w: %v", errPanicked, p)
+		}
+	}()
+	return fn()
 }
 
 // wait blocks until the call completes or ctx is done.

@@ -3,7 +3,7 @@
 // the static certifier into long-running, heavily cacheable endpoints.
 //
 //	POST /v1/search    grid-search a system over a cluster (cached, coalesced)
-//	POST /v1/sweep     grid-search several systems in one pass
+//	POST /v1/sweep     grid-search several systems in one pass (cached, coalesced)
 //	POST /v1/simulate  evaluate one pinned strategy (cached, coalesced)
 //	POST /v1/optimize  anneal one pinned strategy's schedule (cached, coalesced)
 //	POST /v1/certify   statically certify a schedule artifact
@@ -11,9 +11,10 @@
 //	GET  /v1/stats     per-endpoint counters, latencies, cache occupancy
 //	GET  /healthz      liveness
 //
-// Requests are api/v1 documents. Search and simulate answers are
-// content-addressed: the canonical SHA-256 of the normalized request keys
-// an LRU cache, identical in-flight requests coalesce onto one underlying
+// Requests are api/v1 documents. The four cached endpoints share one
+// request path (serveCached): v1.ReadPlan decodes and normalizes the
+// document once into its plan and the SHA-256 of its canonical form, which
+// keys an LRU cache; identical in-flight requests coalesce onto one underlying
 // computation, and the X-Mepipe-Cache response header says which path
 // served each reply (hit, miss or coalesced). Every result is certified
 // before it is served — the strategy layer statically proves each
@@ -141,10 +142,10 @@ func New(opts Options) *Server {
 		now:     now,
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/search", s.handleSearch)
-	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
-	mux.HandleFunc("POST /v1/optimize", s.handleOptimize)
+	mux.HandleFunc("POST /v1/search", s.serveCached("search", s.computeSearch))
+	mux.HandleFunc("POST /v1/sweep", s.serveCached("sweep", s.computeSweep))
+	mux.HandleFunc("POST /v1/simulate", s.serveCached("simulate", s.computeSimulate))
+	mux.HandleFunc("POST /v1/optimize", s.serveCached("optimize", s.computeOptimize))
 	mux.HandleFunc("POST /v1/certify", s.handleCertify)
 	mux.HandleFunc("POST /v1/trace", s.handleTrace)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -213,62 +214,90 @@ func fail(w http.ResponseWriter, err error) (status int) {
 	return status
 }
 
-// cached endpoints ---------------------------------------------------------
-
-// serveCached is the shared hit/miss/coalesced path of /v1/search and
-// /v1/simulate: look the canonical key up, else coalesce onto one
-// computation, cache its encoded body, and label the reply.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint, key string, compute func(ctx context.Context) (any, error)) {
-	t0 := s.now()
-	if body, ok := s.cache.Get(key); ok {
-		w.Header().Set(cacheHeader, string(cacheHit))
-		writeJSON(w, http.StatusOK, body)
-		s.metrics.observe(endpoint, http.StatusOK, cacheHit, sinceSeconds(s.now, t0))
-		return
-	}
-	ctx, cancel := s.reqCtx(r)
-	defer cancel()
-	val, shared, err := s.group.Do(ctx, key, compute)
-	outcome := cacheMiss
-	if shared {
-		outcome = cacheCoalesced
-	}
+// reply writes one request's outcome (body on success, the mapped
+// ErrorResponse otherwise) and records it, timed from t0, the request's
+// entry.
+func (s *Server) reply(w http.ResponseWriter, endpoint string, t0 time.Time, outcome cacheOutcome, body []byte, err error) {
+	status := http.StatusOK
 	if err != nil {
-		status := fail(w, err)
-		s.metrics.observe(endpoint, status, outcome, sinceSeconds(s.now, t0))
-		return
+		status = fail(w, err)
+	} else {
+		w.Header().Set(cacheHeader, string(outcome))
+		writeJSON(w, status, body)
 	}
-	body := val.([]byte)
-	s.cache.Put(key, body)
-	w.Header().Set(cacheHeader, string(outcome))
-	writeJSON(w, http.StatusOK, body)
-	s.metrics.observe(endpoint, http.StatusOK, outcome, sinceSeconds(s.now, t0))
+	s.metrics.observe(endpoint, status, outcome, sinceSeconds(s.now, t0))
 }
 
-// handleSearch is a deterministic entry point, modulo the audited Clock seam
+// encode marshals one response body.
+func encode(what string, v any) ([]byte, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("serve: encoding %s: %w", what, err)
+	}
+	return body, nil
+}
+
+// cached endpoints ---------------------------------------------------------
+
+// serveCached returns the one request path of the cached endpoints
+// (/v1/search, /v1/sweep, /v1/simulate, /v1/optimize): decode and compile
+// op's document once, look its canonical key up, else coalesce onto one
+// computation, cache its encoded body, and label the reply.
+//
+// The handler is a deterministic entry point, modulo the audited Clock seam
 // (latency metrics): a given request body must always produce the same
 // response.
 //
 //mepipe:deterministic
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	req, err := v1.DecodePlanRequest(r.Body)
-	if err != nil {
-		s.failNow(w, "/v1/search", err)
-		return
+func (s *Server) serveCached(op string, compute func(ctx context.Context, key string, plan *v1.Plan) ([]byte, error)) http.HandlerFunc {
+	endpoint := "/v1/" + op
+	return func(w http.ResponseWriter, r *http.Request) {
+		t0 := s.now()
+		plan, key, err := v1.ReadPlan(op, r.Body)
+		if err != nil {
+			s.reply(w, endpoint, t0, cacheNone, nil, err)
+			return
+		}
+		if body, ok := s.cache.Get(key); ok {
+			s.reply(w, endpoint, t0, cacheHit, body, nil)
+			return
+		}
+		ctx, cancel := s.reqCtx(r)
+		defer cancel()
+		val, shared, err := s.group.Do(ctx, key, func(ctx context.Context) (any, error) {
+			return compute(ctx, key, plan)
+		})
+		outcome := cacheMiss
+		if shared {
+			outcome = cacheCoalesced
+		}
+		if err != nil {
+			s.reply(w, endpoint, t0, outcome, nil, err)
+			return
+		}
+		body := val.([]byte)
+		s.cache.Put(key, body)
+		s.reply(w, endpoint, t0, outcome, body, nil)
 	}
-	plan, err := req.Compile()
-	if err != nil {
-		s.failNow(w, "/v1/search", err)
-		return
+}
+
+// candidates converts a search result's ranked candidates, capped at the
+// plan's top, and its best candidate to wire form.
+func candidates(res *mepipe.SearchResult, plan *v1.Plan) ([]v1.Candidate, *v1.Candidate) {
+	evs := res.Candidates
+	if plan.Top > 0 && len(evs) > plan.Top {
+		evs = evs[:plan.Top]
 	}
-	key, err := req.Key("search")
-	if err != nil {
-		s.failNow(w, "/v1/search", err)
-		return
+	out := make([]v1.Candidate, 0, len(evs))
+	for _, ev := range evs {
+		out = append(out, v1.CandidateFrom(ev, plan.Model, plan.Cluster, plan.Training))
 	}
-	s.serveCached(w, r, "/v1/search", key, func(ctx context.Context) (any, error) {
-		return s.computeSearch(ctx, key, plan)
-	})
+	best := res.Best()
+	if best == nil {
+		return out, nil
+	}
+	c := v1.CandidateFrom(best, plan.Model, plan.Cluster, plan.Training)
+	return out, &c
 }
 
 // computeSearch runs one grid search and encodes its response body.
@@ -282,55 +311,14 @@ func (s *Server) computeSearch(ctx context.Context, key string, plan *v1.Plan) (
 		Certified: true, Found: res.Found(),
 		Evaluated: res.Evaluated, Pruned: res.Pruned,
 	}
-	cands := res.Candidates
-	if plan.Top > 0 && len(cands) > plan.Top {
-		cands = cands[:plan.Top]
-	}
-	resp.Candidates = make([]v1.Candidate, 0, len(cands))
-	for _, ev := range cands {
-		resp.Candidates = append(resp.Candidates, v1.CandidateFrom(ev, plan.Model, plan.Cluster, plan.Training))
-	}
-	if best := res.Best(); best != nil {
-		c := v1.CandidateFrom(best, plan.Model, plan.Cluster, plan.Training)
-		resp.Best = &c
-	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return nil, fmt.Errorf("serve: encoding search response: %w", err)
-	}
-	return body, nil
-}
-
-// handleSweep is a deterministic entry point, modulo the audited Clock seam
-// (latency metrics): a given request body must always produce the same
-// response.
-//
-//mepipe:deterministic
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	req, err := v1.DecodeSweepRequest(r.Body)
-	if err != nil {
-		s.failNow(w, "/v1/sweep", err)
-		return
-	}
-	plan, err := req.Compile()
-	if err != nil {
-		s.failNow(w, "/v1/sweep", err)
-		return
-	}
-	key, err := req.Key()
-	if err != nil {
-		s.failNow(w, "/v1/sweep", err)
-		return
-	}
-	s.serveCached(w, r, "/v1/sweep", key, func(ctx context.Context) (any, error) {
-		return s.computeSweep(ctx, key, plan)
-	})
+	resp.Candidates, resp.Best = candidates(res, plan)
+	return encode("search response", resp)
 }
 
 // computeSweep runs one multi-system sweep and encodes its response body.
 // Per-system "no candidate fits" failures are part of the document, not
 // HTTP errors — a sweep that answers every system answered the request.
-func (s *Server) computeSweep(ctx context.Context, key string, plan *v1.SweepPlan) ([]byte, error) {
+func (s *Server) computeSweep(ctx context.Context, key string, plan *v1.Plan) ([]byte, error) {
 	res, err := s.backend.Sweep(ctx, plan.Systems, plan.Model, plan.Cluster, plan.Training, plan.Space)
 	if err != nil {
 		return nil, err
@@ -351,55 +339,10 @@ func (s *Server) computeSweep(ctx context.Context, key string, plan *v1.SweepPla
 		if res.Errs[i] != nil {
 			out.Error = res.Errs[i].Error()
 		}
-		cands := sr.Candidates
-		if plan.Top > 0 && len(cands) > plan.Top {
-			cands = cands[:plan.Top]
-		}
-		out.Candidates = make([]v1.Candidate, 0, len(cands))
-		for _, ev := range cands {
-			out.Candidates = append(out.Candidates, v1.CandidateFrom(ev, plan.Model, plan.Cluster, plan.Training))
-		}
-		if best := sr.Best(); best != nil {
-			c := v1.CandidateFrom(best, plan.Model, plan.Cluster, plan.Training)
-			out.Best = &c
-		}
+		out.Candidates, out.Best = candidates(sr, plan)
 		resp.Systems = append(resp.Systems, out)
 	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return nil, fmt.Errorf("serve: encoding sweep response: %w", err)
-	}
-	return body, nil
-}
-
-// handleSimulate is a deterministic entry point, modulo the audited Clock seam
-// (latency metrics): a given request body must always produce the same
-// response.
-//
-//mepipe:deterministic
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, err := v1.DecodePlanRequest(r.Body)
-	if err != nil {
-		s.failNow(w, "/v1/simulate", err)
-		return
-	}
-	plan, err := req.Compile()
-	if err != nil {
-		s.failNow(w, "/v1/simulate", err)
-		return
-	}
-	if plan.Parallel == nil {
-		s.failNow(w, "/v1/simulate", fmt.Errorf("%w: simulate needs a parallel strategy", v1.ErrBadRequest))
-		return
-	}
-	key, err := req.Key("simulate")
-	if err != nil {
-		s.failNow(w, "/v1/simulate", err)
-		return
-	}
-	s.serveCached(w, r, "/v1/simulate", key, func(ctx context.Context) (any, error) {
-		return s.computeSimulate(ctx, key, plan)
-	})
+	return encode("sweep response", resp)
 }
 
 // computeSimulate evaluates one pinned strategy and encodes its response
@@ -424,48 +367,13 @@ func (s *Server) computeSimulate(ctx context.Context, key string, plan *v1.Plan)
 		f, b, wt, tail, idle := u.Fractions()
 		resp.Breakdown = v1.Breakdown{Forward: f, Backward: b, Weight: wt, Tail: tail, Idle: idle}
 	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return nil, fmt.Errorf("serve: encoding simulate response: %w", err)
-	}
-	return body, nil
-}
-
-// handleOptimize is a deterministic entry point, modulo the audited Clock seam
-// (latency metrics): a given request body must always produce the same
-// response.
-//
-//mepipe:deterministic
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	req, err := v1.DecodeOptimizeRequest(r.Body)
-	if err != nil {
-		s.failNow(w, "/v1/optimize", err)
-		return
-	}
-	norm, err := req.Normalize()
-	if err != nil {
-		s.failNow(w, "/v1/optimize", err)
-		return
-	}
-	plan, err := norm.PlanRequest.Compile()
-	if err != nil {
-		s.failNow(w, "/v1/optimize", err)
-		return
-	}
-	key, err := req.Key()
-	if err != nil {
-		s.failNow(w, "/v1/optimize", err)
-		return
-	}
-	spec := *norm.Opt
-	s.serveCached(w, r, "/v1/optimize", key, func(ctx context.Context) (any, error) {
-		return s.computeOptimize(ctx, key, plan, spec)
-	})
+	return encode("simulate response", resp)
 }
 
 // computeOptimize anneals one pinned strategy's preset schedule and
 // encodes its response body, discovered schedule document included.
-func (s *Server) computeOptimize(ctx context.Context, key string, plan *v1.Plan, spec v1.OptSpec) ([]byte, error) {
+func (s *Server) computeOptimize(ctx context.Context, key string, plan *v1.Plan) ([]byte, error) {
+	spec := plan.Opt
 	res, err := s.backend.Optimize(ctx, plan.System, plan.Model, plan.Cluster, *plan.Parallel, plan.Training,
 		mepipe.OptimizeOptions{Seed: spec.Seed, Iters: spec.Iters, Proposals: spec.Proposals}, s.sink)
 	if err != nil {
@@ -475,7 +383,7 @@ func (s *Server) computeOptimize(ctx context.Context, key string, plan *v1.Plan,
 	if err := res.Opt.Schedule.Save(&doc); err != nil {
 		return nil, fmt.Errorf("serve: encoding discovered schedule: %w", err)
 	}
-	resp := &v1.OptimizeResponse{
+	return encode("optimize response", &v1.OptimizeResponse{
 		API: v1.Version, Key: key, System: v1.SystemName(plan.System),
 		Certified:     res.Opt.Cert != nil,
 		Parallel:      v1.ParallelFrom(res.Par),
@@ -492,12 +400,7 @@ func (s *Server) computeOptimize(ctx context.Context, key string, plan *v1.Plan,
 		Accepted:      res.Opt.Accepted,
 		Improved:      res.Opt.Improved,
 		Schedule:      json.RawMessage(doc.Bytes()),
-	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return nil, fmt.Errorf("serve: encoding optimize response: %w", err)
-	}
-	return body, nil
+	})
 }
 
 // uncached endpoints -------------------------------------------------------
@@ -536,13 +439,13 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 		status = fail(w, err)
 		return
 	}
-	body, err := json.Marshal(&v1.CertifyResponse{
+	body, err := encode("certificate", &v1.CertifyResponse{
 		API: v1.Version, Schedule: cert.Schedule,
 		Nodes: cert.Nodes, Edges: cert.Edges, CrossEdges: cert.CrossEdges,
 		PeakFamilies: cert.PeakFamilies, PeakBytes: cert.PeakBytes,
 	})
 	if err != nil {
-		status = fail(w, fmt.Errorf("serve: encoding certificate: %w", err))
+		status = fail(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, body)
@@ -580,10 +483,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		status = fail(w, err)
 		return
 	}
-	if plan.Parallel == nil {
-		status = fail(w, fmt.Errorf("%w: trace needs a parallel strategy", v1.ErrBadRequest))
-		return
-	}
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
 	rec := obs.NewRecorder()
@@ -612,9 +511,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 //
 //mepipe:deterministic
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	body, err := json.Marshal(s.metrics.snapshot(s.now(), s.cache))
+	body, err := encode("stats", s.metrics.snapshot(s.now(), s.cache))
 	if err != nil {
-		fail(w, fmt.Errorf("serve: encoding stats: %w", err))
+		fail(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, body)
@@ -629,11 +528,4 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	w.Write([]byte("ok\n")) //nolint:errcheck // client gone; nothing to do
-}
-
-// failNow maps and records an error that occurred before any computation
-// was attempted (decode, validation).
-func (s *Server) failNow(w http.ResponseWriter, endpoint string, err error) {
-	status := fail(w, err)
-	s.metrics.observe(endpoint, status, cacheNone, 0)
 }
