@@ -11,9 +11,9 @@
 //
 // Each child prints its listening address; the coordinator broadcasts the
 // address map; children dial their lower-index peers, run the requested
-// number of training steps (SGD on each stage's own layers in between,
-// frames routed by iteration tag), and verify their owned weights against
-// a locally replayed sequential reference.
+// number of training steps (SGD on each stage's own parameters in between,
+// frames routed by iteration tag), and verify every parameter they own
+// against a locally replayed sequential reference.
 package main
 
 import (
@@ -58,10 +58,10 @@ func main() {
 	flag.IntVar(&jf.layers, "layers", 8, "transformer layers")
 	flag.IntVar(&jf.seqLen, "seq", 16, "sequence length")
 	flag.IntVar(&jf.vocab, "vocab", 31, "vocabulary size")
-	flag.IntVar(&jf.steps, "steps", 1, "training steps (SGD on each stage's own layers between steps)")
+	flag.IntVar(&jf.steps, "steps", 1, "training steps (SGD on each stage's own parameters between steps)")
 	flag.Float64Var(&jf.lr, "lr", 0.05, "SGD learning rate")
 	flag.Int64Var(&jf.seed, "seed", 42, "weights and data seed")
-	flag.BoolVar(&jf.verify, "verify", false, "check owned gradients against a local sequential reference")
+	flag.BoolVar(&jf.verify, "verify", false, "check owned weights against a local sequential reference")
 	flag.IntVar(&jf.kernelWorkers, "kernel-workers", 0, "GEMM kernel workers per process (0 = GOMAXPROCS); results are bitwise identical for any count")
 	flag.Parse()
 	if jf.kernelWorkers > 0 {
@@ -152,8 +152,9 @@ func worker(stage int, jf jobFlags) error {
 		fmt.Printf("STAGE %d step %d loss %.6f\n", stage, i, loss)
 	}
 	if jf.verify {
-		// Replay the same steps sequentially and compare this stage's
-		// owned weights after training.
+		// Replay the same steps sequentially and compare every parameter
+		// this stage owns — layers, norms, embedding, head — after
+		// training.
 		ref, _, refBatches, err := buildJob(jf)
 		if err != nil {
 			return err
@@ -166,14 +167,12 @@ func worker(stage int, jf jobFlags) error {
 			ref.SGDStep(float32(jf.lr))
 		}
 		maxDiff := 0.0
-		for _, li := range probe.OwnedLayers() {
-			for _, pair := range [][2]*tensor.Matrix{
-				{ref.Layers[li].Wq.W, m.Layers[li].Wq.W},
-				{ref.Layers[li].Wd.W, m.Layers[li].Wd.W},
-			} {
-				if d := tensor.MaxAbsDiff(pair[0], pair[1]); d > maxDiff {
-					maxDiff = d
-				}
+		for i, p := range m.Params() {
+			if !probe.Owns(p) {
+				continue
+			}
+			if d := tensor.MaxAbsDiff(ref.Params()[i].W, p.W); d > maxDiff {
+				maxDiff = d
 			}
 		}
 		if maxDiff > 1e-4 {

@@ -12,20 +12,17 @@ import (
 type Adam struct {
 	LR, Beta1, Beta2, Eps float32
 
-	step int
-	mats map[*tensor.Matrix]*matState
-	vecs map[*float32]*vecState
+	step    int
+	moments map[*tensor.Matrix]*moments // by the parameter table's W
 }
 
-type matState struct{ m, v *tensor.Matrix }
-type vecState struct{ m, v []float32 }
+type moments struct{ m, v []float32 }
 
 // NewAdam returns an optimizer with the usual defaults.
 func NewAdam(lr float32) *Adam {
 	return &Adam{
 		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		mats: map[*tensor.Matrix]*matState{},
-		vecs: map[*float32]*vecState{},
+		moments: map[*tensor.Matrix]*moments{},
 	}
 }
 
@@ -35,47 +32,20 @@ func (a *Adam) Step(model *Model) {
 	a.step++
 	bc1 := 1 - float32(math.Pow(float64(a.Beta1), float64(a.step)))
 	bc2 := 1 - float32(math.Pow(float64(a.Beta2), float64(a.step)))
-
-	a.stepMat(model.Embed.Table, model.Embed.DTable, bc1, bc2)
-	for _, l := range model.Layers {
-		for _, lin := range []*Linear{&l.Wq, &l.Wk, &l.Wv, &l.Wo, &l.Wg, &l.Wu, &l.Wd} {
-			a.stepMat(lin.W, lin.DW, bc1, bc2)
+	for _, p := range model.params {
+		w, g := p.W.Data, p.G.Data
+		st, ok := a.moments[p.W]
+		if !ok {
+			st = &moments{m: make([]float32, len(w)), v: make([]float32, len(w))}
+			a.moments[p.W] = st
 		}
-		a.stepVec(l.AttnNorm, l.DAttnNorm, bc1, bc2)
-		a.stepVec(l.MLPNorm, l.DMLPNorm, bc1, bc2)
-	}
-	a.stepMat(model.Head.W.W, model.Head.W.DW, bc1, bc2)
-	a.stepVec(model.Head.Norm, model.Head.DNorm, bc1, bc2)
-}
-
-func (a *Adam) stepMat(w, g *tensor.Matrix, bc1, bc2 float32) {
-	st, ok := a.mats[w]
-	if !ok {
-		st = &matState{m: tensor.New(w.Rows, w.Cols), v: tensor.New(w.Rows, w.Cols)}
-		a.mats[w] = st
-	}
-	for i := range w.Data {
-		gi := g.Data[i]
-		st.m.Data[i] = a.Beta1*st.m.Data[i] + (1-a.Beta1)*gi
-		st.v.Data[i] = a.Beta2*st.v.Data[i] + (1-a.Beta2)*gi*gi
-		mh := st.m.Data[i] / bc1
-		vh := st.v.Data[i] / bc2
-		w.Data[i] -= a.LR * mh / (float32(math.Sqrt(float64(vh))) + a.Eps)
-	}
-}
-
-func (a *Adam) stepVec(w, g []float32, bc1, bc2 float32) {
-	st, ok := a.vecs[&w[0]]
-	if !ok {
-		st = &vecState{m: make([]float32, len(w)), v: make([]float32, len(w))}
-		a.vecs[&w[0]] = st
-	}
-	for i := range w {
-		gi := g[i]
-		st.m[i] = a.Beta1*st.m[i] + (1-a.Beta1)*gi
-		st.v[i] = a.Beta2*st.v[i] + (1-a.Beta2)*gi*gi
-		mh := st.m[i] / bc1
-		vh := st.v[i] / bc2
-		w[i] -= a.LR * mh / (float32(math.Sqrt(float64(vh))) + a.Eps)
+		for i := range w {
+			gi := g[i]
+			st.m[i] = a.Beta1*st.m[i] + (1-a.Beta1)*gi
+			st.v[i] = a.Beta2*st.v[i] + (1-a.Beta2)*gi*gi
+			mh := st.m[i] / bc1
+			vh := st.v[i] / bc2
+			w[i] -= a.LR * mh / (float32(math.Sqrt(float64(vh))) + a.Eps)
+		}
 	}
 }

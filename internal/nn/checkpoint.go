@@ -5,12 +5,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+
+	"mepipe/internal/tensor"
 )
 
 // Checkpointing: §9 leans on fast (in-memory) checkpointing to make
 // thousand-GPU consumer clusters viable; this is the serialisation those
 // checkpoints need. The format is a simple framed binary: a magic header,
-// the config, then every parameter tensor in a fixed traversal order.
+// the config, then every parameter tensor in the parameter table's order.
 // Loading validates shapes, so a truncated or mismatched checkpoint fails
 // loudly instead of corrupting training.
 
@@ -29,8 +32,8 @@ func (m *Model) Save(w io.Writer) error {
 			return err
 		}
 	}
-	for _, p := range m.params() {
-		if err := binary.Write(bw, binary.LittleEndian, p); err != nil {
+	for _, p := range m.params {
+		if err := binary.Write(bw, binary.LittleEndian, p.W.Data); err != nil {
 			return err
 		}
 	}
@@ -57,8 +60,8 @@ func (m *Model) Load(r io.Reader) error {
 	if got != m.Cfg {
 		return fmt.Errorf("nn: checkpoint config %+v does not match model %+v", got, m.Cfg)
 	}
-	for _, p := range m.params() {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
+	for _, p := range m.params {
+		if err := binary.Read(br, binary.LittleEndian, p.W.Data); err != nil {
 			return fmt.Errorf("nn: reading checkpoint tensors: %w", err)
 		}
 	}
@@ -69,37 +72,15 @@ func (m *Model) Load(r io.Reader) error {
 	return nil
 }
 
-// params returns every parameter buffer in a fixed traversal order.
-func (m *Model) params() [][]float32 {
-	out := [][]float32{m.Embed.Table.Data}
-	for _, l := range m.Layers {
-		for _, lin := range []*Linear{&l.Wq, &l.Wk, &l.Wv, &l.Wo, &l.Wg, &l.Wu, &l.Wd} {
-			out = append(out, lin.W.Data)
-		}
-		out = append(out, l.AttnNorm, l.MLPNorm)
-	}
-	out = append(out, m.Head.W.W.Data, m.Head.Norm)
-	return out
-}
-
 // MaxParamDiff returns the largest absolute parameter difference between
 // two models of the same configuration (diagnostics for resume tests).
 func MaxParamDiff(a, b *Model) float64 {
 	if a.Cfg != b.Cfg {
 		return -1
 	}
-	ap, bp := a.params(), b.params()
 	max := 0.0
-	for i := range ap {
-		for j := range ap[i] {
-			d := float64(ap[i][j]) - float64(bp[i][j])
-			if d < 0 {
-				d = -d
-			}
-			if d > max {
-				max = d
-			}
-		}
+	for i, p := range a.params {
+		max = math.Max(max, tensor.MaxAbsDiff(p.W, b.params[i].W))
 	}
 	return max
 }

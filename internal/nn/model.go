@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"fmt"
-	"math"
 	"math/rand"
 
 	"mepipe/internal/tensor"
@@ -132,6 +130,9 @@ type Model struct {
 	// replay the forward math to rebuild the rest. Gradients are
 	// identical; memory drops to roughly the layer inputs plus KV cache.
 	LeanActivations bool
+
+	// params is the parameter table (params.go), built once by NewModel.
+	params []Param
 }
 
 // NewModel builds a model with deterministic weights from the seed.
@@ -145,75 +146,8 @@ func NewModel(cfg Config, seed int64) (*Model, error) {
 		m.Layers = append(m.Layers, newLayer(rng, cfg))
 	}
 	m.Head = newHead(rng, cfg)
+	m.buildParams()
 	return m, nil
-}
-
-// ZeroGrads clears every gradient buffer.
-func (m *Model) ZeroGrads() {
-	m.Embed.DTable.Zero()
-	for _, l := range m.Layers {
-		for _, lin := range []*Linear{&l.Wq, &l.Wk, &l.Wv, &l.Wo, &l.Wg, &l.Wu, &l.Wd} {
-			lin.DW.Zero()
-		}
-		for i := range l.DAttnNorm {
-			l.DAttnNorm[i] = 0
-			l.DMLPNorm[i] = 0
-		}
-	}
-	m.Head.W.DW.Zero()
-	for i := range m.Head.DNorm {
-		m.Head.DNorm[i] = 0
-	}
-}
-
-// Grads returns every gradient matrix with a stable name, for comparisons.
-func (m *Model) Grads() map[string]*tensor.Matrix {
-	out := map[string]*tensor.Matrix{"embed": m.Embed.DTable, "head.W": m.Head.W.DW}
-	for i, l := range m.Layers {
-		out[fmt.Sprintf("l%d.Wq", i)] = l.Wq.DW
-		out[fmt.Sprintf("l%d.Wk", i)] = l.Wk.DW
-		out[fmt.Sprintf("l%d.Wv", i)] = l.Wv.DW
-		out[fmt.Sprintf("l%d.Wo", i)] = l.Wo.DW
-		out[fmt.Sprintf("l%d.Wg", i)] = l.Wg.DW
-		out[fmt.Sprintf("l%d.Wu", i)] = l.Wu.DW
-		out[fmt.Sprintf("l%d.Wd", i)] = l.Wd.DW
-	}
-	return out
-}
-
-// SGDStep applies a plain gradient step to every parameter.
-func (m *Model) SGDStep(lr float32) {
-	step := func(w, dw *tensor.Matrix) {
-		for i := range w.Data {
-			w.Data[i] -= lr * dw.Data[i]
-		}
-	}
-	stepVec := func(w, dw []float32) {
-		for i := range w {
-			w[i] -= lr * dw[i]
-		}
-	}
-	step(m.Embed.Table, m.Embed.DTable)
-	for _, l := range m.Layers {
-		for _, lin := range []*Linear{&l.Wq, &l.Wk, &l.Wv, &l.Wo, &l.Wg, &l.Wu, &l.Wd} {
-			step(lin.W, lin.DW)
-		}
-		stepVec(l.AttnNorm, l.DAttnNorm)
-		stepVec(l.MLPNorm, l.DMLPNorm)
-	}
-	step(m.Head.W.W, m.Head.W.DW)
-	stepVec(m.Head.Norm, m.Head.DNorm)
-}
-
-// GradClip returns the global L2 norm of all gradients (diagnostics).
-func (m *Model) GradNorm() float64 {
-	var ss float64
-	for _, g := range m.Grads() {
-		for _, v := range g.Data {
-			ss += float64(v) * float64(v)
-		}
-	}
-	return math.Sqrt(ss)
 }
 
 // TrainSequential runs one full iteration — forward and backward over every

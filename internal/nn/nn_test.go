@@ -2,6 +2,8 @@ package nn
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -99,64 +101,27 @@ func TestFullModelGradCheck(t *testing.T) {
 		return l
 	}
 	loss() // populate analytic grads
-	type probe struct {
-		name string
-		w    *tensor.Matrix
-		g    *tensor.Matrix
-	}
-	l0 := m.Layers[0]
-	l1 := m.Layers[1]
-	probes := []probe{
-		{"embed", m.Embed.Table, m.Embed.DTable},
-		{"l0.Wq", l0.Wq.W, l0.Wq.DW},
-		{"l0.Wk", l0.Wk.W, l0.Wk.DW},
-		{"l0.Wv", l0.Wv.W, l0.Wv.DW},
-		{"l0.Wo", l0.Wo.W, l0.Wo.DW},
-		{"l1.Wg", l1.Wg.W, l1.Wg.DW},
-		{"l1.Wu", l1.Wu.W, l1.Wu.DW},
-		{"l1.Wd", l1.Wd.W, l1.Wd.DW},
-		{"head.W", m.Head.W.W, m.Head.W.DW},
-	}
 	const eps = 2e-3
-	for _, p := range probes {
+	for _, p := range m.Params() {
 		// Sample a handful of coordinates per tensor.
 		for trial := 0; trial < 3; trial++ {
-			idx := rng.Intn(len(p.w.Data))
-			analytic := float64(p.g.Data[idx])
-			orig := p.w.Data[idx]
-			p.w.Data[idx] = orig + eps
+			idx := rng.Intn(len(p.W.Data))
+			analytic := float64(p.G.Data[idx])
+			orig := p.W.Data[idx]
+			p.W.Data[idx] = orig + eps
 			lp := loss()
-			p.w.Data[idx] = orig - eps
+			p.W.Data[idx] = orig - eps
 			lm := loss()
-			p.w.Data[idx] = orig
+			p.W.Data[idx] = orig
 			numeric := (lp - lm) / (2 * eps)
 			// Restore analytic grads for the next probe.
 			loss()
 			tol := 2e-2*math.Abs(numeric) + 3e-4
 			if math.Abs(numeric-analytic) > tol {
-				t.Errorf("%s[%d]: numeric %.6f vs analytic %.6f", p.name, idx, numeric, analytic)
+				t.Errorf("%s[%d]: numeric %.6f vs analytic %.6f", p.Name, idx, numeric, analytic)
 			}
 		}
 	}
-	// Norm-scale gradients via one probe each.
-	checkVec := func(name string, w, g []float32) {
-		idx := rng.Intn(len(w))
-		analytic := float64(g[idx])
-		orig := w[idx]
-		w[idx] = orig + eps
-		lp := loss()
-		w[idx] = orig - eps
-		lm := loss()
-		w[idx] = orig
-		loss()
-		numeric := (lp - lm) / (2 * eps)
-		if math.Abs(numeric-analytic) > 2e-2*math.Abs(numeric)+3e-4 {
-			t.Errorf("%s[%d]: numeric %.6f vs analytic %.6f", name, idx, numeric, analytic)
-		}
-	}
-	checkVec("l0.attnNorm", l0.AttnNorm, l0.DAttnNorm)
-	checkVec("l1.mlpNorm", l1.MLPNorm, l1.DMLPNorm)
-	checkVec("head.norm", m.Head.Norm, m.Head.DNorm)
 }
 
 // TestTrainingReducesLoss: a few SGD steps on a repeated batch must reduce
@@ -369,5 +334,89 @@ func TestCheckpointRejectsBadInput(t *testing.T) {
 	bad[0] ^= 0xff
 	if err := m.Load(bytes.NewReader(bad)); err == nil {
 		t.Error("bad magic accepted")
+	}
+}
+
+// saveHash is the SHA-256 of the model's checkpoint bytes.
+func saveHash(t *testing.T, m *Model) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := m.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(b.Bytes()))
+}
+
+// TestCheckpointBytesPinned: the checkpoint of a freshly seeded model is
+// byte-for-byte the one recorded before the parameter table existed — the
+// table walks the parameters in the format's original order.
+func TestCheckpointBytesPinned(t *testing.T) {
+	m, _ := NewModel(tinyCfg(), 42)
+	const want = "61a669a336f399694fbbc0910a5732656a6e311cbb6670693485d313c0dd1d29"
+	if got := saveHash(t, m); got != want {
+		t.Errorf("checkpoint sha256 %s, want %s", got, want)
+	}
+}
+
+// TestAdamPinned: three fixed Adam steps leave bitwise the weights
+// recorded before Adam's moments moved onto the parameter table.
+func TestAdamPinned(t *testing.T) {
+	m, _ := NewModel(tinyCfg(), 5)
+	batch := randBatch(rand.New(rand.NewSource(6)), tinyCfg(), 2)
+	opt := NewAdam(0.01)
+	for i := 0; i < 3; i++ {
+		m.ZeroGrads()
+		if _, err := m.TrainSequential(batch, 2); err != nil {
+			t.Fatal(err)
+		}
+		opt.Step(m)
+	}
+	const want = "b59be7bc087badce2d3126e6552d827afef2b140986fc9c1dccde5821be4f72a"
+	if got := saveHash(t, m); got != want {
+		t.Errorf("weights after Adam sha256 %s, want %s", got, want)
+	}
+}
+
+// TestParamTable: the table lists every tensor of the model once, in
+// checkpoint order, with unique names, and its norm entries alias the
+// layers' own slices.
+func TestParamTable(t *testing.T) {
+	cfg := tinyCfg()
+	m, _ := NewModel(cfg, 1)
+	ps := m.Params()
+	if want := 1 + 9*cfg.Layers + 2; len(ps) != want {
+		t.Fatalf("%d parameters, want %d", len(ps), want)
+	}
+	names := map[string]bool{}
+	floats := 0
+	for _, p := range ps {
+		if names[p.Name] {
+			t.Errorf("duplicate name %s", p.Name)
+		}
+		names[p.Name] = true
+		if p.W.Rows != p.G.Rows || p.W.Cols != p.G.Cols || len(p.W.Data) != p.W.Rows*p.W.Cols {
+			t.Errorf("%s: weight %dx%d, gradient %dx%d", p.Name, p.W.Rows, p.W.Cols, p.G.Rows, p.G.Cols)
+		}
+		floats += len(p.W.Data)
+	}
+	var ckpt bytes.Buffer
+	if err := m.Save(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if got := ckpt.Len() - 7*4; got != floats*4 {
+		t.Errorf("checkpoint holds %d tensor bytes, table %d", got, floats*4)
+	}
+	if ps[0].Owner != OwnerEmbed || ps[len(ps)-1].Owner != OwnerHead || ps[1].Owner != 0 {
+		t.Errorf("owners %d, %d, %d", ps[0].Owner, ps[1].Owner, ps[len(ps)-1].Owner)
+	}
+	g := m.Grads()
+	g["l1.mlpNorm"].Data[2] = 5
+	g["head.norm"].Data[0] = 6
+	if m.Layers[1].DMLPNorm[2] != 5 || m.Head.DNorm[0] != 6 {
+		t.Error("norm gradient entries do not alias the model's slices")
+	}
+	m.ZeroGrads()
+	if m.Layers[1].DMLPNorm[2] != 0 || m.Head.DNorm[0] != 0 {
+		t.Error("ZeroGrads left norm gradients set")
 	}
 }

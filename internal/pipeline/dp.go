@@ -7,7 +7,6 @@ import (
 	"mepipe/internal/errs"
 	"mepipe/internal/nn"
 	"mepipe/internal/sched"
-	"mepipe/internal/tensor"
 )
 
 // DataParallel composes data parallelism with the pipelined runtime: each
@@ -32,7 +31,9 @@ func NewDataParallel(ref *nn.Model, dp int) (*DataParallel, error) {
 		if err != nil {
 			return nil, err
 		}
-		copyWeights(clone, ref)
+		for j, p := range clone.Params() {
+			p.W.CopyFrom(ref.Params()[j].W)
+		}
 		d.replicas = append(d.replicas, clone)
 	}
 	return d, nil
@@ -96,59 +97,15 @@ func (d *DataParallel) allReduceGrads() {
 	if len(d.replicas) == 1 {
 		return
 	}
-	grads := make([]map[string]*tensor.Matrix, len(d.replicas))
-	for i, m := range d.replicas {
-		grads[i] = m.Grads()
-	}
+	rest := d.replicas[1:]
 	inv := float32(1.0 / float64(len(d.replicas)))
-	for name, g0 := range grads[0] {
-		for i := 1; i < len(d.replicas); i++ {
-			g0.Add(grads[i][name])
+	for j, p := range d.replicas[0].Params() {
+		for _, m := range rest {
+			p.G.Add(m.Params()[j].G)
 		}
-		g0.Scale(inv)
-		for i := 1; i < len(d.replicas); i++ {
-			grads[i][name].CopyFrom(g0)
-		}
-	}
-	// Norm-scale gradients travel outside Grads(); average them too.
-	for li := range d.replicas[0].Layers {
-		avgVec(d.replicas, func(m *nn.Model) []float32 { return m.Layers[li].DAttnNorm })
-		avgVec(d.replicas, func(m *nn.Model) []float32 { return m.Layers[li].DMLPNorm })
-	}
-	avgVec(d.replicas, func(m *nn.Model) []float32 { return m.Head.DNorm })
-}
-
-func avgVec(models []*nn.Model, sel func(*nn.Model) []float32) {
-	base := sel(models[0])
-	for i := 1; i < len(models); i++ {
-		for j, v := range sel(models[i]) {
-			base[j] += v
+		p.G.Scale(inv)
+		for _, m := range rest {
+			m.Params()[j].G.CopyFrom(p.G)
 		}
 	}
-	inv := float32(1.0 / float64(len(models)))
-	for j := range base {
-		base[j] *= inv
-	}
-	for i := 1; i < len(models); i++ {
-		copy(sel(models[i]), base)
-	}
-}
-
-// copyWeights copies all parameters from src into dst.
-func copyWeights(dst, src *nn.Model) {
-	dst.Embed.Table.CopyFrom(src.Embed.Table)
-	for i := range src.Layers {
-		s, t := src.Layers[i], dst.Layers[i]
-		t.Wq.W.CopyFrom(s.Wq.W)
-		t.Wk.W.CopyFrom(s.Wk.W)
-		t.Wv.W.CopyFrom(s.Wv.W)
-		t.Wo.W.CopyFrom(s.Wo.W)
-		t.Wg.W.CopyFrom(s.Wg.W)
-		t.Wu.W.CopyFrom(s.Wu.W)
-		t.Wd.W.CopyFrom(s.Wd.W)
-		copy(t.AttnNorm, s.AttnNorm)
-		copy(t.MLPNorm, s.MLPNorm)
-	}
-	dst.Head.W.W.CopyFrom(src.Head.W.W)
-	copy(dst.Head.Norm, src.Head.Norm)
 }

@@ -1,6 +1,10 @@
 package pipeline
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"mepipe/internal/errs"
 	"mepipe/internal/nn"
 	"mepipe/internal/sched"
 	"mepipe/internal/tensor"
@@ -209,24 +214,27 @@ func TestStageWorkersMatchSequential(t *testing.T) {
 	if math.Abs(total-refLoss) > 1e-6 {
 		t.Errorf("workers' loss %v != sequential %v", total, refLoss)
 	}
-	rg := ref.Grads()
-	for k, w := range workers {
-		for _, li := range w.OwnedLayers() {
-			for _, name := range []string{"Wq", "Wk", "Wv", "Wo", "Wg", "Wu", "Wd"} {
-				key := fmt.Sprintf("l%d.%s", li, name)
-				got := models[k].Grads()[key]
-				if d := tensor.MaxAbsDiff(rg[key], got); d > 1e-4 {
-					t.Errorf("worker %d layer %d %s: grad differs by %g", k, li, name, d)
+	// Every parameter — each layer's linears and norms, the embedding, the
+	// head — has exactly one owning worker, whose gradient matches; the
+	// other workers never touch it.
+	for i, p := range ref.Params() {
+		owners := 0
+		for k, w := range workers {
+			got := models[k].Params()[i]
+			if !w.Owns(got) {
+				if d := tensor.MaxAbsDiff(got.G, tensor.New(got.G.Rows, got.G.Cols)); d != 0 {
+					t.Errorf("worker %d does not own %s but accumulated a gradient", k, p.Name)
 				}
+				continue
+			}
+			owners++
+			if d := tensor.MaxAbsDiff(p.G, got.G); d > 1e-4 {
+				t.Errorf("worker %d %s: grad differs by %g", k, p.Name, d)
 			}
 		}
-	}
-	// The first worker also owns the embedding gradient; the last the head.
-	if d := tensor.MaxAbsDiff(rg["embed"], models[0].Grads()["embed"]); d > 1e-4 {
-		t.Errorf("embedding grad differs by %g", d)
-	}
-	if d := tensor.MaxAbsDiff(rg["head.W"], models[s.P-1].Grads()["head.W"]); d > 1e-4 {
-		t.Errorf("head grad differs by %g", d)
+		if owners != 1 {
+			t.Errorf("%s has %d owning workers, want 1", p.Name, owners)
+		}
 	}
 }
 
@@ -311,12 +319,16 @@ func TestStageLoopMultiStep(t *testing.T) {
 			t.Errorf("step %d: distributed loss %.8f != sequential %.8f", i, total, refLosses[i])
 		}
 	}
-	// Owned weights must match the reference after all steps.
+	// Every parameter a stage owns — norms, embedding and head included —
+	// must match the reference after all steps.
 	for k := 0; k < s.P; k++ {
 		w, _ := NewStageWorker(models[k], s, batches[0], k)
-		for _, li := range w.OwnedLayers() {
-			if d := tensor.MaxAbsDiff(ref.Layers[li].Wq.W, models[k].Layers[li].Wq.W); d > 1e-5 {
-				t.Errorf("stage %d layer %d Wq weights diverged by %g", k, li, d)
+		for i, p := range models[k].Params() {
+			if !w.Owns(p) {
+				continue
+			}
+			if d := tensor.MaxAbsDiff(ref.Params()[i].W, p.W); d > 1e-5 {
+				t.Errorf("stage %d %s weights diverged by %g", k, p.Name, d)
 			}
 		}
 	}
@@ -348,7 +360,140 @@ func TestStageWorkerValidation(t *testing.T) {
 	if got := w.Stage(); got != 1 {
 		t.Errorf("Stage() = %d", got)
 	}
-	if layers := w.OwnedLayers(); len(layers) != 2 { // 8 layers / 4 stages
-		t.Errorf("stage 1 owns %v, want 2 layers", layers)
+	// 8 layers over 4 stages: stage 1 owns layers 2 and 3, nine tensors
+	// each, and neither the embedding nor the head.
+	var owned []string
+	for _, p := range m.Params() {
+		if w.Owns(p) {
+			owned = append(owned, p.Name)
+		}
+	}
+	if len(owned) != 18 || owned[0] != "l2.Wq" || owned[17] != "l3.mlpNorm" {
+		t.Errorf("stage 1 owns %v, want the 18 tensors of layers 2 and 3", owned)
+	}
+}
+
+// gradHash is the SHA-256 of every gradient in parameter-table order.
+func gradHash(m *nn.Model) string {
+	h := sha256.New()
+	for _, p := range m.Params() {
+		binary.Write(h, binary.LittleEndian, p.G.Data)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestDataParallelGradsPinned: the all-reduced gradients (norms included)
+// and the loss are bitwise the values recorded before the weight copy and
+// all-reduce walked the parameter table.
+func TestDataParallelGradsPinned(t *testing.T) {
+	c := cfg()
+	b := batch(rand.New(rand.NewSource(123)), c, 6)
+	proto, _ := nn.NewModel(c, 55)
+	d, err := NewDataParallel(proto, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := sched.MEPipe(4, 1, 2, 3, 0, 3, nil)
+	loss, err := d.Run(s, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", loss); got != "0x1.55cade635a211p+01" {
+		t.Errorf("loss %s", got)
+	}
+	const want = "162a5032ef4875f90cd2fa3d820f56ddf37f30776469fdd7b0a97a476811b0a5"
+	for i, m := range d.Replicas() {
+		if got := gradHash(m); got != want {
+			t.Errorf("replica %d gradient sha256 %s, want %s", i, got, want)
+		}
+	}
+}
+
+// TestStageLoopWeightsPinned: two multi-process-shaped training steps
+// leave every stage's replica bitwise at the checkpoint recorded before
+// the per-stage SGD step walked the parameter table.
+func TestStageLoopWeightsPinned(t *testing.T) {
+	c := cfg()
+	rng := rand.New(rand.NewSource(909))
+	s, _ := sched.MEPipe(4, 1, 2, 3, 0, 3, nil)
+	batches := [][][]int{batch(rng, c, s.N), batch(rng, c, s.N)}
+	conns := make([]map[int]net.Conn, s.P)
+	for k := range conns {
+		conns[k] = map[int]net.Conn{}
+	}
+	for a := 0; a < s.P; a++ {
+		for b := a + 1; b < s.P; b++ {
+			ca, cb := net.Pipe()
+			conns[a][b] = ca
+			conns[b][a] = cb
+		}
+	}
+	models := make([]*nn.Model, s.P)
+	errs := make([]error, s.P)
+	var wg sync.WaitGroup
+	for k := 0; k < s.P; k++ {
+		models[k], _ = nn.NewModel(c, 31)
+		l, err := NewStageLoop(models[k], s, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			_, errs[k] = l.RunSteps(conns[k], batches, 0.05)
+		}(k)
+	}
+	wg.Wait()
+	for k := range conns {
+		for _, cn := range conns[k] {
+			cn.Close()
+		}
+	}
+	want := []string{
+		"a28ca0ac51c04f95e6106b4d4c2902164698b0f670626a245fa32cee3558042f",
+		"2604d98f4762d3423e26db7c9bf8e1a8eaa62246b48d60d21b6a1826aa0ba5f6",
+		"b15a5b0c474a45feafca155aea26dee61156271f60144abf33263a20a88a8da5",
+		"7858b533f29ad669ca8dc3d0919c7b25cd2e9cb7171b25e73c1bc1fe1dbb1a3f",
+	}
+	for k, m := range models {
+		if errs[k] != nil {
+			t.Fatalf("stage %d: %v", k, errs[k])
+		}
+		var ckpt bytes.Buffer
+		if err := m.Save(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(ckpt.Bytes())); got != want[k] {
+			t.Errorf("stage %d checkpoint sha256 %s, want %s", k, got, want[k])
+		}
+	}
+}
+
+// TestStageWorkerFailureIsStageFailure: a worker runs its stage through the
+// same guarded body as RunContext, so an unrecoverable op failure surfaces
+// as a *StageFailure naming the stage and op.
+func TestStageWorkerFailureIsStageFailure(t *testing.T) {
+	c := cfg()
+	m, _ := nn.NewModel(c, 1)
+	s, _ := sched.DAPPLE(4, 2, nil)
+	w, err := NewStageWorker(m, s, batch(rand.New(rand.NewSource(1)), c, 2), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.r.WithStageHook(&crashOnce{stage: 1, at: 0})
+	conns := map[int]net.Conn{}
+	for _, peer := range w.Peers() {
+		ours, theirs := net.Pipe()
+		defer ours.Close()
+		defer theirs.Close()
+		conns[peer] = ours
+	}
+	_, err = w.Run(conns)
+	var sf *StageFailure
+	if !errors.As(err, &sf) || sf.Stage != 1 || sf.OpIndex != 0 {
+		t.Fatalf("got %v, want a *StageFailure at stage 1 op 0", err)
+	}
+	if !errors.Is(err, errs.ErrStageFailed) {
+		t.Errorf("%v does not wrap ErrStageFailed", err)
 	}
 }

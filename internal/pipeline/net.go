@@ -66,6 +66,26 @@ func readFrame(r *bufio.Reader) (int, edgeKey, *tensor.Matrix, error) {
 	return int(hdr[0]), e, m, nil
 }
 
+// demux decodes frames from c until the link closes, handing each payload
+// to the channel route picks for its iteration tag and consumer edge (nil
+// drops the frame: it is not addressed to this end). Every link end the
+// runtime reads — RunOverLinks, StageWorker.Run, StageLoop.RunSteps — is
+// drained by one of these.
+func demux(wg *sync.WaitGroup, c net.Conn, route func(iter int, e edgeKey) chan *tensor.Matrix) {
+	spawn(wg, func() {
+		br := bufio.NewReader(c)
+		for {
+			iter, e, m, err := readFrame(br)
+			if err != nil {
+				return // link closed after the run
+			}
+			if ch := route(iter, e); ch != nil {
+				ch <- m
+			}
+		}
+	})
+}
+
 // stagePairs returns the unordered stage pairs that exchange tensors.
 func (r *Runner) stagePairs() map[[2]int]bool {
 	pairs := map[[2]int]bool{}
@@ -98,7 +118,7 @@ func (r *Runner) RunOverLinks(dial func(a, b int) (net.Conn, net.Conn, error)) (
 		wires[k].out = map[int]*bufio.Writer{}
 	}
 	var conns []net.Conn
-	var demux sync.WaitGroup
+	var demuxes sync.WaitGroup
 	for pair := range r.stagePairs() {
 		a, b := pair[0], pair[1]
 		ca, cb, err := dial(a, b)
@@ -109,17 +129,7 @@ func (r *Runner) RunOverLinks(dial func(a, b int) (net.Conn, net.Conn, error)) (
 		wires[a].out[b] = bufio.NewWriter(ca)
 		wires[b].out[a] = bufio.NewWriter(cb)
 		for _, end := range []net.Conn{ca, cb} {
-			c := end
-			spawn(&demux, func() {
-				br := bufio.NewReader(c)
-				for {
-					_, e, m, err := readFrame(br)
-					if err != nil {
-						return // link closed after the iteration
-					}
-					r.recv[e] <- m
-				}
-			})
+			demux(&demuxes, end, func(_ int, e edgeKey) chan *tensor.Matrix { return r.recv[e] })
 		}
 	}
 	r.wires = wires
@@ -128,7 +138,7 @@ func (r *Runner) RunOverLinks(dial func(a, b int) (net.Conn, net.Conn, error)) (
 		for _, c := range conns {
 			c.Close()
 		}
-		demux.Wait()
+		demuxes.Wait()
 	}()
 	return r.Run()
 }

@@ -43,6 +43,7 @@ type Runner struct {
 	batch [][]int
 
 	chunkLayers [][]int // global chunk -> layer indices
+	layerChunk  []int   // layer index -> global chunk
 	sliceTokens int
 
 	recv  map[edgeKey]chan *tensor.Matrix
@@ -129,6 +130,7 @@ func New(m *nn.Model, s *sched.Schedule, batch [][]int) (*Runner, error) {
 		}
 		for i := 0; i < n; i++ {
 			r.chunkLayers[c] = append(r.chunkLayers[c], next)
+			r.layerChunk = append(r.layerChunk, c)
 			next++
 		}
 	}

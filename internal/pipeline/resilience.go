@@ -141,92 +141,39 @@ type stageSnapshot struct {
 	logits  map[famKey]*tensor.Matrix
 	tasks   map[famKey][]nn.WeightTask
 	stash   map[edgeKey]*tensor.Matrix
-	grads   *gradSnapshot
+	grads   []savedGrad
 }
 
-// gradSnapshot deep-copies the model gradient buffers this stage's ops
-// accumulate into: its own layers' weight and norm gradients, plus the
-// embedding (stage hosting chunk 0) and head (stage hosting the last
-// chunk) gradients. Stages own disjoint buffers, so restoring is safe
+// savedGrad is one gradient buffer the stage owns (see Runner.owns) and
+// its checkpoint copy. Stages own disjoint buffers, so restoring is safe
 // while peers keep running.
-type gradSnapshot struct {
-	dw       map[int][]*tensor.Matrix // layer index -> 7 DW clones
-	attnNorm map[int][]float32
-	mlpNorm  map[int][]float32
-	embed    *tensor.Matrix
-	headW    *tensor.Matrix
-	headNorm []float32
+type savedGrad struct{ live, saved *tensor.Matrix }
+
+// owns is the one stage-ownership rule: stage k computes with parameter p,
+// and so is the only stage accumulating its gradient, when it hosts p's
+// global chunk — its layer's chunk, the first chunk for the embedding, the
+// last for the head.
+func (r *Runner) owns(k int, p nn.Param) bool {
+	g := 0
+	switch {
+	case p.Owner == nn.OwnerHead:
+		g = r.s.TotalChunks() - 1
+	case p.Owner >= 0:
+		g = r.layerChunk[p.Owner]
+	}
+	host, _ := r.s.Place.Host(g)
+	return host == k
 }
 
-// stageOwned reports the model layers stage k computes and whether it
-// hosts the embedding (first global chunk) or the head (last chunk).
-func (r *Runner) stageOwned(k int) (layers []int, embed, head bool) {
-	last := r.s.TotalChunks() - 1
-	for c := 0; c < r.s.V; c++ {
-		g := r.s.Place.Global(k, c)
-		layers = append(layers, r.chunkLayers[g]...)
-		if g == 0 {
-			embed = true
-		}
-		if g == last {
-			head = true
+// stageParams filters the model's parameter table through owns.
+func (r *Runner) stageParams(k int) []nn.Param {
+	var out []nn.Param
+	for _, p := range r.model.Params() {
+		if r.owns(k, p) {
+			out = append(out, p)
 		}
 	}
-	return layers, embed, head
-}
-
-func layerLinears(l *nn.Layer) []*nn.Linear {
-	return []*nn.Linear{&l.Wq, &l.Wk, &l.Wv, &l.Wo, &l.Wg, &l.Wu, &l.Wd}
-}
-
-// snapshotGrads deep-copies the gradient buffers stage k can mutate.
-func (r *Runner) snapshotGrads(k int) (*gradSnapshot, int64) {
-	owned, embed, head := r.stageOwned(k)
-	g := &gradSnapshot{
-		dw:       map[int][]*tensor.Matrix{},
-		attnNorm: map[int][]float32{},
-		mlpNorm:  map[int][]float32{},
-	}
-	var bytes int64
-	for _, li := range owned {
-		l := r.model.Layers[li]
-		for _, lin := range layerLinears(l) {
-			g.dw[li] = append(g.dw[li], lin.DW.Clone())
-			bytes += int64(len(lin.DW.Data)) * 4
-		}
-		g.attnNorm[li] = append([]float32(nil), l.DAttnNorm...)
-		g.mlpNorm[li] = append([]float32(nil), l.DMLPNorm...)
-		bytes += int64(len(l.DAttnNorm)+len(l.DMLPNorm)) * 4
-	}
-	if embed {
-		g.embed = r.model.Embed.DTable.Clone()
-		bytes += int64(len(g.embed.Data)) * 4
-	}
-	if head {
-		g.headW = r.model.Head.W.DW.Clone()
-		g.headNorm = append([]float32(nil), r.model.Head.DNorm...)
-		bytes += int64(len(g.headW.Data)+len(g.headNorm)) * 4
-	}
-	return g, bytes
-}
-
-// restoreGrads copies the snapshot back into the live model buffers.
-func (r *Runner) restoreGrads(g *gradSnapshot) {
-	for li, dws := range g.dw {
-		l := r.model.Layers[li]
-		for i, lin := range layerLinears(l) {
-			copy(lin.DW.Data, dws[i].Data)
-		}
-		copy(l.DAttnNorm, g.attnNorm[li])
-		copy(l.DMLPNorm, g.mlpNorm[li])
-	}
-	if g.embed != nil {
-		copy(r.model.Embed.DTable.Data, g.embed.Data)
-	}
-	if g.headW != nil {
-		copy(r.model.Head.W.DW.Data, g.headW.Data)
-		copy(r.model.Head.DNorm, g.headNorm)
-	}
+	return out
 }
 
 // cloneStageState deep-copies a stage's execution state: layer and head
@@ -255,7 +202,12 @@ func cloneHeadStates(src []*nn.HeadState) []*nn.HeadState {
 
 // checkpoint snapshots st's state just before executing op index i.
 func (r *Runner) checkpoint(st *stage, i int, next sched.Op) {
-	grads, bytes := r.snapshotGrads(st.k)
+	var grads []savedGrad
+	var bytes int64
+	for _, p := range r.stageParams(st.k) {
+		grads = append(grads, savedGrad{p.G, p.G.Clone()})
+		bytes += int64(len(p.G.Data)) * 4
+	}
 	snap := &stageSnapshot{
 		opIndex: i,
 		loss:    st.loss,
@@ -308,7 +260,9 @@ func (r *Runner) restore(st *stage) {
 	for k, v := range snap.stash {
 		st.stash[k] = v
 	}
-	r.restoreGrads(snap.grads)
+	for _, g := range snap.grads {
+		copy(g.live.Data, g.saved.Data)
+	}
 	st.res.replayIdx = 0
 	st.res.sendSeq = 0
 }

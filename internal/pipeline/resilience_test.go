@@ -323,3 +323,39 @@ func TestRecoveryDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckpointEventBytesPinned: every stage's EvCkpt snapshot bytes, and
+// the recovered gradients, are the values recorded before snapshots walked
+// the parameter table through the ownership rule.
+func TestCheckpointEventBytesPinned(t *testing.T) {
+	c := cfg()
+	s := svpp4(t)
+	m, _ := nn.NewModel(c, 23)
+	r, err := New(m, s, batch(rand.New(rand.NewSource(23)), c, s.N))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	r.WithCheckpointEvery(2).WithStageHook(&crashOnce{stage: 1, at: 5}).WithTrace(rec)
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	bytes := make([]int64, s.P)
+	count := make([]int, s.P)
+	for _, e := range rec.Trace().Events {
+		if e.Kind == obs.EvCkpt {
+			bytes[e.Stage] += e.Bytes
+			count[e.Stage]++
+		}
+	}
+	if want := []int64{33984, 31488, 31488, 34176}; fmt.Sprint(bytes) != fmt.Sprint(want) {
+		t.Errorf("checkpoint bytes per stage %v, want %v", bytes, want)
+	}
+	if want := []int{6, 6, 6, 6}; fmt.Sprint(count) != fmt.Sprint(want) {
+		t.Errorf("checkpoints per stage %v, want %v", count, want)
+	}
+	const want = "7b9e68cb48bbd6a7df486c1d19f25f9362539bc6d8355f8f27448670bc979f05"
+	if got := gradHash(m); got != want {
+		t.Errorf("recovered gradient sha256 %s, want %s", got, want)
+	}
+}

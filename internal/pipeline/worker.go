@@ -4,11 +4,11 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sync"
 
 	"mepipe/internal/errs"
 	"mepipe/internal/nn"
 	"mepipe/internal/sched"
+	"mepipe/internal/tensor"
 )
 
 // StageWorker executes exactly one pipeline stage the way a separate
@@ -16,8 +16,8 @@ import (
 // builds the model from the same seed, so weights agree without any
 // transfer — but computes only its stage's layers, exchanging activation
 // and gradient tensors with peer stages over net.Conn links. Gradients for
-// the worker's own layers accumulate into its local model, exactly like a
-// GPU rank.
+// the parameters the worker owns accumulate into its local model, exactly
+// like a GPU rank.
 type StageWorker struct {
 	r     *Runner
 	stage int
@@ -38,16 +38,10 @@ func NewStageWorker(m *nn.Model, s *sched.Schedule, batch [][]int, stage int) (*
 // Stage returns the stage index this worker executes.
 func (w *StageWorker) Stage() int { return w.stage }
 
-// OwnedLayers returns the model layers this stage computes (and therefore
-// the only layers whose gradients this worker produces).
-func (w *StageWorker) OwnedLayers() []int {
-	var out []int
-	for c := 0; c < w.r.s.V; c++ {
-		g := w.r.s.Place.Global(w.stage, c)
-		out = append(out, w.r.chunkLayers[g]...)
-	}
-	return out
-}
+// Owns reports whether this stage computes with parameter p, and so is
+// the only worker producing its gradient (the runtime's one ownership
+// rule, Runner.owns).
+func (w *StageWorker) Owns(p nn.Param) bool { return w.r.owns(w.stage, p) }
 
 // Peers returns the stages this worker must be connected to.
 func (w *StageWorker) Peers() []int {
@@ -76,52 +70,40 @@ func (w *StageWorker) Run(conns map[int]net.Conn) (float64, error) {
 			return 0, fmt.Errorf("pipeline: stage %d missing connection to peer %d: %w", w.stage, peer, errs.ErrIncompatible)
 		}
 	}
+	for _, conn := range conns {
+		// The demuxes drain until the caller closes the conns; they hold
+		// no state this iteration needs, so nothing waits on them.
+		demux(nil, conn, func(_ int, e edgeKey) chan *tensor.Matrix {
+			if e.stage != w.stage {
+				return nil // not addressed to this stage
+			}
+			return w.r.recv[e]
+		})
+	}
+	return w.runWired(conns)
+}
+
+// runWired executes the stage with its outgoing frames written to conns,
+// through the same latch-guarded body as RunContext's stage goroutines.
+func (w *StageWorker) runWired(conns map[int]net.Conn) (float64, error) {
 	wires := make([]wire, w.r.s.P)
-	wires[w.stage].out = map[int]*bufio.Writer{}
-	var demux sync.WaitGroup
+	wires[w.stage].out = make(map[int]*bufio.Writer, len(conns))
 	for peer, conn := range conns {
 		wires[w.stage].out[peer] = bufio.NewWriter(conn)
-		c := conn
-		spawn(&demux, func() {
-			br := bufio.NewReader(c)
-			for {
-				_, e, m, err := readFrame(br)
-				if err != nil {
-					return // peer closed after the iteration
-				}
-				if e.stage != w.stage {
-					continue // not addressed to this stage
-				}
-				w.r.recv[e] <- m
-			}
-		})
 	}
 	w.r.wires = wires
 	defer func() { w.r.wires = nil }()
-
 	st := w.r.newStage(w.stage)
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				st.err = fmt.Errorf("pipeline: stage %d panicked: %v: %w", w.stage, p, errs.ErrStageFailed)
-			}
-		}()
-		w.r.runStage(st)
-	}()
+	w.r.runStageGuarded(st)
 	w.r.releaseStage(st)
-	// The demux goroutines drain until the caller closes the conns; they
-	// hold no state this iteration needs, so we do not wait on them.
-	if st.err != nil {
-		return 0, st.err
-	}
-	return st.loss, nil
+	return st.loss, st.err
 }
 
 // StageLoop drives multi-step distributed training of one stage: a fresh
 // Runner per step over shared connections, frames routed by their iteration
-// tag, and an SGD step over the stage's own layers between iterations.
-// Because every worker steps only the layers it computes with gradients it
-// produced locally, the fleet's weights evolve exactly like single-process
+// tag, and an SGD step over the stage's own parameters between iterations.
+// Because every worker steps only the parameters it computes with, using
+// gradients it produced locally, the fleet's weights evolve exactly like single-process
 // training — no parameter synchronisation needed.
 type StageLoop struct {
 	model *nn.Model
@@ -138,9 +120,9 @@ func NewStageLoop(m *nn.Model, s *sched.Schedule, stage int) (*StageLoop, error)
 }
 
 // RunSteps executes len(batches) iterations over the given peer
-// connections, applying lr-scaled SGD to the stage's layers after each.
-// It returns the per-step losses of this stage (non-zero only on the stage
-// hosting the final chunk).
+// connections, applying lr-scaled SGD to the parameters the stage owns
+// after each. It returns the per-step losses of this stage (non-zero only
+// on the stage hosting the final chunk).
 func (l *StageLoop) RunSteps(conns map[int]net.Conn, batches [][][]int, lr float32) ([]float64, error) {
 	// Pre-build one runner (and worker) per step so the demultiplexer can
 	// route any iteration's frames the moment they arrive — a fast
@@ -156,78 +138,23 @@ func (l *StageLoop) RunSteps(conns map[int]net.Conn, batches [][][]int, lr float
 		workers[i] = w
 	}
 	// One demux per conn, shared across steps.
-	var demux sync.WaitGroup
 	for _, conn := range conns {
-		c := conn
-		spawn(&demux, func() {
-			br := bufio.NewReader(c)
-			for {
-				iter, e, m, err := readFrame(br)
-				if err != nil {
-					return
-				}
-				if iter < 0 || iter >= len(workers) || e.stage != l.stage {
-					continue
-				}
-				workers[iter].r.recv[e] <- m
+		demux(nil, conn, func(iter int, e edgeKey) chan *tensor.Matrix {
+			if iter < 0 || iter >= len(workers) || e.stage != l.stage {
+				return nil
 			}
+			return workers[iter].r.recv[e]
 		})
 	}
 	losses := make([]float64, len(batches))
 	for i, w := range workers {
-		// Route this step's outgoing frames through the shared conns.
-		wires := make([]wire, l.s.P)
-		wires[l.stage].out = map[int]*bufio.Writer{}
-		for peer, conn := range conns {
-			wires[l.stage].out[peer] = bufio.NewWriter(conn)
-		}
-		w.r.wires = wires
-
 		l.model.ZeroGrads()
-		st := w.r.newStage(l.stage)
-		var runErr error
-		func() {
-			defer func() {
-				if p := recover(); p != nil {
-					runErr = fmt.Errorf("pipeline: stage %d step %d panicked: %v: %w", l.stage, i, p, errs.ErrStageFailed)
-				}
-			}()
-			w.r.runStage(st)
-		}()
-		w.r.releaseStage(st)
-		w.r.wires = nil
-		if runErr != nil {
-			return nil, runErr
+		loss, err := w.runWired(conns)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: step %d: %w", i, err)
 		}
-		if st.err != nil {
-			return nil, st.err
-		}
-		losses[i] = st.loss
-		l.stepOwnLayers(w, lr)
+		losses[i] = loss
+		nn.SGD(w.r.stageParams(l.stage), lr)
 	}
 	return losses, nil
-}
-
-// stepOwnLayers applies SGD only to the parameters this stage computes.
-func (l *StageLoop) stepOwnLayers(w *StageWorker, lr float32) {
-	step := func(wt, dw []float32) {
-		for i := range wt {
-			wt[i] -= lr * dw[i]
-		}
-	}
-	for _, li := range w.OwnedLayers() {
-		layer := l.model.Layers[li]
-		for _, lin := range []*nn.Linear{&layer.Wq, &layer.Wk, &layer.Wv, &layer.Wo, &layer.Wg, &layer.Wu, &layer.Wd} {
-			step(lin.W.Data, lin.DW.Data)
-		}
-		step(layer.AttnNorm, layer.DAttnNorm)
-		step(layer.MLPNorm, layer.DMLPNorm)
-	}
-	if l.stage == 0 {
-		step(l.model.Embed.Table.Data, l.model.Embed.DTable.Data)
-	}
-	if last, _ := l.s.Place.Host(l.s.TotalChunks() - 1); last == l.stage {
-		step(l.model.Head.W.W.Data, l.model.Head.W.DW.Data)
-		step(l.model.Head.Norm, l.model.Head.DNorm)
-	}
 }
