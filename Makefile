@@ -147,10 +147,16 @@ sim-smoke:
 # path — against the test-only map graph and map sweep, and Certify
 # against sim.Run's deadlock verdict and Validate's), a short run of the
 # universe-verdict fuzzer (Validate, Certify, a session bind and a bound
-# session's Eval accept or reject a broken table alike), and the
-# /v1/sweep wire tests.
+# session's Eval accept or reject a broken table alike), the /v1/sweep
+# wire tests, and the one-resolver gates: TestResolvePinned (Evaluate's
+# time, bubble, peak, budget, n, f and OOM verdict bit for bit, one row per
+# system plus static, ChooseF and simulated OOMs and shape errors, and a
+# short Optimize run's counters, all recorded before the resolver was
+# shared), the façade planner's compatibility and ErrOOM bugfix tests, and
+# PlanMEPipeAt's simulation equal to Evaluate's bit for bit.
 sweep-smoke:
-	$(GO) test ./internal/strategy -run 'TestSweep' -count=1
+	$(GO) test ./internal/strategy -run 'TestSweep|TestResolvePinned' -count=1
+	$(GO) test . -run 'TestPlanMEPipeAtIncompatible|TestPlanMEPipeOOMSentinels|TestPlanSimulateMatchesEvaluate' -count=1
 	$(GO) test ./internal/verify -run 'TestCertifyPeaksMatchRun|TestIncompleteAndMissing|TestMissingDepMessage|TestUniverseTexts' -count=1
 	$(GO) test ./internal/sched -run 'TestValidateMessages' -count=1
 	$(GO) test ./internal/sim -run 'TestSessionAbsentDepMessage|TestSessionIncompatible|TestSessionNonPositiveShape' -count=1

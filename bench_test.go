@@ -271,7 +271,7 @@ func TestFacade(t *testing.T) {
 	if len(Experiments()) < 10 {
 		t.Error("experiment registry too small")
 	}
-	// Planning a pinned paper configuration through core.
+	// Planning a pinned paper configuration.
 	plan, err := PlanMEPipeAt(Job{
 		Model:   Llama13B(),
 		Cluster: RTX4090Cluster(8),
@@ -280,7 +280,7 @@ func TestFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simRes, err := plan.Simulate()
+	simRes, err := plan.Simulate(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func main() {
 		config.Training{GlobalBatch: 64, MicroBatch: 1})
 	fatal(err)
 	var sb strings.Builder
-	fatal(timeline.WriteSVG(&sb, ev.Result))
+	fatal(timeline.SVG{}.Export(&sb, ev.Result.Trace()))
 	svgs["fig11_12"] = sb.String()
 
 	f, err := os.Create(*out)

@@ -92,7 +92,7 @@ func main() {
 	}
 	if *showTL {
 		fmt.Println()
-		timeline.Render(os.Stdout, res, 0)
+		fatal(timeline.ASCII{}.Export(os.Stdout, res.Trace()))
 	}
 	if *saveTo != "" {
 		f, err := os.Create(*saveTo)
@@ -104,7 +104,7 @@ func main() {
 	if *svgTo != "" {
 		f, err := os.Create(*svgTo)
 		fatal(err)
-		fatal(timeline.WriteSVG(f, res))
+		fatal(timeline.SVG{}.Export(f, res.Trace()))
 		fatal(f.Close())
 		fmt.Printf("svg        %s\n", *svgTo)
 	}

@@ -21,6 +21,7 @@ import (
 	"os"
 
 	v1 "mepipe/api/v1"
+	"mepipe/internal/obs"
 	"mepipe/internal/strategy"
 	"mepipe/internal/timeline"
 )
@@ -89,12 +90,12 @@ func main() {
 		100*fr, 100*b, 100*wt, 100*tail, 100*idle)
 	if *showTL {
 		fmt.Println()
-		timeline.Render(os.Stdout, ev.Result, 0)
+		fatal(timeline.ASCII{}.Export(os.Stdout, ev.Result.Trace()))
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		fatal(err)
-		fatal(timeline.WriteChromeTrace(f, ev.Result))
+		fatal(obs.ChromeTrace{}.Export(f, ev.Result.Trace()))
 		fatal(f.Close())
 		fmt.Printf("trace      written to %s (open in chrome://tracing)\n", *traceOut)
 	}

@@ -10,7 +10,9 @@
 //	mepipe-trace -model 13b -gbs 64 -pp 8 -spp 4 -o trace.json
 //	mepipe-trace -system dapple -format jsonl -o trace.jsonl
 //
-// It is written entirely against the public mepipe façade.
+// The flags compile through the api/v1 request schema, exactly like
+// mepipe-sim and POST /v1/trace, and the run goes through the public
+// mepipe façade.
 package main
 
 import (
@@ -21,6 +23,7 @@ import (
 	"strings"
 
 	"mepipe"
+	v1 "mepipe/api/v1"
 )
 
 func main() {
@@ -38,21 +41,9 @@ func main() {
 	)
 	flag.Parse()
 
-	m, err := mepipe.ModelByName(*modelName)
-	fatal(err)
-	var cl mepipe.Cluster
-	switch strings.ToLower(*gpu) {
-	case "4090":
-		cl = mepipe.RTX4090Cluster(8)
-	case "a100":
-		cl = mepipe.A100Cluster(4)
-	default:
-		fatal(fmt.Errorf("unknown cluster %q", *gpu))
-	}
-	sys, err := systemByName(*system)
-	fatal(err)
+	kind := strings.ToLower(*format)
 	var exp mepipe.Exporter
-	switch strings.ToLower(*format) {
+	switch kind {
 	case "chrome":
 		exp = mepipe.ChromeTrace{}
 	case "jsonl":
@@ -60,25 +51,22 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown format %q (want chrome or jsonl)", *format))
 	}
-
-	par := mepipe.Parallel{PP: *pp, CP: *cp, SPP: *spp, VP: *vp}
-	if par.SPP == 0 {
-		par.SPP = 1
-		if sys == mepipe.MEPipe || sys == mepipe.TeraPipe {
-			par.SPP = 4
-		}
+	req := &v1.TraceRequest{
+		PlanRequest: v1.PlanRequest{
+			System:   *system,
+			Model:    v1.ModelSpec{Preset: *modelName},
+			Cluster:  v1.ClusterSpec{Preset: *gpu},
+			Training: v1.TrainingSpec{GlobalBatch: *gbs},
+			Parallel: &v1.ParallelSpec{PP: *pp, CP: *cp, SPP: *spp, VP: *vp},
+		},
+		Format: kind,
 	}
-	if par.VP == 0 {
-		par.VP = 1
-		if sys == mepipe.VPP || sys == mepipe.ZBV {
-			par.VP = 2
-		}
-	}
-	par.DP = cl.GPUs() / (par.PP * par.CP)
-	tr := mepipe.Training{GlobalBatch: *gbs, MicroBatch: 1}
+	plan, err := req.Compile()
+	fatal(err)
+	sys, m, cl := plan.System, plan.Model, plan.Cluster
 
 	rec := mepipe.NewRecorder()
-	ev, err := mepipe.Evaluate(context.Background(), sys, m, cl, par, tr, mepipe.WithTrace(rec))
+	ev, err := mepipe.Evaluate(context.Background(), sys, m, cl, *plan.Parallel, plan.Training, mepipe.WithTrace(rec))
 	fatal(err)
 
 	w := os.Stdout
@@ -102,31 +90,11 @@ func main() {
 	}
 	if *out != "" {
 		dest := "chrome://tracing or https://ui.perfetto.dev"
-		if strings.ToLower(*format) == "jsonl" {
+		if kind == "jsonl" {
 			dest = "jq or any line-oriented tool"
 		}
 		fmt.Fprintf(os.Stderr, "trace written to %s (open in %s)\n", *out, dest)
 	}
-}
-
-func systemByName(s string) (mepipe.System, error) {
-	switch strings.ToLower(s) {
-	case "mepipe":
-		return mepipe.MEPipe, nil
-	case "dapple":
-		return mepipe.DAPPLE, nil
-	case "vpp":
-		return mepipe.VPP, nil
-	case "zb":
-		return mepipe.ZB, nil
-	case "zbv":
-		return mepipe.ZBV, nil
-	case "terapipe":
-		return mepipe.TeraPipe, nil
-	case "gpipe":
-		return mepipe.GPipe, nil
-	}
-	return 0, fmt.Errorf("unknown system %q", s)
 }
 
 func fatal(err error) {

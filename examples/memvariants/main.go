@@ -14,39 +14,35 @@ import (
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
 	"mepipe/internal/memplan"
-	"mepipe/internal/perf"
 	"mepipe/internal/sched"
 	"mepipe/internal/sim"
+	"mepipe/internal/strategy"
 )
 
 func main() {
 	m := config.Llama13B()
-	cl := cluster.RTX4090Cluster(8)
-	par := config.Parallel{PP: 8, DP: 8, CP: 1, SPP: 4, VP: 1}
-	mesh, err := cluster.NewMesh(cl, par)
+	plan, err := strategy.Resolve(strategy.MEPipe, m, cluster.RTX4090Cluster(8),
+		config.Parallel{PP: 8, DP: 8, CP: 1, SPP: 4, VP: 1}, config.Training{GlobalBatch: 64, MicroBatch: 1})
 	fatal(err)
-	costs, err := perf.New(m, mesh)
-	fatal(err)
-	plan, err := memplan.New(m, mesh)
-	fatal(err)
+	fatal(plan.Unfit)
+	par, costs := plan.Par, plan.Costs
 	fam := costs.ActBytes(0, sched.Op{Kind: sched.F})
 	grad := costs.GradBytes(0, sched.Op{Kind: sched.BAct})
-	n := 8 // GBS 64 at DP 8
 
 	fmt.Printf("%s at %v: one slice-chunk of activations = %.2f GiB\n", m.Name, par, float64(fam)/(1<<30))
-	fmt.Printf("full per-stage activation budget: %.2f GiB\n\n", float64(plan.ActBudget[0])/(1<<30))
+	fmt.Printf("full per-stage activation budget: %.2f GiB\n\n", float64(plan.Memory.ActBudget[0])/(1<<30))
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "memory cap\tvariant f\tpeak act\titeration\tbubble")
 	for _, frac := range []float64{1.0, 0.8, 0.6, 0.45, 0.4} {
-		budget := int64(float64(plan.ActBudget[0]) * frac)
+		budget := int64(float64(plan.Memory.ActBudget[0]) * frac)
 		f, err := memplan.ChooseF(par, fam, grad, budget)
 		if err != nil {
 			fmt.Fprintf(w, "%.0f%%\t-\t-\t-\tno variant fits (%v)\n", 100*frac, err)
 			continue
 		}
 		s, err := sched.SVPP(sched.SVPPOptions{
-			P: par.PP, V: par.VP, S: par.SPP, N: n, F: f,
+			P: par.PP, V: par.VP, S: par.SPP, N: plan.N, F: f,
 			Reschedule: true, Split: true, FineGrainedW: costs.WPieces(), Est: costs,
 		})
 		fatal(err)

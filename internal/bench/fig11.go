@@ -5,11 +5,10 @@ import (
 
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
-	"mepipe/internal/memplan"
 	"mepipe/internal/obs"
-	"mepipe/internal/perf"
 	"mepipe/internal/sched"
 	"mepipe/internal/sim"
+	"mepipe/internal/strategy"
 )
 
 func init() {
@@ -17,33 +16,16 @@ func init() {
 	register("ablation", "design-choice ablations: rescheduling, W granularity, dynamic engine", Ablation)
 }
 
-// mepipeSetup builds the Fig 11/12 configuration: Llama 13B, GBS 64,
-// MEPipe's Table 5 optimum (PP=8, SPP=4, VP=1, DP=8).
-func mepipeSetup() (*perf.Costs, *memplan.Plan, int, int, error) {
-	m := config.Llama13B()
-	cl := cluster.RTX4090Cluster(8)
-	par := config.Parallel{PP: 8, DP: 8, CP: 1, SPP: 4, VP: 1}
-	mesh, err := cluster.NewMesh(cl, par)
+// mepipeSetup resolves the configuration of Figs 11/12, the ablations and
+// the Pareto sweep: Llama 13B, GBS 64, MEPipe's Table 5 optimum (PP=8,
+// SPP=4, VP=1, DP=8).
+func mepipeSetup() (*strategy.Plan, error) {
+	p, err := strategy.Resolve(strategy.MEPipe, config.Llama13B(), cluster.RTX4090Cluster(8),
+		config.Parallel{PP: 8, DP: 8, CP: 1, SPP: 4, VP: 1}, config.Training{GlobalBatch: 64, MicroBatch: 1})
 	if err != nil {
-		return nil, nil, 0, 0, err
+		return nil, err
 	}
-	costs, err := perf.New(m, mesh)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	plan, err := memplan.New(m, mesh)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	f, err := memplan.ChooseF(par,
-		costs.ActBytes(0, sched.Op{Kind: sched.F}),
-		costs.GradBytes(0, sched.Op{Kind: sched.BAct}),
-		plan.ActBudget[0])
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	n := 64 / par.DP
-	return costs, plan, f, n, nil
+	return p, p.Unfit
 }
 
 // fig11Variant identifies one interpretation of "MEPipe w/o fine-grained
@@ -64,9 +46,10 @@ const (
 )
 
 // runVariant simulates one Fig 11/12 variant, tracing into sink if non-nil.
-func runVariant(costs *perf.Costs, plan *memplan.Plan, f, n int, v fig11Variant, sink obs.Sink) (*sim.Result, error) {
+func runVariant(p *strategy.Plan, v fig11Variant, sink obs.Sink) (*sim.Result, error) {
+	costs := p.Costs
 	opts := sched.SVPPOptions{
-		P: 8, V: 1, S: 4, N: n, F: f,
+		P: 8, V: 1, S: 4, N: p.N, F: p.F,
 		Reschedule: true, Est: costs,
 	}
 	dynamic := false
@@ -86,7 +69,7 @@ func runVariant(costs *perf.Costs, plan *memplan.Plan, f, n int, v fig11Variant,
 		return nil, err
 	}
 	return sim.Run(sim.Options{
-		Sched: s, Costs: costs, ActBudget: plan.ActBudget,
+		Sched: s, Costs: costs, ActBudget: p.Memory.ActBudget,
 		DynamicW: dynamic, TailTime: costs.TailTime, Trace: sink,
 	})
 }
@@ -97,7 +80,7 @@ func runVariant(costs *perf.Costs, plan *memplan.Plan, f, n int, v fig11Variant,
 // (upper bound) and a split-but-immediate W (lower bound); the paper's
 // measured 9.4% improvement falls between them.
 func Fig11_12() (*Report, error) {
-	costs, plan, f, n, err := mepipeSetup()
+	p, err := mepipeSetup()
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +102,7 @@ func Fig11_12() (*Report, error) {
 			rec = obs.NewRecorder()
 			sink = rec
 		}
-		res, err := runVariant(costs, plan, f, n, v, sink)
+		res, err := runVariant(p, v, sink)
 		if err != nil {
 			return nil, err
 		}
@@ -142,23 +125,24 @@ func Fig11_12() (*Report, error) {
 
 // Ablation quantifies the design choices DESIGN.md calls out.
 func Ablation() (*Report, error) {
-	costs, plan, f, n, err := mepipeSetup()
+	p, err := mepipeSetup()
 	if err != nil {
 		return nil, err
 	}
+	costs, budget := p.Costs, p.Memory.ActBudget
 	r := &Report{
 		ID:     "ablation",
 		Title:  "MEPipe design ablations (Llama 13B, GBS 64, PP=8, SPP=4)",
 		Header: []string{"variant", "iteration", "bubble"},
 	}
 	run := func(name string, opts sched.SVPPOptions, dynamic bool) error {
-		opts.P, opts.V, opts.S, opts.N, opts.F = 8, 1, 4, n, f
+		opts.P, opts.V, opts.S, opts.N, opts.F = 8, 1, 4, p.N, p.F
 		opts.Split, opts.Est = true, costs
 		s, err := sched.SVPP(opts)
 		if err != nil {
 			return err
 		}
-		res, err := sim.Run(sim.Options{Sched: s, Costs: costs, ActBudget: plan.ActBudget, DynamicW: dynamic, TailTime: costs.TailTime})
+		res, err := sim.Run(sim.Options{Sched: s, Costs: costs, ActBudget: budget, DynamicW: dynamic, TailTime: costs.TailTime})
 		if err != nil {
 			return err
 		}
@@ -181,20 +165,14 @@ func Ablation() (*Report, error) {
 	if err := run("prompt W (deferral disabled)", sched.SVPPOptions{Reschedule: true, WDeferCap: func(int) int { return 0 }}, false); err != nil {
 		return nil, err
 	}
-	// How close is the full system to order-free optimal? Compare against
-	// the DAG/resource lower bound (no schedule can beat it).
-	full2, err := sched.SVPP(sched.SVPPOptions{
-		P: 8, V: 1, S: 4, N: n, F: f, Split: true, Reschedule: true,
-		FineGrainedW: costs.WPieces(), Est: costs,
-	})
+	// How close is the full system to order-free optimal? Compare the
+	// resolved MEPipe schedule against the DAG/resource lower bound (no
+	// schedule can beat it).
+	bound, err := sim.MakespanBound(p.Schedule, costs)
 	if err != nil {
 		return nil, err
 	}
-	bound, err := sim.MakespanBound(full2, costs)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.Run(sim.Options{Sched: full2, Costs: costs, ActBudget: plan.ActBudget, DynamicW: true})
+	res, err := sim.Run(sim.Options{Sched: p.Schedule, Costs: costs, ActBudget: budget, DynamicW: true})
 	if err != nil {
 		return nil, err
 	}

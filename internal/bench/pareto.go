@@ -4,10 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mepipe/internal/cluster"
-	"mepipe/internal/config"
-	"mepipe/internal/memplan"
-	"mepipe/internal/perf"
 	"mepipe/internal/sched"
 	"mepipe/internal/sim"
 )
@@ -21,22 +17,11 @@ func init() {
 // quantitative version of Fig 5's qualitative trade-off: every point is a
 // deployable schedule for a different memory budget.
 func Pareto() (*Report, error) {
-	m := config.Llama13B()
-	cl := cluster.RTX4090Cluster(8)
-	par := config.Parallel{PP: 8, DP: 8, CP: 1, SPP: 4, VP: 1}
-	mesh, err := cluster.NewMesh(cl, par)
+	plan, err := mepipeSetup()
 	if err != nil {
 		return nil, err
 	}
-	costs, err := perf.New(m, mesh)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := memplan.New(m, mesh)
-	if err != nil {
-		return nil, err
-	}
-	const n = 8 // GBS 64 at DP 8
+	par, costs, budget := plan.Par, plan.Costs, plan.Memory.ActBudget
 	r := &Report{
 		ID:     "pareto",
 		Title:  "SVPP variant frontier (Llama 13B, GBS 64, PP=8, SPP=4): f vs memory vs time",
@@ -54,14 +39,14 @@ func Pareto() (*Report, error) {
 	hi := sched.DefaultF(par.PP, par.VP, par.SPP)
 	for f := lo; f <= hi; f++ {
 		s, err := sched.SVPP(sched.SVPPOptions{
-			P: par.PP, V: par.VP, S: par.SPP, N: n, F: f,
+			P: par.PP, V: par.VP, S: par.SPP, N: plan.N, F: f,
 			Reschedule: true, Split: true, FineGrainedW: costs.WPieces(), Est: costs,
 		})
 		if err != nil {
 			return nil, err
 		}
 		res, err := sim.Run(sim.Options{
-			Sched: s, Costs: costs, ActBudget: plan.ActBudget,
+			Sched: s, Costs: costs, ActBudget: budget,
 			DynamicW: true, TailTime: costs.TailTime,
 		})
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
-	"mepipe/internal/errs"
 	"mepipe/internal/memplan"
 	"mepipe/internal/opt"
 	"mepipe/internal/perf"
@@ -29,16 +28,15 @@ type Optimized struct {
 	Opt *opt.Result
 }
 
-// OptimizeContext builds the configuration's preset schedule exactly like
-// EvaluateContext — memory plan, calibrated cost model, schedule
-// generator — and then runs the internal/opt simulated-annealing search
-// over certified reorderings of it. The memory budget enforced on every
-// candidate is the plan's per-stage activation budget with the cost
-// model's real activation and gradient footprints (see optimizeBudget),
-// so a discovered schedule is proven to retain no more memory than the
-// preset it replaces. The search evaluates candidates in the static execution
-// model (no dynamic W draining): the discovered order is a complete
-// static program per stage.
+// OptimizeContext resolves the configuration's preset schedule exactly like
+// EvaluateContext (through Resolve) and then runs the internal/opt
+// simulated-annealing search over certified reorderings of it. The memory
+// budget enforced on every candidate is the plan's per-stage activation
+// budget with the cost model's real activation and gradient footprints
+// (see optimizeBudget), so a discovered schedule is proven to retain no
+// more memory than the preset it replaces. The search evaluates
+// candidates in the static execution model (no dynamic W draining): the
+// discovered order is a complete static program per stage.
 //
 // Errors wrap errs.ErrIncompatible (shape), errs.ErrOOM (the
 // configuration does not fit at all), errs.ErrUncertified (the preset's
@@ -46,51 +44,27 @@ type Optimized struct {
 //
 //mepipe:deterministic
 func OptimizeContext(ctx context.Context, sys System, m config.Model, cl cluster.Cluster, par config.Parallel, tr config.Training, oopt opt.Options, opts ...Option) (*Optimized, error) {
-	o := buildOptions(opts)
-	if err := compatible(sys, par); err != nil {
-		return nil, err
-	}
-	mesh, err := cluster.NewMesh(cl, par)
+	p, err := Resolve(sys, m, cl, par, tr)
 	if err != nil {
 		return nil, err
 	}
-	n, err := tr.MicroBatches(par)
-	if err != nil {
-		return nil, err
-	}
-	var reserve int64
-	if sys == ZB || sys == ZBV {
-		reserve = memplan.SplitReserve
-	}
-	plan, err := memplan.NewWithReserve(m, mesh, reserve)
-	if err != nil {
-		return nil, err
-	}
-	if !plan.Feasible() {
-		return nil, fmt.Errorf("strategy: optimizing %s %v: static memory exceeds device capacity: %w", sys, par, errs.ErrOOM)
-	}
-	costs, err := perf.New(m, mesh)
-	if err != nil {
-		return nil, err
-	}
-	s, _, f, err := buildSchedule(sys, par, n, costs, plan)
-	if err != nil {
-		return nil, fmt.Errorf("strategy: optimizing %s %v: %w", sys, par, err)
+	if p.Unfit != nil {
+		return nil, fmt.Errorf("strategy: optimizing %s %v: %w", sys, par, p.Unfit)
 	}
 	if oopt.Budget == nil {
-		oopt.Budget, err = optimizeBudget(s, plan, costs)
+		oopt.Budget, err = optimizeBudget(p.Schedule, p.Memory, p.Costs)
 		if err != nil {
 			return nil, fmt.Errorf("strategy: optimizing %s %v: %w", sys, par, err)
 		}
 	}
 	if oopt.Trace == nil {
-		oopt.Trace = o.sink
+		oopt.Trace = buildOptions(opts).sink
 	}
-	res, err := opt.Optimize(ctx, s, costs, oopt)
+	res, err := opt.Optimize(ctx, p.Schedule, p.Costs, oopt)
 	if err != nil {
 		return nil, fmt.Errorf("strategy: optimizing %s %v: %w", sys, par, err)
 	}
-	return &Optimized{Sys: sys, Par: par, N: n, F: f, Opt: res}, nil
+	return &Optimized{Sys: sys, Par: par, N: p.N, F: p.F, Opt: res}, nil
 }
 
 // optimizeBudget builds the memory budget the search enforces: the

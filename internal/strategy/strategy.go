@@ -8,21 +8,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mepipe/internal/analytic"
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
 	"mepipe/internal/errs"
-	"mepipe/internal/memplan"
 	"mepipe/internal/model"
 	"mepipe/internal/obs"
-	"mepipe/internal/perf"
 	"mepipe/internal/sched"
 	"mepipe/internal/sim"
-	"mepipe/internal/verify"
 )
 
-// Option tunes an Evaluate or Search call.
+// Option tunes an Evaluate, Search or Plan.Simulate call.
 type Option func(*options)
 
 type options struct {
@@ -133,147 +131,32 @@ func Evaluate(sys System, m config.Model, cl cluster.Cluster, par config.Paralle
 //
 //mepipe:deterministic
 func EvaluateContext(ctx context.Context, sys System, m config.Model, cl cluster.Cluster, par config.Parallel, tr config.Training, opts ...Option) (*Eval, error) {
-	o := buildOptions(opts)
-	if err := compatible(sys, par); err != nil {
-		return nil, err
-	}
-	mesh, err := cluster.NewMesh(cl, par)
+	p, err := Resolve(sys, m, cl, par, tr)
 	if err != nil {
 		return nil, err
 	}
-	n, err := tr.MicroBatches(par)
-	if err != nil {
-		return nil, err
-	}
-	ev := &Eval{Sys: sys, Par: par, N: n}
-	var reserve int64
-	if sys == ZB || sys == ZBV {
-		reserve = memplan.SplitReserve
-	}
-	plan, err := memplan.NewWithReserve(m, mesh, reserve)
-	if err != nil {
-		return nil, err
-	}
-	ev.Budget = minInt64(plan.ActBudget)
-	if !plan.Feasible() {
-		ev.OOM = true
-		ev.OOMWhy = "static memory exceeds device capacity"
+	ev := &Eval{Sys: sys, Par: par, N: p.N, Budget: slices.Min(p.Memory.ActBudget)}
+	if p.Unfit != nil {
+		ev.OOM, ev.OOMWhy = true, p.Unfit.Error()
+		if errors.Is(p.Unfit, errStatic) {
+			ev.OOMWhy = staticWhy
+		}
 		return ev, nil
 	}
-	costs, err := perf.New(m, mesh)
+	res, err := p.Simulate(ctx, opts...)
 	if err != nil {
 		return nil, err
-	}
-	s, dynamicW, f, err := buildSchedule(sys, par, n, costs, plan)
-	if err != nil {
-		ev.OOM = true
-		ev.OOMWhy = err.Error()
-		return ev, nil
-	}
-	// Pre-flight gate: prove the schedule deadlock-free and complete
-	// before spending simulation time on it. Generators always emit
-	// certifiable tables, so a failure here is a bug — surfaced with the
-	// certifier's minimal counterexample rather than a mid-run deadlock.
-	if _, err := verify.Certify(s, verify.Options{}); err != nil {
-		return nil, fmt.Errorf("strategy: %s schedule rejected: %w", sys, err)
-	}
-	var simCosts sim.Costs = costs
-	if o.costWrap != nil {
-		simCosts = o.costWrap(s, costs)
-	}
-	// Evaluate binds a pooled session, which emits into o.sink when one
-	// is set; traced and untraced results are bitwise-identical.
-	res, err := sim.Evaluate(ctx, sim.Options{
-		Sched: s, Costs: simCosts,
-		ActBudget: plan.ActBudget,
-		DynamicW:  dynamicW,
-		TailTime:  costs.TailTime,
-		Trace:     o.sink,
-		// The schedule was validated by its generator and certified just
-		// above — re-validating at session bind would prove nothing new.
-		AssumeValid: true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("strategy: simulating %s %v: %w", sys, par, err)
 	}
 	ev.Result = res
 	ev.IterTime = res.IterTime
 	ev.Bubble = res.BubbleRatio
 	ev.PeakAct = res.PeakAct
-	ev.F = f
+	ev.F = p.F
 	if res.OOM {
 		ev.OOM = true
 		ev.OOMWhy = fmt.Sprintf("activations exceed budget on stage %d", res.OOMStage)
 	}
 	return ev, nil
-}
-
-// compatible rejects strategy fields a system cannot express. Failures wrap
-// errs.ErrIncompatible so callers can classify them with errors.Is.
-func compatible(sys System, par config.Parallel) error {
-	switch sys {
-	case DAPPLE, GPipe:
-		if par.VP != 1 || par.SPP != 1 {
-			return fmt.Errorf("strategy: %s supports neither virtual pipelining nor slices: %w", sys, errs.ErrIncompatible)
-		}
-	case VPP:
-		if par.VP < 2 || par.SPP != 1 {
-			return fmt.Errorf("strategy: VPP needs VP >= 2 and no slices: %w", errs.ErrIncompatible)
-		}
-	case ZB:
-		if par.VP != 1 || par.SPP != 1 || par.Recompute != config.RecomputeNone {
-			return fmt.Errorf("strategy: ZB is incompatible with VP, SPP and recomputation: %w", errs.ErrIncompatible)
-		}
-	case ZBV:
-		if par.VP != 2 || par.SPP != 1 || par.Recompute != config.RecomputeNone {
-			return fmt.Errorf("strategy: ZBV needs VP = 2 and is incompatible with SPP and recomputation: %w", errs.ErrIncompatible)
-		}
-	case MEPipe:
-		if par.CP != 1 || par.Recompute != config.RecomputeNone {
-			return fmt.Errorf("strategy: MEPipe uses SPP instead of CP and never recomputes: %w", errs.ErrIncompatible)
-		}
-	case TeraPipe:
-		if par.VP != 1 || par.CP != 1 {
-			return fmt.Errorf("strategy: TeraPipe supports neither virtual pipelining nor CP: %w", errs.ErrIncompatible)
-		}
-	}
-	return nil
-}
-
-// buildSchedule constructs the system's schedule, choosing the MEPipe
-// memory variant from the plan. The returned bool selects the dynamic
-// weight-gradient engine.
-func buildSchedule(sys System, par config.Parallel, n int, costs *perf.Costs, plan *memplan.Plan) (s *sched.Schedule, dynamicW bool, f int, err error) {
-	p := par.PP
-	switch sys {
-	case DAPPLE:
-		s, err = sched.DAPPLE(p, n, costs)
-	case GPipe:
-		s, err = sched.GPipe(p, n, costs)
-	case VPP:
-		s, err = sched.VPP(p, par.VP, n, costs)
-	case ZB:
-		s, err = sched.ZB1P(p, n, costs)
-	case ZBV:
-		costs.WithPlacement(sched.Wave{P: p})
-		s, err = sched.ZBV(p, n, costs)
-	case TeraPipe:
-		s, err = sched.TeraPipe(p, par.SPP, n, costs)
-	case MEPipe:
-		fam := costs.ActBytes(0, sched.Op{Kind: sched.F})
-		grad := costs.GradBytes(0, sched.Op{Kind: sched.BAct})
-		f, err = memplan.ChooseF(par, fam, grad, plan.ActBudget[0])
-		if err != nil {
-			// No SVPP variant fits the activation budget: a memory
-			// failure, not a shape failure.
-			return nil, false, 0, fmt.Errorf("%v: %w", err, errs.ErrOOM)
-		}
-		s, err = sched.MEPipe(p, par.VP, par.SPP, n, f, costs.WPieces(), costs)
-		dynamicW = true
-	default:
-		err = fmt.Errorf("strategy: unknown system %v: %w", sys, errs.ErrIncompatible)
-	}
-	return s, dynamicW, f, err
 }
 
 // lowerBound returns a conservative (never over-estimating) iteration-time
@@ -323,19 +206,6 @@ func lowerBound(sys System, m config.Model, cl cluster.Cluster, par config.Paral
 		return compute, true
 	}
 	return compute / (1 - bubble), true
-}
-
-func minInt64(xs []int64) int64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // SearchSpace bounds the grid (§7.3).

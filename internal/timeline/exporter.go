@@ -8,10 +8,12 @@ import (
 	"mepipe/internal/obs"
 )
 
-// ASCII renders a trace as the textual Gantt chart of Render, implementing
-// obs.Exporter so text output composes with the SVG / Chrome-trace / JSONL
-// exporters behind one interface. Unit is the time per character column (0
-// auto-scales to keep the chart under ~160 columns).
+// ASCII renders a trace as a textual Gantt chart, implementing obs.Exporter
+// so text output composes with the SVG / Chrome-trace / JSONL exporters
+// behind one interface. Unit is the time per character column (0
+// auto-scales to keep the chart under ~160 columns). Each op cell shows the
+// op kind and micro-batch index, e.g. F3 is the forward of micro-batch 3
+// and b/w are split backward halves.
 type ASCII struct {
 	Unit float64
 }
@@ -60,8 +62,10 @@ func (a ASCII) Export(w io.Writer, t *obs.Trace) error {
 	return err
 }
 
-// SVG renders a trace as the self-contained SVG Gantt chart of WriteSVG,
-// implementing obs.Exporter.
+// SVG renders a trace as a self-contained SVG Gantt chart — the graphical
+// counterpart of the paper's Figs 11/12 timelines — implementing
+// obs.Exporter. Colors follow the paper's convention: one hue per op class,
+// micro-batches shaded.
 type SVG struct{}
 
 // Export implements obs.Exporter.

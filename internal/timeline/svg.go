@@ -2,20 +2,9 @@ package timeline
 
 import (
 	"fmt"
-	"io"
 
 	"mepipe/internal/sched"
-	"mepipe/internal/sim"
 )
-
-// WriteSVG renders the result as a self-contained SVG Gantt chart — the
-// graphical counterpart of the paper's Figs 11/12 timelines. Colors follow
-// the paper's convention: one hue per op class, micro-batches shaded.
-//
-// Deprecated: use SVG{}.Export with a trace, which this delegates to.
-func WriteSVG(w io.Writer, res *sim.Result) error {
-	return SVG{}.Export(w, res.Trace())
-}
 
 // opColor shades by op class, darkening with the micro-batch index.
 func opColor(op sched.Op) string {

@@ -2,8 +2,8 @@
 // textual equivalent of the paper's Figs 2–7, 11 and 12) and SVG. The ASCII
 // and SVG renderers implement obs.Exporter (see exporter.go), so they
 // compose with the obs package's Chrome-trace and JSONL exporters behind a
-// single interface; the functions here are thin compatibility wrappers over
-// those exporters.
+// single interface. RenderOrder prints a schedule's op order before any
+// simulation.
 package timeline
 
 import (
@@ -11,22 +11,8 @@ import (
 	"io"
 	"strings"
 
-	"mepipe/internal/obs"
 	"mepipe/internal/sched"
-	"mepipe/internal/sim"
 )
-
-// Render writes an ASCII Gantt chart of the result. unit is the time per
-// character column (0 picks one that keeps the chart under ~160 columns).
-// Each op cell shows the op kind and micro-batch index, with the slice index
-// appended when the schedule has more than one slice: e.g. F3.1 is the
-// forward of slice 1 of micro-batch 3, b/w are split backward halves.
-//
-// Deprecated: use ASCII{Unit: unit}.Export with a trace (Result.Trace or a
-// recorded obs.Trace), which this delegates to.
-func Render(w io.Writer, res *sim.Result, unit float64) {
-	_ = ASCII{Unit: unit}.Export(w, res.Trace())
-}
 
 func cellLabel(op sched.Op) string {
 	return fmt.Sprintf("%s%d", op.Kind, op.Micro)
@@ -65,14 +51,4 @@ func RenderOrder(w io.Writer, s *sched.Schedule) {
 		}
 		fmt.Fprintf(w, "stage %2d: %s\n", k, b.String())
 	}
-}
-
-// WriteChromeTrace emits the result as a Chrome trace (times in µs assuming
-// the result's unit is seconds).
-//
-// Deprecated: use obs.ChromeTrace{}.Export with a trace, which this
-// delegates to; a trace recorded from a live run also carries comm, memory
-// and stall events the span-only Result cannot reconstruct.
-func WriteChromeTrace(w io.Writer, res *sim.Result) error {
-	return obs.ChromeTrace{}.Export(w, res.Trace())
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mepipe/internal/obs"
 	"mepipe/internal/sched"
 	"mepipe/internal/sim"
 )
@@ -25,7 +26,9 @@ func result(t *testing.T) *sim.Result {
 func TestRenderShape(t *testing.T) {
 	res := result(t)
 	var sb strings.Builder
-	Render(&sb, res, 0.5)
+	if err := (ASCII{Unit: 0.5}).Export(&sb, res.Trace()); err != nil {
+		t.Fatal(err)
+	}
 	out := sb.String()
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 4 { // 3 stages + footer
@@ -51,7 +54,9 @@ func TestRenderShape(t *testing.T) {
 func TestRenderAutoUnit(t *testing.T) {
 	res := result(t)
 	var sb strings.Builder
-	Render(&sb, res, 0) // auto-scale
+	if err := (ASCII{}).Export(&sb, res.Trace()); err != nil { // auto-scale
+		t.Fatal(err)
+	}
 	for _, line := range strings.Split(sb.String(), "\n") {
 		if len(line) > 200 {
 			t.Fatalf("auto-scaled row too wide: %d cols", len(line))
@@ -75,7 +80,7 @@ func TestRenderOrder(t *testing.T) {
 func TestChromeTrace(t *testing.T) {
 	res := result(t)
 	var sb strings.Builder
-	if err := WriteChromeTrace(&sb, res); err != nil {
+	if err := (obs.ChromeTrace{}).Export(&sb, res.Trace()); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -104,7 +109,7 @@ func TestChromeTrace(t *testing.T) {
 func TestWriteSVG(t *testing.T) {
 	res := result(t)
 	var sb strings.Builder
-	if err := WriteSVG(&sb, res); err != nil {
+	if err := (SVG{}).Export(&sb, res.Trace()); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

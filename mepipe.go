@@ -25,6 +25,7 @@ package mepipe
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"mepipe/internal/analytic"
@@ -32,7 +33,6 @@ import (
 	"mepipe/internal/chaos"
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
-	"mepipe/internal/core"
 	"mepipe/internal/errs"
 	"mepipe/internal/obs"
 	"mepipe/internal/opt"
@@ -269,10 +269,13 @@ func Simulate(ctx context.Context, s *Schedule, costs SimCosts, opts ...Option) 
 // UnitCosts returns uniform unit costs for analytic-style simulations.
 func UnitCosts() sim.UniformCosts { return sim.Unit() }
 
-// Planning (core, §6) and strategy search (§7.3).
+// Planning (§6) and strategy search (§7.3).
 type (
-	Job  = core.Job
-	Plan = core.Plan
+	// Plan is a fully resolved configuration: the strategy, the chosen
+	// SVPP variant, the generated schedule, and the cost and memory
+	// models behind them. Plan.Simulate certifies the schedule and
+	// simulates one iteration with the §5 dynamic engine.
+	Plan = strategy.Plan
 
 	System       = strategy.System
 	Eval         = strategy.Eval
@@ -294,11 +297,45 @@ const (
 )
 
 var (
-	PlanMEPipe   = core.PlanMEPipe
-	PlanMEPipeAt = core.PlanMEPipeAt
 	DefaultSpace = strategy.DefaultSpace
 	Systems      = strategy.Systems
 )
+
+// Job is one training job to plan.
+type Job struct {
+	Model   Model
+	Cluster Cluster
+	Train   Training
+}
+
+// PlanMEPipe grid-searches the strategy space (§7.3) and resolves the best
+// MEPipe plan for the job. When no MEPipe configuration fits, the error
+// wraps ErrOOM.
+func PlanMEPipe(job Job) (*Plan, error) {
+	res, err := strategy.Search(strategy.MEPipe, job.Model, job.Cluster, job.Train, strategy.DefaultSpace())
+	if err != nil {
+		return nil, err
+	}
+	if !res.Found() {
+		return nil, fmt.Errorf("mepipe: no MEPipe configuration fits %s on %s: %w", job.Model.Name, job.Cluster.GPU.Name, ErrOOM)
+	}
+	return PlanMEPipeAt(job, res.Candidates[0].Par)
+}
+
+// PlanMEPipeAt resolves the MEPipe plan for a specific strategy (useful to
+// pin the paper's Table 5 configurations) exactly as Evaluate does. A
+// strategy MEPipe cannot express wraps ErrIncompatible; one that does not
+// fit in memory wraps ErrOOM.
+func PlanMEPipeAt(job Job, par Parallel) (*Plan, error) {
+	p, err := strategy.Resolve(strategy.MEPipe, job.Model, job.Cluster, par, job.Train)
+	if err != nil {
+		return nil, err
+	}
+	if p.Unfit != nil {
+		return nil, fmt.Errorf("mepipe: planning %s on %s at %v: %w", job.Model.Name, job.Cluster.GPU.Name, par, p.Unfit)
+	}
+	return p, nil
+}
 
 // Evaluate runs one (system, parallel strategy) configuration through the
 // memory model, the schedule generator, and the simulator. WithTrace
