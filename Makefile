@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json verify-presets race-hot race bench bench-kernels bench-smoke bench-opt serve-smoke opt-smoke sim-smoke sweep-smoke opt-regen report figures artifact check ci smoke clean
+.PHONY: all build test vet lint lint-json verify-presets race-hot race bench bench-kernels bench-smoke layout-diff bench-opt serve-smoke opt-smoke sim-smoke sweep-smoke opt-regen report figures artifact check ci smoke clean
 
 all: build test
 
@@ -171,19 +171,26 @@ ci: build vet test lint verify-presets race-hot bench-smoke serve-smoke opt-smok
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Kernel micro-benchmarks: regenerate the machine-readable perf baseline
-# (BENCH_kernels.json) future PRs regress against, then print the suite.
+# Kernel micro-benchmarks: the whole suite (docs/PERFORMANCE.md).
 bench-kernels:
-	$(GO) test ./internal/tensor -run TestWriteKernelBaseline -args -bench-json=$(CURDIR)/BENCH_kernels.json
 	$(GO) test ./internal/tensor -run NONE -bench 'BenchmarkKernels|BenchmarkMatMul256|BenchmarkDecoderSlice'
 
 # One-iteration smoke of the kernel benchmarks (CI: proves they run), and
-# the serial GEMM floor: on the decoder slice's mix, MatMul and MatMulAT
-# each ≥ 4.5× their naive oracles at 0 allocs (amd64).
+# the serial GEMM floor: on the decoder slice's mix, MatMul, MatMulBT,
+# MatMulAT and the three together each at least their floor times their
+# naive oracles at 0 allocs (amd64 with AVX2; skipped, with the Go loops'
+# ratios logged, without it).
 bench-smoke:
 	$(GO) test ./internal/tensor -run NONE -bench 'BenchmarkKernels|BenchmarkDecoderSlice' -benchtime 1x
 	$(GO) test ./internal/tensor -run TestGEMMFloor -count=1
 	$(GO) test ./internal/nn -run NONE -bench BenchmarkTrainStep -benchtime 1x
+
+# Code-layout check: builds benchmark/ at BASE (in a temporary git
+# worktree) and at the working tree, and lists every main.* and mepipe/*
+# text symbol whose address mod 64 differs between the two binaries.
+layout-diff:
+	@test -n "$(BASE)" || { echo "usage: make layout-diff BASE=<rev>" >&2; exit 2; }
+	sh scripts/layoutdiff.sh $(BASE)
 
 # Regenerate every paper table/figure as text.
 eval:

@@ -69,12 +69,12 @@ func gemmRange(kind gemmKind, dst, a, b *Matrix, i0, i1 int) {
 	}
 }
 
-// On amd64, axpy and matMulBTRange are SSE leaves (gemm_amd64.s), and
-// matMulRange and matMulATRange run a register-blocked SSE micro-kernel
-// that leaves only the edges to matMulCols and matMulATCols. Elsewhere
-// gemm_generic.go routes all of them to the Go loops of this file;
-// axpyGo and matMulBTRangeGo stay compiled on amd64 as the differential
-// oracles of their assembly.
+// On amd64 with AVX2, axpy is an AVX2 leaf (gemm_amd64.s), and
+// matMulRange, matMulATRange and matMulBTRange run register-blocked AVX2
+// panels that leave only the edges to matMulCols, matMulATCols and
+// matMulBTCols. Without AVX2, and on every other architecture
+// (gemm_generic.go), all of them run the Go loops of this file, which stay
+// compiled on amd64 as the differential oracles of the assembly.
 
 // matMulCols is MatMul restricted to dst rows [i0, i1) and columns
 // [j0, n): one axpy per row and nonzero a element, in ascending k.
@@ -110,15 +110,16 @@ func axpyGo(dst, x []float32, a float32) {
 	}
 }
 
-// matMulBTRangeGo processes destination columns in panels of four rows of
-// b, streaming each a-row once per panel. Each output element is one dot
-// product with ascending k, identical to the reference kernel.
-func matMulBTRangeGo(dst, a, b *Matrix, i0, i1 int) {
+// matMulBTCols is MatMulBT restricted to dst rows [i0, i1) and columns
+// [j0, n). It processes columns in panels of four rows of b, streaming
+// each a-row once per panel. Each output element is one dot product with
+// ascending k, identical to the reference kernel.
+func matMulBTCols(dst, a, b *Matrix, i0, i1, j0 int) {
 	k, n := a.Cols, b.Rows
 	for i := i0; i < i1; i++ {
 		ar := a.Data[i*k : (i+1)*k]
 		dr := dst.Data[i*n : (i+1)*n]
-		j := 0
+		j := j0
 		for ; j+4 <= n; j += 4 {
 			b0 := b.Data[j*k : (j+1)*k]
 			b1 := b.Data[(j+1)*k : (j+2)*k]

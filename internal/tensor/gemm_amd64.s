@@ -1,261 +1,470 @@
 #include "textflag.h"
+#include "funcdata.h"
 
-// SSE leaves of the GEMM kernels (see gemm_amd64.go). Only SSE/SSE2
-// instructions, the GOAMD64=v1 baseline, so no CPUID dispatch is needed.
-// Every lane runs the scalar sequence of the Go loops it replaces: one
-// rounded MULPS/MULSS, then one rounded ADDPS/ADDSS, with no fused
-// multiply-add, so the results are bitwise identical.
+// AVX2 leaves of the GEMM kernels (see gemm_amd64.go). gemm_amd64.go
+// calls them only when hasAVX2 reported AVX2 with OS-saved YMM state, and
+// runs the Go loops of gemm.go otherwise. Every lane runs the scalar
+// sequence of the Go loops it replaces: one rounded VMULPS, then one
+// rounded VADDPS, never a fused multiply-add, so the results are bitwise
+// identical. Every instruction is VEX-encoded, and every leaf ends with
+// VZEROUPPER, so no SSE code after it pays a transition penalty.
 
-// func axpySSE(dst, x []float32, a float32)
-TEXT ·axpySSE(SB), NOSPLIT, $0-52
-	MOVQ   dst_base+0(FP), DI
-	MOVQ   x_base+24(FP), SI
-	MOVQ   x_len+32(FP), CX
-	MOVSS  a+48(FP), X0
-	SHUFPS $0x00, X0, X0 // broadcast a to all four lanes
-	MOVQ   CX, BX
-	SHRQ   $3, BX
-	JZ     tail
+// func hasAVX2() bool
+//
+// CPUID leaf 1 must report OSXSAVE and AVX, XGETBV must show the OS saving
+// the XMM and YMM state (XCR0 bits 1 and 2), and CPUID leaf 7 must report
+// AVX2 (EBX bit 5).
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  done
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX // OSXSAVE (bit 27) and AVX (bit 28)
+	CMPL CX, $0x18000000
+	JNE  done
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  done
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $5, BX
+	JCC  done
+	MOVB $1, ret+0(FP)
+
+done:
+	RET
+
+// func axpyAVX2(dst, x []float32, a float32)
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-52
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         x_base+24(FP), SI
+	MOVQ         x_len+32(FP), CX
+	VBROADCASTSS a+48(FP), Y0
+	MOVQ         CX, BX
+	SHRQ         $3, BX
+	JZ           tail
 
 loop8:
-	MOVUPS (SI), X1
-	MOVUPS 16(SI), X2
-	MULPS  X0, X1
-	MULPS  X0, X2
-	MOVUPS (DI), X3
-	MOVUPS 16(DI), X4
-	ADDPS  X1, X3
-	ADDPS  X2, X4
-	MOVUPS X3, (DI)
-	MOVUPS X4, 16(DI)
-	ADDQ   $32, SI
-	ADDQ   $32, DI
-	DECQ   BX
-	JNZ    loop8
+	VMULPS  (SI), Y0, Y1
+	VMOVUPS (DI), Y2
+	VADDPS  Y1, Y2, Y2
+	VMOVUPS Y2, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    BX
+	JNZ     loop8
 
 tail:
 	ANDQ $7, CX
 	JZ   done
 
 loop1:
-	MOVSS (SI), X1
-	MULSS X0, X1
-	ADDSS (DI), X1
-	MOVSS X1, (DI)
-	ADDQ  $4, SI
-	ADDQ  $4, DI
-	DECQ  CX
-	JNZ   loop1
+	VMULSS (SI), X0, X1
+	VMOVSS (DI), X2
+	VADDSS X1, X2, X2
+	VMOVSS X2, (DI)
+	ADDQ   $4, SI
+	ADDQ   $4, DI
+	DECQ   CX
+	JNZ    loop1
 
 done:
+	VZEROUPPER
 	RET
 
-// ROW4 adds row r's products for four k steps into its accumulator ACC:
-// X10 = a_r[k:k+4], then lane t of X10 times column vector C_t (X4, X6,
-// X8, X9 for t = 0..3), added in ascending t.
-#define ROW4(AR, ACC) \
-	MOVUPS (AR)(AX*1), X10; \
-	PSHUFD $0x00, X10, X11; \
-	PSHUFD $0x55, X10, X12; \
-	PSHUFD $0xAA, X10, X13; \
-	PSHUFD $0xFF, X10, X14; \
-	MULPS  X4, X11;         \
-	MULPS  X6, X12;         \
-	MULPS  X8, X13;         \
-	MULPS  X9, X14;         \
-	ADDPS  X11, ACC;        \
-	ADDPS  X12, ACC;        \
-	ADDPS  X13, ACC;        \
-	ADDPS  X14, ACC
+// MADD16 adds one k step's products into one row of a 4×16 block: the
+// row's a value at OFF(R12) broadcast, times the b row in Y8:Y9, added
+// into the row's accumulators LO:HI.
+#define MADD16(OFF, LO, HI) \
+	VBROADCASTSS OFF(R12), Y12; \
+	VMULPS       Y8, Y12, Y13;  \
+	VMULPS       Y9, Y12, Y12;  \
+	VADDPS       Y13, LO, LO;   \
+	VADDPS       Y12, HI, HI
 
-// ROW1 adds row r's product for one k step: a_r[k] times the column
-// vector in X4.
-#define ROW1(AR, ACC) \
-	MOVSS  (AR)(AX*1), X10; \
-	SHUFPS $0x00, X10, X10; \
-	MULPS  X4, X10;         \
-	ADDPS  X10, ACC
+// MADD8 is MADD16 for a 4×8 block: b row in Y8, one accumulator per row.
+#define MADD8(OFF, ACC) \
+	VBROADCASTSS OFF(R12), Y12; \
+	VMULPS       Y8, Y12, Y12;  \
+	VADDPS       Y12, ACC, ACC
 
-// func dotPanel4(acc *[16]float32, a0, a1, a2, a3, b0, b1, b2, b3 []float32)
+// ZEROMASK sets CX to the mask of this step's four a values at (R12) that
+// are ±0, bit r for row r, and jumps to MASKED if any is.
+#define ZEROMASK(MASKED) \
+	VMOVUPS   (R12), X10;          \
+	VXORPS    X11, X11, X11;       \
+	VCMPPS    $0, X11, X10, X11;   \
+	VMOVMSKPS X11, CX;             \
+	TESTL     CX, CX;              \
+	JNZ       MASKED
+
+// func panel4x16(dst []float32, ldd int, a []float32, lda int, b []float32, ldb, k, n8 int)
 //
-// X0..X3 accumulate rows a0..a3; lane l of each holds the dot product
-// with b_l. Four k steps at a time, the rows b0..b3 are transposed in
-// registers into column vectors C_t = (b0[k+t], b1[k+t], b2[k+t],
-// b3[k+t]); leftover k steps gather one column vector each.
-TEXT ·dotPanel4(SB), NOSPLIT, $0-200
-	MOVQ  acc+0(FP), DI
-	MOVQ  a0_base+8(FP), R8
-	MOVQ  a0_len+16(FP), CX
-	MOVQ  a1_base+32(FP), R9
-	MOVQ  a2_base+56(FP), R10
-	MOVQ  a3_base+80(FP), R11
-	MOVQ  b0_base+104(FP), R12
-	MOVQ  b1_base+128(FP), R13
-	MOVQ  b2_base+152(FP), SI
-	MOVQ  b3_base+176(FP), DX
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORQ  AX, AX // byte offset of step k
-	MOVQ  CX, BX
-	SHRQ  $2, BX
-	JZ    tail
-
-loop4:
-	MOVUPS   (R12)(AX*1), X4
-	MOVUPS   (R13)(AX*1), X5
-	MOVUPS   (SI)(AX*1), X6
-	MOVUPS   (DX)(AX*1), X7
-	MOVAPS   X4, X8
-	UNPCKLPS X5, X4 // b0[k] b1[k] b0[k+1] b1[k+1]
-	UNPCKHPS X5, X8 // b0[k+2] b1[k+2] b0[k+3] b1[k+3]
-	MOVAPS   X6, X9
-	UNPCKLPS X7, X6 // b2[k] b3[k] b2[k+1] b3[k+1]
-	UNPCKHPS X7, X9 // b2[k+2] b3[k+2] b2[k+3] b3[k+3]
-	MOVAPS   X4, X5
-	MOVLHPS  X6, X4 // C_0
-	MOVHLPS  X5, X6 // C_1
-	MOVAPS   X8, X7
-	MOVLHPS  X9, X8 // C_2
-	MOVHLPS  X7, X9 // C_3
-	ROW4(R8, X0)
-	ROW4(R9, X1)
-	ROW4(R10, X2)
-	ROW4(R11, X3)
-	ADDQ     $16, AX
-	DECQ     BX
-	JNZ      loop4
-
-tail:
-	ANDQ $3, CX
-	JZ   store
-
-loop1:
-	MOVSS    (R12)(AX*1), X4
-	MOVSS    (R13)(AX*1), X5
-	MOVSS    (SI)(AX*1), X6
-	MOVSS    (DX)(AX*1), X7
-	UNPCKLPS X5, X4
-	UNPCKLPS X7, X6
-	MOVLHPS  X6, X4 // b0[k] b1[k] b2[k] b3[k]
-	ROW1(R8, X0)
-	ROW1(R9, X1)
-	ROW1(R10, X2)
-	ROW1(R11, X3)
-	ADDQ     $4, AX
-	DECQ     CX
-	JNZ      loop1
-
-store:
-	MOVUPS X0, (DI)
-	MOVUPS X1, 16(DI)
-	MOVUPS X2, 32(DI)
-	MOVUPS X3, 48(DI)
-	RET
-
-// MADD adds one k step's products into one row of the 4×8 block: lane
-// SEL of X10 (the row's a value) broadcast, times the b row in X8:X9,
-// added into the row's accumulators LO:HI. T0 and T1 are scratch.
-#define MADD(SEL, T0, T1, LO, HI) \
-	PSHUFD SEL, X10, T0;  \
-	MOVAPS T0, T1;        \
-	MULPS  X8, T0;        \
-	MULPS  X9, T1;        \
-	ADDPS  T0, LO;        \
-	ADDPS  T1, HI
-
-// func panel4x8(dst []float32, ldd int, a []float32, lda int, b []float32, ldb, k, n8 int)
-//
-// For each of n8 blocks of eight columns, X0..X7 hold the 4×8 block of
-// dst (row r in X(2r):X(2r+1)) across all k steps. Step t reads the four
-// a values a[t·lda : t·lda+4] and the b row b[t·ldb : t·ldb+8], block
+// For each pair of n8's blocks of eight columns, Y0..Y7 hold the 4×16
+// block of dst (row r in Y(2r):Y(2r+1)) across all k steps; an odd last
+// block takes the same steps on a 4×8 block (row r in Y(2r)). Step t reads
+// the four a values a[t·lda : t·lda+4] and the b row b[t·ldb : ...], block
 // offset added. A step with a ±0 a value takes the masked path, which
 // leaves that row alone. Strides are in floats.
-TEXT ·panel4x8(SB), NOSPLIT, $0-112
-	MOVQ dst_base+0(FP), DI
-	MOVQ ldd+24(FP), R8
-	MOVQ a_base+32(FP), SI
-	MOVQ lda+56(FP), R9
-	MOVQ b_base+64(FP), DX
-	MOVQ ldb+88(FP), R10
-	MOVQ n8+104(FP), BX
-	SHLQ $2, R8
-	SHLQ $2, R9
-	SHLQ $2, R10
-	LEAQ (R8)(R8*2), R11 // byte offset of dst row 3
-	TESTQ BX, BX
-	JZ   done
+TEXT ·panel4x16(SB), NOSPLIT, $0-112
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  ldd+24(FP), R8
+	MOVQ  a_base+32(FP), SI
+	MOVQ  lda+56(FP), R9
+	MOVQ  b_base+64(FP), DX
+	MOVQ  ldb+88(FP), R10
+	MOVQ  n8+104(FP), BX
+	SHLQ  $2, R8
+	SHLQ  $2, R9
+	SHLQ  $2, R10
+	LEAQ  (R8)(R8*2), R11 // byte offset of dst row 3
+	CMPQ  BX, $2
+	JLT   half
 
-block:
-	MOVUPS (DI), X0
-	MOVUPS 16(DI), X1
-	MOVUPS (DI)(R8*1), X2
-	MOVUPS 16(DI)(R8*1), X3
-	MOVUPS (DI)(R8*2), X4
-	MOVUPS 16(DI)(R8*2), X5
-	MOVUPS (DI)(R11*1), X6
-	MOVUPS 16(DI)(R11*1), X7
-	MOVQ   SI, R12 // a values of step t
-	MOVQ   DX, R13 // b row of step t
-	MOVQ   k+96(FP), AX
-	TESTQ  AX, AX
-	JZ     store
+block16:
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS (DI)(R8*1), Y2
+	VMOVUPS 32(DI)(R8*1), Y3
+	VMOVUPS (DI)(R8*2), Y4
+	VMOVUPS 32(DI)(R8*2), Y5
+	VMOVUPS (DI)(R11*1), Y6
+	VMOVUPS 32(DI)(R11*1), Y7
+	MOVQ    SI, R12 // a values of step t
+	MOVQ    DX, R13 // b row of step t
+	MOVQ    k+96(FP), AX
+	TESTQ   AX, AX
+	JZ      store16
 
-step:
-	MOVUPS   (R13), X8
-	MOVUPS   16(R13), X9
-	MOVUPS   (R12), X10
-	XORPS    X11, X11
-	CMPPS    X10, X11, $0 // lane r all ones where a_r == ±0
-	MOVMSKPS X11, CX
-	TESTL    CX, CX
-	JNZ      masked
-	MADD($0x00, X11, X12, X0, X1)
-	MADD($0x55, X13, X14, X2, X3)
-	MADD($0xAA, X11, X12, X4, X5)
-	MADD($0xFF, X13, X14, X6, X7)
+step16:
+	VMOVUPS (R13), Y8
+	VMOVUPS 32(R13), Y9
+	ZEROMASK(masked16)
+	MADD16(0, Y0, Y1)
+	MADD16(4, Y2, Y3)
+	MADD16(8, Y4, Y5)
+	MADD16(12, Y6, Y7)
 
-next:
+next16:
 	ADDQ R9, R12
 	ADDQ R10, R13
 	DECQ AX
-	JNZ  step
+	JNZ  step16
 
-store:
-	MOVUPS X0, (DI)
-	MOVUPS X1, 16(DI)
-	MOVUPS X2, (DI)(R8*1)
-	MOVUPS X3, 16(DI)(R8*1)
-	MOVUPS X4, (DI)(R8*2)
-	MOVUPS X5, 16(DI)(R8*2)
-	MOVUPS X6, (DI)(R11*1)
-	MOVUPS X7, 16(DI)(R11*1)
-	ADDQ   $32, DI
-	ADDQ   $32, DX
-	DECQ   BX
-	JNZ    block
+store16:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, (DI)(R8*1)
+	VMOVUPS Y3, 32(DI)(R8*1)
+	VMOVUPS Y4, (DI)(R8*2)
+	VMOVUPS Y5, 32(DI)(R8*2)
+	VMOVUPS Y6, (DI)(R11*1)
+	VMOVUPS Y7, 32(DI)(R11*1)
+	ADDQ    $64, DI
+	ADDQ    $64, DX
+	SUBQ    $2, BX
+	CMPQ    BX, $2
+	JGE     block16
+
+half:
+	TESTQ   BX, BX
+	JZ      done
+	VMOVUPS (DI), Y0
+	VMOVUPS (DI)(R8*1), Y2
+	VMOVUPS (DI)(R8*2), Y4
+	VMOVUPS (DI)(R11*1), Y6
+	MOVQ    SI, R12
+	MOVQ    DX, R13
+	MOVQ    k+96(FP), AX
+	TESTQ   AX, AX
+	JZ      store8
+
+step8:
+	VMOVUPS (R13), Y8
+	ZEROMASK(masked8)
+	MADD8(0, Y0)
+	MADD8(4, Y2)
+	MADD8(8, Y4)
+	MADD8(12, Y6)
+
+next8:
+	ADDQ R9, R12
+	ADDQ R10, R13
+	DECQ AX
+	JNZ  step8
+
+store8:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y2, (DI)(R8*1)
+	VMOVUPS Y4, (DI)(R8*2)
+	VMOVUPS Y6, (DI)(R11*1)
 
 done:
+	VZEROUPPER
 	RET
 
-masked:
+masked16:
 	TESTL $1, CX
-	JNZ   skip0
-	MADD($0x00, X11, X12, X0, X1)
+	JNZ   skip16r0
+	MADD16(0, Y0, Y1)
 
-skip0:
+skip16r0:
 	TESTL $2, CX
-	JNZ   skip1
-	MADD($0x55, X13, X14, X2, X3)
+	JNZ   skip16r1
+	MADD16(4, Y2, Y3)
 
-skip1:
+skip16r1:
 	TESTL $4, CX
-	JNZ   skip2
-	MADD($0xAA, X11, X12, X4, X5)
+	JNZ   skip16r2
+	MADD16(8, Y4, Y5)
 
-skip2:
+skip16r2:
 	TESTL $8, CX
-	JNZ   next
-	MADD($0xFF, X13, X14, X6, X7)
-	JMP   next
+	JNZ   next16
+	MADD16(12, Y6, Y7)
+	JMP   next16
+
+masked8:
+	TESTL $1, CX
+	JNZ   skip8r0
+	MADD8(0, Y0)
+
+skip8r0:
+	TESTL $2, CX
+	JNZ   skip8r1
+	MADD8(4, Y2)
+
+skip8r1:
+	TESTL $4, CX
+	JNZ   skip8r2
+	MADD8(8, Y4)
+
+skip8r2:
+	TESTL $8, CX
+	JNZ   next8
+	MADD8(12, Y6)
+	JMP   next8
+
+// func panel4x16Packed(dst []float32, ldd int, a []float32, lda int, b []float32, ldb, k, n8 int)
+//
+// panel4x16 over four rows of a stored row-major (row r at a[r·lda:],
+// k ≤ packK steps): it packs them transposed, four a values per step, into
+// its own frame, which Go does not zero, and calls panel4x16 on the copy.
+TEXT ·panel4x16Packed(SB), $4208-112
+	NO_LOCAL_POINTERS
+	MOVQ a_base+32(FP), SI
+	MOVQ lda+56(FP), R9
+	MOVQ k+96(FP), CX
+	SHLQ $2, R9
+	LEAQ (R9)(R9*2), R8 // byte offset of a row 3
+	LEAQ 112(SP), DI    // the packed panel, past panel4x16's arguments
+	MOVQ CX, AX
+	TESTQ AX, AX
+	JZ   call
+
+pack:
+	MOVL (SI), R10
+	MOVL (SI)(R9*1), R11
+	MOVL (SI)(R9*2), R12
+	MOVL (SI)(R8*1), R13
+	MOVL R10, (DI)
+	MOVL R11, 4(DI)
+	MOVL R12, 8(DI)
+	MOVL R13, 12(DI)
+	ADDQ $4, SI
+	ADDQ $16, DI
+	DECQ AX
+	JNZ  pack
+
+call:
+	MOVQ dst_base+0(FP), AX
+	MOVQ AX, 0(SP)
+	MOVQ dst_len+8(FP), AX
+	MOVQ AX, 8(SP)
+	MOVQ dst_cap+16(FP), AX
+	MOVQ AX, 16(SP)
+	MOVQ ldd+24(FP), AX
+	MOVQ AX, 24(SP)
+	LEAQ 112(SP), AX
+	MOVQ AX, 32(SP)
+	MOVQ CX, AX
+	SHLQ $2, AX
+	MOVQ AX, 40(SP)
+	MOVQ AX, 48(SP)
+	MOVQ $4, 56(SP)
+	MOVQ b_base+64(FP), AX
+	MOVQ AX, 64(SP)
+	MOVQ b_len+72(FP), AX
+	MOVQ AX, 72(SP)
+	MOVQ b_cap+80(FP), AX
+	MOVQ AX, 80(SP)
+	MOVQ ldb+88(FP), AX
+	MOVQ AX, 88(SP)
+	MOVQ CX, 96(SP)
+	MOVQ n8+104(FP), AX
+	MOVQ AX, 104(SP)
+	CALL ·panel4x16(SB)
+	RET
+
+// btK is the number of k steps panelBT's frame holds: 8 floats each.
+#define btK 256
+
+// ADDROW adds the four sums in SRC into the dst row at R9, then moves R9
+// to the next row, or jumps to stored once R14 rows are done.
+#define ADDROW(SRC) \
+	VMOVUPS (R9), X4;    \
+	VADDPS  SRC, X4, X4; \
+	VMOVUPS X4, (R9);    \
+	DECQ    R14;         \
+	JZ      stored;      \
+	ADDQ    R8, R9
+
+// func panelBT(dst []float32, ldd int, a []float32, lda, h int, b []float32, ldb, k, n4 int)
+//
+// For each of n4 groups of four b rows (b_j at b[j·ldb:]), Y0..Y3 start at
+// +0 and accumulate the group's dot products with h ≤ 8 rows of a (row r
+// at a[r·lda:]): lane r of Y_l is a_r·b_l. The rows of a are packed once,
+// transposed, into a k×8 panel in the frame (rows past h repeat row h−1,
+// and their lanes are discarded), so each step is one load of the panel,
+// four broadcasts of b_l[t], four VMULPS and four VADDPS. At the end of a
+// group the four accumulators are transposed and added into dst, row r
+// columns j..j+3. When k exceeds the panel's btK steps, each group packs
+// and runs the steps btK at a time, its accumulators held in registers.
+TEXT ·panelBT(SB), $8192-120
+	NO_LOCAL_POINTERS
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  b_base+72(FP), DX
+	MOVQ  ldb+96(FP), R10
+	SHLQ  $2, R10
+	LEAQ  (R10)(R10*2), R11 // byte offset of b row 3
+	MOVQ  n4+112(FP), BX
+	TESTQ BX, BX
+	JZ    done
+
+group:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	XORQ   CX, CX // k0, the chunk's first step
+
+chunk:
+	MOVQ k+104(FP), AX
+	SUBQ CX, AX
+	CMPQ AX, $btK
+	JLE  sized
+	MOVQ $btK, AX // AX = kc, the chunk's steps
+
+sized:
+	// Later groups reuse the panel when one chunk holds every step.
+	CMPQ BX, n4+112(FP)
+	JEQ  pack
+	CMPQ k+104(FP), $btK
+	JLE  run
+
+pack:
+	MOVQ a_base+32(FP), SI
+	LEAQ (SI)(CX*4), SI // row 0, step k0
+	LEAQ 0(SP), R12     // lane 0 of the panel
+	XORQ R14, R14       // r
+
+packrow:
+	MOVQ  SI, R9
+	MOVQ  R12, R13
+	MOVQ  AX, R8
+	TESTQ R8, R8
+	JZ    packnext
+
+packstep:
+	VMOVSS (R9), X4
+	VMOVSS X4, (R13)
+	ADDQ $4, R9
+	ADDQ $32, R13
+	DECQ R8
+	JNZ  packstep
+
+packnext:
+	ADDQ $4, R12
+	INCQ R14
+	CMPQ R14, $8
+	JEQ  run
+	CMPQ R14, h+64(FP)
+	JGE  packrow // past h: repeat the last row
+	MOVQ lda+56(FP), R9
+	LEAQ (SI)(R9*4), SI
+	JMP  packrow
+
+run:
+	LEAQ  0(SP), R12
+	LEAQ  (DX)(CX*4), R13 // b row j, step k0
+	MOVQ  AX, SI
+	TESTQ SI, SI
+	JZ    chunkdone
+
+step:
+	VMOVUPS      (R12), Y4
+	VBROADCASTSS (R13), Y5
+	VBROADCASTSS (R13)(R10*1), Y6
+	VBROADCASTSS (R13)(R10*2), Y7
+	VBROADCASTSS (R13)(R11*1), Y8
+	VMULPS       Y4, Y5, Y5
+	VMULPS       Y4, Y6, Y6
+	VMULPS       Y4, Y7, Y7
+	VMULPS       Y4, Y8, Y8
+	VADDPS       Y5, Y0, Y0
+	VADDPS       Y6, Y1, Y1
+	VADDPS       Y7, Y2, Y2
+	VADDPS       Y8, Y3, Y3
+	ADDQ         $32, R12
+	ADDQ         $4, R13
+	DECQ         SI
+	JNZ          step
+
+chunkdone:
+	ADDQ AX, CX
+	CMPQ CX, k+104(FP)
+	JLT  chunk
+
+	// Transpose: row r of the block is the low half of Y_r, row r+4 the
+	// high half.
+	VUNPCKLPS Y1, Y0, Y4
+	VUNPCKHPS Y1, Y0, Y5
+	VUNPCKLPS Y3, Y2, Y6
+	VUNPCKHPS Y3, Y2, Y7
+	VSHUFPS   $0x44, Y6, Y4, Y0
+	VSHUFPS   $0xEE, Y6, Y4, Y1
+	VSHUFPS   $0x44, Y7, Y5, Y2
+	VSHUFPS   $0xEE, Y7, Y5, Y3
+	MOVQ      ldd+24(FP), R8
+	SHLQ      $2, R8
+	MOVQ      h+64(FP), R14
+	MOVQ      DI, R9
+	ADDROW(X0)
+	ADDROW(X1)
+	ADDROW(X2)
+	ADDROW(X3)
+	VEXTRACTF128 $1, Y0, X0
+	ADDROW(X0)
+	VEXTRACTF128 $1, Y1, X1
+	ADDROW(X1)
+	VEXTRACTF128 $1, Y2, X2
+	ADDROW(X2)
+	VEXTRACTF128 $1, Y3, X3
+	ADDROW(X3)
+
+stored:
+	ADDQ $16, DI
+	LEAQ (DX)(R10*4), DX
+	DECQ BX
+	JNZ  group
+
+done:
+	VZEROUPPER
+	RET

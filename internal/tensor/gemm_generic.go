@@ -10,4 +10,4 @@ func matMulRange(dst, a, b *Matrix, i0, i1 int) { matMulCols(dst, a, b, i0, i1, 
 
 func matMulATRange(dst, a, b *Matrix, i0, i1 int) { matMulATCols(dst, a, b, i0, i1, 0) }
 
-func matMulBTRange(dst, a, b *Matrix, i0, i1 int) { matMulBTRangeGo(dst, a, b, i0, i1) }
+func matMulBTRange(dst, a, b *Matrix, i0, i1 int) { matMulBTCols(dst, a, b, i0, i1, 0) }
