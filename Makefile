@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-json verify-presets race-hot race bench bench-kernels bench-smoke layout-diff bench-opt serve-smoke opt-smoke sim-smoke sweep-smoke opt-regen report figures artifact check ci smoke clean
+.PHONY: all build test vet lint lint-json verify-presets race-hot race bench bench-kernels bench-smoke layout-diff serve-smoke opt-smoke sim-smoke sweep-smoke opt-regen report figures artifact check ci smoke clean
 
 all: build test
 
@@ -86,7 +86,9 @@ serve-smoke:
 # Optimizer smoke (docs/OPTIMIZER.md): a short fixed-seed annealing run,
 # the discovered-schedule regression gate — the checked-in schedule under
 # internal/opt/testdata must re-certify, re-simulate to its recorded
-# time, and still beat its recorded preset baseline — the incremental
+# time, and still beat its recorded preset baseline — the artifact run's
+# pin (replaying its seed reproduces the schedule bytes, the five search
+# counters 6000/3271/2729/908/5 and the best time bit for bit), the incremental
 # certifier's floors at the 13B point's size (Delta.Check ≥ 10× a full
 # Certify per annealer proposal, and Delta.Rebind ≥ 10× a full Bind per
 # accepted move, both at 0 allocs), the certifiers' allocation floors on
@@ -96,21 +98,12 @@ serve-smoke:
 # against Certify, Rebind against Bind), the worker-group checks (the same
 # search at every Workers × GOMAXPROCS, on the serial and the fan-out
 # side; the fan-out decision at its two reference points; no goroutine
-# outlives a run, cancelled or failed ones included), and a one-round
-# replay of the BENCH_opt harness.
+# outlives a run, cancelled or failed ones included).
 opt-smoke:
-	$(GO) test ./internal/opt -run 'TestDiscoveredBeatsPresets|TestOptimizeSmoke|TestDeltaFloor|TestOptimizeDeterministicAcrossWorkers|TestFanOutReferencePoints|TestOptimizeJoinsWorkers' -count=1
+	$(GO) test ./internal/opt -run 'TestDiscoveredBeatsPresets|TestDiscoveredBytesPinned|TestOptimizeSmoke|TestDeltaFloor|TestOptimizeDeterministicAcrossWorkers|TestFanOutReferencePoints|TestOptimizeJoinsWorkers' -count=1
 	$(GO) test ./internal/verify -run 'TestCertifyAllocs|TestDeltaAllocs|TestDeltaRebindMatchesBind' -count=1
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzDeltaMatchesCertify -fuzztime 10s
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzDeltaRebind -fuzztime 10s
-	$(GO) run ./cmd/mepipe-bench -opt -opt-iters 1 -opt-out $(CURDIR)/BENCH_opt_smoke.json
-
-# Optimizer throughput benchmark: replays the checked-in artifact's full
-# optimization (same point, same seed — the replay rediscovers the
-# recorded schedule exactly) and regenerates the machine-readable
-# baseline (BENCH_opt.json) future PRs regress against.
-bench-opt:
-	$(GO) run ./cmd/mepipe-bench -opt -opt-out $(CURDIR)/BENCH_opt.json
 
 # Regenerate the checked-in discovered-schedule artifact. The writer
 # refuses to record a schedule that does not beat the preset sweep.
@@ -118,17 +111,24 @@ opt-regen:
 	$(GO) test ./internal/opt -run TestWriteDiscovered -write-discovered
 
 # Simulator fast-path smoke (docs/PERFORMANCE.md): the bitwise
-# session/Evaluate equivalence tables against the reference runner and the
-# edge-case regressions, the incremental-replay floors (Session.Eval ≥ 3×
+# session/Evaluate equivalence tables against the reference runner —
+# results and, traced, every recorded event — and the edge-case
+# regressions, the incremental-replay floors (Session.Eval ≥ 3×
 # the reference full replay at 0 allocs per candidate, and ≥ 2× the
 # session's own dense sweep per certified shift proposal at the 13B
 # point, 0 allocs), the planning-grid
 # check (pooled evaluation vs the reference runner, traces included), the
-# order-free lower bounds (critical-path bits pinned under real costs), a
-# short run of the differential fuzzer, and the discovered-artifact
-# session replay gate.
+# order-free lower bounds (critical-path bits pinned under real costs),
+# the recording's Snapshot checks (per-stage forward/backward/weight/tail
+# times, memory events peaking at PeakAct, makespan equal to IterTime),
+# the tail pin (a resolved plan's recording keeps its gradient-sync tail,
+# and its Snapshot breakdown is /v1/simulate's, bit for bit), a short run
+# of the differential fuzzer, and the discovered-artifact session replay
+# gate.
 sim-smoke:
-	$(GO) test ./internal/sim -run 'TestSession|TestEvaluateMatchesRun|TestDynamicOOM|TestStats|TestTraceWait|TestIncrementalReplayFloor|TestPlanningGrid|TestMakespanBounds' -count=1
+	$(GO) test ./internal/sim -run 'TestSession|TestEvaluateMatchesRun|TestDynamicOOM|TestStageUtilization|TestMemorySeriesConsistent|TestTraceMatchesResult|TestTraceWait|TestIncrementalReplayFloor|TestPlanningGrid|TestMakespanBounds' -count=1
+	$(GO) test ./internal/obs -run TestTailEvents -count=1
+	$(GO) test ./api/v1 -run TestRecordedTraceKeepsTail -count=1
 	$(GO) test ./internal/sim -run NONE -fuzz FuzzIncrementalEquivalence -fuzztime 10s
 	$(GO) test ./internal/opt -run TestDiscoveredReplaysThroughSession -count=1
 
@@ -209,4 +209,4 @@ artifact:
 	cd artifact && sh e0_run.sh && sh e1_run.sh && sh e2_run.sh
 
 clean:
-	rm -f report.html artifact/results/*.txt BENCH_opt_smoke.json
+	rm -f report.html artifact/results/*.txt

@@ -8,6 +8,7 @@ import (
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
 	"mepipe/internal/hw"
+	"mepipe/internal/obs"
 	"mepipe/internal/strategy"
 )
 
@@ -247,4 +248,24 @@ func CandidateFrom(ev *strategy.Eval, m config.Model, cl cluster.Cluster, tr con
 		c.MFU = ev.MFU(m, tr, cl)
 	}
 	return c
+}
+
+// BreakdownFrom builds the wire breakdown of one traced iteration: each
+// stage's forward, backward, weight-gradient and tail seconds, and the
+// idle rest of the makespan, averaged over the stages and taken as
+// fractions of the makespan.
+func BreakdownFrom(s *obs.Snapshot) Breakdown {
+	n, t := float64(len(s.Stages)), s.Makespan
+	if n == 0 || t == 0 {
+		return Breakdown{}
+	}
+	var f, b, w, tail, idle float64
+	for _, m := range s.Stages {
+		f += m.Forward
+		b += m.Backward
+		w += m.Weight
+		tail += m.Tail
+		idle += max(t-m.Forward-m.Backward-m.Weight-m.Tail, 0)
+	}
+	return Breakdown{Forward: f / n / t, Backward: b / n / t, Weight: w / n / t, Tail: tail / n / t, Idle: idle / n / t}
 }

@@ -80,13 +80,14 @@ func TestEvaluateSentinels(t *testing.T) {
 // TestExporterUnification: every output format flows through the single
 // Exporter interface.
 func TestExporterUnification(t *testing.T) {
-	res, err := mepipe.Simulate(context.Background(), svpp(t), mepipe.UnitCosts())
-	if err != nil {
+	rec := mepipe.NewRecorder()
+	if _, err := mepipe.Simulate(context.Background(), svpp(t), mepipe.UnitCosts(), mepipe.WithTrace(rec)); err != nil {
 		t.Fatal(err)
 	}
+	trace := rec.Trace()
 
 	var ascii bytes.Buffer
-	if err := mepipe.Export(&ascii, mepipe.ASCIITimeline{}, res); err != nil {
+	if err := (mepipe.ASCIITimeline{}).Export(&ascii, trace); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(ascii.String(), "stage") {
@@ -94,7 +95,7 @@ func TestExporterUnification(t *testing.T) {
 	}
 
 	var svg bytes.Buffer
-	if err := mepipe.Export(&svg, mepipe.SVGTimeline{}, res); err != nil {
+	if err := (mepipe.SVGTimeline{}).Export(&svg, trace); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(svg.String(), "<svg") {
@@ -102,7 +103,7 @@ func TestExporterUnification(t *testing.T) {
 	}
 
 	var chrome bytes.Buffer
-	if err := mepipe.Export(&chrome, mepipe.ChromeTrace{}, res); err != nil {
+	if err := (mepipe.ChromeTrace{}).Export(&chrome, trace); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -116,11 +117,11 @@ func TestExporterUnification(t *testing.T) {
 	}
 
 	var jsonl bytes.Buffer
-	if err := mepipe.Export(&jsonl, mepipe.JSONLTrace{}, res); err != nil {
+	if err := (mepipe.JSONLTrace{}).Export(&jsonl, trace); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(jsonl.String(), "\n"); lines != len(doc.TraceEvents) {
-		t.Errorf("JSONL lines %d != Chrome events %d for an op-only trace", lines, len(doc.TraceEvents))
+		t.Errorf("JSONL lines %d != Chrome events %d (one each per recorded event)", lines, len(doc.TraceEvents))
 	}
 }
 

@@ -250,7 +250,8 @@ func TestFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Simulate(context.Background(), s, UnitCosts())
+	rec := NewRecorder()
+	res, err := Simulate(context.Background(), s, UnitCosts(), WithTrace(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestFacade(t *testing.T) {
 		t.Errorf("facade simulation bubble %v != analytic %v", res.BubbleRatio, want)
 	}
 	var sb strings.Builder
-	if err := Export(&sb, ASCIITimeline{}, res); err != nil {
+	if err := (ASCIITimeline{}).Export(&sb, rec.Trace()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "stage") {

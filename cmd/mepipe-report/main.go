@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"mepipe/internal/bench"
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
+	"mepipe/internal/obs"
 	"mepipe/internal/strategy"
 	"mepipe/internal/timeline"
 )
@@ -31,12 +33,13 @@ func main() {
 	}
 	// Embed the Fig 11/12 headline timeline as SVG.
 	svgs := map[string]string{}
-	ev, err := strategy.Evaluate(strategy.MEPipe, config.Llama13B(), cluster.RTX4090Cluster(8),
+	rec := obs.NewRecorder()
+	_, err := strategy.EvaluateContext(context.Background(), strategy.MEPipe, config.Llama13B(), cluster.RTX4090Cluster(8),
 		config.Parallel{PP: 8, DP: 8, CP: 1, SPP: 4, VP: 1},
-		config.Training{GlobalBatch: 64, MicroBatch: 1})
+		config.Training{GlobalBatch: 64, MicroBatch: 1}, strategy.WithSink(rec))
 	fatal(err)
 	var sb strings.Builder
-	fatal(timeline.SVG{}.Export(&sb, ev.Result.Trace()))
+	fatal(timeline.SVG{}.Export(&sb, rec.Trace()))
 	svgs["fig11_12"] = sb.String()
 
 	f, err := os.Create(*out)

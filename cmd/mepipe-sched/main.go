@@ -17,6 +17,7 @@ import (
 	"os"
 	"strings"
 
+	"mepipe/internal/obs"
 	"mepipe/internal/opt"
 	"mepipe/internal/sched"
 	"mepipe/internal/sim"
@@ -63,7 +64,8 @@ func main() {
 			*tuneIt, or.Proposed, or.Accepted, or.BaseTime, or.BestTime)
 		s = or.Schedule
 	}
-	res, err := sim.Run(sim.Options{Sched: s, Costs: sim.Unit()})
+	rec := obs.NewRecorder()
+	res, err := sim.Run(sim.Options{Sched: s, Costs: sim.Unit(), Trace: rec})
 	fatal(err)
 	bound, err := sim.MakespanBound(s, sim.Unit())
 	fatal(err)
@@ -75,15 +77,8 @@ func main() {
 		res.PeakAct, res.PeakAct, s.V*s.S*s.P)
 	if *showMem {
 		for k := 0; k < s.P; k++ {
-			series, err := res.MemorySeries(s, sim.Unit(), k)
-			fatal(err)
-			var peak int64
-			for _, p := range series {
-				if p.Bytes > peak {
-					peak = p.Bytes
-				}
-			}
-			fmt.Printf("stage %d    peak %d units across %d events\n", k, peak, len(series))
+			// One memory step per op, after the empty start.
+			fmt.Printf("stage %d    peak %d units across %d events\n", k, res.Stages[k].PeakAct, len(s.Stages[k])+1)
 		}
 	}
 	if *order {
@@ -92,7 +87,7 @@ func main() {
 	}
 	if *showTL {
 		fmt.Println()
-		fatal(timeline.ASCII{}.Export(os.Stdout, res.Trace()))
+		fatal(timeline.ASCII{}.Export(os.Stdout, rec.Trace()))
 	}
 	if *saveTo != "" {
 		f, err := os.Create(*saveTo)
@@ -104,7 +99,7 @@ func main() {
 	if *svgTo != "" {
 		f, err := os.Create(*svgTo)
 		fatal(err)
-		fatal(timeline.SVG{}.Export(f, res.Trace()))
+		fatal(timeline.SVG{}.Export(f, rec.Trace()))
 		fatal(f.Close())
 		fmt.Printf("svg        %s\n", *svgTo)
 	}

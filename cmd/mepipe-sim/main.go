@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -66,7 +67,8 @@ func main() {
 	}
 	sys, m, cl, par, tr := plan.System, plan.Model, plan.Cluster, *plan.Parallel, plan.Training
 
-	ev, err := strategy.Evaluate(sys, m, cl, par, tr)
+	rec := obs.NewRecorder()
+	ev, err := strategy.EvaluateContext(context.Background(), sys, m, cl, par, tr, strategy.WithSink(rec))
 	fatal(err)
 	fmt.Printf("system     %s\n", sys)
 	fmt.Printf("model      %s on %s (%d GPUs)\n", m.Name, cl.GPU.Name, cl.GPUs())
@@ -83,19 +85,18 @@ func main() {
 	if ev.F > 0 {
 		fmt.Printf("variant    f=%d forwards in flight (§4.2)\n", ev.F)
 	}
-	u, err := ev.Result.MeanUtilization()
-	fatal(err)
-	fr, b, wt, tail, idle := u.Fractions()
+	trace := rec.Trace()
+	bd := v1.BreakdownFrom(trace.Snapshot())
 	fmt.Printf("breakdown  forward %.1f%%, backward %.1f%%, weight-grad %.1f%%, grad-sync %.1f%%, idle %.1f%%\n",
-		100*fr, 100*b, 100*wt, 100*tail, 100*idle)
+		100*bd.Forward, 100*bd.Backward, 100*bd.Weight, 100*bd.Tail, 100*bd.Idle)
 	if *showTL {
 		fmt.Println()
-		fatal(timeline.ASCII{}.Export(os.Stdout, ev.Result.Trace()))
+		fatal(timeline.ASCII{}.Export(os.Stdout, trace))
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		fatal(err)
-		fatal(obs.ChromeTrace{}.Export(f, ev.Result.Trace()))
+		fatal(obs.ChromeTrace{}.Export(f, trace))
 		fatal(f.Close())
 		fmt.Printf("trace      written to %s (open in chrome://tracing)\n", *traceOut)
 	}

@@ -22,7 +22,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := mepipe.Simulate(context.Background(), svpp, mepipe.UnitCosts())
+	rec := mepipe.NewRecorder()
+	res, err := mepipe.Simulate(context.Background(), svpp, mepipe.UnitCosts(), mepipe.WithTrace(rec))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func main() {
 	fmt.Printf("  peak activations: %d slice-chunk families (%d/16 of a sample, Fig 4b says 9/16)\n",
 		res.PeakAct, res.PeakAct)
 	fmt.Println()
-	if err := mepipe.Export(os.Stdout, mepipe.ASCIITimeline{}, res); err != nil {
+	if err := (mepipe.ASCIITimeline{}).Export(os.Stdout, rec.Trace()); err != nil {
 		log.Fatal(err)
 	}
 

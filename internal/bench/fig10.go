@@ -25,15 +25,9 @@ func fig10Search(m config.Model) (map[strategy.System]*strategy.SearchResult, er
 	if r, ok := fig10Data.results[m.Name]; ok {
 		return r, nil
 	}
-	cl := cluster.RTX4090Cluster(8)
-	tr := config.Training{GlobalBatch: 128, MicroBatch: 1}
-	out := map[strategy.System]*strategy.SearchResult{}
-	for _, sys := range strategy.Systems() {
-		res, err := strategy.Search(sys, m, cl, tr, strategy.DefaultSpace())
-		if err != nil && res == nil {
-			return nil, fmt.Errorf("bench: fig10 %s %s: %w", m.Name, sys, err)
-		}
-		out[sys] = res
+	out, err := searchAll(m, cluster.RTX4090Cluster(8), config.Training{GlobalBatch: 128, MicroBatch: 1})
+	if err != nil {
+		return nil, fmt.Errorf("bench: fig10 %s: %w", m.Name, err)
 	}
 	fig10Data.results[m.Name] = out
 	return out, nil

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -12,6 +13,22 @@ import (
 func init() {
 	register("fig8", "iteration time of Llama 13B across global batch sizes (end-to-end)", Fig8)
 	register("table5", "optimal parallel configuration per system (Llama 13B)", Table5)
+}
+
+// searchAll grid-searches every system over the default space in one
+// strategy.Sweep, keyed by system. A system whose grid has no feasible
+// point keeps its empty result.
+func searchAll(m config.Model, cl cluster.Cluster, tr config.Training) (map[strategy.System]*strategy.SearchResult, error) {
+	systems := strategy.Systems()
+	sw, err := strategy.Sweep(context.Background(), systems, m, cl, tr, strategy.DefaultSpace())
+	if err != nil {
+		return nil, err
+	}
+	out := map[strategy.System]*strategy.SearchResult{}
+	for i, sys := range systems {
+		out[sys] = sw.Results[i]
+	}
+	return out, nil
 }
 
 // fig8Data caches the grid searches shared by Fig 8 and Table 5.
@@ -26,16 +43,9 @@ func fig8Search(gbs int) (map[strategy.System]*strategy.SearchResult, error) {
 	if r, ok := fig8Data.results[gbs]; ok {
 		return r, nil
 	}
-	m := config.Llama13B()
-	cl := cluster.RTX4090Cluster(8)
-	tr := config.Training{GlobalBatch: gbs, MicroBatch: 1}
-	out := map[strategy.System]*strategy.SearchResult{}
-	for _, sys := range strategy.Systems() {
-		res, err := strategy.Search(sys, m, cl, tr, strategy.DefaultSpace())
-		if err != nil && res == nil {
-			return nil, fmt.Errorf("bench: fig8 gbs=%d %s: %w", gbs, sys, err)
-		}
-		out[sys] = res
+	out, err := searchAll(config.Llama13B(), cluster.RTX4090Cluster(8), config.Training{GlobalBatch: gbs, MicroBatch: 1})
+	if err != nil {
+		return nil, fmt.Errorf("bench: fig8 gbs=%d: %w", gbs, err)
 	}
 	fig8Data.results[gbs] = out
 	return out, nil

@@ -15,13 +15,13 @@ func init() {
 // bestAcrossSystems returns the fastest feasible evaluation over all
 // systems on the given cluster (the paper reports the *optimal* A100 time).
 func bestAcrossSystems(m config.Model, cl cluster.Cluster, tr config.Training) (*strategy.Eval, error) {
+	all, err := searchAll(m, cl, tr)
+	if err != nil {
+		return nil, err
+	}
 	var best *strategy.Eval
 	for _, sys := range strategy.Systems() {
-		res, err := strategy.Search(sys, m, cl, tr, strategy.DefaultSpace())
-		if err != nil && res == nil {
-			continue
-		}
-		if b := res.Best(); b != nil && (best == nil || b.IterTime < best.IterTime) {
+		if b := all[sys].Best(); b != nil && (best == nil || b.IterTime < best.IterTime) {
 			best = b
 		}
 	}

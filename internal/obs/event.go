@@ -2,7 +2,8 @@
 // simulator (internal/sim) and the live goroutine runtime
 // (internal/pipeline): both engines emit the same structured span events —
 // op execution, cross-stage communication, activation memory traffic,
-// schedule-induced stalls, and §5 dynamic weight-gradient drains — into a
+// schedule-induced stalls, §5 dynamic weight-gradient drains, and the
+// simulator's gradient-sync tails — into a
 // pluggable Sink. A Recorder sink collects events into a Trace, which
 // aggregates into per-stage metrics (Snapshot) and exports to trace viewers
 // (ChromeTrace for Perfetto / chrome://tracing, JSONL for ad-hoc tooling).
@@ -64,6 +65,10 @@ const (
 	// time (End == Start), and Cause "<operator>/<outcome>" — e.g.
 	// "swap/accept", "shift/reject", "rebalance/infeasible".
 	EvMove
+	// EvTail is the span on Stage after its last op, until the stage's
+	// iteration ends: the optimizer step plus gradient synchronisation
+	// the simulator charges when it models them. It carries no Op.
+	EvTail
 )
 
 // String returns the mnemonic used by the JSONL exporter.
@@ -91,6 +96,8 @@ func (k EventKind) String() string {
 		return "retry"
 	case EvMove:
 		return "move"
+	case EvTail:
+		return "tail"
 	}
 	return "unknown"
 }

@@ -30,8 +30,8 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// ChromeTrace exports the trace in Chrome trace-event JSON. Op spans and
-// stalls appear as complete events on pid 0 (one thread per stage),
+// ChromeTrace exports the trace in Chrome trace-event JSON. Op spans,
+// stalls and tails appear as complete events on pid 0 (one thread per stage),
 // cross-stage transfers as spans on pid 1, and retained activation bytes as
 // a per-stage counter track.
 type ChromeTrace struct {
@@ -125,6 +125,12 @@ func (c ChromeTrace) Export(w io.Writer, t *Trace) error {
 				TS: e.Start * 1e6, PID: 0, TID: e.Stage, Scope: "t",
 				Args: map[string]any{"op": e.Op.String(), "iter": e.Start},
 			})
+		case EvTail:
+			evs = append(evs, chromeEvent{
+				Name: "tail", Cat: "tail", Ph: "X",
+				TS: e.Start * 1e6, Dur: e.Dur() * 1e6,
+				PID: 0, TID: e.Stage,
+			})
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -167,8 +173,11 @@ func (JSONL) Export(w io.Writer, t *Trace) error {
 			Start: e.Start, End: e.End,
 			Bytes: e.Bytes, Live: e.Live, FLOPs: e.FLOPs, Cause: e.Cause,
 		}
-		if e.Kind == EvComm {
+		switch e.Kind {
+		case EvComm:
 			rec.From = e.From
+		case EvTail:
+			rec.Op = "" // a tail follows the stage's ops and names none
 		}
 		if err := enc.Encode(rec); err != nil {
 			return err

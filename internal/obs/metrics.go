@@ -73,6 +73,10 @@ type StageMetrics struct {
 
 	// Busy seconds by op class.
 	Forward, Backward, Weight float64
+	// Tail is the seconds after the stage's last op until its iteration
+	// ends: the optimizer step plus gradient synchronisation (simulator
+	// traces with a tail time only).
+	Tail float64
 
 	// StallTime is idle seconds by cause ("dep", "comm").
 	StallTime map[string]float64
@@ -191,6 +195,8 @@ func (t *Trace) Snapshot() *Snapshot {
 			m.RestoreTime += e.Dur()
 		case EvRetry:
 			m.Retries++
+		case EvTail:
+			m.Tail += e.Dur()
 		}
 	}
 	for k := range s.Stages {

@@ -236,3 +236,54 @@ func TestJSONLExport(t *testing.T) {
 		}
 	}
 }
+
+// TestTailEvents: a stage's tail after its last op counts toward the
+// makespan and as busy time in the bubble, is summed per stage by
+// Snapshot, and renders in both exporters.
+func TestTailEvents(t *testing.T) {
+	tr := record(t, []Event{
+		{Kind: EvOp, Stage: 0, From: 0, Op: op(sched.F, 0), Start: 0, End: 1},
+		{Kind: EvOp, Stage: 1, From: 1, Op: op(sched.F, 0), Start: 1, End: 2},
+		{Kind: EvTail, Stage: 0, From: 0, Start: 1, End: 4},
+		{Kind: EvTail, Stage: 1, From: 1, Start: 2, End: 3},
+	})
+	if tr.Makespan != 4 {
+		t.Errorf("Makespan = %g, want 4 (stage 0's tail end)", tr.Makespan)
+	}
+	// busy = 1 + 1 + 3 + 1 = 6 over 2 stages * 4 s.
+	if got, want := tr.Bubble, 1-6.0/8; got < want-1e-12 || got > want+1e-12 {
+		t.Errorf("Bubble = %g, want %g", got, want)
+	}
+	s := tr.Snapshot()
+	if s.Stages[0].Tail != 3 || s.Stages[1].Tail != 1 || s.Stages[0].Forward != 1 {
+		t.Errorf("stage tails %g, %g (forward %g), want 3, 1 (1)", s.Stages[0].Tail, s.Stages[1].Tail, s.Stages[0].Forward)
+	}
+
+	var buf bytes.Buffer
+	if err := (ChromeTrace{}).Export(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("invalid JSON: %v", err)
+	}
+	tails := 0
+	for _, e := range doc.TraceEvents {
+		if e["name"] == "tail" && e["ph"] == "X" && e["dur"].(float64) > 0 {
+			tails++
+		}
+	}
+	if tails != 2 {
+		t.Errorf("%d Chrome tail spans, want 2: %v", tails, doc.TraceEvents)
+	}
+
+	buf.Reset()
+	if err := (JSONL{}).Export(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), `"kind":"tail","stage":0,"op":"",`); got != 1 {
+		t.Errorf("JSONL has %d stage-0 tail lines with no op, want 1:\n%s", got, buf.String())
+	}
+}

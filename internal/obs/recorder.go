@@ -62,12 +62,10 @@ type Trace struct {
 	Events []Event
 	// Stages is 1 + the highest stage index seen.
 	Stages int
-	// Makespan is the latest event end time.
+	// Makespan is the latest end of an op or tail event.
 	Makespan float64
 	// Bubble is the aggregate idle fraction 1 − Σ busy / (stages ·
-	// makespan) over op events. Engines that know a more precise value
-	// (e.g. the simulator, which accounts for post-iteration tail time)
-	// overwrite it.
+	// makespan), with op and tail events counted busy.
 	Bubble float64
 }
 
@@ -81,7 +79,7 @@ func (t *Trace) fill() {
 		if e.Kind == EvComm && e.From >= t.Stages {
 			t.Stages = e.From + 1
 		}
-		if e.Kind == EvOp {
+		if e.Kind == EvOp || e.Kind == EvTail {
 			if e.End > t.Makespan {
 				t.Makespan = e.End
 			}

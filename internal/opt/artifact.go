@@ -18,8 +18,9 @@ import (
 // optimizer configuration that beat it, and the discovered schedule
 // itself. The checked-in instance under testdata/ is the regression
 // gate's subject — CI re-certifies and re-simulates it on every push and
-// fails if it stops beating its recorded preset baseline — and the bench
-// harness replays the same point for BENCH_opt.json.
+// fails if it stops beating its recorded preset baseline, and replays its
+// search to the recorded schedule bytes, search counters and best time
+// (TestDiscoveredBytesPinned).
 
 // ArtifactPreset pins the best preset at the artifact's point: the SVPP
 // generator parameters to rebuild it and its simulated iteration time.
@@ -143,7 +144,7 @@ func (a *Artifact) BestPreset() (ArtifactPreset, *sched.Schedule, error) {
 				if _, err := verify.Certify(s, verify.Options{Budget: budget}); err != nil {
 					continue
 				}
-				r, err := sim.Run(sim.Options{Sched: s, Costs: costs, MakespanOnly: true})
+				r, err := sim.Run(sim.Options{Sched: s, Costs: costs})
 				if err != nil || r.OOM {
 					continue
 				}

@@ -159,7 +159,9 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	if _, err := verify.Certify(s, verify.Options{Budget: opt.Budget}); err != nil {
 		return nil, fmt.Errorf("opt: seed schedule does not certify: %w", err)
 	}
-	base, err := sim.Run(sim.Options{Sched: s, Costs: costs, MakespanOnly: true})
+	// Certify has just proved the seed complete and deadlock-free, so a
+	// Validate at bind would prove nothing new.
+	base, err := sim.Run(sim.Options{Sched: s, Costs: costs, AssumeValid: true})
 	if err != nil {
 		return nil, fmt.Errorf("opt: seed simulation: %w", err)
 	}
@@ -297,7 +299,7 @@ func evaluate(c *candidate, costs sim.Costs, delta *verify.Delta, sess **sim.Ses
 	c.time = r.IterTime
 }
 
-// evalSim runs the makespan-only simulation via the worker's bound
+// evalSim runs the candidate's simulation via the worker's bound
 // session, (re)binding it lazily on first use or when the candidate's
 // shape diverges from the bound one (never in a normal run — every
 // candidate permutes the same ops).
@@ -311,7 +313,7 @@ func evalSim(s *sched.Schedule, costs sim.Costs, sess **sim.Session) (*sim.Resul
 	}
 	// Check has just certified the candidate, so a Validate at bind would
 	// prove nothing new; the session still rejects an incomplete op table.
-	se, err := sim.NewSession(sim.Options{Sched: s, Costs: costs, MakespanOnly: true, AssumeValid: true})
+	se, err := sim.NewSession(sim.Options{Sched: s, Costs: costs, AssumeValid: true})
 	if err != nil {
 		return nil, err
 	}

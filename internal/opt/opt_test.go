@@ -127,8 +127,10 @@ func TestDiscoveredBeatsPresets(t *testing.T) {
 
 // TestDiscoveredBytesPinned re-runs the optimizer with the artifact's
 // recorded seed and asserts it reproduces the checked-in schedule byte
-// for byte — the end-to-end determinism gate. Any change to the search's
-// rng consumption shows up here and forces a conscious regeneration.
+// for byte — the end-to-end determinism gate — along with the run's five
+// search counters and its best time, bit for bit. Any change to the
+// search's rng consumption or to how it classifies a proposal shows up
+// here and forces a conscious regeneration.
 func TestDiscoveredBytesPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-length deterministic replay")
@@ -147,6 +149,13 @@ func TestDiscoveredBytesPinned(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	counters := [5]int{res.Proposed, res.Infeasible, res.Evaluated, res.Accepted, res.Improved}
+	if want := [5]int{6000, 3271, 2729, 908, 5}; counters != want {
+		t.Errorf("proposed/infeasible/evaluated/accepted/improved = %v, want %v", counters, want)
+	}
+	if got, want := math.Float64bits(res.BestTime), math.Float64bits(49.000000000000014); got != want {
+		t.Errorf("BestTime = %v (%#x), want 49.000000000000014 (%#x)", res.BestTime, got, want)
 	}
 	var got bytes.Buffer
 	if err := res.Schedule.Save(&got); err != nil {
@@ -515,7 +524,7 @@ func TestDiscoveredReplaysThroughSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := sim.Options{Sched: s, Costs: a.Costs(), MakespanOnly: true}
+	opt := sim.Options{Sched: s, Costs: a.Costs()}
 	full, err := sim.Run(opt)
 	if err != nil {
 		t.Fatalf("full replay: %v", err)

@@ -348,7 +348,8 @@ func (s *Server) computeSweep(ctx context.Context, key string, plan *v1.Plan) ([
 // computeSimulate evaluates one pinned strategy and encodes its response
 // body.
 func (s *Server) computeSimulate(ctx context.Context, key string, plan *v1.Plan) ([]byte, error) {
-	ev, err := s.backend.Evaluate(ctx, plan.System, plan.Model, plan.Cluster, *plan.Parallel, plan.Training, s.sink)
+	rec := obs.NewRecorder()
+	ev, err := s.backend.Evaluate(ctx, plan.System, plan.Model, plan.Cluster, *plan.Parallel, plan.Training, obs.Multi(rec, s.sink))
 	if err != nil {
 		return nil, err
 	}
@@ -358,14 +359,7 @@ func (s *Server) computeSimulate(ctx context.Context, key string, plan *v1.Plan)
 		Candidate: v1.CandidateFrom(ev, plan.Model, plan.Cluster, plan.Training),
 	}
 	if ev.Result != nil {
-		// Evaluate runs with spans recorded, so a span-less result here is
-		// a programming error worth surfacing rather than masking.
-		u, err := ev.Result.MeanUtilization()
-		if err != nil {
-			return nil, err
-		}
-		f, b, wt, tail, idle := u.Fractions()
-		resp.Breakdown = v1.Breakdown{Forward: f, Backward: b, Weight: wt, Tail: tail, Idle: idle}
+		resp.Breakdown = v1.BreakdownFrom(rec.Trace().Snapshot())
 	}
 	return encode("simulate response", resp)
 }

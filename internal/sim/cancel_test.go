@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"mepipe/internal/errs"
@@ -35,35 +36,40 @@ func TestRunWrapsIncompatible(t *testing.T) {
 	}
 }
 
-// TestTraceMatchesResult: the trace's derived quantities agree with the
-// simulator's own accounting, and Result.Trace carries the exact values.
+// TestTraceMatchesResult: a recording's derived quantities agree with the
+// simulator's own accounting: one op span per scheduled op, the spans'
+// busy time the stage's compute time, and, tails included, the makespan
+// IterTime bit for bit and the bubble the result's.
 func TestTraceMatchesResult(t *testing.T) {
 	s, err := sched.SVPP(sched.SVPPOptions{P: 4, V: 2, S: 2, N: 4, Reschedule: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewRecorder()
-	res, err := Run(Options{Sched: s, Costs: Unit(), Trace: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := rec.Trace()
-	conv := res.Trace()
-	if live.Stages != conv.Stages {
-		t.Errorf("stages: recorded %d, converted %d", live.Stages, conv.Stages)
-	}
-	if conv.Makespan != res.IterTime || conv.Bubble != res.BubbleRatio {
-		t.Errorf("converted trace (%g, %g) != result (%g, %g)",
-			conv.Makespan, conv.Bubble, res.IterTime, res.BubbleRatio)
-	}
-	for k := 0; k < live.Stages; k++ {
-		lo, co := live.OpSpans(k), conv.OpSpans(k)
-		if len(lo) != len(co) {
-			t.Fatalf("stage %d: %d recorded op spans, %d converted", k, len(lo), len(co))
+	for _, tail := range []func(int) float64{nil, func(k int) float64 { return 1.5 * float64(4-k) }} {
+		rec := obs.NewRecorder()
+		res, err := Run(Options{Sched: s, Costs: Unit(), Trace: rec, TailTime: tail})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range lo {
-			if lo[i].Op != co[i].Op || lo[i].Start != co[i].Start || lo[i].End != co[i].End {
-				t.Errorf("stage %d span %d: recorded %+v, converted %+v", k, i, lo[i], co[i])
+		tr := rec.Trace()
+		if tr.Stages != len(res.Stages) {
+			t.Errorf("tail=%v: recorded %d stages, result %d", tail != nil, tr.Stages, len(res.Stages))
+		}
+		if math.Float64bits(tr.Makespan) != math.Float64bits(res.IterTime) || math.Abs(tr.Bubble-res.BubbleRatio) > 1e-12 {
+			t.Errorf("tail=%v: recorded (%g, %g) != result (%g, %g)",
+				tail != nil, tr.Makespan, tr.Bubble, res.IterTime, res.BubbleRatio)
+		}
+		for k := 0; k < tr.Stages; k++ {
+			spans := tr.OpSpans(k)
+			if len(spans) != len(s.Stages[k]) {
+				t.Fatalf("stage %d: %d recorded op spans, %d scheduled ops", k, len(spans), len(s.Stages[k]))
+			}
+			busy := 0.0
+			for _, sp := range spans {
+				busy += sp.Dur()
+			}
+			if math.Abs(busy-res.Stages[k].ComputeTime) > 1e-9 {
+				t.Errorf("stage %d: recorded busy %v, compute time %v", k, busy, res.Stages[k].ComputeTime)
 			}
 		}
 	}

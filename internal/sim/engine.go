@@ -78,9 +78,6 @@ func (se *Session) runEngine() error {
 		e.wq[k] = e.wq[k][:0]
 		e.wqHead[k] = 0
 		e.stale[k] = true
-		if se.record {
-			se.spanBuf[k] = se.spanBuf[k][:0]
-		}
 	}
 	done := 0
 	for done < se.n {
@@ -249,9 +246,6 @@ func (se *Session) engRunOp(k int, id int32, start float64, cause string) {
 	end := start + dur
 	e.free[k] = end
 	e.comp[k] += dur
-	if se.record {
-		se.spanBuf[k] = append(se.spanBuf[k], Span{Op: se.opsl[id], Start: start, End: end})
-	}
 	e.fin[id] = end
 	e.done[id] = e.ep
 	if se.opt.Trace != nil {
@@ -300,24 +294,22 @@ func (se *Session) engEnqueueW(k int, bID int32, ready float64) {
 	}
 }
 
-// assembleDynamic writes the Result from the engine's per-stage state in
-// the runner's result() float-operation order.
+// assembleDynamic writes the Result from the engine's per-stage state, and
+// emits the tail events, in the runner's result() float-operation order.
 func (se *Session) assembleDynamic() {
 	e := se.eng
 	res := &se.res
-	res.SpansRecorded = se.record
 	res.PeakAct = 0
 	end := 0.0
 	for k := 0; k < se.P; k++ {
 		fin := e.free[k]
 		if se.hasTail {
 			fin += se.tailV[k]
+			if se.opt.Trace != nil {
+				se.emitTail(k, e.free[k], fin)
+			}
 		}
-		var spans []Span
-		if se.record {
-			spans = se.spanBuf[k]
-		}
-		res.Stages[k] = StageResult{Spans: spans, ComputeTime: e.comp[k], Finish: fin, PeakAct: e.peak[k]}
+		res.Stages[k] = StageResult{ComputeTime: e.comp[k], Finish: fin, PeakAct: e.peak[k]}
 		if fin > end {
 			end = fin
 		}

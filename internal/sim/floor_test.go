@@ -77,7 +77,7 @@ func orderFloorWorkload(tb testing.TB) (sim.Options, []*sched.Schedule) {
 			cands = append(cands, &c)
 		}
 	}
-	return sim.Options{Sched: s, Costs: costs, MakespanOnly: true}, cands
+	return sim.Options{Sched: s, Costs: costs}, cands
 }
 
 // benchOrderFloor evaluates the workload's proposals in turn through one

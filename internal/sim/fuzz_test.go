@@ -2,7 +2,7 @@ package sim
 
 import (
 	"errors"
-	"math"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -15,14 +15,15 @@ import (
 // fast path: for arbitrary shapes, cost models, budgets, modes, and move
 // sequences, the incremental evaluation must be bitwise-identical to a
 // fresh reference replay (runRef) — including agreeing on which orders
-// deadlock and with what error class. With the trace flag set, both sides
-// record into an obs.Recorder and every step's recordings must DeepEqual:
-// the session's events, dynamic drain and budget instants included, are
-// the runner's. Byte layout:
+// deadlock and with what error class. An untraced session checks the
+// results; unless the header turns tracing off, a traced session also
+// records into an obs.Recorder and every step's recording must DeepEqual
+// the runner's: each op's start and end, and every other event, dynamic
+// drain and budget instants and tails included. Byte layout:
 //
-//	[0..5]  shape + mode header (P, S, N, split/pieces/dynamic/makespan,
+//	[0..5]  shape + mode header (P, S, N, split/pieces/dynamic/trace-off,
 //	        budget/tail/comm/zero-weight/reschedule/trace flags, budget
-//	        level)
+//	        level); the trace flag overrides trace-off
 //	[6..]   move stream, 3 bytes per move: stage, from, to
 func FuzzIncrementalEquivalence(f *testing.F) {
 	f.Add([]byte{2, 1, 2, 0x01, 0x00, 4, 0, 1, 2, 1, 5, 0})
@@ -45,10 +46,9 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 			pieces = 2
 		}
 		dynamicW := split && data[3]&4 != 0
-		makespanOnly := data[3]&8 != 0
 		useBudget := data[4]&1 != 0
 		useTail := data[4]&2 != 0
-		traced := data[4]&32 != 0
+		traced := data[3]&8 == 0 || data[4]&32 != 0
 		est := sched.UniformEst{F: 1, BFused: 2, BAct: 1, W: 1, WPiece: 0.5}
 		if data[4]&4 != 0 {
 			est.Comm = 0.25
@@ -68,7 +68,7 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		costs := UniformCosts{Est: est, Act: 3, Grad: 1}
-		opt := Options{Costs: costs, DynamicW: dynamicW, MakespanOnly: makespanOnly}
+		opt := Options{Costs: costs, DynamicW: dynamicW}
 		if useBudget {
 			lvl := int64(2 + data[5]%14)
 			b := make([]int64, p)
@@ -81,15 +81,7 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 			opt.TailTime = func(k int) float64 { return 0.5 * float64(k+1) }
 		}
 		opt.Sched = sc
-		var incRec, refRec *obs.Recorder
-		if traced {
-			incRec, refRec = obs.NewRecorder(), obs.NewRecorder()
-			opt.Trace = incRec
-		}
-		se, err := NewSession(opt)
-		if err != nil {
-			t.Fatalf("NewSession on generated schedule: %v", err)
-		}
+		pair := newSessionPair(t, opt, traced)
 		cur := sessClone(sc)
 		for i := 6; i+2 < len(data); i += 3 {
 			k := int(data[i]) % p
@@ -105,28 +97,10 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 				to = (from + 1) % len(ops)
 			}
 			sessDisplace(ops, from, to)
-			fullOpt := opt
-			fullOpt.Sched = cur
-			if traced {
-				incRec.Reset()
-				refRec.Reset()
-				fullOpt.Trace = refRec
-			}
-			full, fullErr := runRef(fullOpt)
-			inc, incErr := se.Eval(cur)
-			if (fullErr == nil) != (incErr == nil) {
-				t.Fatalf("move %d: full err %v, incremental err %v", i, fullErr, incErr)
-			}
-			if fullErr != nil {
-				if errors.Is(fullErr, errs.ErrUncertified) != errors.Is(incErr, errs.ErrUncertified) ||
-					errors.Is(fullErr, errs.ErrIncompatible) != errors.Is(incErr, errs.ErrIncompatible) {
-					t.Fatalf("move %d: error classes differ: full %v, incremental %v", i, fullErr, incErr)
-				}
-				continue
-			}
-			fuzzSameResult(t, full, inc)
-			if traced {
-				fuzzSameTrace(t, refRec.Trace(), incRec.Trace())
+			fullErr, incErr := pair.eval(t, opt, cur, fmt.Sprintf("move %d", i))
+			if errors.Is(fullErr, errs.ErrUncertified) != errors.Is(incErr, errs.ErrUncertified) ||
+				errors.Is(fullErr, errs.ErrIncompatible) != errors.Is(incErr, errs.ErrIncompatible) {
+				t.Fatalf("move %d: error classes differ: full %v, incremental %v", i, fullErr, incErr)
 			}
 		}
 	})
@@ -146,41 +120,4 @@ func fuzzSameTrace(t *testing.T, full, inc *obs.Trace) {
 	}
 	t.Fatalf("traces differ: full %d events (makespan %v, bubble %v), incremental %d (makespan %v, bubble %v)",
 		len(full.Events), full.Makespan, full.Bubble, len(inc.Events), inc.Makespan, inc.Bubble)
-}
-
-func fuzzSameResult(t *testing.T, full, inc *Result) {
-	t.Helper()
-	if math.Float64bits(full.IterTime) != math.Float64bits(inc.IterTime) ||
-		math.Float64bits(full.BubbleRatio) != math.Float64bits(inc.BubbleRatio) ||
-		full.PeakAct != inc.PeakAct ||
-		full.OOM != inc.OOM || full.OOMStage != inc.OOMStage ||
-		full.SpansRecorded != inc.SpansRecorded ||
-		len(full.Stages) != len(inc.Stages) {
-		t.Fatalf("aggregate mismatch:\nfull %+v\ninc  %+v", headline(full), headline(inc))
-	}
-	for k := range full.Stages {
-		fs, is := &full.Stages[k], &inc.Stages[k]
-		if math.Float64bits(fs.ComputeTime) != math.Float64bits(is.ComputeTime) ||
-			math.Float64bits(fs.Finish) != math.Float64bits(is.Finish) ||
-			fs.PeakAct != is.PeakAct || len(fs.Spans) != len(is.Spans) {
-			t.Fatalf("stage %d mismatch: full {c=%v f=%v p=%d |s|=%d} inc {c=%v f=%v p=%d |s|=%d}",
-				k, fs.ComputeTime, fs.Finish, fs.PeakAct, len(fs.Spans),
-				is.ComputeTime, is.Finish, is.PeakAct, len(is.Spans))
-		}
-		for i := range fs.Spans {
-			a, b := fs.Spans[i], is.Spans[i]
-			if a.Op != b.Op ||
-				math.Float64bits(a.Start) != math.Float64bits(b.Start) ||
-				math.Float64bits(a.End) != math.Float64bits(b.End) {
-				t.Fatalf("stage %d span %d: %+v != %+v", k, i, a, b)
-			}
-		}
-	}
-}
-
-func headline(r *Result) map[string]any {
-	return map[string]any{
-		"iter": r.IterTime, "bubble": r.BubbleRatio, "peak": r.PeakAct,
-		"oom": r.OOM, "oomStage": r.OOMStage, "spans": r.SpansRecorded,
-	}
 }

@@ -22,7 +22,6 @@ type stageState struct {
 	cursor  int
 	free    float64
 	compute float64
-	spans   []Span
 	// memory
 	live    int64
 	peak    int64
@@ -338,9 +337,6 @@ func (r *runner) runOp(k int, op sched.Op, start float64, cause string) {
 	end := start + dur
 	st.free = end
 	st.compute += dur
-	if !r.opt.MakespanOnly || r.opt.Trace != nil {
-		st.spans = append(st.spans, Span{Op: op, Start: start, End: end})
-	}
 	r.finish[opRef{k, op}] = end
 	if r.opt.Trace != nil {
 		r.opt.Trace.Emit(obs.Event{
@@ -452,17 +448,19 @@ func (r *runner) release(k int, key sched.Op) {
 
 func (r *runner) result() *Result {
 	res := &Result{Stages: make([]StageResult, len(r.stages))}
-	res.SpansRecorded = !r.opt.MakespanOnly || r.opt.Trace != nil
 	end := 0.0
 	for k := range r.stages {
 		st := &r.stages[k]
 		fin := st.free
 		if r.opt.TailTime != nil {
 			fin += r.opt.TailTime(k)
+			if r.opt.Trace != nil {
+				r.opt.Trace.Emit(obs.Event{
+					Kind: obs.EvTail, Stage: k, From: k, Start: st.free, End: fin,
+				})
+			}
 		}
-		res.Stages[k] = StageResult{
-			Spans: st.spans, ComputeTime: st.compute, Finish: fin, PeakAct: st.peak,
-		}
+		res.Stages[k] = StageResult{ComputeTime: st.compute, Finish: fin, PeakAct: st.peak}
 		if fin > end {
 			end = fin
 		}

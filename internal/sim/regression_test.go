@@ -2,10 +2,8 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"testing"
 
-	"mepipe/internal/errs"
 	"mepipe/internal/obs"
 	"mepipe/internal/sched"
 )
@@ -68,13 +66,10 @@ func TestDynamicOOMUncoverableOvershoot(t *testing.T) {
 		UniformEst: sched.UniformEst{F: 1, BFused: 2, BAct: 1, W: 50, Comm: 0.2},
 		huge:       huge,
 	}
-	res, err := Run(Options{
+	res, tr := runTraced(t, Options{
 		Sched: s, Costs: costs, DynamicW: true,
 		ActBudget: []int64{50, 1 << 40},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !res.OOM || res.OOMStage != 0 {
 		t.Fatalf("uncoverable overshoot not flagged: OOM=%v stage=%d", res.OOM, res.OOMStage)
 	}
@@ -82,7 +77,8 @@ func TestDynamicOOMUncoverableOvershoot(t *testing.T) {
 	// BAct finished earlier) must NOT have been futilely drained first.
 	var hugeStart float64
 	foundHuge := false
-	for _, sp := range res.Stages[0].Spans {
+	spans := tr.OpSpans(0)
+	for _, sp := range spans {
 		if sp.Op == huge {
 			hugeStart, foundHuge = sp.Start, true
 		}
@@ -92,7 +88,7 @@ func TestDynamicOOMUncoverableOvershoot(t *testing.T) {
 	}
 	queuedW := op(sched.W, 0, 1)
 	sawQueued := false
-	for _, sp := range res.Stages[0].Spans {
+	for _, sp := range spans {
 		if sp.Op.Kind != sched.W {
 			continue
 		}
@@ -117,60 +113,6 @@ func TestDynamicOOMUncoverableOvershoot(t *testing.T) {
 	}
 	if resOK.OOM {
 		t.Fatalf("coverable pressure wrongly flagged OOM at stage %d", resOK.OOMStage)
-	}
-}
-
-// TestStatsRefuseMakespanOnly is the satellite-2 pin: statistics over a
-// span-less result fail with a classifiable errs.ErrIncompatible instead
-// of returning all-idle/all-tail garbage.
-func TestStatsRefuseMakespanOnly(t *testing.T) {
-	s, err := sched.DAPPLE(2, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Run(Options{Sched: s, Costs: Unit(), MakespanOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.SpansRecorded {
-		t.Fatal("MakespanOnly result claims spans")
-	}
-	if _, err := r.StageUtilization(0); !errors.Is(err, errs.ErrIncompatible) {
-		t.Fatalf("StageUtilization: got %v, want ErrIncompatible", err)
-	}
-	if _, err := r.MeanUtilization(); !errors.Is(err, errs.ErrIncompatible) {
-		t.Fatalf("MeanUtilization: got %v, want ErrIncompatible", err)
-	}
-	if _, err := r.MemorySeries(s, Unit(), 0); !errors.Is(err, errs.ErrIncompatible) {
-		t.Fatalf("MemorySeries: got %v, want ErrIncompatible", err)
-	}
-
-	full, err := Run(Options{Sched: s, Costs: Unit()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.SpansRecorded {
-		t.Fatal("span-recording result claims no spans")
-	}
-	if _, err := full.StageUtilization(0); err != nil {
-		t.Fatalf("StageUtilization with spans: %v", err)
-	}
-	if _, err := full.MeanUtilization(); err != nil {
-		t.Fatalf("MeanUtilization with spans: %v", err)
-	}
-	if _, err := full.MemorySeries(s, Unit(), 0); err != nil {
-		t.Fatalf("MemorySeries with spans: %v", err)
-	}
-	// Traced MakespanOnly runs keep spans (Trace wins), so stats work.
-	traced, err := RunContext(context.Background(), Options{Sched: s, Costs: Unit(), MakespanOnly: true, Trace: nopSink{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !traced.SpansRecorded {
-		t.Fatal("traced MakespanOnly result dropped spans")
-	}
-	if _, err := traced.MeanUtilization(); err != nil {
-		t.Fatalf("MeanUtilization on traced result: %v", err)
 	}
 }
 

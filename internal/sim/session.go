@@ -45,7 +45,6 @@ type Session struct {
 	splitBW    bool
 	wPieces    int
 	dynamicW   bool
-	record     bool // spans recorded (!MakespanOnly, or traced)
 	hasBudget  bool
 	budget     []int64
 	hasTail    bool
@@ -120,9 +119,8 @@ type Session struct {
 	placeGlobal []int32 // k*V+j -> global chunk
 	placeHost   []int32 // g -> stage
 
-	spanBuf [][]Span
-	res     Result
-	eng     *engState
+	res Result
+	eng *engState
 
 	valid  bool // start/finish solve the current order, in topo
 	resync bool // orders may be inconsistent; rebuild from the schedule
@@ -262,7 +260,6 @@ func (se *Session) init(opt Options) error {
 		se.stDirty[k] = true
 	}
 	se.res.Stages = sgrow(se.res.Stages, se.P)
-	se.spanBuf = sgrow(se.spanBuf, se.P)
 	// Bump every epoch past any stamp a previous binding left in reused
 	// arrays; new array regions are zero, which the bumped counters also
 	// exceed.
@@ -324,11 +321,10 @@ func (se *Session) cost(c Costs) {
 }
 
 // setOptions pins the cost-independent run options: the bound schedule,
-// span recording, budgets and tail times.
+// budgets and tail times.
 func (se *Session) setOptions(opt Options) {
 	se.opt = opt
 	se.base = opt.Sched
-	se.record = !opt.MakespanOnly || opt.Trace != nil
 	se.hasBudget = opt.ActBudget != nil
 	se.budget = append(se.budget[:0], opt.ActBudget...)
 	se.hasTail = opt.TailTime != nil
@@ -692,15 +688,14 @@ func (se *Session) memScan() {
 	}
 }
 
-// assembleStatic writes the Result exactly as the reference runner's
-// result() does (oracle_test.go), in the same float-operation order. The
-// runner flags OOM at the first
-// over-budget allocation in global execution order; with static execution
-// sorted by (start, stage), that is the stage minimizing (start of its
-// first over-budget op, stage index).
+// assembleStatic writes the Result, and emits the tail events, exactly as
+// the reference runner's result() does (oracle_test.go), in the same
+// float-operation order. The runner flags OOM at the first over-budget
+// allocation in global execution order; with static execution sorted by
+// (start, stage), that is the stage minimizing (start of its first
+// over-budget op, stage index).
 func (se *Session) assembleStatic() {
 	res := &se.res
-	res.SpansRecorded = se.record
 	res.PeakAct = 0
 	res.OOM = false
 	res.OOMStage = 0
@@ -714,17 +709,11 @@ func (se *Session) assembleStatic() {
 		fin := fre
 		if se.hasTail {
 			fin += se.tailV[k]
-		}
-		var spans []Span
-		if se.record {
-			buf := se.spanBuf[k][:0]
-			for _, id := range ord {
-				buf = append(buf, Span{Op: se.opsl[id], Start: se.start[id], End: se.finish[id]})
+			if se.opt.Trace != nil {
+				se.emitTail(k, fre, fin)
 			}
-			se.spanBuf[k] = buf
-			spans = buf
 		}
-		res.Stages[k] = StageResult{Spans: spans, ComputeTime: se.stCompute[k], Finish: fin, PeakAct: se.stPeak[k]}
+		res.Stages[k] = StageResult{ComputeTime: se.stCompute[k], Finish: fin, PeakAct: se.stPeak[k]}
 		if fin > end {
 			end = fin
 		}

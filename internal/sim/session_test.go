@@ -3,11 +3,13 @@ package sim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 
 	"mepipe/internal/errs"
+	"mepipe/internal/obs"
 	"mepipe/internal/sched"
 )
 
@@ -60,9 +62,6 @@ func requireSameResult(t *testing.T, full, inc *Result, label string) {
 	if full.OOM != inc.OOM || full.OOMStage != inc.OOMStage {
 		t.Fatalf("%s: OOM %v@%d != %v@%d", label, full.OOM, full.OOMStage, inc.OOM, inc.OOMStage)
 	}
-	if full.SpansRecorded != inc.SpansRecorded {
-		t.Fatalf("%s: SpansRecorded %v != %v", label, full.SpansRecorded, inc.SpansRecorded)
-	}
 	if len(full.Stages) != len(inc.Stages) {
 		t.Fatalf("%s: stage count %d != %d", label, len(full.Stages), len(inc.Stages))
 	}
@@ -77,30 +76,82 @@ func requireSameResult(t *testing.T, full, inc *Result, label string) {
 		if fs.PeakAct != is.PeakAct {
 			t.Fatalf("%s: stage %d PeakAct %d != %d", label, k, fs.PeakAct, is.PeakAct)
 		}
-		if !full.SpansRecorded {
-			continue
-		}
-		if len(fs.Spans) != len(is.Spans) {
-			t.Fatalf("%s: stage %d span count %d != %d", label, k, len(fs.Spans), len(is.Spans))
-		}
-		for i := range fs.Spans {
-			a, b := fs.Spans[i], is.Spans[i]
-			if a.Op != b.Op ||
-				math.Float64bits(a.Start) != math.Float64bits(b.Start) ||
-				math.Float64bits(a.End) != math.Float64bits(b.End) {
-				t.Fatalf("%s: stage %d span %d %+v != %+v", label, k, i, a, b)
-			}
-		}
 	}
 }
 
+// sessionPair evaluates candidates through two sessions bound to the same
+// options: se untraced, which keeps the untraced path (static stages whose
+// cached aggregates survive a move) honest, and te emitting into rec, whose
+// recording carries the per-op timeline a Result does not. te is nil when
+// the pair is untraced.
+type sessionPair struct {
+	se, te *Session
+	rec    *obs.Recorder
+}
+
+func newSessionPair(t *testing.T, opt Options, traced bool) *sessionPair {
+	t.Helper()
+	p := &sessionPair{}
+	var err error
+	if p.se, err = NewSession(opt); err != nil {
+		t.Fatal(err)
+	}
+	if traced {
+		p.rec = obs.NewRecorder()
+		opt.Trace = p.rec
+		if p.te, err = NewSession(opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p
+}
+
+// eval evaluates cand (opt's schedule replaced) through the reference
+// replay and both sessions, which must all succeed or all fail alike. On
+// success both results must equal the reference's bit for bit, and te's
+// recording the reference's recording of the same run: every event, each
+// op's start and end included. It returns the reference's error and the
+// untraced session's.
+func (p *sessionPair) eval(t *testing.T, opt Options, cand *sched.Schedule, label string) (fullErr, incErr error) {
+	t.Helper()
+	opt.Sched = cand
+	var ref *obs.Recorder
+	if p.te != nil {
+		ref = obs.NewRecorder()
+		opt.Trace = ref
+		p.rec.Reset()
+	}
+	full, fullErr := runRef(opt)
+	inc, incErr := p.se.Eval(cand)
+	if (fullErr == nil) != (incErr == nil) {
+		t.Fatalf("%s: full err %v, incremental err %v", label, fullErr, incErr)
+	}
+	if fullErr == nil {
+		requireSameResult(t, full, inc, label)
+	}
+	if p.te == nil {
+		return fullErr, incErr
+	}
+	traced, tErr := p.te.Eval(cand)
+	if (tErr == nil) != (incErr == nil) || errors.Is(tErr, errs.ErrUncertified) != errors.Is(incErr, errs.ErrUncertified) {
+		t.Fatalf("%s: traced session err %v, untraced %v", label, tErr, incErr)
+	}
+	if fullErr == nil {
+		requireSameResult(t, full, traced, label+" (traced)")
+		fuzzSameTrace(t, ref.Trace(), p.rec.Trace())
+	}
+	return fullErr, incErr
+}
+
 type sessionCase struct {
-	name string
-	opt  Options // Sched filled per case below
+	name   string
+	opt    Options // Sched filled per case below
+	traced bool    // also check a traced session's recording
 }
 
 // sessionCases builds schedule × option variants covering static/dynamic,
-// budgets, tails, and MakespanOnly.
+// budgets and tails. Every case but mepipe/makespan, which checks the
+// aggregates alone, also compares recordings.
 func sessionCases(t *testing.T) []sessionCase {
 	t.Helper()
 	tail := func(k int) float64 { return 0.3 * float64(k+1) }
@@ -112,7 +163,7 @@ func sessionCases(t *testing.T) []sessionCase {
 		if f != nil {
 			f(&o)
 		}
-		return sessionCase{name, o}
+		return sessionCase{name, o, name != "mepipe/makespan"}
 	}
 	budget := func(p int, b int64) []int64 {
 		out := make([]int64, p)
@@ -125,7 +176,7 @@ func sessionCases(t *testing.T) []sessionCase {
 	s1, err1 := sched.MEPipe(4, 1, 2, 6, 0, 4, nil)
 	cases = append(cases,
 		mk("mepipe/static", sessClone(s1), err1, nil),
-		mk("mepipe/makespan", sessClone(s1), err1, func(o *Options) { o.MakespanOnly = true }),
+		mk("mepipe/makespan", sessClone(s1), err1, nil),
 		mk("mepipe/budget", sessClone(s1), err1, func(o *Options) { o.ActBudget = budget(4, 14) }),
 		mk("mepipe/tail", sessClone(s1), err1, func(o *Options) { o.TailTime = tail }),
 		mk("mepipe/dynamic", sessClone(s1), err1, func(o *Options) { o.DynamicW = true }),
@@ -160,10 +211,7 @@ func TestSessionMatchesRun(t *testing.T) {
 	for _, tc := range sessionCases(t) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			se, err := NewSession(tc.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := newSessionPair(t, tc.opt, tc.traced)
 			cur := sessClone(tc.opt.Sched)
 			rng := sessLCG(1)
 			valid, invalid := 0, 0
@@ -190,13 +238,7 @@ func TestSessionMatchesRun(t *testing.T) {
 						sessDisplace(ops, rng.next(len(ops)), rng.next(len(ops)))
 					}
 				}
-				fullOpt := tc.opt
-				fullOpt.Sched = cand
-				full, fullErr := runRef(fullOpt)
-				inc, incErr := se.Eval(cand)
-				if (fullErr == nil) != (incErr == nil) {
-					t.Fatalf("step %d: full err %v, incremental err %v", step, fullErr, incErr)
-				}
+				fullErr, incErr := p.eval(t, tc.opt, cand, fmt.Sprintf("%s step %d", tc.name, step))
 				if fullErr != nil {
 					// Keep walking from the last valid order, as the
 					// annealer does with rejected candidates.
@@ -210,7 +252,6 @@ func TestSessionMatchesRun(t *testing.T) {
 					continue
 				}
 				valid++
-				requireSameResult(t, full, inc, tc.name)
 				cur = cand
 			}
 			if valid < 20 {
@@ -230,10 +271,7 @@ func TestSessionRecoversAfterError(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{Sched: s, Costs: Unit()}
-	se, err := NewSession(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newSessionPair(t, opt, true)
 	bad := sessClone(s)
 	// Reverse stage 0: every family's BAct now precedes its F, a
 	// program-order/dependency cycle.
@@ -241,19 +279,12 @@ func TestSessionRecoversAfterError(t *testing.T) {
 	for i, j := 0, len(ops)-1; i < j; i, j = i+1, j-1 {
 		ops[i], ops[j] = ops[j], ops[i]
 	}
-	if _, err := se.Eval(bad); !errors.Is(err, errs.ErrUncertified) {
+	if _, err := p.eval(t, opt, bad, "reversed"); !errors.Is(err, errs.ErrUncertified) {
 		t.Fatalf("reversed stage: got %v, want ErrUncertified", err)
 	}
-	good := sessClone(s)
-	inc, err := se.Eval(good)
-	if err != nil {
+	if _, err := p.eval(t, opt, sessClone(s), "recovery"); err != nil {
 		t.Fatal(err)
 	}
-	full, err := runRef(Options{Sched: good, Costs: Unit()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, full, inc, "recovery")
 }
 
 // TestSessionIncompatible pins the rebuild contract: shape or placement
@@ -356,14 +387,14 @@ func TestSessionNonPositiveShape(t *testing.T) {
 	}
 }
 
-// TestSessionZeroAllocSteadyState is the arena-reuse gate: once warm, a
-// MakespanOnly evaluation of a moved schedule must not allocate at all.
+// TestSessionZeroAllocSteadyState is the arena-reuse gate: once warm, an
+// untraced evaluation of a moved schedule must not allocate at all.
 func TestSessionZeroAllocSteadyState(t *testing.T) {
 	s, err := sched.MEPipe(4, 1, 2, 6, 0, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Sched: s, Costs: Unit(), MakespanOnly: true}
+	opt := Options{Sched: s, Costs: Unit()}
 	se, err := NewSession(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +405,7 @@ func TestSessionZeroAllocSteadyState(t *testing.T) {
 	found := false
 	for i := 0; i+1 < len(b.Stages[1]) && !found; i++ {
 		b.Stages[1][i], b.Stages[1][i+1] = b.Stages[1][i+1], b.Stages[1][i]
-		if _, err := Run(Options{Sched: b, Costs: Unit(), MakespanOnly: true}); err == nil {
+		if _, err := Run(Options{Sched: b, Costs: Unit()}); err == nil {
 			found = true
 			break
 		}
@@ -464,6 +495,24 @@ func TestEvaluateMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, full, got, "evaluate")
+	// Traced, in dynamic and static mode alike, the recordings match too.
+	for _, dynamicW := range []bool{true, false} {
+		ref, rec := obs.NewRecorder(), obs.NewRecorder()
+		o := opt
+		o.DynamicW, o.TailTime = dynamicW, func(k int) float64 { return 0.5 * float64(k) }
+		o.Trace = ref
+		want, err := runRef(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Trace = rec
+		traced, err := Evaluate(context.Background(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, want, traced, fmt.Sprintf("traced evaluate, dynamicW=%v", dynamicW))
+		fuzzSameTrace(t, ref.Trace(), rec.Trace())
+	}
 	// Result must be independent of the pooled session.
 	for i := 0; i < 4; i++ {
 		if _, err := Evaluate(context.Background(), Options{Sched: s, Costs: Unit()}); err != nil {
@@ -486,7 +535,7 @@ func canonicalBenchWorkload(b *testing.B) (*sched.Schedule, Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return s, Options{Sched: s, Costs: Unit(), MakespanOnly: true}
+	return s, Options{Sched: s, Costs: Unit()}
 }
 
 func benchCandidates(b *testing.B, base *sched.Schedule, n int) []*sched.Schedule {
@@ -502,7 +551,7 @@ func benchCandidates(b *testing.B, base *sched.Schedule, n int) []*sched.Schedul
 		k := rng.next(next.P)
 		ops := next.Stages[k]
 		sessDisplace(ops, rng.next(len(ops)), rng.next(len(ops)))
-		if _, err := runRef(Options{Sched: next, Costs: Unit(), MakespanOnly: true}); err != nil {
+		if _, err := runRef(Options{Sched: next, Costs: Unit()}); err != nil {
 			continue
 		}
 		cur = next
@@ -579,12 +628,9 @@ func TestIncrementalReplayFloor(t *testing.T) {
 func TestSessionTwoStageDiff(t *testing.T) {
 	for _, tc := range sessionCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			se, err := NewSession(tc.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := newSessionPair(t, tc.opt, tc.traced)
 			cur := tc.opt.Sched
-			if _, err := se.Eval(cur); err != nil {
+			if _, err := p.eval(t, tc.opt, cur, tc.name+" base"); err != nil {
 				t.Fatal(err)
 			}
 			rng := sessLCG(5)
@@ -599,18 +645,15 @@ func TestSessionTwoStageDiff(t *testing.T) {
 				sessDisplace(ops, from, min(max(from+rng.next(9)-4, 0), len(ops)-1))
 				o := tc.opt
 				o.Sched = &cand
-				full, fullErr := runRef(o)
-				if fullErr != nil {
+				if _, err := runRef(o); err != nil {
 					continue // the annealer's certifier rejects it before simulation
 				}
 				if last >= 0 && last != k {
 					twoStage++
 				}
-				inc, err := se.Eval(&cand)
-				if err != nil {
+				if _, err := p.eval(t, tc.opt, &cand, fmt.Sprintf("%s step %d", tc.name, step)); err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				requireSameResult(t, full, inc, tc.name)
 				last = k
 				if step%5 == 0 {
 					cur, last = &cand, -1
@@ -662,22 +705,16 @@ func TestSessionCyclicIntermediate(t *testing.T) {
 	if _, err := run(a); err != nil {
 		t.Fatalf("cur+a: %v", err)
 	}
-	want, err := run(b)
-	if err != nil {
+	if _, err := run(b); err != nil {
 		t.Fatalf("cur+b: %v", err)
 	}
-	se, err := NewSession(opt)
-	if err != nil {
+	p := newSessionPair(t, opt, true)
+	if _, err := p.eval(t, opt, a, "cur+a"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se.Eval(a); err != nil {
+	if _, err := p.eval(t, opt, b, "cyclic intermediate"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := se.Eval(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, want, got, "cyclic intermediate")
 }
 
 // TestSessionCyclicCandidate pins the deadlock verdict's exact message,
@@ -689,11 +726,8 @@ func TestSessionCyclicCandidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{Sched: s, Costs: Unit()}
-	se, err := NewSession(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := se.Eval(s); err != nil {
+	p := newSessionPair(t, opt, true)
+	if _, err := p.eval(t, opt, s, "base"); err != nil {
 		t.Fatal(err)
 	}
 	// Stage 1's first F moved behind its own backward.
@@ -709,11 +743,11 @@ func TestSessionCyclicCandidate(t *testing.T) {
 	slices.Reverse(reversed.Stages[0])
 	// The recovery order: the first adjacent swap on stage 2 that runs.
 	var good *sched.Schedule
-	var want *Result
-	for p := 0; want == nil; p++ {
+	for i, ok := 0, false; !ok; i++ {
 		good = sessClone(s)
-		good.Stages[2][p], good.Stages[2][p+1] = good.Stages[2][p+1], good.Stages[2][p]
-		want, _ = runRef(Options{Sched: good, Costs: Unit()})
+		good.Stages[2][i], good.Stages[2][i+1] = good.Stages[2][i+1], good.Stages[2][i]
+		_, err := runRef(Options{Sched: good, Costs: Unit()})
+		ok = err == nil
 	}
 	for _, c := range []struct {
 		name string
@@ -723,15 +757,13 @@ func TestSessionCyclicCandidate(t *testing.T) {
 		{"shifted", shifted, "sim: session: 187 of 192 ops are on a program-order/dependency cycle (the order deadlocks): "},
 		{"reversed", reversed, "sim: session: 192 of 192 ops are on a program-order/dependency cycle (the order deadlocks): "},
 	} {
-		_, err := se.Eval(c.s)
+		_, err := p.eval(t, opt, c.s, c.name)
 		if !errors.Is(err, errs.ErrUncertified) || err.Error() != c.want+errs.ErrUncertified.Error() {
 			t.Fatalf("%s: got %v, want %q wrapping ErrUncertified", c.name, err, c.want)
 		}
-		got, err := se.Eval(good)
-		if err != nil {
+		if _, err := p.eval(t, opt, good, "recovery after "+c.name); err != nil {
 			t.Fatalf("after %s: %v", c.name, err)
 		}
-		requireSameResult(t, want, got, "recovery after "+c.name)
 	}
 }
 

@@ -53,20 +53,21 @@ type Options struct {
 
 	// Trace, when non-nil, receives structured events for every
 	// evaluation: op spans, cross-stage transfers, memory alloc/free with
-	// live totals, dependency/communication stalls, and the §5 dynamic
-	// engine's budget-stall and W-drain events. Sessions emit them after
+	// live totals, dependency/communication stalls, the §5 dynamic
+	// engine's budget-stall and W-drain events, and, when TailTime is
+	// set, one tail span per stage from its last op to its Finish. The
+	// event stream is the simulator's only per-op timeline: a Recorder's
+	// Trace is what renderers, breakdowns and memory curves read, and its
+	// Makespan equals Result.IterTime bit for bit. Sessions emit after
 	// each Eval's solve (static mode) or inline (dynamic mode); within a
-	// stage they arrive in execution order, which is all obs.Recorder's
-	// (start, stage) sort needs. Nil costs nothing.
+	// stage the events arrive in execution order, which is all
+	// obs.Recorder's (start, stage) sort needs. Nil costs nothing.
 	Trace obs.Sink
 
-	// MakespanOnly skips recording per-op Spans, leaving Result.Stages
-	// with empty timelines but exact IterTime/BubbleRatio/PeakAct. The
-	// schedule optimizer evaluates thousands of candidates per second and
-	// only reads the aggregates; dropping the span slices removes the
-	// dominant allocation. A traced run records spans anyway (exporters
-	// built on Result would otherwise silently go blind), so Trace wins
-	// when both are set.
+	// MakespanOnly has no effect: a Result carries aggregates only, and
+	// the per-op timeline is the Trace event stream.
+	//
+	// Deprecated: leave it unset.
 	MakespanOnly bool
 
 	// AssumeValid skips the redundant Schedule.Validate at session bind.
@@ -88,15 +89,9 @@ type BytesEstimator interface {
 	CommBytes(from, to int, op sched.Op) int64
 }
 
-// Span records one executed op.
-type Span struct {
-	Op         sched.Op
-	Start, End float64
-}
-
-// StageResult aggregates one stage's timeline.
+// StageResult aggregates one stage's iteration. Its per-op timeline is
+// the Options.Trace event stream.
 type StageResult struct {
-	Spans       []Span
 	ComputeTime float64 // sum of op durations
 	Finish      float64 // end of last op (before tail time)
 	PeakAct     int64   // peak retained activation+gradient bytes
@@ -116,11 +111,6 @@ type Result struct {
 	// deferred weight-gradient work could free memory.
 	OOM      bool
 	OOMStage int
-	// SpansRecorded reports whether Stages carry per-op Span timelines.
-	// MakespanOnly runs drop them, and the utilization/memory statistics
-	// refuse to compute from a span-less result instead of returning
-	// all-idle garbage (see stats.go).
-	SpansRecorded bool
 }
 
 // sessionPool recycles Session capacity across RunContext calls:
@@ -181,14 +171,6 @@ func (r *Result) Clone() *Result { return cloneResult(r) }
 // Eval.
 func cloneResult(r *Result) *Result {
 	out := *r
-	out.Stages = make([]StageResult, len(r.Stages))
-	copy(out.Stages, r.Stages)
-	for k := range out.Stages {
-		if sp := out.Stages[k].Spans; sp != nil {
-			c := make([]Span, len(sp))
-			copy(c, sp)
-			out.Stages[k].Spans = c
-		}
-	}
+	out.Stages = append([]StageResult(nil), r.Stages...)
 	return &out
 }

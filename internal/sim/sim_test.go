@@ -8,6 +8,7 @@ import (
 	"mepipe/internal/analytic"
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
+	"mepipe/internal/obs"
 	"mepipe/internal/perf"
 	"mepipe/internal/sched"
 )
@@ -26,6 +27,19 @@ func mustRun(t *testing.T, s *sched.Schedule, err error, opt Options) *Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// runTraced runs opt with a recorder attached and returns the result and
+// the recording: the per-op timeline.
+func runTraced(t *testing.T, opt Options) (*Result, *obs.Trace) {
+	t.Helper()
+	rec := obs.NewRecorder()
+	opt.Trace = rec
+	res, err := Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, rec.Trace()
 }
 
 // TestSimMatchesAnalyticExact cross-validates the simulator against the
@@ -280,15 +294,13 @@ func TestMemoryNeverNegativeAndEndsAtZero(t *testing.T) {
 				continue
 			}
 			opt := Options{Sched: s, Costs: UniformCosts{Est: sched.Unit(), Act: 3, Grad: 2}, DynamicW: dyn}
-			res, err := Run(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Replay alloc/free from spans: live must never dip
+			res, tr := runTraced(t, opt)
+			// Replay alloc/free from the op spans: live must never dip
 			// below zero and must return to zero.
 			for k := range res.Stages {
 				live := int64(0)
-				for _, sp := range res.Stages[k].Spans {
+				spans := tr.OpSpans(k)
+				for _, sp := range spans {
 					switch sp.Op.Kind {
 					case sched.F:
 						live += 3
@@ -299,7 +311,7 @@ func TestMemoryNeverNegativeAndEndsAtZero(t *testing.T) {
 					case sched.W:
 						live -= 5
 					case sched.WPiece:
-						if sp.Op.Piece == done(res.Stages[k].Spans, sp.Op, s.WPieces) {
+						if sp.Op.Piece == done(spans, sp.Op) {
 							live -= 5
 						}
 					}
@@ -317,7 +329,7 @@ func TestMemoryNeverNegativeAndEndsAtZero(t *testing.T) {
 
 // done returns the Piece index of the last-executed WPiece of op's family in
 // spans order.
-func done(spans []Span, op sched.Op, pieces int) int {
+func done(spans []obs.Event, op sched.Op) int {
 	last := -1
 	for _, sp := range spans {
 		if sp.Op.Kind == sched.WPiece && sp.Op.Micro == op.Micro && sp.Op.Slice == op.Slice && sp.Op.Chunk == op.Chunk {
@@ -369,19 +381,16 @@ func TestCausalityProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		costs := UniformCosts{Est: est, Act: 1, Grad: 1}
-		res, err := Run(Options{Sched: s, Costs: costs})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, tr := runTraced(t, Options{Sched: s, Costs: costs})
 		fin := map[opRef]float64{}
 		for k := range res.Stages {
-			for _, sp := range res.Stages[k].Spans {
+			for _, sp := range tr.OpSpans(k) {
 				fin[opRef{k, sp.Op}] = sp.End
 			}
 		}
 		var deps []sched.Dep
 		for k := range res.Stages {
-			for _, sp := range res.Stages[k].Spans {
+			for _, sp := range tr.OpSpans(k) {
 				deps = s.Deps(deps[:0], k, sp.Op)
 				for _, d := range deps {
 					need := fin[opRef{d.Stage, d.Op}]
@@ -398,42 +407,51 @@ func TestCausalityProperty(t *testing.T) {
 	}
 }
 
+// TestStageUtilization reads each stage's forward, backward, weight and
+// tail time from a recording's Snapshot: the class times add up to the
+// stage's compute time, the tail to its tail time, the idle rest of the
+// makespan averages to the bubble ratio, and the makespan is IterTime.
 func TestStageUtilization(t *testing.T) {
 	s, err := sched.MEPipe(4, 1, 2, 4, 0, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	costs := UniformCosts{Est: sched.UniformEst{F: 1, BAct: 1, WPiece: 0.5}, Act: 1, Grad: 1}
-	res, err := Run(Options{Sched: s, Costs: costs, DynamicW: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range res.Stages {
-		u, err := res.StageUtilization(k)
-		if err != nil {
-			t.Fatal(err)
+	for _, tail := range []func(int) float64{nil, func(k int) float64 { return 0.25 * float64(k+1) }} {
+		res, tr := runTraced(t, Options{Sched: s, Costs: costs, DynamicW: true, TailTime: tail})
+		snap := tr.Snapshot()
+		if math.Float64bits(snap.Makespan) != math.Float64bits(res.IterTime) {
+			t.Fatalf("tail=%v: snapshot makespan %v != IterTime %v", tail != nil, snap.Makespan, res.IterTime)
 		}
-		sum := u.Forward + u.Backward + u.Weight + u.Tail + u.Idle
-		if diff := sum - u.Total; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("stage %d: breakdown %v does not sum to makespan %v", k, sum, u.Total)
+		idle := 0.0
+		for k, m := range snap.Stages {
+			if m.Forward <= 0 || m.Backward <= 0 || m.Weight <= 0 {
+				t.Fatalf("stage %d: implausible busy times %v %v %v", k, m.Forward, m.Backward, m.Weight)
+			}
+			if busy := m.Forward + m.Backward + m.Weight; math.Abs(busy-res.Stages[k].ComputeTime) > 1e-9 {
+				t.Errorf("stage %d: class times sum to %v, compute time %v", k, busy, res.Stages[k].ComputeTime)
+			}
+			wantTail := 0.0
+			if tail != nil {
+				wantTail = tail(k)
+			}
+			if math.Abs(m.Tail-wantTail) > 1e-9 {
+				t.Errorf("stage %d: tail %v, want %v", k, m.Tail, wantTail)
+			}
+			// F and BAct have equal unit durations and counts; W is half.
+			if rel := m.Forward / m.Backward; rel < 0.99 || rel > 1.01 {
+				t.Errorf("stage %d: F/B time ratio %v, want 1", k, rel)
+			}
+			gap := snap.Makespan - m.Forward - m.Backward - m.Weight - m.Tail
+			if gap < -1e-9 {
+				t.Fatalf("stage %d: busy %v exceeds the makespan %v", k, snap.Makespan-gap, snap.Makespan)
+			}
+			idle += gap
 		}
-		f, b, w, tail, idle := u.Fractions()
-		if f <= 0 || b <= 0 || w <= 0 || tail != 0 || idle < 0 {
-			t.Fatalf("stage %d: implausible fractions %v %v %v %v %v", k, f, b, w, tail, idle)
+		// The mean idle fraction must reproduce the aggregate bubble ratio.
+		if mean := idle / float64(len(snap.Stages)) / snap.Makespan; math.Abs(mean-res.BubbleRatio) > 1e-9 {
+			t.Errorf("tail=%v: mean idle %v != bubble ratio %v", tail != nil, mean, res.BubbleRatio)
 		}
-		// F and BAct have equal unit durations and counts; W is half.
-		if rel := u.Forward / u.Backward; rel < 0.99 || rel > 1.01 {
-			t.Errorf("stage %d: F/B time ratio %v, want 1", k, rel)
-		}
-	}
-	mean, err := res.MeanUtilization()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mean idle fraction must reproduce the aggregate bubble ratio.
-	_, _, _, _, idle := mean.Fractions()
-	if diff := idle - res.BubbleRatio; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("mean idle %v != bubble ratio %v", idle, res.BubbleRatio)
 	}
 }
 
@@ -534,18 +552,15 @@ func TestCommDelayExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := UniformCosts{Est: sched.UniformEst{F: 1, BFused: 2, Comm: 0.75}, Act: 1}
-	res, err := Run(Options{Sched: s, Costs: costs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, tr := runTraced(t, Options{Sched: s, Costs: costs})
 	// Stage 1's forward starts at stage 0's finish (1.0) + comm.
-	f1 := res.Stages[1].Spans[0]
+	f1 := tr.OpSpans(1)[0]
 	if f1.Start != 1.75 {
 		t.Errorf("stage 1 forward starts at %v, want 1.75", f1.Start)
 	}
 	// Stage 0's backward starts at stage 1's backward finish + comm.
-	b0 := res.Stages[0].Spans[1]
-	want := res.Stages[1].Spans[1].End + 0.75
+	b0 := tr.OpSpans(0)[1]
+	want := tr.OpSpans(1)[1].End + 0.75
 	if b0.Start != want {
 		t.Errorf("stage 0 backward starts at %v, want %v", b0.Start, want)
 	}
@@ -574,23 +589,22 @@ func TestPerStageTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Options{Sched: s, Costs: Unit(), TailTime: func(k int) float64 { return float64(k) }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, tr := runTraced(t, Options{Sched: s, Costs: Unit(), TailTime: func(k int) float64 { return float64(k) }})
 	for k := range res.Stages {
-		lastEnd := res.Stages[k].Spans[len(res.Stages[k].Spans)-1].End
+		spans := tr.OpSpans(k)
+		lastEnd := spans[len(spans)-1].End
 		if got := res.Stages[k].Finish - lastEnd; got != float64(k) {
 			t.Errorf("stage %d tail %v, want %d", k, got, k)
 		}
 	}
 }
 
-// TestMemorySeriesConsistent: the reconstructed curve's maximum equals the
-// tracker's peak and the curve returns to zero, for every way a family
-// is released — a fused B (DAPPLE), a whole W (ZB-1P) and the last of its
-// WPieces (MEPipe) — in static mode and, for the split schedules, in
-// dynamic mode, where weight-gradient work runs out of list order.
+// TestMemorySeriesConsistent: each stage's curve of EvAlloc/EvFree Live
+// totals steps by the events' Bytes, never goes negative, returns to zero,
+// and peaks at the tracker's PeakAct, for every way a family is released
+// — a fused B (DAPPLE), a whole W (ZB-1P) and the last of its WPieces
+// (MEPipe) — in static mode and, for the split schedules, in dynamic
+// mode, where weight-gradient work runs out of list order.
 func TestMemorySeriesConsistent(t *testing.T) {
 	costs := UniformCosts{Est: sched.UniformEst{F: 1, BFused: 2, BAct: 1, W: 1, WPiece: 0.3, Comm: 0.2}, Act: 5, Grad: 2}
 	cases := []struct {
@@ -608,27 +622,31 @@ func TestMemorySeriesConsistent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, dyn := range tc.dynamic {
-			res, err := Run(Options{Sched: s, Costs: costs, DynamicW: dyn})
-			if err != nil {
-				t.Fatalf("%s dynamic=%v: %v", tc.name, dyn, err)
-			}
+			res, tr := runTraced(t, Options{Sched: s, Costs: costs, DynamicW: dyn})
 			for k := 0; k < s.P; k++ {
-				series, err := res.MemorySeries(s, costs, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var peak int64
-				for _, p := range series {
-					if p.Bytes < 0 {
+				var live, peak int64
+				for _, e := range tr.Events {
+					if e.Stage != k || (e.Kind != obs.EvAlloc && e.Kind != obs.EvFree) {
+						continue
+					}
+					if e.Kind == obs.EvAlloc {
+						live += e.Bytes
+					} else {
+						live -= e.Bytes
+					}
+					if e.Live != live {
+						t.Fatalf("%s dynamic=%v stage %d: event live %d, running total %d", tc.name, dyn, k, e.Live, live)
+					}
+					if live < 0 {
 						t.Fatalf("%s dynamic=%v stage %d: negative retained bytes", tc.name, dyn, k)
 					}
-					peak = max(peak, p.Bytes)
+					peak = max(peak, live)
 				}
 				if peak != res.Stages[k].PeakAct {
-					t.Errorf("%s dynamic=%v stage %d: series peak %d != tracked peak %d", tc.name, dyn, k, peak, res.Stages[k].PeakAct)
+					t.Errorf("%s dynamic=%v stage %d: event peak %d != tracked peak %d", tc.name, dyn, k, peak, res.Stages[k].PeakAct)
 				}
-				if last := series[len(series)-1].Bytes; last != 0 {
-					t.Errorf("%s dynamic=%v stage %d: %d bytes leaked at iteration end", tc.name, dyn, k, last)
+				if live != 0 {
+					t.Errorf("%s dynamic=%v stage %d: %d bytes leaked at iteration end", tc.name, dyn, k, live)
 				}
 			}
 		}

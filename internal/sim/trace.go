@@ -1,41 +1,6 @@
 package sim
 
-import (
-	"sort"
-
-	"mepipe/internal/obs"
-)
-
-// Trace converts the result's executed spans into an obs.Trace of op
-// events. It carries the exact makespan and bubble ratio of the run (which
-// include tail time a span-only reconstruction would miss), so renderers
-// and exporters working from a Result agree with its reported numbers.
-//
-// A trace built this way contains op events only; run the simulation with
-// Options.Trace set to a Recorder to also capture comm, memory, stall and
-// drain events.
-func (r *Result) Trace() *obs.Trace {
-	t := &obs.Trace{
-		Stages:   len(r.Stages),
-		Makespan: r.IterTime,
-		Bubble:   r.BubbleRatio,
-	}
-	for k := range r.Stages {
-		for _, sp := range r.Stages[k].Spans {
-			t.Events = append(t.Events, obs.Event{
-				Kind: obs.EvOp, Stage: k, From: k, Op: sp.Op,
-				Start: sp.Start, End: sp.End,
-			})
-		}
-	}
-	sort.SliceStable(t.Events, func(i, j int) bool {
-		if t.Events[i].Start != t.Events[j].Start {
-			return t.Events[i].Start < t.Events[j].Start
-		}
-		return t.Events[i].Stage < t.Events[j].Stage
-	})
-	return t
-}
+import "mepipe/internal/obs"
 
 // traceWait emits the comm events feeding op id on stage k and classifies
 // any idle gap between free (when the stage went idle) and start as a
@@ -97,5 +62,13 @@ func (se *Session) emitMem(kind obs.EventKind, k int, id int32, bytes, live int6
 	se.opt.Trace.Emit(obs.Event{
 		Kind: kind, Stage: k, From: k, Op: se.opsl[id].Key(),
 		Start: at, End: at, Bytes: bytes, Live: live,
+	})
+}
+
+// emitTail emits stage k's tail (optimizer step plus gradient
+// synchronisation) from the end of its last op, at lastEnd, to its finish.
+func (se *Session) emitTail(k int, lastEnd, finish float64) {
+	se.opt.Trace.Emit(obs.Event{
+		Kind: obs.EvTail, Stage: k, From: k, Start: lastEnd, End: finish,
 	})
 }

@@ -10,23 +10,24 @@ import (
 	"mepipe/internal/sim"
 )
 
-func result(t *testing.T) *sim.Result {
+// trace records a unit-cost DAPPLE run on 3 stages with 4 micro-batches.
+func trace(t *testing.T) *obs.Trace {
 	t.Helper()
 	s, err := sched.DAPPLE(3, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(sim.Options{Sched: s, Costs: sim.Unit()})
-	if err != nil {
+	rec := obs.NewRecorder()
+	if _, err := sim.Run(sim.Options{Sched: s, Costs: sim.Unit(), Trace: rec}); err != nil {
 		t.Fatal(err)
 	}
-	return res
+	return rec.Trace()
 }
 
 func TestRenderShape(t *testing.T) {
-	res := result(t)
+	tr := trace(t)
 	var sb strings.Builder
-	if err := (ASCII{Unit: 0.5}).Export(&sb, res.Trace()); err != nil {
+	if err := (ASCII{Unit: 0.5}).Export(&sb, tr); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -52,9 +53,9 @@ func TestRenderShape(t *testing.T) {
 }
 
 func TestRenderAutoUnit(t *testing.T) {
-	res := result(t)
+	tr := trace(t)
 	var sb strings.Builder
-	if err := (ASCII{}).Export(&sb, res.Trace()); err != nil { // auto-scale
+	if err := (ASCII{}).Export(&sb, tr); err != nil { // auto-scale
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(sb.String(), "\n") {
@@ -78,14 +79,15 @@ func TestRenderOrder(t *testing.T) {
 }
 
 func TestChromeTrace(t *testing.T) {
-	res := result(t)
+	tr := trace(t)
 	var sb strings.Builder
-	if err := (obs.ChromeTrace{}).Export(&sb, res.Trace()); err != nil {
+	if err := (obs.ChromeTrace{}).Export(&sb, tr); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
 		TraceEvents []struct {
 			Name string  `json:"name"`
+			Cat  string  `json:"cat"`
 			Ph   string  `json:"ph"`
 			TS   float64 `json:"ts"`
 			Dur  float64 `json:"dur"`
@@ -95,34 +97,35 @@ func TestChromeTrace(t *testing.T) {
 	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
 		t.Fatal(err)
 	}
-	want := 3 * 2 * 4 // stages × (F+B) × micros
-	if len(doc.TraceEvents) != want {
-		t.Fatalf("%d trace events, want %d", len(doc.TraceEvents), want)
-	}
+	want, ops := 3*2*4, 0 // stages × (F+B) × micros
 	for _, ev := range doc.TraceEvents {
+		if ev.Cat != "F" && ev.Cat != "B" {
+			continue
+		}
+		ops++
 		if ev.Ph != "X" || ev.Dur <= 0 || ev.TID < 0 || ev.TID > 2 {
 			t.Fatalf("malformed event %+v", ev)
 		}
 	}
+	if ops != want {
+		t.Fatalf("%d op events, want %d", ops, want)
+	}
 }
 
 func TestWriteSVG(t *testing.T) {
-	res := result(t)
+	tr := trace(t)
 	var sb strings.Builder
-	if err := (SVG{}).Export(&sb, res.Trace()); err != nil {
+	if err := (SVG{}).Export(&sb, tr); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	if !strings.HasPrefix(out, "<svg") || !strings.HasSuffix(strings.TrimSpace(out), "</svg>") {
 		t.Fatal("not a complete SVG document")
 	}
-	// One rect per span plus one background per stage plus the canvas.
-	spans := 0
-	for k := range res.Stages {
-		spans += len(res.Stages[k].Spans)
-	}
-	if got := strings.Count(out, "<rect"); got != spans+len(res.Stages)+1 {
-		t.Errorf("%d rects, want %d", got, spans+len(res.Stages)+1)
+	// One rect per op span (stages × (F+B) × micros) plus one background
+	// per stage plus the canvas.
+	if got, want := strings.Count(out, "<rect"), 3*2*4+3+1; got != want {
+		t.Errorf("%d rects, want %d", got, want)
 	}
 	for _, frag := range []string{"stage 0", "stage 2", "bubble", "<title>"} {
 		if !strings.Contains(out, frag) {

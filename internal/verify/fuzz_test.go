@@ -75,7 +75,7 @@ func FuzzCertifyAgreesWithRun(f *testing.F) {
 		check := func() {
 			t.Helper()
 			_, cerr := Certify(s, Options{})
-			_, rerr := sim.Run(sim.Options{Sched: s, Costs: sim.Unit(), MakespanOnly: true})
+			_, rerr := sim.Run(sim.Options{Sched: s, Costs: sim.Unit()})
 			if rerr != nil && !errors.Is(rerr, errs.ErrUncertified) {
 				t.Fatalf("sim.Run failed for a reason other than a deadlock: %v", rerr)
 			}

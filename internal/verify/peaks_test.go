@@ -71,11 +71,11 @@ func requirePeaksMatch(t *testing.T, s *sched.Schedule, act, grad func(int, sche
 	if err != nil {
 		t.Fatalf("certify: %v", err)
 	}
-	byFootprint, err := sim.Run(sim.Options{Sched: s, Costs: footprintCosts{sim.Unit(), act, grad}, MakespanOnly: true})
+	byFootprint, err := sim.Run(sim.Options{Sched: s, Costs: footprintCosts{sim.Unit(), act, grad}})
 	if err != nil {
 		t.Fatalf("sim.Run under the footprints: %v", err)
 	}
-	byUnit, err := sim.Run(sim.Options{Sched: s, Costs: sim.Unit(), MakespanOnly: true})
+	byUnit, err := sim.Run(sim.Options{Sched: s, Costs: sim.Unit()})
 	if err != nil {
 		t.Fatalf("sim.Run under unit costs: %v", err)
 	}

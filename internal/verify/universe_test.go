@@ -70,7 +70,7 @@ func FuzzUniverseVerdicts(f *testing.F) {
 		if clean == nil {
 			t.Skip()
 		}
-		bound, err := sim.NewSession(sim.Options{Sched: clean, Costs: sim.Unit(), MakespanOnly: true})
+		bound, err := sim.NewSession(sim.Options{Sched: clean, Costs: sim.Unit()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func FuzzUniverseVerdicts(f *testing.F) {
 			mutateUniverse(s, data[i:i+3])
 			verdicts := [4]error{s.Validate()}
 			_, verdicts[1] = Certify(s, Options{})
-			_, verdicts[2] = sim.NewSession(sim.Options{Sched: s, Costs: sim.Unit(), MakespanOnly: true, AssumeValid: true})
+			_, verdicts[2] = sim.NewSession(sim.Options{Sched: s, Costs: sim.Unit(), AssumeValid: true})
 			_, verdicts[3] = bound.Eval(s)
 			for _, v := range verdicts[1:] {
 				if (v == nil) != (verdicts[0] == nil) {

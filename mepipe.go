@@ -26,7 +26,6 @@ package mepipe
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"mepipe/internal/analytic"
 	"mepipe/internal/bench"
@@ -415,15 +414,6 @@ var (
 	Experiments  = bench.Experiments
 	ExperimentBy = bench.ByID
 )
-
-// Export writes a simulated result through any Exporter — ASCII or SVG
-// Gantt charts, Chrome trace-event JSON, or JSONL:
-//
-//	mepipe.Export(os.Stdout, mepipe.ASCIITimeline{}, res)
-//	mepipe.Export(f, mepipe.ChromeTrace{}, res)
-func Export(w io.Writer, e Exporter, res *SimResult) error {
-	return e.Export(w, res.Trace())
-}
 
 // MakespanBound is the order-free lower bound on a schedule's makespan.
 var MakespanBound = sim.MakespanBound

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mepipe/internal/config"
+	"mepipe/internal/strategy"
 )
 
 func job13B(gbs int) Job {
@@ -36,7 +37,8 @@ func TestPlanMEPipeAtPaperConfig(t *testing.T) {
 	if plan.Schedule == nil || !plan.Schedule.SplitBW || plan.Schedule.WPieces == 0 {
 		t.Error("plan schedule must be the full split + fine-grained MEPipe schedule")
 	}
-	res, err := plan.Simulate(context.Background())
+	rec := NewRecorder()
+	res, err := plan.Simulate(context.Background(), strategy.WithSink(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func TestPlanMEPipeAtPaperConfig(t *testing.T) {
 		t.Errorf("iteration %.2f s outside the plausible band", res.IterTime)
 	}
 	var sb strings.Builder
-	if err := Export(&sb, ASCIITimeline{}, res); err != nil {
+	if err := (ASCIITimeline{}).Export(&sb, rec.Trace()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "stage  0") {
