@@ -175,14 +175,16 @@ bench:
 bench-kernels:
 	$(GO) test ./internal/tensor -run NONE -bench 'BenchmarkKernels|BenchmarkMatMul256|BenchmarkDecoderSlice'
 
-# One-iteration smoke of the kernel benchmarks (CI: proves they run), and
-# the serial GEMM floor: on the decoder slice's mix, MatMul, MatMulBT,
+# One-iteration smoke of the kernel benchmarks (CI: proves they run), the
+# serial GEMM floor: on the decoder slice's mix, MatMul, MatMulBT,
 # MatMulAT and the three together each at least their floor times their
 # naive oracles at 0 allocs (amd64 with AVX2; skipped, with the Go loops'
-# ratios logged, without it).
+# ratios logged, without it), and the exp floor: the sigmoid leaf at least
+# 3× the scalar loop per element at 0 allocs (amd64 with AVX2 and FMA;
+# skipped, with the ratio logged, without them).
 bench-smoke:
 	$(GO) test ./internal/tensor -run NONE -bench 'BenchmarkKernels|BenchmarkDecoderSlice' -benchtime 1x
-	$(GO) test ./internal/tensor -run TestGEMMFloor -count=1
+	$(GO) test ./internal/tensor -run 'TestGEMMFloor|TestExpFloor' -count=1
 	$(GO) test ./internal/nn -run NONE -bench BenchmarkTrainStep -benchtime 1x
 
 # Code-layout check: builds benchmark/ at BASE (in a temporary git

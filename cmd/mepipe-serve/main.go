@@ -28,6 +28,29 @@ import (
 	"mepipe/internal/serve"
 )
 
+// The server's connection timeouts: a request's header must arrive within
+// readHeaderTimeout and the whole request within readTimeout, and a
+// keep-alive connection closes after idleTimeout without one. There is no
+// write timeout: a cold sweep may compute for long, and -timeout
+// (serve.Options.Timeout) already bounds the wait for a computation.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer returns the http.Server that serves h on addr, with the
+// connection timeouts above.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
@@ -46,7 +69,7 @@ func main() {
 	defer stop()
 
 	s := serve.New(serve.Options{CacheSize: *cacheSize, Timeout: *timeout, BaseContext: ctx})
-	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	srv := newServer(*addr, s.Handler())
 
 	errc := make(chan error, 1)
 	go func() {
@@ -80,7 +103,7 @@ func runSelfcheck(cacheSize int, timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := newServer("", s.Handler())
 	go srv.Serve(ln) //nolint:errcheck // torn down with Close below
 	defer srv.Close()
 	base := "http://" + ln.Addr().String()

@@ -27,6 +27,7 @@ import (
 	"math"
 	"math/rand"
 
+	"mepipe/internal/errs"
 	"mepipe/internal/tensor"
 )
 
@@ -42,6 +43,22 @@ func (c Config) Validate() error {
 		return fmt.Errorf("nn: non-positive field in %+v", c)
 	case c.Hidden%c.Heads != 0:
 		return fmt.Errorf("nn: hidden %d not divisible by %d heads", c.Hidden, c.Heads)
+	}
+	return nil
+}
+
+// CheckSample reports whether sample is one training sample: SeqLen+1
+// tokens, every embedded one (all but the last) in [0, Vocab) and every
+// target (all but the first) below Vocab. A negative target is one
+// tensor.CrossEntropy ignores. The error wraps errs.ErrIncompatible.
+func (c Config) CheckSample(sample []int) error {
+	if len(sample) != c.SeqLen+1 {
+		return fmt.Errorf("%d tokens, want %d: %w", len(sample), c.SeqLen+1, errs.ErrIncompatible)
+	}
+	for j, tok := range sample {
+		if tok >= c.Vocab || tok < 0 && j < len(sample)-1 {
+			return fmt.Errorf("token %d at position %d is outside the vocabulary [0, %d): %w", tok, j, c.Vocab, errs.ErrIncompatible)
+		}
 	}
 	return nil
 }
@@ -438,12 +455,11 @@ func (l *Layer) BackwardSlice(sc *tensor.Scratch, st *LayerState, start int, dy 
 	// act = silu(g) ⊙ u
 	dG := sc.Get(t, l.cfg.FFN)
 	siluG := sc.GetRaw(t, l.cfg.FFN)
-	tensor.SiLU(siluG, sv.g)
 	dU := sc.Get(t, l.cfg.FFN)
-	tensor.MulAdd(dU, dAct, siluG)
 	dActSilu := sc.GetRaw(t, l.cfg.FFN)
 	tensor.Mul(dActSilu, dAct, sv.u)
-	tensor.SiLUBackward(dG, dActSilu, sv.g)
+	tensor.SiLUBackward(siluG, dG, dActSilu, sv.g)
+	tensor.MulAdd(dU, dAct, siluG)
 	sc.Put(siluG)
 	sc.Put(dActSilu)
 	sc.Put(dAct)

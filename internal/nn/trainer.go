@@ -56,9 +56,9 @@ func (t *Trainer) Step(batch [][]int, slices int) (float64, error) {
 	if cfg.SeqLen%slices != 0 {
 		return 0, fmt.Errorf("nn: seq len %d not divisible by %d slices", cfg.SeqLen, slices)
 	}
-	for _, sample := range batch {
-		if len(sample) != cfg.SeqLen+1 {
-			return 0, fmt.Errorf("nn: sample has %d tokens, want %d", len(sample), cfg.SeqLen+1)
+	for i, sample := range batch {
+		if err := cfg.CheckSample(sample); err != nil {
+			return 0, fmt.Errorf("nn: sample %d: %w", i, err)
 		}
 	}
 	if cap(t.logits) < slices {

@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"mepipe/internal/errs"
 	"mepipe/internal/tensor"
 )
 
@@ -122,4 +124,36 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 	st := tr.Stats()
 	b.ReportMetric(float64(st.FLOPs)/1e9/b.Elapsed().Seconds(), "GFLOP/s")
+}
+
+// TestStepRejectsOutOfVocabulary: a token outside the vocabulary — an
+// embedded one at or past Vocab or below 0, or a target at or past Vocab —
+// makes Step return ErrIncompatible, before it touches the model, where it
+// used to panic. A negative last target is one CrossEntropy ignores, and
+// trains.
+func TestStepRejectsOutOfVocabulary(t *testing.T) {
+	cfg := tinyCfg()
+	for _, bad := range []struct {
+		pos, tok int
+	}{{0, cfg.Vocab}, {4, cfg.Vocab + 133}, {0, -1}, {cfg.SeqLen - 1, -2}, {cfg.SeqLen, cfg.Vocab}} {
+		m, _ := NewModel(cfg, 1)
+		batch := randBatch(rand.New(rand.NewSource(5)), cfg, 2)
+		batch[1][bad.pos] = bad.tok
+		if _, err := m.TrainSequential(batch, 2); !errors.Is(err, errs.ErrIncompatible) {
+			t.Errorf("token %d at %d: Step returned %v, want ErrIncompatible", bad.tok, bad.pos, err)
+		}
+		for name, g := range m.Grads() {
+			for _, v := range g.Data {
+				if v != 0 {
+					t.Fatalf("token %d at %d: gradient %s touched by a rejected step", bad.tok, bad.pos, name)
+				}
+			}
+		}
+	}
+	m, _ := NewModel(cfg, 1)
+	batch := randBatch(rand.New(rand.NewSource(5)), cfg, 2)
+	batch[0][cfg.SeqLen] = -1
+	if _, err := m.TrainSequential(batch, 2); err != nil {
+		t.Fatalf("ignored last target: %v", err)
+	}
 }

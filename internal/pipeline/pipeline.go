@@ -101,8 +101,8 @@ func New(m *nn.Model, s *sched.Schedule, batch [][]int) (*Runner, error) {
 		return nil, fmt.Errorf("pipeline: seq len %d not divisible by %d slices: %w", m.Cfg.SeqLen, s.S, errs.ErrIncompatible)
 	}
 	for i, sample := range batch {
-		if len(sample) != m.Cfg.SeqLen+1 {
-			return nil, fmt.Errorf("pipeline: sample %d has %d tokens, want %d: %w", i, len(sample), m.Cfg.SeqLen+1, errs.ErrIncompatible)
+		if err := m.Cfg.CheckSample(sample); err != nil {
+			return nil, fmt.Errorf("pipeline: sample %d: %w", i, err)
 		}
 	}
 	chunks := s.TotalChunks()

@@ -2,11 +2,13 @@ package pipeline
 
 import (
 	"bufio"
+	"errors"
 	"math"
 	"math/rand"
 	"net"
 	"testing"
 
+	"mepipe/internal/errs"
 	"mepipe/internal/nn"
 	"mepipe/internal/sched"
 	"mepipe/internal/tensor"
@@ -200,6 +202,40 @@ func TestNewValidation(t *testing.T) {
 	bad, _ := sched.TeraPipe(2, 3, 2, nil) // 8 tokens not divisible by 3
 	if _, err := New(m, bad, batch(rng, c, 2)); err == nil {
 		t.Error("indivisible slices accepted")
+	}
+}
+
+// TestNewRejectsOutOfVocabulary: a token outside the vocabulary — an
+// embedded one at or past Vocab or below 0, or a target at or past Vocab —
+// is bad input, rejected by New with ErrIncompatible before any stage
+// starts, not a stage fault. A negative last target is one CrossEntropy
+// ignores, and runs.
+func TestNewRejectsOutOfVocabulary(t *testing.T) {
+	c := cfg()
+	s, err := sched.DAPPLE(2, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []struct {
+		pos, tok int
+	}{{0, c.Vocab}, {3, c.Vocab + 131}, {0, -1}, {c.SeqLen - 1, -2}, {c.SeqLen, c.Vocab}} {
+		m, _ := nn.NewModel(c, 1)
+		b := batch(rand.New(rand.NewSource(3)), c, 2)
+		b[1][bad.pos] = bad.tok
+		_, err := New(m, s, b)
+		if !errors.Is(err, errs.ErrIncompatible) {
+			t.Errorf("token %d at %d: New returned %v, want ErrIncompatible", bad.tok, bad.pos, err)
+		}
+	}
+	m, _ := nn.NewModel(c, 1)
+	b := batch(rand.New(rand.NewSource(3)), c, 2)
+	b[0][c.SeqLen] = -1
+	r, err := New(m, s, b)
+	if err != nil {
+		t.Fatalf("ignored last target: %v", err)
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatalf("ignored last target: %v", err)
 	}
 }
 

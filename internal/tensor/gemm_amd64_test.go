@@ -8,11 +8,11 @@ import (
 )
 
 // WithLeaves runs f once per leaf set this CPU can run, as a subtest: the
-// AVX2 leaves ("avx2", when hasAVX2 reports them) and the Go loops ("go"),
-// with useAVX2 set to match and restored afterwards. The external test
-// package uses it too.
+// AVX2 leaves ("avx2", when hasAVX2 reports them; the exp leaves too when
+// hasFMA does) and the Go loops ("go"), with useAVX2 and useExpAVX2 set to
+// match and restored afterwards. The external test package uses it too.
 func WithLeaves(t *testing.T, f func(t *testing.T)) {
-	defer func(v bool) { useAVX2 = v }(useAVX2)
+	defer func(gemm, exp bool) { useAVX2, useExpAVX2 = gemm, exp }(useAVX2, useExpAVX2)
 	for _, set := range []struct {
 		name string
 		avx2 bool
@@ -22,6 +22,7 @@ func WithLeaves(t *testing.T, f func(t *testing.T)) {
 			continue
 		}
 		useAVX2 = set.avx2
+		useExpAVX2 = set.avx2 && hasFMA()
 		t.Run(set.name, f)
 	}
 }

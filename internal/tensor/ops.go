@@ -13,23 +13,56 @@ func (m *Matrix) RandInit(rng *rand.Rand, scale float32) {
 	}
 }
 
+// expChunk is the length of the stack buffers through which SiLU,
+// SiLUBackward, SoftmaxRowsCausal and CrossEntropy run their exp leaves.
+const expChunk = 512
+
 // SiLU applies x·sigmoid(x) element-wise into dst.
 func SiLU(dst, x *Matrix) {
-	for i, v := range x.Data {
-		dst.Data[i] = v * sigmoid(v)
+	var s [expChunk]float32
+	for i0 := 0; i0 < len(x.Data); i0 += expChunk {
+		xs := x.Data[i0:min(i0+expChunk, len(x.Data))]
+		sigmoids(s[:len(xs)], xs)
+		d := dst.Data[i0:]
+		for i, v := range xs {
+			d[i] = v * s[i]
+		}
 	}
 }
 
-// SiLUBackward computes dx += dy ⊙ silu'(x).
-func SiLUBackward(dx, dy, x *Matrix) {
-	for i, v := range x.Data {
-		s := sigmoid(v)
-		dx.Data[i] += dy.Data[i] * (s + v*s*(1-s))
+// SiLUBackward sets act = silu(x) and computes dx += dy ⊙ silu'(x), one
+// sigmoid per element serving both.
+func SiLUBackward(act, dx, dy, x *Matrix) {
+	var s [expChunk]float32
+	for i0 := 0; i0 < len(x.Data); i0 += expChunk {
+		xs := x.Data[i0:min(i0+expChunk, len(x.Data))]
+		sigmoids(s[:len(xs)], xs)
+		a, dxs, dys := act.Data[i0:], dx.Data[i0:], dy.Data[i0:]
+		for i, v := range xs {
+			sg := s[i]
+			a[i] = v * sg
+			dxs[i] += dys[i] * (sg + v*sg*(1-sg))
+		}
 	}
 }
 
 func sigmoid(v float32) float32 {
 	return float32(1 / (1 + math.Exp(-float64(v))))
+}
+
+// sigmoidsGo is the loop the sigmoid leaf replaces, and its oracle.
+func sigmoidsGo(dst, x []float32) {
+	for i, v := range x {
+		dst[i] = sigmoid(v)
+	}
+}
+
+// expDiffsGo is the loop the exp-of-difference leaf replaces, and its
+// oracle: the difference in float32, its exp in float64.
+func expDiffsGo(dst []float64, x []float32, c float32) {
+	for j, v := range x {
+		dst[j] = math.Exp(float64(v - c))
+	}
 }
 
 // newVec allocates a fresh float32 slice for callers that did not supply a
@@ -101,6 +134,7 @@ func RMSNormBackward(dx *Matrix, dg []float32, dy, x *Matrix, g []float32, inv [
 // is the absolute position of the slice's first query. Masked entries are
 // zeroed. The computation is done in place.
 func SoftmaxRowsCausal(scores *Matrix, offset int) {
+	var e [expChunk]float64
 	for q := 0; q < scores.Rows; q++ {
 		row := scores.Row(q)
 		limit := offset + q + 1
@@ -114,10 +148,13 @@ func SoftmaxRowsCausal(scores *Matrix, offset int) {
 			}
 		}
 		var sum float64
-		for j := 0; j < limit; j++ {
-			e := float32(math.Exp(float64(row[j] - maxv)))
-			row[j] = e
-			sum += float64(e)
+		for j0 := 0; j0 < limit; j0 += expChunk {
+			xs := row[j0:min(j0+expChunk, limit)]
+			expDiffs(e[:len(xs)], xs, maxv)
+			for j := range xs {
+				xs[j] = float32(e[j])
+				sum += float64(xs[j])
+			}
 		}
 		invSum := float32(1 / sum)
 		for j := 0; j < limit; j++ {
@@ -168,6 +205,7 @@ func CrossEntropy(dst, logits *Matrix, targets []int) float64 {
 		return 0
 	}
 	invCount := float32(1.0 / float64(count))
+	var buf [expChunk]float64
 	for i := 0; i < logits.Rows; i++ {
 		row := logits.Row(i)
 		drow := dst.Row(i)
@@ -183,15 +221,28 @@ func CrossEntropy(dst, logits *Matrix, targets []int) float64 {
 				maxv = v
 			}
 		}
+		// A row that fits the buffer takes each exp once; a longer one
+		// takes them again, chunk by chunk, for p.
+		n := len(row)
 		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v - maxv))
+		for j0 := 0; j0 < n; j0 += expChunk {
+			e := buf[:min(expChunk, n-j0)]
+			expDiffs(e, row[j0:j0+len(e)], maxv)
+			for _, v := range e {
+				sum += v
+			}
 		}
 		logSum := math.Log(sum)
 		loss += logSum - float64(row[targets[i]]-maxv)
-		for j, v := range row {
-			p := float32(math.Exp(float64(v-maxv)) / sum)
-			drow[j] = p * invCount
+		for j0 := 0; j0 < n; j0 += expChunk {
+			e := buf[:min(expChunk, n-j0)]
+			if n > expChunk {
+				expDiffs(e, row[j0:j0+len(e)], maxv)
+			}
+			for j, v := range e {
+				p := float32(v / sum)
+				drow[j0+j] = p * invCount
+			}
 		}
 		drow[targets[i]] -= invCount
 	}

@@ -196,13 +196,18 @@ func TestRMSNormBackwardNumeric(t *testing.T) {
 	}
 }
 
-// TestSiLUBackwardNumeric checks the SiLU derivative numerically.
+// TestSiLUBackwardNumeric checks the SiLU derivative numerically, and the
+// activation SiLUBackward recomputes against SiLU's bit for bit.
 func TestSiLUBackwardNumeric(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x := randMat(rng, 2, 5)
 	dy := randMat(rng, 2, 5)
-	dx := New(2, 5)
-	SiLUBackward(dx, dy, x)
+	dx, act, want := New(2, 5), New(2, 5), New(2, 5)
+	SiLUBackward(act, dx, dy, x)
+	SiLU(want, x)
+	if i := firstBitDiff(act.Data, want.Data); i >= 0 {
+		t.Fatalf("silu[%d]: SiLUBackward %v, SiLU %v", i, act.Data[i], want.Data[i])
+	}
 	const eps = 1e-3
 	for i := range x.Data {
 		f := func(v float32) float64 {
