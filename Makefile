@@ -134,7 +134,12 @@ sim-smoke:
 
 # Grid-search engine smoke (docs/PERFORMANCE.md): the golden equivalence
 # suite (Sweep and SearchContext vs the sequential oracle at 8/16/32 GPUs,
-# ±prune, and mid-sweep cancellation), the peak-equality test (Certify's
+# ±prune, the pruned best equal to the unpruned one, and mid-sweep
+# cancellation), the pruned-search regression rows (the best bit for bit
+# with and without pruning, including the Llama-7B × 64 A100 point the
+# Table 3 bound got wrong), a short run of the work bound's soundness
+# fuzzer (the bound never exceeds a feasible point's simulated time), the
+# peak-equality test (Certify's
 # per-stage peaks equal sim.Run's static ones under the same footprints,
 # over every preset family — the one retention rule, applied alike), the
 # certifier's verdict on partial tables (rejected alike with or without
@@ -155,7 +160,8 @@ sim-smoke:
 # shared), the façade planner's compatibility and ErrOOM bugfix tests, and
 # PlanMEPipeAt's simulation equal to Evaluate's bit for bit.
 sweep-smoke:
-	$(GO) test ./internal/strategy -run 'TestSweep|TestResolvePinned' -count=1
+	$(GO) test ./internal/strategy -run 'TestSweep|TestResolvePinned|TestPrunedSearchSameBest' -count=1
+	$(GO) test ./internal/strategy -run NONE -fuzz '^FuzzWorkBoundSound$$' -fuzztime 10s
 	$(GO) test . -run 'TestPlanMEPipeAtIncompatible|TestPlanMEPipeOOMSentinels|TestPlanSimulateMatchesEvaluate' -count=1
 	$(GO) test ./internal/verify -run 'TestCertifyPeaksMatchRun|TestIncompleteAndMissing|TestMissingDepMessage|TestUniverseTexts' -count=1
 	$(GO) test ./internal/sched -run 'TestValidateMessages' -count=1

@@ -50,13 +50,29 @@ const staticWhy = "static memory exceeds device capacity"
 var errStatic = fmt.Errorf("%s: %w", staticWhy, errs.ErrOOM)
 
 // Resolve builds the plan of one (system, parallel strategy) configuration:
-// compatibility, mesh, micro-batches, memory plan, feasibility, cost model,
-// variant and preset schedule, in that order. Shape failures are errors
-// (wrapping errs.ErrIncompatible); a configuration that is well formed but
-// cannot run is a plan with Unfit set.
+// compatibility, mesh, micro-batches, memory plan, feasibility, cost model
+// and its chunk placement, variant and preset schedule, in that order.
+// Shape failures are errors (wrapping errs.ErrIncompatible); a
+// configuration that is well formed but cannot run is a plan with Unfit
+// set.
 //
 //mepipe:deterministic
 func Resolve(sys System, m config.Model, cl cluster.Cluster, par config.Parallel, tr config.Training) (*Plan, error) {
+	return resolve(sys, m, cl, par, tr, nil)
+}
+
+// errSkipped ends a resolution whose stop hook ruled it out at its work
+// bound; resolve and evaluate return it bare. The grid search's replay
+// drops every such point as pruned, so it surfaces only if that reasoning
+// breaks.
+var errSkipped = fmt.Errorf("strategy: search skipped a point it needs (internal branch-and-bound error): %w", errs.ErrUncertified)
+
+// resolve is Resolve with a stop hook for the grid search. A non-nil stop
+// is handed the configuration's work bound once the cost model exists;
+// when it returns true, resolve returns errSkipped before building the
+// schedule. Configurations that end earlier (shape errors, static OOM)
+// have no bound and never reach stop.
+func resolve(sys System, m config.Model, cl cluster.Cluster, par config.Parallel, tr config.Training, stop func(bound float64) bool) (*Plan, error) {
 	if err := compatible(sys, par); err != nil {
 		return nil, err
 	}
@@ -84,8 +100,36 @@ func Resolve(sys System, m config.Model, cl cluster.Cluster, par config.Parallel
 	if p.Costs, err = perf.New(m, mesh); err != nil {
 		return nil, err
 	}
+	if sys == ZBV {
+		p.Costs.WithPlacement(sched.Wave{P: par.PP})
+	}
+	if stop != nil && stop(workBound(p.Costs, par, n)) {
+		return nil, errSkipped
+	}
 	p.Schedule, p.DynamicW, p.F, p.Unfit = buildSchedule(sys, par, n, p.Costs, mem)
 	return p, nil
+}
+
+// workBound is a lower bound on the iteration time of any schedule of the
+// configuration: a stage runs its ops one after another, so it cannot
+// finish before N times the F and B work of its chunks and slices, plus
+// its tail. A fused B costs what BAct and its W pieces cost together, so
+// the bound covers split schedules, and the §5 dynamic W engine, which
+// only reorders those pieces, cannot beat it. The factor allows for
+// rounding in the simulator's sums.
+func workBound(c *perf.Costs, par config.Parallel, n int) float64 {
+	bound := 0.0
+	for k := 0; k < par.PP; k++ {
+		work := 0.0
+		for ch := 0; ch < par.VP; ch++ {
+			for s := 0; s < par.SPP; s++ {
+				work += c.OpTime(k, sched.Op{Kind: sched.F, Chunk: ch, Slice: s}) +
+					c.OpTime(k, sched.Op{Kind: sched.B, Chunk: ch, Slice: s})
+			}
+		}
+		bound = max(bound, float64(n)*work+c.TailTime(k))
+	}
+	return bound * (1 - 1e-9)
 }
 
 // Simulate certifies the plan's schedule and simulates one iteration on
@@ -172,7 +216,6 @@ func buildSchedule(sys System, par config.Parallel, n int, costs *perf.Costs, pl
 	case ZB:
 		s, err = sched.ZB1P(p, n, costs)
 	case ZBV:
-		costs.WithPlacement(sched.Wave{P: p})
 		s, err = sched.ZBV(p, n, costs)
 	case TeraPipe:
 		s, err = sched.TeraPipe(p, par.SPP, n, costs)

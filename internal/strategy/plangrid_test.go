@@ -2,6 +2,7 @@ package strategy
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -62,13 +63,23 @@ func TestLargestFirst(t *testing.T) {
 	}
 }
 
-// BenchmarkPlanCold is the cold planning request's search alone.
+// BenchmarkPlanCold is the cold planning request's search alone, without
+// and with pruning. It reports the pruned search's counters.
 func BenchmarkPlanCold(b *testing.B) {
 	m, cl, tr, sp := planColdPoint()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SearchContext(context.Background(), MEPipe, m, cl, tr, sp); err != nil {
-			b.Fatal(err)
-		}
+	for _, prune := range []bool{false, true} {
+		b.Run(fmt.Sprintf("prune=%v", prune), func(b *testing.B) {
+			sp.Prune = prune
+			b.ReportAllocs()
+			var res *SearchResult
+			for i := 0; i < b.N; i++ {
+				var err error
+				if res, err = SearchContext(context.Background(), MEPipe, m, cl, tr, sp); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.Evaluated), "evaluated")
+			b.ReportMetric(float64(res.Pruned), "pruned")
+		})
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 
-	"mepipe/internal/analytic"
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
 	"mepipe/internal/errs"
@@ -131,7 +130,13 @@ func Evaluate(sys System, m config.Model, cl cluster.Cluster, par config.Paralle
 //
 //mepipe:deterministic
 func EvaluateContext(ctx context.Context, sys System, m config.Model, cl cluster.Cluster, par config.Parallel, tr config.Training, opts ...Option) (*Eval, error) {
-	p, err := Resolve(sys, m, cl, par, tr)
+	return evaluate(ctx, sys, m, cl, par, tr, nil, opts)
+}
+
+// evaluate is EvaluateContext with resolve's stop hook, which the grid
+// search uses to skip a point at its work bound.
+func evaluate(ctx context.Context, sys System, m config.Model, cl cluster.Cluster, par config.Parallel, tr config.Training, stop func(bound float64) bool, opts []Option) (*Eval, error) {
+	p, err := resolve(sys, m, cl, par, tr, stop)
 	if err != nil {
 		return nil, err
 	}
@@ -159,55 +164,6 @@ func EvaluateContext(ctx context.Context, sys System, m config.Model, cl cluster
 	return ev, nil
 }
 
-// lowerBound returns a conservative (never over-estimating) iteration-time
-// floor for a candidate: the per-GPU compute floor at peak achievable
-// throughput, divided by one minus the Table 3 bubble ratio (itself a lower
-// bound on the simulated bubble). Returns ok=false when no analytic row
-// applies.
-func lowerBound(sys System, m config.Model, cl cluster.Cluster, par config.Parallel, tr config.Training) (float64, bool) {
-	n, err := tr.MicroBatches(par)
-	if err != nil {
-		return 0, false
-	}
-	compute := 6 * float64(model.TotalParams(m)) * float64(tr.GlobalBatch) * float64(m.SeqLen) /
-		(float64(cl.GPUs()) * cl.GPU.MatmulFLOPS)
-	switch par.Recompute {
-	case config.RecomputeFull:
-		// Full recomputation re-runs the forward pass: +1/3 of the
-		// fwd+bwd total.
-		compute *= 4.0 / 3.0
-	case config.RecomputeSelective:
-		compute *= 1.1
-	}
-	var meth analytic.Method
-	params := analytic.Params{P: par.PP, V: par.VP, S: 1, N: n}
-	switch sys {
-	case GPipe:
-		meth = analytic.GPipe
-	case DAPPLE:
-		meth = analytic.DAPPLE
-	case VPP:
-		meth = analytic.VPP
-	case TeraPipe:
-		meth = analytic.TeraPipe
-		params.S = par.SPP
-	case MEPipe:
-		meth = analytic.SVPP
-		params.S = par.SPP
-	default:
-		// Zero-bubble systems: no bubble floor, compute-only bound.
-		return compute, true
-	}
-	if !analytic.Supported(meth, params) {
-		return compute, true
-	}
-	bubble, err := analytic.BubbleRatio(meth, params)
-	if err != nil || bubble >= 1 {
-		return compute, true
-	}
-	return compute / (1 - bubble), true
-}
-
 // SearchSpace bounds the grid (§7.3).
 type SearchSpace struct {
 	PP  []int
@@ -216,11 +172,13 @@ type SearchSpace struct {
 	VP  []int // virtual pipeline sizes for VPP
 	// MinDP is the paper's "minimal data parallel size 2" constraint.
 	MinDP int
-	// Prune skips simulating candidates whose analytic lower bound on
-	// iteration time (compute floor divided by one minus the Table 3
-	// bubble ratio) already exceeds the best feasible time found. The
-	// bound is conservative, so the returned Best is unchanged — only
-	// cheaper to find. §9 calls for exactly this kind of cost-model
+	// Prune drops every candidate whose work bound (no stage finishes
+	// before its F and B work plus its tail) exceeds the best feasible
+	// time of the whole grid, and skips simulating such candidates once a
+	// feasible time below their bound is known. The bound never exceeds a
+	// simulated iteration time, so the returned Best is unchanged, and the
+	// dropped set depends only on the grid: the result is the same for
+	// every worker count. §9 calls for exactly this kind of cost-model
 	// assistance to tame the grid-search overhead.
 	Prune bool
 }
@@ -242,8 +200,9 @@ func DefaultSpace() SearchSpace {
 type SearchResult struct {
 	Sys        System
 	Candidates []*Eval
-	// Evaluated and Pruned count full simulations run vs candidates
-	// skipped by the analytic lower bound (SearchSpace.Prune).
+	// Evaluated counts the candidates listed; Pruned counts the points
+	// whose work bound exceeds the best feasible time (SearchSpace.Prune),
+	// whether or not the search evaluated them before that time was known.
 	Evaluated, Pruned int
 }
 
@@ -282,9 +241,8 @@ func SearchContext(ctx context.Context, sys System, m config.Model, cl cluster.C
 	return sw.Results[0], sw.Errs[0]
 }
 
-// enumerate lists every candidate strategy of the system's grid, in the
-// fixed grid order the branch-and-bound prefix gate and the engine's
-// sequential replay are defined over.
+// enumerate lists every candidate strategy of the system's grid in its
+// fixed grid order: a search reports the first error in this order.
 func enumerate(sys System, gpus int, tr config.Training, sp SearchSpace) []config.Parallel {
 	var cands []config.Parallel
 	add := func(par config.Parallel) {

@@ -17,38 +17,43 @@ import (
 
 // The grid-search engine. Sweep searches the grids of several systems in
 // one pass; SearchContext is a one-system Sweep. Every grid point goes
-// through EvaluateContext, the only per-point code path:
+// through EvaluateContext's path (evaluate), the only per-point code path:
 //
-//   - The engine enumerates each system's grid (enumerate) and, when
-//     SearchSpace.Prune is set, each point's analytic lower bound.
-//   - Workers (at most GOMAXPROCS) pull point indices from an atomic
-//     cursor in largestFirst order over all systems, so the longest
-//     evaluations start first instead of finishing on one worker.
-//   - With pruning, the workers share a per-system prefixGate: point i is
-//     skipped before evaluation once a completed, non-OOM point j < i
-//     (grid order) has a simulated time below i's lower bound. Every gate
-//     skip is provably also a sequential-pruning skip (see prefixGate).
-//   - Results are positional. After the join, a grid-order replay per
-//     system reconstructs exactly what a sequential walk with pruning
-//     would have produced — candidates, Evaluated/Pruned counters and the
-//     first error in grid order — whatever the worker count or
-//     interleaving.
+//   - The engine enumerates each system's grid (enumerate). Workers (at
+//     most GOMAXPROCS) pull point indices from an atomic cursor (fan).
+//   - Without pruning they take the points in largestFirst order over all
+//     systems, so the longest evaluations start first instead of finishing
+//     on one worker.
+//   - With SearchSpace.Prune, the workers first resolve every point up to
+//     its work bound (workBound); points without one (shape errors, static
+//     OOM) finish there. The caller then runs the bounded points one at a
+//     time, lowest bound first, ties in (system, grid) order, and skips a
+//     point before its schedule is built when its bound exceeds its
+//     system's incumbent, the least feasible time found so far. The bound
+//     is close to the simulated time, so in this order most points after
+//     the first good one are skipped; parallel workers here would only
+//     simulate points a one-at-a-time walk skips.
+//   - Results are positional. After the join, a replay per system walks
+//     the grid and drops every point whose bound exceeds the system's best
+//     feasible time, run or not. The incumbent never falls below that
+//     best, so every skip is dropped and the best is never skipped: the
+//     candidates, the Evaluated/Pruned counters and the first error in
+//     grid order depend on neither dispatch order nor worker count.
 
-// SweepStats counts what the engine actually did, across all systems.
+// SweepStats counts what the engine did, across all systems.
 type SweepStats struct {
 	// GridPoints is the number of enumerated candidate strategies.
 	GridPoints int
 	// Simulated counts points whose evaluation ran the simulator;
-	// GateSkipped counts points the branch-and-bound gate skipped before
-	// evaluation.
+	// GateSkipped counts points skipped against their system's incumbent
+	// before their schedule was built (Prune only).
 	Simulated, GateSkipped int
-	// Evaluated and Pruned are the sequential-equivalent totals over all
-	// systems (the sums of the per-system SearchResult counters).
+	// Evaluated and Pruned are the sums of the per-system SearchResult
+	// counters.
 	Evaluated, Pruned int
 }
 
-// PruneRate is the sequential-equivalent fraction of grid points skipped by
-// the analytic lower bound.
+// PruneRate is the fraction of grid points pruned by the work bound.
 func (st SweepStats) PruneRate() float64 {
 	if st.GridPoints == 0 {
 		return 0
@@ -79,35 +84,48 @@ type SweepResult struct {
 func Sweep(ctx context.Context, systems []System, m config.Model, cl cluster.Cluster, tr config.Training, sp SearchSpace, opts ...Option) (*SweepResult, error) {
 	grids := make([]*sysGrid, len(systems))
 	var points []gridPoint
-	var pars []config.Parallel
 	for si, sys := range systems {
-		g := newSysGrid(sys, m, cl, tr, sp)
+		g := &sysGrid{sys: sys, gpus: cl.GPUs(), incumbent: math.Inf(1)}
+		g.cands = enumerate(sys, g.gpus, tr, sp)
+		g.out = make([]outcome, len(g.cands))
 		grids[si] = g
-		for i, par := range g.cands {
+		for i := range g.cands {
 			points = append(points, gridPoint{g: g, i: i})
-			pars = append(pars, par)
 		}
 	}
-
-	order := largestFirst(pars, tr)
-	workers := min(runtime.GOMAXPROCS(0), len(points))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				k := int(cursor.Add(1)) - 1
-				if k >= len(order) {
-					return
-				}
-				pt := points[order[k]]
-				pt.g.run(ctx, pt.i, m, cl, tr, sp.Prune, opts)
-			}
-		}()
+	run := func(pt gridPoint, stop func(bound float64) bool) {
+		o := pt.out()
+		o.ev, o.err = evaluate(ctx, pt.g.sys, m, cl, pt.g.cands[pt.i], tr, stop, opts)
 	}
-	wg.Wait()
+
+	if !sp.Prune {
+		pars := make([]config.Parallel, len(points))
+		for k, pt := range points {
+			pars[k] = pt.g.cands[pt.i]
+		}
+		order := largestFirst(pars, tr)
+		fan(ctx, len(order), func(k int) { run(points[order[k]], nil) })
+	} else {
+		fan(ctx, len(points), func(k int) {
+			o := points[k].out()
+			run(points[k], func(bound float64) bool { o.bound = bound; return true })
+		})
+		var order []gridPoint
+		for _, pt := range points {
+			if pt.out().err == errSkipped {
+				order = append(order, pt)
+			}
+		}
+		sort.SliceStable(order, func(a, b int) bool { return order[a].out().bound < order[b].out().bound })
+		for _, pt := range order {
+			if o, g := pt.out(), pt.g; ctx.Err() == nil && o.bound <= g.incumbent {
+				run(pt, nil)
+				if o.err == nil && !o.ev.OOM {
+					g.incumbent = min(g.incumbent, o.ev.IterTime)
+				}
+			}
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("strategy: sweep %w: %v", errs.ErrCancelled, err)
 	}
@@ -118,7 +136,7 @@ func Sweep(ctx context.Context, systems []System, m config.Model, cl cluster.Clu
 	}
 	st := &res.Stats
 	for si, g := range grids {
-		sr, err := g.replay(sp.Prune)
+		sr, err := g.replay()
 		if err != nil && (sr == nil || !errors.Is(err, errs.ErrIncompatible)) {
 			return nil, err
 		}
@@ -134,12 +152,34 @@ func Sweep(ctx context.Context, systems []System, m config.Model, cl cluster.Clu
 			if o.ev != nil && o.ev.Result != nil {
 				st.Simulated++
 			}
-			if o.gated {
+			if o.err == errSkipped {
 				st.GateSkipped++
 			}
 		}
 	}
 	return res, nil
+}
+
+// fan calls do(k) for every k < n on at most GOMAXPROCS workers that pull
+// k from an atomic cursor, until ctx is cancelled, and returns when all
+// calls have.
+func fan(ctx context.Context, n int, do func(k int)) {
+	var cursor atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				k := int(cursor.Add(1)) - 1
+				if k >= n {
+					return
+				}
+				do(k)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // gridPoint names point i of one system's grid.
@@ -148,76 +188,40 @@ type gridPoint struct {
 	i int
 }
 
-// sysGrid is one system's grid in grid order, with its positional results.
+func (pt gridPoint) out() *outcome { return &pt.g.out[pt.i] }
+
+// sysGrid is one system's grid in grid order, with its positional results
+// and, in a pruned search, its incumbent: the least feasible time found so
+// far (+Inf before the first), read and written by the caller only.
 type sysGrid struct {
-	sys   System
-	gpus  int
-	cands []config.Parallel
-	lb    []float64 // analytic lower bound, NaN when none applies (Prune only)
-	out   []outcome
-	gate  *prefixGate
+	sys       System
+	gpus      int
+	cands     []config.Parallel
+	out       []outcome
+	incumbent float64
 }
 
-// outcome is what the parallel pass learned about one point. Each point is
-// written by exactly one worker and read only after the join.
+// outcome is what the search learned about one point. Each point is written
+// by one goroutine at a time, and read by others only after a join.
 type outcome struct {
-	ran   bool // EvaluateContext returned ev or err
-	gated bool // skipped by the branch-and-bound gate
+	bound float64 // work bound; 0 (never pruned) when none was computed
 	ev    *Eval
-	err   error
+	err   error // errSkipped when the point was skipped at its bound
 }
 
-func newSysGrid(sys System, m config.Model, cl cluster.Cluster, tr config.Training, sp SearchSpace) *sysGrid {
-	g := &sysGrid{sys: sys, gpus: cl.GPUs()}
-	g.cands = enumerate(sys, g.gpus, tr, sp)
-	g.out = make([]outcome, len(g.cands))
-	if sp.Prune {
-		g.lb = make([]float64, len(g.cands))
-		for i, par := range g.cands {
-			g.lb[i] = math.NaN()
-			if lb, ok := lowerBound(sys, m, cl, par, tr); ok {
-				g.lb[i] = lb
-			}
-		}
-		g.gate = newPrefixGate(len(g.cands))
-	}
-	return g
-}
-
-// run evaluates point i unless the gate proves the replay will prune it.
-func (g *sysGrid) run(ctx context.Context, i int, m config.Model, cl cluster.Cluster, tr config.Training, prune bool, opts []Option) {
-	o := &g.out[i]
-	if prune && g.lb[i] > g.gate.bound(i) { // NaN compares false
-		o.gated = true
-		return
-	}
-	o.ev, o.err = EvaluateContext(ctx, g.sys, m, cl, g.cands[i], tr, opts...)
-	o.ran = true
-	if prune && o.err == nil && !o.ev.OOM {
-		g.gate.complete(i, o.ev.IterTime)
-	}
-}
-
-// replay reconstructs the sequential search result from the parallel
-// pass: it walks the grid in order, re-deriving the best-so-far pruning
-// decisions, and consumes the evaluations only for points a sequential
-// walk would actually have evaluated.
-func (g *sysGrid) replay(prune bool) (*SearchResult, error) {
+// replay builds the search result from the positional outcomes: it walks
+// the grid in order, drops every point whose bound exceeds the best
+// feasible time, and lists the rest. Only the pruned walk's evaluations
+// can be feasible, so its final incumbent is that best; without pruning no
+// point has a bound.
+func (g *sysGrid) replay() (*SearchResult, error) {
 	res := &SearchResult{Sys: g.sys}
-	bestTime := 0.0
-	for i := range g.cands {
-		// The prune check comes first, so even a point EvaluateContext
-		// would reject counts as pruned when its bound clears the best.
-		if prune && bestTime > 0 && g.lb[i] > bestTime {
+	for _, o := range g.out {
+		// Checked first, so a point EvaluateContext would reject also
+		// counts as pruned when its bound exceeds the best.
+		if o.bound > g.incumbent {
 			res.Pruned++
 			continue
-		}
-		o := g.out[i]
-		if !o.ran {
-			// Unreachable when the gate's prefix argument holds: a point
-			// the replay needs was evaluated by the parallel pass.
-			return nil, fmt.Errorf("strategy: search dropped %s %v (internal branch-and-bound error): %w",
-				g.sys, g.cands[i], errs.ErrUncertified)
 		}
 		if o.err != nil {
 			if errors.Is(o.err, errs.ErrIncompatible) {
@@ -229,9 +233,6 @@ func (g *sysGrid) replay(prune bool) (*SearchResult, error) {
 		}
 		res.Evaluated++
 		res.Candidates = append(res.Candidates, o.ev)
-		if !o.ev.OOM && (bestTime == 0 || o.ev.IterTime < bestTime) {
-			bestTime = o.ev.IterTime
-		}
 	}
 	sort.SliceStable(res.Candidates, func(i, j int) bool {
 		return less(res.Candidates[i], res.Candidates[j])
@@ -258,54 +259,4 @@ func largestFirst(cands []config.Parallel, tr config.Training) []int {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return size[order[a]] > size[order[b]] })
 	return order
-}
-
-// prefixGate is the monotonically tightening bound the branch-and-bound
-// workers share. slot[i] holds the minimum simulated iteration time over
-// the COMPLETED non-OOM points j < i; completing point j tightens every
-// later slot with a CAS-min.
-//
-// Soundness (gate skips ⊆ sequential prunes): suppose the gate skips i
-// because lb(i) > T_j for a completed non-OOM j < i. If sequential search
-// evaluated j, then its best-so-far at i is ≤ T_j < lb(i), so it prunes i
-// too. If sequential search PRUNED j, then lb(j) exceeded its best-so-far
-// at j, and T_j ≥ lb(j) > best(j) ≥ best(i), so lb(i) > T_j > best(i) and
-// sequential search again prunes i (a non-OOM evaluated predecessor exists
-// in both cases — the first non-OOM point is never pruned). Hence the
-// replay never needs a point the gate skipped.
-type prefixGate struct {
-	slots []atomic.Uint64
-}
-
-func newPrefixGate(n int) *prefixGate {
-	g := &prefixGate{slots: make([]atomic.Uint64, n)}
-	inf := math.Float64bits(math.Inf(1))
-	for i := range g.slots {
-		g.slots[i].Store(inf)
-	}
-	return g
-}
-
-// bound returns the tightest completed-prefix time for point i (+Inf when
-// nothing before i has completed).
-func (g *prefixGate) bound(i int) float64 {
-	return math.Float64frombits(g.slots[i].Load())
-}
-
-// complete records point i's simulated time, tightening every later slot.
-// Positive float ordering matches unsigned bit ordering, so CAS-min on the
-// raw bits is exact.
-func (g *prefixGate) complete(i int, t float64) {
-	bits := math.Float64bits(t)
-	for k := i + 1; k < len(g.slots); k++ {
-		for {
-			cur := g.slots[k].Load()
-			if bits >= cur {
-				break
-			}
-			if g.slots[k].CompareAndSwap(cur, bits) {
-				break
-			}
-		}
-	}
 }

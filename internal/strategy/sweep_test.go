@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"sort"
@@ -17,31 +18,40 @@ import (
 	"mepipe/internal/obs"
 )
 
-// searchOracle is the sequential grid search the engine must reproduce:
-// enumerate the grid, prune a point whose lower bound exceeds the best
-// feasible time so far, and evaluate the rest one at a time in grid order.
+// searchOracle is the search the engine must reproduce: evaluate every
+// grid point one at a time in grid order; with pruning, drop every point
+// whose work bound exceeds the best feasible time of the whole grid.
 func searchOracle(sys System, m config.Model, cl cluster.Cluster, tr config.Training, sp SearchSpace) (*SearchResult, error) {
-	res := &SearchResult{Sys: sys}
-	bestTime := 0.0
+	type point struct {
+		bound float64
+		ev    *Eval
+		err   error
+	}
+	var pts []point
+	best := math.Inf(1)
 	for _, par := range enumerate(sys, cl.GPUs(), tr, sp) {
-		if sp.Prune && bestTime > 0 {
-			if lb, ok := lowerBound(sys, m, cl, par, tr); ok && lb > bestTime {
-				res.Pruned++
-				continue
-			}
+		var pt point
+		pt.ev, pt.err = evaluate(context.Background(), sys, m, cl, par, tr,
+			func(b float64) bool { pt.bound = b; return false }, nil)
+		if pt.err == nil && !pt.ev.OOM {
+			best = math.Min(best, pt.ev.IterTime)
 		}
-		ev, err := EvaluateContext(context.Background(), sys, m, cl, par, tr)
-		if err != nil {
-			if errors.Is(err, errs.ErrIncompatible) {
+		pts = append(pts, pt)
+	}
+	res := &SearchResult{Sys: sys}
+	for _, pt := range pts {
+		if sp.Prune && pt.bound > best {
+			res.Pruned++
+			continue
+		}
+		if pt.err != nil {
+			if errors.Is(pt.err, errs.ErrIncompatible) {
 				continue
 			}
-			return nil, err
+			return nil, pt.err
 		}
 		res.Evaluated++
-		res.Candidates = append(res.Candidates, ev)
-		if !ev.OOM && (bestTime == 0 || ev.IterTime < bestTime) {
-			bestTime = ev.IterTime
-		}
+		res.Candidates = append(res.Candidates, pt.ev)
 	}
 	sort.SliceStable(res.Candidates, func(i, j int) bool {
 		return less(res.Candidates[i], res.Candidates[j])
@@ -82,12 +92,13 @@ func sameSearch(t *testing.T, what string, got *SearchResult, gotErr error, ref 
 // system, with and without pruning, at 8/16/32 GPUs, both Sweep and
 // SearchContext must return DeepEqual candidates — contents AND order — to
 // the sequential oracle, along with identical Evaluated/Pruned counters
-// and per-system errors.
+// and per-system errors; and the pruned best must equal the unpruned one.
 func TestSweepMatchesSequential(t *testing.T) {
 	m := config.Llama13B()
 	tr := config.Training{GlobalBatch: 64, MicroBatch: 1}
 	for _, servers := range []int{1, 2, 4} {
 		cl := cluster.RTX4090Cluster(servers)
+		unpruned := map[System]*Eval{}
 		for _, prune := range []bool{false, true} {
 			t.Run(fmt.Sprintf("gpus=%d/prune=%v", cl.GPUs(), prune), func(t *testing.T) {
 				sp := DefaultSpace()
@@ -108,6 +119,11 @@ func TestSweepMatchesSequential(t *testing.T) {
 					sameSearch(t, "SearchContext "+sys.String(), one, oneErr, ref, refErr)
 					found = found || ref.Found()
 					pruned += ref.Pruned
+					if !prune {
+						unpruned[sys] = ref.Best()
+					} else if !reflect.DeepEqual(sw.Results[si].Best(), unpruned[sys]) {
+						t.Errorf("%s: pruned best %+v, unpruned %+v", sys, sw.Results[si].Best(), unpruned[sys])
+					}
 				}
 				if sw.Stats.GridPoints == 0 || sw.Stats.Pruned != pruned {
 					t.Errorf("implausible stats: %+v (oracle pruned %d)", sw.Stats, pruned)

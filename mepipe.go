@@ -369,10 +369,12 @@ func Search(ctx context.Context, sys System, m Model, cl Cluster, tr Training, s
 // Sweep grid-searches several systems in one pass of the grid-search
 // engine Search also runs on: every grid point of every system is
 // evaluated like Evaluate does, on a worker pool that starts the largest
-// points first and, when sp.Prune is set, skips points the analytic lower
-// bound already rules out. The result is identical, per system, to a
-// Search call — including candidate order and the Evaluated/Pruned
-// counters (see docs/PERFORMANCE.md).
+// points first. When sp.Prune is set, it drops every point whose work
+// bound exceeds the system's best feasible time, and skips evaluating such
+// points once a faster feasible point is known; the best is unchanged. The
+// result is identical, per system, to a Search call — including candidate
+// order and the Evaluated/Pruned counters — for every worker count (see
+// docs/PERFORMANCE.md).
 func Sweep(ctx context.Context, systems []System, m Model, cl Cluster, tr Training, sp SearchSpace) (*SweepResult, error) {
 	return strategy.Sweep(ctx, systems, m, cl, tr, sp)
 }
