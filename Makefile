@@ -42,9 +42,12 @@ verify-presets:
 # The concurrency-sensitive packages (goroutine runtime with
 # crash-recovery, parallel GEMM kernels + scratch arena, shared trace
 # sinks, fault injector) under the race detector — fast enough for
-# every commit.
+# every commit — and the planning server's shared state: the coalescer
+# and the LRU cache with its raw-body aliases, under a concurrent
+# hit/miss/evict mix.
 race-hot:
 	$(GO) test -race ./internal/pipeline/... ./internal/obs/... ./internal/chaos/... ./internal/tensor/... ./internal/nn/... ./internal/opt/...
+	$(GO) test -race ./internal/serve -run 'TestAliasConcurrent|TestCoalescing|TestDisconnect|TestCoalescedSurvivorGetsResult' -count=1
 
 # Everything under the race detector — what the CI race job runs.
 race:
@@ -71,12 +74,16 @@ smoke:
 # Planning-server smoke (docs/SERVE.md): boots mepipe-serve on an
 # ephemeral port in-process, proves a /v1/search answers certified, the
 # identical repeat is a cache hit, and the stats reflect both; then short
-# runs of every api/v1 decoder fuzzer (decoding never panics, the serving
-# compile step accepts exactly what Normalize accepts, normalizing a
-# canonical document is the identity, and a key survives re-encoding with
-# another field order and whitespace).
+# runs of the alias-equivalence fuzzer (a server that serves repeated
+# bytes through their raw-body digest replies byte for byte like one that
+# always decodes and compiles, evictions included) and of every api/v1
+# decoder fuzzer (decoding never panics, the serving compile step accepts
+# exactly what Normalize accepts, normalizing a canonical document is the
+# identity, and a key survives re-encoding with another field order and
+# whitespace).
 serve-smoke:
 	$(GO) run ./cmd/mepipe-serve -selfcheck
+	$(GO) test ./internal/serve -run NONE -fuzz '^FuzzAliasEquivalence$$' -fuzztime 10s
 	$(GO) test ./api/v1 -run NONE -fuzz '^FuzzDecodePlanRequest$$' -fuzztime 10s
 	$(GO) test ./api/v1 -run NONE -fuzz '^FuzzDecodeTraceRequest$$' -fuzztime 10s
 	$(GO) test ./api/v1 -run NONE -fuzz '^FuzzDecodeSweepRequest$$' -fuzztime 10s

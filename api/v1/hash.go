@@ -166,6 +166,12 @@ func key(op string, doc any) (string, error) {
 // OptimizeRequest for "optimize", a PlanRequest for "search" and
 // "simulate"), compiles it once, and returns its plan and the key of its
 // canonical document. Failures wrap ErrBadRequest.
+//
+// The result is a pure function of the body's bytes and op: no clock, no
+// configuration, no server state. The server relies on that to answer
+// repeated bytes from the cache through their digest without calling
+// ReadPlan at all. If compiling ever reads server state, that state must
+// go into the digest too.
 func ReadPlan(op string, body io.Reader) (*Plan, string, error) {
 	var (
 		p     *Plan
@@ -202,6 +208,10 @@ func ReadPlan(op string, body io.Reader) (*Plan, string, error) {
 // lists). Two documents that mean the same job normalize to byte-identical
 // canonical JSON, which is what Key hashes. The receiver is not modified;
 // failures wrap ErrBadRequest.
+//
+// Normalizing is a pure function of the document (and so of its bytes):
+// the server caches a document's reply under the digest of its raw body on
+// that promise (see ReadPlan).
 func (r *PlanRequest) Normalize() (*PlanRequest, error) {
 	_, c, err := r.compile("")
 	return c, err
@@ -283,7 +293,9 @@ func (r *OptimizeRequest) compile() (*Plan, *OptimizeRequest, error) {
 
 // Normalize returns the canonical form of an optimize request: the plan
 // normalized exactly like simulate (parallel required), the optimizer
-// spec filled with the wire defaults. Failures wrap ErrBadRequest.
+// spec filled with the wire defaults. Failures wrap ErrBadRequest. Like
+// PlanRequest.Normalize it is a pure function of the document, which the
+// server's raw-body cache aliases rely on (see ReadPlan).
 func (r *OptimizeRequest) Normalize() (*OptimizeRequest, error) {
 	_, c, err := r.compile()
 	return c, err

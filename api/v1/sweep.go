@@ -125,7 +125,8 @@ func sweepSystems(names []string) ([]strategy.System, error) {
 // Normalize returns the canonical form of the sweep request: version
 // pinned, presets expanded, defaults filled, and the system list spelled
 // out in canonical lower-case. The receiver is not modified; failures wrap
-// ErrBadRequest.
+// ErrBadRequest. Like PlanRequest.Normalize it is a pure function of the
+// document (see ReadPlan).
 func (r *SweepRequest) Normalize() (*SweepRequest, error) {
 	_, c, err := r.compile()
 	return c, err

@@ -290,9 +290,13 @@ type EndpointStats struct {
 	Hits      int64 `json:"cache_hits"`
 	Misses    int64 `json:"cache_misses"`
 	Coalesced int64 `json:"coalesced"`
-	// Latency of served requests in seconds.
+	// Latency of served requests in seconds. The quantiles are
+	// interpolated within the fixed decade buckets of obs.Histogram.
 	LatencyMeanS float64 `json:"latency_mean_s"`
 	LatencyMaxS  float64 `json:"latency_max_s"`
+	LatencyP50S  float64 `json:"latency_p50_s"`
+	LatencyP90S  float64 `json:"latency_p90_s"`
+	LatencyP99S  float64 `json:"latency_p99_s"`
 }
 
 // CacheStats sizes the content-addressed response cache in GET /v1/stats.

@@ -18,14 +18,17 @@ const numHistBounds = 8
 
 // Histogram is a fixed-bucket latency histogram (bounds in histBounds).
 type Histogram struct {
-	Buckets [numHistBounds + 1]int
-	Count   int
-	Sum     float64
-	Max     float64
+	Buckets  [numHistBounds + 1]int
+	Count    int
+	Sum      float64
+	Min, Max float64
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	if h.Count == 0 || v < h.Min {
+		h.Min = v
+	}
 	h.Count++
 	h.Sum += v
 	if v > h.Max {
@@ -46,6 +49,34 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return h.Sum / float64(h.Count)
+}
+
+// Quantile estimates the q-quantile (q clamped to [0, 1]) of the observed
+// values: it finds the bucket holding rank q·Count and interpolates
+// linearly across that bucket's span, clipped to the observed [Min, Max].
+// So q = 0 gives Min, q = 1 gives Max, and a single value is exact. An
+// empty histogram returns 0.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h.Count == 0 {
+		return 0
+	}
+	rank := min(max(q, 0), 1) * float64(h.Count)
+	seen := 0
+	for i, n := range h.Buckets {
+		if n == 0 || float64(seen+n) < rank {
+			seen += n
+			continue
+		}
+		lo, hi := h.Min, h.Max
+		if i > 0 {
+			lo = max(lo, histBounds[i-1])
+		}
+		if i < len(histBounds) {
+			hi = min(hi, histBounds[i])
+		}
+		return lo + (hi-lo)*(rank-float64(seen))/float64(n)
+	}
+	return h.Max
 }
 
 // String renders the non-empty buckets compactly, e.g. "≤1ms:3 ≤10ms:1".

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -136,6 +137,52 @@ func TestHistogram(t *testing.T) {
 	}
 	if s := h.String(); !strings.Contains(s, ">10s:1") {
 		t.Errorf("String misses overflow bucket: %q", s)
+	}
+}
+
+// TestHistogramQuantile pins the quantile estimate on known distributions:
+// empty, one value, a uniform spread inside one bucket (where linear
+// interpolation is exact), and values spread over several buckets.
+func TestHistogramQuantile(t *testing.T) {
+	of := func(vs ...float64) *Histogram {
+		var h Histogram
+		for _, v := range vs {
+			h.Observe(v)
+		}
+		return &h
+	}
+	var uniform []float64 // 2 ms to 10 ms in 101 even steps
+	for i := 0; i <= 100; i++ {
+		uniform = append(uniform, 2e-3+float64(i)*8e-5)
+	}
+	cases := []struct {
+		name string
+		h    *Histogram
+		q    float64
+		want float64
+	}{
+		{"empty p50", of(), 0.5, 0},
+		{"empty p99", of(), 0.99, 0},
+		{"one value p0", of(3e-4), 0, 3e-4},
+		{"one value p50", of(3e-4), 0.5, 3e-4},
+		{"one value p99", of(3e-4), 0.99, 3e-4},
+		{"uniform p0", of(uniform...), 0, 2e-3},
+		{"uniform p50", of(uniform...), 0.5, 6e-3},
+		{"uniform p90", of(uniform...), 0.9, 9.2e-3},
+		{"uniform p100", of(uniform...), 1, 1e-2},
+		{"clamped below", of(uniform...), -1, 2e-3},
+		{"clamped above", of(uniform...), 2, 1e-2},
+		// 1 ms lands in the ≤1ms bucket, 2–10 ms in ≤10ms, which spans
+		// (1 ms, 10 ms]: rank 5 of 10 is 4 of that bucket's 9.
+		{"spread p50", of(1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3, 7e-3, 8e-3, 9e-3, 1e-2), 0.5, 1e-3 + 9e-3*4/9},
+		{"spread p10", of(1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3, 7e-3, 8e-3, 9e-3, 1e-2), 0.1, 1e-3},
+		// The overflow bucket spans (10 s, Max].
+		{"overflow p99", of(5e-4, 20, 40), 0.99, 10 + 30*(2.97-1)/2},
+	}
+	for _, tc := range cases {
+		if got := tc.h.Quantile(tc.q); math.Abs(got-tc.want) > 1e-12*math.Max(1, tc.want) {
+			t.Errorf("%s: Quantile(%g) = %.15g, want %.15g", tc.name, tc.q, got, tc.want)
+		}
 	}
 }
 

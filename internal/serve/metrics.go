@@ -76,6 +76,8 @@ func (m *metrics) snapshot(now time.Time, cache *lruCache) *v1.StatsResponse {
 			Requests: em.requests, Errors: em.errors,
 			Hits: em.hits, Misses: em.misses, Coalesced: em.coalesced,
 			LatencyMeanS: em.latency.Mean(), LatencyMaxS: em.latency.Max,
+			LatencyP50S: em.latency.Quantile(0.5), LatencyP90S: em.latency.Quantile(0.9),
+			LatencyP99S: em.latency.Quantile(0.99),
 		}
 	}
 	entries, capacity, evictions := cache.Stats()

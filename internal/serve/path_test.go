@@ -69,7 +69,8 @@ func TestComputationPanic(t *testing.T) {
 }
 
 // TestFailureLatency: a reply that fails before any computation is timed
-// from request entry like every other reply, not recorded as 0 s.
+// from request entry like every other reply, not recorded as 0 s, in the
+// mean and in the quantiles alike.
 func TestFailureLatency(t *testing.T) {
 	var tick time.Time
 	s := New(Options{Clock: func() time.Time {
@@ -82,17 +83,21 @@ func TestFailureLatency(t *testing.T) {
 	stats := s.metrics.snapshot(s.now(), s.cache)
 	for _, ep := range []string{"/v1/search", "/v1/optimize"} {
 		st := stats.Endpoints[ep]
-		if st.Errors != 1 || st.LatencyMeanS != 1 {
-			t.Errorf("%s: %d errors, mean latency %v s; want 1 error timed at 1 s", ep, st.Errors, st.LatencyMeanS)
+		if st.Errors != 1 || st.LatencyMeanS != 1 || st.LatencyP50S != 1 || st.LatencyP90S != 1 || st.LatencyP99S != 1 {
+			t.Errorf("%s: %d errors, latency mean %v s, p50/p90/p99 %v/%v/%v s; want 1 error timed at 1 s",
+				ep, st.Errors, st.LatencyMeanS, st.LatencyP50S, st.LatencyP90S, st.LatencyP99S)
 		}
 	}
 }
 
 // TestSearchHitAllocs pins the allocations of one /v1/search cache hit,
-// request and recorder included: decode, one normalization, the key, the
-// lookup and the reply. The document was normalized three times per
-// request before the request path was unified (70 allocations, 11 of them
-// per normalization).
+// request and recorder included. The repeated bytes are served through
+// their raw-body digest: the capped body read, one SHA-256, the alias
+// lookup and the reply, with no decode, normalization or key. Of the 22
+// allocations measured, the test's request and recorder take 14, writing
+// the reply into the recorder 6, and the capped body read the last 2. A hit
+// allocated 46 times when it still decoded, normalized and keyed its
+// document (and 70 when it normalized three times).
 func TestSearchHitAllocs(t *testing.T) {
 	s := New(Options{Backend: Backend{
 		Search: func(ctx context.Context, sys mepipe.System, m mepipe.Model, cl mepipe.Cluster, tr mepipe.Training, sp mepipe.SearchSpace, sink obs.Sink) (*mepipe.SearchResult, error) {
@@ -117,7 +122,7 @@ func TestSearchHitAllocs(t *testing.T) {
 			t.Fatalf("not a hit: %d %q", w.Code, w.Header().Get(cacheHeader))
 		}
 	})
-	const limit = 50
+	const limit = 28
 	if allocs > limit {
 		t.Errorf("a cache hit allocates %v times, want at most %d", allocs, limit)
 	}

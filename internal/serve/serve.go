@@ -11,12 +11,15 @@
 //	GET  /v1/stats     per-endpoint counters, latencies, cache occupancy
 //	GET  /healthz      liveness
 //
-// Requests are api/v1 documents. The four cached endpoints share one
-// request path (serveCached): v1.ReadPlan decodes and normalizes the
-// document once into its plan and the SHA-256 of its canonical form, which
-// keys an LRU cache; identical in-flight requests coalesce onto one underlying
-// computation, and the X-Mepipe-Cache response header says which path
-// served each reply (hit, miss or coalesced). Every result is certified
+// Requests are api/v1 documents, their bodies capped at MaxBodyBytes. The
+// four cached endpoints share one request path (serveCached): the body is
+// read once and hashed, and bytes the server has already answered are
+// served from the LRU cache through that raw-body digest, with no decoding
+// at all. Any other body goes to v1.ReadPlan, which decodes and normalizes
+// the document once into its plan and the SHA-256 of its canonical form,
+// which keys the cache; identical in-flight requests coalesce onto one
+// underlying computation, and the X-Mepipe-Cache response header says which
+// path served each reply (hit, miss or coalesced). Every result is certified
 // before it is served — the strategy layer statically proves each
 // simulated schedule deadlock-free and complete. Per-request cancellation
 // rides on the existing ErrCancelled plumbing: a disconnected client
@@ -27,9 +30,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -49,6 +54,18 @@ const StatusClientClosedRequest = 499
 // DefaultCacheSize bounds the response cache when Options.CacheSize is
 // zero.
 const DefaultCacheSize = 512
+
+// MaxBodyBytes caps every POST body; a longer one is refused with 413
+// too_large before it is decoded, hashed or cached. The largest documents
+// are /v1/certify's schedules. The largest in the repository's tests and
+// examples is the checked-in discovered schedule (internal/opt/testdata,
+// 9 KB), which /v1/optimize returns for feeding back to /v1/certify; a
+// saved 32-stage MEPipe schedule with 128 micro-batches is 2.6 MB. 4 MiB
+// is over 400 times the first and still above the second.
+const MaxBodyBytes = 4 << 20
+
+// errTooLarge marks a request body over MaxBodyBytes.
+var errTooLarge = errors.New("request too large: body exceeds the 4 MiB cap")
 
 // Backend computes what the endpoints serve. The zero value routes
 // through the public facade (mepipe.Search / mepipe.Evaluate); tests
@@ -120,6 +137,9 @@ type Server struct {
 	timeout time.Duration
 	now     Clock
 	mux     *http.ServeMux
+	// noAlias serves every cached-endpoint request through the full
+	// decode-and-compile path, never through a raw-body digest (tests).
+	noAlias bool
 }
 
 // New builds a Server.
@@ -167,6 +187,8 @@ func statusFor(err error) (int, string) {
 	switch {
 	case errors.Is(err, v1.ErrBadRequest):
 		return http.StatusBadRequest, "bad_request"
+	case errors.Is(err, errTooLarge):
+		return http.StatusRequestEntityTooLarge, "too_large"
 	case errors.Is(err, errs.ErrCancelled):
 		return StatusClientClosedRequest, "cancelled"
 	case errors.Is(err, errs.ErrOOM):
@@ -191,6 +213,44 @@ func (s *Server) reqCtx(r *http.Request) (context.Context, context.CancelFunc) {
 		return context.WithTimeout(r.Context(), s.timeout)
 	}
 	return context.WithCancel(r.Context())
+}
+
+// readBody reads r's body once, through the MaxBodyBytes cap, into one
+// buffer that starts with prefix. A body over the cap fails with
+// errTooLarge; any other read failure is a bad request.
+func readBody(w http.ResponseWriter, r *http.Request, prefix string) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	size := 512
+	if r.ContentLength >= 0 && r.ContentLength <= MaxBodyBytes {
+		size = int(r.ContentLength) + 1 // room for the read that sees EOF
+	}
+	buf := append(make([]byte, 0, len(prefix)+size), prefix...)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			// MaxBytesReader returns its *MaxBytesError unwrapped.
+			if _, ok := err.(*http.MaxBytesError); ok {
+				return nil, errTooLarge
+			}
+			return nil, fmt.Errorf("%w: reading body: %v", v1.ErrBadRequest, err)
+		}
+	}
+}
+
+// readPlan runs v1.ReadPlan over a body already read. It is a function of
+// its own so that bytes.NewReader inlines: in serveCached's per-endpoint
+// closures the compiler calls an out-of-line copy, whose text shifts every
+// package linked after bytes by 32 bytes mod 64, and the benchmark's
+// calibration is sensitive to that (scripts/layoutdiff.sh).
+func readPlan(op string, raw []byte) (*v1.Plan, string, error) {
+	return v1.ReadPlan(op, bytes.NewReader(raw))
 }
 
 // writeJSON writes one JSON body with the given status.
@@ -240,9 +300,16 @@ func encode(what string, v any) ([]byte, error) {
 // cached endpoints ---------------------------------------------------------
 
 // serveCached returns the one request path of the cached endpoints
-// (/v1/search, /v1/sweep, /v1/simulate, /v1/optimize): decode and compile
-// op's document once, look its canonical key up, else coalesce onto one
-// computation, cache its encoded body, and label the reply.
+// (/v1/search, /v1/sweep, /v1/simulate, /v1/optimize): read the body once,
+// serve bytes already answered through their raw-body digest, else decode
+// and compile op's document once, look its canonical key up, else coalesce
+// onto one computation, cache its encoded body, and label the reply.
+//
+// A digest is attached to a cache entry only once its document compiled to
+// that entry's key: on a full-path hit, and at the Put after a successful
+// computation. Bodies that fail to read, decode or compile, and failed
+// computations, always take the full path. This is sound because compiling
+// is a pure function of the bytes and op (v1.ReadPlan).
 //
 // The handler is a deterministic entry point, modulo the audited Clock seam
 // (latency metrics): a given request body must always produce the same
@@ -251,14 +318,29 @@ func encode(what string, v any) ([]byte, error) {
 //mepipe:deterministic
 func (s *Server) serveCached(op string, compute func(ctx context.Context, key string, plan *v1.Plan) ([]byte, error)) http.HandlerFunc {
 	endpoint := "/v1/" + op
+	tag := op + "\x00" // the digest's endpoint tag and separator
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := s.now()
-		plan, key, err := v1.ReadPlan(op, r.Body)
+		buf, err := readBody(w, r, tag)
 		if err != nil {
 			s.reply(w, endpoint, t0, cacheNone, nil, err)
 			return
 		}
-		if body, ok := s.cache.Get(key); ok {
+		var alias *digest
+		if !s.noAlias {
+			d := digest(sha256.Sum256(buf))
+			if body, ok := s.cache.Alias(d); ok {
+				s.reply(w, endpoint, t0, cacheHit, body, nil)
+				return
+			}
+			alias = &d
+		}
+		plan, key, err := readPlan(op, buf[len(tag):])
+		if err != nil {
+			s.reply(w, endpoint, t0, cacheNone, nil, err)
+			return
+		}
+		if body, ok := s.cache.Get(key, alias); ok {
 			s.reply(w, endpoint, t0, cacheHit, body, nil)
 			return
 		}
@@ -276,7 +358,7 @@ func (s *Server) serveCached(op string, compute func(ctx context.Context, key st
 			return
 		}
 		body := val.([]byte)
-		s.cache.Put(key, body)
+		s.cache.Put(key, body, alias)
 		s.reply(w, endpoint, t0, outcome, body, nil)
 	}
 }
@@ -409,7 +491,12 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	defer func() { s.metrics.observe("/v1/certify", status, cacheNone, sinceSeconds(s.now, t0)) }()
 
-	req, err := v1.DecodeCertifyRequest(r.Body)
+	raw, err := readBody(w, r, "")
+	if err != nil {
+		status = fail(w, err)
+		return
+	}
+	req, err := v1.DecodeCertifyRequest(bytes.NewReader(raw))
 	if err != nil {
 		status = fail(w, err)
 		return
@@ -455,7 +542,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	defer func() { s.metrics.observe("/v1/trace", status, cacheNone, sinceSeconds(s.now, t0)) }()
 
-	req, err := v1.DecodeTraceRequest(r.Body)
+	raw, err := readBody(w, r, "")
+	if err != nil {
+		status = fail(w, err)
+		return
+	}
+	req, err := v1.DecodeTraceRequest(bytes.NewReader(raw))
 	if err != nil {
 		status = fail(w, err)
 		return

@@ -548,16 +548,16 @@ func TestTraceEndpoint(t *testing.T) {
 // TestLRU pins the eviction policy.
 func TestLRU(t *testing.T) {
 	c := newLRUCache(2)
-	c.Put("a", []byte("A"))
-	c.Put("b", []byte("B"))
-	if _, ok := c.Get("a"); !ok { // refresh a; b becomes LRU
+	c.Put("a", []byte("A"), nil)
+	c.Put("b", []byte("B"), nil)
+	if _, ok := c.Get("a", nil); !ok { // refresh a; b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.Put("c", []byte("C")) // evicts b
-	if _, ok := c.Get("b"); ok {
+	c.Put("c", []byte("C"), nil) // evicts b
+	if _, ok := c.Get("b", nil); ok {
 		t.Error("b survived eviction")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get("a", nil); !ok {
 		t.Error("a evicted despite refresh")
 	}
 	entries, capacity, evictions := c.Stats()
@@ -566,8 +566,8 @@ func TestLRU(t *testing.T) {
 	}
 
 	off := newLRUCache(0)
-	off.Put("a", []byte("A"))
-	if _, ok := off.Get("a"); ok {
+	off.Put("a", []byte("A"), nil)
+	if _, ok := off.Get("a", nil); ok {
 		t.Error("disabled cache stored an entry")
 	}
 }
