@@ -57,19 +57,16 @@ race:
 check: build vet test race-hot
 
 # Artifact smoke: E0 end to end against its expected-results file, the
-# chaos CLI's Young–Daly verdict, a multi-process training run (one OS
-# process per stage over TCP, every owned parameter verified against
-# sequential training after three steps), and the training runtime's
-# bitwise pins: the checkpoint bytes of a seeded model, the weights after
-# fixed Adam steps, the data-parallel all-reduced gradients, the weights
-# after multi-step StageLoop training, and the per-stage EvCkpt snapshot
-# bytes — each recorded before the parameter table existed.
+# chaos CLI's Young–Daly verdict, and the training runtime's bitwise pins:
+# the checkpoint bytes of a seeded model, the weights after fixed Adam
+# steps, the data-parallel all-reduced gradients, each stage's owned
+# weights after two pipelined SGD steps, and the per-stage EvCkpt
+# snapshot bytes — each recorded before the parameter table existed.
 smoke:
 	sh artifact/e0_check.sh
 	$(GO) run ./cmd/mepipe-chaos
-	$(GO) run ./cmd/mepipe-worker -spawn -pp 4 -slices 2 -micro 4 -steps 3 -verify
 	$(GO) test ./internal/nn -run 'TestCheckpointBytesPinned|TestAdamPinned' -count=1
-	$(GO) test ./internal/pipeline -run 'TestDataParallelGradsPinned|TestStageLoopWeightsPinned|TestCheckpointEventBytesPinned' -count=1
+	$(GO) test ./internal/pipeline -run 'TestDataParallelGradsPinned|TestOwnedWeightsPinned|TestCheckpointEventBytesPinned' -count=1
 
 # Planning-server smoke (docs/SERVE.md): boots mepipe-serve on an
 # ephemeral port in-process, proves a /v1/search answers certified, the

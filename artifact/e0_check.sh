@@ -26,7 +26,7 @@ done
 grep -q -- "--- PASS: TestSVPPPropertyEquivalence" "$out" \
 	|| fail "no PASS for TestSVPPPropertyEquivalence"
 
-# Both live training runs (channels, then TCP) must verify every step.
+# Both live training runs (one chunk per stage, then two) must verify every step.
 n=$(grep -c "done: pipelined training matches sequential execution" "$out") || true
 [ "$n" -eq 2 ] || fail "expected 2 verified training runs, saw $n"
 

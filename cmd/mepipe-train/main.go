@@ -23,22 +23,21 @@ import (
 
 func main() {
 	var (
-		pp        = flag.Int("pp", 4, "pipeline stages")
-		dp        = flag.Int("dp", 1, "data-parallel pipeline replicas (gradients averaged)")
-		vp        = flag.Int("vp", 1, "virtual pipeline size")
-		slices    = flag.Int("slices", 2, "sequence pipeline size (slices per sample)")
-		micro     = flag.Int("micro", 4, "micro-batches per iteration")
-		steps     = flag.Int("steps", 20, "training steps")
-		hidden    = flag.Int("hidden", 16, "hidden size")
-		layers    = flag.Int("layers", 8, "transformer layers")
-		seqLen    = flag.Int("seq", 16, "sequence length")
-		vocab     = flag.Int("vocab", 31, "vocabulary size")
-		lr        = flag.Float64("lr", 0.05, "SGD learning rate")
-		seed      = flag.Int64("seed", 42, "weights and data seed")
-		verify    = flag.Bool("verify", false, "check gradients against sequential execution every step")
-		transport = flag.String("transport", "channels", "stage links: channels, pipes (net.Pipe), or tcp (loopback sockets)")
-		useAdam   = flag.Bool("adam", false, "optimise with Adam instead of SGD")
-		kworkers  = flag.Int("kernel-workers", 0, "GEMM kernel workers per process (0 = GOMAXPROCS); results are bitwise identical for any count")
+		pp       = flag.Int("pp", 4, "pipeline stages")
+		dp       = flag.Int("dp", 1, "data-parallel pipeline replicas (gradients averaged)")
+		vp       = flag.Int("vp", 1, "virtual pipeline size")
+		slices   = flag.Int("slices", 2, "sequence pipeline size (slices per sample)")
+		micro    = flag.Int("micro", 4, "micro-batches per iteration")
+		steps    = flag.Int("steps", 20, "training steps")
+		hidden   = flag.Int("hidden", 16, "hidden size")
+		layers   = flag.Int("layers", 8, "transformer layers")
+		seqLen   = flag.Int("seq", 16, "sequence length")
+		vocab    = flag.Int("vocab", 31, "vocabulary size")
+		lr       = flag.Float64("lr", 0.05, "SGD learning rate")
+		seed     = flag.Int64("seed", 42, "weights and data seed")
+		verify   = flag.Bool("verify", false, "check gradients against sequential execution every step")
+		useAdam  = flag.Bool("adam", false, "optimise with Adam instead of SGD")
+		kworkers = flag.Int("kernel-workers", 0, "GEMM kernel workers, shared by every stage (0 = GOMAXPROCS); results are bitwise identical for any count")
 	)
 	flag.Parse()
 	if *kworkers > 0 {
@@ -60,14 +59,14 @@ func main() {
 	fatal(err)
 	s, err := sched.MEPipe(*pp, *vp, *slices, *micro, 0, nn.WeightGradGEMMs, nil)
 	fatal(err)
-	fmt.Printf("schedule %s, model %d params, %s transport, dp=%d\n", s, countParams(cfg), *transport, *dp)
+	fmt.Printf("schedule %s, model %d params, dp=%d\n", s, countParams(cfg), *dp)
 	var opt *nn.Adam
 	if *useAdam {
 		opt = nn.NewAdam(float32(*lr))
 	}
 	if *dp > 1 {
-		if *transport != "channels" || *useAdam {
-			fatal(fmt.Errorf("-dp composes with the default channel transport and SGD"))
+		if *useAdam {
+			fatal(fmt.Errorf("-dp composes with SGD only; use it without -adam"))
 		}
 		trainDP(m, ref, s, stream, *dp, *micro, *steps, float32(*lr), *verify)
 		return
@@ -78,17 +77,7 @@ func main() {
 		m.ZeroGrads()
 		r, err := pipeline.New(m, s, batch)
 		fatal(err)
-		var loss float64
-		switch *transport {
-		case "channels":
-			loss, err = r.Run()
-		case "pipes":
-			loss, err = r.RunOverPipes()
-		case "tcp":
-			loss, err = r.RunOverTCP()
-		default:
-			fatal(fmt.Errorf("unknown transport %q", *transport))
-		}
+		loss, err := r.Run()
 		fatal(err)
 		status := ""
 		if *verify {

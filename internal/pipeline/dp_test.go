@@ -4,15 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
-	"sync"
 	"testing"
 
-	"mepipe/internal/errs"
 	"mepipe/internal/nn"
 	"mepipe/internal/sched"
 	"mepipe/internal/tensor"
@@ -141,232 +137,48 @@ func TestAdamTraining(t *testing.T) {
 	}
 }
 
-// TestStageWorkersMatchSequential runs each stage as an isolated worker
-// with its OWN model copy (as separate processes would), connected by
-// net.Pipe links — and verifies every worker's owned-layer gradients match
-// sequential training. This is the multi-process deployment shape.
-func TestStageWorkersMatchSequential(t *testing.T) {
-	c := cfg()
-	rng := rand.New(rand.NewSource(808))
-	s, err := sched.MEPipe(4, 1, 2, 3, 0, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := batch(rng, c, s.N)
-
-	// Independent model replicas, one per "process", same seed.
-	workers := make([]*StageWorker, s.P)
-	models := make([]*nn.Model, s.P)
-	for k := 0; k < s.P; k++ {
-		models[k], err = nn.NewModel(c, 77)
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[k], err = NewStageWorker(models[k], s, b, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Full mesh of pipes between peers.
-	conns := make([]map[int]net.Conn, s.P)
-	for k := range conns {
-		conns[k] = map[int]net.Conn{}
-	}
-	for a := 0; a < s.P; a++ {
-		for _, peer := range workers[a].Peers() {
-			if peer < a {
-				continue
-			}
-			ca, cb := net.Pipe()
-			conns[a][peer] = ca
-			conns[peer][a] = cb
-		}
-	}
-	losses := make([]float64, s.P)
-	errs := make([]error, s.P)
-	var wg sync.WaitGroup
-	for k := 0; k < s.P; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			losses[k], errs[k] = workers[k].Run(conns[k])
-		}(k)
-	}
-	wg.Wait()
-	for k := range conns {
-		for _, cn := range conns[k] {
-			cn.Close()
-		}
-	}
-	total := 0.0
-	for k, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", k, err)
-		}
-		total += losses[k]
-	}
-
-	ref, _ := nn.NewModel(c, 77)
-	refLoss, err := ref.TrainSequential(b, s.S)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(total-refLoss) > 1e-6 {
-		t.Errorf("workers' loss %v != sequential %v", total, refLoss)
-	}
-	// Every parameter — each layer's linears and norms, the embedding, the
-	// head — has exactly one owning worker, whose gradient matches; the
-	// other workers never touch it.
-	for i, p := range ref.Params() {
-		owners := 0
-		for k, w := range workers {
-			got := models[k].Params()[i]
-			if !w.Owns(got) {
-				if d := tensor.MaxAbsDiff(got.G, tensor.New(got.G.Rows, got.G.Cols)); d != 0 {
-					t.Errorf("worker %d does not own %s but accumulated a gradient", k, p.Name)
-				}
-				continue
-			}
-			owners++
-			if d := tensor.MaxAbsDiff(p.G, got.G); d > 1e-4 {
-				t.Errorf("worker %d %s: grad differs by %g", k, p.Name, d)
-			}
-		}
-		if owners != 1 {
-			t.Errorf("%s has %d owning workers, want 1", p.Name, owners)
-		}
-	}
-}
-
-// TestStageLoopMultiStep: multi-step distributed training (each stage its
-// own model replica, stepping only its own layers) tracks single-process
-// training exactly — including weight evolution.
-func TestStageLoopMultiStep(t *testing.T) {
-	c := cfg()
-	rng := rand.New(rand.NewSource(909))
-	s, err := sched.MEPipe(4, 1, 2, 3, 0, 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const steps = 4
-	const lr = 0.05
-	batches := make([][][]int, steps)
-	for i := range batches {
-		batches[i] = batch(rng, c, s.N)
-	}
-
-	// Reference: single-process sequential training.
-	ref, _ := nn.NewModel(c, 31)
-	refLosses := make([]float64, steps)
-	for i := range batches {
-		ref.ZeroGrads()
-		loss, err := ref.TrainSequential(batches[i], s.S)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refLosses[i] = loss
-		ref.SGDStep(lr)
-	}
-
-	// Distributed: one loop per stage, independent model replicas.
-	loops := make([]*StageLoop, s.P)
-	models := make([]*nn.Model, s.P)
-	for k := 0; k < s.P; k++ {
-		models[k], _ = nn.NewModel(c, 31)
-		loops[k], err = NewStageLoop(models[k], s, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	conns := make([]map[int]net.Conn, s.P)
-	for k := range conns {
-		conns[k] = map[int]net.Conn{}
-	}
-	for a := 0; a < s.P; a++ {
-		for b := a + 1; b < s.P; b++ {
-			ca, cb := net.Pipe()
-			conns[a][b] = ca
-			conns[b][a] = cb
-		}
-	}
-	lossesPer := make([][]float64, s.P)
-	errs := make([]error, s.P)
-	var wg sync.WaitGroup
-	for k := 0; k < s.P; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			lossesPer[k], errs[k] = loops[k].RunSteps(conns[k], batches, lr)
-		}(k)
-	}
-	wg.Wait()
-	for k := range conns {
-		for _, cn := range conns[k] {
-			cn.Close()
-		}
-	}
-	for k, err := range errs {
-		if err != nil {
-			t.Fatalf("stage %d: %v", k, err)
-		}
-	}
-	for i := 0; i < steps; i++ {
-		total := 0.0
-		for k := 0; k < s.P; k++ {
-			total += lossesPer[k][i]
-		}
-		if math.Abs(total-refLosses[i]) > 1e-5 {
-			t.Errorf("step %d: distributed loss %.8f != sequential %.8f", i, total, refLosses[i])
-		}
-	}
-	// Every parameter a stage owns — norms, embedding and head included —
-	// must match the reference after all steps.
-	for k := 0; k < s.P; k++ {
-		w, _ := NewStageWorker(models[k], s, batches[0], k)
-		for i, p := range models[k].Params() {
-			if !w.Owns(p) {
-				continue
-			}
-			if d := tensor.MaxAbsDiff(ref.Params()[i].W, p.W); d > 1e-5 {
-				t.Errorf("stage %d %s weights diverged by %g", k, p.Name, d)
-			}
-		}
-	}
-}
-
-func TestStageWorkerValidation(t *testing.T) {
+// TestOwnershipPartitionsParams: Runner.owns, the one stage-ownership
+// rule, gives every parameter — each layer's linears and norms, the
+// embedding, the head — exactly one owning stage, and hands each stage the
+// tensors of the chunks it hosts.
+func TestOwnershipPartitionsParams(t *testing.T) {
 	c := cfg()
 	m, _ := nn.NewModel(c, 1)
+	for _, mk := range []func() (*sched.Schedule, error){
+		func() (*sched.Schedule, error) { return sched.DAPPLE(4, 2, nil) },
+		func() (*sched.Schedule, error) { return sched.MEPipe(4, 1, 2, 4, 0, 4, nil) },
+		func() (*sched.Schedule, error) { return sched.MEPipe(2, 2, 2, 4, 0, 4, nil) },
+	} {
+		s, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := New(m, s, batch(rand.New(rand.NewSource(1)), c, s.N))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range m.Params() {
+			owners := 0
+			for k := 0; k < s.P; k++ {
+				if r.owns(k, p) {
+					owners++
+				}
+			}
+			if owners != 1 {
+				t.Errorf("%s: %s has %d owning stages, want 1", s, p.Name, owners)
+			}
+		}
+	}
+	// 8 layers over a 4-deep DAPPLE pipeline: stage 1 owns layers 2 and
+	// 3, nine tensors each, and neither the embedding nor the head.
 	s, _ := sched.DAPPLE(4, 2, nil)
-	b := batch(rand.New(rand.NewSource(1)), c, 2)
-	if _, err := NewStageWorker(m, s, b, 4); err == nil {
-		t.Error("out-of-range stage accepted")
-	}
-	if _, err := NewStageLoop(m, s, -1); err == nil {
-		t.Error("negative stage accepted")
-	}
-	w, err := NewStageWorker(m, s, b, 1)
+	r, err := New(m, s, batch(rand.New(rand.NewSource(1)), c, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stage 1 of a 4-deep DAPPLE pipeline talks to stages 0 and 2.
-	peers := w.Peers()
-	if len(peers) != 2 {
-		t.Fatalf("stage 1 peers = %v, want 2 of them", peers)
-	}
-	if _, err := w.Run(map[int]net.Conn{}); err == nil {
-		t.Error("missing connections accepted")
-	}
-	if got := w.Stage(); got != 1 {
-		t.Errorf("Stage() = %d", got)
-	}
-	// 8 layers over 4 stages: stage 1 owns layers 2 and 3, nine tensors
-	// each, and neither the embedding nor the head.
 	var owned []string
-	for _, p := range m.Params() {
-		if w.Owns(p) {
-			owned = append(owned, p.Name)
-		}
+	for _, p := range r.stageParams(1) {
+		owned = append(owned, p.Name)
 	}
 	if len(owned) != 18 || owned[0] != "l2.Wq" || owned[17] != "l3.mlpNorm" {
 		t.Errorf("stage 1 owns %v, want the 18 tensors of layers 2 and 3", owned)
@@ -409,45 +221,27 @@ func TestDataParallelGradsPinned(t *testing.T) {
 	}
 }
 
-// TestStageLoopWeightsPinned: two multi-process-shaped training steps
-// leave every stage's replica bitwise at the checkpoint recorded before
-// the per-stage SGD step walked the parameter table.
-func TestStageLoopWeightsPinned(t *testing.T) {
+// TestOwnedWeightsPinned: two pipelined SGD steps, then each stage's
+// owned parameters copied into a fresh replica, leave every replica
+// bitwise at the checkpoint recorded when each stage trained its own
+// replica and stepped only the parameters it owns.
+func TestOwnedWeightsPinned(t *testing.T) {
 	c := cfg()
 	rng := rand.New(rand.NewSource(909))
 	s, _ := sched.MEPipe(4, 1, 2, 3, 0, 3, nil)
 	batches := [][][]int{batch(rng, c, s.N), batch(rng, c, s.N)}
-	conns := make([]map[int]net.Conn, s.P)
-	for k := range conns {
-		conns[k] = map[int]net.Conn{}
-	}
-	for a := 0; a < s.P; a++ {
-		for b := a + 1; b < s.P; b++ {
-			ca, cb := net.Pipe()
-			conns[a][b] = ca
-			conns[b][a] = cb
-		}
-	}
-	models := make([]*nn.Model, s.P)
-	errs := make([]error, s.P)
-	var wg sync.WaitGroup
-	for k := 0; k < s.P; k++ {
-		models[k], _ = nn.NewModel(c, 31)
-		l, err := NewStageLoop(models[k], s, k)
-		if err != nil {
+	m, _ := nn.NewModel(c, 31)
+	var r *Runner
+	for _, b := range batches {
+		m.ZeroGrads()
+		var err error
+		if r, err = New(m, s, b); err != nil {
 			t.Fatal(err)
 		}
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			_, errs[k] = l.RunSteps(conns[k], batches, 0.05)
-		}(k)
-	}
-	wg.Wait()
-	for k := range conns {
-		for _, cn := range conns[k] {
-			cn.Close()
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
 		}
+		m.SGDStep(0.05)
 	}
 	want := []string{
 		"a28ca0ac51c04f95e6106b4d4c2902164698b0f670626a245fa32cee3558042f",
@@ -455,45 +249,19 @@ func TestStageLoopWeightsPinned(t *testing.T) {
 		"b15a5b0c474a45feafca155aea26dee61156271f60144abf33263a20a88a8da5",
 		"7858b533f29ad669ca8dc3d0919c7b25cd2e9cb7171b25e73c1bc1fe1dbb1a3f",
 	}
-	for k, m := range models {
-		if errs[k] != nil {
-			t.Fatalf("stage %d: %v", k, errs[k])
+	for k := 0; k < s.P; k++ {
+		replica, _ := nn.NewModel(c, 31)
+		for i, p := range m.Params() {
+			if r.owns(k, p) {
+				replica.Params()[i].W.CopyFrom(p.W)
+			}
 		}
 		var ckpt bytes.Buffer
-		if err := m.Save(&ckpt); err != nil {
+		if err := replica.Save(&ckpt); err != nil {
 			t.Fatal(err)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(ckpt.Bytes())); got != want[k] {
 			t.Errorf("stage %d checkpoint sha256 %s, want %s", k, got, want[k])
 		}
-	}
-}
-
-// TestStageWorkerFailureIsStageFailure: a worker runs its stage through the
-// same guarded body as RunContext, so an unrecoverable op failure surfaces
-// as a *StageFailure naming the stage and op.
-func TestStageWorkerFailureIsStageFailure(t *testing.T) {
-	c := cfg()
-	m, _ := nn.NewModel(c, 1)
-	s, _ := sched.DAPPLE(4, 2, nil)
-	w, err := NewStageWorker(m, s, batch(rand.New(rand.NewSource(1)), c, 2), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.r.WithStageHook(&crashOnce{stage: 1, at: 0})
-	conns := map[int]net.Conn{}
-	for _, peer := range w.Peers() {
-		ours, theirs := net.Pipe()
-		defer ours.Close()
-		defer theirs.Close()
-		conns[peer] = ours
-	}
-	_, err = w.Run(conns)
-	var sf *StageFailure
-	if !errors.As(err, &sf) || sf.Stage != 1 || sf.OpIndex != 0 {
-		t.Fatalf("got %v, want a *StageFailure at stage 1 op 0", err)
-	}
-	if !errors.Is(err, errs.ErrStageFailed) {
-		t.Errorf("%v does not wrap ErrStageFailed", err)
 	}
 }

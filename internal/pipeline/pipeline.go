@@ -8,8 +8,10 @@
 //
 // Each stage owns the layers of its model chunks; tensors cross stages over
 // buffered channels created one-per-dependency-edge, so the blocking
-// receive IS the dependency wait. Schedule validation (deadlock freedom)
-// guarantees the goroutines always drain.
+// receive IS the dependency wait. The channel fabric is the runtime's only
+// transport: every stage runs in one process, and data-parallel replicas
+// (DataParallel) are further runners in that process. Schedule validation
+// (deadlock freedom) guarantees the goroutines always drain.
 package pipeline
 
 import (
@@ -48,11 +50,6 @@ type Runner struct {
 
 	recv  map[edgeKey]chan *tensor.Matrix
 	sends map[edgeKey][]chan *tensor.Matrix
-	// wires, when non-nil, routes cross-stage traffic over net.Conn links
-	// instead of the in-process channels (see RunOverLinks).
-	wires []wire
-	// iter tags outgoing frames in multi-step runs (see StageLoop).
-	iter int
 
 	// ctx cancels blocking receives mid-iteration (RunContext); it is
 	// context.Background for plain Run.
@@ -522,12 +519,6 @@ func (r *Runner) deliver(st *stage, ns int, consumer, producer sched.Op, x *tens
 		st.res.sendHW++
 	}
 	r.sendRetrying(st, ns, producer)
-	if r.wires != nil {
-		r.sendWire(st.k, edgeKey{ns, consumer}, x)
-		// The frame is serialised; the local buffer can be recycled.
-		st.sc.Put(x)
-		return
-	}
 	for i, ch := range r.sends[edgeKey{st.k, producer}] {
 		out := x
 		if i > 0 && st.sc != nil {

@@ -1,11 +1,9 @@
 package pipeline
 
 import (
-	"bufio"
 	"errors"
 	"math"
 	"math/rand"
-	"net"
 	"testing"
 
 	"mepipe/internal/errs"
@@ -250,79 +248,6 @@ func TestSingleStageDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertEquivalent(t, s, 77)
-}
-
-// TestNetworkTransportEquivalence: the same schedules over net.Pipe and TCP
-// loopback links must compute the sequential gradients too — the execution
-// logic is transport-independent.
-func TestNetworkTransportEquivalence(t *testing.T) {
-	c := cfg()
-	rng := rand.New(rand.NewSource(2024))
-	s, err := sched.MEPipe(4, 1, 2, 3, 0, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := batch(rng, c, s.N)
-	seq, err := nn.NewModel(c, 66)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqLoss, err := seq.TrainSequential(b, s.S)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(name string, exec func(*Runner) (float64, error)) {
-		m, err := nn.NewModel(c, 66)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := New(m, s, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		loss, err := exec(r)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if math.Abs(loss-seqLoss) > 1e-5 {
-			t.Errorf("%s: loss %.8f != sequential %.8f", name, loss, seqLoss)
-		}
-		sg, pg := seq.Grads(), m.Grads()
-		for gname, g := range sg {
-			if d := tensor.MaxAbsDiff(g, pg[gname]); d > 1e-4 {
-				t.Errorf("%s: grad %s differs by %g", name, gname, d)
-			}
-		}
-	}
-	run("pipes", (*Runner).RunOverPipes)
-	run("tcp", (*Runner).RunOverTCP)
-}
-
-// TestFrameCodecRoundTrip exercises the wire format directly.
-func TestFrameCodecRoundTrip(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	rng := rand.New(rand.NewSource(8))
-	want := tensor.New(3, 5)
-	want.RandInit(rng, 1)
-	edge := edgeKey{stage: 2, op: sched.Op{Kind: sched.BAct, Micro: 7, Slice: 1, Chunk: 3, Piece: 4}}
-	go func() {
-		w := bufio.NewWriter(a)
-		if err := writeFrame(w, 5, edge, want); err != nil {
-			t.Error(err)
-		}
-	}()
-	gotIter, gotEdge, got, err := readFrame(bufio.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotIter != 5 || gotEdge != edge {
-		t.Errorf("round trip: iter %d edge %+v, want 5 %+v", gotIter, gotEdge, edge)
-	}
-	if d := tensor.MaxAbsDiff(got, want); d != 0 {
-		t.Errorf("tensor round trip differs by %g", d)
-	}
 }
 
 // TestPipelineDeterministic: two identical runs produce bitwise-identical
