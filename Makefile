@@ -138,10 +138,15 @@ sim-smoke:
 
 # Grid-search engine smoke (docs/PERFORMANCE.md): the golden equivalence
 # suite (Sweep and SearchContext vs the sequential oracle at 8/16/32 GPUs,
-# ±prune, the pruned best equal to the unpruned one, and mid-sweep
-# cancellation), the pruned-search regression rows (the best bit for bit
-# with and without pruning, including the Llama-7B × 64 A100 point the
-# Table 3 bound got wrong), a short run of the work bound's soundness
+# ±prune, the pruned best equal to the unpruned one, a pruned sweep read
+# to rank 3, and mid-sweep cancellation), the pruned-search regression
+# rows (the best bit for bit with and without pruning, including the
+# Llama-7B × 64 A100 point the Table 3 bound got wrong), the pruned top-k
+# table (a seeded subset of the probe grid: for k = 1, 3, 5 the pruned
+# first k candidates equal the unpruned ones), the session-gate test (a
+# plan made cyclic is rejected with Certify's counterexample in the old
+# words, and a traced run emits nothing), the pruned plan-cold search's
+# allocation ceiling (at most 1,600 objects), a short run of the work bound's soundness
 # fuzzer (the bound never exceeds a feasible point's simulated time), the
 # peak-equality test (Certify's
 # per-stage peaks equal sim.Run's static ones under the same footprints,
@@ -154,7 +159,8 @@ sim-smoke:
 # and reload; a non-positive shape rejected at bind), short runs of the
 # certifier's differential fuzzers (the dense path — the only production
 # path — against the test-only map graph and map sweep, and Certify
-# against sim.Run's deadlock verdict and Validate's), a short run of the
+# against sim.Run's deadlock verdict, Validate's and an AssumeValid
+# session's, dynamic W included, the strategy path's gate), a short run of the
 # universe-verdict fuzzer (Validate, Certify, a session bind and a bound
 # session's Eval accept or reject a broken table alike), the /v1/sweep
 # wire tests, and the one-resolver gates: TestResolvePinned (Evaluate's
@@ -164,7 +170,7 @@ sim-smoke:
 # shared), the façade planner's compatibility and ErrOOM bugfix tests, and
 # PlanMEPipeAt's simulation equal to Evaluate's bit for bit.
 sweep-smoke:
-	$(GO) test ./internal/strategy -run 'TestSweep|TestResolvePinned|TestPrunedSearchSameBest' -count=1
+	$(GO) test ./internal/strategy -run 'TestSweep|TestResolvePinned|TestPrunedSearchSameBest|TestPrunedTopKExact|TestSimulateRejectsCycle|TestPlanColdAllocs' -count=1
 	$(GO) test ./internal/strategy -run NONE -fuzz '^FuzzWorkBoundSound$$' -fuzztime 10s
 	$(GO) test . -run 'TestPlanMEPipeAtIncompatible|TestPlanMEPipeOOMSentinels|TestPlanSimulateMatchesEvaluate' -count=1
 	$(GO) test ./internal/verify -run 'TestCertifyPeaksMatchRun|TestIncompleteAndMissing|TestMissingDepMessage|TestUniverseTexts' -count=1
@@ -191,10 +197,12 @@ bench-kernels:
 # naive oracles at 0 allocs (amd64 with AVX2; skipped, with the Go loops'
 # ratios logged, without it), and the exp floor: the sigmoid leaf at least
 # 3× the scalar loop per element at 0 allocs (amd64 with AVX2 and FMA;
-# skipped, with the ratio logged, without them).
+# skipped, with the ratio logged, without them), and the cost model's
+# per-query floor: OpTime allocates nothing, with SPP slices and with CP.
 bench-smoke:
 	$(GO) test ./internal/tensor -run NONE -bench 'BenchmarkKernels|BenchmarkDecoderSlice' -benchtime 1x
 	$(GO) test ./internal/tensor -run 'TestGEMMFloor|TestExpFloor' -count=1
+	$(GO) test ./internal/perf -run TestOpTimeZeroAlloc -count=1
 	$(GO) test ./internal/nn -run NONE -bench BenchmarkTrainStep -benchtime 1x
 
 # Code-layout check: builds benchmark/ at BASE (in a temporary git

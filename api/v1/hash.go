@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
@@ -81,6 +82,7 @@ func compileShared(r *PlanRequest) (*Plan, *PlanRequest, error) {
 	} else if c.Space, p.Space, err = r.Space.canonical(); err != nil {
 		return nil, nil, err
 	}
+	p.Space.Top = int32(min(r.Top, math.MaxInt32))
 	return p, c, nil
 }
 

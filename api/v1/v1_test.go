@@ -236,6 +236,10 @@ func TestCompile(t *testing.T) {
 	if plan.Top != 3 || plan.Parallel != nil {
 		t.Errorf("top = %d parallel = %v", plan.Top, plan.Parallel)
 	}
+	// A pruned search must know how many ranks the reply carries.
+	if plan.Space.Top != 3 {
+		t.Errorf("space top = %d, want the request's 3", plan.Space.Top)
+	}
 }
 
 func isBadRequest(err error) bool { return errors.Is(err, v1.ErrBadRequest) }

@@ -22,6 +22,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -85,6 +86,9 @@ func main() {
 			systems = []strategy.System{sys}
 		}
 	}
+
+	// A pruned search keeps exact only the ranks it is told it will print.
+	space.Top = int32(min(*top, math.MaxInt32))
 
 	if *optimize && len(systems) != 1 {
 		fatal(fmt.Errorf("-optimize needs a single system (got -system %s)", *system))

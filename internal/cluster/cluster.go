@@ -72,15 +72,15 @@ func NewMesh(c Cluster, par config.Parallel) (Mesh, error) {
 }
 
 // gpusPerStage returns the block size owned by one pipeline stage.
-func (m Mesh) gpusPerStage() int { return m.Par.DP * m.Par.CP * m.Par.TPSize() }
+func (m *Mesh) gpusPerStage() int { return m.Par.DP * m.Par.CP * m.Par.TPSize() }
 
 // server returns the server index of a global GPU rank.
-func (m Mesh) server(rank int) int { return rank / m.C.GPUsPerServer }
+func (m *Mesh) server(rank int) int { return rank / m.C.GPUsPerServer }
 
 // StageLink returns the link used by the pipeline hop from stage k to k+1
 // (wrapping hops, used by virtual pipelining, take the same path as
 // stage p−1 → 0).
-func (m Mesh) StageLink(k int) hw.Link {
+func (m *Mesh) StageLink(k int) hw.Link {
 	per := m.gpusPerStage()
 	p := m.Par.PP
 	a := (k % p) * per
@@ -94,7 +94,7 @@ func (m Mesh) StageLink(k int) hw.Link {
 // CPGroupLink returns the link spanning a context-parallel group. CP ranks
 // are contiguous inside a stage block, so the group stays intra-node
 // whenever it fits in one server.
-func (m Mesh) CPGroupLink() hw.Link {
+func (m *Mesh) CPGroupLink() hw.Link {
 	if m.Par.CP <= m.C.GPUsPerServer && m.gpusPerStage() <= m.C.GPUsPerServer {
 		return m.C.Intra
 	}
@@ -107,7 +107,7 @@ func (m Mesh) CPGroupLink() hw.Link {
 // TPGroupLink returns the link spanning a tensor-parallel group. TP ranks
 // are innermost (Megatron order), so the group is intra-node whenever it
 // fits in one server.
-func (m Mesh) TPGroupLink() hw.Link {
+func (m *Mesh) TPGroupLink() hw.Link {
 	if m.Par.TPSize() <= m.C.GPUsPerServer {
 		return m.C.Intra
 	}
@@ -117,7 +117,7 @@ func (m Mesh) TPGroupLink() hw.Link {
 // DPGroupLink returns the slowest link inside a data-parallel group (which
 // bounds ring collectives). The DP group of one stage spans the stage's
 // block; if that block exceeds one server the ring crosses InfiniBand.
-func (m Mesh) DPGroupLink() hw.Link {
+func (m *Mesh) DPGroupLink() hw.Link {
 	if m.gpusPerStage() <= m.C.GPUsPerServer {
 		return m.C.Intra
 	}

@@ -179,23 +179,24 @@ func (c *Costs) tpARTime(tokens int) float64 {
 	return 2 * cluster.AllReduceTime(c.Mesh.TPGroupLink(), g, bytes)
 }
 
-// attnStarts returns the absolute token offsets of the attention work a
-// forward op covers: one span per CP chunk (symmetric placement) or the
-// single SPP slice span.
-func (c *Costs) attnSpans(op sched.Op) [][2]int {
+// attnSpans returns the (start, width) token spans of the attention work
+// a forward op covers, and how many there are: one span per CP chunk
+// (symmetric placement) or the single SPP slice span. A fixed array keeps
+// OpTime allocation-free.
+func (c *Costs) attnSpans(op sched.Op) (spans [2][2]int, n int) {
 	cp := c.Mesh.Par.CP
 	if cp > 1 {
 		half := c.workerTokens / 2
 		// Symmetric chunks w and 2cp−1−w; use the average worker
 		// (w = cp/2) — the placement balances work across workers.
 		w := cp / 2
-		return [][2]int{
+		return [2][2]int{
 			{w * half, half},
 			{(2*cp - 1 - w) * half, half},
-		}
+		}, 2
 	}
 	w, start := c.sliceShape(op.Slice)
-	return [][2]int{{start, w}}
+	return [2][2]int{{start, w}}, 1
 }
 
 // gemmShape returns the tokens per GEMM kernel call and call count for op:
@@ -214,7 +215,8 @@ func (c *Costs) layerForward(op sched.Op) float64 {
 	tok, calls := c.gemmShape(op)
 	gemms := (model.LayerProjFlops(c.M, tok) + model.LayerMLPFlops(c.M, tok)) / c.tp()
 	t += c.dense(gemms, tok) * calls
-	for _, span := range c.attnSpans(op) {
+	spans, n := c.attnSpans(op)
+	for _, span := range spans[:n] {
 		t += c.dense(model.LayerAttnScoreFlops(c.M, span[1], span[0])/c.tp(), span[1])
 	}
 	t += float64(c.K.KernelsPerLayerF) * c.Mesh.C.GPU.KernelOverhead
@@ -228,7 +230,8 @@ func (c *Costs) layerActGrad(op sched.Op) float64 {
 	tok, calls := c.gemmShape(op)
 	gemms := (model.LayerProjFlops(c.M, tok) + model.LayerMLPFlops(c.M, tok)) / c.tp()
 	t += c.dense(gemms, tok) * calls
-	for _, span := range c.attnSpans(op) {
+	spans, n := c.attnSpans(op)
+	for _, span := range spans[:n] {
 		t += c.dense(2*model.LayerAttnScoreFlops(c.M, span[1], span[0])/c.tp(), span[1])
 	}
 	t += float64(c.K.KernelsPerLayerB) * c.Mesh.C.GPU.KernelOverhead

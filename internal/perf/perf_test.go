@@ -321,3 +321,25 @@ func TestSelectiveRecompute(t *testing.T) {
 		t.Errorf("selective backward overhead %.1f%% too high", 100*(ts-tn)/tn)
 	}
 }
+
+// TestOpTimeZeroAlloc: OpTime allocates nothing, with one attention span
+// per op (SPP slices) and with two (CP chunks). The grid search and the
+// simulator session query it for every op shape of every point.
+func TestOpTimeZeroAlloc(t *testing.T) {
+	for _, par := range []config.Parallel{
+		{PP: 8, DP: 8, CP: 1, SPP: 4, VP: 1},
+		{PP: 8, DP: 4, CP: 2, SPP: 1, VP: 1},
+	} {
+		c := costs(t, config.Llama13B(), par)
+		kinds := []sched.Kind{sched.F, sched.B, sched.BAct, sched.W, sched.WPiece}
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, k := range kinds {
+				c.OpTime(3, sched.Op{Kind: k, Slice: par.SPP - 1})
+			}
+			c.CommTime(3, 4, sched.Op{Kind: sched.F})
+		})
+		if allocs != 0 {
+			t.Errorf("%v: OpTime and CommTime allocate %.1f objects per round, want 0", par, allocs)
+		}
+	}
+}

@@ -71,15 +71,15 @@ type Options struct {
 	MakespanOnly bool
 
 	// AssumeValid skips the redundant Schedule.Validate at session bind.
-	// It is sound only for schedules that come valid — sched.Generate's
-	// output is valid by construction and the strategy paths additionally
-	// certify before binding. Misuse still fails safe: a session binds
-	// ops by their sched.OpIndex ids and loads the table with
-	// sched.Program.Load, the universe pass Validate runs, so a table of
-	// a non-positive shape or with missing, duplicate or misfit ops is
-	// rejected (wrapping errs.ErrIncompatible), and deadlocking orders
-	// surface at the first evaluation exactly like Validate reports them
-	// (wrapping errs.ErrUncertified).
+	// sched.Generate's output is valid by construction. An invalid table
+	// still fails: a session binds ops by their sched.OpIndex ids and
+	// loads the table with sched.Program.Load, the universe pass Validate
+	// runs, so a table of a non-positive shape or with missing, duplicate
+	// or misfit ops is rejected (wrapping errs.ErrIncompatible), and
+	// deadlocking orders surface at the first evaluation, before any event
+	// is emitted, exactly like Validate reports them (wrapping
+	// errs.ErrUncertified). The strategy path relies on this as its
+	// structural gate.
 	AssumeValid bool
 }
 

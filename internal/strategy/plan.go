@@ -137,16 +137,19 @@ func workBound(c *perf.Costs, par config.Parallel, n int) float64 {
 // gradient-sync tail. The plan must fit (Unfit nil). WithSink traces the
 // run; WithCostWrap perturbs its costs.
 //
+// The simulator session is the structural gate. Binding loads the table
+// onto its op universe (sched.Program.Load) and rejects absent
+// dependencies; the first evaluation ranks every op (sched.Topo.Sort)
+// before the engine runs or any event is emitted. Those are the checks
+// verify.Certify makes without a Budget, so Certify can reject only a
+// schedule the session has already failed. Only then does it run: when
+// it rejects, the error carries its minimal counterexample (generators
+// always emit certifiable tables, so that is a bug); otherwise the error
+// is the simulator's.
+//
 //mepipe:deterministic
 func (p *Plan) Simulate(ctx context.Context, opts ...Option) (*sim.Result, error) {
 	o := buildOptions(opts)
-	// Pre-flight gate: prove the schedule deadlock-free and complete
-	// before spending simulation time on it. Generators always emit
-	// certifiable tables, so a failure here is a bug — surfaced with the
-	// certifier's minimal counterexample rather than a mid-run deadlock.
-	if _, err := verify.Certify(p.Schedule, verify.Options{}); err != nil {
-		return nil, fmt.Errorf("strategy: %s schedule rejected: %w", p.Sys, err)
-	}
 	var costs sim.Costs = p.Costs
 	if o.costWrap != nil {
 		costs = o.costWrap(p.Schedule, p.Costs)
@@ -159,11 +162,15 @@ func (p *Plan) Simulate(ctx context.Context, opts ...Option) (*sim.Result, error
 		DynamicW:  p.DynamicW,
 		TailTime:  p.Costs.TailTime,
 		Trace:     o.sink,
-		// The schedule was validated by its generator and certified just
-		// above — re-validating at session bind would prove nothing new.
+		// The session's bind and first sweep prove what Validate would;
+		// a schedule they reject is certified below for its
+		// counterexample.
 		AssumeValid: true,
 	})
 	if err != nil {
+		if _, cerr := verify.Certify(p.Schedule, verify.Options{}); cerr != nil {
+			return nil, fmt.Errorf("strategy: %s schedule rejected: %w", p.Sys, cerr)
+		}
 		return nil, fmt.Errorf("strategy: simulating %s %v: %w", p.Sys, p.Par, err)
 	}
 	return res, nil

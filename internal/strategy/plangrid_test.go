@@ -63,6 +63,26 @@ func TestLargestFirst(t *testing.T) {
 	}
 }
 
+// TestPlanColdAllocs: the pruned cold search allocates at most 1,600
+// objects. It allocated 4,141 while every OpTime call built a fresh span
+// slice and every certified point ran a full Certify before its session.
+func TestPlanColdAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race: sync.Pool drops items at random")
+	}
+	m, cl, tr, sp := planColdPoint()
+	sp.Prune = true
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := SearchContext(context.Background(), MEPipe, m, cl, tr, sp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per pruned plan-cold search", allocs)
+	if allocs > 1600 {
+		t.Fatalf("pruned plan-cold search: %.0f allocs, want at most 1600", allocs)
+	}
+}
+
 // BenchmarkPlanCold is the cold planning request's search alone, without
 // and with pruning. It reports the pruned search's counters.
 func BenchmarkPlanCold(b *testing.B) {

@@ -3,13 +3,18 @@ package strategy
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mepipe/internal/cluster"
 	"mepipe/internal/config"
 	"mepipe/internal/errs"
+	"mepipe/internal/obs"
 	"mepipe/internal/opt"
+	"mepipe/internal/sched"
+	"mepipe/internal/verify"
 )
 
 // TestResolvePinned pins what EvaluateContext and OptimizeContext make of
@@ -135,5 +140,44 @@ func TestResolvePinned(t *testing.T) {
 	}
 	if got, want := [2]uint64{math.Float64bits(r.BaseTime), math.Float64bits(r.BestTime)}, [2]uint64{0x4008152bccd86574, 0x40080d6af6e98b23}; got != want {
 		t.Errorf("base/best time bits %#x, want %#x", got, want)
+	}
+}
+
+// TestSimulateRejectsCycle: a resolved MEPipe plan whose stage 0 runs a
+// family's activation backward before its forward deadlocks. The session
+// refuses it before the engine runs, so a traced run emits nothing, and
+// Simulate reports Certify's minimal cycle in the words it always has.
+func TestSimulateRejectsCycle(t *testing.T) {
+	tr := config.Training{GlobalBatch: 16, MicroBatch: 1}
+	p, err := Resolve(MEPipe, config.Llama7B(), cluster.RTX4090Cluster(1), config.Parallel{PP: 4, DP: 2, CP: 1, SPP: 2, VP: 1}, tr)
+	if err != nil || p.Unfit != nil {
+		t.Fatalf("resolve: %v, unfit %v", err, p.Unfit)
+	}
+	ops := p.Schedule.Stages[0]
+	f := ops[0]
+	if f.Kind != sched.F {
+		t.Fatalf("stage 0 opens with %v, want a forward", f)
+	}
+	b := slices.Index(ops, sched.Op{Kind: sched.BAct, Micro: f.Micro, Chunk: f.Chunk, Slice: f.Slice})
+	if b < 0 {
+		t.Fatalf("stage 0 has no activation backward of %v", f)
+	}
+	ops[0], ops[b] = ops[b], ops[0]
+
+	_, certErr := verify.Certify(p.Schedule, verify.Options{})
+	var cycle *verify.CycleError
+	if !errors.As(certErr, &cycle) {
+		t.Fatalf("Certify: %v, want a cycle", certErr)
+	}
+	rec := obs.NewRecorder()
+	_, err = p.Simulate(context.Background(), WithSink(rec))
+	if want := fmt.Sprintf("strategy: %s schedule rejected: %v", MEPipe, certErr); err == nil || err.Error() != want {
+		t.Fatalf("Simulate: %v\nwant: %s", err, want)
+	}
+	if !errors.Is(err, errs.ErrUncertified) || !errors.As(err, &cycle) {
+		t.Errorf("Simulate's error %v wraps neither errs.ErrUncertified nor a *verify.CycleError", err)
+	}
+	if n := rec.Len(); n != 0 {
+		t.Errorf("the rejected run emitted %d events", n)
 	}
 }

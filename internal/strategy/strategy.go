@@ -37,7 +37,8 @@ func WithSink(s obs.Sink) Option {
 
 // WithCostWrap wraps the simulator's cost model once the schedule is
 // known, right before the run — the seam fault plans use to perturb an
-// evaluation (see chaos.FaultyCosts). The wrapper must be deterministic.
+// evaluation (see chaos.FaultyCosts). The wrapper must be deterministic,
+// and it sees the schedule before the run has gated it.
 func WithCostWrap(wrap func(*sched.Schedule, sim.Costs) sim.Costs) Option {
 	return func(o *options) { o.costWrap = wrap }
 }
@@ -173,14 +174,20 @@ type SearchSpace struct {
 	// MinDP is the paper's "minimal data parallel size 2" constraint.
 	MinDP int
 	// Prune drops every candidate whose work bound (no stage finishes
-	// before its F and B work plus its tail) exceeds the best feasible
-	// time of the whole grid, and skips simulating such candidates once a
-	// feasible time below their bound is known. The bound never exceeds a
-	// simulated iteration time, so the returned Best is unchanged, and the
-	// dropped set depends only on the grid: the result is the same for
-	// every worker count. §9 calls for exactly this kind of cost-model
-	// assistance to tame the grid-search overhead.
+	// before its F and B work plus its tail) exceeds the k-th best
+	// feasible time of the whole grid, k = max(Top, 1), and skips
+	// simulating such candidates once k feasible times below their bound
+	// are known. The bound never exceeds a simulated iteration time, so
+	// the first k ranked candidates are unchanged, and the dropped set
+	// depends only on the grid: the result is the same for every worker
+	// count. §9 calls for exactly this kind of cost-model assistance to
+	// tame the grid-search overhead.
 	Prune bool
+	// Top is how many ranked candidates the caller reads (0: the best
+	// alone). It changes nothing without Prune. It is an int32 so that it
+	// fits beside Prune in the struct's padding: SearchSpace is passed by
+	// value, and a larger struct would move the code that copies it.
+	Top int32
 }
 
 // DefaultSpace returns the grid the paper's evaluation sweeps.
@@ -201,8 +208,9 @@ type SearchResult struct {
 	Sys        System
 	Candidates []*Eval
 	// Evaluated counts the candidates listed; Pruned counts the points
-	// whose work bound exceeds the best feasible time (SearchSpace.Prune),
-	// whether or not the search evaluated them before that time was known.
+	// whose work bound exceeds the SearchSpace.Top-th best feasible time
+	// (SearchSpace.Prune), whether or not the search evaluated them before
+	// that time was known.
 	Evaluated, Pruned int
 }
 

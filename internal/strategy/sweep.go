@@ -29,16 +29,19 @@ import (
 //     OOM) finish there. The caller then runs the bounded points one at a
 //     time, lowest bound first, ties in (system, grid) order, and skips a
 //     point before its schedule is built when its bound exceeds its
-//     system's incumbent, the least feasible time found so far. The bound
-//     is close to the simulated time, so in this order most points after
-//     the first good one are skipped; parallel workers here would only
-//     simulate points a one-at-a-time walk skips.
+//     system's incumbent: the k-th least feasible time found so far, k =
+//     max(SearchSpace.Top, 1), +Inf until k are known. The bound is close
+//     to the simulated time, so in this order most points after the first
+//     good ones are skipped; parallel workers here would only simulate
+//     points a one-at-a-time walk skips.
 //   - Results are positional. After the join, a replay per system walks
-//     the grid and drops every point whose bound exceeds the system's best
-//     feasible time, run or not. The incumbent never falls below that
-//     best, so every skip is dropped and the best is never skipped: the
-//     candidates, the Evaluated/Pruned counters and the first error in
-//     grid order depend on neither dispatch order nor worker count.
+//     the grid and drops every point whose bound exceeds the system's k-th
+//     best feasible time, run or not. A point among the first k ranks has
+//     a time, and so a bound, at most that k-th best, and the incumbent
+//     never falls below it: every such point runs, every skip is dropped,
+//     and the candidates, the Evaluated/Pruned counters and the first
+//     error in grid order depend on neither dispatch order nor worker
+//     count.
 
 // SweepStats counts what the engine did, across all systems.
 type SweepStats struct {
@@ -85,7 +88,7 @@ func Sweep(ctx context.Context, systems []System, m config.Model, cl cluster.Clu
 	grids := make([]*sysGrid, len(systems))
 	var points []gridPoint
 	for si, sys := range systems {
-		g := &sysGrid{sys: sys, gpus: cl.GPUs(), incumbent: math.Inf(1)}
+		g := &sysGrid{sys: sys, gpus: cl.GPUs(), ranks: int(max(sp.Top, 1))}
 		g.cands = enumerate(sys, g.gpus, tr, sp)
 		g.out = make([]outcome, len(g.cands))
 		grids[si] = g
@@ -118,10 +121,10 @@ func Sweep(ctx context.Context, systems []System, m config.Model, cl cluster.Clu
 		}
 		sort.SliceStable(order, func(a, b int) bool { return order[a].out().bound < order[b].out().bound })
 		for _, pt := range order {
-			if o, g := pt.out(), pt.g; ctx.Err() == nil && o.bound <= g.incumbent {
+			if o, g := pt.out(), pt.g; ctx.Err() == nil && o.bound <= g.incumbent() {
 				run(pt, nil)
 				if o.err == nil && !o.ev.OOM {
-					g.incumbent = min(g.incumbent, o.ev.IterTime)
+					g.admit(o.ev.IterTime)
 				}
 			}
 		}
@@ -191,14 +194,38 @@ type gridPoint struct {
 func (pt gridPoint) out() *outcome { return &pt.g.out[pt.i] }
 
 // sysGrid is one system's grid in grid order, with its positional results
-// and, in a pruned search, its incumbent: the least feasible time found so
-// far (+Inf before the first), read and written by the caller only.
+// and, in a pruned search, the least feasible times found so far in
+// ascending order, at most ranks of them: read and written by the caller
+// only.
 type sysGrid struct {
-	sys       System
-	gpus      int
-	cands     []config.Parallel
-	out       []outcome
-	incumbent float64
+	sys   System
+	gpus  int
+	cands []config.Parallel
+	out   []outcome
+	ranks int // k = max(SearchSpace.Top, 1)
+	best  []float64
+}
+
+// incumbent is the k-th least feasible time found so far, +Inf until k
+// are known.
+func (g *sysGrid) incumbent() float64 {
+	if len(g.best) < g.ranks {
+		return math.Inf(1)
+	}
+	return g.best[g.ranks-1]
+}
+
+// admit records feasible time t among the k least.
+func (g *sysGrid) admit(t float64) {
+	i := sort.SearchFloat64s(g.best, t)
+	if i == g.ranks {
+		return
+	}
+	if len(g.best) < g.ranks {
+		g.best = append(g.best, t)
+	}
+	copy(g.best[i+1:], g.best[i:])
+	g.best[i] = t
 }
 
 // outcome is what the search learned about one point. Each point is written
@@ -210,16 +237,16 @@ type outcome struct {
 }
 
 // replay builds the search result from the positional outcomes: it walks
-// the grid in order, drops every point whose bound exceeds the best
+// the grid in order, drops every point whose bound exceeds the k-th best
 // feasible time, and lists the rest. Only the pruned walk's evaluations
-// can be feasible, so its final incumbent is that best; without pruning no
-// point has a bound.
+// can be feasible, so its final incumbent is that k-th best; without
+// pruning no point has a bound.
 func (g *sysGrid) replay() (*SearchResult, error) {
 	res := &SearchResult{Sys: g.sys}
 	for _, o := range g.out {
 		// Checked first, so a point EvaluateContext would reject also
-		// counts as pruned when its bound exceeds the best.
-		if o.bound > g.incumbent {
+		// counts as pruned when its bound exceeds the k-th best.
+		if o.bound > g.incumbent() {
 			res.Pruned++
 			continue
 		}

@@ -20,7 +20,8 @@ import (
 
 // searchOracle is the search the engine must reproduce: evaluate every
 // grid point one at a time in grid order; with pruning, drop every point
-// whose work bound exceeds the best feasible time of the whole grid.
+// whose work bound exceeds the k-th best feasible time of the whole grid,
+// k = max(sp.Top, 1).
 func searchOracle(sys System, m config.Model, cl cluster.Cluster, tr config.Training, sp SearchSpace) (*SearchResult, error) {
 	type point struct {
 		bound float64
@@ -28,15 +29,20 @@ func searchOracle(sys System, m config.Model, cl cluster.Cluster, tr config.Trai
 		err   error
 	}
 	var pts []point
-	best := math.Inf(1)
+	var times []float64
 	for _, par := range enumerate(sys, cl.GPUs(), tr, sp) {
 		var pt point
 		pt.ev, pt.err = evaluate(context.Background(), sys, m, cl, par, tr,
 			func(b float64) bool { pt.bound = b; return false }, nil)
 		if pt.err == nil && !pt.ev.OOM {
-			best = math.Min(best, pt.ev.IterTime)
+			times = append(times, pt.ev.IterTime)
 		}
 		pts = append(pts, pt)
+	}
+	sort.Float64s(times)
+	best := math.Inf(1)
+	if k := int(max(sp.Top, 1)); len(times) >= k {
+		best = times[k-1]
 	}
 	res := &SearchResult{Sys: sys}
 	for _, pt := range pts {
@@ -135,6 +141,26 @@ func TestSweepMatchesSequential(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSweepTopMatchesSequential: a pruned sweep read to rank 3 matches
+// the sequential oracle that drops every point whose bound exceeds the
+// third best feasible time, counters included, for every system at 32
+// GPUs.
+func TestSweepTopMatchesSequential(t *testing.T) {
+	m := config.Llama13B()
+	tr := config.Training{GlobalBatch: 64, MicroBatch: 1}
+	cl := cluster.RTX4090Cluster(4)
+	sp := DefaultSpace()
+	sp.Prune, sp.Top = true, 3
+	sw, err := Sweep(context.Background(), Systems(), m, cl, tr, sp)
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	for si, sys := range Systems() {
+		ref, refErr := searchOracle(sys, m, cl, tr, sp)
+		sameSearch(t, "Sweep "+sys.String(), sw.Results[si], sw.Errs[si], ref, refErr)
 	}
 }
 

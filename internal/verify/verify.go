@@ -21,10 +21,13 @@
 //     bound; the counterexample names the op at which the sweep first
 //     overflows and what was live.
 //
-// Certification is wired in as a pre-flight gate: strategy evaluation,
-// the façade's Evaluate/Search, and pipeline.New reject schedules that do
-// not certify with an error wrapping errs.ErrUncertified, and the sched
-// generator fuzz harness requires every generated schedule to certify.
+// Certification is wired in as a pre-flight gate: pipeline.New rejects
+// schedules that do not certify with an error wrapping
+// errs.ErrUncertified, and the sched generator fuzz harness requires every
+// generated schedule to certify. Strategy evaluation (the façade's
+// Evaluate/Search) is certified by the simulator session's bind and first
+// sweep, the same sched.Program.Load and sched.Topo.Sort Certify runs;
+// when the session fails, Certify names the counterexample.
 package verify
 
 import (

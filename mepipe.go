@@ -370,8 +370,9 @@ func Search(ctx context.Context, sys System, m Model, cl Cluster, tr Training, s
 // engine Search also runs on: every grid point of every system is
 // evaluated like Evaluate does, on a worker pool that starts the largest
 // points first. When sp.Prune is set, it drops every point whose work
-// bound exceeds the system's best feasible time, and skips evaluating such
-// points once a faster feasible point is known; the best is unchanged. The
+// bound exceeds the system's k-th best feasible time, k = max(sp.Top, 1),
+// and skips evaluating such points once k faster feasible points are
+// known; the first k ranked candidates are unchanged. The
 // result is identical, per system, to a Search call — including candidate
 // order and the Evaluated/Pruned counters — for every worker count (see
 // docs/PERFORMANCE.md).
