@@ -145,8 +145,9 @@ sim-smoke:
 # table (a seeded subset of the probe grid: for k = 1, 3, 5 the pruned
 # first k candidates equal the unpruned ones), the session-gate test (a
 # plan made cyclic is rejected with Certify's counterexample in the old
-# words, and a traced run emits nothing), the pruned plan-cold search's
-# allocation ceiling (at most 1,600 objects), a short run of the work bound's soundness
+# words, and a traced run emits nothing), the plan-cold search's
+# allocation ceilings (pruned, at most 1,000 objects; unpruned, at most
+# 1 MB), a short run of the work bound's soundness
 # fuzzer (the bound never exceeds a feasible point's simulated time), the
 # peak-equality test (Certify's
 # per-stage peaks equal sim.Run's static ones under the same footprints,
@@ -156,7 +157,9 @@ sim-smoke:
 # Certify, Validate and the simulator session, the pinned op-universe
 # texts of the three (one sched.Program.Load pass, each caller's words),
 # the session's universe bugfixes (a stray piece rejected at bind, diff
-# and reload; a non-positive shape rejected at bind), short runs of the
+# and reload; a non-positive shape rejected at bind), the generator's
+# release safety (arrays a released schedule hands back never reach a
+# schedule still held, and no stage's list can spill into the next), short runs of the
 # certifier's differential fuzzers (the dense path — the only production
 # path — against the test-only map graph and map sweep, and Certify
 # against sim.Run's deadlock verdict, Validate's and an AssumeValid
@@ -170,11 +173,11 @@ sim-smoke:
 # shared), the façade planner's compatibility and ErrOOM bugfix tests, and
 # PlanMEPipeAt's simulation equal to Evaluate's bit for bit.
 sweep-smoke:
-	$(GO) test ./internal/strategy -run 'TestSweep|TestResolvePinned|TestPrunedSearchSameBest|TestPrunedTopKExact|TestSimulateRejectsCycle|TestPlanColdAllocs' -count=1
+	$(GO) test ./internal/strategy -run 'TestSweep|TestResolvePinned|TestPrunedSearchSameBest|TestPrunedTopKExact|TestSimulateRejectsCycle|TestPlanColdAllocs|TestPlanColdBytes' -count=1
 	$(GO) test ./internal/strategy -run NONE -fuzz '^FuzzWorkBoundSound$$' -fuzztime 10s
 	$(GO) test . -run 'TestPlanMEPipeAtIncompatible|TestPlanMEPipeOOMSentinels|TestPlanSimulateMatchesEvaluate' -count=1
 	$(GO) test ./internal/verify -run 'TestCertifyPeaksMatchRun|TestIncompleteAndMissing|TestMissingDepMessage|TestUniverseTexts' -count=1
-	$(GO) test ./internal/sched -run 'TestValidateMessages' -count=1
+	$(GO) test ./internal/sched -run 'TestValidateMessages|TestReleaseReusesSafely' -count=1
 	$(GO) test ./internal/sim -run 'TestSessionAbsentDepMessage|TestSessionIncompatible|TestSessionNonPositiveShape' -count=1
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzUniverseVerdicts -fuzztime 10s
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyDenseMatchesGraph -fuzztime 10s
@@ -205,9 +208,10 @@ bench-smoke:
 	$(GO) test ./internal/perf -run TestOpTimeZeroAlloc -count=1
 	$(GO) test ./internal/nn -run NONE -bench BenchmarkTrainStep -benchtime 1x
 
-# Code-layout check: builds benchmark/ at BASE (in a temporary git
-# worktree) and at the working tree, and lists every main.* and mepipe/*
-# text symbol whose address mod 64 differs between the two binaries.
+# Code-layout check: builds benchmark/ at BASE (extracted with git archive
+# into a temporary directory) and at the working tree, and lists every
+# main.* and mepipe/* text symbol whose address mod 64 differs between the
+# two binaries.
 layout-diff:
 	@test -n "$(BASE)" || { echo "usage: make layout-diff BASE=<rev>" >&2; exit 2; }
 	sh scripts/layoutdiff.sh $(BASE)

@@ -56,6 +56,11 @@ func NewWithReserve(m config.Model, mesh cluster.Mesh, extraReserve int64) (*Pla
 		return nil, err
 	}
 	p := &Plan{Capacity: mesh.C.GPU.MemoryBytes}
+	// One array backs the three per-stage tables, each view capped at
+	// its own end.
+	pp := par.PP
+	buf := make([]int64, 3*pp)
+	p.Static, p.Temp, p.ActBudget = buf[:0:pp], buf[pp:pp:2*pp], buf[2*pp:2*pp:3*pp]
 	stageParams := model.StageParams(m, par.PP)
 	devices := int64(par.Devices())
 	shard := (model.TotalParams(m) + devices - 1) / devices

@@ -57,6 +57,9 @@ type Costs struct {
 	place   sched.Placement
 	// layers[stage][chunk], indexed by the *placement's* local chunk
 	layers [][]int
+	// stageParams[stage] is the stage's parameter count
+	// (model.StageParams), which every TailTime reads.
+	stageParams []int64
 	// tokens handled per compute call and per worker
 	sliceTokens  int // tokens per SPP slice (seq when spp == 1)
 	workerTokens int // tokens of one micro-batch owned by this worker (seq/cp)
@@ -87,7 +90,8 @@ func New(m config.Model, mesh cluster.Mesh) (*Costs, error) {
 	c := &Costs{
 		M: m, Mesh: mesh, K: DefaultKnobs(),
 		p: par.PP, v: par.VP, s: par.SPP,
-		recompute: par.Recompute,
+		recompute:   par.Recompute,
+		stageParams: model.StageParams(m, par.PP),
 	}
 	c.place = sched.RoundRobin{P: par.PP, V: par.VP}
 	c.reindexLayers()
@@ -143,12 +147,19 @@ func (c *Costs) WithPlacement(place sched.Placement) *Costs {
 }
 
 // reindexLayers maps per-global-chunk layer counts onto the placement's
-// (stage, local chunk) coordinates.
+// (stage, local chunk) coordinates. The rows are views of one array, which
+// a re-placement clears and refills.
 func (c *Costs) reindexLayers() {
 	global := model.LayersPerGlobalChunk(c.M.NumLayers, c.p*c.v)
-	c.layers = make([][]int, c.p)
-	for s := range c.layers {
-		c.layers[s] = make([]int, c.v)
+	if c.layers == nil {
+		flat := make([]int, c.p*c.v)
+		c.layers = make([][]int, c.p)
+		for s := range c.layers {
+			c.layers[s] = flat[s*c.v : (s+1)*c.v : (s+1)*c.v]
+		}
+	}
+	for _, row := range c.layers {
+		clear(row)
 	}
 	for g, n := range global {
 		s, l := c.place.Host(g)
@@ -393,7 +404,7 @@ func (c *Costs) GradBytes(stage int, op sched.Op) int64 {
 // a small optimizer-step charge.
 func (c *Costs) TailTime(stage int) float64 {
 	group := c.Mesh.Par.DP * c.Mesh.Par.CP
-	params := model.StageParams(c.M, c.p)[stage] / int64(c.Mesh.Par.TPSize())
+	params := c.stageParams[stage] / int64(c.Mesh.Par.TPSize())
 	gradBytes := params * model.BytesFP16
 	link := c.Mesh.DPGroupLink()
 	t := cluster.ReduceScatterTime(link, group, gradBytes) +

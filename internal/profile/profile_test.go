@@ -2,6 +2,7 @@ package profile
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"mepipe/internal/nn"
@@ -111,7 +112,14 @@ func TestMeasureSliceOpsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table, err := MeasureSliceOps(m, 4, 2, 5)
+	// Under the CPU contention of packages tested in parallel, a GEMM
+	// fanned out to the kernel pool waits for whichever worker was
+	// descheduled, and five-rep medians could invert the causal growth.
+	// With one P the kernel workers share the measuring thread, so no
+	// GEMM waits on a descheduled one, and 25 reps spread the medians
+	// over a few hundred milliseconds.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	table, err := MeasureSliceOps(m, 4, 2, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +136,7 @@ func TestMeasureSliceOpsShape(t *testing.T) {
 	// later halves beats the earlier half).
 	early := table.F[0] + table.F[1]
 	late := table.F[2] + table.F[3]
+	t.Logf("forward, slices 0+1: %.3gs, slices 2+3: %.3gs", early, late)
 	if late <= early {
 		t.Errorf("later slices (%.2gs) not slower than earlier (%.2gs)", late, early)
 	}

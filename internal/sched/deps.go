@@ -136,13 +136,33 @@ func (s *Schedule) AbsentDep() (stage int, op Op, dep Dep, ok bool) {
 // point) win most of the table's cost back.
 func (s *Schedule) DepTable() *DepTable {
 	x := s.indexer()
-	if s.depTab != nil && s.depTab.Ix.x == x {
-		return s.depTab
+	if b := s.back; b != nil && b.dt.Off != nil && b.dt.Ix.x == x {
+		return &b.dt
 	}
+	// A fresh backing, never a refill: a session may still read the
+	// table it replaces.
+	b := new(backing)
+	b.dt.fill(s, x, nil)
+	s.back = b
+	return &b.dt
+}
+
+// fill (re)builds t as the dependency table of s under x, reusing the
+// capacity of t's arrays and of the scratch cnt, which it returns for the
+// next fill. Every element it reads is written first, so reused arrays
+// need no clearing beyond the count table.
+func (t *DepTable) fill(s *Schedule, x opIndexer, cnt []int32) []int32 {
 	total := x.total()
 	vss := x.perStage / x.n // ops per (stage, micro) block
-	t := &DepTable{Ix: OpIndex{x}, Off: make([]int32, total+1), ID: make([]int32, 0, 4*total)}
-	var deps []Dep
+	t.Ix, t.Cross, t.Neg = OpIndex{x}, 0, 0
+	t.Off = sgrow(t.Off, total+1)
+	t.Off[0] = 0
+	if cap(t.ID) < 4*total {
+		t.ID = make([]int32, 0, 4*total)
+	}
+	t.ID = t.ID[:0]
+	var buf [3]Dep // an op has at most three dependencies
+	deps := buf[:0]
 	for k := 0; k < x.p; k++ {
 		base := k * x.perStage
 		m0 := len(t.ID)
@@ -177,7 +197,8 @@ func (s *Schedule) DepTable() *DepTable {
 	// each row comes out ascending), then shift-copy them.
 	perStage := int32(x.perStage)
 	m0 := func(id int32) int32 { return id/perStage*int32(vss) + id%perStage } // micro-0 slot
-	cnt := make([]int32, x.p*vss)
+	cnt = sgrow(cnt, x.p*vss)
+	clear(cnt)
 	for k := 0; k < x.p; k++ {
 		for id := int32(k * x.perStage); id < int32(k*x.perStage+vss); id++ {
 			for _, from := range t.ID[t.Off[id]:t.Off[id+1]] {
@@ -194,12 +215,13 @@ func (s *Schedule) DepTable() *DepTable {
 	}
 	t.Neg *= x.n
 	t.Cross *= x.n
-	t.OutOff = make([]int32, total+1)
+	t.OutOff = sgrow(t.OutOff, total+1)
+	t.OutOff[0] = 0
 	for id := 0; id < total; id++ {
 		rel := id % x.perStage % vss
 		t.OutOff[id+1] = t.OutOff[id] + cnt[id/x.perStage*vss+rel]
 	}
-	t.OutID = make([]int32, t.OutOff[total])
+	t.OutID = sgrow(t.OutID, int(t.OutOff[total]))
 	clear(cnt) // now the micro-0 rows' fill cursors
 	for k := 0; k < x.p; k++ {
 		for id := int32(k * x.perStage); id < int32(k*x.perStage+vss); id++ {
@@ -226,6 +248,5 @@ func (s *Schedule) DepTable() *DepTable {
 			}
 		}
 	}
-	s.depTab = t
-	return t
+	return cnt
 }

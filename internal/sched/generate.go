@@ -167,6 +167,7 @@ func Generate(opt GenOptions) (*Schedule, error) {
 		return nil, fmt.Errorf("sched: generate %s: non-positive shape p=%d v=%d s=%d n=%d: %w", opt.Name, opt.P, opt.V, opt.S, opt.N, errs.ErrIncompatible)
 	}
 	g := genPool.Get().(*generator)
+	s.back = backingPool.Get().(*backing)
 	g.reset(s, opt)
 	err := g.run()
 	if err == nil {
@@ -191,19 +192,54 @@ func Generate(opt GenOptions) (*Schedule, error) {
 		}
 	}
 	if err == nil {
+		a := s.back
+		a.stages = sgrow(a.stages, s.P)
+		s.Stages = a.stages[:s.P:s.P]
 		for k := range g.stages {
-			s.Stages = append(s.Stages, g.stages[k].order)
-			g.stages[k].order = nil // handed to the schedule; never reused
+			s.Stages[k] = g.stages[k].order
 		}
 	}
 	// Drop references the pool must not retain (estimator, placement,
-	// schedule, dependency table) and recycle the arenas.
+	// schedule, dependency table, stage lists) and recycle the arenas.
+	for k := range g.stages {
+		g.stages[k].order = nil
+	}
 	g.s, g.opt, g.dt = nil, GenOptions{}, nil
 	genPool.Put(g)
 	if err != nil {
+		s.Release()
 		return nil, err
 	}
 	return s, nil
+}
+
+// backing is the pooled storage of a schedule: its dependency table's
+// arrays with the table builder's scratch and, when Generate built it, the
+// slab its stage lists are carved from and the stage-list headers. Only
+// capacity is ever reused, never contents: Generate overwrites every
+// element a schedule reads. A schedule holds its backing until Release
+// returns it.
+type backing struct {
+	ops    []Op
+	stages [][]Op
+	dt     DepTable
+	cnt    []int32
+}
+
+var backingPool = sync.Pool{New: func() any { return new(backing) }}
+
+// Release hands a schedule's dependency table and, when Generate built
+// it, its stage lists back for reuse by a later Generate, and nils the
+// schedule's Stages and cached table, so a use after release fails loudly.
+// Only the schedule's sole owner may release it, once, after every reader
+// of its lists and table is done (a bound sim.Session included); copies
+// of the Schedule value share its arrays.
+func (s *Schedule) Release() {
+	b := s.back
+	s.Stages, s.back = nil, nil
+	if b != nil {
+		backingPool.Put(b)
+	}
 }
 
 // genPool recycles generator arenas across Generate calls: the node,
@@ -249,6 +285,8 @@ func (g *generator) reset(s *Schedule, opt GenOptions) {
 	g.nodes = sgrow(g.nodes, total)
 	g.finish = sgrow(g.finish, total)
 	g.stages = sgrow(g.stages, s.P)
+	a := s.back
+	a.ops = sgrow(a.ops, total)
 	for k := 0; k < s.P; k++ {
 		st := &g.stages[k]
 		st.free, st.inflight, st.deferred = 0, 0, 0
@@ -266,19 +304,22 @@ func (g *generator) reset(s *Schedule, opt GenOptions) {
 		}
 		st.oldest = 0
 		st.pending = g.x.perStage
-		// The order list escapes into the returned Schedule, so it is the
-		// one array the pool never reuses.
-		st.order = make([]Op, 0, g.x.perStage)
+		// The order list escapes into the returned Schedule: it is carved
+		// from the schedule's slab, capped at the stage's end so an append
+		// to one stage's list can never write into the next.
+		lo := k * g.x.perStage
+		st.order = a.ops[lo:lo:(lo + g.x.perStage)]
 	}
 	// Decode every op and seed its dependency count. The dense dependency
-	// table — built here once, cached on the schedule — is what the
-	// certifier and the simulator sessions will reuse, so every Dep of
-	// this schedule is derived and indexed exactly once across the whole
-	// generate → certify → bind path; its dependents CSR doubles as the
-	// generator's wake list. Micro-invariant estimators (see
-	// MicroInvariant) are queried only for the micro-0 twin of each op —
-	// the copies are bitwise, so no generated byte changes.
-	t := s.DepTable()
+	// table — built here once, into the schedule's backing, and cached on
+	// the schedule — is what the certifier and the simulator sessions will
+	// reuse, so every Dep of this schedule is derived and indexed exactly
+	// once across the whole generate → certify → bind path; its dependents
+	// CSR doubles as the generator's wake list. Micro-invariant estimators
+	// (see MicroInvariant) are queried only for the micro-0 twin of each
+	// op — the copies are bitwise, so no generated byte changes.
+	a.cnt = a.dt.fill(s, g.x, a.cnt)
+	t := &a.dt
 	g.dt = t
 	vss := g.x.perStage / g.x.n
 	microInv := false

@@ -2,8 +2,10 @@ package sched
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // TestPresetsValid exercises every preset constructor across a grid of
@@ -187,5 +189,75 @@ func TestMEPipePieceCount(t *testing.T) {
 	wantOps := 2 * 2 * (2 + 7) // n·s families × (F + BAct + 7 pieces)
 	if got := len(s.Stages[0]); got != wantOps {
 		t.Fatalf("stage 0 has %d ops, want %d", got, wantOps)
+	}
+}
+
+// overlaps reports whether the backing arrays of a and b share memory.
+func overlaps[T any](a, b []T) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(*new(T))
+	a0 := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+	b0 := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return a0 < b0+uintptr(cap(b))*size && b0 < a0+uintptr(cap(a))*size
+}
+
+// TestReleaseReusesSafely: a released schedule's arrays go only to a
+// later Generate, never into a schedule still held, and a generated
+// schedule's stage lists are capped so an append cannot spill into the
+// next stage's.
+func TestReleaseReusesSafely(t *testing.T) {
+	gen := func() *Schedule {
+		s, err := MEPipe(4, 2, 2, 4, 0, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	a := gen()
+	keep := make([][]Op, len(a.Stages))
+	for k, ops := range a.Stages {
+		keep[k] = append([]Op(nil), ops...)
+	}
+	ta := a.DepTable()
+	keepTab := DepTable{
+		Ix:     ta.Ix,
+		Off:    append([]int32(nil), ta.Off...),
+		ID:     append([]int32(nil), ta.ID...),
+		OutOff: append([]int32(nil), ta.OutOff...),
+		OutID:  append([]int32(nil), ta.OutID...),
+		Cross:  ta.Cross, Neg: ta.Neg,
+	}
+
+	b := gen()
+	b.Release()
+	if b.Stages != nil || b.back != nil {
+		t.Fatalf("released schedule keeps its lists or table")
+	}
+	c := gen()
+
+	if !reflect.DeepEqual(a.Stages, keep) || !reflect.DeepEqual(*a.DepTable(), keepTab) {
+		t.Fatal("generating after a release changed a schedule still held")
+	}
+	if !reflect.DeepEqual(c.Stages, keep) || !reflect.DeepEqual(*c.DepTable(), keepTab) {
+		t.Fatal("a schedule built on released arrays differs from a fresh one")
+	}
+	for i := range a.Stages {
+		for j := range c.Stages {
+			if overlaps(a.Stages[i], c.Stages[j]) {
+				t.Fatalf("stage %d of the held schedule shares memory with stage %d of the new one", i, j)
+			}
+		}
+	}
+	tc := c.DepTable()
+	if overlaps(ta.Off, tc.Off) || overlaps(ta.ID, tc.ID) || overlaps(ta.OutOff, tc.OutOff) || overlaps(ta.OutID, tc.OutID) {
+		t.Fatal("the held schedule's dependency table shares memory with the new one's")
+	}
+
+	next := append([]Op(nil), c.Stages[1]...)
+	c.Stages[0] = append(c.Stages[0], Op{Kind: F, Micro: 99})
+	if !reflect.DeepEqual(c.Stages[1], next) {
+		t.Fatal("appending to stage 0's list wrote into stage 1's")
 	}
 }

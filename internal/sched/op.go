@@ -135,9 +135,11 @@ type Schedule struct {
 	// Stages[k] is the ordered op list of stage k.
 	Stages [][]Op
 
-	// depTab caches the dense dependency table (see DepTable); it is a
-	// pure function of the shape and placement, not of Stages.
-	depTab *DepTable
+	// back caches the dense dependency table (see DepTable); it is a
+	// pure function of the shape and placement, not of Stages. For a
+	// schedule Generate built it also holds the slab of the stage lists
+	// (see Release).
+	back *backing
 }
 
 // TotalChunks returns P·V, the number of global model chunks.

@@ -28,15 +28,19 @@ type engState struct {
 	fin    []float64
 	done   []uint32
 	ep     uint32
-	// next caches each stage's engStart answer; stale marks the stages an
+	// next caches each stage's engStart answer, and ready/readyOK the
+	// engReady answer for its cursor op that engStart computed on the
+	// way, so engExecute never asks twice; stale marks the stages an
 	// executed op may have changed — its own stage and its dependents'
 	// stages, the only ones whose readiness can move (the generator's
 	// dirty pattern).
-	next   []float64
-	nextOK []bool
-	stale  []bool
-	oom    bool
-	oomAt  int
+	next    []float64
+	nextOK  []bool
+	ready   []float64
+	readyOK []bool
+	stale   []bool
+	oom     bool
+	oomAt   int
 }
 
 type wRef struct {
@@ -62,6 +66,8 @@ func (se *Session) runEngine() error {
 	e.done = sgrow(e.done, se.n)
 	e.next = sgrow(e.next, se.P)
 	e.nextOK = sgrow(e.nextOK, se.P)
+	e.ready = sgrow(e.ready, se.P)
+	e.readyOK = sgrow(e.readyOK, se.P)
 	e.stale = sgrow(e.stale, se.P)
 	e.ep++
 	se.famEpoch++
@@ -126,12 +132,14 @@ func (se *Session) engNext() (int, bool) {
 
 // engStart returns when stage k can begin its next action, or false when
 // it has none runnable (its list and queue are drained, or its next
-// scheduled op is blocked with an empty queue).
+// scheduled op is blocked with an empty queue). It caches the cursor op's
+// readiness for engExecute.
 func (se *Session) engStart(k int) (float64, bool) {
 	e := se.eng
 	if e.cursor[k] < len(se.order[k]) {
 		id := se.order[k][e.cursor[k]]
 		rt, ok := se.engReady(id)
+		e.ready[k], e.readyOK[k] = rt, ok
 		if ok {
 			return max(e.free[k], rt), true
 		}
@@ -159,13 +167,14 @@ func (se *Session) engReady(id int32) (float64, bool) {
 	return t, true
 }
 
+// engExecute runs stage k's next action. engNext has just refreshed every
+// stale stage, so k's cached readiness is its cursor op's current one.
 func (se *Session) engExecute(k int) int {
 	e := se.eng
 	if e.cursor[k] < len(se.order[k]) {
 		id := se.order[k][e.cursor[k]]
-		rt, ok := se.engReady(id)
-		if ok {
-			start := max(e.free[k], rt)
+		if e.readyOK[k] {
+			start := max(e.free[k], e.ready[k])
 			if n := se.engFillGap(k, start, id); n > 0 {
 				return n
 			}

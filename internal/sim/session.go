@@ -24,6 +24,11 @@ import (
 // differential fuzzer in fuzz_test.go holds that gate closed. Run and
 // RunContext are one pooled-session evaluation; there is no other engine.
 //
+// A DynamicW session keeps the same topological order — its sort and its
+// interval re-sorts are the acyclicity proof of every order it is handed —
+// but solves no static start/finish times: the §5 engine replays the
+// order against its own clock and never reads them.
+//
 // A session numbers ops by their sched.OpIndex ids and shares the bound
 // schedule's sched.DepTable rather than copying it, so it binds only a
 // complete schedule: every op of the shape, once. It loads every full
@@ -78,8 +83,8 @@ type Session struct {
 	sucOff  []int32   // reverse edges: id -> dependents
 	sucID   []int32
 
-	// solved static state: start/finish per op, and the topological
-	// order they were solved in
+	// solved static state: start/finish per op (static mode only), and
+	// the topological order they were solved in
 	start  []float64
 	finish []float64
 	topo   sched.Topo
@@ -122,7 +127,7 @@ type Session struct {
 	res Result
 	eng *engState
 
-	valid  bool // start/finish solve the current order, in topo
+	valid  bool // topo ranks the current order; in static mode start/finish solve it
 	resync bool // orders may be inconsistent; rebuild from the schedule
 }
 
@@ -376,11 +381,18 @@ func (se *Session) Eval(s *sched.Schedule) (*Result, error) {
 		se.resync, se.valid = true, false
 		return nil, fmt.Errorf("sim: session: stage %d op list is not a permutation of the bound schedule: %w", k, errs.ErrIncompatible)
 	}
+	return se.eval()
+}
+
+// eval evaluates the order the tables hold: Eval's work after the diff,
+// and all of a first evaluation right after a bind, which has loaded the
+// bound schedule's own order.
+func (se *Session) eval() (*Result, error) {
 	if !se.valid {
 		if err := se.sweep(); err != nil {
 			return nil, err
 		}
-	} else {
+	} else if !se.dynamicW {
 		se.resolve()
 	}
 	if se.dynamicW {
@@ -597,16 +609,18 @@ func (se *Session) resolve() {
 }
 
 // sweep ranks every op by Kahn's algorithm over program-order and
-// dependency edges and solves them in that order. It is the
-// first-evaluation path, the resync path, and the fallback that turns a
-// cyclic interval into a certified cycle error.
+// dependency edges and, in static mode, solves them in that order. It is
+// the first-evaluation path, the resync path, and the fallback that turns
+// a cyclic interval into a certified cycle error.
 func (se *Session) sweep() error {
 	if ranked := se.topo.Sort(se.dt, se.next, se.indeg); ranked != se.n {
 		se.valid = false
 		return fmt.Errorf("sim: session: %d of %d ops are on a program-order/dependency cycle (the order deadlocks): %w", se.n-ranked, se.n, errs.ErrUncertified)
 	}
-	for _, id := range se.topo.Order {
-		se.recompute(id)
+	if !se.dynamicW {
+		for _, id := range se.topo.Order {
+			se.recompute(id)
+		}
 	}
 	se.valid = true
 	return nil

@@ -43,7 +43,9 @@ type Options struct {
 
 	// DynamicW ignores the static positions of W/WPiece ops and instead
 	// drains them from a per-stage queue into dependency stalls — the
-	// paper's execution-engine behaviour. Requires a SplitBW schedule.
+	// paper's execution-engine behaviour. Requires a SplitBW schedule. A
+	// dynamic evaluation ranks the order (the deadlock check) and solves
+	// no static start/finish times.
 	DynamicW bool
 
 	// TailTime is appended after the last op on every stage (optimizer
@@ -147,7 +149,8 @@ func RunContext(ctx context.Context, opt Options) (*Result, error) {
 	if err := se.init(opt); err != nil {
 		return nil, err
 	}
-	r, err := se.Eval(opt.Sched)
+	// The bind loaded opt.Sched's own order, so there is nothing to diff.
+	r, err := se.eval()
 	if err != nil {
 		return nil, err
 	}

@@ -63,9 +63,11 @@ func TestLargestFirst(t *testing.T) {
 	}
 }
 
-// TestPlanColdAllocs: the pruned cold search allocates at most 1,600
+// TestPlanColdAllocs: the pruned cold search allocates at most 1,000
 // objects. It allocated 4,141 while every OpTime call built a fresh span
-// slice and every certified point ran a full Certify before its session.
+// slice and every certified point ran a full Certify before its session,
+// and 1,385 while each point's memory plan grew its tables by append and
+// each TailTime call rebuilt the stage parameters.
 func TestPlanColdAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race: sync.Pool drops items at random")
@@ -78,8 +80,37 @@ func TestPlanColdAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocs per pruned plan-cold search", allocs)
-	if allocs > 1600 {
-		t.Fatalf("pruned plan-cold search: %.0f allocs, want at most 1600", allocs)
+	if allocs > 1000 {
+		t.Fatalf("pruned plan-cold search: %.0f allocs, want at most 1000", allocs)
+	}
+}
+
+// TestPlanColdBytes: the unpruned cold search allocates at most 1 MB.
+// It allocated 4.67 MB while every grid point built fresh stage lists and
+// a fresh dependency table and dropped them after its simulation.
+func TestPlanColdBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race: sync.Pool drops items at random")
+	}
+	m, cl, tr, sp := planColdPoint()
+	search := func() {
+		if _, err := SearchContext(context.Background(), MEPipe, m, cl, tr, sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	search() // fill the pools, as AllocsPerRun's warm-up run does
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		search()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.0f bytes per unpruned plan-cold search", bytes)
+	if bytes > 1e6 {
+		t.Fatalf("unpruned plan-cold search: %.0f bytes, want at most 1 MB", bytes)
 	}
 }
 

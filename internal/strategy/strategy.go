@@ -38,7 +38,10 @@ func WithSink(s obs.Sink) Option {
 // WithCostWrap wraps the simulator's cost model once the schedule is
 // known, right before the run — the seam fault plans use to perturb an
 // evaluation (see chaos.FaultyCosts). The wrapper must be deterministic,
-// and it sees the schedule before the run has gated it.
+// and it sees the schedule before the run has gated it. On the evaluation
+// and grid-search path the schedule is lent for the call only: once the
+// run returns, its stage lists go back to the generator for the next
+// point, so neither the wrapper nor the costs it returns may keep them.
 func WithCostWrap(wrap func(*sched.Schedule, sim.Costs) sim.Costs) Option {
 	return func(o *options) { o.costWrap = wrap }
 }
@@ -153,6 +156,10 @@ func evaluate(ctx context.Context, sys System, m config.Model, cl cluster.Cluste
 	if err != nil {
 		return nil, err
 	}
+	// p never escapes: the Eval keeps only res, a copy the session made.
+	// The schedule's lists and table go back to the generator for the
+	// next point.
+	p.Schedule.Release()
 	ev.Result = res
 	ev.IterTime = res.IterTime
 	ev.Bubble = res.BubbleRatio

@@ -8,17 +8,19 @@
 #
 #   sh scripts/layoutdiff.sh <rev>      # or: make layout-diff BASE=<rev>
 #
-# <rev> is checked out into a temporary git worktree, which is removed on
-# exit. Both binaries are built the way benchmark/run.sh builds them; the
-# script writes nothing under benchmark/. Each output line is
+# <rev> is extracted with git archive into a temporary directory, which is
+# removed on exit; the repository's worktree list is never touched. Both
+# binaries are built the way benchmark/run.sh builds them; the script
+# writes nothing under benchmark/. Each output line is
 # "<symbol> <base address mod 64> <working-tree address mod 64>", and the
 # last line counts them. Symbols present in only one binary are skipped.
 set -eu
 rev=${1:?usage: sh scripts/layoutdiff.sh <rev>}
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-trap 'git -C "$root" worktree remove --force "$tmp/base" >/dev/null 2>&1 || true; rm -rf "$tmp"' EXIT
-git -C "$root" worktree add --quiet --detach "$tmp/base" "$rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/base"
 
 build() {
 	(cd "$1/benchmark" &&
