@@ -92,22 +92,25 @@ serve-smoke:
 # internal/opt/testdata must re-certify, re-simulate to its recorded
 # time, and still beat its recorded preset baseline — the artifact run's
 # pin (replaying its seed reproduces the schedule bytes, the five search
-# counters 6000/3271/2729/908/5 and the best time bit for bit), the incremental
-# certifier's floors at the 13B point's size (Delta.Check ≥ 10× a full
-# Certify per annealer proposal, and Delta.Rebind ≥ 10× a full Bind per
-# accepted move, both at 0 allocs), the certifiers' allocation floors on
-# one-stage moves (Delta.Check allocates nothing; a rejected Certify
-# little beyond its counterexample), Rebind's seeded differential test
-# against a fresh Bind, short runs of Delta's differential fuzzers (Check
-# against Certify, Rebind against Bind), the worker-group checks (the same
-# search at every Workers × GOMAXPROCS, on the serial and the fan-out
-# side; the fan-out decision at its two reference points; no goroutine
-# outlives a run, cancelled or failed ones included).
+# counters 6000/3271/2729/908/5 and the best time bit for bit), the move
+# path's floors at the 13B point's size (a move's decision ≥ 10× a full
+# Certify plus a fresh session evaluation per annealer proposal, and a
+# commit ≥ 10× a full bind per accepted move, both at 0 allocs), the
+# allocation gates (deciding and committing a move allocates nothing; a
+# rejected Certify little beyond its counterexample; a whole run at the
+# artifact point at most 150 objects; a run at the 13B point at most
+# 3 MB on one core), the budget sweep's seeded differential test against
+# a fresh Bind, a short run of the move fuzzer (every move's verdict
+# against Certify and its Result against sim.Run, bit for bit, with
+# commits interleaved), the worker-group checks (the same search at every
+# Workers × GOMAXPROCS, on the serial and the fan-out side; the fan-out
+# decision at its reference points; no goroutine outlives a run,
+# cancelled or failed ones included).
 opt-smoke:
-	$(GO) test ./internal/opt -run 'TestDiscoveredBeatsPresets|TestDiscoveredBytesPinned|TestOptimizeSmoke|TestDeltaFloor|TestOptimizeDeterministicAcrossWorkers|TestFanOutReferencePoints|TestOptimizeJoinsWorkers' -count=1
+	$(GO) test ./internal/opt -run 'TestDiscoveredBeatsPresets|TestDiscoveredBytesPinned|TestOptimizeSmoke|TestDeltaFloor|TestOptimizeAllocs|TestOptimizeDeterministicAcrossWorkers|TestFanOutReferencePoints|TestOptimizeJoinsWorkers' -count=1
+	$(GO) test ./internal/strategy -run 'TestOptimize13BBytes' -count=1
 	$(GO) test ./internal/verify -run 'TestCertifyAllocs|TestDeltaAllocs|TestDeltaRebindMatchesBind' -count=1
-	$(GO) test ./internal/verify -run NONE -fuzz FuzzDeltaMatchesCertify -fuzztime 10s
-	$(GO) test ./internal/verify -run NONE -fuzz FuzzDeltaRebind -fuzztime 10s
+	$(GO) test ./internal/opt -run NONE -fuzz FuzzMoveMatchesCertifyAndRun -fuzztime 10s
 
 # Regenerate the checked-in discovered-schedule artifact. The writer
 # refuses to record a schedule that does not beat the preset sweep.

@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"mepipe/internal/sched"
+	"mepipe/internal/sim"
 	"mepipe/internal/verify"
 )
 
-// floorWorkload is the certifier floor's point: a MEPipe schedule the
+// floorWorkload is the move path's floor point: a MEPipe schedule the
 // size of the Llama-13B × 32-GPU plan (P=8, S=32, N=8, 7 weight-gradient
 // pieces: 18,432 ops) under a slot budget one family above its own
-// peaks, and 64 of the annealer's proposals drawn from it.
+// peaks, and 64 of the annealer's proposals drawn from it, no-op draws
+// left out.
 func floorWorkload(tb testing.TB) (*sched.Schedule, *verify.Budget, []candidate) {
 	tb.Helper()
 	s, err := sched.MEPipe(8, 1, 32, 8, 0, 7, sched.Unit())
@@ -27,76 +29,166 @@ func floorWorkload(tb testing.TB) (*sched.Schedule, *verify.Budget, []candidate)
 		slots[k] = p + 1
 	}
 	rng := rand.New(rand.NewSource(1))
-	cands := make([]candidate, 64)
-	for i := range cands {
-		cands[i] = propose(rng, s, 8)
+	var cands []candidate
+	for len(cands) < 64 {
+		var c candidate
+		propose(rng, &c, s, 8)
+		if len(c.win) > 0 {
+			cands = append(cands, c)
+		}
 	}
 	return s, verify.SlotBudget(slots), cands
 }
 
-// BenchmarkCertifyProposal is what certifying an annealer proposal cost
-// before Delta: a full Certify, counterexample included on rejection.
-func BenchmarkCertifyProposal(b *testing.B) {
-	_, budget, cands := floorWorkload(b)
-	opts := verify.Options{Budget: budget}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		verify.Certify(cands[i%len(cands)].sched, opts)
-	}
+// applied returns s with the candidate's move applied, as a schedule of
+// its own: what the annealer built for every proposal before moves.
+func applied(s *sched.Schedule, c *candidate) *sched.Schedule {
+	m := cloneSchedule(s)
+	copy(m.Stages[c.stage][c.lo:], c.win)
+	return m
 }
 
-// BenchmarkDeltaProposal checks the same proposals through a Delta bound
-// to the schedule they were drawn from.
-func BenchmarkDeltaProposal(b *testing.B) {
-	s, budget, cands := floorWorkload(b)
-	d := verify.NewDelta(budget)
-	if err := d.Bind(s); err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range cands {
-		d.Check(c.sched, c.stage)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := &cands[i%len(cands)]
-		d.Check(c.sched, c.stage)
-	}
+// moveState is the annealer's per-run state, bound to s: the session and
+// worker 0's mover.
+type moveState struct {
+	se *sim.Session
+	m  mover
 }
 
-// acceptedWorkload is floorWorkload's proposals that certify: the moves
-// an annealer could accept, each with the Delta bound to their base.
-func acceptedWorkload(tb testing.TB) (*sched.Schedule, *verify.Delta, []candidate) {
+func bindMoves(tb testing.TB, s *sched.Schedule, costs sim.Costs, budget *verify.Budget) *moveState {
 	tb.Helper()
-	s, budget, cands := floorWorkload(tb)
+	se, err := sim.NewSession(sim.Options{Sched: s, Costs: costs, AssumeValid: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := se.Eval(s); err != nil {
+		tb.Fatal(err)
+	}
+	ov, err := se.NewOverlay()
+	if err != nil {
+		tb.Fatal(err)
+	}
 	d := verify.NewDelta(budget)
 	if err := d.Bind(s); err != nil {
 		tb.Fatal(err)
 	}
-	var acc []candidate
+	return &moveState{se: se, m: mover{ov: ov, fit: d}}
+}
+
+// fullProposal is what deciding a proposal cost before moves: a full
+// Certify of the proposed schedule, counterexample included on
+// rejection, and a session bound to it and evaluated when it certifies.
+func fullProposal(cand *sched.Schedule, costs sim.Costs, opts verify.Options, se *sim.Session) (bool, float64) {
+	if _, err := verify.Certify(cand, opts); err != nil {
+		return false, 0
+	}
+	if err := se.Bind(sim.Options{Sched: cand, Costs: costs, AssumeValid: true}); err != nil {
+		return false, 0
+	}
+	r, err := se.Eval(cand)
+	if err != nil {
+		return false, 0
+	}
+	return true, r.IterTime
+}
+
+// BenchmarkFullProposal decides the floor's proposals as fullProposal
+// does.
+func BenchmarkFullProposal(b *testing.B) {
+	s, budget, cands := floorWorkload(b)
+	scheds := make([]*sched.Schedule, len(cands))
+	for i := range cands {
+		scheds[i] = applied(s, &cands[i])
+	}
+	opts := verify.Options{Budget: budget}
+	var se sim.Session
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fullProposal(scheds[i%len(scheds)], sim.Unit(), opts, &se)
+	}
+}
+
+// BenchmarkMoveProposal decides them as the annealer does: one overlay
+// Load, the budget sweep and the overlay's Eval.
+func BenchmarkMoveProposal(b *testing.B) {
+	s, budget, cands := floorWorkload(b)
+	st := bindMoves(b, s, sim.Unit(), budget)
+	for i := range cands {
+		evaluate(&cands[i], 0, &st.m)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		evaluate(&cands[i%len(cands)], 0, &st.m)
+	}
+}
+
+// acceptedWorkload is floorWorkload's feasible proposals, each paired with
+// its inverse: the move that restores the base's window.
+func acceptedWorkload(tb testing.TB) (*sched.Schedule, *verify.Budget, []candidate, []candidate) {
+	tb.Helper()
+	s, budget, cands := floorWorkload(tb)
+	st := bindMoves(tb, s, sim.Unit(), budget)
+	var acc, inv []candidate
 	for _, c := range cands {
-		if d.Check(c.sched, c.stage) == nil {
+		if evaluate(&c, 0, &st.m); c.feasible {
 			acc = append(acc, c)
+			back := c
+			back.win = append([]sched.Op(nil), s.Stages[c.stage][c.lo:c.lo+len(c.win)]...)
+			inv = append(inv, back)
 		}
 	}
 	if len(acc) == 0 {
-		tb.Fatal("no proposal certifies")
+		tb.Fatal("no proposal is feasible")
 	}
-	return s, d, acc
+	return s, budget, acc, inv
 }
 
-// benchAccept binds d to each accepted proposal in turn and back to its
-// base, one accept per iteration: the annealer's bind on accept.
-func benchAccept(b *testing.B, bind func(d *verify.Delta, s *sched.Schedule, stage int) error) {
-	s, d, acc := acceptedWorkload(b)
+// BenchmarkBindAccept is what moving the bindings to an accepted move
+// cost before commits: a full Bind of the budget sweep, and a session
+// bound to the moved schedule and evaluated.
+func BenchmarkBindAccept(b *testing.B) {
+	s, budget, acc, _ := acceptedWorkload(b)
+	scheds := []*sched.Schedule{s}
+	for i := range acc {
+		scheds = append(scheds, applied(s, &acc[i]))
+	}
+	d := verify.NewDelta(budget)
+	var se sim.Session
+	bind := func(m *sched.Schedule) {
+		if err := d.Bind(m); err != nil {
+			b.Fatal(err)
+		}
+		if err := se.Bind(sim.Options{Sched: m, Costs: sim.Unit(), AssumeValid: true}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := se.Eval(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, m := range scheds {
+		bind(m)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bind(scheds[i%len(scheds)])
+	}
+}
+
+// BenchmarkCommitAccept moves them by commit, one accepted move and its
+// inverse in turn.
+func BenchmarkCommitAccept(b *testing.B) {
+	s, budget, acc, inv := acceptedWorkload(b)
+	cur := cloneSchedule(s)
+	st := bindMoves(b, cur, sim.Unit(), budget)
 	step := func(i int) {
 		c := &acc[i/2%len(acc)]
-		to := c.sched
 		if i%2 == 1 {
-			to = s
+			c = &inv[i/2%len(inv)]
 		}
-		if err := bind(d, to, c.stage); err != nil {
+		if err := commit(c, cur, &st.m, st.se); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -110,35 +202,26 @@ func benchAccept(b *testing.B, bind func(d *verify.Delta, s *sched.Schedule, sta
 	}
 }
 
-// BenchmarkBindAccept is what moving the binding to an accepted move cost
-// before Rebind: a full Bind.
-func BenchmarkBindAccept(b *testing.B) {
-	benchAccept(b, func(d *verify.Delta, s *sched.Schedule, _ int) error { return d.Bind(s) })
-}
-
-// BenchmarkRebindAccept moves it by Rebind over the move's window.
-func BenchmarkRebindAccept(b *testing.B) {
-	benchAccept(b, func(d *verify.Delta, s *sched.Schedule, stage int) error { return d.Rebind(s, stage) })
-}
-
-// TestDeltaFloor is the incremental certifier's floor as a gate, at the
-// 13B point's size. Per annealer proposal, Delta.Check must run at least
-// 10× faster than the full Certify it replaces, with the same verdicts,
-// and allocate nothing. Per accepted move, Rebind must run at least 10×
-// faster than the full Bind it replaces, and allocate nothing.
+// TestDeltaFloor is the move path's floor as a gate, at the 13B point's
+// size. Per annealer proposal, the move verdict and evaluation must run at
+// least 10× faster than the full Certify and fresh session evaluation it
+// replaces, with the same verdicts and times, and allocate nothing. Per
+// accepted move, a commit must run at least 10× faster than the full
+// binds it replaces, and allocate nothing.
 func TestDeltaFloor(t *testing.T) {
 	s, budget, cands := floorWorkload(t)
-	d := verify.NewDelta(budget)
-	if err := d.Bind(s); err != nil {
-		t.Fatal(err)
-	}
+	st := bindMoves(t, s, sim.Unit(), budget)
+	opts := verify.Options{Budget: budget}
+	var se sim.Session
 	rejected := 0
-	for i, c := range cands {
-		_, want := verify.Certify(c.sched, verify.Options{Budget: budget})
-		if got := d.Check(c.sched, c.stage); (got == nil) != (want == nil) {
-			t.Fatalf("proposal %d (%s): Check says %v, Certify %v", i, c.operator, got, want)
+	for i := range cands {
+		c := &cands[i]
+		evaluate(c, 0, &st.m)
+		ok, time := fullProposal(applied(s, c), sim.Unit(), opts, &se)
+		if c.feasible != ok || c.time != time {
+			t.Fatalf("proposal %d (%s): move says %v %v, full path %v %v", i, c.operator, c.feasible, c.time, ok, time)
 		}
-		if want != nil {
+		if !ok {
 			rejected++
 		}
 	}
@@ -159,6 +242,6 @@ func TestDeltaFloor(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d proposals rejected", rejected, len(cands))
-	floor("Delta.Check", "Certify", testing.Benchmark(BenchmarkCertifyProposal), testing.Benchmark(BenchmarkDeltaProposal))
-	floor("Delta.Rebind", "Bind", testing.Benchmark(BenchmarkBindAccept), testing.Benchmark(BenchmarkRebindAccept))
+	floor("move proposal", "Certify+Eval", testing.Benchmark(BenchmarkFullProposal), testing.Benchmark(BenchmarkMoveProposal))
+	floor("commit", "Bind", testing.Benchmark(BenchmarkBindAccept), testing.Benchmark(BenchmarkCommitAccept))
 }

@@ -4,78 +4,64 @@ import (
 	"math/rand"
 
 	"mepipe/internal/sched"
+	"mepipe/internal/sim"
 )
 
 // The neighbourhood. Each operator perturbs exactly one stage's op order
-// and by construction preserves the schedule's op multiset — a one-stage
-// permutation, the move verify.Delta.Check certifies incrementally.
-// None of them tries to be clever about feasibility: deadlock-freedom and
-// the memory budget are the certifier's job, and proposals it rejects
-// cost one graph check, never a simulation.
+// and by construction preserves the schedule's op multiset: a move, one
+// stage's window of positions reordered, which the simulator overlay and
+// the budget sweep evaluate against the current state. None of them
+// tries to be clever about feasibility: deadlock-freedom and the memory
+// budget are the certifier's job, and proposals it rejects cost one
+// window sort or sweep, never a simulation.
 
-// candidate is one proposed neighbour: the perturbed schedule plus the
-// move descriptor (for obs events) and, after evaluation, its verdict.
+// candidate is one proposed neighbour: the move, held in the candidate
+// slot's buffer and reused across rounds, with its label (for obs events)
+// and, after evaluation, its verdict. A candidate whose window is empty
+// is a no-op move: the current state itself.
 type candidate struct {
-	sched    *sched.Schedule
 	operator string   // "swap", "shift" or "rebalance"
 	stage    int      // the stage the move touched
 	op       sched.Op // the op it displaced
+	lo       int      // the window's first position
+	win      []sched.Op
 
 	feasible bool
 	time     float64
 }
 
-// propose draws one candidate from the neighbourhood of cur. All
-// randomness comes from rng (the coordinator's stream); degenerate draws
-// (single-op stages, zero displacements) fall through as no-op candidates
-// rather than redrawing, keeping the rng consumption per proposal fixed.
-func propose(rng *rand.Rand, cur *sched.Schedule, maxShift int) candidate {
-	c := candidate{sched: shareStages(cur)}
+// move is the candidate's move in the simulator's terms.
+func (c *candidate) move() sim.Move { return sim.Move{Stage: c.stage, Lo: c.lo, Ops: c.win} }
+
+// propose draws one candidate from the neighbourhood of cur into c,
+// reusing its window buffer. All randomness comes from rng (the
+// coordinator's stream); degenerate draws (single-op stages, zero
+// displacements) fall through as no-op moves rather than redrawing,
+// keeping the rng consumption per proposal fixed.
+func propose(rng *rand.Rand, c *candidate, cur *sched.Schedule, maxShift int) {
+	c.op, c.lo, c.win = sched.Op{}, 0, c.win[:0]
 	switch rng.Intn(3) {
 	case 0:
-		proposeSwap(rng, &c)
+		proposeSwap(rng, c, cur)
 	case 1:
-		proposeShift(rng, &c, maxShift)
+		proposeShift(rng, c, cur, rng.Intn(cur.P), maxShift)
 	default:
-		proposeRebalance(rng, &c, maxShift)
+		proposeRebalance(rng, c, cur, maxShift)
 	}
-	return c
 }
 
 // proposeSwap exchanges two adjacent ops on one stage — the minimal
 // reordering, and the workhorse late in the cooling schedule.
-func proposeSwap(rng *rand.Rand, c *candidate) {
+func proposeSwap(rng *rand.Rand, c *candidate, cur *sched.Schedule) {
 	c.operator = "swap"
-	k := rng.Intn(c.sched.P)
-	ops := c.ownStage(k)
+	k := rng.Intn(cur.P)
+	ops := cur.Stages[k]
 	c.stage = k
 	if len(ops) < 2 {
 		return
 	}
 	i := rng.Intn(len(ops) - 1)
-	ops[i], ops[i+1] = ops[i+1], ops[i]
-	c.op = ops[i+1]
-}
-
-// proposeShift displaces one op up to maxShift positions along its
-// stage, sliding the ops in between — the operator that carries an op
-// across a slot boundary.
-func proposeShift(rng *rand.Rand, c *candidate, maxShift int) {
-	c.operator = "shift"
-	k := rng.Intn(c.sched.P)
-	ops := c.ownStage(k)
-	c.stage = k
-	if len(ops) < 2 {
-		return
-	}
-	from := rng.Intn(len(ops))
-	delta := rng.Intn(2*maxShift+1) - maxShift
-	to := from + delta
-	if to < 0 || to >= len(ops) || to == from {
-		return
-	}
-	c.op = ops[from]
-	displace(ops, from, to)
+	c.displace(ops, i, i+1)
 }
 
 // proposeRebalance re-places one weight-gradient op (W or WPiece) at a
@@ -83,10 +69,10 @@ func proposeShift(rng *rand.Rand, c *candidate, maxShift int) {
 // deferred W-GEMM work into bubbles, which neither local operator above
 // reaches quickly. On fused-backward schedules (no W ops) it degrades to
 // a plain shift so the draw is never wasted.
-func proposeRebalance(rng *rand.Rand, c *candidate, maxShift int) {
+func proposeRebalance(rng *rand.Rand, c *candidate, cur *sched.Schedule, maxShift int) {
 	c.operator = "rebalance"
-	k := rng.Intn(c.sched.P)
-	ops := c.ownStage(k)
+	k := rng.Intn(cur.P)
+	ops := cur.Stages[k]
 	c.stage = k
 	count := 0
 	for _, op := range ops {
@@ -95,7 +81,7 @@ func proposeRebalance(rng *rand.Rand, c *candidate, maxShift int) {
 		}
 	}
 	if count == 0 {
-		proposeShiftAt(rng, c, k, maxShift)
+		proposeShift(rng, c, cur, k, maxShift)
 		return
 	}
 	// The nth weight-gradient op, found in a second pass: no index slice.
@@ -113,20 +99,20 @@ func proposeRebalance(rng *rand.Rand, c *candidate, maxShift int) {
 	if to == from {
 		return
 	}
-	c.op = ops[from]
-	displace(ops, from, to)
+	c.displace(ops, from, to)
 }
 
 // isWeightGrad reports whether op is weight-gradient work, which the
 // rebalance move re-places.
 func isWeightGrad(op sched.Op) bool { return op.Kind == sched.W || op.Kind == sched.WPiece }
 
-// proposeShiftAt is proposeShift pinned to stage k (the rebalance
-// fallback, which already owns stage k), keeping the operator label
-// honest about what ran.
-func proposeShiftAt(rng *rand.Rand, c *candidate, k, maxShift int) {
+// proposeShift displaces one op on stage k up to maxShift positions along
+// the stage, sliding the ops in between — the operator that carries an op
+// across a slot boundary, and the rebalance fallback.
+func proposeShift(rng *rand.Rand, c *candidate, cur *sched.Schedule, k, maxShift int) {
 	c.operator = "shift"
-	ops := c.sched.Stages[k]
+	ops := cur.Stages[k]
+	c.stage = k
 	if len(ops) < 2 {
 		return
 	}
@@ -136,26 +122,17 @@ func proposeShiftAt(rng *rand.Rand, c *candidate, k, maxShift int) {
 	if to < 0 || to >= len(ops) || to == from {
 		return
 	}
-	c.op = ops[from]
-	displace(ops, from, to)
+	c.displace(ops, from, to)
 }
 
-// shareStages copies the schedule header and its Stages slice; the op
-// lists stay shared with s until a move takes one over with ownStage.
-// Nothing mutates a shared list: the current state's lists are only ever
-// read, so a candidate clones just the one stage its move perturbs.
-func shareStages(s *sched.Schedule) *sched.Schedule {
-	c := *s
-	c.Stages = append([][]sched.Op(nil), s.Stages...)
-	return &c
-}
-
-// ownStage gives the candidate a private copy of stage k's op list and
-// returns it.
-func (c *candidate) ownStage(k int) []sched.Op {
-	ops := append([]sched.Op(nil), c.sched.Stages[k]...)
-	c.sched.Stages[k] = ops
-	return ops
+// displace makes the candidate the move of ops[from] to position to on
+// its stage, sliding the ops between: the window is the positions from
+// through to, copied into the candidate's buffer and displaced there.
+func (c *candidate) displace(ops []sched.Op, from, to int) {
+	lo, hi := min(from, to), max(from, to)
+	c.op, c.lo = ops[from], lo
+	c.win = append(c.win, ops[lo:hi+1]...)
+	displace(c.win, from-lo, to-lo)
 }
 
 // displace moves ops[from] to position to, sliding the range between.

@@ -10,18 +10,6 @@ import (
 	"mepipe/internal/verify"
 )
 
-// countingCosts wraps a cost model and counts OpTime calls — the probe
-// that proves infeasible candidates never reach the simulator.
-type countingCosts struct {
-	sim.Costs
-	opCalls int
-}
-
-func (c *countingCosts) OpTime(stage int, op sched.Op) float64 {
-	c.opCalls++
-	return c.Costs.OpTime(stage, op)
-}
-
 func moveBases(t *testing.T) []*sched.Schedule {
 	t.Helper()
 	est := sched.Unit()
@@ -42,53 +30,70 @@ func moveBases(t *testing.T) []*sched.Schedule {
 
 // TestMovesCertifyOrRejectBeforeSim is the neighbourhood property test:
 // for thousands of seeded proposals from every operator over fused,
-// split and fine-grained bases, each candidate preserves the base's op
-// multiset, and either certifies or is rejected before a single
-// simulated op runs.
+// split and fine-grained bases, each move preserves the base's op
+// multiset, and is feasible exactly when the moved schedule certifies.
+// An infeasible move returns before the overlay re-solves anything: the
+// overlay's last Result is untouched, and so is the bound state, whose
+// own evaluation stays bitwise what it was.
 func TestMovesCertifyOrRejectBeforeSim(t *testing.T) {
 	operators := []struct {
 		name  string
-		apply func(rng *rand.Rand, c *candidate)
+		apply func(rng *rand.Rand, c *candidate, base *sched.Schedule)
 	}{
-		{"swap", func(rng *rand.Rand, c *candidate) { proposeSwap(rng, c) }},
-		{"shift", func(rng *rand.Rand, c *candidate) { proposeShift(rng, c, 8) }},
-		{"rebalance", func(rng *rand.Rand, c *candidate) { proposeRebalance(rng, c, 8) }},
+		{"swap", func(rng *rand.Rand, c *candidate, base *sched.Schedule) { proposeSwap(rng, c, base) }},
+		{"shift", func(rng *rand.Rand, c *candidate, base *sched.Schedule) {
+			proposeShift(rng, c, base, rng.Intn(base.P), 8)
+		}},
+		{"rebalance", func(rng *rand.Rand, c *candidate, base *sched.Schedule) { proposeRebalance(rng, c, base, 8) }},
 	}
 	for _, base := range moveBases(t) {
 		budget := slackBudget(t, base)
 		baseSet := opMultiset(base)
 		for _, op := range operators {
 			rng := rand.New(rand.NewSource(42))
-			counter := &countingCosts{Costs: sim.Unit()}
-			var sess *sim.Session
-			delta := verify.NewDelta(budget)
-			if err := delta.Bind(base); err != nil {
+			st := bindMoves(t, base, sim.Unit(), budget)
+			bound, err := st.se.Eval(base)
+			if err != nil {
 				t.Fatal(err)
 			}
+			bound = bound.Clone()
+			var last, lastSnap *sim.Result
+			infeasible := 0
 			for i := 0; i < 500; i++ {
-				c := candidate{sched: shareStages(base)}
-				op.apply(rng, &c)
+				var c candidate
+				op.apply(rng, &c, base)
+				cand := applied(base, &c)
 
 				// Every operator preserves the op multiset: a one-stage
-				// permutation, the move Delta.Check certifies.
-				if !reflect.DeepEqual(baseSet, opMultiset(c.sched)) {
+				// permutation of a window.
+				if !reflect.DeepEqual(baseSet, opMultiset(cand)) {
 					t.Fatalf("%s on %s: proposal %d changed the op multiset", op.name, base.Name, i)
 				}
-				_, certErr := verify.Certify(c.sched, verify.Options{Budget: budget})
-
-				before := counter.opCalls
-				evaluate(&c, counter, delta, &sess)
-				if certErr != nil {
-					if c.feasible {
-						t.Fatalf("%s on %s: uncertified candidate marked feasible", op.name, base.Name)
+				_, certErr := verify.Certify(cand, verify.Options{Budget: budget})
+				evaluate(&c, bound.IterTime, &st.m)
+				if certErr == nil {
+					if !c.feasible {
+						t.Fatalf("%s on %s: certified candidate marked infeasible", op.name, base.Name)
 					}
-					if counter.opCalls != before {
-						t.Fatalf("%s on %s: uncertified candidate was simulated (%d OpTime calls)",
-							op.name, base.Name, counter.opCalls-before)
+					if len(c.win) > 0 {
+						last, _ = st.m.ov.Eval()
+						lastSnap = last.Clone()
 					}
-				} else if !c.feasible {
-					t.Fatalf("%s on %s: certified candidate marked infeasible", op.name, base.Name)
+					continue
 				}
+				infeasible++
+				if c.feasible {
+					t.Fatalf("%s on %s: uncertified candidate marked feasible", op.name, base.Name)
+				}
+				if last != nil && !reflect.DeepEqual(last, lastSnap) {
+					t.Fatalf("%s on %s: an infeasible move re-solved the overlay", op.name, base.Name)
+				}
+				if r, err := st.se.Eval(base); err != nil || !reflect.DeepEqual(r, bound) {
+					t.Fatalf("%s on %s: an infeasible move changed the bound state: %v", op.name, base.Name, err)
+				}
+			}
+			if infeasible == 0 {
+				t.Errorf("%s on %s: no move was infeasible; the test is vacuous", op.name, base.Name)
 			}
 		}
 	}
@@ -112,16 +117,17 @@ func slackBudget(t *testing.T, s *sched.Schedule) *verify.Budget {
 // TestProposeConsumesFixedRandomness pins that a proposal's rng draw
 // count never depends on the candidate's content — the invariant that
 // keeps the whole trajectory reproducible — and that proposals, which
-// share every stage they do not perturb, never write through to the
-// schedule they were drawn from.
+// copy only their window, never write through to the schedule they were
+// drawn from.
 func TestProposeConsumesFixedRandomness(t *testing.T) {
 	base := moveBases(t)[0]
 	orig := cloneSchedule(base)
 	r1 := rand.New(rand.NewSource(9))
 	r2 := rand.New(rand.NewSource(9))
+	var c1, c2 candidate
 	for i := 0; i < 200; i++ {
-		propose(r1, base, 8)
-		propose(r2, base, 8)
+		propose(r1, &c1, base, 8)
+		propose(r2, &c2, base, 8)
 		if a, b := r1.Int63(), r2.Int63(); a != b {
 			t.Fatalf("after proposal %d the rng streams diverged", i)
 		}

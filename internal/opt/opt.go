@@ -4,12 +4,16 @@
 // deterministic simulated annealing over certified op reorderings. Three
 // neighbourhood operators (swap adjacent ops on a stage, shift an op
 // across a slot boundary, rebalance weight-gradient placement) generate
-// candidates; the certifier is the feasibility oracle (a verify.Delta
-// re-checks each move's window against the certified current state) and
-// the discrete-event simulator the cost oracle, so every accepted candidate
-// is provably deadlock-free and within the memory budget by
-// construction, and infeasible candidates are rejected before a single
-// simulated op runs.
+// moves: one stage's window of positions in a new order. Each move is
+// proved and evaluated once, as an overlay on the current state: a
+// verify.Delta re-sweeps the window's memory against the budget, a
+// sim.Overlay re-sorts the window's rank interval (the deadlock verdict)
+// and re-solves only the ops downstream of it, bitwise as a full
+// simulation would. So every accepted candidate is provably
+// deadlock-free and within the memory budget by construction, and
+// infeasible candidates are rejected before a single simulated op is
+// re-solved. The current state is the only full schedule; an accepted
+// move is committed to it, and to both bindings, in place.
 //
 // Determinism is load-bearing: the entire random stream (operator
 // choice, positions, Metropolis draws) lives on the coordinator's seeded
@@ -159,15 +163,20 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	if _, err := verify.Certify(s, verify.Options{Budget: opt.Budget}); err != nil {
 		return nil, fmt.Errorf("opt: seed schedule does not certify: %w", err)
 	}
-	// Certify has just proved the seed complete and deadlock-free, so a
-	// Validate at bind would prove nothing new.
-	base, err := sim.Run(sim.Options{Sched: s, Costs: costs, AssumeValid: true})
+	cur := cloneSchedule(s)
+	// The current state is the only full schedule, and the session bound
+	// to it is the only solved one. Certify has just proved the seed
+	// complete and deadlock-free, so a Validate at bind would prove
+	// nothing new.
+	se, err := sim.NewSession(sim.Options{Sched: cur, Costs: costs, AssumeValid: true})
+	if err != nil {
+		return nil, fmt.Errorf("opt: seed simulation: %w", err)
+	}
+	base, err := se.Eval(cur)
 	if err != nil {
 		return nil, fmt.Errorf("opt: seed simulation: %w", err)
 	}
 	res := &Result{BaseTime: base.IterTime}
-
-	cur := cloneSchedule(s)
 	curTime := base.IterTime
 	best := cloneSchedule(cur)
 	bestTime := curTime
@@ -186,33 +195,34 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	workers := fanOut(numOps(s), opt.Proposals, opt.Workers, runtime.GOMAXPROCS(0))
 	res.Workers = workers
 
-	// Every candidate is a permutation of the seed's ops, so each worker
-	// binds one incremental simulator session, which re-sorts only the
-	// rank interval each move disturbs and re-solves the ops from the
-	// first moved rank onward, each once, instead of replaying the whole
-	// pipeline. Sessions affect wall-clock only: Eval is bitwise-identical
-	// to a full sim.Run (the sim package's differential fuzzer gates
-	// this), and the random stream above is drawn before evaluation, so
-	// the search trajectory is untouched.
-	sessions := make([]*sim.Session, workers)
-
-	// Likewise every candidate is the current state with one stage
-	// reordered, so each worker certifies it with a fork of one Delta
-	// bound to the current state: a re-check of the moved window instead
-	// of a full Certify, with the same verdict. The binding moves with the
-	// current state, once per accepted round, by a Rebind over the
-	// accepted move's window.
-	deltas := make([]*verify.Delta, workers)
-	deltas[0] = verify.NewDelta(opt.Budget)
-	if err := deltas[0].Bind(cur); err != nil {
+	// Every candidate is a move of the current state, so each worker
+	// evaluates it as an overlay on the one bound session: the window's
+	// rank interval re-sorted (the deadlock verdict), and the ops
+	// downstream of it re-solved into the worker's scratch, bitwise as a
+	// full sim.Run would. Its memory verdict is a fork of one Delta bound
+	// to the current state, which re-sweeps the window's retention. Both
+	// bindings move with the current state, once per accepted round, by
+	// a commit of the accepted move's window on the coordinator. The
+	// random stream above is drawn before evaluation, so none of this
+	// touches the search trajectory.
+	fit := verify.NewDelta(opt.Budget)
+	if err := fit.Bind(cur); err != nil {
 		return nil, fmt.Errorf("opt: binding the start schedule: %w", err)
 	}
-	for w := 1; w < len(deltas); w++ {
-		deltas[w] = deltas[0].Fork()
+	movers := make([]mover, workers)
+	for w := range movers {
+		m := &movers[w]
+		if m.ov, err = se.NewOverlay(); err != nil {
+			return nil, fmt.Errorf("opt: binding the start schedule: %w", err)
+		}
+		m.fit = fit
+		if w > 0 {
+			m.fit = fit.Fork()
+		}
 	}
 
 	g := startGroup(workers, func(w, i int) {
-		evaluate(&cands[i], costs, deltas[w], &sessions[w])
+		evaluate(&cands[i], curTime, &movers[w])
 	})
 	defer g.stop()
 
@@ -223,7 +233,7 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 		// All randomness is drawn here, before any evaluation, so the
 		// trajectory cannot depend on worker timing.
 		for i := range cands {
-			cands[i] = propose(rng, cur, opt.MaxShift)
+			propose(rng, &cands[i], cur, opt.MaxShift)
 		}
 		u := rng.Float64()
 
@@ -247,15 +257,15 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 			c := &cands[pick]
 			delta := c.time - curTime
 			if delta < -eps || (temp > 0 && u < math.Exp(-delta/temp)) {
-				cur, curTime = c.sched, c.time
-				if err := deltas[0].Rebind(cur, c.stage); err != nil {
-					// Unreachable: Check certified the candidate.
-					return nil, fmt.Errorf("opt: accepted candidate failed to bind: %w", err)
+				if err := commit(c, cur, &movers[0], se); err != nil {
+					// Unreachable: the move was evaluated feasible.
+					return nil, fmt.Errorf("opt: accepted move failed to commit: %w", err)
 				}
+				curTime = c.time
 				res.Accepted++
 				accepted = pick
 				if curTime < bestTime-eps {
-					best = cloneSchedule(cur)
+					copyStages(best, cur)
 					bestTime = curTime
 					res.Improved++
 				}
@@ -281,44 +291,64 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	return res, nil
 }
 
-// evaluate certifies the candidate through the worker's Delta and, only
-// if it certifies, simulates it through the worker's incremental session.
-// Infeasible candidates never reach the simulator — the property the
-// package tests pin.
-func evaluate(c *candidate, costs sim.Costs, delta *verify.Delta, sess **sim.Session) {
-	if err := delta.Check(c.sched, c.stage); err != nil {
-		c.feasible = false
-		return
-	}
-	r, err := evalSim(c.sched, costs, sess)
-	if err != nil || r.OOM {
-		c.feasible = false
-		return
-	}
-	c.feasible = true
-	c.time = r.IterTime
+// mover is one worker's evaluation state: an overlay on the bound session
+// and a fork of the budget binding (worker 0 holds the binding itself).
+type mover struct {
+	ov  *sim.Overlay
+	fit *verify.Delta
 }
 
-// evalSim runs the candidate's simulation via the worker's bound
-// session, (re)binding it lazily on first use or when the candidate's
-// shape diverges from the bound one (never in a normal run — every
-// candidate permutes the same ops).
-func evalSim(s *sched.Schedule, costs sim.Costs, sess **sim.Session) (*sim.Result, error) {
-	if *sess != nil {
-		r, err := (*sess).Eval(s)
-		if err == nil || !errors.Is(err, errs.ErrIncompatible) {
-			return r, err
-		}
-		*sess = nil
+// evaluate decides the candidate against the current state, whose time is
+// curTime, through the worker's mover. The window's ids are resolved once
+// and feed both verdicts: the budget sweep first, then the overlay's
+// interval sort, and only a move that passes both is re-solved.
+// Infeasible candidates never reach the simulator's solve — the property
+// the package tests pin. A no-op move is the current state.
+//
+//mepipe:hotpath
+func evaluate(c *candidate, curTime float64, m *mover) {
+	if len(c.win) == 0 {
+		c.feasible, c.time = true, curTime
+		return
 	}
-	// Check has just certified the candidate, so a Validate at bind would
-	// prove nothing new; the session still rejects an incomplete op table.
-	se, err := sim.NewSession(sim.Options{Sched: s, Costs: costs, AssumeValid: true})
+	c.feasible, c.time = false, 0
+	ids, err := m.ov.Load(c.move())
+	if err != nil || !m.fit.Fits(c.stage, c.lo, c.win, ids) {
+		return
+	}
+	r, err := m.ov.Eval()
 	if err != nil {
-		return nil, err
+		return
 	}
-	*sess = se
-	return se.Eval(s)
+	c.feasible, c.time = true, r.IterTime
+}
+
+// errNoFit reports an accepted move the budget binding refuses.
+var errNoFit = errors.New("opt: accepted move overflows its stage's memory budget")
+
+// commit makes an accepted move the current state, once, on the
+// coordinator, through worker 0's mover, whose Delta is the budget
+// binding: the binding re-sweeps the window under ids the overlay
+// resolves, the session applies the move, and the window is copied into
+// cur in place.
+//
+//mepipe:hotpath
+func commit(c *candidate, cur *sched.Schedule, m *mover, se *sim.Session) error {
+	if len(c.win) == 0 {
+		return nil
+	}
+	ids, err := m.ov.Load(c.move())
+	if err != nil {
+		return err
+	}
+	if !m.fit.Rebind(c.stage, c.lo, c.win, ids) {
+		return errNoFit
+	}
+	if err := se.Commit(c.move()); err != nil {
+		return err
+	}
+	copy(cur.Stages[c.stage][c.lo:], c.win)
+	return nil
 }
 
 // emitMoves reports one EvMove per proposal; accepted marks which (if
@@ -347,6 +377,14 @@ func numOps(s *sched.Schedule) int {
 		n += len(ops)
 	}
 	return n
+}
+
+// copyStages copies src's op lists into dst's, which have the same
+// lengths.
+func copyStages(dst, src *sched.Schedule) {
+	for k := range src.Stages {
+		copy(dst.Stages[k], src.Stages[k])
+	}
 }
 
 func cloneSchedule(s *sched.Schedule) *sched.Schedule {

@@ -217,11 +217,11 @@ func TestOptimizeSmoke(t *testing.T) {
 }
 
 // fanOutSchedule is a schedule whose rounds fan out: MEPipe at P=8, S=4,
-// N=2 with 7 weight-gradient pieces (576 ops), so a round of 4 proposals
-// is above fanOutCutoff.
+// N=12 with 7 weight-gradient pieces (3,456 ops), so a round of 4
+// proposals is at fanOutCutoff.
 func fanOutSchedule(tb testing.TB) *sched.Schedule {
 	tb.Helper()
-	s, err := sched.MEPipe(8, 1, 4, 2, 0, 7, sched.Unit())
+	s, err := sched.MEPipe(8, 1, 4, 12, 0, 7, sched.Unit())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -311,10 +311,13 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFanOutReferencePoints pins the fan-out decision at the two points
-// the cutoff was measured between: the artifact point's rounds run on the
-// caller, and the 13B point's (MEPipe P=8, S=4, N=16, 7 weight-gradient
-// pieces) fan out to min(Workers, Proposals, GOMAXPROCS) workers.
+// TestFanOutReferencePoints pins the fan-out decision at the reference
+// points: the artifact point's rounds run on the caller, and the 13B
+// point's (MEPipe P=8, S=4, N=16, 7 weight-gradient pieces) fan out to
+// min(Workers, Proposals, GOMAXPROCS) workers. Between them, the measured
+// two-worker break-even (N=12, 3,456 ops) fans out, and the points below
+// it (N=10, 2,880 ops, and N=2, 576 ops, which fanned out before moves)
+// run on the caller.
 func TestFanOutReferencePoints(t *testing.T) {
 	_, artifact, err := discoveredPoint().BestPreset()
 	if err != nil {
@@ -333,6 +336,9 @@ func TestFanOutReferencePoints(t *testing.T) {
 	for _, c := range []struct{ ops, workers, procs, want int }{
 		{96, 4, 2, 1},
 		{96, 8, 64, 1},
+		{576, 4, 2, 1},
+		{2880, 4, 2, 1},
+		{3456, 4, 2, 2},
 		{4608, 4, 2, 2},
 		{4608, 8, 64, 4},
 		{4608, 3, 64, 3},

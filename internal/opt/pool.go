@@ -7,12 +7,12 @@ import (
 
 // fanOutCutoff is the round work, in schedule ops × proposals, below which
 // fanning a round out costs more than it saves and the calling goroutine
-// evaluates it alone. A proposal's certify+simulate cost grows with the
+// evaluates it alone. A proposal's evaluation cost grows with the
 // schedule, while waking and joining the workers costs a fixed few
-// microseconds per round, and the coordinator's proposals and rebinds stay
-// serial either way. Two workers break even with one between 288 and 576
-// ops at 4 proposals (docs/OPTIMIZER.md has the measurement).
-const fanOutCutoff = 2048
+// microseconds per round, and the coordinator's proposals and commits stay
+// serial either way. Two workers break even with one at about 3,456 ops
+// at 4 proposals (docs/OPTIMIZER.md has the measurement).
+const fanOutCutoff = 13824
 
 // fanOut returns how many goroutines evaluate each round of a run over a
 // schedule of ops ops: one (the caller) when a round's work is below
@@ -47,8 +47,8 @@ type group struct {
 // startGroup readies workers workers to evaluate fn, starting goroutines
 // only when there are at least two. Each call of fn receives the stable
 // index w of the worker running it, so callers can give every worker
-// private scratch (the annealer binds one incremental simulator session
-// and one certifier fork per worker).
+// private scratch (the annealer gives each worker one simulator overlay
+// and one budget-sweep fork).
 func startGroup(workers int, fn func(w, i int)) *group {
 	g := &group{fn: fn}
 	if workers < 2 {

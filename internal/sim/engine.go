@@ -70,7 +70,7 @@ func (se *Session) runEngine() error {
 	e.readyOK = sgrow(e.readyOK, se.P)
 	e.stale = sgrow(e.stale, se.P)
 	e.ep++
-	se.famEpoch++
+	se.fam.epoch++
 	e.oom = false
 	e.oomAt = 0
 	for k := 0; k < se.P; k++ {
@@ -296,7 +296,7 @@ func (se *Session) engRunOp(k int, id int32, start float64, cause string) {
 // its retained bytes drainable, mirroring the runner's enqueueW.
 func (se *Session) engEnqueueW(k int, bID int32, ready float64) {
 	e := se.eng
-	e.drain[k] += se.famAcc[se.famID[bID]]
+	e.drain[k] += se.fam.acc[se.famID[bID]]
 	lo, hi := se.x.WeightGrads(bID)
 	for w := lo; w < hi; w++ {
 		e.wq[k] = append(e.wq[k], wRef{w, ready})

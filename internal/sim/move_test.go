@@ -1,0 +1,144 @@
+package sim
+
+import (
+	"errors"
+	"testing"
+
+	"mepipe/internal/errs"
+	"mepipe/internal/obs"
+	"mepipe/internal/sched"
+)
+
+// boundOverlay binds a static session to s, evaluates it and returns it
+// with an overlay over it.
+func boundOverlay(t *testing.T, s *sched.Schedule) (*Session, *Overlay) {
+	t.Helper()
+	se, err := NewSession(Options{Sched: s, Costs: Unit()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := se.Eval(s); err != nil {
+		t.Fatal(err)
+	}
+	ov, err := se.NewOverlay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return se, ov
+}
+
+// TestOverlayScope pins the sessions and moves an overlay refuses, each
+// with a wrapped errs.ErrIncompatible: a dynamic, traced or budgeted
+// session; a session not yet evaluated; a move off its stage or not a
+// permutation of its window, and an Eval after such a Load; and a loaded
+// move whose session has since been written.
+func TestOverlayScope(t *testing.T) {
+	s, err := sched.ZB1P(3, 4, sched.Unit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]Options{
+		"dynamic":  {Sched: s, Costs: Unit(), DynamicW: true},
+		"traced":   {Sched: s, Costs: Unit(), Trace: obs.NewRecorder()},
+		"budgeted": {Sched: s, Costs: Unit(), ActBudget: []int64{9, 9, 9}},
+	} {
+		se, err := NewSession(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := se.NewOverlay(); !errors.Is(err, errs.ErrIncompatible) {
+			t.Errorf("%s session: NewOverlay returned %v", name, err)
+		}
+	}
+	fresh, err := NewSession(Options{Sched: s, Costs: Unit()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ov, err := fresh.NewOverlay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := s.Stages[1]
+	swap := Move{Stage: 1, Lo: 2, Ops: []sched.Op{ops[3], ops[2]}}
+	if _, err := ov.Load(swap); !errors.Is(err, errs.ErrIncompatible) {
+		t.Errorf("unevaluated session: Load returned %v", err)
+	}
+	se, ov := boundOverlay(t, s)
+	for name, m := range map[string]Move{
+		"stage":     {Stage: 3, Lo: 2, Ops: swap.Ops},
+		"past":      {Stage: 1, Lo: len(ops) - 1, Ops: swap.Ops},
+		"empty":     {Stage: 1, Lo: 2},
+		"outside":   {Stage: 1, Lo: 2, Ops: []sched.Op{ops[3], ops[5]}},
+		"duplicate": {Stage: 1, Lo: 2, Ops: []sched.Op{ops[2], ops[2]}},
+		"misfit":    {Stage: 1, Lo: 2, Ops: []sched.Op{{Kind: sched.F, Micro: 99}, ops[2]}},
+	} {
+		if _, err := ov.Load(m); !errors.Is(err, errs.ErrIncompatible) {
+			t.Errorf("%s: Load returned %v", name, err)
+		}
+		if _, err := ov.Eval(); !errors.Is(err, errs.ErrIncompatible) {
+			t.Errorf("%s: Eval after a failed Load returned %v", name, err)
+		}
+	}
+	if _, err := ov.Load(swap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := se.Eval(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ov.Eval(); !errors.Is(err, errs.ErrIncompatible) {
+		t.Errorf("stale load: Eval returned %v", err)
+	}
+}
+
+// TestOverlayRejectsBeforeSolve pins that a move that deadlocks is
+// rejected by its interval sort, with a wrapped errs.ErrUncertified,
+// before any op is re-solved, and that neither it nor a feasible move
+// writes the bound state.
+func TestOverlayRejectsBeforeSolve(t *testing.T) {
+	s, err := sched.DAPPLE(4, 6, sched.Unit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	se, ov := boundOverlay(t, s)
+	want := se.res.Clone()
+	finish := append([]float64(nil), se.finish...)
+	cyclic, feasible := 0, 0
+	for k, ops := range s.Stages {
+		for i := 0; i+1 < len(ops); i++ {
+			m := Move{Stage: k, Lo: i, Ops: []sched.Op{ops[i+1], ops[i]}}
+			if _, err := ov.Load(m); err != nil {
+				t.Fatal(err)
+			}
+			_, err := ov.Eval()
+			switch {
+			case err == nil:
+				feasible++
+			case errors.Is(err, errs.ErrUncertified):
+				cyclic++
+				if ov.pending != 0 {
+					t.Fatalf("stage %d swap at %d: %d ops pending after a rejection", k, i, ov.pending)
+				}
+				for _, ep := range ov.dirty {
+					if ep == ov.ep {
+						t.Fatalf("stage %d swap at %d: a rejected move re-solved an op", k, i)
+					}
+				}
+			default:
+				t.Fatal(err)
+			}
+		}
+	}
+	if cyclic == 0 || feasible == 0 {
+		t.Fatalf("want both verdicts, got %d cyclic and %d feasible swaps", cyclic, feasible)
+	}
+	r, err := se.Eval(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, want, r, "the bound state after the moves")
+	for id, f := range finish {
+		if se.finish[id] != f {
+			t.Fatalf("op %d's bound finish moved", id)
+		}
+	}
+}

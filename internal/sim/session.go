@@ -23,6 +23,9 @@ import (
 // reference runner in oracle_test.go on the same Options — the
 // differential fuzzer in fuzz_test.go holds that gate closed. Run and
 // RunContext are one pooled-session evaluation; there is no other engine.
+// A caller that already knows its move — the annealer — skips the diff:
+// an Overlay evaluates the move against the solved order without writing
+// it, and Commit applies an accepted one (move.go).
 //
 // A DynamicW session keeps the same topological order — its sort and its
 // interval re-sorts are the acyclicity proof of every order it is handed —
@@ -113,10 +116,7 @@ type Session struct {
 
 	// family scratch shared by the static memory scan and the dynamic
 	// engine (family ids are stage-disjoint, so per-use epochs never mix)
-	famAcc   []int64
-	famCnt   []int32
-	famEp    []uint32
-	famEpoch uint32
+	fam famMem
 
 	// placement fingerprint: moves never change placement, and the dep
 	// rules only consult Place through Global/Host, so semantic equality
@@ -127,8 +127,9 @@ type Session struct {
 	res Result
 	eng *engState
 
-	valid  bool // topo ranks the current order; in static mode start/finish solve it
-	resync bool // orders may be inconsistent; rebuild from the schedule
+	valid  bool   // topo ranks the current order; in static mode start/finish solve it
+	resync bool   // orders may be inconsistent; rebuild from the schedule
+	gen    uint64 // bumped by every write to the bound order; overlays check it
 }
 
 // NewSession binds a fast-evaluation session to opt. opt.Sched is fully
@@ -254,9 +255,7 @@ func (se *Session) init(opt Options) error {
 	se.finish = sgrow(se.finish, n)
 	se.dirty = sgrow(se.dirty, n)
 	se.indeg = sgrow(se.indeg, n)
-	se.famAcc = sgrow(se.famAcc, se.nfam)
-	se.famCnt = sgrow(se.famCnt, se.nfam)
-	se.famEp = sgrow(se.famEp, se.nfam)
+	se.fam.grow(se.nfam)
 	se.stDirty = sgrow(se.stDirty, se.P)
 	se.stCompute = sgrow(se.stCompute, se.P)
 	se.stPeak = sgrow(se.stPeak, se.P)
@@ -270,9 +269,10 @@ func (se *Session) init(opt Options) error {
 	// exceed.
 	se.dirtyEp++
 	se.seenEpoch++
-	se.famEpoch++
+	se.fam.epoch++
 	se.valid = false
 	se.resync = false
+	se.gen++
 	return nil
 }
 
@@ -442,21 +442,13 @@ func (se *Session) compat(s *sched.Schedule) error {
 }
 
 // diff aligns the session's order tables with s stage by stage: matching
-// prefixes and suffixes bound the edited window, which is a permutation
-// of the bound one when each of its ops is its id's bound op, sits in the
-// window and is seen once (as verify.Delta checks a move), and, while the
-// solve is valid, the window's rank interval is re-sorted and spliced
-// back and the window's ops (plus the one just after it, whose list
-// predecessor changed) are marked dirty. A cyclic interval — the move deadlocks, or, with several
-// stages moved, only the stages re-sorted so far close a cycle — leaves
-// the rest to the dense sweep. It returns the first stage whose list is
-// not a permutation of the bound one, or -1.
+// prefixes and suffixes bound each stage's edited window, which apply
+// writes into the tables. It returns the first stage whose list is not a
+// permutation of the bound one, or -1.
 //
 //mepipe:hotpath
 func (se *Session) diff(s *sched.Schedule) int {
-	se.dirtyEp++
-	se.pending = 0
-	se.from = int32(se.n)
+	se.begin()
 	for k := 0; k < se.P; k++ {
 		ord := se.order[k]
 		ops := s.Stages[k]
@@ -471,40 +463,67 @@ func (se *Session) diff(s *sched.Schedule) int {
 		for hi > lo && se.opsl[ord[hi]] == ops[hi] {
 			hi--
 		}
-		var rlo, rhi int32
-		if se.valid {
-			rlo, rhi = se.topo.Rank[ord[lo]], se.topo.Rank[ord[hi]]
-		}
-		se.seenEpoch++
-		for p := lo; p <= hi; p++ {
-			cid := se.x.ID(k, ops[p])
-			if cid < 0 || se.opsl[cid] != ops[p] || se.seenEp[cid] == se.seenEpoch {
-				return k
-			}
-			if q := int(se.pos[cid]); q < lo || q > hi {
-				return k
-			}
-			se.seenEp[cid] = se.seenEpoch
-			ord[p] = cid
-			se.pos[cid] = int32(p)
-		}
-		se.stDirty[k] = true
-		se.link(ord, max(lo-1, 0), hi)
-		if !se.valid {
-			continue
-		}
-		se.sorted = se.topo.Interval(se.dt, se.next, sched.Chain{}, rlo, rhi, se.indeg, se.sorted)
-		if len(se.sorted) != int(rhi-rlo+1) {
-			se.valid = false
-			continue
-		}
-		se.topo.Splice(rlo, se.sorted)
-		se.from = min(se.from, rlo)
-		for p := lo; p <= min(hi+1, len(ops)-1); p++ {
-			se.mark(ord[p])
+		if !se.apply(k, lo, ops[lo:hi+1]) {
+			return k
 		}
 	}
 	return -1
+}
+
+// begin opens a re-solve: nothing is dirty and no rank is touched yet.
+func (se *Session) begin() {
+	se.gen++
+	se.dirtyEp++
+	se.pending = 0
+	se.from = int32(se.n)
+}
+
+// apply writes win as stage k's order at positions lo onward. The window
+// is a permutation of the bound one when each of its ops is its id's
+// bound op, sits in the window and is seen once (as a move overlay checks
+// it); apply returns false, with the stage's tables partly rewritten, when
+// it is not. While the solve is valid, the window's rank interval is
+// re-sorted and spliced back and the window's ops (plus the one just
+// after it, whose list predecessor changed) are marked dirty. A cyclic
+// interval — the move deadlocks, or, with several stages moved, only the
+// stages re-sorted so far close a cycle — leaves the rest to the dense
+// sweep.
+func (se *Session) apply(k, lo int, win []sched.Op) bool {
+	ord := se.order[k]
+	hi := lo + len(win) - 1
+	var rlo, rhi int32
+	if se.valid {
+		rlo, rhi = se.topo.Rank[ord[lo]], se.topo.Rank[ord[hi]]
+	}
+	se.seenEpoch++
+	for i, op := range win {
+		cid := se.x.ID(k, op)
+		if cid < 0 || se.opsl[cid] != op || se.seenEp[cid] == se.seenEpoch {
+			return false
+		}
+		if q := int(se.pos[cid]); q < lo || q > hi {
+			return false
+		}
+		se.seenEp[cid] = se.seenEpoch
+		ord[lo+i] = cid
+		se.pos[cid] = int32(lo + i)
+	}
+	se.stDirty[k] = true
+	se.link(ord, max(lo-1, 0), hi)
+	if !se.valid {
+		return true
+	}
+	se.sorted = se.topo.Interval(se.dt, se.next, sched.Chain{}, rlo, rhi, se.indeg, se.sorted)
+	if len(se.sorted) != int(rhi-rlo+1) {
+		se.valid = false
+		return true
+	}
+	se.topo.Splice(rlo, se.sorted)
+	se.from = min(se.from, rlo)
+	for p := lo; p <= min(hi+1, len(ord)-1); p++ {
+		se.mark(ord[p])
+	}
+	return true
 }
 
 // link sets the list successors of the ops at positions lo through hi of a
@@ -530,6 +549,7 @@ func (se *Session) remapAll(s *sched.Schedule) error {
 		se.stDirty[k] = true
 	}
 	se.resync, se.valid = false, false
+	se.gen++
 	return nil
 }
 
@@ -626,32 +646,51 @@ func (se *Session) sweep() error {
 	return nil
 }
 
-func (se *Session) touchFam(f int32) {
-	if se.famEp[f] != se.famEpoch {
-		se.famEp[f] = se.famEpoch
-		se.famAcc[f] = 0
-		se.famCnt[f] = 0
-	}
+// famMem is per-family retention scratch for replaying a stage's list
+// through the retention rule: each family's retained bytes and weight-
+// gradient pieces run so far, valid while its stamp equals epoch. Bumping
+// epoch clears every family at once.
+type famMem struct {
+	acc   []int64
+	cnt   []int32
+	ep    []uint32
+	epoch uint32
 }
 
-// memStep steps op id through the retention rule (sched.PieceStep) on
-// its family's retained bytes, and returns the step with the bytes it
-// retains or releases: the memory accounting the static scan (traced or
-// not) and the dynamic engine share.
-func (se *Session) memStep(id int32) (sched.Retention, int64) {
-	f := se.famID[id]
-	se.touchFam(f)
-	r := sched.PieceStep(se.opsl[id].Kind, &se.famCnt[f], se.wPieces)
+// grow sizes the scratch for n families, keeping capacity.
+func (m *famMem) grow(n int) {
+	m.acc = sgrow(m.acc, n)
+	m.cnt = sgrow(m.cnt, n)
+	m.ep = sgrow(m.ep, n)
+}
+
+// step steps one op of family f and kind through the retention rule
+// (sched.PieceStep), charging b bytes when it retains, and returns the
+// step with the bytes it retains or releases.
+func (m *famMem) step(f int32, kind sched.Kind, b int64, wPieces int) (sched.Retention, int64) {
+	if m.ep[f] != m.epoch {
+		m.ep[f] = m.epoch
+		m.acc[f] = 0
+		m.cnt[f] = 0
+	}
+	r := sched.PieceStep(kind, &m.cnt[f], wPieces)
 	switch r {
 	case sched.RetainAct, sched.RetainGrad:
-		se.famAcc[f] += se.memB[id]
-		return r, se.memB[id]
+		m.acc[f] += b
+		return r, b
 	case sched.Release:
-		b := se.famAcc[f]
-		se.famAcc[f] = 0
+		b := m.acc[f]
+		m.acc[f] = 0
 		return r, b
 	}
 	return r, 0
+}
+
+// memStep steps op id through the retention rule on its family's retained
+// bytes: the memory accounting the static scan (traced or not) and the
+// dynamic engine share.
+func (se *Session) memStep(id int32) (sched.Retention, int64) {
+	return se.fam.step(se.famID[id], se.opsl[id].Kind, se.memB[id], se.wPieces)
 }
 
 // memScan replays each dirty stage's ops in list order through memStep —
@@ -667,7 +706,7 @@ func (se *Session) memScan() {
 			continue
 		}
 		se.stDirty[k] = false
-		se.famEpoch++
+		se.fam.epoch++
 		compute, free := 0.0, 0.0
 		var live, peak int64
 		oomPos := int32(-1)
@@ -710,10 +749,6 @@ func (se *Session) memScan() {
 // over-budget op, stage index).
 func (se *Session) assembleStatic() {
 	res := &se.res
-	res.PeakAct = 0
-	res.OOM = false
-	res.OOMStage = 0
-	end := 0.0
 	for k := 0; k < se.P; k++ {
 		ord := se.order[k]
 		fre := 0.0
@@ -728,25 +763,10 @@ func (se *Session) assembleStatic() {
 			}
 		}
 		res.Stages[k] = StageResult{ComputeTime: se.stCompute[k], Finish: fin, PeakAct: se.stPeak[k]}
-		if fin > end {
-			end = fin
-		}
-		if se.stPeak[k] > res.PeakAct {
-			res.PeakAct = se.stPeak[k]
-		}
 	}
-	res.IterTime = end
-	busy := 0.0
-	for k := 0; k < se.P; k++ {
-		busy += se.stCompute[k]
-		if se.hasTail {
-			busy += se.tailV[k]
-		}
-	}
-	res.BubbleRatio = 0
-	if end > 0 {
-		res.BubbleRatio = 1 - busy/(float64(se.P)*end)
-	}
+	se.totals(res)
+	res.OOM = false
+	res.OOMStage = 0
 	if se.hasBudget {
 		at := -1
 		bestStart := 0.0
@@ -765,6 +785,34 @@ func (se *Session) assembleStatic() {
 			res.OOM = true
 			res.OOMStage = at
 		}
+	}
+}
+
+// totals derives a static Result's iteration time, peak and bubble ratio
+// from its per-stage rows, in the reference runner's float-operation
+// order.
+func (se *Session) totals(res *Result) {
+	res.PeakAct = 0
+	end := 0.0
+	for _, st := range res.Stages {
+		if st.Finish > end {
+			end = st.Finish
+		}
+		if st.PeakAct > res.PeakAct {
+			res.PeakAct = st.PeakAct
+		}
+	}
+	res.IterTime = end
+	busy := 0.0
+	for k, st := range res.Stages {
+		busy += st.ComputeTime
+		if se.hasTail {
+			busy += se.tailV[k]
+		}
+	}
+	res.BubbleRatio = 0
+	if end > 0 {
+		res.BubbleRatio = 1 - busy/(float64(se.P)*end)
 	}
 }
 

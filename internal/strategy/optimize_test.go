@@ -3,6 +3,7 @@ package strategy
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"mepipe/internal/cluster"
@@ -46,5 +47,28 @@ func TestOptimize13BPinned(t *testing.T) {
 	}
 	if want := 5.78577978045449; math.Float64bits(r.BestTime) != math.Float64bits(want) {
 		t.Errorf("best time %v, want %v", r.BestTime, want)
+	}
+}
+
+// TestOptimize13BBytes: one BenchmarkOptimize13B run allocates at most
+// 3 MB on one core. It allocated 154 MB while every annealer proposal
+// copied its stage list.
+func TestOptimize13BBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full annealing run at the 13B point")
+	}
+	if raceEnabled {
+		t.Skip("-race: sync.Pool drops items at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	optimize13B(t) // fill the pools, as a benchmark's first run does
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	optimize13B(t)
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("%.2f MB per run", mb)
+	if mb > 3 {
+		t.Fatalf("an annealing run at the 13B point allocates %.2f MB, want at most 3 MB", mb)
 	}
 }

@@ -7,23 +7,23 @@ import (
 	"slices"
 	"testing"
 
-	"mepipe/internal/errs"
 	"mepipe/internal/sched"
 )
 
-// FuzzDeltaMatchesCertify is the differential gate behind Delta, with
-// Certify as its oracle. Over every preset family and budget mode, a
-// stream of within-stage swaps and displacements runs against a Delta
-// bound to the current schedule, and a fork of it checks each move: the
-// verdict must be Certify's at every step, and an
-// accepted move becomes the new base. Byte layout:
+// FuzzDeltaMatchesCertify is the differential gate behind Delta's budget
+// sweep, with Certify as its oracle. Over every preset family and budget
+// mode, a stream of within-stage swaps and displacements runs against a
+// Delta bound to the current schedule, and a fork of it sweeps each
+// move's window: for every move that leaves the schedule acyclic, Fits
+// must agree with Certify under the budget, and an accepted move becomes
+// the new base. (A cyclic move's deadlock verdict is the simulator
+// overlay's; internal/opt's FuzzMoveMatchesCertifyAndRun gates the two
+// verdicts together.) Byte layout:
 //
 //	[0..3]  preset, P, N, S
 //	[4]     budget (see fuzzBudget)
 //	[5..]   move stream, 3 bytes per move (see applyMove); bit 6 of a
-//	        move's first byte builds the candidate as a full copy of the
-//	        base instead of sharing its unmoved stages, which takes
-//	        Check's out-of-contract path
+//	        move's first byte is ignored
 func FuzzDeltaMatchesCertify(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 8, 0, 1, 2})
 	f.Add([]byte{1, 1, 1, 1, 11, 1, 0, 1, 0x81, 3, 4})
@@ -51,22 +51,16 @@ func FuzzDeltaMatchesCertify(f *testing.F) {
 		}
 		fork := d.Fork()
 		for i := 5; i+2 < len(data); i += 3 {
-			move := data[i : i+3]
-			k := int(move[0]&0x7f) % base.P
-			cand := oneStageCopy(base, k)
-			if move[0]&0x40 != 0 {
-				cand = cloneAll(base)
+			cand, m := moveOf(base, data[i:i+3])
+			if _, err := Certify(cand, Options{}); err != nil {
+				continue // cyclic: Fits makes no claim
 			}
-			applyMove(cand, move)
-			got := fork.Check(cand, k)
+			got := fork.Fits(m.k, m.lo, m.ops, m.ids)
 			_, want := Certify(cand, Options{Budget: b})
-			if (got == nil) != (want == nil) {
-				t.Fatalf("move %d on stage %d: Check says %v, Certify says %v", (i-5)/3, k, got, want)
+			if got != (want == nil) {
+				t.Fatalf("move %d on stage %d: Fits says %v, Certify says %v", (i-5)/3, m.k, got, want)
 			}
-			if got != nil && !errors.Is(got, errs.ErrUncertified) {
-				t.Fatalf("rejection does not wrap ErrUncertified: %v", got)
-			}
-			if got == nil {
+			if got {
 				base = cand
 				if err := d.Bind(base); err != nil {
 					t.Fatalf("rebinding an accepted move: %v", err)
@@ -74,6 +68,37 @@ func FuzzDeltaMatchesCertify(f *testing.F) {
 			}
 		}
 	})
+}
+
+// window is one move as Delta takes it: stage k's positions lo onward
+// reordered to ops, whose OpIndex ids are ids.
+type window struct {
+	k, lo int
+	ops   []sched.Op
+	ids   []int32
+}
+
+// moveOf applies the move bytes (see applyMove) to a one-stage copy of
+// base and returns the moved schedule with its window: the positions
+// where the moved stage differs from base's, empty when none does.
+func moveOf(base *sched.Schedule, move []byte) (*sched.Schedule, window) {
+	k := int(move[0]&0x7f) % base.P
+	cand := oneStageCopy(base, k)
+	applyMove(cand, move)
+	bops, cops := base.Stages[k], cand.Stages[k]
+	lo, hi := 0, len(cops)-1
+	for lo <= hi && cops[lo] == bops[lo] {
+		lo++
+	}
+	for hi >= lo && cops[hi] == bops[hi] {
+		hi--
+	}
+	m := window{k: k, lo: lo, ops: cops[lo : hi+1]}
+	x := sched.IndexOf(base)
+	for _, op := range m.ops {
+		m.ids = append(m.ids, x.ID(k, op))
+	}
+	return cand, m
 }
 
 // oneStageCopy returns s with stage k cloned and every other stage
@@ -95,86 +120,50 @@ func cloneAll(s *sched.Schedule) *sched.Schedule {
 	return &c
 }
 
-// TestDeltaOutOfContract pins the fallback: a candidate that is not a
-// one-stage permutation of the base — another stage changed too, the
-// wrong stage named, an op duplicated, a shape field or the placement
-// changed, or no binding at all — gets Certify's exact answer,
-// counterexample included.
+// TestDeltaOutOfContract pins what Fits refuses: a window on a stage the
+// shape lacks, one that runs past its stage's end or starts before it,
+// and one whose ids do not pair with its ops; and, on a Delta that was
+// never bound, every move. A Delta whose budget caps no stage fits every
+// move of its binding.
 func TestDeltaOutOfContract(t *testing.T) {
-	base, err := sched.ZB1P(3, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewDelta(nil)
+	base := mustDAPPLE(t, 3, 4)
+	d := NewDelta(SlotBudget([]int{3, 3, 3}))
 	if err := d.Bind(base); err != nil {
 		t.Fatal(err)
 	}
-	reversed := func(ops []sched.Op) {
-		for i, j := 0, len(ops)-1; i < j; i, j = i+1, j-1 {
-			ops[i], ops[j] = ops[j], ops[i]
+	_, m := moveOf(base, []byte{1, 2, 3})
+	if !d.Fits(m.k, m.lo, m.ops, m.ids) {
+		t.Fatal("an in-contract move that fits was refused")
+	}
+	per := len(base.Stages[0])
+	cases := map[string]window{
+		"stage":   {k: base.P, lo: m.lo, ops: m.ops, ids: m.ids},
+		"past":    {k: m.k, lo: per - len(m.ops) + 1, ops: m.ops, ids: m.ids},
+		"before":  {k: m.k, lo: -1, ops: m.ops, ids: m.ids},
+		"ids":     {k: m.k, lo: m.lo, ops: m.ops, ids: m.ids[1:]},
+		"unbound": m,
+	}
+	for name, w := range cases {
+		dd := d
+		if name == "unbound" {
+			dd = NewDelta(SlotBudget([]int{3, 3, 3}))
+		}
+		if dd.Fits(w.k, w.lo, w.ops, w.ids) {
+			t.Errorf("%s: Fits accepted the move", name)
 		}
 	}
-	cases := map[string]func() (*sched.Schedule, int){
-		"two stages": func() (*sched.Schedule, int) {
-			c := oneStageCopy(base, 0)
-			c.Stages[1] = append([]sched.Op(nil), base.Stages[1]...)
-			reversed(c.Stages[1])
-			return c, 0
-		},
-		"wrong stage": func() (*sched.Schedule, int) {
-			c := oneStageCopy(base, 2)
-			reversed(c.Stages[2])
-			return c, 1
-		},
-		"duplicate": func() (*sched.Schedule, int) {
-			c := oneStageCopy(base, 1)
-			c.Stages[1][3] = c.Stages[1][2]
-			return c, 1
-		},
-		"shape": func() (*sched.Schedule, int) {
-			c := oneStageCopy(base, 0)
-			c.WPieces = 2
-			return c, 0
-		},
-		"placement": func() (*sched.Schedule, int) {
-			// A fresh Schedule, so Certify derives the dependencies
-			// from the new placement instead of the base's cached table.
-			c := &sched.Schedule{Name: base.Name, P: base.P, V: base.V, S: base.S, N: base.N,
-				SplitBW: base.SplitBW, WPieces: base.WPieces, Place: reversedPlace{base.P},
-				Stages: oneStageCopy(base, 0).Stages}
-			return c, 0
-		},
+	free := NewDelta(nil)
+	if err := free.Bind(base); err != nil {
+		t.Fatal(err)
 	}
-	for name, mk := range cases {
-		c, k := mk()
-		_, want := Certify(c, Options{})
-		if want == nil {
-			t.Fatalf("%s: the case certifies; it tests nothing", name)
-		}
-		if got := d.Check(c, k); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Check returned %v, Certify %v", name, got, want)
-		}
-	}
-	c := oneStageCopy(base, 0)
-	reversed(c.Stages[0])
-	_, want := Certify(c, Options{})
-	if got := NewDelta(nil).Check(c, 0); !reflect.DeepEqual(got, want) {
-		t.Errorf("unbound: Check returned %v, Certify %v", got, want)
+	if !free.Fits(m.k, m.lo, m.ops, m.ids) {
+		t.Error("a Delta without caps refused a move")
 	}
 }
 
-// reversedPlace hosts global chunk g on stage P−1−g: the same shape as a
-// one-chunk RoundRobin with every dependency pointing the other way.
-type reversedPlace struct{ P int }
-
-func (r reversedPlace) Host(g int) (int, int)   { return r.P - 1 - g, 0 }
-func (r reversedPlace) Global(stage, _ int) int { return r.P - 1 - stage }
-func (r reversedPlace) Stages() int             { return r.P }
-func (r reversedPlace) ChunksPerStage() int     { return 1 }
-
 // TestDeltaBindRejects pins that Bind refuses a base that does not
-// certify, with Certify's counterexample, and then falls back to Certify
-// for every Check until a good base is bound.
+// certify, with Certify's counterexample, and then fits no move until a
+// good base is bound.
 func TestDeltaBindRejects(t *testing.T) {
 	base := mustDAPPLE(t, 3, 4)
 	tight := SlotBudget([]int{1, 1, 1})
@@ -184,19 +173,23 @@ func TestDeltaBindRejects(t *testing.T) {
 	if err := d.Bind(base); !errors.As(err, &be) || !reflect.DeepEqual(err, want) {
 		t.Fatalf("Bind over budget returned %v, want %v", err, want)
 	}
-	c := oneStageCopy(base, 0)
-	c.Stages[0][0], c.Stages[0][1] = c.Stages[0][1], c.Stages[0][0]
-	_, want = Certify(c, Options{Budget: tight})
-	if got := d.Check(c, 0); !reflect.DeepEqual(got, want) {
-		t.Errorf("after a failed Bind, Check returned %v, Certify %v", got, want)
+	_, m := moveOf(base, []byte{0, 0, 1})
+	if d.Fits(m.k, m.lo, m.ops, m.ids) {
+		t.Error("after a failed Bind, Fits accepted a move")
+	}
+	d = NewDelta(SlotBudget([]int{3, 3, 3}))
+	if err := d.Bind(base); err != nil {
+		t.Fatal(err)
+	}
+	if !d.Fits(m.k, m.lo, m.ops, m.ids) {
+		t.Error("after a good Bind, Fits refused a move that fits")
 	}
 }
 
 // FuzzDeltaRebind is Rebind's differential gate, with a fresh Bind as its
-// oracle, over FuzzDeltaMatchesCertify's byte layout. Every move is
-// checked against Certify; after every accepted one, the rebound Delta's
-// positions, successors and retention tables must equal a fresh Bind's of
-// the accepted schedule, and its ranks must be a topological order of it.
+// oracle, over FuzzDeltaMatchesCertify's byte layout. Every acyclic move
+// is swept against Certify; after every accepted one, the rebound Delta's
+// retention tables must equal a fresh Bind's of the accepted schedule.
 // Every accepted schedule's certified peaks must also equal a static
 // sim.Run's under the budget's footprints (see requirePeaksMatch).
 func FuzzDeltaRebind(f *testing.F) {
@@ -252,23 +245,20 @@ func rebindStream(t *testing.T, data []byte) int {
 	fork := d.Fork()
 	accepted := 0
 	for i := 5; i+2 < len(data); i += 3 {
-		move := data[i : i+3]
-		k := int(move[0]&0x7f) % base.P
-		cand := oneStageCopy(base, k)
-		if move[0]&0x40 != 0 {
-			cand = cloneAll(base)
+		cand, m := moveOf(base, data[i:i+3])
+		if _, err := Certify(cand, Options{}); err != nil {
+			continue // cyclic: Fits makes no claim
 		}
-		applyMove(cand, move)
-		got := fork.Check(cand, k)
+		got := fork.Fits(m.k, m.lo, m.ops, m.ids)
 		_, want := Certify(cand, Options{Budget: b})
-		if (got == nil) != (want == nil) {
-			t.Fatalf("move %d on stage %d: Check says %v, Certify says %v", (i-5)/3, k, got, want)
+		if got != (want == nil) {
+			t.Fatalf("move %d on stage %d: Fits says %v, Certify says %v", (i-5)/3, m.k, got, want)
 		}
-		if got != nil {
+		if !got {
 			continue
 		}
-		if err := d.Rebind(cand, k); err != nil {
-			t.Fatalf("move %d: rebinding an accepted move: %v", (i-5)/3, err)
+		if !d.Rebind(m.k, m.lo, m.ops, m.ids) {
+			t.Fatalf("move %d: Rebind refused an accepted move", (i-5)/3)
 		}
 		base = cand
 		accepted++
@@ -280,9 +270,7 @@ func rebindStream(t *testing.T, data []byte) int {
 }
 
 // requireBoundLike asserts that d is bound to s exactly as a fresh Bind
-// would leave it, up to the choice of topological order: same positions,
-// successors and retention tables, and ranks that order every dependency
-// and program-order edge of s forward.
+// would leave it: the same retention tables.
 func requireBoundLike(t *testing.T, d *Delta, s *sched.Schedule, budget *Budget) {
 	t.Helper()
 	fresh := NewDelta(budget)
@@ -290,35 +278,11 @@ func requireBoundLike(t *testing.T, d *Delta, s *sched.Schedule, budget *Budget)
 		t.Fatalf("a fresh Bind of the accepted schedule: %v", err)
 	}
 	got, want := d.b, fresh.b
-	if got.base != s || got.dense != want.dense || got.capped != want.capped {
-		t.Fatalf("binding: base %v dense %v capped %v, want %v %v %v", got.base == s, got.dense, got.capped, true, want.dense, want.capped)
-	}
-	if !want.dense {
-		return
-	}
-	if !slices.Equal(got.pos, want.pos) || !slices.Equal(got.next, want.next) {
-		t.Fatal("rebound positions or successors differ from a fresh Bind's")
+	if got.dense != want.dense || got.capped != want.capped {
+		t.Fatalf("binding: dense %v capped %v, want %v %v", got.dense, got.capped, want.dense, want.capped)
 	}
 	if want.capped && (!slices.Equal(got.live, want.live) || !slices.Equal(got.relPos, want.relPos) ||
 		!slices.Equal(got.famB, want.famB) || !slices.Equal(got.gradB, want.gradB)) {
 		t.Fatal("rebound retention tables differ from a fresh Bind's")
-	}
-	rank, order := got.topo.Rank, got.topo.Order
-	if len(rank) != len(want.pos) || len(order) != len(rank) {
-		t.Fatalf("rank tables hold %d/%d entries, want %d", len(rank), len(order), len(want.pos))
-	}
-	tab := s.DepTable()
-	for id := range rank {
-		if order[rank[id]] != int32(id) {
-			t.Fatalf("order does not invert rank at op %d", id)
-		}
-		for _, j := range tab.ID[tab.Off[id]:tab.Off[id+1]] {
-			if rank[j] >= rank[id] {
-				t.Fatalf("dependency %d -> %d ranks backward (%d ≥ %d)", j, id, rank[j], rank[id])
-			}
-		}
-		if j := got.next[id]; j >= 0 && rank[j] <= rank[id] {
-			t.Fatalf("program order %d -> %d ranks backward (%d ≥ %d)", id, j, rank[id], rank[j])
-		}
 	}
 }
