@@ -95,21 +95,22 @@ serve-smoke:
 # counters 6000/3271/2729/908/5 and the best time bit for bit), the move
 # path's floors at the 13B point's size (a move's decision ≥ 10× a full
 # Certify plus a fresh session evaluation per annealer proposal, and a
-# commit ≥ 10× a full bind per accepted move, both at 0 allocs), the
-# allocation gates (deciding and committing a move allocates nothing; a
-# rejected Certify little beyond its counterexample; a whole run at the
-# artifact point at most 150 objects; a run at the 13B point at most
-# 3 MB on one core), the budget sweep's seeded differential test against
-# a fresh Bind, a short run of the move fuzzer (every move's verdict
-# against Certify and its Result against sim.Run, bit for bit, with
-# commits interleaved), the worker-group checks (the same search at every
+# commit ≥ 10× a full session bind and evaluation per accepted move, both
+# at 0 allocs), the allocation gates (deciding and committing a move
+# allocates nothing; a rejected Certify little beyond its
+# counterexample; a whole run at the artifact point at most 150 objects;
+# a run at the 13B point at most 3 MB on one core), a short run of the
+# move fuzzer (every move's verdict against Certify and its Result
+# against sim.Run under the annealer's options, its times against a
+# plain-cost sim.Run, bit for bit, with commits interleaved), the
+# worker-group checks (the same search at every
 # Workers × GOMAXPROCS, on the serial and the fan-out side; the fan-out
 # decision at its reference points; no goroutine outlives a run,
 # cancelled or failed ones included).
 opt-smoke:
-	$(GO) test ./internal/opt -run 'TestDiscoveredBeatsPresets|TestDiscoveredBytesPinned|TestOptimizeSmoke|TestDeltaFloor|TestOptimizeAllocs|TestOptimizeDeterministicAcrossWorkers|TestFanOutReferencePoints|TestOptimizeJoinsWorkers' -count=1
+	$(GO) test ./internal/opt -run 'TestDiscoveredBeatsPresets|TestDiscoveredBytesPinned|TestOptimizeSmoke|TestMoveFloor|TestMoveAllocs|TestOptimizeAllocs|TestOptimizeDeterministicAcrossWorkers|TestFanOutReferencePoints|TestOptimizeJoinsWorkers' -count=1
 	$(GO) test ./internal/strategy -run 'TestOptimize13BBytes' -count=1
-	$(GO) test ./internal/verify -run 'TestCertifyAllocs|TestDeltaAllocs|TestDeltaRebindMatchesBind' -count=1
+	$(GO) test ./internal/verify -run 'TestCertifyAllocs' -count=1
 	$(GO) test ./internal/opt -run NONE -fuzz FuzzMoveMatchesCertifyAndRun -fuzztime 10s
 
 # Regenerate the checked-in discovered-schedule artifact. The writer
@@ -154,9 +155,9 @@ sim-smoke:
 # fuzzer (the bound never exceeds a feasible point's simulated time), the
 # peak-equality test (Certify's
 # per-stage peaks equal sim.Run's static ones under the same footprints,
-# over every preset family — the one retention rule, applied alike), the
+# a SlotBudget's included, over every preset family — the one retention rule, applied alike), the
 # certifier's verdict on partial tables (rejected alike with or without
-# AssumeComplete, and by Delta.Bind), the pinned absent-dependency texts of
+# AssumeComplete), the pinned absent-dependency texts of
 # Certify, Validate and the simulator session, the pinned op-universe
 # texts of the three (one sched.Program.Load pass, each caller's words),
 # the session's universe bugfixes (a stray piece rejected at bind, diff

@@ -4,6 +4,9 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+
+	"mepipe/internal/sched"
+	"mepipe/internal/verify"
 )
 
 // BenchmarkOptimizeArtifact times one op of the optimize benchmark
@@ -57,5 +60,63 @@ func TestOptimizeAllocs(t *testing.T) {
 	t.Logf("%.0f allocs per Optimize run at the artifact point", allocs)
 	if allocs > 150 {
 		t.Fatalf("Optimize at the artifact point: %.0f allocs, want at most 150", allocs)
+	}
+}
+
+// TestMoveAllocs is the move path's zero-allocation test, on proposals the
+// annealer draws from the discovered artifact's schedule under its
+// budget: once the session is bound, deciding a move (an overlay Load and
+// Eval) allocates nothing, and neither does committing it and its
+// inverse. Its verdicts must be Certify's.
+func TestMoveAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	a, err := Discovered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := a.DiscoveredSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := a.Budget()
+	st := bindMoves(t, base, a.Costs(), budget)
+	commitBoth := func(c, back *candidate) {
+		if err := commit(c, base, st.se); err != nil {
+			t.Fatalf("committing a feasible move: %v", err)
+		}
+		if err := commit(back, base, st.se); err != nil {
+			t.Fatalf("committing its inverse: %v", err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	var c candidate
+	var rejected, accepted int
+	for i := 0; i < 200; i++ {
+		propose(rng, &c, base, 8)
+		if len(c.win) == 0 {
+			continue
+		}
+		evaluate(&c, 0, st.ov)
+		if _, want := verify.Certify(applied(base, &c), verify.Options{Budget: budget}); c.feasible != (want == nil) {
+			t.Fatalf("proposal %d: move says %v, Certify %v", i, c.feasible, want)
+		}
+		if n := testing.AllocsPerRun(10, func() { evaluate(&c, 0, st.ov) }); n != 0 {
+			t.Fatalf("proposal %d (feasible %v) allocates %v per decision, want 0", i, c.feasible, n)
+		}
+		if !c.feasible {
+			rejected++
+			continue
+		}
+		accepted++
+		back := c
+		back.win = append([]sched.Op(nil), base.Stages[c.stage][c.lo:c.lo+len(c.win)]...)
+		if n := testing.AllocsPerRun(10, func() { commitBoth(&c, &back) }); n != 0 {
+			t.Fatalf("proposal %d allocates %v per commit and undo, want 0", i, n)
+		}
+	}
+	if rejected == 0 || accepted == 0 {
+		t.Fatalf("want both outcomes, got %d rejected and %d accepted proposals", rejected, accepted)
 	}
 }

@@ -48,31 +48,24 @@ func applied(s *sched.Schedule, c *candidate) *sched.Schedule {
 	return m
 }
 
-// moveState is the annealer's per-run state, bound to s: the session and
-// worker 0's mover.
+// moveState is the annealer's per-run state, bound to s as Optimize binds
+// it: the session and worker 0's overlay.
 type moveState struct {
 	se *sim.Session
-	m  mover
+	ov *sim.Overlay
 }
 
 func bindMoves(tb testing.TB, s *sched.Schedule, costs sim.Costs, budget *verify.Budget) *moveState {
 	tb.Helper()
-	se, err := sim.NewSession(sim.Options{Sched: s, Costs: costs, AssumeValid: true})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := se.Eval(s); err != nil {
+	se := &sim.Session{}
+	if _, err := bind(se, s, costs, budget); err != nil {
 		tb.Fatal(err)
 	}
 	ov, err := se.NewOverlay()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	d := verify.NewDelta(budget)
-	if err := d.Bind(s); err != nil {
-		tb.Fatal(err)
-	}
-	return &moveState{se: se, m: mover{ov: ov, fit: d}}
+	return &moveState{se: se, ov: ov}
 }
 
 // fullProposal is what deciding a proposal cost before moves: a full
@@ -110,17 +103,17 @@ func BenchmarkFullProposal(b *testing.B) {
 }
 
 // BenchmarkMoveProposal decides them as the annealer does: one overlay
-// Load, the budget sweep and the overlay's Eval.
+// Load and Eval, whose stage walk is the budget verdict.
 func BenchmarkMoveProposal(b *testing.B) {
 	s, budget, cands := floorWorkload(b)
 	st := bindMoves(b, s, sim.Unit(), budget)
 	for i := range cands {
-		evaluate(&cands[i], 0, &st.m)
+		evaluate(&cands[i], 0, st.ov)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		evaluate(&cands[i%len(cands)], 0, &st.m)
+		evaluate(&cands[i%len(cands)], 0, st.ov)
 	}
 }
 
@@ -132,7 +125,7 @@ func acceptedWorkload(tb testing.TB) (*sched.Schedule, *verify.Budget, []candida
 	st := bindMoves(tb, s, sim.Unit(), budget)
 	var acc, inv []candidate
 	for _, c := range cands {
-		if evaluate(&c, 0, &st.m); c.feasible {
+		if evaluate(&c, 0, st.ov); c.feasible {
 			acc = append(acc, c)
 			back := c
 			back.win = append([]sched.Op(nil), s.Stages[c.stage][c.lo:c.lo+len(c.win)]...)
@@ -145,35 +138,27 @@ func acceptedWorkload(tb testing.TB) (*sched.Schedule, *verify.Budget, []candida
 	return s, budget, acc, inv
 }
 
-// BenchmarkBindAccept is what moving the bindings to an accepted move
-// cost before commits: a full Bind of the budget sweep, and a session
-// bound to the moved schedule and evaluated.
+// BenchmarkBindAccept is what moving the session to an accepted move cost
+// before commits: the session bound to the moved schedule, as the
+// annealer binds it, and evaluated.
 func BenchmarkBindAccept(b *testing.B) {
 	s, budget, acc, _ := acceptedWorkload(b)
 	scheds := []*sched.Schedule{s}
 	for i := range acc {
 		scheds = append(scheds, applied(s, &acc[i]))
 	}
-	d := verify.NewDelta(budget)
 	var se sim.Session
-	bind := func(m *sched.Schedule) {
-		if err := d.Bind(m); err != nil {
-			b.Fatal(err)
-		}
-		if err := se.Bind(sim.Options{Sched: m, Costs: sim.Unit(), AssumeValid: true}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := se.Eval(m); err != nil {
-			b.Fatal(err)
-		}
-	}
 	for _, m := range scheds {
-		bind(m)
+		if _, err := bind(&se, m, sim.Unit(), budget); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bind(scheds[i%len(scheds)])
+		if _, err := bind(&se, scheds[i%len(scheds)], sim.Unit(), budget); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -188,7 +173,7 @@ func BenchmarkCommitAccept(b *testing.B) {
 		if i%2 == 1 {
 			c = &inv[i/2%len(inv)]
 		}
-		if err := commit(c, cur, &st.m, st.se); err != nil {
+		if err := commit(c, cur, st.se); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,13 +187,13 @@ func BenchmarkCommitAccept(b *testing.B) {
 	}
 }
 
-// TestDeltaFloor is the move path's floor as a gate, at the 13B point's
+// TestMoveFloor is the move path's floor as a gate, at the 13B point's
 // size. Per annealer proposal, the move verdict and evaluation must run at
 // least 10× faster than the full Certify and fresh session evaluation it
 // replaces, with the same verdicts and times, and allocate nothing. Per
 // accepted move, a commit must run at least 10× faster than the full
-// binds it replaces, and allocate nothing.
-func TestDeltaFloor(t *testing.T) {
+// session bind and evaluation it replaces, and allocate nothing.
+func TestMoveFloor(t *testing.T) {
 	s, budget, cands := floorWorkload(t)
 	st := bindMoves(t, s, sim.Unit(), budget)
 	opts := verify.Options{Budget: budget}
@@ -216,7 +201,7 @@ func TestDeltaFloor(t *testing.T) {
 	rejected := 0
 	for i := range cands {
 		c := &cands[i]
-		evaluate(c, 0, &st.m)
+		evaluate(c, 0, st.ov)
 		ok, time := fullProposal(applied(s, c), sim.Unit(), opts, &se)
 		if c.feasible != ok || c.time != time {
 			t.Fatalf("proposal %d (%s): move says %v %v, full path %v %v", i, c.operator, c.feasible, c.time, ok, time)

@@ -80,21 +80,43 @@ func moveBudget(t *testing.T, s *sched.Schedule, costs sim.Costs, mode byte) *ve
 	return b
 }
 
-// sameResult reports whether two results are equal in every field, bit
-// for bit.
-func sameResult(a, b *sim.Result) bool {
+// sameTimes reports whether two results agree on every time, bit for bit.
+func sameTimes(a, b *sim.Result) bool {
 	bits := math.Float64bits
-	if bits(a.IterTime) != bits(b.IterTime) || bits(a.BubbleRatio) != bits(b.BubbleRatio) ||
-		a.PeakAct != b.PeakAct || a.OOM != b.OOM || a.OOMStage != b.OOMStage || len(a.Stages) != len(b.Stages) {
+	if bits(a.IterTime) != bits(b.IterTime) || bits(a.BubbleRatio) != bits(b.BubbleRatio) || len(a.Stages) != len(b.Stages) {
 		return false
 	}
 	for k, s := range a.Stages {
 		o := b.Stages[k]
-		if bits(s.ComputeTime) != bits(o.ComputeTime) || bits(s.Finish) != bits(o.Finish) || s.PeakAct != o.PeakAct {
+		if bits(s.ComputeTime) != bits(o.ComputeTime) || bits(s.Finish) != bits(o.Finish) {
 			return false
 		}
 	}
 	return true
+}
+
+// sameResult reports whether two results are equal in every field, bit
+// for bit.
+func sameResult(a, b *sim.Result) bool {
+	if !sameTimes(a, b) || a.PeakAct != b.PeakAct || a.OOM != b.OOM || a.OOMStage != b.OOMStage {
+		return false
+	}
+	for k, s := range a.Stages {
+		if s.PeakAct != b.Stages[k].PeakAct {
+			return false
+		}
+	}
+	return true
+}
+
+// runCharged is sim.Run of s under the annealer's options: the budget's
+// footprints as memory charges and its caps as ActBudget.
+func runCharged(s *sched.Schedule, costs sim.Costs, budget *verify.Budget) (*sim.Result, error) {
+	var caps []int64
+	if budget != nil {
+		caps = budget.ActBudget
+	}
+	return sim.Run(sim.Options{Sched: s, Costs: charged{costs, budget.Charges()}, ActBudget: caps})
 }
 
 // FuzzMoveMatchesCertifyAndRun is the differential gate for the move
@@ -104,12 +126,15 @@ func sameResult(a, b *sim.Result) bool {
 // evaluated against the current state, and some feasible ones are
 // committed. For every move:
 //   - it is feasible exactly when Certify(moved, Options{Budget}) is nil;
-//   - a feasible move's Result equals sim.Run(moved)'s in every field,
-//     bit for bit;
+//   - a feasible move's Result equals, in every field and bit for bit,
+//     sim.Run's of the moved schedule under the annealer's Options (the
+//     budget's footprints as memory charges, its caps as ActBudget);
+//   - its times equal, bit for bit, those of a sim.Run under the plain
+//     cost model;
 //   - after a rejected move, the current state evaluates bitwise as
 //     before;
 //   - after a commit, the current state evaluates bitwise as sim.Run of
-//     it does.
+//     it does, under the annealer's Options.
 //
 // Byte layout:
 //
@@ -157,7 +182,7 @@ func FuzzMoveMatchesCertifyAndRun(f *testing.F) {
 		for i, b := range data[10:] {
 			propose(rng, &c, cur, 1+int(b%12))
 			moved := applied(cur, &c)
-			evaluate(&c, bound.IterTime, &st.m)
+			evaluate(&c, bound.IterTime, st.ov)
 			_, want := verify.Certify(moved, verify.Options{Budget: budget})
 			if c.feasible != (want == nil) {
 				t.Fatalf("move %d (%s on stage %d at %d, %d ops): feasible %v, Certify %v",
@@ -169,23 +194,30 @@ func FuzzMoveMatchesCertifyAndRun(f *testing.F) {
 				}
 				continue
 			}
-			full, err := sim.Run(sim.Options{Sched: moved, Costs: costs})
+			full, err := runCharged(moved, costs, budget)
 			if err != nil {
 				t.Fatalf("move %d: sim.Run of a feasible move: %v", i, err)
 			}
+			plain, err := sim.Run(sim.Options{Sched: moved, Costs: costs})
+			if err != nil {
+				t.Fatalf("move %d: plain-cost sim.Run of a feasible move: %v", i, err)
+			}
 			got := bound
 			if len(c.win) > 0 {
-				if got, err = st.m.ov.Eval(); err != nil {
+				if got, err = st.ov.Eval(); err != nil {
 					t.Fatalf("move %d: %v", i, err)
 				}
 			}
 			if !sameResult(got, full) || math.Float64bits(c.time) != math.Float64bits(full.IterTime) {
 				t.Fatalf("move %d (%s on stage %d): overlay %+v, sim.Run %+v", i, c.operator, c.stage, *got, *full)
 			}
+			if !sameTimes(got, plain) {
+				t.Fatalf("move %d (%s on stage %d): overlay %+v, plain-cost sim.Run %+v", i, c.operator, c.stage, *got, *plain)
+			}
 			if b&0x80 == 0 {
 				continue
 			}
-			if err := commit(&c, cur, &st.m, st.se); err != nil {
+			if err := commit(&c, cur, st.se); err != nil {
 				t.Fatalf("move %d: commit: %v", i, err)
 			}
 			if bound = state(); !sameResult(bound, full) {

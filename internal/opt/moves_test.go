@@ -1,10 +1,12 @@
 package opt
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"mepipe/internal/errs"
 	"mepipe/internal/sched"
 	"mepipe/internal/sim"
 	"mepipe/internal/verify"
@@ -32,9 +34,10 @@ func moveBases(t *testing.T) []*sched.Schedule {
 // for thousands of seeded proposals from every operator over fused,
 // split and fine-grained bases, each move preserves the base's op
 // multiset, and is feasible exactly when the moved schedule certifies.
-// An infeasible move returns before the overlay re-solves anything: the
-// overlay's last Result is untouched, and so is the bound state, whose
-// own evaluation stays bitwise what it was.
+// An infeasible move's overlay verdict is a wrapped errs.ErrOOM exactly
+// when Certify's is a budget overflow. It returns before the overlay
+// re-solves anything: the overlay's last Result is untouched, and so is
+// the bound state, whose own evaluation stays bitwise what it was.
 func TestMovesCertifyOrRejectBeforeSim(t *testing.T) {
 	operators := []struct {
 		name  string
@@ -47,61 +50,72 @@ func TestMovesCertifyOrRejectBeforeSim(t *testing.T) {
 		{"rebalance", func(rng *rand.Rand, c *candidate, base *sched.Schedule) { proposeRebalance(rng, c, base, 8) }},
 	}
 	for _, base := range moveBases(t) {
-		budget := slackBudget(t, base)
-		baseSet := opMultiset(base)
-		for _, op := range operators {
-			rng := rand.New(rand.NewSource(42))
-			st := bindMoves(t, base, sim.Unit(), budget)
-			bound, err := st.se.Eval(base)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bound = bound.Clone()
-			var last, lastSnap *sim.Result
-			infeasible := 0
-			for i := 0; i < 500; i++ {
-				var c candidate
-				op.apply(rng, &c, base)
-				cand := applied(base, &c)
+		for _, slack := range []int{1, 0} {
+			budget := slackBudget(t, base, slack)
+			baseSet := opMultiset(base)
+			for _, op := range operators {
+				rng := rand.New(rand.NewSource(42))
+				st := bindMoves(t, base, sim.Unit(), budget)
+				bound, err := st.se.Eval(base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound = bound.Clone()
+				var last, lastSnap *sim.Result
+				infeasible, overCap := 0, 0
+				for i := 0; i < 500; i++ {
+					var c candidate
+					op.apply(rng, &c, base)
+					cand := applied(base, &c)
 
-				// Every operator preserves the op multiset: a one-stage
-				// permutation of a window.
-				if !reflect.DeepEqual(baseSet, opMultiset(cand)) {
-					t.Fatalf("%s on %s: proposal %d changed the op multiset", op.name, base.Name, i)
-				}
-				_, certErr := verify.Certify(cand, verify.Options{Budget: budget})
-				evaluate(&c, bound.IterTime, &st.m)
-				if certErr == nil {
-					if !c.feasible {
-						t.Fatalf("%s on %s: certified candidate marked infeasible", op.name, base.Name)
+					// Every operator preserves the op multiset: a one-stage
+					// permutation of a window.
+					if !reflect.DeepEqual(baseSet, opMultiset(cand)) {
+						t.Fatalf("%s on %s: proposal %d changed the op multiset", op.name, base.Name, i)
 					}
-					if len(c.win) > 0 {
-						last, _ = st.m.ov.Eval()
-						lastSnap = last.Clone()
+					_, certErr := verify.Certify(cand, verify.Options{Budget: budget})
+					evaluate(&c, bound.IterTime, st.ov)
+					if certErr == nil {
+						if !c.feasible {
+							t.Fatalf("%s on %s: certified candidate marked infeasible", op.name, base.Name)
+						}
+						if len(c.win) > 0 {
+							last, _ = st.ov.Eval()
+							lastSnap = last.Clone()
+						}
+						continue
 					}
-					continue
+					infeasible++
+					if c.feasible {
+						t.Fatalf("%s on %s: uncertified candidate marked feasible", op.name, base.Name)
+					}
+					var be *verify.BudgetError
+					_, err := st.ov.Eval()
+					if oom := errors.Is(err, errs.ErrOOM); oom != errors.As(certErr, &be) {
+						t.Fatalf("%s on %s: overlay says %v, Certify %v", op.name, base.Name, err, certErr)
+					} else if oom {
+						overCap++
+					}
+					if last != nil && !reflect.DeepEqual(last, lastSnap) {
+						t.Fatalf("%s on %s: an infeasible move re-solved the overlay", op.name, base.Name)
+					}
+					if r, err := st.se.Eval(base); err != nil || !reflect.DeepEqual(r, bound) {
+						t.Fatalf("%s on %s: an infeasible move changed the bound state: %v", op.name, base.Name, err)
+					}
 				}
-				infeasible++
-				if c.feasible {
-					t.Fatalf("%s on %s: uncertified candidate marked feasible", op.name, base.Name)
+				if infeasible == 0 || (slack == 0 && overCap == 0) {
+					t.Errorf("%s on %s, slack %d: %d moves infeasible, %d over the budget; the test is vacuous", op.name, base.Name, slack, infeasible, overCap)
 				}
-				if last != nil && !reflect.DeepEqual(last, lastSnap) {
-					t.Fatalf("%s on %s: an infeasible move re-solved the overlay", op.name, base.Name)
-				}
-				if r, err := st.se.Eval(base); err != nil || !reflect.DeepEqual(r, bound) {
-					t.Fatalf("%s on %s: an infeasible move changed the bound state: %v", op.name, base.Name, err)
-				}
-			}
-			if infeasible == 0 {
-				t.Errorf("%s on %s: no move was infeasible; the test is vacuous", op.name, base.Name)
 			}
 		}
 	}
 }
 
-// slackBudget certifies the base and allows one extra family of slack,
-// so proposals near the boundary exercise both accept and reject paths.
-func slackBudget(t *testing.T, s *sched.Schedule) *verify.Budget {
+// slackBudget certifies the base and allows slack extra families on
+// each stage, so proposals near the boundary exercise both accept and
+// reject paths; at slack 0 every move that raises a stage's peak is over
+// the budget.
+func slackBudget(t *testing.T, s *sched.Schedule, slack int) *verify.Budget {
 	t.Helper()
 	cert, err := verify.Certify(s, verify.Options{})
 	if err != nil {
@@ -109,7 +123,7 @@ func slackBudget(t *testing.T, s *sched.Schedule) *verify.Budget {
 	}
 	slots := make([]int, len(cert.PeakFamilies))
 	for k, p := range cert.PeakFamilies {
-		slots[k] = p + 1
+		slots[k] = p + slack
 	}
 	return verify.SlotBudget(slots)
 }

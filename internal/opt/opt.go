@@ -5,15 +5,17 @@
 // neighbourhood operators (swap adjacent ops on a stage, shift an op
 // across a slot boundary, rebalance weight-gradient placement) generate
 // moves: one stage's window of positions in a new order. Each move is
-// proved and evaluated once, as an overlay on the current state: a
-// verify.Delta re-sweeps the window's memory against the budget, a
-// sim.Overlay re-sorts the window's rank interval (the deadlock verdict)
-// and re-solves only the ops downstream of it, bitwise as a full
-// simulation would. So every accepted candidate is provably
+// proved and evaluated once, as a sim.Overlay on the current state's
+// session, which is bound with the budget's own footprints as its memory
+// charges and the budget's caps as its ActBudget: the overlay re-sorts
+// the window's rank interval (the deadlock verdict), re-sums the moved
+// stage's retention (the budget verdict, the certifier's sweep of that
+// stage) and re-solves only the ops downstream of the window, bitwise as
+// a full simulation would. So every accepted candidate is provably
 // deadlock-free and within the memory budget by construction, and
 // infeasible candidates are rejected before a single simulated op is
 // re-solved. The current state is the only full schedule; an accepted
-// move is committed to it, and to both bindings, in place.
+// move is committed to it, and to its session, in place.
 //
 // Determinism is load-bearing: the entire random stream (operator
 // choice, positions, Metropolis draws) lives on the coordinator's seeded
@@ -25,7 +27,6 @@ package opt
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -164,15 +165,8 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 		return nil, fmt.Errorf("opt: seed schedule does not certify: %w", err)
 	}
 	cur := cloneSchedule(s)
-	// The current state is the only full schedule, and the session bound
-	// to it is the only solved one. Certify has just proved the seed
-	// complete and deadlock-free, so a Validate at bind would prove
-	// nothing new.
-	se, err := sim.NewSession(sim.Options{Sched: cur, Costs: costs, AssumeValid: true})
-	if err != nil {
-		return nil, fmt.Errorf("opt: seed simulation: %w", err)
-	}
-	base, err := se.Eval(cur)
+	se := &sim.Session{}
+	base, err := bind(se, cur, costs, opt.Budget)
 	if err != nil {
 		return nil, fmt.Errorf("opt: seed simulation: %w", err)
 	}
@@ -197,32 +191,22 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 
 	// Every candidate is a move of the current state, so each worker
 	// evaluates it as an overlay on the one bound session: the window's
-	// rank interval re-sorted (the deadlock verdict), and the ops
-	// downstream of it re-solved into the worker's scratch, bitwise as a
-	// full sim.Run would. Its memory verdict is a fork of one Delta bound
-	// to the current state, which re-sweeps the window's retention. Both
-	// bindings move with the current state, once per accepted round, by
-	// a commit of the accepted move's window on the coordinator. The
-	// random stream above is drawn before evaluation, so none of this
-	// touches the search trajectory.
-	fit := verify.NewDelta(opt.Budget)
-	if err := fit.Bind(cur); err != nil {
-		return nil, fmt.Errorf("opt: binding the start schedule: %w", err)
-	}
-	movers := make([]mover, workers)
-	for w := range movers {
-		m := &movers[w]
-		if m.ov, err = se.NewOverlay(); err != nil {
+	// rank interval re-sorted (the deadlock verdict), the moved stage's
+	// retention re-summed (the budget verdict), and the ops downstream of
+	// the window re-solved into the worker's scratch, bitwise as a full
+	// sim.Run would. The session moves with the current state, once per
+	// accepted round, by a commit of the accepted move on the
+	// coordinator. The random stream above is drawn before evaluation, so
+	// none of this touches the search trajectory.
+	ovs := make([]*sim.Overlay, workers)
+	for w := range ovs {
+		if ovs[w], err = se.NewOverlay(); err != nil {
 			return nil, fmt.Errorf("opt: binding the start schedule: %w", err)
-		}
-		m.fit = fit
-		if w > 0 {
-			m.fit = fit.Fork()
 		}
 	}
 
 	g := startGroup(workers, func(w, i int) {
-		evaluate(&cands[i], curTime, &movers[w])
+		evaluate(&cands[i], curTime, ovs[w])
 	})
 	defer g.stop()
 
@@ -257,7 +241,7 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 			c := &cands[pick]
 			delta := c.time - curTime
 			if delta < -eps || (temp > 0 && u < math.Exp(-delta/temp)) {
-				if err := commit(c, cur, &movers[0], se); err != nil {
+				if err := commit(c, cur, se); err != nil {
 					// Unreachable: the move was evaluated feasible.
 					return nil, fmt.Errorf("opt: accepted move failed to commit: %w", err)
 				}
@@ -291,58 +275,65 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	return res, nil
 }
 
-// mover is one worker's evaluation state: an overlay on the bound session
-// and a fork of the budget binding (worker 0 holds the binding itself).
-type mover struct {
-	ov  *sim.Overlay
-	fit *verify.Delta
+// charged is a cost model whose memory charges are a budget's footprints
+// (verify.Budget.Charges): bound to a session with the budget's caps as
+// its ActBudget, its static memory accounting is the certifier's budget
+// sweep. Durations and delays are the embedded model's, and no time reads
+// a footprint, so every simulated time is the model's own.
+type charged struct {
+	sim.Costs
+	fp verify.Footprints
+}
+
+func (c charged) ActBytes(k int, f sched.Op) int64  { return c.fp.ActBytes(k, f) }
+func (c charged) GradBytes(k int, b sched.Op) int64 { return c.fp.GradBytes(k, b) }
+
+// bind binds se to cur as the annealer binds its session, with the
+// budget's footprints as memory charges and its caps as ActBudget, and
+// evaluates it. Certify has proved cur complete and deadlock-free under
+// budget, so a Validate at bind would prove nothing new.
+func bind(se *sim.Session, cur *sched.Schedule, costs sim.Costs, budget *verify.Budget) (*sim.Result, error) {
+	var caps []int64
+	if budget != nil {
+		caps = budget.ActBudget
+	}
+	if err := se.Bind(sim.Options{Sched: cur, Costs: charged{costs, budget.Charges()}, ActBudget: caps, AssumeValid: true}); err != nil {
+		return nil, err
+	}
+	return se.Eval(cur)
 }
 
 // evaluate decides the candidate against the current state, whose time is
-// curTime, through the worker's mover. The window's ids are resolved once
-// and feed both verdicts: the budget sweep first, then the overlay's
-// interval sort, and only a move that passes both is re-solved.
-// Infeasible candidates never reach the simulator's solve — the property
-// the package tests pin. A no-op move is the current state.
+// curTime, through the worker's overlay: the interval sort, then the
+// moved stage's budget walk, and only a move that passes both is
+// re-solved. Infeasible candidates never reach the simulator's solve —
+// the property the package tests pin. A no-op move is the current state.
 //
 //mepipe:hotpath
-func evaluate(c *candidate, curTime float64, m *mover) {
+func evaluate(c *candidate, curTime float64, ov *sim.Overlay) {
 	if len(c.win) == 0 {
 		c.feasible, c.time = true, curTime
 		return
 	}
 	c.feasible, c.time = false, 0
-	ids, err := m.ov.Load(c.move())
-	if err != nil || !m.fit.Fits(c.stage, c.lo, c.win, ids) {
+	if err := ov.Load(c.move()); err != nil {
 		return
 	}
-	r, err := m.ov.Eval()
+	r, err := ov.Eval()
 	if err != nil {
 		return
 	}
 	c.feasible, c.time = true, r.IterTime
 }
 
-// errNoFit reports an accepted move the budget binding refuses.
-var errNoFit = errors.New("opt: accepted move overflows its stage's memory budget")
-
 // commit makes an accepted move the current state, once, on the
-// coordinator, through worker 0's mover, whose Delta is the budget
-// binding: the binding re-sweeps the window under ids the overlay
-// resolves, the session applies the move, and the window is copied into
-// cur in place.
+// coordinator: the session applies the move, and the window is copied
+// into cur in place.
 //
 //mepipe:hotpath
-func commit(c *candidate, cur *sched.Schedule, m *mover, se *sim.Session) error {
+func commit(c *candidate, cur *sched.Schedule, se *sim.Session) error {
 	if len(c.win) == 0 {
 		return nil
-	}
-	ids, err := m.ov.Load(c.move())
-	if err != nil {
-		return err
-	}
-	if !m.fit.Rebind(c.stage, c.lo, c.win, ids) {
-		return errNoFit
 	}
 	if err := se.Commit(c.move()); err != nil {
 		return err

@@ -5,9 +5,9 @@ package sched
 // one rule. A forward retains the family's activations, a split backward
 // adds its gradient bytes, and a fused backward, a whole weight gradient
 // or the family's last weight-gradient piece releases both. The
-// certifier's sweep, its incremental Delta, and the simulator session and
-// its dynamic engine all step through RetentionOf; only the differential
-// tests' oracles keep copies of their own.
+// certifier's sweep, the simulator session's static scan and move
+// overlays, and its dynamic engine all step through RetentionOf; only the
+// differential tests' oracles keep copies of their own.
 type Retention uint8
 
 const (

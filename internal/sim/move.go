@@ -17,11 +17,12 @@ type Move struct {
 }
 
 var (
-	errOverlayScope = fmt.Errorf("sim: move overlays need a static, untraced session without ActBudget: %w", errs.ErrIncompatible)
+	errOverlayScope = fmt.Errorf("sim: move overlays need a static, untraced session: %w", errs.ErrIncompatible)
 	errNoOrder      = fmt.Errorf("sim: session holds no solved order to move (Eval it first): %w", errs.ErrIncompatible)
 	errMoveShape    = fmt.Errorf("sim: move is not a permutation of the bound window: %w", errs.ErrIncompatible)
 	errMoveStale    = fmt.Errorf("sim: no move is loaded, or the bound order changed since: %w", errs.ErrIncompatible)
 	errMoveCycle    = fmt.Errorf("sim: move closes a program-order/dependency cycle (the order deadlocks): %w", errs.ErrUncertified)
+	errMoveOOM      = fmt.Errorf("sim: move exceeds a stage's activation budget: %w", errs.ErrOOM)
 )
 
 // Overlay evaluates moves of a session's bound order without writing it:
@@ -30,13 +31,14 @@ var (
 // Load resolves the window's op ids. Eval re-sorts the window's rank
 // interval of the bound topological order (sched.Topo.Interval, with the
 // move's order as the stage's chain), which is the move's deadlock
-// verdict, and then re-solves only the ops downstream of the window, each
-// once, in the new order, into scratch finish times stamped for this
-// move. The moved stage's compute and peak are re-summed in its new list
-// order; every other stage's come from the session's cached aggregates.
-// The Result is bitwise the one a full Run of the moved schedule returns,
-// and since the bound state is only read, a rejected move costs nothing
-// to undo. Session.Commit applies an accepted move.
+// verdict. It then re-sums the moved stage's compute and peak in its new
+// list order, which under the session's ActBudget is the move's memory
+// verdict; every other stage's come from the session's cached aggregates.
+// Only then does it re-solve the ops downstream of the window, each once,
+// in the new order, into scratch finish times stamped for this move. The
+// Result is bitwise the one a full Run of the moved schedule returns, and
+// since the bound state is only read, a rejected move costs nothing to
+// undo. Session.Commit applies an accepted move.
 //
 // Overlays of one session may Load and Eval concurrently: each owns only
 // its scratch. Nothing may write the session (Eval, Commit, Bind) while
@@ -71,9 +73,8 @@ type Overlay struct {
 }
 
 // NewOverlay returns an overlay over se. Only a static, untraced session
-// without ActBudget can be moved; any other returns a wrapped
-// errs.ErrIncompatible. The session must have been evaluated before the
-// overlay's first Load.
+// can be moved; any other returns a wrapped errs.ErrIncompatible. The
+// session must have been evaluated before the overlay's first Load.
 //
 //mepipe:coldalloc an overlay sizes its scratch once per session shape
 func (se *Session) NewOverlay() (*Overlay, error) {
@@ -97,28 +98,27 @@ func (se *Session) NewOverlay() (*Overlay, error) {
 
 // overlayable reports whether se is in the scope moves are defined for.
 func (se *Session) overlayable() bool {
-	return !se.dynamicW && se.opt.Trace == nil && !se.hasBudget && se.n > 0
+	return !se.dynamicW && se.opt.Trace == nil && se.n > 0
 }
 
-// Load resolves m's window against the bound order. It returns the
-// window's op ids in the move's order, owned by the overlay until the
-// next Load, or a wrapped errs.ErrIncompatible when m is not a
+// Load resolves m's window against the bound order into the window's op
+// ids. It returns a wrapped errs.ErrIncompatible when m is not a
 // permutation of a window of the bound order, the session has no solved
 // order, or it was rebound out of the overlay's scope or shape.
 //
 //mepipe:hotpath
-func (ov *Overlay) Load(m Move) ([]int32, error) {
+func (ov *Overlay) Load(m Move) error {
 	se := ov.se
 	ov.gen = 0 // no session generation: Eval refuses a failed Load
 	if !se.overlayable() || len(ov.fin) != se.n {
-		return nil, errOverlayScope
+		return errOverlayScope
 	}
 	if !se.valid || se.resync {
-		return nil, errNoOrder
+		return errNoOrder
 	}
 	k, lo := m.Stage, m.Lo
 	if uint(k) >= uint(se.P) || len(m.Ops) == 0 || lo < 0 || lo+len(m.Ops) > len(se.order[k]) {
-		return nil, errMoveShape
+		return errMoveShape
 	}
 	if ov.ep++; ov.ep == 0 {
 		clear(ov.inWin)
@@ -135,10 +135,10 @@ func (ov *Overlay) Load(m Move) ([]int32, error) {
 	for _, op := range m.Ops {
 		id := se.x.ID(k, op)
 		if id < 0 || se.opsl[id] != op || ov.inWin[id] == ov.ep {
-			return nil, errMoveShape
+			return errMoveShape
 		}
 		if p := int(se.pos[id]); p < lo || p > hi {
-			return nil, errMoveShape
+			return errMoveShape
 		}
 		ov.inWin[id] = ov.ep
 		ov.cprev[id] = prev
@@ -157,13 +157,15 @@ func (ov *Overlay) Load(m Move) ([]int32, error) {
 	ov.k, ov.lo, ov.hi = k, lo, hi
 	ov.rlo, ov.rhi = se.topo.Rank[ord[lo]], se.topo.Rank[ord[hi]]
 	ov.gen = se.gen
-	return win, nil
+	return nil
 }
 
 // Eval evaluates the loaded move. A move that deadlocks returns a wrapped
-// errs.ErrUncertified before any op is re-solved. The Result is owned by
-// the overlay and overwritten by its next Eval; it carries no OOM, since
-// an overlay's session has no ActBudget.
+// errs.ErrUncertified, and under the session's ActBudget one whose static
+// retention exceeds a stage's budget returns a wrapped errs.ErrOOM, both
+// before any op is re-solved. The Result is owned by the overlay and
+// overwritten by its next Eval; it never marks OOM, since a move that
+// would is refused.
 //
 //mepipe:hotpath
 func (ov *Overlay) Eval() (*Result, error) {
@@ -177,8 +179,12 @@ func (ov *Overlay) Eval() (*Result, error) {
 	if len(ov.sorted) != int(ov.rhi-ov.rlo+1) {
 		return nil, errMoveCycle
 	}
+	compute, peak, ok := ov.restat()
+	if !ok {
+		return nil, errMoveOOM
+	}
 	ov.solve()
-	ov.assemble()
+	ov.assemble(compute, peak)
 	return &ov.res, nil
 }
 
@@ -266,16 +272,24 @@ func (ov *Overlay) recompute(id int32) bool {
 	return math.Float64bits(fin) != math.Float64bits(se.finish[id])
 }
 
-// assemble writes the move's Result: the moved stage's compute and peak
-// re-summed in its new list order (as Session.memScan sums them), every
-// other stage's from the session's cache, and each stage's finish from
-// its last op under the move.
-func (ov *Overlay) assemble() {
+// restat re-sums the moved stage's compute and peak in its new list
+// order, as Session.memScan sums them. Under an ActBudget it reports
+// false at the first retention over the stage's cap, or at once when
+// another stage of the bound order exceeds its own.
+func (ov *Overlay) restat() (compute float64, peak int64, ok bool) {
 	se := ov.se
+	limit := int64(math.MaxInt64)
+	if se.hasBudget {
+		for k, p := range se.stOOMPos {
+			if p >= 0 && k != ov.k {
+				return 0, 0, false
+			}
+		}
+		limit = se.budget[ov.k]
+	}
 	ord := se.order[ov.k]
 	ov.fam.epoch++
-	compute := 0.0
-	var live, peak int64
+	var live int64
 	for p, id := range ord {
 		if p >= ov.lo && p <= ov.hi {
 			id = ov.win[p-ov.lo]
@@ -283,12 +297,22 @@ func (ov *Overlay) assemble() {
 		compute += se.dur[id]
 		switch r, b := ov.fam.step(se.famID[id], se.opsl[id].Kind, se.memB[id], se.wPieces); r {
 		case sched.RetainAct, sched.RetainGrad:
-			live += b
+			if live += b; live > limit {
+				return 0, 0, false
+			}
 			peak = max(peak, live)
 		case sched.Release:
 			live -= b
 		}
 	}
+	return compute, peak, true
+}
+
+// assemble writes the move's Result: the moved stage's compute and peak
+// (restat's), every other stage's from the session's cache, and each
+// stage's finish from its last op under the move.
+func (ov *Overlay) assemble(compute float64, peak int64) {
+	se := ov.se
 	res := &ov.res
 	for k := 0; k < se.P; k++ {
 		ord := se.order[k]

@@ -9,11 +9,11 @@ import (
 	"mepipe/internal/sched"
 )
 
-// boundOverlay binds a static session to s, evaluates it and returns it
-// with an overlay over it.
-func boundOverlay(t *testing.T, s *sched.Schedule) (*Session, *Overlay) {
+// boundOverlay binds a static session to s under the budget (nil for
+// none), evaluates it and returns it with an overlay over it.
+func boundOverlay(t *testing.T, s *sched.Schedule, budget []int64) (*Session, *Overlay) {
 	t.Helper()
-	se, err := NewSession(Options{Sched: s, Costs: Unit()})
+	se, err := NewSession(Options{Sched: s, Costs: Unit(), ActBudget: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,19 +28,18 @@ func boundOverlay(t *testing.T, s *sched.Schedule) (*Session, *Overlay) {
 }
 
 // TestOverlayScope pins the sessions and moves an overlay refuses, each
-// with a wrapped errs.ErrIncompatible: a dynamic, traced or budgeted
-// session; a session not yet evaluated; a move off its stage or not a
-// permutation of its window, and an Eval after such a Load; and a loaded
-// move whose session has since been written.
+// with a wrapped errs.ErrIncompatible: a dynamic or traced session; a
+// session not yet evaluated; a move off its stage or not a permutation of
+// its window, and an Eval after such a Load; and a loaded move whose
+// session has since been written. A budgeted static session is in scope.
 func TestOverlayScope(t *testing.T) {
 	s, err := sched.ZB1P(3, 4, sched.Unit())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, opt := range map[string]Options{
-		"dynamic":  {Sched: s, Costs: Unit(), DynamicW: true},
-		"traced":   {Sched: s, Costs: Unit(), Trace: obs.NewRecorder()},
-		"budgeted": {Sched: s, Costs: Unit(), ActBudget: []int64{9, 9, 9}},
+		"dynamic": {Sched: s, Costs: Unit(), DynamicW: true},
+		"traced":  {Sched: s, Costs: Unit(), Trace: obs.NewRecorder()},
 	} {
 		se, err := NewSession(opt)
 		if err != nil {
@@ -49,6 +48,13 @@ func TestOverlayScope(t *testing.T) {
 		if _, err := se.NewOverlay(); !errors.Is(err, errs.ErrIncompatible) {
 			t.Errorf("%s session: NewOverlay returned %v", name, err)
 		}
+	}
+	budgeted, err := NewSession(Options{Sched: s, Costs: Unit(), ActBudget: []int64{9, 9, 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := budgeted.NewOverlay(); err != nil {
+		t.Errorf("budgeted session: NewOverlay returned %v", err)
 	}
 	fresh, err := NewSession(Options{Sched: s, Costs: Unit()})
 	if err != nil {
@@ -60,10 +66,10 @@ func TestOverlayScope(t *testing.T) {
 	}
 	ops := s.Stages[1]
 	swap := Move{Stage: 1, Lo: 2, Ops: []sched.Op{ops[3], ops[2]}}
-	if _, err := ov.Load(swap); !errors.Is(err, errs.ErrIncompatible) {
+	if err := ov.Load(swap); !errors.Is(err, errs.ErrIncompatible) {
 		t.Errorf("unevaluated session: Load returned %v", err)
 	}
-	se, ov := boundOverlay(t, s)
+	se, ov := boundOverlay(t, s, nil)
 	for name, m := range map[string]Move{
 		"stage":     {Stage: 3, Lo: 2, Ops: swap.Ops},
 		"past":      {Stage: 1, Lo: len(ops) - 1, Ops: swap.Ops},
@@ -72,14 +78,14 @@ func TestOverlayScope(t *testing.T) {
 		"duplicate": {Stage: 1, Lo: 2, Ops: []sched.Op{ops[2], ops[2]}},
 		"misfit":    {Stage: 1, Lo: 2, Ops: []sched.Op{{Kind: sched.F, Micro: 99}, ops[2]}},
 	} {
-		if _, err := ov.Load(m); !errors.Is(err, errs.ErrIncompatible) {
+		if err := ov.Load(m); !errors.Is(err, errs.ErrIncompatible) {
 			t.Errorf("%s: Load returned %v", name, err)
 		}
 		if _, err := ov.Eval(); !errors.Is(err, errs.ErrIncompatible) {
 			t.Errorf("%s: Eval after a failed Load returned %v", name, err)
 		}
 	}
-	if _, err := ov.Load(swap); err != nil {
+	if err := ov.Load(swap); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := se.Eval(s); err != nil {
@@ -91,30 +97,47 @@ func TestOverlayScope(t *testing.T) {
 }
 
 // TestOverlayRejectsBeforeSolve pins that a move that deadlocks is
-// rejected by its interval sort, with a wrapped errs.ErrUncertified,
-// before any op is re-solved, and that neither it nor a feasible move
-// writes the bound state.
+// rejected by its interval sort, with a wrapped errs.ErrUncertified, and,
+// under an ActBudget at each stage's own peak, one that raises a stage's
+// peak by its stage walk, with a wrapped errs.ErrOOM, both before any op
+// is re-solved; and that neither they nor a feasible move write the bound
+// state.
 func TestOverlayRejectsBeforeSolve(t *testing.T) {
 	s, err := sched.DAPPLE(4, 6, sched.Unit())
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, ov := boundOverlay(t, s)
-	want := se.res.Clone()
-	finish := append([]float64(nil), se.finish...)
-	cyclic, feasible := 0, 0
-	for k, ops := range s.Stages {
-		for i := 0; i+1 < len(ops); i++ {
-			m := Move{Stage: k, Lo: i, Ops: []sched.Op{ops[i+1], ops[i]}}
-			if _, err := ov.Load(m); err != nil {
-				t.Fatal(err)
-			}
-			_, err := ov.Eval()
-			switch {
-			case err == nil:
-				feasible++
-			case errors.Is(err, errs.ErrUncertified):
-				cyclic++
+	r, err := Run(Options{Sched: s, Costs: Unit()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peaks := make([]int64, s.P)
+	for k, st := range r.Stages {
+		peaks[k] = st.PeakAct
+	}
+	for _, budget := range [][]int64{nil, peaks} {
+		se, ov := boundOverlay(t, s, budget)
+		want := se.res.Clone()
+		finish := append([]float64(nil), se.finish...)
+		cyclic, oom, feasible := 0, 0, 0
+		for k, ops := range s.Stages {
+			for i := 0; i+1 < len(ops); i++ {
+				m := Move{Stage: k, Lo: i, Ops: []sched.Op{ops[i+1], ops[i]}}
+				if err := ov.Load(m); err != nil {
+					t.Fatal(err)
+				}
+				_, err := ov.Eval()
+				switch {
+				case err == nil:
+					feasible++
+					continue
+				case errors.Is(err, errs.ErrUncertified):
+					cyclic++
+				case errors.Is(err, errs.ErrOOM):
+					oom++
+				default:
+					t.Fatal(err)
+				}
 				if ov.pending != 0 {
 					t.Fatalf("stage %d swap at %d: %d ops pending after a rejection", k, i, ov.pending)
 				}
@@ -123,22 +146,59 @@ func TestOverlayRejectsBeforeSolve(t *testing.T) {
 						t.Fatalf("stage %d swap at %d: a rejected move re-solved an op", k, i)
 					}
 				}
-			default:
-				t.Fatal(err)
+			}
+		}
+		if cyclic == 0 || feasible == 0 || (oom == 0) != (budget == nil) {
+			t.Fatalf("budget %v: got %d cyclic, %d over-budget and %d feasible swaps", budget, cyclic, oom, feasible)
+		}
+		r, err := se.Eval(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, want, r, "the bound state after the moves")
+		for id, f := range finish {
+			if se.finish[id] != f {
+				t.Fatalf("op %d's bound finish moved", id)
 			}
 		}
 	}
-	if cyclic == 0 || feasible == 0 {
-		t.Fatalf("want both verdicts, got %d cyclic and %d feasible swaps", cyclic, feasible)
-	}
-	r, err := se.Eval(s)
+}
+
+// TestOverlayRefusesOverBudgetState pins that an overlay on a session
+// whose bound order already exceeds one stage's ActBudget evaluates no
+// move of another stage: each moved schedule is one sim.Run marks OOM,
+// which the overlay refuses with a wrapped errs.ErrOOM.
+func TestOverlayRefusesOverBudgetState(t *testing.T) {
+	s, err := sched.DAPPLE(4, 6, sched.Unit())
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameResult(t, want, r, "the bound state after the moves")
-	for id, f := range finish {
-		if se.finish[id] != f {
-			t.Fatalf("op %d's bound finish moved", id)
+	r, err := Run(Options{Sched: s, Costs: Unit()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := make([]int64, s.P)
+	for k, st := range r.Stages {
+		budget[k] = st.PeakAct
+	}
+	budget[0]--
+	_, ov := boundOverlay(t, s, budget)
+	oom := 0
+	for k := 1; k < s.P; k++ {
+		ops := s.Stages[k]
+		for i := 0; i+1 < len(ops); i++ {
+			if err := ov.Load(Move{Stage: k, Lo: i, Ops: []sched.Op{ops[i+1], ops[i]}}); err != nil {
+				t.Fatal(err)
+			}
+			switch _, err := ov.Eval(); {
+			case errors.Is(err, errs.ErrOOM):
+				oom++
+			case !errors.Is(err, errs.ErrUncertified):
+				t.Fatalf("stage %d swap at %d: Eval returned %v, want a wrapped errs.ErrOOM", k, i, err)
+			}
 		}
+	}
+	if oom == 0 {
+		t.Fatal("no swap reached the budget verdict")
 	}
 }

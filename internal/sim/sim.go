@@ -36,9 +36,12 @@ type Options struct {
 	Costs Costs
 
 	// ActBudget, when non-nil, is the per-stage activation memory budget
-	// in bytes. In dynamic mode the budget forces weight-gradient work to
-	// drain before new forwards are admitted (§5); exceeding it with no
-	// drainable work marks the run OOM.
+	// in the cost model's ActBytes/GradBytes units. In static mode the
+	// first allocation that takes a stage's retention over its budget
+	// marks the run OOM, and a move overlay refuses any move that would
+	// (Overlay.Eval). In dynamic mode the budget forces weight-gradient
+	// work to drain before new forwards are admitted (§5); exceeding it
+	// with no drainable work marks the run OOM.
 	ActBudget []int64
 
 	// DynamicW ignores the static positions of W/WPiece ops and instead

@@ -50,20 +50,32 @@ func PlanBudget(plan *memplan.Plan, fp Footprints) *Budget {
 	}
 }
 
-// footprints returns the per-op footprints the sweep charges: b's, with
-// unit slot counting (one per family, no gradient retention) standing in
-// for any that are nil, or for a nil b.
-func (b *Budget) footprints() (fam, grad func(stage int, op sched.Op) int64) {
-	fam = func(int, sched.Op) int64 { return 1 }
-	grad = func(int, sched.Op) int64 { return 0 }
+// Charges returns the per-op footprints the sweep charges: b's, with unit
+// slot counting (one per family, no gradient retention) standing in for
+// any that are nil, or for a nil b. A static simulation charging them
+// (sim.Costs with these ActBytes and GradBytes) retains, op for op, what
+// the sweep does, so its per-stage peaks are Certify's PeakBytes.
+func (b *Budget) Charges() Footprints {
+	c := charges{fam: unitSlot, grad: noGrad}
 	if b != nil && b.FamilyBytes != nil {
-		fam = b.FamilyBytes
+		c.fam = b.FamilyBytes
 	}
 	if b != nil && b.GradBytes != nil {
-		grad = b.GradBytes
+		c.grad = b.GradBytes
 	}
-	return fam, grad
+	return c
 }
+
+// charges is a Budget's footprints as Footprints.
+type charges struct {
+	fam, grad func(stage int, op sched.Op) int64
+}
+
+func (c charges) ActBytes(k int, f sched.Op) int64  { return c.fam(k, f) }
+func (c charges) GradBytes(k int, b sched.Op) int64 { return c.grad(k, b) }
+
+func unitSlot(int, sched.Op) int64 { return 1 }
+func noGrad(int, sched.Op) int64   { return 0 }
 
 // BudgetError is the memory-safety counterexample: the first op at which
 // a stage's swept retention exceeds its budget, with what was live.
@@ -95,7 +107,7 @@ func (e *BudgetError) Unwrap() error { return errs.ErrUncertified }
 // Ops are read as the ids sc loaded, and per-family state lives in sc's
 // arrays, indexed by OpIndex.FamilyOf.
 func sweep(s *sched.Schedule, x sched.OpIndex, b *Budget, cert *Certificate, sc *certScratch) error {
-	famBytes, gradBytes := b.footprints()
+	fp := b.Charges()
 	if b != nil && b.ActBudget != nil && len(b.ActBudget) != s.P {
 		return &ShapeError{Schedule: s.String(),
 			Detail: fmt.Sprintf("budget has %d stage entries, want %d", len(b.ActBudget), s.P)}
@@ -138,9 +150,9 @@ func sweep(s *sched.Schedule, x sched.OpIndex, b *Budget, cert *Certificate, sc 
 			p++
 			switch sched.PieceStep(op.Kind, &sc.pieces[f], s.WPieces) {
 			case sched.RetainAct:
-				retain(f, famBytes(k, op))
+				retain(f, fp.ActBytes(k, op))
 			case sched.RetainGrad:
-				retain(f, gradBytes(k, op))
+				retain(f, fp.GradBytes(k, op))
 			case sched.Release:
 				release(f)
 			}

@@ -10,9 +10,12 @@ import (
 // TestCertifyPeaksMatchRun holds the certifier's memory sweep to the
 // simulator's static memory scan over every preset family: under the same
 // non-unit, stage-dependent footprints, Certify's PeakBytes must equal
-// sim.Run's per-stage PeakAct, and under unit costs its PeakFamilies
-// must too. Both step through one retention rule (sched.RetentionOf);
-// this pins that they apply it to the same ops in the same order.
+// sim.Run's per-stage PeakAct; so must they under a SlotBudget, with
+// sim.Run charging the budget's Charges; and under unit costs its
+// PeakFamilies must too. Both step through one retention rule
+// (sched.RetentionOf); this pins that they apply it to the same ops in
+// the same order, and that a session charging a budget's footprints is
+// that budget's sweep (the annealer's move overlay relies on it).
 func TestCertifyPeaksMatchRun(t *testing.T) {
 	act := func(k int, f sched.Op) int64 { return int64(5 + 3*k + f.Micro%3 + 2*f.Slice + f.Chunk) }
 	grad := func(k int, b sched.Op) int64 { return int64(2 + k + b.Slice) }
@@ -56,35 +59,50 @@ func TestCertifyPeaksMatchRun(t *testing.T) {
 // sim.Run accounts the bytes a Budget with the same footprints does.
 type footprintCosts struct {
 	sim.UniformCosts
-	act, grad func(stage int, op sched.Op) int64
+	fp Footprints
 }
 
-func (c footprintCosts) ActBytes(k int, f sched.Op) int64  { return c.act(k, f) }
-func (c footprintCosts) GradBytes(k int, b sched.Op) int64 { return c.grad(k, b) }
+func (c footprintCosts) ActBytes(k int, f sched.Op) int64  { return c.fp.ActBytes(k, f) }
+func (c footprintCosts) GradBytes(k int, b sched.Op) int64 { return c.fp.GradBytes(k, b) }
 
 // requirePeaksMatch asserts that Certify's per-stage peaks equal a static
-// sim.Run's on s: PeakBytes under the footprints act and grad, and
-// PeakFamilies under unit costs.
+// sim.Run's on s: PeakBytes under the footprints act and grad, and under
+// a SlotBudget capped at s's own peaks, each run charging the budget's
+// Charges under its caps; and PeakFamilies under unit costs.
 func requirePeaksMatch(t *testing.T, s *sched.Schedule, act, grad func(int, sched.Op) int64) {
 	t.Helper()
-	cert, err := Certify(s, Options{Budget: &Budget{FamilyBytes: act, GradBytes: grad}})
+	plain, err := Certify(s, Options{})
 	if err != nil {
 		t.Fatalf("certify: %v", err)
-	}
-	byFootprint, err := sim.Run(sim.Options{Sched: s, Costs: footprintCosts{sim.Unit(), act, grad}})
-	if err != nil {
-		t.Fatalf("sim.Run under the footprints: %v", err)
 	}
 	byUnit, err := sim.Run(sim.Options{Sched: s, Costs: sim.Unit()})
 	if err != nil {
 		t.Fatalf("sim.Run under unit costs: %v", err)
 	}
 	for k := range s.Stages {
-		if got, want := cert.PeakBytes[k], byFootprint.Stages[k].PeakAct; got != want {
-			t.Errorf("stage %d: Certify PeakBytes %d, sim.Run PeakAct %d", k, got, want)
-		}
-		if got, want := int64(cert.PeakFamilies[k]), byUnit.Stages[k].PeakAct; got != want {
+		if got, want := int64(plain.PeakFamilies[k]), byUnit.Stages[k].PeakAct; got != want {
 			t.Errorf("stage %d: Certify PeakFamilies %d, unit-cost sim.Run PeakAct %d", k, got, want)
+		}
+	}
+	for name, b := range map[string]*Budget{
+		"footprints": {FamilyBytes: act, GradBytes: grad},
+		"slots":      SlotBudget(plain.PeakFamilies),
+	} {
+		cert, err := Certify(s, Options{Budget: b})
+		if err != nil {
+			t.Fatalf("%s: certify: %v", name, err)
+		}
+		run, err := sim.Run(sim.Options{Sched: s, Costs: footprintCosts{sim.Unit(), b.Charges()}, ActBudget: b.ActBudget})
+		if err != nil {
+			t.Fatalf("%s: sim.Run under the budget's charges: %v", name, err)
+		}
+		if run.OOM {
+			t.Errorf("%s: sim.Run marks stage %d OOM under a budget Certify proves", name, run.OOMStage)
+		}
+		for k := range s.Stages {
+			if got, want := cert.PeakBytes[k], run.Stages[k].PeakAct; got != want {
+				t.Errorf("%s: stage %d: Certify PeakBytes %d, sim.Run PeakAct %d", name, k, got, want)
+			}
 		}
 	}
 }

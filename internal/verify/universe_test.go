@@ -137,3 +137,13 @@ func mutateUniverse(s *sched.Schedule, m []byte) {
 		}
 	}
 }
+
+// cloneAll returns s with every stage cloned.
+func cloneAll(s *sched.Schedule) *sched.Schedule {
+	c := *s
+	c.Stages = make([][]sched.Op, len(s.Stages))
+	for k := range s.Stages {
+		c.Stages[k] = append([]sched.Op(nil), s.Stages[k]...)
+	}
+	return &c
+}

@@ -216,8 +216,7 @@ func TestIncompleteAndMissing(t *testing.T) {
 
 	t.Run("assume-complete-out-of-range", func(t *testing.T) {
 		// Tables whose op universe is not the shape's: each is rejected
-		// with the same counterexample with or without AssumeComplete,
-		// and by Delta.Bind.
+		// with the same counterexample with or without AssumeComplete.
 		cases := []struct {
 			name   string
 			mutate func(s *sched.Schedule)
@@ -256,9 +255,6 @@ func TestIncompleteAndMissing(t *testing.T) {
 				}
 				if _, err := Certify(s, Options{AssumeComplete: true}); !reflect.DeepEqual(err, want) {
 					t.Errorf("AssumeComplete returned %v, want %v", err, want)
-				}
-				if err := NewDelta(nil).Bind(s); !reflect.DeepEqual(err, want) {
-					t.Errorf("Delta.Bind returned %v, want %v", err, want)
 				}
 			})
 		}
