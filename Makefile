@@ -94,9 +94,9 @@ serve-smoke:
 # pin (replaying its seed reproduces the schedule bytes, the five search
 # counters 6000/3271/2729/908/5 and the best time bit for bit), the move
 # path's floors at the 13B point's size (a move's decision ≥ 10× a full
-# Certify plus a fresh session evaluation per annealer proposal, and a
-# commit ≥ 10× a full session bind and evaluation per accepted move, both
-# at 0 allocs), the allocation gates (deciding and committing a move
+# Certify plus a fresh session evaluation per annealer proposal, and an
+# overlay's evaluation and commit ≥ 10× a full session bind and
+# evaluation per accepted move, both at 0 allocs), the allocation gates (deciding and committing a move
 # allocates nothing; a rejected Certify little beyond its
 # counterexample; a whole run at the artifact point at most 150 objects;
 # a run at the 13B point at most 3 MB on one core), a short run of the
@@ -121,10 +121,10 @@ opt-regen:
 # Simulator fast-path smoke (docs/PERFORMANCE.md): the bitwise
 # session/Evaluate equivalence tables against the reference runner —
 # results and, traced, every recorded event — and the edge-case
-# regressions, the incremental-replay floors (Session.Eval ≥ 3×
-# the reference full replay at 0 allocs per candidate, and ≥ 2× the
-# session's own dense sweep per certified shift proposal at the 13B
-# point, 0 allocs), the planning-grid
+# regressions, the incremental-replay floors (a move overlay's Load+Eval,
+# with its commit, ≥ 3× the reference full replay at 0 allocs per walk
+# step, and its Load+Eval ≥ 2× the session's dense Session.Eval per
+# certified shift proposal at the 13B point, 0 allocs), the planning-grid
 # check (pooled evaluation vs the reference runner, traces included), the
 # order-free lower bounds (critical-path bits pinned under real costs),
 # the recording's Snapshot checks (per-stage forward/backward/weight/tail

@@ -66,8 +66,9 @@ func TestOptimizeAllocs(t *testing.T) {
 // TestMoveAllocs is the move path's zero-allocation test, on proposals the
 // annealer draws from the discovered artifact's schedule under its
 // budget: once the session is bound, deciding a move (an overlay Load and
-// Eval) allocates nothing, and neither does committing it and its
-// inverse. Its verdicts must be Certify's.
+// Eval) allocates nothing, and neither does deciding and committing it
+// and its inverse, each from the overlay that evaluated it. Its verdicts
+// must be Certify's.
 func TestMoveAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -82,12 +83,12 @@ func TestMoveAllocs(t *testing.T) {
 	}
 	budget := a.Budget()
 	st := bindMoves(t, base, a.Costs(), budget)
-	commitBoth := func(c, back *candidate) {
-		if err := commit(c, base, st.se); err != nil {
-			t.Fatalf("committing a feasible move: %v", err)
+	accept := func(c *candidate, what string) {
+		if evaluate(c, 0, st.ov); !c.feasible {
+			t.Fatalf("%s is infeasible", what)
 		}
-		if err := commit(back, base, st.se); err != nil {
-			t.Fatalf("committing its inverse: %v", err)
+		if err := commit(c, base, st.ov); err != nil {
+			t.Fatalf("committing %s: %v", what, err)
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -112,7 +113,7 @@ func TestMoveAllocs(t *testing.T) {
 		accepted++
 		back := c
 		back.win = append([]sched.Op(nil), base.Stages[c.stage][c.lo:c.lo+len(c.win)]...)
-		if n := testing.AllocsPerRun(10, func() { commitBoth(&c, &back) }); n != 0 {
+		if n := testing.AllocsPerRun(10, func() { accept(&c, "a feasible move"); accept(&back, "its inverse") }); n != 0 {
 			t.Fatalf("proposal %d allocates %v per commit and undo, want 0", i, n)
 		}
 	}

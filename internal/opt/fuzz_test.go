@@ -217,7 +217,7 @@ func FuzzMoveMatchesCertifyAndRun(f *testing.F) {
 			if b&0x80 == 0 {
 				continue
 			}
-			if err := commit(&c, cur, st.se); err != nil {
+			if err := commit(&c, cur, st.ov); err != nil {
 				t.Fatalf("move %d: commit: %v", i, err)
 			}
 			if bound = state(); !sameResult(bound, full) {

@@ -15,7 +15,8 @@
 // deadlock-free and within the memory budget by construction, and
 // infeasible candidates are rejected before a single simulated op is
 // re-solved. The current state is the only full schedule; an accepted
-// move is committed to it, and to its session, in place.
+// move is committed to it in place, and to its session from the overlay
+// that evaluated it.
 //
 // Determinism is load-bearing: the entire random stream (operator
 // choice, positions, Metropolis draws) lives on the coordinator's seeded
@@ -182,31 +183,29 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 	temp := opt.InitTemp
 	cands := make([]candidate, opt.Proposals)
 
-	// A round's work grows with the schedule: small rounds run on the
-	// calling goroutine, larger ones on a group of workers started once
-	// for the run. Per-worker state below is sized to the workers that
-	// actually run.
-	workers := fanOut(numOps(s), opt.Proposals, opt.Workers, runtime.GOMAXPROCS(0))
-	res.Workers = workers
-
-	// Every candidate is a move of the current state, so each worker
-	// evaluates it as an overlay on the one bound session: the window's
-	// rank interval re-sorted (the deadlock verdict), the moved stage's
-	// retention re-summed (the budget verdict), and the ops downstream of
-	// the window re-solved into the worker's scratch, bitwise as a full
-	// sim.Run would. The session moves with the current state, once per
-	// accepted round, by a commit of the accepted move on the
-	// coordinator. The random stream above is drawn before evaluation, so
-	// none of this touches the search trajectory.
-	ovs := make([]*sim.Overlay, workers)
-	for w := range ovs {
-		if ovs[w], err = se.NewOverlay(); err != nil {
+	// Every candidate is a move of the current state, so it is evaluated
+	// as an overlay on the one bound session, one overlay per proposal
+	// slot: the window's rank interval re-sorted (the deadlock verdict),
+	// the moved stage's retention re-summed (the budget verdict), and the
+	// ops downstream of the window re-solved into the slot's scratch,
+	// bitwise as a full sim.Run would. The session moves with the current
+	// state, once per accepted round, when the coordinator commits the
+	// picked slot's overlay. The random stream above is drawn before
+	// evaluation, so none of this touches the search trajectory.
+	ovs := make([]*sim.Overlay, len(cands))
+	for i := range ovs {
+		if ovs[i], err = se.NewOverlay(); err != nil {
 			return nil, fmt.Errorf("opt: binding the start schedule: %w", err)
 		}
 	}
 
-	g := startGroup(workers, func(w, i int) {
-		evaluate(&cands[i], curTime, ovs[w])
+	// A round's work grows with the schedule: small rounds run on the
+	// calling goroutine, larger ones on a group of workers started once
+	// for the run.
+	workers := fanOut(numOps(s), opt.Proposals, opt.Workers, runtime.GOMAXPROCS(0))
+	res.Workers = workers
+	g := startGroup(workers, func(i int) {
+		evaluate(&cands[i], curTime, ovs[i])
 	})
 	defer g.stop()
 
@@ -241,7 +240,7 @@ func Optimize(ctx context.Context, s *sched.Schedule, costs sim.Costs, opt Optio
 			c := &cands[pick]
 			delta := c.time - curTime
 			if delta < -eps || (temp > 0 && u < math.Exp(-delta/temp)) {
-				if err := commit(c, cur, se); err != nil {
+				if err := commit(c, cur, ovs[pick]); err != nil {
 					// Unreachable: the move was evaluated feasible.
 					return nil, fmt.Errorf("opt: accepted move failed to commit: %w", err)
 				}
@@ -304,7 +303,7 @@ func bind(se *sim.Session, cur *sched.Schedule, costs sim.Costs, budget *verify.
 }
 
 // evaluate decides the candidate against the current state, whose time is
-// curTime, through the worker's overlay: the interval sort, then the
+// curTime, through its slot's overlay: the interval sort, then the
 // moved stage's budget walk, and only a move that passes both is
 // re-solved. Infeasible candidates never reach the simulator's solve —
 // the property the package tests pin. A no-op move is the current state.
@@ -327,15 +326,15 @@ func evaluate(c *candidate, curTime float64, ov *sim.Overlay) {
 }
 
 // commit makes an accepted move the current state, once, on the
-// coordinator: the session applies the move, and the window is copied
-// into cur in place.
+// coordinator: ov, the overlay that evaluated it, commits it to the
+// session, and the window is copied into cur in place.
 //
 //mepipe:hotpath
-func commit(c *candidate, cur *sched.Schedule, se *sim.Session) error {
+func commit(c *candidate, cur *sched.Schedule, ov *sim.Overlay) error {
 	if len(c.win) == 0 {
 		return nil
 	}
-	if err := se.Commit(c.move()); err != nil {
+	if err := ov.Commit(); err != nil {
 		return err
 	}
 	copy(cur.Stages[c.stage][c.lo:], c.win)

@@ -36,7 +36,7 @@ func fanOut(ops, proposals, workers, procs int) int {
 // there is no shared mutable search state, and stop joins every worker,
 // so none outlives the run.
 type group struct {
-	fn   func(w, i int)  // evaluates item i on worker w
+	fn   func(i int)     // evaluates item i
 	n    int             // items in the current round
 	next atomic.Int64    // the current round's cursor
 	wake []chan struct{} // one per goroutine; closed by stop
@@ -45,11 +45,10 @@ type group struct {
 }
 
 // startGroup readies workers workers to evaluate fn, starting goroutines
-// only when there are at least two. Each call of fn receives the stable
-// index w of the worker running it, so callers can give every worker
-// private scratch (the annealer gives each worker one simulator overlay
-// and one budget-sweep fork).
-func startGroup(workers int, fn func(w, i int)) *group {
+// only when there are at least two. Items carry their own scratch (the
+// annealer gives each proposal slot one simulator overlay), so fn needs
+// no worker identity.
+func startGroup(workers int, fn func(i int)) *group {
 	g := &group{fn: fn}
 	if workers < 2 {
 		return g
@@ -62,7 +61,7 @@ func startGroup(workers int, fn func(w, i int)) *group {
 		go func() {
 			defer g.live.Done()
 			for range ch {
-				g.drain(w)
+				g.drain()
 				g.busy.Done()
 			}
 		}()
@@ -76,7 +75,7 @@ func (g *group) round(n int) {
 	g.n = n
 	g.next.Store(0)
 	if len(g.wake) == 0 {
-		g.drain(0)
+		g.drain()
 		return
 	}
 	g.busy.Add(len(g.wake))
@@ -86,14 +85,14 @@ func (g *group) round(n int) {
 	g.busy.Wait()
 }
 
-// drain evaluates the current round's unclaimed items on worker w.
-func (g *group) drain(w int) {
+// drain evaluates the current round's unclaimed items.
+func (g *group) drain() {
 	for {
 		i := int(g.next.Add(1)) - 1
 		if i >= g.n {
 			return
 		}
-		g.fn(w, i)
+		g.fn(i)
 	}
 }
 

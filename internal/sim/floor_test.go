@@ -17,9 +17,9 @@ import (
 // the strategy search builds for Llama-13B on 32 RTX 4090s (PP=8, DP=4,
 // SPP=4, N=16, 7 weight-gradient pieces: 4,608 ops) with its real cost
 // model, and 64 of the optimizer's shift proposals drawn from it that
-// certify — the candidates a worker session evaluates, each differing
-// from the one before on two stages.
-func orderFloorWorkload(tb testing.TB) (sim.Options, []*sched.Schedule) {
+// certify, each as a schedule of its own and as a move of the workload's
+// order — the candidates the annealer's overlays evaluate.
+func orderFloorWorkload(tb testing.TB) (sim.Options, []*sched.Schedule, []sim.Move) {
 	tb.Helper()
 	par := config.Parallel{PP: 8, DP: 4, CP: 1, SPP: 4, VP: 1}
 	tr := config.Training{GlobalBatch: 64, MicroBatch: 1}
@@ -55,6 +55,7 @@ func orderFloorWorkload(tb testing.TB) (sim.Options, []*sched.Schedule) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	var cands []*sched.Schedule
+	var moves []sim.Move
 	for len(cands) < 64 {
 		c := *s
 		c.Stages = append([][]sched.Op(nil), s.Stages...)
@@ -75,58 +76,87 @@ func orderFloorWorkload(tb testing.TB) (sim.Options, []*sched.Schedule) {
 		ops[to] = op
 		if _, err := verify.Certify(&c, verify.Options{}); err == nil {
 			cands = append(cands, &c)
+			lo, hi := min(from, to), max(from, to)
+			moves = append(moves, sim.Move{Stage: k, Lo: lo, Ops: ops[lo : hi+1]})
 		}
 	}
-	return sim.Options{Sched: s, Costs: costs}, cands
+	return sim.Options{Sched: s, Costs: costs}, cands, moves
 }
 
-// benchOrderFloor evaluates the workload's proposals in turn through one
-// warm session with eval.
-func benchOrderFloor(b *testing.B, eval func(*sim.Session, *sched.Schedule) (*sim.Result, error)) {
-	opt, cands := orderFloorWorkload(b)
+// BenchmarkSessionSweep13B evaluates each proposal as a schedule of its
+// own, by one warm session's dense sweep.
+func BenchmarkSessionSweep13B(b *testing.B) {
+	opt, cands, _ := orderFloorWorkload(b)
 	se, err := sim.NewSession(opt)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, c := range cands {
-		if _, err := eval(se, c); err != nil {
+		if _, err := se.Eval(c); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval(se, cands[i%len(cands)]); err != nil {
+		if _, err := se.Eval(cands[i%len(cands)]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSessionSweep13B evaluates each proposal by the session's own
-// dense sweep.
-func BenchmarkSessionSweep13B(b *testing.B) { benchOrderFloor(b, (*sim.Session).EvalDense) }
+// BenchmarkOverlayEval13B evaluates each proposal as a move: one overlay
+// Load and Eval on a session bound to the workload's order.
+func BenchmarkOverlayEval13B(b *testing.B) {
+	opt, _, moves := orderFloorWorkload(b)
+	se, err := sim.NewSession(opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := se.Eval(opt.Sched); err != nil {
+		b.Fatal(err)
+	}
+	ov, err := se.NewOverlay()
+	if err != nil {
+		b.Fatal(err)
+	}
+	eval := func(m sim.Move) {
+		if err := ov.Load(m); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ov.Eval(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, m := range moves {
+		eval(m)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eval(moves[i%len(moves)])
+	}
+}
 
-// BenchmarkSessionEval13B evaluates each proposal incrementally.
-func BenchmarkSessionEval13B(b *testing.B) { benchOrderFloor(b, (*sim.Session).Eval) }
-
-// TestSessionOrderFloor is the incremental re-solve's floor against the
-// session's own dense sweep, not only the reference runner: per certified
-// shift proposal at the 13B point, Session.Eval must run at least 2×
-// faster than re-solving every op in Kahn order, and allocate nothing.
+// TestSessionOrderFloor is the move overlay's floor against the session's
+// own dense sweep, not only the reference runner: per certified shift
+// proposal at the 13B point, an overlay Load and Eval must run at least
+// 2× faster than a Session.Eval of the moved schedule, which re-solves
+// every op in Kahn order, and allocate nothing.
 func TestSessionOrderFloor(t *testing.T) {
 	dense := testing.Benchmark(BenchmarkSessionSweep13B)
-	inc := testing.Benchmark(BenchmarkSessionEval13B)
+	inc := testing.Benchmark(BenchmarkOverlayEval13B)
 	if dense.N == 0 || inc.N == 0 {
 		t.Fatal("a benchmark failed to run")
 	}
 	perOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
 	ratio := perOp(dense) / perOp(inc)
-	t.Logf("dense sweep %.0f ns, %d allocs; Session.Eval %.0f ns, %d allocs; %.2f×",
+	t.Logf("Session.Eval %.0f ns, %d allocs; Overlay.Load+Eval %.0f ns, %d allocs; %.2f×",
 		perOp(dense), dense.AllocsPerOp(), perOp(inc), inc.AllocsPerOp(), ratio)
 	if a := inc.AllocsPerOp(); a != 0 {
-		t.Errorf("Session.Eval allocates %d times per proposal, want 0", a)
+		t.Errorf("Overlay.Load+Eval allocates %d times per proposal, want 0", a)
 	}
 	if ratio < 2 {
-		t.Errorf("Session.Eval is %.2f× the dense sweep, want ≥ 2×", ratio)
+		t.Errorf("Overlay.Load+Eval is %.2f× Session.Eval, want ≥ 2×", ratio)
 	}
 }

@@ -13,13 +13,16 @@ import (
 
 // FuzzIncrementalEquivalence is the differential gate behind the Session
 // fast path: for arbitrary shapes, cost models, budgets, modes, and move
-// sequences, the incremental evaluation must be bitwise-identical to a
+// sequences, the session's evaluation must be bitwise-identical to a
 // fresh reference replay (runRef) — including agreeing on which orders
 // deadlock and with what error class. An untraced session checks the
 // results; unless the header turns tracing off, a traced session also
 // records into an obs.Recorder and every step's recording must DeepEqual
 // the runner's: each op's start and end, and every other event, dynamic
-// drain and budget instants and tails included. Byte layout:
+// drain and budget instants and tails included. In static mode every step
+// is also run as a move through the incremental path, an Overlay, on a
+// third session (see fuzzMove), whose committed order must evaluate as
+// runRef does at the end of the stream. Byte layout:
 //
 //	[0..5]  shape + mode header (P, S, N, split/pieces/dynamic/trace-off,
 //	        budget/tail/comm/zero-weight/reschedule/trace flags, budget
@@ -33,6 +36,8 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 0x05, 0x0a, 5, 3, 2, 1, 0, 9, 9, 2, 4, 4})
 	f.Add([]byte{1, 1, 0, 0x01, 0x26, 4, 0, 1, 2, 1, 5, 0, 2, 3, 1})
 	f.Add([]byte{2, 1, 1, 0x0f, 0x25, 2, 1, 4, 4, 0, 0, 11, 1, 8, 2})
+	// A commit that kept the moved stage's old peak fails the next move.
+	f.Add([]byte("000000111000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 9 {
 			t.Skip()
@@ -83,6 +88,20 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 		opt.Sched = sc
 		pair := newSessionPair(t, opt, traced)
 		cur := sessClone(sc)
+		var mv *Session
+		var ov *Overlay
+		committed := sessClone(sc)
+		if !dynamicW {
+			if mv, err = NewSession(opt); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := mv.Eval(sc); err != nil {
+				t.Fatal(err)
+			}
+			if ov, err = mv.NewOverlay(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for i := 6; i+2 < len(data); i += 3 {
 			k := int(data[i]) % p
 			ops := cur.Stages[k]
@@ -102,8 +121,63 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 				errors.Is(fullErr, errs.ErrIncompatible) != errors.Is(incErr, errs.ErrIncompatible) {
 				t.Fatalf("move %d: error classes differ: full %v, incremental %v", i, fullErr, incErr)
 			}
+			if ov != nil {
+				fuzzMove(t, opt, ov, committed, k, from, to, fmt.Sprintf("overlay move %d", i))
+			}
 		}
+		if mv == nil {
+			return
+		}
+		opt.Sched = committed
+		want, err := runRef(opt)
+		if err != nil {
+			t.Fatalf("the committed order: %v", err)
+		}
+		got, err := mv.Eval(committed)
+		if err != nil {
+			t.Fatalf("evaluating the committed order: %v", err)
+		}
+		requireSameResult(t, want, got, "the committed order")
 	})
+}
+
+// fuzzMove runs a step of the move stream, ops[from] displaced to to on
+// stage k, as a move of cur, the order the overlay's session holds, and
+// checks it against runRef of the moved schedule bit for bit: the overlay
+// returns a wrapped errs.ErrUncertified exactly when the moved order
+// deadlocks, a wrapped errs.ErrOOM exactly when runRef marks it OOM, and
+// otherwise runRef's Result. A feasible move is then committed, to the
+// session from the overlay and to cur in place.
+func fuzzMove(t *testing.T, opt Options, ov *Overlay, cur *sched.Schedule, k, from, to int, label string) {
+	t.Helper()
+	moved := sessClone(cur)
+	sessDisplace(moved.Stages[k], from, to)
+	lo, hi := min(from, to), max(from, to)
+	if err := ov.Load(Move{Stage: k, Lo: lo, Ops: moved.Stages[k][lo : hi+1]}); err != nil {
+		t.Fatalf("%s: Load: %v", label, err)
+	}
+	got, err := ov.Eval()
+	opt.Sched = moved
+	want, wantErr := runRef(opt)
+	switch {
+	case wantErr != nil:
+		if !errors.Is(wantErr, errs.ErrUncertified) || !errors.Is(err, errs.ErrUncertified) {
+			t.Fatalf("%s: runRef %v, overlay %v", label, wantErr, err)
+		}
+		return
+	case want.OOM:
+		if !errors.Is(err, errs.ErrOOM) {
+			t.Fatalf("%s: runRef marks OOM, overlay returned %v", label, err)
+		}
+		return
+	case err != nil:
+		t.Fatalf("%s: runRef succeeds, overlay returned %v", label, err)
+	}
+	requireSameResult(t, want, got, label)
+	if err := ov.Commit(); err != nil {
+		t.Fatalf("%s: Commit: %v", label, err)
+	}
+	copy(cur.Stages[k], moved.Stages[k])
 }
 
 // fuzzSameTrace requires DeepEqual recordings, naming the first differing

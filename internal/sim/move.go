@@ -21,6 +21,7 @@ var (
 	errNoOrder      = fmt.Errorf("sim: session holds no solved order to move (Eval it first): %w", errs.ErrIncompatible)
 	errMoveShape    = fmt.Errorf("sim: move is not a permutation of the bound window: %w", errs.ErrIncompatible)
 	errMoveStale    = fmt.Errorf("sim: no move is loaded, or the bound order changed since: %w", errs.ErrIncompatible)
+	errNotEvaluated = fmt.Errorf("sim: the overlay holds no successfully evaluated move, or the bound order changed since: %w", errs.ErrIncompatible)
 	errMoveCycle    = fmt.Errorf("sim: move closes a program-order/dependency cycle (the order deadlocks): %w", errs.ErrUncertified)
 	errMoveOOM      = fmt.Errorf("sim: move exceeds a stage's activation budget: %w", errs.ErrOOM)
 )
@@ -38,14 +39,16 @@ var (
 // in the new order, into scratch finish times stamped for this move. The
 // Result is bitwise the one a full Run of the moved schedule returns, and
 // since the bound state is only read, a rejected move costs nothing to
-// undo. Session.Commit applies an accepted move.
+// undo. Commit publishes an accepted move from the overlay that evaluated
+// it; the overlay is the session's only incremental solver.
 //
 // Overlays of one session may Load and Eval concurrently: each owns only
 // its scratch. Nothing may write the session (Eval, Commit, Bind) while
 // any of them runs, and a Load is void once the session is written.
 type Overlay struct {
-	se  *Session
-	gen uint64 // the session generation the loaded move was resolved at
+	se   *Session
+	gen  uint64 // the session generation the loaded move was resolved at
+	done uint64 // the session generation of the loaded move's last successful Eval, else 0
 
 	// The loaded move: stage k's positions lo..hi hold win in its order;
 	// after is the bound op just past the window (-1 at the stage's end).
@@ -57,7 +60,8 @@ type Overlay struct {
 	// By op id, valid where stamped with ep: inWin marks the window's
 	// ops, whose chain neighbours are cprev/cnext (cprev also holds the
 	// after op's new predecessor); dirty marks the ops this move
-	// re-solves, whose finish times are fin.
+	// re-solves, whose finish times are fin. sorted is the window's
+	// re-sorted rank interval, solved the ops re-solved, in order.
 	ep     uint32
 	inWin  []uint32
 	dirty  []uint32
@@ -66,8 +70,11 @@ type Overlay struct {
 	fin    []float64
 	indeg  []int32
 	sorted []int32
+	solved []int32
 
 	pending int
+	compute float64 // the moved stage's compute and peak (restat's)
+	peak    int64
 	fam     famMem
 	res     Result
 }
@@ -90,6 +97,7 @@ func (se *Session) NewOverlay() (*Overlay, error) {
 	ov.fin = make([]float64, n)
 	ov.indeg = make([]int32, n)
 	ov.sorted = make([]int32, 0, n)
+	ov.solved = make([]int32, 0, n)
 	ov.win = make([]int32, 0, se.x.PerStage())
 	ov.fam.grow(se.nfam)
 	ov.res.Stages = make([]StageResult, se.P)
@@ -104,16 +112,17 @@ func (se *Session) overlayable() bool {
 // Load resolves m's window against the bound order into the window's op
 // ids. It returns a wrapped errs.ErrIncompatible when m is not a
 // permutation of a window of the bound order, the session has no solved
-// order, or it was rebound out of the overlay's scope or shape.
+// order, or it was rebound out of the overlay's scope or shape: its stage
+// count, op count or family count.
 //
 //mepipe:hotpath
 func (ov *Overlay) Load(m Move) error {
 	se := ov.se
-	ov.gen = 0 // no session generation: Eval refuses a failed Load
-	if !se.overlayable() || len(ov.fin) != se.n {
+	ov.gen, ov.done = 0, 0 // no session generation: Eval and Commit refuse a failed Load
+	if !se.overlayable() || len(ov.fin) != se.n || len(ov.res.Stages) != se.P || len(ov.fam.ep) != se.nfam {
 		return errOverlayScope
 	}
-	if !se.valid || se.resync {
+	if !se.valid {
 		return errNoOrder
 	}
 	k, lo := m.Stage, m.Lo
@@ -183,8 +192,10 @@ func (ov *Overlay) Eval() (*Result, error) {
 	if !ok {
 		return nil, errMoveOOM
 	}
+	ov.compute, ov.peak = compute, peak
 	ov.solve()
-	ov.assemble(compute, peak)
+	ov.assemble()
+	ov.done = se.gen
 	return &ov.res, nil
 }
 
@@ -207,12 +218,16 @@ func (ov *Overlay) finish(id int32) float64 {
 }
 
 // solve walks the moved order — the re-sorted interval, then the bound
-// order past it — from the window onward, re-solving each dirty op once,
-// as Session.resolve does in place. The window's ops and the op after it
-// start dirty: their list predecessors changed.
+// order past it — from the window onward, re-solving each dirty op once:
+// every predecessor ranks earlier, so its finish is final by then. The
+// window's ops and the op after it start dirty, since their list
+// predecessors changed; an op whose finish changed dirties its list
+// successor and its dependents, and the walk stops once no dirty op is
+// left.
 func (ov *Overlay) solve() {
 	se := ov.se
 	ov.pending = 0
+	ov.solved = ov.solved[:0]
 	for _, id := range ov.win {
 		ov.mark(id)
 	}
@@ -228,6 +243,7 @@ func (ov *Overlay) solve() {
 			continue
 		}
 		ov.pending--
+		ov.solved = append(ov.solved, id)
 		if !ov.recompute(id) {
 			continue
 		}
@@ -311,14 +327,14 @@ func (ov *Overlay) restat() (compute float64, peak int64, ok bool) {
 // assemble writes the move's Result: the moved stage's compute and peak
 // (restat's), every other stage's from the session's cache, and each
 // stage's finish from its last op under the move.
-func (ov *Overlay) assemble(compute float64, peak int64) {
+func (ov *Overlay) assemble() {
 	se := ov.se
 	res := &ov.res
 	for k := 0; k < se.P; k++ {
 		ord := se.order[k]
 		st := StageResult{ComputeTime: se.stCompute[k], PeakAct: se.stPeak[k]}
 		if k == ov.k {
-			st.ComputeTime, st.PeakAct = compute, peak
+			st.ComputeTime, st.PeakAct = ov.compute, ov.peak
 		}
 		if n := len(ord); n > 0 {
 			last := ord[n-1]
@@ -335,37 +351,37 @@ func (ov *Overlay) assemble(compute float64, peak int64) {
 	se.totals(res)
 }
 
-// Commit applies m to the bound order: it splices the window's re-sorted
-// rank interval into the topological order, rewrites the stage's order,
-// positions and successors, re-solves in place the ops downstream of the
-// window, and refreshes the moved stage's cached aggregates. m must be a
-// move an Overlay of se evaluated without error; a move that is not a
-// permutation of the bound window returns a wrapped errs.ErrIncompatible,
-// and one that deadlocks a wrapped errs.ErrUncertified, after either of
-// which the session needs a full Eval before the next move. Commit voids
-// every overlay's loaded move.
+// Commit writes the loaded move into the session's bound order, from what
+// the overlay's last Eval computed; it solves nothing again. It splices the
+// window's re-sorted rank interval into the topological order, writes the
+// window into the stage's order, positions and successors, copies the
+// re-solved finish times, and sets the moved stage's compute and peak;
+// an over-budget move was refused, so no stage is over its budget after
+// it. Per-op start times are not kept: in overlay scope (static,
+// untraced) only traced emission and the OOM attribution of a full
+// evaluation read them, and both run after Eval's dense sweep, which
+// re-solves them. Nor is the session's own Result rewritten. Commit
+// returns a wrapped errs.ErrIncompatible, and leaves the session
+// unchanged, when the overlay's last Load or Eval failed or the session
+// was written since; it voids every overlay's loaded move.
 //
 //mepipe:hotpath
-func (se *Session) Commit(m Move) error {
-	if !se.overlayable() {
-		return errOverlayScope
+func (ov *Overlay) Commit() error {
+	se := ov.se
+	if ov.done != se.gen {
+		return errNotEvaluated
 	}
-	if !se.valid || se.resync {
-		return errNoOrder
+	se.topo.Splice(ov.rlo, ov.sorted)
+	ord := se.order[ov.k]
+	for i, id := range ov.win {
+		ord[ov.lo+i] = id
+		se.pos[id] = int32(ov.lo + i)
 	}
-	k, lo := m.Stage, m.Lo
-	if uint(k) >= uint(se.P) || len(m.Ops) == 0 || lo < 0 || lo+len(m.Ops) > len(se.order[k]) {
-		return errMoveShape
+	se.link(ord, max(ov.lo-1, 0), ov.hi)
+	for _, id := range ov.solved {
+		se.finish[id] = ov.fin[id]
 	}
-	se.begin()
-	if !se.apply(k, lo, m.Ops) {
-		se.resync, se.valid = true, false
-		return errMoveShape
-	}
-	if !se.valid {
-		return errMoveCycle
-	}
-	se.resolve()
-	se.memScan()
+	se.stCompute[ov.k], se.stPeak[ov.k], se.stOOMPos[ov.k] = ov.compute, ov.peak, -1
+	se.gen++
 	return nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"mepipe/internal/errs"
@@ -29,9 +30,12 @@ func boundOverlay(t *testing.T, s *sched.Schedule, budget []int64) (*Session, *O
 
 // TestOverlayScope pins the sessions and moves an overlay refuses, each
 // with a wrapped errs.ErrIncompatible: a dynamic or traced session; a
-// session not yet evaluated; a move off its stage or not a permutation of
-// its window, and an Eval after such a Load; and a loaded move whose
-// session has since been written. A budgeted static session is in scope.
+// session not yet evaluated; a session rebound to another shape of as
+// many ops; a move off its stage or not a permutation of its window, and
+// an Eval or Commit after such a Load; a loaded move whose session has
+// since been written; and a Commit after a failed Eval or after the
+// session was written, which leaves the session unchanged. A budgeted
+// static session is in scope.
 func TestOverlayScope(t *testing.T) {
 	s, err := sched.ZB1P(3, 4, sched.Unit())
 	if err != nil {
@@ -84,6 +88,9 @@ func TestOverlayScope(t *testing.T) {
 		if _, err := ov.Eval(); !errors.Is(err, errs.ErrIncompatible) {
 			t.Errorf("%s: Eval after a failed Load returned %v", name, err)
 		}
+		if err := ov.Commit(); !errors.Is(err, errs.ErrIncompatible) {
+			t.Errorf("%s: Commit after a failed Load returned %v", name, err)
+		}
 	}
 	if err := ov.Load(swap); err != nil {
 		t.Fatal(err)
@@ -93,6 +100,75 @@ func TestOverlayScope(t *testing.T) {
 	}
 	if _, err := ov.Eval(); !errors.Is(err, errs.ErrIncompatible) {
 		t.Errorf("stale load: Eval returned %v", err)
+	}
+
+	// Commit publishes only a successful Eval of the current session.
+	var feasible, cyclic *Move
+	for i := 0; i+1 < len(ops) && (feasible == nil || cyclic == nil); i++ {
+		m := Move{Stage: 1, Lo: i, Ops: []sched.Op{ops[i+1], ops[i]}}
+		if err := ov.Load(m); err != nil {
+			t.Fatal(err)
+		}
+		switch _, err := ov.Eval(); {
+		case err == nil && feasible == nil:
+			feasible = &m
+		case errors.Is(err, errs.ErrUncertified) && cyclic == nil:
+			cyclic = &m
+		}
+	}
+	if feasible == nil || cyclic == nil {
+		t.Fatal("stage 1 has no feasible or no cyclic adjacent swap")
+	}
+	finish := append([]float64(nil), se.finish...)
+	order := append([]int32(nil), se.topo.Order...)
+	if err := ov.Load(*cyclic); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ov.Eval(); !errors.Is(err, errs.ErrUncertified) {
+		t.Fatalf("cyclic swap: Eval returned %v", err)
+	}
+	if err := ov.Commit(); !errors.Is(err, errs.ErrIncompatible) {
+		t.Errorf("Commit after a failed Eval returned %v", err)
+	}
+	if err := ov.Load(*feasible); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ov.Eval(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := se.Eval(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := ov.Commit(); !errors.Is(err, errs.ErrIncompatible) {
+		t.Errorf("Commit after a session write returned %v", err)
+	}
+	if !slices.Equal(se.finish, finish) || !slices.Equal(se.topo.Order, order) {
+		t.Error("a refused Commit wrote the session")
+	}
+
+	// A session rebound to another shape with as many ops: DAPPLE(2, 4)
+	// and DAPPLE(4, 2) both have 16.
+	d24, err := sched.DAPPLE(2, 4, sched.Unit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d42, err := sched.DAPPLE(4, 2, sched.Unit())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebound, ov := boundOverlay(t, d24, nil)
+	if err := rebound.Bind(Options{Sched: d42, Costs: Unit()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rebound.Eval(d42); err != nil {
+		t.Fatal(err)
+	}
+	for k, ops := range d42.Stages {
+		for i := 0; i+1 < len(ops); i++ {
+			if err := ov.Load(Move{Stage: k, Lo: i, Ops: []sched.Op{ops[i+1], ops[i]}}); !errors.Is(err, errs.ErrIncompatible) {
+				t.Fatalf("rebound to DAPPLE(4, 2): Load of stage %d swap at %d returned %v", k, i, err)
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"mepipe/internal/errs"
 	"mepipe/internal/obs"
@@ -10,27 +9,23 @@ import (
 )
 
 // Session is a reusable fast-evaluation context over one schedule shape: it
-// pins the cost model, budgets, and op identities once, then re-simulates
-// edited copies of the schedule incrementally. The schedule optimizer's
-// moves (swap, shift, rebalance) touch a handful of list positions; instead
-// of replaying every op, Eval diffs the new order against the previous one,
-// re-sorts only each moved stage's rank interval of the topological order
-// the last solve used (sched.Topo.Interval), and re-solves in that order
-// from the first moved rank onward, recomputing each op whose inputs may
-// have changed exactly once. A cycle inside an interval falls back to the
-// dense Kahn sweep, which owns the deadlock verdict. The result is
-// guaranteed bitwise-identical, traced events included, to the map-based
-// reference runner in oracle_test.go on the same Options — the
-// differential fuzzer in fuzz_test.go holds that gate closed. Run and
-// RunContext are one pooled-session evaluation; there is no other engine.
-// A caller that already knows its move — the annealer — skips the diff:
-// an Overlay evaluates the move against the solved order without writing
-// it, and Commit applies an accepted one (move.go).
+// pins the cost model, budgets, and op identities once, then evaluates any
+// per-stage reorder of the bound schedule by one dense sweep: Kahn's sort
+// of the whole order, which owns the deadlock verdict, then, in static
+// mode, one solve of every op in that order. The result is guaranteed
+// bitwise-identical, traced events included, to the map-based reference
+// runner in oracle_test.go on the same Options — the differential fuzzer
+// in fuzz_test.go holds that gate closed. Run and RunContext are one
+// pooled-session evaluation; there is no other engine. Incremental
+// evaluation belongs to the move overlays (move.go): a caller that knows
+// its move — the annealer — evaluates it as an Overlay on the solved order
+// without writing it, and commits an accepted one from the overlay that
+// evaluated it.
 //
-// A DynamicW session keeps the same topological order — its sort and its
-// interval re-sorts are the acyclicity proof of every order it is handed —
-// but solves no static start/finish times: the §5 engine replays the
-// order against its own clock and never reads them.
+// A DynamicW session keeps the same topological order — its sort is the
+// acyclicity proof of every order it is handed — but solves no static
+// start/finish times: the §5 engine replays the order against its own
+// clock and never reads them.
 //
 // A session numbers ops by their sched.OpIndex ids and shares the bound
 // schedule's sched.DepTable rather than copying it, so it binds only a
@@ -62,7 +57,7 @@ type Session struct {
 	// a session binds only the complete op universe, so every id of the
 	// shape is present; moves permute positions but never identities, so
 	// the dependency graph, durations, and memory charges below are
-	// computed once. No hashing anywhere on the bind or diff paths.
+	// computed once. No hashing anywhere on the bind or Eval paths.
 	n     int
 	x     sched.OpIndex // dense (stage, op) numbering of the bound shape
 	nfam  int
@@ -87,29 +82,15 @@ type Session struct {
 	sucID   []int32
 
 	// solved static state: start/finish per op (static mode only), and
-	// the topological order they were solved in
+	// the topological order they were solved in. An overlay's Commit
+	// keeps finish and topo current but not start (see Overlay.Commit).
 	start  []float64
 	finish []float64
 	topo   sched.Topo
+	indeg  []int32 // Kahn scratch
 
-	// incremental re-solve: ops marked dirty this Eval (epoch-stamped),
-	// how many are still unsolved, and the first rank a move touched
-	dirty   []uint32
-	dirtyEp uint32
-	pending int
-	from    int32
-
-	// Kahn scratch: in-degrees and an interval's sorted ops
-	indeg  []int32
-	sorted []int32
-
-	// diff scratch: each window op seen once, by epoch stamp
-	seenEp    []uint32
-	seenEpoch uint32
-
-	// per-stage cached aggregates for the static path; order-only, so
-	// they survive evals that do not touch the stage
-	stDirty   []bool
+	// per-stage aggregates of the static path, which move overlays read
+	// for the stages a move leaves alone
 	stCompute []float64
 	stPeak    []int64
 	stOOMPos  []int32 // first over-budget alloc position, -1 if none
@@ -127,9 +108,8 @@ type Session struct {
 	res Result
 	eng *engState
 
-	valid  bool   // topo ranks the current order; in static mode start/finish solve it
-	resync bool   // orders may be inconsistent; rebuild from the schedule
-	gen    uint64 // bumped by every write to the bound order; overlays check it
+	valid bool   // topo ranks the current order; in static mode finish solves it
+	gen   uint64 // bumped by every write to the bound order; overlays check it
 }
 
 // NewSession binds a fast-evaluation session to opt. opt.Sched is fully
@@ -212,7 +192,6 @@ func (se *Session) init(opt Options) error {
 	se.famID = sgrow(se.famID, n)
 	se.dur = sgrow(se.dur, n)
 	se.memB = sgrow(se.memB, n)
-	se.seenEp = sgrow(se.seenEp, n)
 	se.order = sgrow(se.order, s.P)
 	se.view()
 	for k, ops := range s.Stages {
@@ -253,25 +232,16 @@ func (se *Session) init(opt Options) error {
 
 	se.start = sgrow(se.start, n)
 	se.finish = sgrow(se.finish, n)
-	se.dirty = sgrow(se.dirty, n)
 	se.indeg = sgrow(se.indeg, n)
 	se.fam.grow(se.nfam)
-	se.stDirty = sgrow(se.stDirty, se.P)
 	se.stCompute = sgrow(se.stCompute, se.P)
 	se.stPeak = sgrow(se.stPeak, se.P)
 	se.stOOMPos = sgrow(se.stOOMPos, se.P)
-	for k := 0; k < se.P; k++ {
-		se.stDirty[k] = true
-	}
 	se.res.Stages = sgrow(se.res.Stages, se.P)
-	// Bump every epoch past any stamp a previous binding left in reused
-	// arrays; new array regions are zero, which the bumped counters also
-	// exceed.
-	se.dirtyEp++
-	se.seenEpoch++
+	// Bump the family epoch past any stamp a previous binding left in
+	// reused arrays; new array regions are zero, which it also exceeds.
 	se.fam.epoch++
 	se.valid = false
-	se.resync = false
 	se.gen++
 	return nil
 }
@@ -357,11 +327,13 @@ func (se *Session) microInvariant(c Costs) bool {
 	return ok && mi.MicroInvariantCosts()
 }
 
-// Eval re-simulates s, which must be a per-stage permutation of the bound
+// Eval simulates s, which must be a per-stage permutation of the bound
 // schedule's ops (shape and placement included — anything else returns a
 // wrapped errs.ErrIncompatible, telling callers to rebuild the session).
 // Orders that deadlock return a wrapped errs.ErrUncertified, exactly as
-// Validate reports them.
+// Validate reports them. sched.Program.Load proves s a per-stage
+// bijection onto the bound op set, whose shape compat has checked, and
+// the dense sweep evaluates it.
 //
 // The returned Result is owned by the session and is overwritten by the
 // next Eval.
@@ -371,29 +343,22 @@ func (se *Session) Eval(s *sched.Schedule) (*Result, error) {
 	if err := se.compat(s); err != nil {
 		return nil, err
 	}
-	if se.resync {
-		if err := se.remapAll(s); err != nil {
-			return nil, err
-		}
-	} else if k := se.diff(s); k >= 0 {
-		// The order tables are now partially rewritten; remap from
-		// scratch on the next Eval.
-		se.resync, se.valid = true, false
-		return nil, fmt.Errorf("sim: session: stage %d op list is not a permutation of the bound schedule: %w", k, errs.ErrIncompatible)
+	// Load refills the bound tables in place, since the bind sized them,
+	// so the order views stay valid.
+	se.valid = false
+	se.gen++
+	if f := se.prog.Load(s); f.Kind != sched.NoFault {
+		return nil, fmt.Errorf("sim: session: stage %d op list is not a permutation of the bound schedule: %w", f.Stage, errs.ErrIncompatible)
 	}
 	return se.eval()
 }
 
-// eval evaluates the order the tables hold: Eval's work after the diff,
+// eval evaluates the order the tables hold: all of Eval after the load,
 // and all of a first evaluation right after a bind, which has loaded the
 // bound schedule's own order.
 func (se *Session) eval() (*Result, error) {
-	if !se.valid {
-		if err := se.sweep(); err != nil {
-			return nil, err
-		}
-	} else if !se.dynamicW {
-		se.resolve()
+	if err := se.sweep(); err != nil {
+		return nil, err
 	}
 	if se.dynamicW {
 		if err := se.runEngine(); err != nil {
@@ -441,91 +406,6 @@ func (se *Session) compat(s *sched.Schedule) error {
 	return nil
 }
 
-// diff aligns the session's order tables with s stage by stage: matching
-// prefixes and suffixes bound each stage's edited window, which apply
-// writes into the tables. It returns the first stage whose list is not a
-// permutation of the bound one, or -1.
-//
-//mepipe:hotpath
-func (se *Session) diff(s *sched.Schedule) int {
-	se.begin()
-	for k := 0; k < se.P; k++ {
-		ord := se.order[k]
-		ops := s.Stages[k]
-		lo := 0
-		for lo < len(ops) && se.opsl[ord[lo]] == ops[lo] {
-			lo++
-		}
-		if lo == len(ops) {
-			continue
-		}
-		hi := len(ops) - 1
-		for hi > lo && se.opsl[ord[hi]] == ops[hi] {
-			hi--
-		}
-		if !se.apply(k, lo, ops[lo:hi+1]) {
-			return k
-		}
-	}
-	return -1
-}
-
-// begin opens a re-solve: nothing is dirty and no rank is touched yet.
-func (se *Session) begin() {
-	se.gen++
-	se.dirtyEp++
-	se.pending = 0
-	se.from = int32(se.n)
-}
-
-// apply writes win as stage k's order at positions lo onward. The window
-// is a permutation of the bound one when each of its ops is its id's
-// bound op, sits in the window and is seen once (as a move overlay checks
-// it); apply returns false, with the stage's tables partly rewritten, when
-// it is not. While the solve is valid, the window's rank interval is
-// re-sorted and spliced back and the window's ops (plus the one just
-// after it, whose list predecessor changed) are marked dirty. A cyclic
-// interval — the move deadlocks, or, with several stages moved, only the
-// stages re-sorted so far close a cycle — leaves the rest to the dense
-// sweep.
-func (se *Session) apply(k, lo int, win []sched.Op) bool {
-	ord := se.order[k]
-	hi := lo + len(win) - 1
-	var rlo, rhi int32
-	if se.valid {
-		rlo, rhi = se.topo.Rank[ord[lo]], se.topo.Rank[ord[hi]]
-	}
-	se.seenEpoch++
-	for i, op := range win {
-		cid := se.x.ID(k, op)
-		if cid < 0 || se.opsl[cid] != op || se.seenEp[cid] == se.seenEpoch {
-			return false
-		}
-		if q := int(se.pos[cid]); q < lo || q > hi {
-			return false
-		}
-		se.seenEp[cid] = se.seenEpoch
-		ord[lo+i] = cid
-		se.pos[cid] = int32(lo + i)
-	}
-	se.stDirty[k] = true
-	se.link(ord, max(lo-1, 0), hi)
-	if !se.valid {
-		return true
-	}
-	se.sorted = se.topo.Interval(se.dt, se.next, sched.Chain{}, rlo, rhi, se.indeg, se.sorted)
-	if len(se.sorted) != int(rhi-rlo+1) {
-		se.valid = false
-		return true
-	}
-	se.topo.Splice(rlo, se.sorted)
-	se.from = min(se.from, rlo)
-	for p := lo; p <= min(hi+1, len(ord)-1); p++ {
-		se.mark(ord[p])
-	}
-	return true
-}
-
 // link sets the list successors of the ops at positions lo through hi of a
 // stage's order.
 func (se *Session) link(ord []int32, lo, hi int) {
@@ -535,22 +415,6 @@ func (se *Session) link(ord []int32, lo, hi int) {
 			se.next[ord[p]] = ord[p+1]
 		}
 	}
-}
-
-// remapAll reloads the order tables from s after a failed diff; Load
-// proves s a per-stage bijection onto the bound op set, whose shape compat
-// has checked.
-func (se *Session) remapAll(s *sched.Schedule) error {
-	if f := se.prog.Load(s); f.Kind != sched.NoFault {
-		return fmt.Errorf("sim: session: stage %d op list is not a permutation of the bound schedule: %w", f.Stage, errs.ErrIncompatible)
-	}
-	se.view()
-	for k := range se.stDirty {
-		se.stDirty[k] = true
-	}
-	se.resync, se.valid = false, false
-	se.gen++
-	return nil
 }
 
 // view points the order tables at the loaded program: stage k's order is
@@ -563,24 +427,16 @@ func (se *Session) view() {
 	se.pos, se.next = se.prog.Pos, se.prog.Next
 }
 
-// mark flags op id for re-solving in this Eval.
-func (se *Session) mark(id int32) {
-	if se.dirty[id] != se.dirtyEp {
-		se.dirty[id] = se.dirtyEp
-		se.pending++
-	}
-}
-
 // recompute solves one op's recurrence from its current predecessors:
 //
 //	start  = max(finish[list predecessor], max over deps(finish + comm))
 //	finish = start + dur
 //
-// and reports whether finish changed. The float operations mirror the
-// reference runner's readyTime/execute (oracle_test.go) exactly (same
-// comparison order, same math.Max), which is what makes incremental
-// results bitwise-identical.
-func (se *Session) recompute(id int32) bool {
+// The float operations mirror the reference runner's readyTime/execute
+// (oracle_test.go) exactly (same comparison order, same math.Max), which
+// is what makes session results bitwise-identical; Overlay.recompute
+// repeats them under a move.
+func (se *Session) recompute(id int32) {
 	k := int(se.stg[id])
 	p := int(se.pos[id])
 	prevFin := 0.0
@@ -595,43 +451,13 @@ func (se *Session) recompute(id int32) bool {
 		}
 	}
 	st := max(prevFin, t)
-	fin := st + se.dur[id]
-	changed := math.Float64bits(fin) != math.Float64bits(se.finish[id])
 	se.start[id] = st
-	se.finish[id] = fin
-	return changed
-}
-
-// resolve walks the topological order from the first rank diff touched
-// and recomputes each dirty op once: every predecessor ranks earlier, so
-// its finish is final by then. An op whose finish changed dirties its list
-// successor and its dependents; the walk stops once no dirty op is left.
-//
-//mepipe:hotpath
-func (se *Session) resolve() {
-	order := se.topo.Order
-	for r := se.from; se.pending > 0; r++ {
-		id := order[r]
-		if se.dirty[id] != se.dirtyEp {
-			continue
-		}
-		se.pending--
-		if !se.recompute(id) {
-			continue
-		}
-		if j := se.next[id]; j >= 0 {
-			se.mark(j)
-		}
-		for e := se.sucOff[id]; e < se.sucOff[id+1]; e++ {
-			se.mark(se.sucID[e])
-		}
-	}
+	se.finish[id] = st + se.dur[id]
 }
 
 // sweep ranks every op by Kahn's algorithm over program-order and
-// dependency edges and, in static mode, solves them in that order. It is
-// the first-evaluation path, the resync path, and the fallback that turns
-// a cyclic interval into a certified cycle error.
+// dependency edges, which is the order's deadlock verdict, and, in static
+// mode, solves them in that order.
 func (se *Session) sweep() error {
 	if ranked := se.topo.Sort(se.dt, se.next, se.indeg); ranked != se.n {
 		se.valid = false
@@ -693,19 +519,15 @@ func (se *Session) memStep(id int32) (sched.Retention, int64) {
 	return se.fam.step(se.famID[id], se.opsl[id].Kind, se.memB[id], se.wPieces)
 }
 
-// memScan replays each dirty stage's ops in list order through memStep —
+// memScan replays each stage's ops in list order through memStep —
 // memory in static mode depends only on the per-stage order, never on
-// times — caching compute time, peak bytes, and the first over-budget
-// position for assembly. A traced evaluation scans every stage and emits
+// times — keeping compute time, peak bytes, and the first over-budget
+// position for assembly and for move overlays. A traced evaluation emits
 // its events as it goes: stage by stage in list order, which is each
 // stage's execution order.
 func (se *Session) memScan() {
 	traced := se.opt.Trace != nil
 	for k := 0; k < se.P; k++ {
-		if !se.stDirty[k] && !traced {
-			continue
-		}
-		se.stDirty[k] = false
 		se.fam.epoch++
 		compute, free := 0.0, 0.0
 		var live, peak int64

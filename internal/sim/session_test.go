@@ -80,10 +80,9 @@ func requireSameResult(t *testing.T, full, inc *Result, label string) {
 }
 
 // sessionPair evaluates candidates through two sessions bound to the same
-// options: se untraced, which keeps the untraced path (static stages whose
-// cached aggregates survive a move) honest, and te emitting into rec, whose
-// recording carries the per-op timeline a Result does not. te is nil when
-// the pair is untraced.
+// options: se untraced, which keeps the untraced path honest, and te
+// emitting into rec, whose recording carries the per-op timeline a Result
+// does not. te is nil when the pair is untraced.
 type sessionPair struct {
 	se, te *Session
 	rec    *obs.Recorder
@@ -204,7 +203,7 @@ func sessionCases(t *testing.T) []sessionCase {
 }
 
 // TestSessionMatchesRun drives each case through a long deterministic move
-// walk, comparing every incremental evaluation bitwise against a fresh
+// walk, comparing every session evaluation bitwise against a fresh
 // reference replay (runRef) — including steps whose order deadlocks, where
 // both sides must fail with the same error class.
 func TestSessionMatchesRun(t *testing.T) {
@@ -333,8 +332,8 @@ func TestSessionIncompatible(t *testing.T) {
 		}
 	}
 	// A piece number on a forward resolves to the forward's own id, yet
-	// the table is not the universe: the bind, the window diff and the
-	// full reload after a failed diff all reject it, as Validate does.
+	// the table is not the universe: the bind and Eval's load reject it,
+	// on a clean session and after a failed Eval alike, as Validate does.
 	d, err := sched.DAPPLE(2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -349,10 +348,10 @@ func TestSessionIncompatible(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := clean.Eval(stray); !errors.Is(err, errs.ErrIncompatible) {
-		t.Fatalf("stray piece, diff path: got %v, want ErrIncompatible", err)
+		t.Fatalf("stray piece: got %v, want ErrIncompatible", err)
 	}
 	if _, err := clean.Eval(d); err != nil {
-		t.Fatalf("after the stray-piece diff: %v", err)
+		t.Fatalf("after the stray piece: %v", err)
 	}
 	dupD := sessClone(d)
 	dupD.Stages[0][0] = dupD.Stages[0][1]
@@ -360,10 +359,10 @@ func TestSessionIncompatible(t *testing.T) {
 		t.Fatalf("duplicated op: got %v, want ErrIncompatible", err)
 	}
 	if _, err := clean.Eval(stray); !errors.Is(err, errs.ErrIncompatible) {
-		t.Fatalf("stray piece, reload path: got %v, want ErrIncompatible", err)
+		t.Fatalf("stray piece after a failed Eval: got %v, want ErrIncompatible", err)
 	}
 	if _, err := clean.Eval(d); err != nil {
-		t.Fatalf("after the stray-piece reload: %v", err)
+		t.Fatalf("after the second stray piece: %v", err)
 	}
 }
 
@@ -561,8 +560,8 @@ func benchCandidates(b *testing.B, base *sched.Schedule, n int) []*sched.Schedul
 }
 
 // BenchmarkFullReplay times the reference runner's full replay of each
-// walk candidate — the baseline TestIncrementalReplayFloor holds the
-// session to.
+// walk candidate — the baseline TestIncrementalReplayFloor holds the move
+// overlay to.
 func BenchmarkFullReplay(b *testing.B) {
 	base, opt := canonicalBenchWorkload(b)
 	cands := benchCandidates(b, base, 64)
@@ -577,54 +576,101 @@ func BenchmarkFullReplay(b *testing.B) {
 	}
 }
 
-func BenchmarkSessionEval(b *testing.B) {
+// walkSteps returns the canonical walk as moves, forward from base through
+// every candidate and back again: each step is the window of the one
+// stage where an order differs from the one before it. Steps that change
+// nothing are left out.
+func walkSteps(base *sched.Schedule, cands []*sched.Schedule) []Move {
+	path := append([]*sched.Schedule{base}, cands...)
+	for i := len(path) - 2; i >= 0; i-- {
+		path = append(path, path[i])
+	}
+	var steps []Move
+	for i := 1; i < len(path); i++ {
+		for k, ops := range path[i].Stages {
+			was := path[i-1].Stages[k]
+			lo, hi := 0, len(ops)-1
+			for lo <= hi && ops[lo] == was[lo] {
+				lo++
+			}
+			if lo > hi {
+				continue
+			}
+			for ops[hi] == was[hi] {
+				hi--
+			}
+			steps = append(steps, Move{Stage: k, Lo: lo, Ops: ops[lo : hi+1]})
+		}
+	}
+	return steps
+}
+
+// BenchmarkOverlayEval walks the same candidates as moves of one session:
+// each step is an overlay Load and Eval, and the commit from the overlay
+// that takes the session to the step's order.
+func BenchmarkOverlayEval(b *testing.B) {
 	base, opt := canonicalBenchWorkload(b)
-	cands := benchCandidates(b, base, 64)
+	steps := walkSteps(base, benchCandidates(b, base, 64))
 	se, err := NewSession(opt)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, c := range cands {
-		if _, err := se.Eval(c); err != nil {
+	if _, err := se.Eval(base); err != nil {
+		b.Fatal(err)
+	}
+	ov, err := se.NewOverlay()
+	if err != nil {
+		b.Fatal(err)
+	}
+	step := func(m Move) {
+		if err := ov.Load(m); err != nil {
 			b.Fatal(err)
 		}
+		if _, err := ov.Eval(); err != nil {
+			b.Fatal(err)
+		}
+		if err := ov.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, m := range steps {
+		step(m)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := se.Eval(cands[i%len(cands)]); err != nil {
-			b.Fatal(err)
-		}
+		step(steps[i%len(steps)])
 	}
 }
 
 // TestIncrementalReplayFloor is the simulator fast path's floor as a gate:
-// over BenchmarkSessionEval's 64-candidate walk, an incremental
-// Session.Eval must run at least 3× faster than the reference full replay
-// (BenchmarkFullReplay) and allocate nothing per candidate.
+// per step of BenchmarkOverlayEval's walk, an overlay Load and Eval, with
+// the commit that moves the session along, must run at least 3× faster
+// than the reference full replay of a walk candidate (BenchmarkFullReplay)
+// and allocate nothing.
 func TestIncrementalReplayFloor(t *testing.T) {
 	full := testing.Benchmark(BenchmarkFullReplay)
-	inc := testing.Benchmark(BenchmarkSessionEval)
+	inc := testing.Benchmark(BenchmarkOverlayEval)
 	if full.N == 0 || inc.N == 0 {
 		t.Fatal("a benchmark failed to run")
 	}
 	perOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
 	ratio := perOp(full) / perOp(inc)
-	t.Logf("full replay %.0f ns, %d allocs; Session.Eval %.0f ns, %d allocs; %.1f×",
+	t.Logf("full replay %.0f ns, %d allocs; overlay step %.0f ns, %d allocs; %.1f×",
 		perOp(full), full.AllocsPerOp(), perOp(inc), inc.AllocsPerOp(), ratio)
 	if a := inc.AllocsPerOp(); a != 0 {
-		t.Errorf("Session.Eval allocates %d times per candidate, want 0", a)
+		t.Errorf("an overlay step allocates %d times, want 0", a)
 	}
 	if ratio < 3 {
-		t.Errorf("Session.Eval is %.2f× the full replay, want ≥ 3×", ratio)
+		t.Errorf("an overlay step is %.2f× the full replay, want ≥ 3×", ratio)
 	}
 }
 
-// TestSessionTwoStageDiff drives each case the way an annealer worker
-// does: every candidate is one move away from the current state, so the
-// session, still holding the previous candidate, sees that candidate's
-// stage reverted plus a new stage moved. Each evaluation must match the
-// reference replay bitwise.
+// TestSessionTwoStageDiff evaluates candidates that are each one move
+// away from a current state, through sessions still holding the previous
+// candidate, so that consecutive orders differ on two stages: that
+// candidate's stage reverted plus a new stage moved. Each evaluation must
+// match the reference replay bitwise.
 func TestSessionTwoStageDiff(t *testing.T) {
 	for _, tc := range sessionCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -666,13 +712,12 @@ func TestSessionTwoStageDiff(t *testing.T) {
 	}
 }
 
-// TestSessionCyclicIntermediate pins the dense fallback for a diff whose
-// intermediate state is cyclic. On DAPPLE(4, 6), move a swaps stage 1's
-// B0 ahead of F3 and move b swaps stage 0's F3 behind B0; each certifies
-// alone, but together they close B0@0 → F3@0 → F3@1 → B0@1 → B0@0. A
-// session holding cur+a that evaluates cur+b re-sorts stage 0's interval
-// first, over cur+a+b, and must still match the reference replay of
-// cur+b bitwise.
+// TestSessionCyclicIntermediate pins that an Eval carries nothing over
+// from the order before it, even where the two orders mixed would
+// deadlock. On DAPPLE(4, 6), move a swaps stage 1's B0 ahead of F3 and
+// move b swaps stage 0's F3 behind B0; each certifies alone, but together
+// they close B0@0 → F3@0 → F3@1 → B0@1 → B0@0. A session holding cur+a
+// that evaluates cur+b must match the reference replay of cur+b bitwise.
 func TestSessionCyclicIntermediate(t *testing.T) {
 	s, err := sched.DAPPLE(4, 6, nil)
 	if err != nil {
@@ -718,8 +763,8 @@ func TestSessionCyclicIntermediate(t *testing.T) {
 }
 
 // TestSessionCyclicCandidate pins the deadlock verdict's exact message,
-// whichever path finds the cycle — a one-op move's interval or a whole
-// reversed stage — and that the session recovers on the next Eval.
+// for a one-op move and a whole reversed stage alike, and that the
+// session recovers on the next Eval.
 func TestSessionCyclicCandidate(t *testing.T) {
 	s, err := sched.MEPipe(4, 1, 2, 4, 0, 4, nil)
 	if err != nil {

@@ -47,9 +47,8 @@ func TestUniverseTexts(t *testing.T) {
 // FuzzUniverseVerdicts holds the full-table loaders to one verdict on
 // tables whose op universe a mutation stream may have broken: sched.
 // Validate, Certify, sim.NewSession under AssumeValid, and Eval on a
-// session bound to the clean preset (its window diff first, then its
-// full reload after a failed diff) must all accept or all reject every
-// mutated table. A mutation never reorders ops, so a table that keeps the
+// session bound to the clean preset (after the previous mutation's Eval,
+// failed or not) must all accept or all reject every mutated table. A mutation never reorders ops, so a table that keeps the
 // universe keeps the preset's valid order. Byte layout:
 //
 //	[0..3]  preset, P, N, S (see fuzzPreset)
