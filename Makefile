@@ -131,13 +131,16 @@ opt-regen:
 # times, memory events peaking at PeakAct, makespan equal to IterTime),
 # the tail pin (a resolved plan's recording keeps its gradient-sync tail,
 # and its Snapshot breakdown is /v1/simulate's, bit for bit), a short run
-# of the differential fuzzer, and the discovered-artifact session replay
-# gate.
+# of the differential fuzzer, a short run of the written-order fuzzer (the
+# order the §5 engine ran, written back by sim.WriteOrder, replays the
+# dynamic run bit for bit, statically and dynamically), and the
+# discovered-artifact session replay gate.
 sim-smoke:
 	$(GO) test ./internal/sim -run 'TestSession|TestEvaluateMatchesRun|TestDynamicOOM|TestStageUtilization|TestMemorySeriesConsistent|TestTraceMatchesResult|TestTraceWait|TestIncrementalReplayFloor|TestPlanningGrid|TestMakespanBounds' -count=1
 	$(GO) test ./internal/obs -run TestTailEvents -count=1
 	$(GO) test ./api/v1 -run TestRecordedTraceKeepsTail -count=1
 	$(GO) test ./internal/sim -run NONE -fuzz FuzzIncrementalEquivalence -fuzztime 10s
+	$(GO) test ./internal/sim -run NONE -fuzz FuzzWriteOrderReplays -fuzztime 10s
 	$(GO) test ./internal/opt -run TestDiscoveredReplaysThroughSession -count=1
 
 # Grid-search engine smoke (docs/PERFORMANCE.md): the golden equivalence

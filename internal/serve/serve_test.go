@@ -669,6 +669,44 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestOptimizeOOM: /v1/optimize on a configuration the simulator runs out
+// of memory (Llama 34B on 64 RTX 4090s at PP=16, SPP=4, stage 1) answers
+// 422 oom, the code /v1/trace gives for it. The optimizer used to anneal
+// it under a budget relaxed to the preset's static peak.
+func TestOptimizeOOM(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	plan := v1.PlanRequest{
+		System:   "mepipe",
+		Model:    v1.ModelSpec{Preset: "34b"},
+		Cluster:  v1.ClusterSpec{Preset: "rtx4090", Servers: 8},
+		Training: v1.TrainingSpec{GlobalBatch: 64},
+		Parallel: &v1.ParallelSpec{PP: 16, DP: 4, SPP: 4},
+	}
+	for _, ep := range []struct {
+		path string
+		doc  any
+	}{
+		{"/v1/optimize", v1.OptimizeRequest{PlanRequest: plan, Opt: &v1.OptSpec{Seed: 1, Iters: 1}}},
+		{"/v1/trace", v1.TraceRequest{PlanRequest: plan, Format: "chrome"}},
+	} {
+		doc, err := json.Marshal(ep.doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body := post(t, ts.URL+ep.path, doc)
+		var e v1.ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("%s: %s: %v", ep.path, body, err)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity || e.Code != "oom" {
+			t.Errorf("%s: %d %q, want 422 oom: %s", ep.path, resp.StatusCode, e.Code, body)
+		}
+	}
+}
+
 // TestSweepEndToEnd runs /v1/sweep against the real engine on a small
 // grid and cross-checks each system's slice against its own /v1/search:
 // the sweep is advertised as byte-identical to per-system searches, and

@@ -41,6 +41,10 @@ type engState struct {
 	stale   []bool
 	oom     bool
 	oomAt   int
+	// ran holds the ids each stage ran, in order (WriteOrder's record):
+	// stage k's run starts at k·PerStage and nran[k] is its length.
+	ran  []int32
+	nran []int32
 }
 
 type wRef struct {
@@ -69,6 +73,8 @@ func (se *Session) runEngine() error {
 	e.ready = sgrow(e.ready, se.P)
 	e.readyOK = sgrow(e.readyOK, se.P)
 	e.stale = sgrow(e.stale, se.P)
+	e.ran = sgrow(e.ran, se.n)
+	e.nran = sgrow(e.nran, se.P)
 	e.ep++
 	se.fam.epoch++
 	e.oom = false
@@ -84,6 +90,7 @@ func (se *Session) runEngine() error {
 		e.wq[k] = e.wq[k][:0]
 		e.wqHead[k] = 0
 		e.stale[k] = true
+		e.nran[k] = 0
 	}
 	done := 0
 	for done < se.n {
@@ -257,6 +264,8 @@ func (se *Session) engRunOp(k int, id int32, start float64, cause string) {
 	e.comp[k] += dur
 	e.fin[id] = end
 	e.done[id] = e.ep
+	e.ran[k*se.x.PerStage()+int(e.nran[k])] = id
+	e.nran[k]++
 	if se.opt.Trace != nil {
 		se.emitOp(k, id, start, end, cause)
 	}

@@ -39,53 +39,13 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 	// A commit that kept the moved stage's old peak fails the next move.
 	f.Add([]byte("000000111000"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 9 {
+		opt, ok := fuzzHeader(data)
+		if !ok {
 			t.Skip()
 		}
-		p := 2 + int(data[0]%3)
-		sl := 1 + int(data[1]%2)
-		n := 2 + int(data[2]%3)
-		split := data[3]&1 != 0
-		pieces := 0
-		if split && data[3]&2 != 0 {
-			pieces = 2
-		}
-		dynamicW := split && data[3]&4 != 0
-		useBudget := data[4]&1 != 0
-		useTail := data[4]&2 != 0
+		sc, p, dynamicW := opt.Sched, opt.Sched.P, opt.DynamicW
 		traced := data[3]&8 == 0 || data[4]&32 != 0
-		est := sched.UniformEst{F: 1, BFused: 2, BAct: 1, W: 1, WPiece: 0.5}
-		if data[4]&4 != 0 {
-			est.Comm = 0.25
-		}
-		if data[4]&8 != 0 {
-			// Zero-weight ops stress the deadlock check: a re-solve that
-			// trusted finish times alone could converge through a 0-cost
-			// cycle.
-			est.W, est.WPiece = 0, 0
-		}
-		sc, err := sched.SVPP(sched.SVPPOptions{
-			P: p, V: 1, S: sl, N: n,
-			Split: split, FineGrainedW: pieces,
-			Reschedule: data[4]&16 != 0, Est: est,
-		})
-		if err != nil {
-			t.Skip()
-		}
-		costs := UniformCosts{Est: est, Act: 3, Grad: 1}
-		opt := Options{Costs: costs, DynamicW: dynamicW}
-		if useBudget {
-			lvl := int64(2 + data[5]%14)
-			b := make([]int64, p)
-			for i := range b {
-				b[i] = lvl
-			}
-			opt.ActBudget = b
-		}
-		if useTail {
-			opt.TailTime = func(k int) float64 { return 0.5 * float64(k+1) }
-		}
-		opt.Sched = sc
+		var err error
 		pair := newSessionPair(t, opt, traced)
 		cur := sessClone(sc)
 		var mv *Session
@@ -139,6 +99,116 @@ func FuzzIncrementalEquivalence(f *testing.F) {
 		}
 		requireSameResult(t, want, got, "the committed order")
 	})
+}
+
+// FuzzWriteOrderReplays gates WriteOrder, the order a resolved MEPipe
+// plan carries: over FuzzIncrementalEquivalence's header and move stream,
+// with split backward and DynamicW forced, the generated order and every
+// moved order that does not deadlock are written back as the order the
+// §5 engine ran. The dynamic Run of the order, the static Run of the
+// rewritten clone and the dynamic Run of that clone must agree bit for
+// bit, OOM verdicts included.
+func FuzzWriteOrderReplays(f *testing.F) {
+	f.Add([]byte{2, 1, 2, 0x05, 0x01, 4, 0, 1, 2, 1, 5, 0})
+	f.Add([]byte{1, 0, 1, 0x07, 0x03, 3, 0, 3, 9, 1, 2, 2, 0, 0, 7})
+	f.Add([]byte{2, 1, 0, 0x07, 0x15, 2, 1, 4, 4, 0, 0, 11, 1, 8, 2})
+	f.Add([]byte{0, 1, 2, 0x0f, 0x0f, 6, 0, 1, 1, 2, 3, 4, 1, 0, 2})
+	f.Add([]byte{1, 1, 1, 0x05, 0x1f, 0, 3, 2, 1, 0, 9, 9, 2, 4, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = append([]byte(nil), data...)
+		if len(data) > 3 {
+			data[3] |= 0x05 // split backward, DynamicW
+		}
+		opt, ok := fuzzHeader(data)
+		if !ok {
+			t.Skip()
+		}
+		cur := opt.Sched
+		replay := func(label string) {
+			opt.Sched = cur
+			want, err := Run(opt)
+			if errors.Is(err, errs.ErrUncertified) {
+				return // the move deadlocks: there is no order to write
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			ran := opt
+			ran.Sched = sessClone(cur)
+			if err := WriteOrder(ran); err != nil {
+				t.Fatalf("%s: WriteOrder: %v", label, err)
+			}
+			for _, dynamicW := range []bool{false, true} {
+				ran.DynamicW = dynamicW
+				got, err := Run(ran)
+				if err != nil {
+					t.Fatalf("%s: the written order, DynamicW=%v: %v", label, dynamicW, err)
+				}
+				requireSameResult(t, want, got, fmt.Sprintf("%s: the written order, DynamicW=%v", label, dynamicW))
+			}
+		}
+		replay("the generated order")
+		for i := 6; i+2 < len(data); i += 3 {
+			ops := cur.Stages[int(data[i])%cur.P]
+			from, to := int(data[i+1])%len(ops), int(data[i+2])%len(ops)
+			if from == to {
+				to = (from + 1) % len(ops)
+			}
+			sessDisplace(ops, from, to)
+			replay(fmt.Sprintf("move %d", i))
+		}
+	})
+}
+
+// fuzzHeader decodes FuzzIncrementalEquivalence's shape and mode header
+// (data[0..5]) into run options over a freshly generated SVPP schedule.
+// It reports false when the input is too short or the shape does not
+// generate.
+func fuzzHeader(data []byte) (Options, bool) {
+	if len(data) < 9 {
+		return Options{}, false
+	}
+	p := 2 + int(data[0]%3)
+	sl := 1 + int(data[1]%2)
+	n := 2 + int(data[2]%3)
+	split := data[3]&1 != 0
+	pieces := 0
+	if split && data[3]&2 != 0 {
+		pieces = 2
+	}
+	useBudget := data[4]&1 != 0
+	useTail := data[4]&2 != 0
+	est := sched.UniformEst{F: 1, BFused: 2, BAct: 1, W: 1, WPiece: 0.5}
+	if data[4]&4 != 0 {
+		est.Comm = 0.25
+	}
+	if data[4]&8 != 0 {
+		// Zero-weight ops stress the deadlock check: a re-solve that
+		// trusted finish times alone could converge through a 0-cost
+		// cycle.
+		est.W, est.WPiece = 0, 0
+	}
+	sc, err := sched.SVPP(sched.SVPPOptions{
+		P: p, V: 1, S: sl, N: n,
+		Split: split, FineGrainedW: pieces,
+		Reschedule: data[4]&16 != 0, Est: est,
+	})
+	if err != nil {
+		return Options{}, false
+	}
+	opt := Options{Sched: sc, Costs: UniformCosts{Est: est, Act: 3, Grad: 1}, DynamicW: split && data[3]&4 != 0}
+	if useBudget {
+		lvl := int64(2 + data[5]%14)
+		b := make([]int64, p)
+		for i := range b {
+			b[i] = lvl
+		}
+		opt.ActBudget = b
+	}
+	if useTail {
+		opt.TailTime = func(k int) float64 { return 0.5 * float64(k+1) }
+	}
+	return opt, true
 }
 
 // fuzzMove runs a step of the move stream, ops[from] displaced to to on

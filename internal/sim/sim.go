@@ -168,6 +168,31 @@ func Evaluate(ctx context.Context, opt Options) (*Result, error) {
 	return RunContext(ctx, opt)
 }
 
+// WriteOrder evaluates opt once and writes the order that ran into
+// opt.Sched, in place: in DynamicW mode, each stage's list becomes the §5
+// engine's execution order, W pieces where they drained. A static or
+// DynamicW run of the rewritten schedule under opt reproduces this
+// evaluation's Result bit for bit. A static run writes nothing.
+//
+//mepipe:deterministic
+func WriteOrder(opt Options) error {
+	se := sessionPool.Get().(*Session)
+	defer putSession(se)
+	if err := se.init(opt); err != nil {
+		return err
+	}
+	if _, err := se.eval(); err != nil || !se.dynamicW {
+		return err
+	}
+	// Each list stays a permutation of its stage's ops, and the
+	// DepTable depends only on shape and placement, so it stays valid.
+	per := se.x.PerStage()
+	for i, id := range se.eng.ran {
+		opt.Sched.Stages[i/per][i%per] = se.opsl[id]
+	}
+	return nil
+}
+
 // Clone deep-copies the result. Callers that drive a Session directly and
 // retain results across Eval calls need it: Eval's Result is session-owned
 // and overwritten by the next evaluation.

@@ -42,10 +42,10 @@ func TestOptimize13BPinned(t *testing.T) {
 	}
 	r := optimize13B(t).Opt
 	got := [4]int{r.Proposed, r.Infeasible, r.Evaluated, r.Accepted}
-	if want := [4]int{6000, 1396, 4604, 1486}; got != want {
+	if want := [4]int{6000, 2292, 3708, 1447}; got != want {
 		t.Errorf("proposed/infeasible/evaluated/accepted = %v, want %v", got, want)
 	}
-	if want := 5.78577978045449; math.Float64bits(r.BestTime) != math.Float64bits(want) {
+	if want := 5.793790741130597; math.Float64bits(r.BestTime) != math.Float64bits(want) {
 		t.Errorf("best time %v, want %v", r.BestTime, want)
 	}
 }

@@ -31,8 +31,8 @@ type Plan struct {
 	// Costs is the calibrated cost model, nil when static memory does not
 	// fit.
 	Costs *perf.Costs
-	// Schedule is the system's preset table and DynamicW selects the §5
-	// dynamic weight-gradient engine for it (MEPipe).
+	// Schedule is the system's table and DynamicW selects the §5 dynamic
+	// W engine for it (MEPipe); Resolve writes in the order the engine ran.
 	Schedule *sched.Schedule
 	DynamicW bool
 
@@ -56,9 +56,22 @@ var errStatic = fmt.Errorf("%s: %w", staticWhy, errs.ErrOOM)
 // configuration that is well formed but cannot run is a plan with Unfit
 // set.
 //
+// A fitting DynamicW plan's schedule is the iteration the search ranks:
+// the order the §5 engine ran under the plan's costs, budget and tail
+// (sim.WriteOrder). A static run of it reproduces the plan's Result bit
+// for bit, and it certifies under verify.PlanBudget unless that is OOM.
+//
 //mepipe:deterministic
 func Resolve(sys System, m config.Model, cl cluster.Cluster, par config.Parallel, tr config.Training) (*Plan, error) {
-	return resolve(sys, m, cl, par, tr, nil)
+	p, err := resolve(sys, m, cl, par, tr, nil)
+	if err != nil || p.Unfit != nil || !p.DynamicW {
+		return p, err
+	}
+	if err := sim.WriteOrder(sim.Options{Sched: p.Schedule, Costs: p.Costs, ActBudget: p.Memory.ActBudget,
+		DynamicW: true, TailTime: p.Costs.TailTime, AssumeValid: true}); err != nil {
+		return nil, fmt.Errorf("strategy: simulating %s %v: %w", sys, par, err)
+	}
+	return p, nil
 }
 
 // errSkipped ends a resolution whose stop hook ruled it out at its work

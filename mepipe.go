@@ -271,9 +271,9 @@ func UnitCosts() sim.UniformCosts { return sim.Unit() }
 // Planning (§6) and strategy search (§7.3).
 type (
 	// Plan is a fully resolved configuration: the strategy, the chosen
-	// SVPP variant, the generated schedule, and the cost and memory
-	// models behind them. Plan.Simulate certifies the schedule and
-	// simulates one iteration with the §5 dynamic engine.
+	// SVPP variant, the schedule (for MEPipe, the order the §5 dynamic
+	// engine ran), and the cost and memory models behind them.
+	// Plan.Simulate certifies it and simulates one iteration.
 	Plan = strategy.Plan
 
 	System       = strategy.System
