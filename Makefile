@@ -161,18 +161,19 @@ sim-smoke:
 # a SlotBudget's included, over every preset family — the one retention rule, applied alike), the
 # certifier's verdict on partial tables (rejected alike with or without
 # AssumeComplete), the pinned absent-dependency texts of
-# Certify, Validate and the simulator session, the pinned op-universe
-# texts of the three (one sched.Program.Load pass, each caller's words),
+# Certify and the simulator session, the pinned structural texts of the
+# two producers of the structural verdict (one sched.Program.Load pass,
+# each producer's words),
 # the session's universe bugfixes (a stray piece rejected at bind, diff
 # and reload; a non-positive shape rejected at bind), the generator's
 # release safety (arrays a released schedule hands back never reach a
 # schedule still held, and no stage's list can spill into the next), short runs of the
 # certifier's differential fuzzers (the dense path — the only production
 # path — against the test-only map graph and map sweep, and Certify
-# against sim.Run's deadlock verdict, Validate's and an AssumeValid
-# session's, dynamic W included, the strategy path's gate), a short run of the
-# universe-verdict fuzzer (Validate, Certify, a session bind and a bound
-# session's Eval accept or reject a broken table alike), the /v1/sweep
+# against sim.Run's deadlock verdict, dynamic W included, the strategy
+# path's gate), a short run of the universe-verdict fuzzer (Certify, a
+# session bind plus its first Eval and a bound session's Eval accept or
+# reject a broken table alike), the /v1/sweep
 # wire tests, and the one-resolver gates: TestResolvePinned (Evaluate's
 # time, bubble, peak, budget, n, f and OOM verdict bit for bit, one row per
 # system plus static, ChooseF and simulated OOMs and shape errors, and a
@@ -184,7 +185,7 @@ sweep-smoke:
 	$(GO) test ./internal/strategy -run NONE -fuzz '^FuzzWorkBoundSound$$' -fuzztime 10s
 	$(GO) test . -run 'TestPlanMEPipeAtIncompatible|TestPlanMEPipeOOMSentinels|TestPlanSimulateMatchesEvaluate' -count=1
 	$(GO) test ./internal/verify -run 'TestCertifyPeaksMatchRun|TestIncompleteAndMissing|TestMissingDepMessage|TestUniverseTexts' -count=1
-	$(GO) test ./internal/sched -run 'TestValidateMessages|TestReleaseReusesSafely' -count=1
+	$(GO) test ./internal/sched -run 'TestReleaseReusesSafely' -count=1
 	$(GO) test ./internal/sim -run 'TestSessionAbsentDepMessage|TestSessionIncompatible|TestSessionNonPositiveShape' -count=1
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzUniverseVerdicts -fuzztime 10s
 	$(GO) test ./internal/verify -run NONE -fuzz FuzzCertifyDenseMatchesGraph -fuzztime 10s

@@ -225,7 +225,7 @@ type SimulateResponse struct {
 // OptimizeResponse is the body of a successful POST /v1/optimize: what
 // the preset cost, what the search discovered, the search counters, and
 // the discovered schedule itself as a portable Schedule.Save document
-// (feed it back to /v1/certify, or load it with mepipe.LoadSchedule).
+// (feed it back to /v1/certify or mepipe.LoadSchedule; both certify it).
 type OptimizeResponse struct {
 	API    string `json:"api"`
 	Key    string `json:"key"`

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"mepipe"
+	"mepipe/internal/verify"
 )
 
 func svpp(t *testing.T) *mepipe.Schedule {
@@ -137,5 +138,39 @@ func TestSearchFindsOptimum(t *testing.T) {
 	}
 	if res.Best() == nil {
 		t.Fatal("Search found no feasible candidate")
+	}
+}
+
+// TestLoadScheduleCertifies: LoadSchedule certifies what it decodes, so
+// a saved DAPPLE(2,2) file tampered into a deadlock (stage 0's backwards
+// before its forwards) or cut short is rejected with the certifier's
+// counterexample, and the untampered file loads.
+func TestLoadScheduleCertifies(t *testing.T) {
+	s, err := mepipe.NewDAPPLE(2, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const stage0 = `[[0,0,0,0,0],[0,1,0,0,0],[1,0,0,0,0],[1,1,0,0,0]]`
+	if !strings.Contains(buf.String(), stage0) {
+		t.Fatalf("test setup: stage encoding not found in %s", buf.String())
+	}
+	if _, err := mepipe.LoadSchedule(strings.NewReader(buf.String())); err != nil {
+		t.Fatalf("untampered file: %v", err)
+	}
+	deadlock := strings.Replace(buf.String(), stage0, `[[1,0,0,0,0],[1,1,0,0,0],[0,0,0,0,0],[0,1,0,0,0]]`, 1)
+	_, err = mepipe.LoadSchedule(strings.NewReader(deadlock))
+	var cycle *verify.CycleError
+	if !errors.As(err, &cycle) || !errors.Is(err, mepipe.ErrUncertified) {
+		t.Fatalf("deadlocking file: got %v, want a *verify.CycleError", err)
+	}
+	short := strings.Replace(buf.String(), stage0, `[[0,0,0,0,0],[0,1,0,0,0],[1,0,0,0,0]]`, 1)
+	_, err = mepipe.LoadSchedule(strings.NewReader(short))
+	var incomplete *verify.IncompleteError
+	if !errors.As(err, &incomplete) {
+		t.Fatalf("short file: got %v, want a *verify.IncompleteError", err)
 	}
 }

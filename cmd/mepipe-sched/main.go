@@ -2,6 +2,7 @@
 // schedules as standalone artifacts: the scheduling half of MEPipe without
 // the cluster model. Unit-cost simulation shows the schedule's intrinsic
 // bubble structure and how close it sits to the order-free lower bound.
+// A loaded schedule is certified first, or exits with the counterexample.
 //
 // Examples:
 //
@@ -22,6 +23,7 @@ import (
 	"mepipe/internal/sched"
 	"mepipe/internal/sim"
 	"mepipe/internal/timeline"
+	"mepipe/internal/verify"
 )
 
 func main() {
@@ -52,6 +54,8 @@ func main() {
 		s, err = sched.Load(f)
 		fatal(err)
 		fatal(f.Close())
+		_, err = verify.Certify(s, verify.Options{})
+		fatal(err)
 	} else {
 		s, err = build(*system, *pp, *vp, *spp, *n, *fKnob, *pieces, *resched)
 		fatal(err)

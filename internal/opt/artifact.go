@@ -115,7 +115,7 @@ func (a *Artifact) PresetSchedule() (*sched.Schedule, error) {
 	})
 }
 
-// DiscoveredSchedule decodes (and validates) the discovered schedule.
+// DiscoveredSchedule only decodes the embedded schedule; callers certify it.
 func (a *Artifact) DiscoveredSchedule() (*sched.Schedule, error) {
 	return sched.Load(bytes.NewReader(a.Schedule))
 }

@@ -75,7 +75,7 @@ func fullProposal(cand *sched.Schedule, costs sim.Costs, opts verify.Options, se
 	if _, err := verify.Certify(cand, opts); err != nil {
 		return false, 0
 	}
-	if err := se.Bind(sim.Options{Sched: cand, Costs: costs, AssumeValid: true}); err != nil {
+	if err := se.Bind(sim.Options{Sched: cand, Costs: costs}); err != nil {
 		return false, 0
 	}
 	r, err := se.Eval(cand)

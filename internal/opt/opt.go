@@ -289,14 +289,13 @@ func (c charged) GradBytes(k int, b sched.Op) int64 { return c.fp.GradBytes(k, b
 
 // bind binds se to cur as the annealer binds its session, with the
 // budget's footprints as memory charges and its caps as ActBudget, and
-// evaluates it. Certify has proved cur complete and deadlock-free under
-// budget, so a Validate at bind would prove nothing new.
+// evaluates it.
 func bind(se *sim.Session, cur *sched.Schedule, costs sim.Costs, budget *verify.Budget) (*sim.Result, error) {
 	var caps []int64
 	if budget != nil {
 		caps = budget.ActBudget
 	}
-	if err := se.Bind(sim.Options{Sched: cur, Costs: charged{costs, budget.Charges()}, ActBudget: caps, AssumeValid: true}); err != nil {
+	if err := se.Bind(sim.Options{Sched: cur, Costs: charged{costs, budget.Charges()}, ActBudget: caps}); err != nil {
 		return nil, err
 	}
 	return se.Eval(cur)

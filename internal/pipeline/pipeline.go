@@ -85,9 +85,6 @@ type Runner struct {
 // front with an error wrapping errs.ErrUncertified rather than
 // discovered as a deadlocked goroutine fleet at run time.
 func New(m *nn.Model, s *sched.Schedule, batch [][]int) (*Runner, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	if _, err := verify.Certify(s, verify.Options{}); err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}

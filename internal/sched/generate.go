@@ -150,8 +150,8 @@ type genStage struct {
 
 // Generate builds a schedule per opt. The returned schedule is valid by
 // construction (see the proof note at the end of the function); callers
-// binding schedules from any other source should run Validate or
-// verify.Certify themselves.
+// binding schedules from any other source should run verify.Certify
+// themselves.
 func Generate(opt GenOptions) (*Schedule, error) {
 	s := &Schedule{
 		Name: opt.Name, P: opt.P, V: opt.V, S: opt.S, N: opt.N,
@@ -172,17 +172,14 @@ func Generate(opt GenOptions) (*Schedule, error) {
 	err := g.run()
 	if err == nil {
 		// The event-driven run is a constructive validity proof, so no
-		// Validate pass is needed: an op commits only after every dependency
+		// structural check is needed: an op commits only after every dependency
 		// has already committed, and stage order is commit order, so every
 		// program-order and data edge points forward in commit time — the
 		// certification graph is acyclic by construction. Each op commits at
 		// most once (the scheduled flag) and the run ends only at done ==
 		// total, so each stage holds its complete op universe with no
 		// duplicates. The per-stage count below is the only part of
-		// well-formedness the loop invariants don't pin down structurally;
-		// consumers that accept schedules from outside the generator
-		// (deserialization, hand-built tables) still run Validate or
-		// verify.Certify themselves.
+		// well-formedness the loop invariants don't pin down structurally.
 		for k := range g.stages {
 			if g.stages[k].pending != 0 || len(g.stages[k].order) != g.x.perStage {
 				err = fmt.Errorf("sched: generator produced invalid schedule: stage %d has %d ops, want %d: %w",

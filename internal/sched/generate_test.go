@@ -1,10 +1,8 @@
 package sched
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 	"unsafe"
 )
 
@@ -43,44 +41,6 @@ func TestPresetsValid(t *testing.T) {
 	}
 }
 
-// TestSVPPPropertyValid is the core property test: for random shapes and
-// memory knobs, SVPP generation must always succeed and produce a complete,
-// deadlock-free schedule (Generate validates internally) in every mode
-// combination.
-func TestSVPPPropertyValid(t *testing.T) {
-	type shape struct {
-		P, V, S, N, F uint8
-		Resched       bool
-		Split         bool
-		Pieces        uint8
-	}
-	check := func(sh shape) bool {
-		p := int(sh.P)%6 + 1
-		v := int(sh.V)%3 + 1
-		s := int(sh.S)%4 + 1
-		n := int(sh.N)%6 + 1
-		f := int(sh.F) % (v*s*p + 2) // may be under the v·s minimum: must clamp
-		pieces := 0
-		if sh.Split {
-			pieces = int(sh.Pieces)%4 + 1
-		}
-		sch, err := SVPP(SVPPOptions{
-			P: p, V: v, S: s, N: n, F: f,
-			Reschedule: sh.Resched, Split: sh.Split, FineGrainedW: pieces,
-		})
-		if err != nil {
-			t.Logf("SVPP(p=%d v=%d s=%d n=%d f=%d split=%v pieces=%d): %v",
-				p, v, s, n, f, sh.Split, pieces, err)
-			return false
-		}
-		return sch.Validate() == nil
-	}
-	cfg := &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(7))}
-	if err := quick.Check(check, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestGenerateDurationRobust: schedule generation must stay valid under
 // skewed cost estimates (attention imbalance, cheap forwards, heavy
 // backwards).
@@ -97,36 +57,6 @@ func TestGenerateDurationRobust(t *testing.T) {
 		if _, err := SVPP(SVPPOptions{P: 4, V: 2, S: 2, N: 4, Est: est, Split: true, FineGrainedW: 3}); err != nil {
 			t.Errorf("est %d split: %v", i, err)
 		}
-	}
-}
-
-// skewEst gives each slice a different forward cost, mimicking causal
-// attention imbalance (§5's motivating scenario: slice 0 at 75% of slice 1).
-type skewEst struct{}
-
-func (skewEst) OpTime(stage int, op Op) float64 {
-	base := 0.75 + 0.25*float64(op.Slice)
-	switch op.Kind {
-	case F:
-		return base
-	case B:
-		return 2 * base
-	case BAct:
-		return base
-	case W, WPiece:
-		return 0.75
-	}
-	return 0
-}
-func (skewEst) CommTime(from, to int, op Op) float64 { return 0.02 }
-
-func TestGenerateWithImbalancedSlices(t *testing.T) {
-	s, err := SVPP(SVPPOptions{P: 4, V: 1, S: 2, N: 4, Est: skewEst{}, Split: true, FineGrainedW: 4, Reschedule: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }
 

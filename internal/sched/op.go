@@ -158,6 +158,25 @@ func (s *Schedule) OpsPerStage() int {
 	return 3 * fb
 }
 
+// UniverseOps returns the number of ops of s's shape, P·OpsPerStage, and
+// whether they fit the int32 ids of its OpIndex. A shape with a
+// non-positive dimension has none.
+func (s *Schedule) UniverseOps() (int, bool) {
+	// Ops per family; clamping WPieces keeps the slot count from wrapping.
+	slots := newIndexer(1, 1, 1, 1, s.SplitBW, min(s.WPieces, 1<<31)).slots
+	n := 1
+	for _, d := range [...]int{s.P, s.N, s.V, s.S, slots} {
+		if d <= 0 {
+			return 0, true
+		}
+		if n > (1<<31-1)/d {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
+}
+
 func (s *Schedule) String() string {
 	return fmt.Sprintf("%s{p=%d v=%d s=%d n=%d split=%v}", s.Name, s.P, s.V, s.S, s.N, s.SplitBW)
 }

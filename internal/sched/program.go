@@ -2,9 +2,9 @@ package sched
 
 // Program is a schedule's stage lists loaded onto its op universe (the
 // OpIndex ids of its shape): every position's id, and every id's
-// program-order successor and position. Validate, the certifier and the
-// simulator session load every full table through it, so one pass
-// decides for all of them whether the lists are exactly the universe.
+// program-order successor and position. The certifier and the simulator
+// session load every full table through it, so one pass decides for both
+// whether the lists are exactly the universe.
 // The zero Program is ready to Load, and a Program reuses its capacity
 // across Loads.
 type Program struct {

@@ -31,8 +31,8 @@ func (c Chain) succ(u int32, next []int32) int32 {
 // case the tables are partial and indeg is positive exactly on the
 // unranked ops — Kahn's residual, the ops on or behind a cycle, which does
 // not depend on queue order. indeg is otherwise scratch of one entry per
-// op. Sort is the one Kahn pass over a schedule: Validate, the certifier,
-// the simulator session and the critical-path bound all rank through it.
+// op. Sort is the one Kahn pass over a schedule: the certifier and the
+// simulator session, and through it the critical-path bound, rank with it.
 //
 // A FIFO Kahn advances every stage about one op per wave, so the ops of a
 // stage that are close in program order are close in rank, and a window

@@ -64,6 +64,11 @@ const DefaultCacheSize = 512
 // is over 400 times the first and still above the second.
 const MaxBodyBytes = 4 << 20
 
+// maxCertifyOps is the most ops a /v1/certify body under MaxBodyBytes
+// can list, at 11 bytes for the shortest op. A larger shape can never be
+// complete, so it is refused before certification sizes tables by it.
+const maxCertifyOps = MaxBodyBytes / len("[0,0,0,0,0]")
+
 // errTooLarge marks a request body over MaxBodyBytes.
 var errTooLarge = errors.New("request too large: body exceeds the 4 MiB cap")
 
@@ -503,12 +508,16 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) {
 	}
 	sc, err := sched.Load(bytes.NewReader(req.Schedule))
 	if err != nil {
-		// A schedule that fails structural validation is a 422; anything
-		// else (malformed JSON) is a malformed request.
-		if !errors.Is(err, errs.ErrIncompatible) && !errors.Is(err, errs.ErrUncertified) {
+		// An inapplicable placement is a 422; anything else (malformed
+		// JSON, a shape past the op ids) is a malformed request.
+		if !errors.Is(err, errs.ErrIncompatible) {
 			err = fmt.Errorf("%w: %v", v1.ErrBadRequest, err)
 		}
 		status = fail(w, err)
+		return
+	}
+	if n, _ := sc.UniverseOps(); n > maxCertifyOps {
+		status = fail(w, fmt.Errorf("%w: %s has %d ops, more than a body under %d bytes can list", v1.ErrBadRequest, sc, n, MaxBodyBytes))
 		return
 	}
 	var vopts verify.Options

@@ -635,8 +635,8 @@ func TestOptimizeEndToEnd(t *testing.T) {
 	if or.Proposed != 3*2 || or.Evaluated+or.Infeasible != or.Proposed {
 		t.Errorf("counters: proposed %d evaluated %d infeasible %d", or.Proposed, or.Evaluated, or.Infeasible)
 	}
-	if _, err := sched.Load(bytes.NewReader(or.Schedule)); err != nil {
-		t.Errorf("discovered schedule does not load: %v", err)
+	if _, err := mepipe.LoadSchedule(bytes.NewReader(or.Schedule)); err != nil {
+		t.Errorf("discovered schedule does not load and certify: %v", err)
 	}
 
 	resp, body2 := post(t, ts.URL+"/v1/optimize", optDoc(t, 3))

@@ -10,34 +10,26 @@ import "mepipe/internal/sched"
 // CriticalPathBound returns the longest dependency chain through the
 // schedule's op DAG (durations plus cross-stage communication), ignoring
 // resource (stage) contention. No executor — however cleverly ordered — can
-// finish faster. The chain is solved in a Topo.Sort order of the
-// dependency edges alone: no op has a program-order successor.
+// finish faster. A pooled session binds and sweeps s, the gate Run runs,
+// and the chain is solved over its durations and delays in the sweep's
+// order, which also orders the dependency edges alone.
 func CriticalPathBound(s *sched.Schedule, costs Costs) (float64, error) {
-	if err := s.Validate(); err != nil {
+	se := sessionPool.Get().(*Session)
+	defer putSession(se)
+	if err := se.init(Options{Sched: s, Costs: costs}); err != nil {
 		return 0, err
 	}
-	t := s.DepTable()
-	ix := t.Ix
-	n := ix.Total()
-	next := make([]int32, n)
-	for i := range next {
-		next[i] = -1
+	if err := se.sweep(); err != nil {
+		return 0, err
 	}
-	var o sched.Topo
-	o.Sort(t, next, make([]int32, n)) // ranks all n: Validate proved a supergraph acyclic
-	finish := make([]float64, n)
+	finish := make([]float64, se.n)
 	best := 0.0
-	for _, u := range o.Order {
-		k, op := ix.At(u)
+	for _, u := range se.topo.Order {
 		ready := 0.0
-		for _, d := range t.ID[t.Off[u]:t.Off[u+1]] {
-			r := finish[d]
-			if dk, dop := ix.At(d); dk != k {
-				r += costs.CommTime(dk, k, dop)
-			}
-			ready = max(ready, r)
+		for e := se.depOff[u]; e < se.depOff[u+1]; e++ {
+			ready = max(ready, finish[se.depID[e]]+se.depComm[e])
 		}
-		finish[u] = ready + costs.OpTime(k, op)
+		finish[u] = ready + se.dur[u]
 		best = max(best, finish[u])
 	}
 	return best, nil

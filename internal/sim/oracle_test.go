@@ -8,6 +8,7 @@ import (
 	"mepipe/internal/errs"
 	"mepipe/internal/obs"
 	"mepipe/internal/sched"
+	"mepipe/internal/verify"
 )
 
 // This file is the simulator's reference oracle: a map-based discrete-event
@@ -52,7 +53,7 @@ func runRef(opt Options) (*Result, error) {
 	if s == nil {
 		return nil, fmt.Errorf("sim: nil schedule: %w", errs.ErrIncompatible)
 	}
-	if err := s.Validate(); err != nil {
+	if _, err := verify.Certify(s, verify.Options{}); err != nil {
 		return nil, err
 	}
 	if opt.DynamicW && !s.SplitBW {

@@ -90,7 +90,6 @@ func TestPlanningGridEvaluateMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: RunRef: %v", par, err)
 		}
-		opt.AssumeValid = true
 		got, err := sim.Evaluate(context.Background(), opt)
 		if err != nil {
 			t.Fatalf("%v: Evaluate: %v", par, err)

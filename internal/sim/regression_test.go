@@ -6,6 +6,7 @@ import (
 
 	"mepipe/internal/obs"
 	"mepipe/internal/sched"
+	"mepipe/internal/verify"
 )
 
 type nopSink struct{}
@@ -57,7 +58,7 @@ func TestDynamicOOMUncoverableOvershoot(t *testing.T) {
 		op(sched.BAct, 0, 0), op(sched.BAct, 1, 1), op(sched.BAct, 1, 0),
 		op(sched.W, 0, 1), op(sched.W, 0, 0), op(sched.W, 1, 1), op(sched.W, 1, 0),
 	}
-	if err := s.Validate(); err != nil {
+	if _, err := verify.Certify(s, verify.Options{}); err != nil {
 		t.Fatalf("hand-ordered schedule invalid: %v", err)
 	}
 	huge := op(sched.F, 1, 1)

@@ -29,11 +29,12 @@ import (
 //
 // A session numbers ops by their sched.OpIndex ids and shares the bound
 // schedule's sched.DepTable rather than copying it, so it binds only a
-// complete schedule: every op of the shape, once. It loads every full
-// table through sched.Program.Load, the universe pass Validate and the
-// certifier share, so under Options.AssumeValid a table that Validate
-// would reject for its op universe is rejected alike, with a wrapped
-// errs.ErrIncompatible.
+// complete schedule: every op of the shape, once. Its bind and first
+// sweep are the silent producer of the structural verdict (verify.Certify
+// names counterexamples): the bind loads the table through
+// sched.Program.Load, as the certifier does, and rejects a table that is
+// not its shape's op universe or depends on an op outside it
+// (errs.ErrIncompatible); the sweep, a deadlocking order (ErrUncertified).
 //
 // A Session is not safe for concurrent use. All slices inside the
 // returned Result are owned by the session and are overwritten by the next
@@ -112,12 +113,12 @@ type Session struct {
 	gen   uint64 // bumped by every write to the bound order; overlays check it
 }
 
-// NewSession binds a fast-evaluation session to opt. opt.Sched is fully
-// validated and becomes the base order; subsequent Eval calls accept any
-// per-stage permutation of the same ops, and emits into opt.Trace when it
-// is set. A nil schedule, a budget of the wrong length, or (under
-// AssumeValid) an incomplete op universe is reported as a wrapped
-// errs.ErrIncompatible.
+// NewSession binds a fast-evaluation session to opt. opt.Sched becomes
+// the base order; subsequent Eval calls accept any per-stage permutation
+// of the same ops, and emits into opt.Trace when it is set. A nil
+// schedule, a budget of the wrong length, or a table the bind rejects
+// (see Session) wraps errs.ErrIncompatible; a deadlocking order fails the
+// first Eval instead, before any event, wrapping errs.ErrUncertified.
 //
 //mepipe:deterministic
 func NewSession(opt Options) (*Session, error) {
@@ -142,11 +143,6 @@ func (se *Session) init(opt Options) error {
 	s := opt.Sched
 	if s == nil {
 		return fmt.Errorf("sim: nil schedule: %w", errs.ErrIncompatible)
-	}
-	if !opt.AssumeValid {
-		if err := s.Validate(); err != nil {
-			return err
-		}
 	}
 	if opt.DynamicW && !s.SplitBW {
 		return fmt.Errorf("sim: dynamic weight-gradient mode requires a split-backward schedule: %w", errs.ErrIncompatible)
@@ -330,8 +326,8 @@ func (se *Session) microInvariant(c Costs) bool {
 // Eval simulates s, which must be a per-stage permutation of the bound
 // schedule's ops (shape and placement included — anything else returns a
 // wrapped errs.ErrIncompatible, telling callers to rebuild the session).
-// Orders that deadlock return a wrapped errs.ErrUncertified, exactly as
-// Validate reports them. sched.Program.Load proves s a per-stage
+// Orders that deadlock return a wrapped errs.ErrUncertified.
+// sched.Program.Load proves s a per-stage
 // bijection onto the bound op set, whose shape compat has checked, and
 // the dense sweep evaluates it.
 //

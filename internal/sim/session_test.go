@@ -317,9 +317,9 @@ func TestSessionIncompatible(t *testing.T) {
 	if _, err := se.Eval(s); err != nil {
 		t.Fatalf("after incompatible evals: %v", err)
 	}
-	// Binding needs the complete op universe even when validation is
-	// skipped: a short table, a duplicate and an out-of-shape op are all
-	// incompatible, not silently simulated.
+	// Binding needs the complete op universe: a short table, a duplicate
+	// and an out-of-shape op are all incompatible, not silently
+	// simulated.
 	short := sessClone(s)
 	short.Stages[2] = short.Stages[2][1:]
 	dup := sessClone(s)
@@ -327,21 +327,21 @@ func TestSessionIncompatible(t *testing.T) {
 	outside := sessClone(s)
 	outside.Stages[0][0].Micro = s.N
 	for i, b := range []*sched.Schedule{short, dup, outside} {
-		if _, err := NewSession(Options{Sched: b, Costs: Unit(), AssumeValid: true}); !errors.Is(err, errs.ErrIncompatible) {
-			t.Fatalf("malformed table %d under AssumeValid: got %v, want ErrIncompatible", i, err)
+		if _, err := NewSession(Options{Sched: b, Costs: Unit()}); !errors.Is(err, errs.ErrIncompatible) {
+			t.Fatalf("malformed table %d: got %v, want ErrIncompatible", i, err)
 		}
 	}
 	// A piece number on a forward resolves to the forward's own id, yet
 	// the table is not the universe: the bind and Eval's load reject it,
-	// on a clean session and after a failed Eval alike, as Validate does.
+	// on a clean session and after a failed Eval alike.
 	d, err := sched.DAPPLE(2, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stray := sessClone(d)
 	stray.Stages[1][0].Piece = 7
-	if _, err := NewSession(Options{Sched: stray, Costs: Unit(), AssumeValid: true}); !errors.Is(err, errs.ErrIncompatible) {
-		t.Fatalf("stray piece under AssumeValid: got %v, want ErrIncompatible", err)
+	if _, err := NewSession(Options{Sched: stray, Costs: Unit()}); !errors.Is(err, errs.ErrIncompatible) {
+		t.Fatalf("stray piece at bind: got %v, want ErrIncompatible", err)
 	}
 	clean, err := NewSession(Options{Sched: d, Costs: Unit()})
 	if err != nil {
@@ -367,8 +367,8 @@ func TestSessionIncompatible(t *testing.T) {
 }
 
 // TestSessionNonPositiveShape: binding an empty table of a non-positive
-// shape under AssumeValid is incompatible — neither a divide by zero nor
-// a session over no ops.
+// shape is incompatible — neither a divide by zero nor a session over no
+// ops.
 func TestSessionNonPositiveShape(t *testing.T) {
 	for _, shape := range [][4]int{{2, 1, 1, 0}, {0, 1, 1, 2}, {2, 0, 1, 2}, {2, 1, 0, 2}} {
 		s := &sched.Schedule{Name: "empty", P: shape[0], V: shape[1], S: shape[2], N: shape[3],
@@ -379,7 +379,7 @@ func TestSessionNonPositiveShape(t *testing.T) {
 					t.Errorf("shape %v: bind panicked: %v", shape, r)
 				}
 			}()
-			if _, err := NewSession(Options{Sched: s, Costs: Unit(), AssumeValid: true}); !errors.Is(err, errs.ErrIncompatible) {
+			if _, err := NewSession(Options{Sched: s, Costs: Unit()}); !errors.Is(err, errs.ErrIncompatible) {
 				t.Errorf("shape %v: got %v, want ErrIncompatible", shape, err)
 			}
 		}()
@@ -450,7 +450,7 @@ func TestRebindAllocs(t *testing.T) {
 	}
 	budget := []int64{40, 40, 40, 40}
 	for _, dynamicW := range []bool{false, true} {
-		optA := Options{Sched: a, Costs: Unit(), ActBudget: budget, DynamicW: dynamicW, AssumeValid: true}
+		optA := Options{Sched: a, Costs: Unit(), ActBudget: budget, DynamicW: dynamicW}
 		optB := optA
 		optB.Sched = b
 		var se Session
@@ -824,7 +824,7 @@ func (o offGrid) Host(g int) (int, int) {
 }
 
 // TestSessionAbsentDepMessage pins the bind error for a dependency outside
-// the shape under AssumeValid: the first one in stage-list order.
+// the shape: the first one in stage-list order.
 func TestSessionAbsentDepMessage(t *testing.T) {
 	d, err := sched.DAPPLE(2, 2, nil)
 	if err != nil {
@@ -834,7 +834,7 @@ func TestSessionAbsentDepMessage(t *testing.T) {
 	// placement.
 	s := &sched.Schedule{Name: d.Name, P: 2, V: 1, S: 1, N: 2,
 		Place: offGrid{sched.RoundRobin{P: 2, V: 1}}, Stages: d.Stages}
-	_, err = NewSession(Options{Sched: s, Costs: Unit(), AssumeValid: true})
+	_, err = NewSession(Options{Sched: s, Costs: Unit()})
 	const want = "sim: session: op B[m0 s0 c0]@stage0 depends on absent op B[m0 s0 c0]@stage2: incompatible configuration"
 	if err == nil || err.Error() != want {
 		t.Fatalf("got  %v\nwant %s", err, want)

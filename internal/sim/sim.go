@@ -6,6 +6,9 @@
 // does (§5). It reports iteration time, per-stage bubble ratio, and peak
 // memory — the three quantities every table and figure of the paper is
 // built from.
+//
+// Every entry point binds a Session, whose bind and first sweep are the
+// silent producer of the structural verdict (see Session).
 package sim
 
 import (
@@ -75,16 +78,9 @@ type Options struct {
 	// Deprecated: leave it unset.
 	MakespanOnly bool
 
-	// AssumeValid skips the redundant Schedule.Validate at session bind.
-	// sched.Generate's output is valid by construction. An invalid table
-	// still fails: a session binds ops by their sched.OpIndex ids and
-	// loads the table with sched.Program.Load, the universe pass Validate
-	// runs, so a table of a non-positive shape or with missing, duplicate
-	// or misfit ops is rejected (wrapping errs.ErrIncompatible), and
-	// deadlocking orders surface at the first evaluation, before any event
-	// is emitted, exactly like Validate reports them (wrapping
-	// errs.ErrUncertified). The strategy path relies on this as its
-	// structural gate.
+	// AssumeValid has no effect: every session's bind gates (see Session).
+	//
+	// Deprecated: leave it unset.
 	AssumeValid bool
 }
 
@@ -138,9 +134,9 @@ func Run(opt Options) (*Result, error) {
 
 // RunContext is Run with cancellation, checked on entry (one evaluation is
 // short, so a mid-run check buys nothing): a cancelled ctx returns an error
-// wrapping errs.ErrCancelled. It validates opt (unless AssumeValid), binds
-// a pooled Session, evaluates once and returns a clone of the result, so
-// the Result is the caller's to keep.
+// wrapping errs.ErrCancelled. It binds a pooled Session, evaluates once
+// and returns a clone of the result, so the Result is the caller's to
+// keep.
 //
 //mepipe:deterministic
 func RunContext(ctx context.Context, opt Options) (*Result, error) {

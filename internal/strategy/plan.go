@@ -68,7 +68,7 @@ func Resolve(sys System, m config.Model, cl cluster.Cluster, par config.Parallel
 		return p, err
 	}
 	if err := sim.WriteOrder(sim.Options{Sched: p.Schedule, Costs: p.Costs, ActBudget: p.Memory.ActBudget,
-		DynamicW: true, TailTime: p.Costs.TailTime, AssumeValid: true}); err != nil {
+		DynamicW: true, TailTime: p.Costs.TailTime}); err != nil {
 		return nil, fmt.Errorf("strategy: simulating %s %v: %w", sys, par, err)
 	}
 	return p, nil
@@ -168,17 +168,15 @@ func (p *Plan) Simulate(ctx context.Context, opts ...Option) (*sim.Result, error
 		costs = o.costWrap(p.Schedule, p.Costs)
 	}
 	// Evaluate binds a pooled session, which emits into o.sink when one
-	// is set; traced and untraced results are bitwise-identical.
+	// is set; traced and untraced results are bitwise-identical. The
+	// session's bind and first sweep are the structural gate; a schedule
+	// they reject is certified below for its counterexample.
 	res, err := sim.Evaluate(ctx, sim.Options{
 		Sched: p.Schedule, Costs: costs,
 		ActBudget: p.Memory.ActBudget,
 		DynamicW:  p.DynamicW,
 		TailTime:  p.Costs.TailTime,
 		Trace:     o.sink,
-		// The session's bind and first sweep prove what Validate would;
-		// a schedule they reject is certified below for its
-		// counterexample.
-		AssumeValid: true,
 	})
 	if err != nil {
 		if _, cerr := verify.Certify(p.Schedule, verify.Options{}); cerr != nil {

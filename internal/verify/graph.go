@@ -45,7 +45,7 @@ func checkAcyclic(s *sched.Schedule, cert *Certificate, sc *certScratch) error {
 // the hot path — on the failure path as well as the success path.
 type certScratch struct {
 	// The table loaded onto its universe (sched.Program.Load, the one
-	// universe pass Validate and the simulator session share): every
+	// universe pass the simulator session shares): every
 	// position's id, read by every later pass, and every id's
 	// program-order successor and position in its stage.
 	sched.Program

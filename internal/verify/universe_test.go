@@ -7,49 +7,68 @@ import (
 	"mepipe/internal/sim"
 )
 
-// TestUniverseTexts pins the error texts of the three full-table loaders
-// — sched.Validate, Certify and a simulator session bound under
-// AssumeValid — on single-fault DAPPLE(2,2) tables: each names the same
-// fault in its own words, byte for byte.
+// TestUniverseTexts pins the error texts of the two producers of the
+// structural verdict — Certify, and a simulator session's bind plus its
+// first Eval (sessionVerdict) — on single-fault DAPPLE(2,2) tables: each
+// names the same fault in its own words, byte for byte.
 func TestUniverseTexts(t *testing.T) {
 	cases := []struct {
-		name                       string
-		mutate                     func(s *sched.Schedule)
-		validate, certify, session string
+		name             string
+		mutate           func(s *sched.Schedule)
+		certify, session string
 	}{
 		{"misfit", func(s *sched.Schedule) { s.Stages[1][0].Micro = 9 },
-			"sched: DAPPLE{p=2 v=1 s=1 n=2 split=false} stage 1: op F[m9 s0 c0] out of range: incompatible configuration",
 			"verify: DAPPLE{p=2 v=1 s=1 n=2 split=false}: stage 1: op F[m9 s0 c0] out of range",
 			"sim: session: op F[m9 s0 c0]@stage1 is outside the schedule shape: incompatible configuration"},
 		{"duplicate", func(s *sched.Schedule) { s.Stages[1][2] = s.Stages[1][0] },
-			"sched: DAPPLE{p=2 v=1 s=1 n=2 split=false} stage 1: duplicate op F[m0 s0 c0]: incompatible configuration",
 			"verify: DAPPLE{p=2 v=1 s=1 n=2 split=false}: stage 1: duplicate op F[m0 s0 c0]",
 			"sim: session: duplicate op F[m0 s0 c0]@stage1: incompatible configuration"},
 		{"short", func(s *sched.Schedule) { s.Stages[1] = s.Stages[1][:len(s.Stages[1])-1] },
-			"sched: DAPPLE{p=2 v=1 s=1 n=2 split=false} stage 1: 3 ops, want 4: incompatible configuration",
 			"verify: DAPPLE{p=2 v=1 s=1 n=2 split=false} stage 1: incomplete op family: missing B[m1 s0 c0]",
 			"sim: session: DAPPLE{p=2 v=1 s=1 n=2 split=false} has 7 ops in 2 stage lists, want the complete universe of 8 in 2: incompatible configuration"},
+		{"fused in split", func(s *sched.Schedule) { s.SplitBW = true },
+			"verify: DAPPLE{p=2 v=1 s=1 n=2 split=true}: stage 0: op B[m0 s0 c0] is a fused backward in a split schedule",
+			"sim: session: op B[m0 s0 c0]@stage0 is outside the schedule shape: incompatible configuration"},
+		{"stray piece", func(s *sched.Schedule) { s.Stages[1][0].Piece = 7 },
+			"verify: DAPPLE{p=2 v=1 s=1 n=2 split=false}: stage 1: op F[m0 s0 c0] carries weight-gradient piece 7",
+			"sim: session: op F[m0 s0 c0]@stage1 is outside the schedule shape: incompatible configuration"},
+		{"deadlock", func(s *sched.Schedule) { // stage 0's backwards before its forwards
+			s.Stages[0] = append(s.Stages[0][2:], s.Stages[0][:2]...)
+		},
+			"verify: DAPPLE{p=2 v=1 s=1 n=2 split=false} deadlocks: dependency cycle of 3 ops: B[m0 s0 c0]@stage0 -order-> B[m1 s0 c0]@stage0 -order-> F[m0 s0 c0]@stage0 -dep-> B[m0 s0 c0]@stage0",
+			"sim: session: 8 of 8 ops are on a program-order/dependency cycle (the order deadlocks): schedule failed certification"},
 	}
 	for _, c := range cases {
 		s := cloneAll(mustDAPPLE(t, 2, 2))
 		c.mutate(s)
-		got := [3]error{s.Validate(), nil, nil}
-		_, got[1] = Certify(s, Options{})
-		_, got[2] = sim.NewSession(sim.Options{Sched: s, Costs: sim.Unit(), AssumeValid: true})
-		for i, want := range []string{c.validate, c.certify, c.session} {
-			if got[i] == nil || got[i].Error() != want {
-				t.Errorf("%s, loader %d:\n got  %v\n want %s", c.name, i, got[i], want)
+		_, cerr := Certify(s, Options{})
+		for i, got := range []error{cerr, sessionVerdict(s)} {
+			if want := []string{c.certify, c.session}[i]; got == nil || got.Error() != want {
+				t.Errorf("%s, producer %d:\n got  %v\n want %s", c.name, i, got, want)
 			}
 		}
 	}
 }
 
-// FuzzUniverseVerdicts holds the full-table loaders to one verdict on
-// tables whose op universe a mutation stream may have broken: sched.
-// Validate, Certify, sim.NewSession under AssumeValid, and Eval on a
-// session bound to the clean preset (after the previous mutation's Eval,
-// failed or not) must all accept or all reject every mutated table. A mutation never reorders ops, so a table that keeps the
-// universe keeps the preset's valid order. Byte layout:
+// sessionVerdict is the session's structural verdict on s: its bind's,
+// else its first Eval's.
+func sessionVerdict(s *sched.Schedule) error {
+	se, err := sim.NewSession(sim.Options{Sched: s, Costs: sim.Unit()})
+	if err != nil {
+		return err
+	}
+	_, err = se.Eval(s)
+	return err
+}
+
+// FuzzUniverseVerdicts holds the two producers of the structural verdict
+// to one verdict on tables whose op universe a mutation stream may have
+// broken: Certify, a session's bind plus its first Eval
+// (sessionVerdict), and Eval on a session bound to the clean preset
+// (after the previous mutation's Eval, failed or not) must all accept or
+// all reject every mutated table. A mutation never reorders ops, so a
+// table that keeps the universe keeps the preset's valid order. Byte
+// layout:
 //
 //	[0..3]  preset, P, N, S (see fuzzPreset)
 //	[4..]   mutation stream, 3 bytes per mutation (see mutateUniverse)
@@ -76,14 +95,14 @@ func FuzzUniverseVerdicts(f *testing.F) {
 		s := cloneAll(clean)
 		for i := 4; i+2 < len(data); i += 3 {
 			mutateUniverse(s, data[i:i+3])
-			verdicts := [4]error{s.Validate()}
-			_, verdicts[1] = Certify(s, Options{})
-			_, verdicts[2] = sim.NewSession(sim.Options{Sched: s, Costs: sim.Unit(), AssumeValid: true})
-			_, verdicts[3] = bound.Eval(s)
+			var verdicts [3]error
+			_, verdicts[0] = Certify(s, Options{})
+			verdicts[1] = sessionVerdict(s)
+			_, verdicts[2] = bound.Eval(s)
 			for _, v := range verdicts[1:] {
 				if (v == nil) != (verdicts[0] == nil) {
-					t.Fatalf("loaders disagree: validate=%v certify=%v session=%v eval=%v",
-						verdicts[0], verdicts[1], verdicts[2], verdicts[3])
+					t.Fatalf("producers disagree: certify=%v session=%v eval=%v",
+						verdicts[0], verdicts[1], verdicts[2])
 				}
 			}
 		}

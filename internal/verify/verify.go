@@ -1,7 +1,7 @@
 // Package verify statically certifies pipeline schedules before anything
-// executes them. Where sched.Validate answers "is this table well formed",
-// Certify proves the two properties the paper's correctness argument rests
-// on (§4–§5) and produces an actionable counterexample when either fails:
+// executes them. Certify proves the table well formed and the two
+// properties the paper's correctness argument rests on (§4–§5), and
+// produces an actionable counterexample when any fails:
 //
 //   - Deadlock-freedom. The graph over (stage, op) nodes formed by
 //     per-stage program order plus the data dependencies of sched.Deps
@@ -21,13 +21,13 @@
 //     bound; the counterexample names the op at which the sweep first
 //     overflows and what was live.
 //
-// Certification is wired in as a pre-flight gate: pipeline.New rejects
-// schedules that do not certify with an error wrapping
-// errs.ErrUncertified, and the sched generator fuzz harness requires every
-// generated schedule to certify. Strategy evaluation (the façade's
-// Evaluate/Search) is certified by the simulator session's bind and first
-// sweep, the same sched.Program.Load and sched.Topo.Sort Certify runs;
-// when the session fails, Certify names the counterexample.
+// The structural verdict has two producers: Certify, the only one that
+// speaks, and a simulator session's bind and first sweep (the same
+// sched.Program.Load and sched.Topo.Sort), the silent gate of the hot
+// paths such as the façade's Evaluate/Search; when a session fails,
+// Certify names the counterexample. pipeline.New, every reader of a saved
+// schedule (mepipe.LoadSchedule, /v1/certify, mepipe-sched -load) and the
+// generator fuzz harness certify.
 package verify
 
 import (

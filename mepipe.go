@@ -26,6 +26,7 @@ package mepipe
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"mepipe/internal/analytic"
 	"mepipe/internal/bench"
@@ -87,11 +88,21 @@ type (
 	Op          = sched.Op
 )
 
-// LoadSchedule deserialises and validates a schedule saved with
-// Schedule.Save — schedules are portable JSON artifacts. Invalid files
-// are rejected with an error wrapping ErrIncompatible (malformed shape)
-// or ErrUncertified (deadlocking order).
-var LoadSchedule = sched.Load
+// LoadSchedule decodes a schedule saved with Schedule.Save — schedules
+// are portable JSON artifacts — and certifies it without a budget: an
+// incomplete or deadlocking table is rejected with CertifySchedule's
+// minimal counterexample (a *verify.CycleError, ...), wrapping
+// ErrUncertified.
+func LoadSchedule(r io.Reader) (*Schedule, error) {
+	s, err := sched.Load(r)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := verify.Certify(s, verify.Options{}); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
 // Static certification (docs/VERIFICATION.md): CertifySchedule proves a
 // schedule deadlock-free, complete, and — when a budget is supplied —
