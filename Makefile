@@ -205,14 +205,17 @@ bench-kernels:
 # One-iteration smoke of the kernel benchmarks (CI: proves they run), the
 # serial GEMM floor: on the decoder slice's mix, MatMul, MatMulBT,
 # MatMulAT and the three together each at least their floor times their
-# naive oracles at 0 allocs (amd64 with AVX2; skipped, with the Go loops'
-# ratios logged, without it), and the exp floor: the sigmoid leaf at least
-# 3× the scalar loop per element at 0 allocs (amd64 with AVX2 and FMA;
-# skipped, with the ratio logged, without them), and the cost model's
-# per-query floor: OpTime allocates nothing, with SPP slices and with CP.
+# naive oracles at 0 allocs, on every SIMD leaf set the CPU runs (amd64:
+# the AVX2 floors on the AVX2 and the AVX-512 leaves, higher ones for the
+# AVX-512 MatMul and MatMulAT; the Go loops' ratios are logged only), run
+# verbose so the log shows which leaf sets ran and their ratios, and the
+# exp floor: the sigmoid leaf at least 3× the scalar loop per element at
+# 0 allocs (amd64 with AVX2 and FMA; skipped, with the ratio logged,
+# without them), and the cost model's per-query floor: OpTime allocates
+# nothing, with SPP slices and with CP.
 bench-smoke:
 	$(GO) test ./internal/tensor -run NONE -bench 'BenchmarkKernels|BenchmarkDecoderSlice' -benchtime 1x
-	$(GO) test ./internal/tensor -run 'TestGEMMFloor|TestExpFloor' -count=1
+	$(GO) test ./internal/tensor -run 'TestGEMMFloor|TestExpFloor' -count=1 -v
 	$(GO) test ./internal/perf -run TestOpTimeZeroAlloc -count=1
 	$(GO) test ./internal/nn -run NONE -bench BenchmarkTrainStep -benchtime 1x
 

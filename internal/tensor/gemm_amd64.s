@@ -1,13 +1,66 @@
 #include "textflag.h"
 #include "funcdata.h"
 
-// AVX2 leaves of the GEMM kernels (see gemm_amd64.go). gemm_amd64.go
-// calls them only when hasAVX2 reported AVX2 with OS-saved YMM state, and
-// runs the Go loops of gemm.go otherwise. Every lane runs the scalar
-// sequence of the Go loops it replaces: one rounded VMULPS, then one
-// rounded VADDPS, never a fused multiply-add, so the results are bitwise
-// identical. Every instruction is VEX-encoded, and every leaf ends with
-// VZEROUPPER, so no SSE code after it pays a transition penalty.
+// SIMD leaves of the GEMM and elementwise kernels (see gemm_amd64.go).
+// gemm_amd64.go calls the AVX2 leaves only when hasAVX2 reported AVX2 with
+// OS-saved YMM state, the AVX-512 ones only when hasAVX512 also reported
+// AVX512F with OS-saved ZMM state, and runs the Go loops of gemm.go,
+// ops.go and tensor.go otherwise. Every lane runs the scalar sequence of
+// the Go loops it replaces: one rounded VMULPS, then one rounded VADDPS,
+// never a fused multiply-add, so the results are bitwise identical. Every
+// instruction is VEX- or EVEX-encoded, the AVX-512 leaves use Z0..Z15
+// only, and every leaf ends with VZEROUPPER, so no SSE code after it pays
+// a transition penalty.
+
+// The packed panels' macros stand before the first TEXT: go vet reads a
+// #define as code of the TEXT above it and would check their FP and SP
+// operands against that function's frame.
+
+// PACK4 copies step t of four rows of a (row r at (SI)(r·R9), row 3 at
+// (SI)(R8*1)) into the packed panel at DI, then moves SI and DI on one
+// step.
+#define PACK4 \
+	MOVL (SI), R10;        \
+	MOVL (SI)(R9*1), R11;  \
+	MOVL (SI)(R9*2), R12;  \
+	MOVL (SI)(R8*1), R13;  \
+	MOVL R10, (DI);        \
+	MOVL R11, 4(DI);       \
+	MOVL R12, 8(DI);       \
+	MOVL R13, 12(DI);      \
+	ADDQ $4, SI;           \
+	ADDQ $16, DI
+
+// PACKEDARGS writes, from 0(SP), the panel's arguments for the packed copy
+// of CX steps at 112(SP): the caller's dst, ldd, b, ldb and n8, and the
+// copy as a, with lda 4.
+#define PACKEDARGS \
+	MOVQ dst_base+0(FP), AX; \
+	MOVQ AX, 0(SP);          \
+	MOVQ dst_len+8(FP), AX;  \
+	MOVQ AX, 8(SP);          \
+	MOVQ dst_cap+16(FP), AX; \
+	MOVQ AX, 16(SP);         \
+	MOVQ ldd+24(FP), AX;     \
+	MOVQ AX, 24(SP);         \
+	LEAQ 112(SP), AX;        \
+	MOVQ AX, 32(SP);         \
+	MOVQ CX, AX;             \
+	SHLQ $2, AX;             \
+	MOVQ AX, 40(SP);         \
+	MOVQ AX, 48(SP);         \
+	MOVQ $4, 56(SP);         \
+	MOVQ b_base+64(FP), AX;  \
+	MOVQ AX, 64(SP);         \
+	MOVQ b_len+72(FP), AX;   \
+	MOVQ AX, 72(SP);         \
+	MOVQ b_cap+80(FP), AX;   \
+	MOVQ AX, 80(SP);         \
+	MOVQ ldb+88(FP), AX;     \
+	MOVQ AX, 88(SP);         \
+	MOVQ CX, 96(SP);         \
+	MOVQ n8+104(FP), AX;     \
+	MOVQ AX, 104(SP)
 
 // func hasAVX2() bool
 //
@@ -35,6 +88,37 @@ TEXT ·hasAVX2(SB), NOSPLIT, $0-1
 	XORL CX, CX
 	CPUID
 	BTL  $5, BX
+	JCC  done
+	MOVB $1, ret+0(FP)
+
+done:
+	RET
+
+// func hasAVX512() bool
+//
+// CPUID leaf 1 must report OSXSAVE, XGETBV must show the OS saving the
+// XMM, YMM, opmask and ZMM state (XCR0 bits 1, 2, 5, 6 and 7), and CPUID
+// leaf 7 must report AVX512F (EBX bit 16).
+TEXT ·hasAVX512(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  done
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	BTL  $27, CX // OSXSAVE
+	JCC  done
+	XORL CX, CX
+	XGETBV
+	ANDL $0xe6, AX
+	CMPL AX, $0xe6
+	JNE  done
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $16, BX
 	JCC  done
 	MOVB $1, ret+0(FP)
 
@@ -252,6 +336,179 @@ skip8r2:
 	MADD8(12, Y6)
 	JMP   next8
 
+// MADD32 is MADD16 on ZMM registers for a 4×32 block: b row in Z8:Z9.
+#define MADD32(OFF, LO, HI) \
+	VBROADCASTSS OFF(R12), Z12; \
+	VMULPS       Z8, Z12, Z13;  \
+	VMULPS       Z9, Z12, Z12;  \
+	VADDPS       Z13, LO, LO;   \
+	VADDPS       Z12, HI, HI
+
+// MADDZ16 is MADD8 on ZMM registers for a 4×16 block: b row in Z8.
+#define MADDZ16(OFF, ACC) \
+	VBROADCASTSS OFF(R12), Z12; \
+	VMULPS       Z8, Z12, Z12;  \
+	VADDPS       Z12, ACC, ACC
+
+// func panel4x32(dst []float32, ldd int, a []float32, lda int, b []float32, ldb, k, n8 int)
+//
+// panel4x16 on AVX-512 registers, with the arguments of panel4x16. For
+// each group of four of n8's blocks of eight columns, Z0..Z7 hold the
+// 4×32 block of dst (row r in Z(2r):Z(2r+1)) across all k steps; two
+// blocks left over take the same steps on a 4×16 block (row r in Z(2r)),
+// and a last odd block tail-calls panel4x16. Each step is panel4x16's:
+// the same loads, the same ±0 mask and masked path, one VMULPS and one
+// VADDPS per accumulator.
+TEXT ·panel4x32(SB), NOSPLIT, $0-112
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  ldd+24(FP), R8
+	MOVQ  a_base+32(FP), SI
+	MOVQ  lda+56(FP), R9
+	MOVQ  b_base+64(FP), DX
+	MOVQ  ldb+88(FP), R10
+	MOVQ  n8+104(FP), BX
+	SHLQ  $2, R8
+	SHLQ  $2, R9
+	SHLQ  $2, R10
+	LEAQ  (R8)(R8*2), R11 // byte offset of dst row 3
+	CMPQ  BX, $4
+	JLT   half
+
+block32:
+	VMOVUPS (DI), Z0
+	VMOVUPS 64(DI), Z1
+	VMOVUPS (DI)(R8*1), Z2
+	VMOVUPS 64(DI)(R8*1), Z3
+	VMOVUPS (DI)(R8*2), Z4
+	VMOVUPS 64(DI)(R8*2), Z5
+	VMOVUPS (DI)(R11*1), Z6
+	VMOVUPS 64(DI)(R11*1), Z7
+	MOVQ    SI, R12 // a values of step t
+	MOVQ    DX, R13 // b row of step t
+	MOVQ    k+96(FP), AX
+	TESTQ   AX, AX
+	JZ      store32
+
+step32:
+	VMOVUPS (R13), Z8
+	VMOVUPS 64(R13), Z9
+	ZEROMASK(masked32)
+	MADD32(0, Z0, Z1)
+	MADD32(4, Z2, Z3)
+	MADD32(8, Z4, Z5)
+	MADD32(12, Z6, Z7)
+
+next32:
+	ADDQ R9, R12
+	ADDQ R10, R13
+	DECQ AX
+	JNZ  step32
+
+store32:
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z1, 64(DI)
+	VMOVUPS Z2, (DI)(R8*1)
+	VMOVUPS Z3, 64(DI)(R8*1)
+	VMOVUPS Z4, (DI)(R8*2)
+	VMOVUPS Z5, 64(DI)(R8*2)
+	VMOVUPS Z6, (DI)(R11*1)
+	VMOVUPS Z7, 64(DI)(R11*1)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	SUBQ    $4, BX
+	CMPQ    BX, $4
+	JGE     block32
+
+half:
+	CMPQ    BX, $2
+	JLT     last
+	VMOVUPS (DI), Z0
+	VMOVUPS (DI)(R8*1), Z2
+	VMOVUPS (DI)(R8*2), Z4
+	VMOVUPS (DI)(R11*1), Z6
+	MOVQ    SI, R12
+	MOVQ    DX, R13
+	MOVQ    k+96(FP), AX
+	TESTQ   AX, AX
+	JZ      store16
+
+step16:
+	VMOVUPS (R13), Z8
+	ZEROMASK(masked16)
+	MADDZ16(0, Z0)
+	MADDZ16(4, Z2)
+	MADDZ16(8, Z4)
+	MADDZ16(12, Z6)
+
+next16:
+	ADDQ R9, R12
+	ADDQ R10, R13
+	DECQ AX
+	JNZ  step16
+
+store16:
+	VMOVUPS Z0, (DI)
+	VMOVUPS Z2, (DI)(R8*1)
+	VMOVUPS Z4, (DI)(R8*2)
+	VMOVUPS Z6, (DI)(R11*1)
+	ADDQ    $64, DI
+	ADDQ    $64, DX
+	SUBQ    $2, BX
+
+last:
+	VZEROUPPER
+	TESTQ BX, BX
+	JZ    done
+	MOVQ  DI, dst_base+0(FP)
+	MOVQ  DX, b_base+64(FP)
+	MOVQ  BX, n8+104(FP)
+	JMP   ·panel4x16(SB)
+
+done:
+	RET
+
+masked32:
+	TESTL $1, CX
+	JNZ   skip32r0
+	MADD32(0, Z0, Z1)
+
+skip32r0:
+	TESTL $2, CX
+	JNZ   skip32r1
+	MADD32(4, Z2, Z3)
+
+skip32r1:
+	TESTL $4, CX
+	JNZ   skip32r2
+	MADD32(8, Z4, Z5)
+
+skip32r2:
+	TESTL $8, CX
+	JNZ   next32
+	MADD32(12, Z6, Z7)
+	JMP   next32
+
+masked16:
+	TESTL $1, CX
+	JNZ   skip16r0
+	MADDZ16(0, Z0)
+
+skip16r0:
+	TESTL $2, CX
+	JNZ   skip16r1
+	MADDZ16(4, Z2)
+
+skip16r1:
+	TESTL $4, CX
+	JNZ   skip16r2
+	MADDZ16(8, Z4)
+
+skip16r2:
+	TESTL $8, CX
+	JNZ   next16
+	MADDZ16(12, Z6)
+	JMP   next16
+
 // func panel4x16Packed(dst []float32, ldd int, a []float32, lda int, b []float32, ldb, k, n8 int)
 //
 // panel4x16 over four rows of a stored row-major (row r at a[r·lda:],
@@ -259,84 +516,106 @@ skip8r2:
 // its own frame, which Go does not zero, and calls panel4x16 on the copy.
 TEXT ·panel4x16Packed(SB), $4208-112
 	NO_LOCAL_POINTERS
-	MOVQ a_base+32(FP), SI
-	MOVQ lda+56(FP), R9
-	MOVQ k+96(FP), CX
-	SHLQ $2, R9
-	LEAQ (R9)(R9*2), R8 // byte offset of a row 3
-	LEAQ 112(SP), DI    // the packed panel, past panel4x16's arguments
-	MOVQ CX, AX
+	MOVQ  a_base+32(FP), SI
+	MOVQ  lda+56(FP), R9
+	MOVQ  k+96(FP), CX
+	SHLQ  $2, R9
+	LEAQ  (R9)(R9*2), R8 // byte offset of a row 3
+	LEAQ  112(SP), DI    // the packed panel, past panel4x16's arguments
+	MOVQ  CX, AX
 	TESTQ AX, AX
-	JZ   call
+	JZ    call
 
 pack:
-	MOVL (SI), R10
-	MOVL (SI)(R9*1), R11
-	MOVL (SI)(R9*2), R12
-	MOVL (SI)(R8*1), R13
-	MOVL R10, (DI)
-	MOVL R11, 4(DI)
-	MOVL R12, 8(DI)
-	MOVL R13, 12(DI)
-	ADDQ $4, SI
-	ADDQ $16, DI
+	PACK4
 	DECQ AX
 	JNZ  pack
 
 call:
-	MOVQ dst_base+0(FP), AX
-	MOVQ AX, 0(SP)
-	MOVQ dst_len+8(FP), AX
-	MOVQ AX, 8(SP)
-	MOVQ dst_cap+16(FP), AX
-	MOVQ AX, 16(SP)
-	MOVQ ldd+24(FP), AX
-	MOVQ AX, 24(SP)
-	LEAQ 112(SP), AX
-	MOVQ AX, 32(SP)
-	MOVQ CX, AX
-	SHLQ $2, AX
-	MOVQ AX, 40(SP)
-	MOVQ AX, 48(SP)
-	MOVQ $4, 56(SP)
-	MOVQ b_base+64(FP), AX
-	MOVQ AX, 64(SP)
-	MOVQ b_len+72(FP), AX
-	MOVQ AX, 72(SP)
-	MOVQ b_cap+80(FP), AX
-	MOVQ AX, 80(SP)
-	MOVQ ldb+88(FP), AX
-	MOVQ AX, 88(SP)
-	MOVQ CX, 96(SP)
-	MOVQ n8+104(FP), AX
-	MOVQ AX, 104(SP)
+	PACKEDARGS
 	CALL ·panel4x16(SB)
+	RET
+
+// func panel4x32Packed(dst []float32, ldd int, a []float32, lda int, b []float32, ldb, k, n8 int)
+//
+// panel4x16Packed calling panel4x32.
+TEXT ·panel4x32Packed(SB), $4208-112
+	NO_LOCAL_POINTERS
+	MOVQ  a_base+32(FP), SI
+	MOVQ  lda+56(FP), R9
+	MOVQ  k+96(FP), CX
+	SHLQ  $2, R9
+	LEAQ  (R9)(R9*2), R8
+	LEAQ  112(SP), DI
+	MOVQ  CX, AX
+	TESTQ AX, AX
+	JZ    call
+
+pack:
+	PACK4
+	DECQ AX
+	JNZ  pack
+
+call:
+	PACKEDARGS
+	CALL ·panel4x32(SB)
 	RET
 
 // btK is the number of k steps panelBT's frame holds: 8 floats each.
 #define btK 256
 
-// ADDROW adds the four sums in SRC into the dst row at R9, then moves R9
+// ADDROW adds the eight sums in SRC into the dst row at R9, then moves R9
 // to the next row, or jumps to stored once R14 rows are done.
 #define ADDROW(SRC) \
-	VMOVUPS (R9), X4;    \
-	VADDPS  SRC, X4, X4; \
-	VMOVUPS X4, (R9);    \
+	VMOVUPS (R9), Y0;    \
+	VADDPS  SRC, Y0, Y0; \
+	VMOVUPS Y0, (R9);    \
 	DECQ    R14;         \
 	JZ      stored;      \
 	ADDQ    R8, R9
 
-// func panelBT(dst []float32, ldd int, a []float32, lda, h int, b []float32, ldb, k, n4 int)
+// MULADD4 multiplies the panel row in Y8 by the broadcasts of four b
+// values, b_l[t] at (BASE), (BASE)(R10*1), (BASE)(R10*2) and
+// (BASE)(R11*1), and adds the products into A0..A3.
+#define MULADD4(BASE, A0, A1, A2, A3) \
+	VBROADCASTSS (BASE), Y9;          \
+	VBROADCASTSS (BASE)(R10*1), Y10;  \
+	VBROADCASTSS (BASE)(R10*2), Y11;  \
+	VBROADCASTSS (BASE)(R11*1), Y12;  \
+	VMULPS       Y8, Y9, Y9;          \
+	VMULPS       Y8, Y10, Y10;        \
+	VMULPS       Y8, Y11, Y11;        \
+	VMULPS       Y8, Y12, Y12;        \
+	VADDPS       Y9, A0, A0;          \
+	VADDPS       Y10, A1, A1;         \
+	VADDPS       Y11, A2, A2;         \
+	VADDPS       Y12, A3, A3
+
+// TRANSPOSE4 transposes the 4×4 blocks of A0..A3 in each 128-bit half
+// (Y8..Y11 are scratch): afterwards the low half of A_r holds lane r of
+// A0..A3 and the high half lane r+4.
+#define TRANSPOSE4(A0, A1, A2, A3) \
+	VUNPCKLPS A1, A0, Y8;       \
+	VUNPCKHPS A1, A0, Y9;       \
+	VUNPCKLPS A3, A2, Y10;      \
+	VUNPCKHPS A3, A2, Y11;      \
+	VSHUFPS   $0x44, Y10, Y8, A0; \
+	VSHUFPS   $0xEE, Y10, Y8, A1; \
+	VSHUFPS   $0x44, Y11, Y9, A2; \
+	VSHUFPS   $0xEE, Y11, Y9, A3
+
+// func panelBT(dst []float32, ldd int, a []float32, lda, h int, b []float32, ldb, k, n8 int)
 //
-// For each of n4 groups of four b rows (b_j at b[j·ldb:]), Y0..Y3 start at
-// +0 and accumulate the group's dot products with h ≤ 8 rows of a (row r
-// at a[r·lda:]): lane r of Y_l is a_r·b_l. The rows of a are packed once,
-// transposed, into a k×8 panel in the frame (rows past h repeat row h−1,
-// and their lanes are discarded), so each step is one load of the panel,
-// four broadcasts of b_l[t], four VMULPS and four VADDPS. At the end of a
-// group the four accumulators are transposed and added into dst, row r
-// columns j..j+3. When k exceeds the panel's btK steps, each group packs
-// and runs the steps btK at a time, its accumulators held in registers.
+// For each of n8 groups of eight b rows (b_j at b[j·ldb:]), Y0..Y7 start
+// at +0 and accumulate the group's dot products with h ≤ 8 rows of a (row
+// r at a[r·lda:]): lane r of Y_l is a_r·b_l. The rows of a are packed
+// once, transposed, into a k×8 panel in the frame (rows past h repeat row
+// h−1, and their lanes are discarded), so each step is one load of the
+// panel, eight broadcasts of b_l[t], eight VMULPS and eight VADDPS. At the
+// end of a group the accumulators are transposed, four at a time, and
+// added into dst, row r columns j..j+7. When k exceeds the panel's btK
+// steps, each group packs and runs the steps btK at a time, its
+// accumulators held in registers.
 TEXT ·panelBT(SB), $8192-120
 	NO_LOCAL_POINTERS
 	MOVQ  dst_base+0(FP), DI
@@ -344,7 +623,7 @@ TEXT ·panelBT(SB), $8192-120
 	MOVQ  ldb+96(FP), R10
 	SHLQ  $2, R10
 	LEAQ  (R10)(R10*2), R11 // byte offset of b row 3
-	MOVQ  n4+112(FP), BX
+	MOVQ  n8+112(FP), BX
 	TESTQ BX, BX
 	JZ    done
 
@@ -353,6 +632,10 @@ group:
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
 	XORQ   CX, CX // k0, the chunk's first step
 
 chunk:
@@ -364,7 +647,7 @@ chunk:
 
 sized:
 	// Later groups reuse the panel when one chunk holds every step.
-	CMPQ BX, n4+112(FP)
+	CMPQ BX, n8+112(FP)
 	JEQ  pack
 	CMPQ k+104(FP), $btK
 	JLE  run
@@ -383,8 +666,8 @@ packrow:
 	JZ    packnext
 
 packstep:
-	VMOVSS (R9), X4
-	VMOVSS X4, (R13)
+	VMOVSS (R9), X8
+	VMOVSS X8, (R13)
 	ADDQ $4, R9
 	ADDQ $32, R13
 	DECQ R8
@@ -404,66 +687,202 @@ packnext:
 run:
 	LEAQ  0(SP), R12
 	LEAQ  (DX)(CX*4), R13 // b row j, step k0
+	LEAQ  (R13)(R10*4), R14 // b row j+4, step k0
 	MOVQ  AX, SI
 	TESTQ SI, SI
 	JZ    chunkdone
 
 step:
-	VMOVUPS      (R12), Y4
-	VBROADCASTSS (R13), Y5
-	VBROADCASTSS (R13)(R10*1), Y6
-	VBROADCASTSS (R13)(R10*2), Y7
-	VBROADCASTSS (R13)(R11*1), Y8
-	VMULPS       Y4, Y5, Y5
-	VMULPS       Y4, Y6, Y6
-	VMULPS       Y4, Y7, Y7
-	VMULPS       Y4, Y8, Y8
-	VADDPS       Y5, Y0, Y0
-	VADDPS       Y6, Y1, Y1
-	VADDPS       Y7, Y2, Y2
-	VADDPS       Y8, Y3, Y3
-	ADDQ         $32, R12
-	ADDQ         $4, R13
-	DECQ         SI
-	JNZ          step
+	VMOVUPS (R12), Y8
+	MULADD4(R13, Y0, Y1, Y2, Y3)
+	MULADD4(R14, Y4, Y5, Y6, Y7)
+	ADDQ    $32, R12
+	ADDQ    $4, R13
+	ADDQ    $4, R14
+	DECQ    SI
+	JNZ     step
 
 chunkdone:
 	ADDQ AX, CX
 	CMPQ CX, k+104(FP)
 	JLT  chunk
 
-	// Transpose: row r of the block is the low half of Y_r, row r+4 the
-	// high half.
-	VUNPCKLPS Y1, Y0, Y4
-	VUNPCKHPS Y1, Y0, Y5
-	VUNPCKLPS Y3, Y2, Y6
-	VUNPCKHPS Y3, Y2, Y7
-	VSHUFPS   $0x44, Y6, Y4, Y0
-	VSHUFPS   $0xEE, Y6, Y4, Y1
-	VSHUFPS   $0x44, Y7, Y5, Y2
-	VSHUFPS   $0xEE, Y7, Y5, Y3
-	MOVQ      ldd+24(FP), R8
-	SHLQ      $2, R8
-	MOVQ      h+64(FP), R14
-	MOVQ      DI, R9
-	ADDROW(X0)
-	ADDROW(X1)
-	ADDROW(X2)
-	ADDROW(X3)
-	VEXTRACTF128 $1, Y0, X0
-	ADDROW(X0)
-	VEXTRACTF128 $1, Y1, X1
-	ADDROW(X1)
-	VEXTRACTF128 $1, Y2, X2
-	ADDROW(X2)
-	VEXTRACTF128 $1, Y3, X3
-	ADDROW(X3)
+	// Row r of the block is the low half of Y_r then of Y_(r+4); row r+4
+	// the high halves.
+	TRANSPOSE4(Y0, Y1, Y2, Y3)
+	TRANSPOSE4(Y4, Y5, Y6, Y7)
+	VPERM2F128 $0x20, Y4, Y0, Y8
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VPERM2F128 $0x31, Y4, Y0, Y12
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VPERM2F128 $0x31, Y7, Y3, Y15
+	MOVQ       ldd+24(FP), R8
+	SHLQ       $2, R8
+	MOVQ       h+64(FP), R14
+	MOVQ       DI, R9
+	ADDROW(Y8)
+	ADDROW(Y9)
+	ADDROW(Y10)
+	ADDROW(Y11)
+	ADDROW(Y12)
+	ADDROW(Y13)
+	ADDROW(Y14)
+	ADDROW(Y15)
 
 stored:
-	ADDQ $16, DI
-	LEAQ (DX)(R10*4), DX
+	ADDQ $32, DI
+	LEAQ (DX)(R10*8), DX
 	DECQ BX
 	JNZ  group
+
+done:
+	VZEROUPPER
+	RET
+
+// The elementwise leaves below run 8 floats per VEX instruction, then a
+// scalar tail, over len(dst) elements; the callers pass operands exactly
+// as long as dst. Each keeps the operand order of the Go loop it replaces.
+
+// func mulAVX2(dst, a, b []float32)
+TEXT ·mulAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-8, BX
+	JZ   tail
+
+loop8:
+	VMOVUPS (SI)(AX*4), Y0
+	VMULPS  (DX)(AX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, BX
+	JLT     loop8
+
+tail:
+	CMPQ AX, CX
+	JGE  done
+
+loop1:
+	VMOVSS (SI)(AX*4), X0
+	VMULSS (DX)(AX*4), X0, X0
+	VMOVSS X0, (DI)(AX*4)
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    loop1
+
+done:
+	VZEROUPPER
+	RET
+
+// func mulAddAVX2(dst, a, b []float32)
+TEXT ·mulAddAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), DX
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-8, BX
+	JZ   tail
+
+loop8:
+	VMOVUPS (SI)(AX*4), Y0
+	VMULPS  (DX)(AX*4), Y0, Y0
+	VMOVUPS (DI)(AX*4), Y1
+	VADDPS  Y0, Y1, Y1
+	VMOVUPS Y1, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, BX
+	JLT     loop8
+
+tail:
+	CMPQ AX, CX
+	JGE  done
+
+loop1:
+	VMOVSS (SI)(AX*4), X0
+	VMULSS (DX)(AX*4), X0, X0
+	VMOVSS (DI)(AX*4), X1
+	VADDSS X0, X1, X1
+	VMOVSS X1, (DI)(AX*4)
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    loop1
+
+done:
+	VZEROUPPER
+	RET
+
+// func addAVX2(dst, src []float32)
+TEXT ·addAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	XORQ AX, AX
+	MOVQ CX, BX
+	ANDQ $-8, BX
+	JZ   tail
+
+loop8:
+	VMOVUPS (DI)(AX*4), Y0
+	VADDPS  (SI)(AX*4), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, BX
+	JLT     loop8
+
+tail:
+	CMPQ AX, CX
+	JGE  done
+
+loop1:
+	VMOVSS (DI)(AX*4), X0
+	VADDSS (SI)(AX*4), X0, X0
+	VMOVSS X0, (DI)(AX*4)
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    loop1
+
+done:
+	VZEROUPPER
+	RET
+
+// func scaleAVX2(dst []float32, a float32)
+TEXT ·scaleAVX2(SB), NOSPLIT, $0-28
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	VBROADCASTSS a+24(FP), Y1
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-8, BX
+	JZ           tail
+
+loop8:
+	VMOVUPS (DI)(AX*4), Y0
+	VMULPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, BX
+	JLT     loop8
+
+tail:
+	CMPQ AX, CX
+	JGE  done
+
+loop1:
+	VMOVSS (DI)(AX*4), X0
+	VMULSS X1, X0, X0
+	VMOVSS X0, (DI)(AX*4)
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    loop1
 
 done:
 	VZEROUPPER

@@ -181,6 +181,10 @@ func TestShapePanicMessages(t *testing.T) {
 			"tensor: add shape mismatch (1x2)+=(2x1)"},
 		{"append", func() { New(1, 2).AppendRows(New(2, 3)) },
 			"tensor: append shape mismatch (1x2)<<(2x3)"},
+		{"mul", func() { Mul(New(1, 2), New(1, 4), New(1, 2)) },
+			"tensor: mul shape mismatch (1x4)⊙(1x2)->(1x2)"},
+		{"mulAdd", func() { MulAdd(New(2, 2), New(2, 2), New(4, 1)) },
+			"tensor: mulAdd shape mismatch (2x2)⊙(4x1)->(2x2)"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

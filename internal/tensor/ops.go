@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -71,17 +72,50 @@ func expDiffsGo(dst []float64, x []float32, c float32) {
 //mepipe:coldalloc fallback for callers without scratch storage; hot paths pass a reused buffer instead
 func newVec(n int) []float32 { return make([]float32, n) }
 
-// Mul computes dst = a ⊙ b element-wise.
+// Mul computes dst = a ⊙ b element-wise; dst may alias a or b.
 func Mul(dst, a, b *Matrix) {
-	for i := range dst.Data {
-		dst.Data[i] = a.Data[i] * b.Data[i]
-	}
+	checkElementwise("mul", dst, a, b)
+	mul(dst.Data, a.Data, b.Data)
 }
 
 // MulAdd computes dst += a ⊙ b element-wise.
 func MulAdd(dst, a, b *Matrix) {
-	for i := range dst.Data {
-		dst.Data[i] += a.Data[i] * b.Data[i]
+	checkElementwise("mulAdd", dst, a, b)
+	mulAdd(dst.Data, a.Data, b.Data)
+}
+
+// checkElementwise panics unless a and b have dst's shape.
+func checkElementwise(op string, dst, a, b *Matrix) {
+	if !sameShape(dst, a) || !sameShape(dst, b) {
+		panic(fmt.Sprintf("tensor: %s shape mismatch (%dx%d)⊙(%dx%d)->(%dx%d)",
+			op, a.Rows, a.Cols, b.Rows, b.Cols, dst.Rows, dst.Cols))
+	}
+}
+
+// mulGo, mulAddGo, addGo and scaleGo are the loops the elementwise leaves
+// replace, and their oracles: each runs over len(dst), reading the same
+// index of its operands.
+func mulGo(dst, a, b []float32) {
+	for i := range dst {
+		dst[i] = a[i] * b[i]
+	}
+}
+
+func mulAddGo(dst, a, b []float32) {
+	for i := range dst {
+		dst[i] += a[i] * b[i]
+	}
+}
+
+func addGo(dst, src []float32) {
+	for i := range dst {
+		dst[i] += src[i]
+	}
+}
+
+func scaleGo(dst []float32, a float32) {
+	for i := range dst {
+		dst[i] *= a
 	}
 }
 

@@ -67,13 +67,14 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 
 // Add accumulates src into m element-wise.
 func (m *Matrix) Add(src *Matrix) {
-	if m.Rows != src.Rows || m.Cols != src.Cols {
+	if !sameShape(m, src) {
 		panic(fmt.Sprintf("tensor: add shape mismatch (%dx%d)+=(%dx%d)", m.Rows, m.Cols, src.Rows, src.Cols))
 	}
-	for i, v := range src.Data {
-		m.Data[i] += v
-	}
+	add(m.Data, src.Data)
 }
+
+// sameShape reports whether a and b have the same rows and columns.
+func sameShape(a, b *Matrix) bool { return a.Rows == b.Rows && a.Cols == b.Cols }
 
 // AppendRows appends src's rows to m in place, growing the backing array
 // geometrically when capacity runs out. Matrices built with NewWithRowCap
@@ -105,11 +106,7 @@ func growData(m *Matrix, used, need int) {
 }
 
 // Scale multiplies every element by a.
-func (m *Matrix) Scale(a float32) {
-	for i := range m.Data {
-		m.Data[i] *= a
-	}
-}
+func (m *Matrix) Scale(a float32) { scale(m.Data, a) }
 
 // MaxAbsDiff returns the largest absolute element-wise difference.
 func MaxAbsDiff(a, b *Matrix) float64 {
