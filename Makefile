@@ -61,12 +61,14 @@ check: build vet test race-hot
 # the checkpoint bytes of a seeded model, the weights after fixed Adam
 # steps, the data-parallel all-reduced gradients, each stage's owned
 # weights after two pipelined SGD steps, and the per-stage EvCkpt
-# snapshot bytes — each recorded before the parameter table existed.
+# snapshot bytes — each recorded before the parameter table existed —
+# and the runtime's allocation ceiling for one iteration at the train
+# benchmark's shape (New, and New plus Run).
 smoke:
 	sh artifact/e0_check.sh
 	$(GO) run ./cmd/mepipe-chaos
 	$(GO) test ./internal/nn -run 'TestCheckpointBytesPinned|TestAdamPinned' -count=1
-	$(GO) test ./internal/pipeline -run 'TestDataParallelGradsPinned|TestOwnedWeightsPinned|TestCheckpointEventBytesPinned' -count=1
+	$(GO) test ./internal/pipeline -run 'TestDataParallelGradsPinned|TestOwnedWeightsPinned|TestCheckpointEventBytesPinned|TestRunnerAllocs' -count=1
 
 # Planning-server smoke (docs/SERVE.md): boots mepipe-serve on an
 # ephemeral port in-process, proves a /v1/search answers certified, the

@@ -6,11 +6,14 @@
 // (GPipe, DAPPLE, VPP, TeraPipe, ZB, SVPP/MEPipe) including fine-grained
 // weight-gradient pieces executed out of order in bubbles.
 //
-// Each stage owns the layers of its model chunks; tensors cross stages over
-// buffered channels created one-per-dependency-edge, so the blocking
-// receive IS the dependency wait. The channel fabric is the runtime's only
-// transport: every stage runs in one process, and data-parallel replicas
-// (DataParallel) are further runners in that process. Schedule validation
+// Each stage owns the layers of its model chunks and runs on the
+// schedule's dense tables (sched.DepTable): a dependency edge carries a
+// tensor exactly when it crosses a global-chunk boundary, and each
+// producer feeds at most one such consumer. Cross-stage tensors travel
+// over one 1-buffered channel per edge, so the blocking receive IS the
+// dependency wait. The channel fabric is the runtime's only transport:
+// every stage runs in one process, and data-parallel replicas
+// (DataParallel) are further runners in that process. Certification
 // (deadlock freedom) guarantees the goroutines always drain.
 package pipeline
 
@@ -29,15 +32,6 @@ import (
 	"mepipe/internal/verify"
 )
 
-// famKey identifies an activation family.
-type famKey struct{ micro, slice, chunk int }
-
-// edgeKey identifies the consumer endpoint of a cross-stage tensor.
-type edgeKey struct {
-	stage int
-	op    sched.Op
-}
-
 // Runner executes one iteration of a schedule over a model and batch.
 type Runner struct {
 	model *nn.Model
@@ -48,8 +42,13 @@ type Runner struct {
 	layerChunk  []int   // layer index -> global chunk
 	sliceTokens int
 
-	recv  map[edgeKey]chan *tensor.Matrix
-	sends map[edgeKey][]chan *tensor.Matrix
+	// dt is the schedule's dependency table, over the op ids of dt.Ix.
+	// out[id] is the op that op id hands its output tensor to, or -1;
+	// in[id] is op id's receive channel when that tensor comes from
+	// another stage, nil otherwise.
+	dt  *sched.DepTable
+	out []int32
+	in  []chan *tensor.Matrix
 
 	// ctx cancels blocking receives mid-iteration (RunContext); it is
 	// context.Background for plain Run.
@@ -106,8 +105,7 @@ func New(m *nn.Model, s *sched.Schedule, batch [][]int) (*Runner, error) {
 	r := &Runner{
 		model: m, s: s, batch: batch,
 		sliceTokens: m.Cfg.SeqLen / s.S,
-		recv:        map[edgeKey]chan *tensor.Matrix{},
-		sends:       map[edgeKey][]chan *tensor.Matrix{},
+		dt:          s.DepTable(),
 		ctx:         context.Background(),
 		clock:       realClock,
 		retry:       DefaultRetry(),
@@ -128,41 +126,58 @@ func New(m *nn.Model, s *sched.Schedule, batch [][]int) (*Runner, error) {
 			next++
 		}
 	}
-	// One channel per cross-stage data edge; W ops never cross stages.
-	var deps []sched.Dep
-	for k, ops := range s.Stages {
-		for _, op := range ops {
-			deps = s.Deps(deps[:0], k, op)
-			for _, d := range deps {
-				if d.Stage == k {
-					continue
-				}
-				ch := make(chan *tensor.Matrix, 1)
-				r.recv[edgeKey{k, op}] = ch
-				prod := edgeKey{d.Stage, d.Op}
-				r.sends[prod] = append(r.sends[prod], ch)
+	// Tensor edges: the dependencies that cross a global-chunk boundary
+	// (sched.Deps rules F.1 and B.1), one channel per cross-stage one.
+	t := r.dt
+	r.out = make([]int32, t.Ix.Total())
+	r.in = make([]chan *tensor.Matrix, t.Ix.Total())
+	for id := range r.out {
+		r.out[id] = -1
+	}
+	for id := range r.out {
+		g := r.globalOf(int32(id))
+		for _, d := range t.ID[t.Off[id]:t.Off[id+1]] {
+			if r.globalOf(d) == g {
+				continue
+			}
+			r.out[d] = int32(id)
+			if t.Ix.Stage(d) != t.Ix.Stage(int32(id)) {
+				r.in[id] = make(chan *tensor.Matrix, 1)
 			}
 		}
 	}
 	return r, nil
 }
 
-// stage is the per-goroutine execution state.
+// globalOf returns the global chunk of the op with dense id.
+func (r *Runner) globalOf(id int32) int {
+	k, op := r.dt.Ix.At(id)
+	return r.s.Place.Global(k, op.Chunk)
+}
+
+// stage is the per-goroutine execution state. Its per-family tables are
+// indexed by OpIndex.FamilyOf minus fam0, and stash by op id minus base.
 type stage struct {
-	k int
+	k    int
+	base int32 // id of the stage's first op
+	fam0 int32 // family of the stage's first op
 	// sc is the stage's scratch arena; nil when checkpointing is enabled
 	// (snapshots share activation references, so recycling would corrupt
 	// replay) — the passes then fall back to plain allocation.
 	sc *tensor.Scratch
-	// layer states per (layer index, micro).
-	layers map[int][]*nn.LayerState
+	// layer states per (layer index, micro); nil for other stages' layers.
+	layers [][]*nn.LayerState
 	heads  []*nn.HeadState
-	logits map[famKey]*tensor.Matrix
-	tasks  map[famKey][]nn.WeightTask
+	logits []*tensor.Matrix
+	tasks  [][]nn.WeightTask
+	// pieces counts each family's weight-gradient pieces run so far, the
+	// count sched.PieceStep releases the family's buffers by.
+	pieces []int32
 	// stash holds tensors handed between chunks that live on the same
-	// stage (e.g. single-stage pipelines with several chunks), keyed by
-	// the consumer op. Program order guarantees the producer ran first.
-	stash map[edgeKey]*tensor.Matrix
+	// stage (e.g. single-stage pipelines with several chunks, or ZBV's
+	// V-shape turn), by consumer op. Program order guarantees the
+	// producer ran first.
+	stash []*tensor.Matrix
 	loss  float64
 	err   error
 	// res is the stage's recovery state when checkpointing is enabled.
@@ -303,13 +318,19 @@ func (r *Runner) now() float64 { return r.clock().Sub(r.t0).Seconds() }
 
 // newStage allocates the mutable execution state of one stage.
 func (r *Runner) newStage(k int) *stage {
+	ix := r.dt.Ix
+	base := int32(k * ix.PerStage())
+	fams := ix.Families() / r.s.P
 	st := &stage{
 		k:      k,
-		layers: map[int][]*nn.LayerState{},
+		base:   base,
+		fam0:   ix.FamilyOf(base),
+		layers: make([][]*nn.LayerState, len(r.layerChunk)),
 		heads:  make([]*nn.HeadState, r.s.N),
-		logits: map[famKey]*tensor.Matrix{},
-		tasks:  map[famKey][]nn.WeightTask{},
-		stash:  map[edgeKey]*tensor.Matrix{},
+		logits: make([]*tensor.Matrix, fams),
+		tasks:  make([][]nn.WeightTask, fams),
+		pieces: make([]int32, fams),
+		stash:  make([]*tensor.Matrix, ix.PerStage()),
 	}
 	for c := 0; c < r.s.V; c++ {
 		g := r.s.Place.Global(k, c)
@@ -370,17 +391,14 @@ func (r *Runner) runStage(st *stage) {
 		}
 		start := r.now()
 		before := st.sc.Stats()
+		id := r.dt.Ix.ID(st.k, op)
 		switch op.Kind {
 		case sched.F:
-			r.forward(st, op)
-		case sched.B:
-			r.backward(st, op, true)
-		case sched.BAct:
-			r.backward(st, op, false)
-		case sched.W:
-			r.weight(st, op, 0, 1)
-		case sched.WPiece:
-			r.weight(st, op, op.Piece, r.s.WPieces)
+			r.forward(st, op, id)
+		case sched.B, sched.BAct:
+			r.backward(st, op, id, op.Kind == sched.B)
+		case sched.W, sched.WPiece:
+			r.weight(st, op, id)
 		}
 		if st.err != nil {
 			panic(failPanic{idx: i, op: op, err: st.err})
@@ -401,18 +419,18 @@ func (r *Runner) runStage(st *stage) {
 	}
 }
 
-// isFirst / isHead classify the op's global chunk.
-func (r *Runner) global(st *stage, op sched.Op) int { return r.s.Place.Global(st.k, op.Chunk) }
+// family returns the stage-local family number of the op with dense id.
+func (r *Runner) family(st *stage, id int32) int32 { return r.dt.Ix.FamilyOf(id) - st.fam0 }
 
-func (r *Runner) forward(st *stage, op sched.Op) {
-	g := r.global(st, op)
+func (r *Runner) forward(st *stage, op sched.Op, id int32) {
+	g := r.s.Place.Global(st.k, op.Chunk)
 	start := op.Slice * r.sliceTokens
 	var x *tensor.Matrix
 	if g == 0 {
 		tokens := r.batch[op.Micro][start : start+r.sliceTokens]
 		x = r.model.Embed.Forward(st.sc, tokens)
 	} else {
-		x = r.receive(st, op)
+		x = r.receive(st, op, id)
 	}
 	for _, li := range r.chunkLayers[g] {
 		if r.model.LeanActivations {
@@ -423,23 +441,20 @@ func (r *Runner) forward(st *stage, op sched.Op) {
 	}
 	if g == r.s.TotalChunks()-1 {
 		logits := r.model.Head.Forward(st.sc, x, st.heads[op.Micro], start)
-		st.logits[famKey{op.Micro, op.Slice, op.Chunk}] = logits
+		st.logits[r.family(st, id)] = logits
 		return
 	}
-	ns, nl := r.s.Place.Host(g + 1)
-	consumer := sched.Op{Kind: sched.F, Micro: op.Micro, Slice: op.Slice, Chunk: nl}
-	r.deliver(st, ns, consumer, op, x)
+	r.deliver(st, id, op, x)
 }
 
-// receive obtains the op's cross-chunk input: a channel for cross-stage
-// edges, the local stash otherwise. Channel waits select on the run
-// context and the failure latch, so a cancelled RunContext — or a failed
+// receive obtains the cross-chunk input of op (dense id): its channel for
+// a cross-stage edge, the local stash otherwise. Channel waits select on
+// the run context and the failure latch, so a cancelled RunContext — or a failed
 // peer stage — unwinds stages blocked here. During restore-and-replay the
 // input is served from the stage's receive log instead: the producer will
 // not resend.
-func (r *Runner) receive(st *stage, op sched.Op) *tensor.Matrix {
-	key := edgeKey{st.k, op}
-	if ch, ok := r.recv[key]; ok {
+func (r *Runner) receive(st *stage, op sched.Op, id int32) *tensor.Matrix {
+	if ch := r.in[id]; ch != nil {
 		if st.res != nil && st.res.replayIdx < len(st.res.recvLog) {
 			x := st.res.recvLog[st.res.replayIdx]
 			st.res.replayIdx++
@@ -462,27 +477,25 @@ func (r *Runner) receive(st *stage, op sched.Op) *tensor.Matrix {
 			st.res.replayIdx = len(st.res.recvLog)
 		}
 		if r.trace != nil {
-			r.traceArrival(st.k, op, waitFrom, x)
+			r.traceArrival(st.k, op, id, waitFrom, x)
 		}
 		return x
 	}
-	x, ok := st.stash[key]
-	if !ok {
+	x := st.stash[id-st.base]
+	if x == nil {
 		panic(fmt.Sprintf("pipeline: stage %d: no input for %v", st.k, op))
 	}
-	delete(st.stash, key)
+	st.stash[id-st.base] = nil
 	return x
 }
 
 // traceArrival emits the comm event for a tensor that just arrived for op,
 // plus a stall event when the stage measurably blocked waiting for it.
-func (r *Runner) traceArrival(k int, op sched.Op, waitFrom float64, x *tensor.Matrix) {
+func (r *Runner) traceArrival(k int, op sched.Op, id int32, waitFrom float64, x *tensor.Matrix) {
 	now := r.now()
 	from := k
-	var deps []sched.Dep
-	for _, d := range r.s.Deps(deps, k, op) {
-		if d.Stage != k {
-			from = d.Stage
+	for _, d := range r.dt.ID[r.dt.Off[id]:r.dt.Off[id+1]] {
+		if from = r.dt.Ix.Stage(d); from != k {
 			break
 		}
 	}
@@ -498,13 +511,16 @@ func (r *Runner) traceArrival(k int, op sched.Op, waitFrom float64, x *tensor.Ma
 	}
 }
 
-// deliver hands x to the consumer op on stage ns. Cross-stage deliveries
-// run through the transport hook (with transient-failure retry) and are
-// suppressed during replay when the original execution already delivered
-// them — peers must not see a frame twice.
-func (r *Runner) deliver(st *stage, ns int, consumer, producer sched.Op, x *tensor.Matrix) {
-	if ns == st.k {
-		st.stash[edgeKey{ns, consumer}] = x
+// deliver hands x, the output of producer (dense id), to its consumer
+// out[id]. Cross-stage deliveries run through the transport hook (with
+// transient-failure retry) and are suppressed during replay when the
+// original execution already delivered them — peers must not see a frame
+// twice.
+func (r *Runner) deliver(st *stage, id int32, producer sched.Op, x *tensor.Matrix) {
+	consumer := r.out[id]
+	ch := r.in[consumer]
+	if ch == nil {
+		st.stash[consumer-st.base] = x
 		return
 	}
 	if st.res != nil {
@@ -515,35 +531,27 @@ func (r *Runner) deliver(st *stage, ns int, consumer, producer sched.Op, x *tens
 		st.res.sendSeq++
 		st.res.sendHW++
 	}
-	r.sendRetrying(st, ns, producer)
-	for i, ch := range r.sends[edgeKey{st.k, producer}] {
-		out := x
-		if i > 0 && st.sc != nil {
-			// Ownership of x transfers to the first consumer (which will
-			// recycle it); further consumers need their own copy.
-			out = x.Clone()
-		}
-		select {
-		case ch <- out:
-		case <-r.ctx.Done():
-			panic(cancelPanic{})
-		case <-r.failed:
-			panic(abortPanic{})
-		}
+	r.sendRetrying(st, r.dt.Ix.Stage(consumer), producer)
+	select {
+	case ch <- x:
+	case <-r.ctx.Done():
+		panic(cancelPanic{})
+	case <-r.failed:
+		panic(abortPanic{})
 	}
 }
 
-func (r *Runner) backward(st *stage, op sched.Op, fused bool) {
-	g := r.global(st, op)
+func (r *Runner) backward(st *stage, op sched.Op, id int32, fused bool) {
+	g := r.s.Place.Global(st.k, op.Chunk)
 	start := op.Slice * r.sliceTokens
-	fam := famKey{op.Micro, op.Slice, op.Chunk}
+	fam := r.family(st, id)
 	var dy *tensor.Matrix
 	var tasks []nn.WeightTask
 	if g == r.s.TotalChunks()-1 {
 		// Loss gradient: mean over slices and micro-batches, matching
 		// the sequential reference.
 		logits := st.logits[fam]
-		delete(st.logits, fam)
+		st.logits[fam] = nil
 		targets := r.batch[op.Micro][start+1 : start+r.sliceTokens+1]
 		dLogits := st.sc.GetRaw(r.sliceTokens, r.model.Cfg.Vocab)
 		norm := float64(r.s.S * r.s.N)
@@ -552,7 +560,7 @@ func (r *Runner) backward(st *stage, op sched.Op, fused bool) {
 		st.sc.Put(logits)
 		dy, tasks = r.model.Head.Backward(st.sc, dLogits, st.heads[op.Micro], start, nil)
 	} else {
-		dy = r.receive(st, op)
+		dy = r.receive(st, op, id)
 	}
 	layers := r.chunkLayers[g]
 	for i := len(layers) - 1; i >= 0; i-- {
@@ -564,13 +572,7 @@ func (r *Runner) backward(st *stage, op sched.Op, fused bool) {
 		r.model.Embed.Backward(tokens, dy)
 		st.sc.Put(dy)
 	} else {
-		ps, pl := r.s.Place.Host(g - 1)
-		kind := sched.B
-		if r.s.SplitBW {
-			kind = sched.BAct
-		}
-		consumer := sched.Op{Kind: kind, Micro: op.Micro, Slice: op.Slice, Chunk: pl}
-		r.deliver(st, ps, consumer, op, dy)
+		r.deliver(st, id, op, dy)
 	}
 	if fused {
 		for _, t := range tasks {
@@ -582,10 +584,11 @@ func (r *Runner) backward(st *stage, op sched.Op, fused bool) {
 	st.tasks[fam] = tasks
 }
 
-// weight executes piece `p` of `of` of the family's deferred GEMMs (whole W
+// weight executes the op's piece of the family's deferred GEMMs (whole W
 // runs all of them).
-func (r *Runner) weight(st *stage, op sched.Op, p, of int) {
-	fam := famKey{op.Micro, op.Slice, op.Chunk}
+func (r *Runner) weight(st *stage, op sched.Op, id int32) {
+	p, of := op.Piece, max(r.s.WPieces, 1)
+	fam := r.family(st, id)
 	tasks := st.tasks[fam]
 	if tasks == nil {
 		st.err = fmt.Errorf("pipeline: stage %d: weight op %v before its backward: %w", st.k, op, errs.ErrUncertified)
@@ -596,10 +599,11 @@ func (r *Runner) weight(st *stage, op sched.Op, p, of int) {
 	for _, t := range tasks[lo:hi] {
 		t.RunCounted(st.sc)
 	}
-	if p == of-1 {
-		// Last piece of the family: every task has run, so the buffers the
-		// family retained (shared across pieces) can go back to the arena.
+	if sched.PieceStep(op.Kind, &st.pieces[fam], r.s.WPieces) == sched.Release {
+		// The family's last piece to run: every task has run, so the
+		// buffers the family retained (shared across pieces) can go back
+		// to the arena.
 		nn.Release(st.sc, tasks)
-		delete(st.tasks, fam)
+		st.tasks[fam] = nil
 	}
 }

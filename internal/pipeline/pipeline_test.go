@@ -1,15 +1,20 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mepipe/internal/errs"
 	"mepipe/internal/nn"
+	"mepipe/internal/opt"
 	"mepipe/internal/sched"
+	"mepipe/internal/sim"
 	"mepipe/internal/tensor"
+	"mepipe/internal/verify"
 )
 
 func cfg() nn.Config {
@@ -99,6 +104,8 @@ func TestEverySchedulerMatchesSequential(t *testing.T) {
 		{"mepipe", func() (*sched.Schedule, error) { return sched.MEPipe(4, 1, 2, 3, 0, 5, nil) }},
 		{"mepipe-v2", func() (*sched.Schedule, error) { return sched.MEPipe(4, 2, 2, 3, 0, 3, nil) }},
 		{"mepipe-minmem", func() (*sched.Schedule, error) { return sched.MEPipe(4, 1, 4, 3, 4, 7, nil) }},
+		{"mepipe-pieces-reversed", mepipeReversed},
+		{"mepipe-optimized", mepipeOptimized},
 	}
 	for _, b := range builds {
 		b := b
@@ -111,6 +118,46 @@ func TestEverySchedulerMatchesSequential(t *testing.T) {
 			assertEquivalent(t, s, 31)
 		})
 	}
+}
+
+// mepipeReversed is MEPipe(4,1,2,3,0,5) with every family's
+// weight-gradient pieces reversed on every stage, certified: the last
+// piece to run is piece 0, so the family's buffers must be released by
+// the pieces run (sched.PieceStep), not by the piece index.
+func mepipeReversed() (*sched.Schedule, error) {
+	s, err := sched.MEPipe(4, 1, 2, 3, 0, 5, nil)
+	if err != nil {
+		return nil, err
+	}
+	for k, ops := range s.Stages {
+		ops = slices.Clone(ops)
+		for i, op := range ops {
+			if op.Kind == sched.WPiece {
+				ops[i].Piece = s.WPieces - 1 - op.Piece
+			}
+		}
+		s.Stages[k] = ops
+	}
+	if _, err := verify.Certify(s, verify.Options{}); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// mepipeOptimized is what the annealer returns for MEPipe(4,1,2,4,0,4)
+// under uniform costs at seed 1: an order whose pieces run out of index
+// order, as /v1/optimize hands it to the runtime.
+func mepipeOptimized() (*sched.Schedule, error) {
+	s, err := sched.MEPipe(4, 1, 2, 4, 0, 4, nil)
+	if err != nil {
+		return nil, err
+	}
+	est := sched.UniformEst{F: 1, BFused: 2, BAct: 1, W: 1, WPiece: 0.25, Comm: 0.2}
+	res, err := opt.Optimize(context.Background(), s, sim.UniformCosts{Est: est}, opt.Options{Seed: 1, Iters: 400})
+	if err != nil {
+		return nil, err
+	}
+	return res.Schedule, nil
 }
 
 // TestSVPPPropertyEquivalence: random SVPP shapes and knobs, always
@@ -324,3 +371,49 @@ func TestPipelinedRecompute(t *testing.T) {
 		}
 	}
 }
+
+// TestRunnerAllocs is the runtime's allocation ceiling for one iteration
+// at the train benchmark's shape (the tiny decoder under MEPipe with P=4,
+// V=1, S=4, N=4 and the decoder's GEMM pieces): New, which certifies the
+// schedule and wires its tensor edges, and New plus Run.
+func TestRunnerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	c := nn.Config{Hidden: 64, Heads: 4, FFN: 256, Vocab: 256, Layers: 4, SeqLen: 32}
+	s, err := sched.MEPipe(4, 1, 4, 4, 0, nn.WeightGradGEMMs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := nn.NewModel(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := batch(rand.New(rand.NewSource(1)), c, s.N)
+	newOnly := testing.AllocsPerRun(10, func() {
+		if _, err := New(m, s, b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	newRun := testing.AllocsPerRun(10, func() {
+		r, err := New(m, s, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs: New %.0f, New+Run %.0f", newOnly, newRun)
+	if newOnly > newCeiling {
+		t.Errorf("New allocates %.0f objects, ceiling %d", newOnly, newCeiling)
+	}
+	if newRun > newRunCeiling {
+		t.Errorf("New+Run allocates %.0f objects, ceiling %d", newRun, newRunCeiling)
+	}
+}
+
+// The ceilings of TestRunnerAllocs: measured 208 and 1,059–1,067 on
+// linux/amd64 with Go 1.24, with a few percent of headroom for the run's
+// pooled scratch arenas and goroutine stacks.
+const newCeiling, newRunCeiling = 220, 1100

@@ -12,12 +12,13 @@ package pipeline
 //     backoff plus deterministic per-stage jitter before escalating.
 //   - restore-and-replay — with checkpointing enabled, each stage
 //     snapshots its mutable state (activations, accumulated gradients,
-//     deferred weight tasks, loss) every CheckpointEvery ops, logs
-//     tensors received since, and counts frames sent. A crash restores
-//     the snapshot and re-executes the lost ops: logged receives are
-//     served from the log, already-delivered sends are suppressed, so
-//     peers never observe the recovery and the iteration's loss and
-//     gradients are bit-identical to an undisturbed run.
+//     deferred weight tasks with their pieces-run counts, loss) every
+//     CheckpointEvery ops, logs tensors received since, and counts
+//     frames sent. A crash restores the snapshot and re-executes the
+//     lost ops: logged receives are served from the log,
+//     already-delivered sends are suppressed, so peers never observe the
+//     recovery and the iteration's loss and gradients are bit-identical
+//     to an undisturbed run.
 //
 // Every op processes one sequence slice, so op boundaries are the slice
 // boundaries §9's in-memory checkpointing acts at.
@@ -25,6 +26,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mepipe/internal/errs"
@@ -132,15 +134,18 @@ type resilience struct {
 	replayUntil int
 }
 
-// stageSnapshot is one stage's checkpoint.
+// stageSnapshot is one stage's checkpoint: the stage's tables, with its
+// layer and head states deep-copied (payloads are immutable once produced
+// and shared by reference).
 type stageSnapshot struct {
 	opIndex int
 	loss    float64
-	layers  map[int][]*nn.LayerState
+	layers  [][]*nn.LayerState
 	heads   []*nn.HeadState
-	logits  map[famKey]*tensor.Matrix
-	tasks   map[famKey][]nn.WeightTask
-	stash   map[edgeKey]*tensor.Matrix
+	logits  []*tensor.Matrix
+	tasks   [][]nn.WeightTask
+	pieces  []int32
+	stash   []*tensor.Matrix
 	grads   []savedGrad
 }
 
@@ -176,12 +181,10 @@ func (r *Runner) stageParams(k int) []nn.Param {
 	return out
 }
 
-// cloneStageState deep-copies a stage's execution state: layer and head
-// states via their checkpoint clones, plus fresh maps for logits, deferred
-// weight tasks and the same-stage stash (payloads are immutable once
-// produced and shared by reference).
-func cloneLayerStates(src map[int][]*nn.LayerState) map[int][]*nn.LayerState {
-	out := make(map[int][]*nn.LayerState, len(src))
+// cloneLayerStates deep-copies a stage's layer states via their checkpoint
+// clones.
+func cloneLayerStates(src [][]*nn.LayerState) [][]*nn.LayerState {
+	out := make([][]*nn.LayerState, len(src))
 	for li, states := range src {
 		cp := make([]*nn.LayerState, len(states))
 		for i, st := range states {
@@ -213,19 +216,11 @@ func (r *Runner) checkpoint(st *stage, i int, next sched.Op) {
 		loss:    st.loss,
 		layers:  cloneLayerStates(st.layers),
 		heads:   cloneHeadStates(st.heads),
-		logits:  make(map[famKey]*tensor.Matrix, len(st.logits)),
-		tasks:   make(map[famKey][]nn.WeightTask, len(st.tasks)),
-		stash:   make(map[edgeKey]*tensor.Matrix, len(st.stash)),
+		logits:  slices.Clone(st.logits),
+		tasks:   slices.Clone(st.tasks),
+		pieces:  slices.Clone(st.pieces),
+		stash:   slices.Clone(st.stash),
 		grads:   grads,
-	}
-	for k, v := range st.logits {
-		snap.logits[k] = v
-	}
-	for k, v := range st.tasks {
-		snap.tasks[k] = v
-	}
-	for k, v := range st.stash {
-		snap.stash[k] = v
 	}
 	st.res.snap = snap
 	st.res.recvLog = nil
@@ -248,18 +243,10 @@ func (r *Runner) restore(st *stage) {
 	st.loss = snap.loss
 	st.layers = cloneLayerStates(snap.layers)
 	st.heads = cloneHeadStates(snap.heads)
-	st.logits = make(map[famKey]*tensor.Matrix, len(snap.logits))
-	for k, v := range snap.logits {
-		st.logits[k] = v
-	}
-	st.tasks = make(map[famKey][]nn.WeightTask, len(snap.tasks))
-	for k, v := range snap.tasks {
-		st.tasks[k] = v
-	}
-	st.stash = make(map[edgeKey]*tensor.Matrix, len(snap.stash))
-	for k, v := range snap.stash {
-		st.stash[k] = v
-	}
+	copy(st.logits, snap.logits)
+	copy(st.tasks, snap.tasks)
+	copy(st.pieces, snap.pieces)
+	copy(st.stash, snap.stash)
 	for _, g := range snap.grads {
 		copy(g.live.Data, g.saved.Data)
 	}

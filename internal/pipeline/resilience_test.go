@@ -158,7 +158,9 @@ func TestCrashEveryStageFailsCleanly(t *testing.T) {
 
 // TestRecoveryGradientEquivalence: with checkpointing enabled, a crashed
 // stage restores and replays, and the iteration's loss and gradients stay
-// bit-compatible with sequential execution — peers never notice.
+// bit-compatible with sequential execution — peers never notice. In the
+// reversed-pieces case, checkpoints every 2 ops land between a family's
+// pieces, so the snapshot must carry the family's pieces-run count.
 func TestRecoveryGradientEquivalence(t *testing.T) {
 	builds := []struct {
 		name string
@@ -169,6 +171,7 @@ func TestRecoveryGradientEquivalence(t *testing.T) {
 		}},
 		{"mepipe-split", func() (*sched.Schedule, error) { return sched.MEPipe(4, 1, 2, 3, 0, 5, nil) }},
 		{"vpp", func() (*sched.Schedule, error) { return sched.VPP(4, 2, 4, nil) }},
+		{"mepipe-pieces-reversed", mepipeReversed},
 	}
 	for _, bd := range builds {
 		bd := bd

@@ -1,8 +1,8 @@
 package sched
 
-// Dependency semantics. These rules are the single source of truth shared by
-// the validator, the discrete-event simulator, and the real goroutine
-// runtime.
+// Dependency semantics. These rules are the single source of truth: the
+// certifier, the discrete-event simulator and the goroutine runtime read
+// them through the schedule's dense DepTable.
 //
 // Forward F(m, i, j)@k — slice i of micro-batch m through local chunk j of
 // stage k, with g = Place.Global(k, j):
@@ -26,7 +26,7 @@ package sched
 //     slice S−1, which transitively needs all earlier slices.)
 //  3. retained activations: the slice's own forward at this (stage, chunk),
 //     F(m, i, j)@k. (Transitively implied by 1+2 but stated explicitly so
-//     validation does not depend on that reasoning.)
+//     certification does not depend on that reasoning.)
 //
 // Weight gradient W/WPiece(m, i, j)@k: requires BAct(m, i, j)@k — and
 // nothing else, which is what lets §5 defer and interleave them freely.
@@ -70,10 +70,6 @@ func (s *Schedule) Deps(dst []Dep, stage int, op Op) []Dep {
 	}
 	return dst
 }
-
-// CrossStage reports whether a dependency edge carries a tensor between two
-// different stages (and therefore costs communication).
-func (d Dep) CrossStage(stage int) bool { return d.Stage != stage }
 
 // DepTable is the dense dependency structure of a schedule shape: for the
 // op with dense id i (per OpIndex), ID[Off[i]:Off[i+1]] holds the dense ids
